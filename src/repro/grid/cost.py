@@ -32,22 +32,28 @@ Two snapshot-maintenance engines share this query interface:
 
 * ``"full"`` — recompute every edge cost and prefix table from scratch
   on each :meth:`CostQuery.rebuild` (the oracle; O(L*nx*ny) per call);
-* ``"incremental"`` — drain the grid graph's dirty-rect log, recompute
-  edge costs only inside dirty (or requested) regions, and patch the
-  prefix tables by rewriting only the affected row/column suffixes.
-  A prefix sum only changes downstream of the first dirty index, and
-  anchoring the suffix scan on the last clean prefix entry reproduces
-  the from-scratch scan *bit for bit* (IEEE addition of the anchor into
-  the first suffix element is the same pairwise operation sequence the
-  full scan performs).  Results are therefore bit-identical to the full
-  oracle — asserted across backends by ``tests/test_cost_engine.py``.
+* ``"incremental"`` — keep persistent tables and rewrite only what a
+  rebuild can have changed.  *Unmasked* rebuilds drain the grid graph's
+  dirty-rect log, recompute edge costs inside dirty (or requested)
+  regions, and patch the prefix tables by rewriting only the affected
+  row/column suffixes.  *Masked* rebuilds (a box list over a pinned
+  reference — the pattern stage's per-level snapshot) turn the whole
+  box list into one :class:`_MaskPlan` of flat cell indices and run a
+  fixed number of whole-batch array operations over it, whatever the
+  number of boxes.
+  Either way a prefix entry is produced by the same left-to-right
+  sequence of IEEE additions the from-scratch scan performs (the scan
+  restarts from the last clean / reference prefix entry, folded into
+  the first rewritten element), so results are bit-identical to the
+  full oracle — asserted across backends by
+  ``tests/test_cost_engine.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -186,6 +192,62 @@ class CostModel:
         return self.unit_via_cost + self.congestion(graph.via_demand, graph.via_capacity)
 
 
+class _ScanPlan(NamedTuple):
+    """One scan family of a :class:`_MaskPlan`: the in-box edges of all
+    layers of one wire direction, or all in-box via pillars.
+
+    Indices are flat positions in the engine's ``(L, nx, ny)`` tables
+    unless noted.  ``cells`` lists the edges plane by plane and, inside
+    a plane, in box order — so a scatter leaves the *last* box's value
+    where boxes overlap, as a box-by-box loop would.  The same edges are
+    also cut into scan lines (a box row along a wire layer's direction;
+    a via pillar), padded to the widest: ``lines`` holds their table
+    positions with the padding pointed at a cell that is always zero,
+    ``anchor`` the cell just upstream of each line, and ``live`` the
+    positions of the real entries inside one plane's ``R * W`` block,
+    in ``cells`` order.
+    """
+
+    demand: np.ndarray  # (N,) positions in one (flattened) demand array
+    cells: np.ndarray  # (planes * N,)
+    lines: np.ndarray  # (planes, R, W)
+    anchor: np.ndarray  # (planes, R)
+    live: np.ndarray  # (N,)
+
+
+class _MaskPlan(NamedTuple):
+    """Index plan of one masked rebuild (see :meth:`CostQuery.rebuild`):
+    everything the engine needs to know about a box list, as index
+    arrays, so the rebuild is a fixed sequence of whole-batch array
+    operations."""
+
+    #: x-scan wires, y-scan wires, via pillars; None where no box holds
+    #: such an edge.
+    scans: Tuple[Optional[_ScanPlan], Optional[_ScanPlan], Optional[_ScanPlan]]
+    #: The three families' cells within one plane, flat in the
+    #: ``(3, nx*ny)`` tally mask.
+    tally: np.ndarray
+
+
+def _scan_lines(lo, count, start, width):
+    """Cut boxes into padded scan lines.
+
+    Box ``i`` contributes ``count[i]`` lines at cross coordinates
+    ``lo[i] ..``, each covering scan coordinates ``start[i] ..
+    start[i] + width[i] - 1``.  Returns ``(cross (R, 1), scan (R, W),
+    valid (R, W))`` with ``W = width.max()``, lines in box order.
+    """
+    box = np.repeat(np.arange(count.size), count)
+    first = np.cumsum(count) - count
+    cross = lo[box] + np.arange(box.size) - first[box]
+    step = np.arange(width.max())
+    return (
+        cross[:, None],
+        start[box][:, None] + step,
+        step < width[box][:, None],
+    )
+
+
 class CostQuery:
     """Prefix-sum accelerated segment/via-stack cost queries.
 
@@ -230,14 +292,17 @@ class CostQuery:
         )
         self._h_allowed = h_allowed
         self._v_allowed = ~h_allowed
+        self._h_layers = [int(l) for l in np.flatnonzero(h_allowed)]
+        self._v_layers = [int(l) for l in np.flatnonzero(~h_allowed)]
         self.wire_cost: List[np.ndarray] = []
         self.via_cost = np.empty(0)
         self._h_prefix = np.empty(0)  # host (L, nx, ny), cumulative along x
         self._v_prefix = np.empty(0)  # host (L, nx, ny), cumulative along y
         self._via_prefix = np.empty(0)  # host (L, nx, ny), cumulative along layer
-        # Reference-prefix tables of the masked mode (see rebuild):
-        # prefix sums of the pinned reference costs, recomputed only
-        # when the reference identity changes (once per stage).
+        # Masked mode (see rebuild): the pinned reference the tables
+        # were last seeded from, and — full engine — its wire-prefix
+        # sums, recomputed only when the reference identity changes
+        # (once per stage).
         self._ref_src = None
         self._ref_h_prefix: Optional[np.ndarray] = None
         self._ref_v_prefix: Optional[np.ndarray] = None
@@ -261,11 +326,16 @@ class CostQuery:
         self._prefix_wire_dirty: Dict[int, IntRect] = {}  # layer -> bbox
         self._prefix_via_dirty: Optional[IntRect] = None
         self._dev_stale = False
-        self._masked_ref = None  # reference identity of the masked snapshot
-        self._masked_boxes: Tuple = ()
-        self._h_edge: Optional[np.ndarray] = None  # persistent padded scratch
+        self._masked_plan: Optional[_MaskPlan] = None  # cells now off-reference
+        # Persistent padded edge tables; wire_cost / via_cost are views
+        # of their non-pad part.
+        self._h_edge: Optional[np.ndarray] = None
         self._v_edge: Optional[np.ndarray] = None
         self._z_edge: Optional[np.ndarray] = None
+        # Masked mode, per scan family (h, v, via): flat views of
+        # (edge, prefix) and of their twins holding the pinned reference.
+        self._masked_tables: Tuple = ()
+        self._tally_mask: Optional[np.ndarray] = None  # (3, nx*ny), False at rest
         self.rebuild()
 
     # ------------------------------------------------------------------ #
@@ -294,7 +364,19 @@ class CostQuery:
         on the first property (non-conflicting tasks see identical
         snapshots no matter which finished first); the session's per-net
         route cache relies on the second (a net's DP output does not
-        depend on the chunk composition an edit reshuffles).
+        depend on the chunk composition an edit reshuffles).  Where
+        boxes overlap, the last one listed owns the prefix entries.
+
+        The incremental engine does a masked rebuild in a number of
+        array operations that depends on the layer count only: the box
+        list becomes one :class:`_MaskPlan`; the previous plan's cells
+        are copied back from the reference tables; congestion is
+        evaluated once per orientation on the gathered demand of all
+        in-box edges; and every box row's anchored prefix comes out of
+        one row-wise ``cumsum`` over the padded scan lines.  Padding
+        only ever *follows* a line's real entries, so each prefix entry
+        is the same left-to-right chain of additions the oracle's
+        box-by-box scan performs — every bit agrees.
 
         ``window`` (a ``(x0, y0, x1, y1)`` G-cell rect) limits an
         *incremental* unmasked refresh to dirty regions intersecting the
@@ -448,15 +530,8 @@ class CostQuery:
         Cached by reference identity — one global scan per stage
         reference, not one per masked rebuild.
         """
-        if self._ref_src is not None:
-            prev_wire, prev_via = self._ref_src
-            ref_wire, ref_via = reference
-            if (
-                prev_via is ref_via
-                and len(prev_wire) == len(ref_wire)
-                and all(a is b for a, b in zip(prev_wire, ref_wire))
-            ):
-                return
+        if self._same_reference(reference):
+            return
         ref_wire, _ = reference
         nx, ny, n_layers = self.graph.nx, self.graph.ny, self.n_layers
         h_edge = np.zeros((n_layers, nx, ny))
@@ -501,16 +576,6 @@ class CostQuery:
             tmp[:, 0] += self._ref_v_prefix[layer, cols, ylo]
             np.cumsum(tmp, axis=1, out=self._v_prefix[layer, cols, ylo + 1 : yhi + 2])
 
-    def _restore_wire_prefix(self, layer: int, rect: IntRect) -> None:
-        """Revert one box's prefix slice to the reference tables."""
-        xlo, ylo, xhi, yhi = rect
-        if self._h_allowed[layer]:
-            sl = (layer, slice(xlo + 1, xhi + 2), slice(ylo, yhi + 1))
-            self._h_prefix[sl] = self._ref_h_prefix[sl]
-        else:
-            sl = (layer, slice(xlo, xhi + 1), slice(ylo + 1, yhi + 2))
-            self._v_prefix[sl] = self._ref_v_prefix[sl]
-
     def _boxes_edge_tally(self, boxes) -> Tuple[int, int]:
         """Deduplicated (wire, via) edge counts covered by ``boxes``."""
         h_rects = [(b.xlo, b.ylo, b.xhi - 1, b.yhi) for b in boxes]
@@ -531,16 +596,23 @@ class CostQuery:
             return
         graph = self.graph
         nx, ny, n_layers = graph.nx, graph.ny, self.n_layers
-        self.wire_cost = [
-            np.zeros(graph._wire_array_shape(layer)) for layer in range(n_layers)
-        ]
-        self.via_cost = np.zeros((max(n_layers - 1, 0), nx, ny))
         self._h_edge = np.zeros((n_layers, nx, ny))
         self._v_edge = np.zeros((n_layers, nx, ny))
         self._z_edge = np.zeros((n_layers, nx, ny))
+        # Row/column 0 pads the exclusive prefix and is never written;
+        # the public cost arrays are the rest, so a cost write needs no
+        # mirroring into the scan input.
+        self.wire_cost = [
+            self._h_edge[layer, 1:, :]
+            if self._h_allowed[layer]
+            else self._v_edge[layer, :, 1:]
+            for layer in range(n_layers)
+        ]
+        self.via_cost = self._z_edge[1:]
         self._h_prefix = np.zeros((n_layers, nx, ny))
         self._v_prefix = np.zeros((n_layers, nx, ny))
         self._via_prefix = np.zeros((n_layers, nx, ny))
+        self._tally_mask = np.zeros((3, nx * ny), dtype=bool)
         if self.backend.device_is_host:
             # In-place host patches keep the device twins current for
             # free — they are the same arrays.
@@ -560,20 +632,14 @@ class CostQuery:
         end = graph.dirty.end
         for layer in range(self.n_layers):
             np.copyto(self.wire_cost[layer], model.wire_edge_costs(graph, layer))
-            if self._h_allowed[layer]:
-                self._h_edge[layer, 1:, :] = self.wire_cost[layer]
-            else:
-                self._v_edge[layer, :, 1:] = self.wire_cost[layer]
         if self.via_cost.size:
             np.copyto(self.via_cost, model.via_edge_costs(graph))
-            self._z_edge[1:] = self.via_cost
         np.cumsum(self._h_edge, axis=1, out=self._h_prefix)
         np.cumsum(self._v_edge, axis=2, out=self._v_prefix)
         np.cumsum(self._z_edge, axis=0, out=self._via_prefix)
         self._cursor = end
         self._mode = "demand"
-        self._masked_ref = None
-        self._masked_boxes = ()
+        self._masked_plan = None
         self._pending_wire = {}
         self._pending_via = []
         self._prefix_wire_dirty = {}
@@ -671,16 +737,16 @@ class CostQuery:
         self.last_upload_bytes = (wire_n + via_n) * self.via_cost.itemsize
 
     def _masked_incremental(self, boxes, reference) -> None:
-        """Masked rebuild without per-batch deep copies.
+        """Masked rebuild as whole-batch array operations on one plan.
 
-        The persistent arrays hold the previous masked snapshot (same
-        reference): reverting the previous boxes' slices back to the
-        reference and recomputing the new boxes' slices from demand
-        reproduces the oracle masked rebuild bit for bit — the rest of
-        the arrays already equal the reference.  A reference change
-        (once per stage) seeds the buffers with one full copy.
+        The persistent tables hold the previous masked snapshot (same
+        reference): copying the previous plan's cells back from the
+        reference tables and repainting the new plan's cells from
+        demand reproduces the oracle masked rebuild bit for bit — the
+        rest of the tables already equal the reference.  A reference
+        change (once per stage) seeds the tables with one full copy.
 
-        Upload accounting: only the *fresh* boxes count toward
+        Upload accounting: only the *fresh* cells count toward
         ``last_upload_bytes`` — restores copy from the reference
         planes, which are already device-resident (uploaded once at
         seeding), so refreshing the preallocated slab in place moves
@@ -689,60 +755,68 @@ class CostQuery:
         without the split, every stacked launch reusing the scratch
         would double-count its predecessor's slab as bus traffic.
         The ``refreshed_*`` stats still count restores — they measure
-        host-side recompute work, which the restores really do.
+        host-side recompute work, which the restores really do.  Both
+        are counts of distinct painted cells, so overlapping boxes are
+        tallied once.
         """
         seeded = not (
             self._ready and self._mode == "masked" and self._same_reference(reference)
         )
         if seeded:
             self._seed_from_reference(reference)
-        h_rects: Set[IntRect] = set()
-        v_rects: Set[IntRect] = set()
-        via_rects: Set[IntRect] = set()
-        restored_h: Set[IntRect] = set()
-        restored_v: Set[IntRect] = set()
-        restored_via: Set[IntRect] = set()
-        if not seeded:
-            for box in self._masked_boxes:
-                self._apply_box(
-                    box, reference, restored_h, restored_v, restored_via
-                )
-        for box in boxes:
-            self._apply_box(box, None, h_rects, v_rects, via_rects)
-        self._masked_boxes = tuple(boxes)
+        graph, model = self.graph, self.model
+        previous, plan = self._masked_plan, self._mask_plan(boxes)
+        if previous is not None:
+            for scan, (edge, prefix, ref_edge, ref_prefix) in zip(
+                previous.scans, self._masked_tables
+            ):
+                if scan is not None:
+                    edge[scan.cells] = ref_edge[scan.cells]
+                    prefix[scan.cells] = ref_prefix[scan.cells]
+        sources = [
+            ([graph.wire_demand[l] for l in layers],
+             [graph.wire_capacity[l] for l in layers],
+             model.unit_wire_cost)
+            for layers in (self._h_layers, self._v_layers)
+        ]
+        sources.append(([graph.via_demand], [graph.via_capacity], model.unit_via_cost))
+        for scan, tables, source in zip(plan.scans, self._masked_tables, sources):
+            if scan is not None:
+                self._paint(scan, tables, *source)
+        self._masked_plan = plan
         self._dev_stale = not self.backend.device_is_host
         self.stats.masked_rebuilds += 1
         if seeded:
             wire_n = sum(int(a.size) for a in self.wire_cost)
             via_n = int(self.via_cost.size)
-            upload_wire_n, upload_via_n = wire_n, via_n
+            upload_n = wire_n + via_n
         else:
-            n_h = int(self._h_allowed.sum())
-            n_v = self.n_layers - n_h
-            upload_wire_n = (
-                rect_union_area(h_rects) * n_h + rect_union_area(v_rects) * n_v
-            )
-            upload_via_n = rect_union_area(via_rects) * max(
-                self.n_layers - 1, 0
-            )
-            wire_n = (
-                rect_union_area(h_rects | restored_h) * n_h
-                + rect_union_area(v_rects | restored_v) * n_v
-            )
-            via_n = rect_union_area(via_rects | restored_via) * max(
-                self.n_layers - 1, 0
-            )
+            mask = self._tally_mask
+            flat = mask.reshape(-1)
+            flat[plan.tally] = True
+            wire_n, via_n = self._tally_edges()
+            upload_n = wire_n + via_n
+            if previous is not None:
+                flat[previous.tally] = True
+                wire_n, via_n = self._tally_edges()
+            mask.fill(False)
         self.stats.refreshed_wire_edges += wire_n
         self.stats.refreshed_via_edges += via_n
-        self.last_upload_bytes = (
-            upload_wire_n + upload_via_n
-        ) * self.via_cost.itemsize
+        self.last_upload_bytes = upload_n * self.via_cost.itemsize
+
+    def _tally_edges(self) -> Tuple[int, int]:
+        """(wire, via) edge counts of the cells painted in the tally mask."""
+        h_cells, v_cells, via_cells = (
+            int(np.count_nonzero(row)) for row in self._tally_mask
+        )
+        wire_n = h_cells * len(self._h_layers) + v_cells * len(self._v_layers)
+        return wire_n, via_cells * (self.n_layers - 1)
 
     def _same_reference(self, reference) -> bool:
-        prev = self._masked_ref
-        if prev is None:
+        """True when ``reference`` is the one the ref tables were built from."""
+        if self._ref_src is None:
             return False
-        prev_wire, prev_via = prev
+        prev_wire, prev_via = self._ref_src
         ref_wire, ref_via = reference
         return (
             prev_via is ref_via
@@ -756,23 +830,30 @@ class CostQuery:
         ref_wire, ref_via = reference
         self._ensure_buffers()
         for layer in range(self.n_layers):
-            arr = self.wire_cost[layer]
-            np.copyto(arr, ref_wire[layer])
-            self._mirror_wire(layer, 0, 0, arr.shape[0] - 1, arr.shape[1] - 1)
+            np.copyto(self.wire_cost[layer], ref_wire[layer])
         if self.via_cost.size:
             np.copyto(self.via_cost, ref_via)
-            self._z_edge[1:] = self.via_cost
         np.cumsum(self._h_edge, axis=1, out=self._h_prefix)
         np.cumsum(self._v_edge, axis=2, out=self._v_prefix)
         np.cumsum(self._z_edge, axis=0, out=self._via_prefix)
-        # The freshly seeded tables *are* the reference prefixes —
-        # capture them for the per-box anchored scans and restores.
-        self._ref_h_prefix = self._h_prefix.copy()
-        self._ref_v_prefix = self._v_prefix.copy()
+        # The freshly seeded tables *are* the reference tables —
+        # capture them for the anchored scans and the restores.
+        self._masked_tables = tuple(
+            (
+                edge.reshape(-1),
+                prefix.reshape(-1),
+                edge.copy().reshape(-1),
+                prefix.copy().reshape(-1),
+            )
+            for edge, prefix in (
+                (self._h_edge, self._h_prefix),
+                (self._v_edge, self._v_prefix),
+                (self._z_edge, self._via_prefix),
+            )
+        )
         self._ref_src = reference
         self._mode = "masked"
-        self._masked_ref = reference
-        self._masked_boxes = ()
+        self._masked_plan = None
         self._pending_wire = {}
         self._pending_via = []
         self._prefix_wire_dirty = {}
@@ -780,32 +861,89 @@ class CostQuery:
         self._dev_stale = not self.backend.device_is_host
         self._ready = True
 
-    def _apply_box(
-        self,
-        box,
-        reference,
-        h_rects: Set[IntRect],
-        v_rects: Set[IntRect],
-        via_rects: Set[IntRect],
-    ) -> None:
-        """Write one box's edges — from demand, or pinned to ``reference``."""
-        for layer in range(self.n_layers):
-            if self._h_allowed[layer]:
-                rect = (box.xlo, box.ylo, box.xhi - 1, box.yhi)
-            else:
-                rect = (box.xlo, box.ylo, box.xhi, box.yhi - 1)
-            clipped = self._refresh_wire_rect(layer, rect, reference)
-            if clipped is not None:
-                (h_rects if self._h_allowed[layer] else v_rects).add(clipped)
-        clipped = self._refresh_via_rect(
-            (box.xlo, box.ylo, box.xhi, box.yhi), reference
+    # -- masked-rebuild plan -------------------------------------------- #
+    def _mask_plan(self, boxes) -> _MaskPlan:
+        """Turn a box list into the index plan of one masked rebuild."""
+        nx, ny = self.graph.nx, self.graph.ny
+        plane = nx * ny
+        rect = np.array([b.as_tuple() for b in boxes], dtype=np.intp).reshape(-1, 4)
+        lo = np.maximum(rect[:, :2], 0)
+        span = np.minimum(rect[:, 2:], (nx - 1, ny - 1)) - lo + 1
+        if span.size and span.min() <= 0:  # boxes wholly off the grid
+            keep = (span > 0).all(axis=1)
+            lo, span = lo[keep], span[keep]
+        if not span.size:
+            return _MaskPlan((None, None, None), np.empty(0, dtype=np.intp))
+        x0, y0, w, h = lo[:, 0], lo[:, 1], span[:, 0], span[:, 1]
+        # Lines run over the boxes' G-cells; a line's first cell is its
+        # anchor, and edge k of the line lives in table cell k + 1.  A
+        # layer's demand array is its table plane minus the pad row
+        # (x-scan: ny cells) or pad column (y-scan: one cell per row).
+        y, x, valid = _scan_lines(y0, h, x0, w)
+        h_scan, h_cells = self._wire_scan(
+            x * ny + y, valid, self._h_layers, lambda c: c - ny
         )
-        if clipped is not None:
-            via_rects.add(clipped)
+        x, y, valid = _scan_lines(x0, w, y0, h)
+        cells = x * ny + y
+        v_scan, v_cells = self._wire_scan(
+            cells, valid, self._v_layers, lambda c: c - c // ny - 1
+        )
+        via = cells[valid]
+        # A pillar is a scan line along the layer axis, anchored on the
+        # all-zero layer 0 of the via tables.
+        pillars = via[:, None] + plane * np.arange(1, self.n_layers)
+        via_scan = _ScanPlan(
+            demand=pillars.reshape(-1) - plane,
+            cells=pillars.reshape(-1),
+            lines=pillars[None],
+            anchor=via[None],
+            live=np.arange(pillars.size),
+        )
+        tally = np.concatenate((h_cells, v_cells + plane, via + 2 * plane))
+        return _MaskPlan((h_scan, v_scan, via_scan), tally)
 
-    # -- region refresh primitives ------------------------------------- #
+    def _wire_scan(self, cells, valid, layers: List[int], unpadded):
+        """One wire direction's :class:`_ScanPlan` and its in-plane edge
+        cells, from padded lines of G-cells; ``unpadded`` maps table
+        cells to positions in a layer's demand array."""
+        edge = valid[:, 1:]
+        live = np.flatnonzero(edge)
+        lines = np.where(edge, cells[:, 1:], 0)
+        plane_cells = lines.reshape(-1)[live]
+        if not (live.size and layers):
+            return None, plane_cells[:0]
+        offset = np.array(layers)[:, None] * (self.graph.nx * self.graph.ny)
+        scan = _ScanPlan(
+            demand=unpadded(plane_cells),
+            cells=(offset + plane_cells).reshape(-1),
+            lines=offset[:, :, None] + lines,
+            anchor=offset + cells[:, 0],
+            live=live,
+        )
+        return scan, plane_cells
+
+    def _paint(self, scan: _ScanPlan, tables, demand, capacity, unit) -> None:
+        """Recompute one scan family's in-box edge costs from the
+        per-plane ``demand`` / ``capacity`` arrays and rewrite their
+        anchored prefix entries."""
+        edge, prefix, _, ref_prefix = tables
+        cost = self.model.congestion(
+            np.stack([a.reshape(-1)[scan.demand] for a in demand]),
+            np.stack([a.reshape(-1)[scan.demand] for a in capacity]),
+        )
+        cost += unit
+        edge[scan.cells] = cost.reshape(-1)
+        # Padding reads table cell 0 (always zero) and trails every
+        # line, so the row-wise scan adds exactly what a per-box scan
+        # adds, in the same order.
+        lines = edge[scan.lines]
+        lines[..., 0] += ref_prefix[scan.anchor]
+        np.cumsum(lines, axis=-1, out=lines)
+        prefix[scan.cells] = lines.reshape(len(demand), -1)[:, scan.live].reshape(-1)
+
+    # -- region refresh primitives (unmasked mode) ---------------------- #
     def _refresh_wire_rect(
-        self, layer: int, rect: Sequence[int], reference=None
+        self, layer: int, rect: Sequence[int]
     ) -> Optional[IntRect]:
         """Rewrite one wire-edge rect (clipped); return what was written."""
         arr = self.wire_cost[layer]
@@ -816,32 +954,16 @@ class CostQuery:
         if xhi < xlo or yhi < ylo:
             return None
         sl = (slice(xlo, xhi + 1), slice(ylo, yhi + 1))
-        if reference is None:
-            graph, model = self.graph, self.model
-            arr[sl] = model.unit_wire_cost + model.congestion(
-                graph.wire_demand[layer][sl], graph.wire_capacity[layer][sl]
-            )
-        else:
-            arr[sl] = reference[0][layer][sl]
-        self._mirror_wire(layer, xlo, ylo, xhi, yhi)
-        if self._mode == "masked" and self._ref_src is not None:
-            # Per-box prefixes are written eagerly (no suffix to patch:
-            # a box write never disturbs entries past its own slice).
-            if reference is None:
-                self._seed_wire_prefix(
-                    layer, (xlo, ylo, xhi, yhi), self._h_edge, self._v_edge
-                )
-            else:
-                self._restore_wire_prefix(layer, (xlo, ylo, xhi, yhi))
-        else:
-            self._merge_prefix_wire(layer, (xlo, ylo, xhi, yhi))
+        graph, model = self.graph, self.model
+        arr[sl] = model.unit_wire_cost + model.congestion(
+            graph.wire_demand[layer][sl], graph.wire_capacity[layer][sl]
+        )
+        self._merge_prefix_wire(layer, (xlo, ylo, xhi, yhi))
         return (xlo, ylo, xhi, yhi)
 
-    def _refresh_via_rect(
-        self, rect: Sequence[int], reference=None
-    ) -> Optional[IntRect]:
+    def _refresh_via_rect(self, rect: Sequence[int]) -> Optional[IntRect]:
         """Rewrite the full via pillars of one G-cell rect (clipped)."""
-        graph = self.graph
+        graph, model = self.graph, self.model
         if self.via_cost.size == 0:
             return None
         xlo = max(rect[0], 0)
@@ -851,24 +973,11 @@ class CostQuery:
         if xhi < xlo or yhi < ylo:
             return None
         vsl = (slice(None), slice(xlo, xhi + 1), slice(ylo, yhi + 1))
-        if reference is None:
-            model = self.model
-            self.via_cost[vsl] = model.unit_via_cost + model.congestion(
-                graph.via_demand[vsl], graph.via_capacity[vsl]
-            )
-        else:
-            self.via_cost[vsl] = reference[1][vsl]
-        self._z_edge[1:, xlo : xhi + 1, ylo : yhi + 1] = self.via_cost[vsl]
+        self.via_cost[vsl] = model.unit_via_cost + model.congestion(
+            graph.via_demand[vsl], graph.via_capacity[vsl]
+        )
         self._merge_prefix_via((xlo, ylo, xhi, yhi))
         return (xlo, ylo, xhi, yhi)
-
-    def _mirror_wire(self, layer: int, xlo: int, ylo: int, xhi: int, yhi: int) -> None:
-        """Copy a wire_cost rect into the padded edge scratch."""
-        src = self.wire_cost[layer][xlo : xhi + 1, ylo : yhi + 1]
-        if self._h_allowed[layer]:
-            self._h_edge[layer, xlo + 1 : xhi + 2, ylo : yhi + 1] = src
-        else:
-            self._v_edge[layer, xlo : xhi + 1, ylo + 1 : yhi + 2] = src
 
     # -- pending / prefix-dirty bookkeeping ----------------------------- #
     def _push_pending_wire(self, layer: int, rect: Sequence[int]) -> None:

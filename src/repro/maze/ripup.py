@@ -135,8 +135,15 @@ def route_has_violation(route: Route, graph: GridGraph) -> bool:
 def find_violating_nets(
     routes: Dict[str, Route], graph: GridGraph
 ) -> List[str]:
-    """Return names of nets whose current route crosses an overflow."""
+    """Return names of nets whose current route crosses an overflow.
+
+    A route can only violate on an overflowed edge, so an overflow-free
+    grid answers without walking a single route.
+    """
     masks = overflow_masks(graph)
+    wire_over, via_over = masks
+    if not (via_over.any() or any(over.any() for over in wire_over)):
+        return []
     return [
         name
         for name, route in routes.items()

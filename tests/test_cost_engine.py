@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.backend import available_backends, get_backend
 from repro.core.config import RouterConfig
@@ -143,39 +145,178 @@ class TestUnmaskedParity:
         assert_snapshots_equal(inc, oracle)
 
 
+def rect_strategy():
+    """Any on-grid box: border-touching and zero-area ones included."""
+    xs = st.sampled_from([0, NX - 1]) | st.integers(0, NX - 1)
+    ys = st.sampled_from([0, NY - 1]) | st.integers(0, NY - 1)
+    flat = st.booleans()
+    return st.builds(
+        lambda x0, x1, y0, y1, flat_x, flat_y: Rect(
+            min(x0, x1),
+            min(y0, y1),
+            min(x0, x1) if flat_x else max(x0, x1),
+            min(y0, y1) if flat_y else max(y0, y1),
+        ),
+        xs, xs, ys, ys, flat, flat,
+    )
+
+
+@st.composite
+def level_boxes(draw, min_size=12):
+    """A level-sized batch: dozens of pairwise-disjoint boxes (one per
+    tile of a coarse tiling, shrunk at random inside its tile)."""
+    tile = draw(st.integers(2, 4))
+    inner = st.integers(0, tile - 1)
+    picks = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, NX // tile - 1), st.integers(0, NY // tile - 1),
+                inner, inner, inner, inner,
+            ),
+            unique_by=lambda pick: pick[:2],
+            min_size=min_size,
+            max_size=40,
+        )
+    )
+    return [
+        Rect(
+            tx * tile + min(a, b), ty * tile + min(c, d),
+            tx * tile + max(a, b), ty * tile + max(c, d),
+        )
+        for tx, ty, a, b, c, d in picks
+    ]
+
+
+@st.composite
+def box_lists(draw):
+    """Small arbitrary lists (overlaps likely, empty possible), the
+    same with duplicates appended, or a disjoint level-sized batch."""
+    kind = draw(st.sampled_from(["small", "duplicates", "level"]))
+    if kind == "level":
+        return draw(level_boxes())
+    boxes = draw(st.lists(rect_strategy(), max_size=5))
+    if kind == "duplicates" and boxes:
+        boxes = boxes + draw(st.lists(st.sampled_from(boxes), min_size=1, max_size=3))
+    return boxes
+
+
+FULL_GRID = Rect(0, 0, NX - 1, NY - 1)
+
+
 @pytest.mark.parametrize("backend_name", available_backends())
-def test_masked_parity(backend_name):
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.lists(st.tuples(box_lists(), st.booleans()), min_size=2, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+@example(  # every named shape once, deterministically
+    steps=[
+        ([Rect(2, 2, 8, 8), Rect(5, 5, 12, 12)], False),
+        ([Rect(5, 5, 12, 12), Rect(2, 2, 8, 8), Rect(5, 5, 12, 12)], False),
+        ([], False),
+        ([FULL_GRID, Rect(0, 0, 0, 0), Rect(NX - 1, 3, NX - 1, 9)], False),
+        ([Rect(4, 0, 9, 0), Rect(0, NY - 1, NX - 1, NY - 1)], True),
+        ([Rect(3 * i, 4 * j, 3 * i + 2, 4 * j + 3)
+          for i in range(6) for j in range(4)], False),
+        ([Rect(1, 1, 3, 3)], False),
+    ],
+    seed=7,
+)
+def test_masked_parity(backend_name, steps, seed):
     """Masked rebuilds (the scheduler's pinned-reference path) match the
-    oracle bit for bit, across reference reuse and box changes."""
-    rng = np.random.default_rng(7)
+    oracle bit for bit — tables *and* tallies — over box lists of every
+    shape: level-sized disjoint batches, overlapping and duplicate
+    boxes, border-touching and zero-area boxes, the empty list, and a
+    reference change mid-sequence.
+
+    Tallies: ``last_upload_bytes`` counts the fresh boxes only, as the
+    oracle does.  ``refreshed_*`` also counts the cells the incremental
+    engine copies back from the reference (the previous rebuild's
+    boxes), so the oracle is asked for its tally of both box lists; a
+    rebuild that reseeds (new reference) tallies the whole grid, like
+    the oracle's own full rebuild.
+    """
+    rng = np.random.default_rng(seed)
     graph = make_graph()
     model = CostModel()
-    inc = CostQuery(
-        graph, model, backend=get_backend(backend_name), engine="incremental"
-    )
+    backend = get_backend(backend_name)
+    inc = CostQuery(graph, model, backend=backend, engine="incremental")
+    full = CostQuery(graph, model, backend=backend, engine="full")
+    whole_grid = full.stats.copy()
     reference = inc.snapshot_reference()
-    for trial in range(8):
-        boxes = []
-        for x, y in rng.integers(0, 12, (3, 2)):
-            w, h = rng.integers(1, 6, 2)
-            boxes.append(
-                Rect(int(x), int(y), min(int(x + w), NX - 1), min(int(y + h), NY - 1))
-            )
-        random_route(rng, graph.stack).commit(graph)
+    previous, reseed = [], True
+    for step, (boxes, new_reference) in enumerate(steps):
+        # Dense enough that live and reference costs differ in most
+        # boxes: which of two overlapping boxes owns a prefix entry
+        # then shows in its bits.
+        for _ in range(20):
+            random_route(rng, graph.stack).commit(graph)
+        if new_reference:
+            reference = CostQuery(graph, model, engine="full").snapshot_reference()
+            previous, reseed = [], True
+        before = inc.stats.copy()
         inc.rebuild(boxes=boxes, reference=reference)
         inc.sync()
-        oracle = CostQuery(
-            graph, model, backend=get_backend(backend_name), engine="full"
-        )
-        oracle.rebuild(boxes=boxes, reference=reference)
-        assert_snapshots_equal(inc, oracle, f"at trial {trial}")
+        delta = inc.stats.delta(before)
+
+        before = full.stats.copy()
+        full.rebuild(boxes=previous + boxes, reference=reference)
+        expected = whole_grid if reseed else full.stats.delta(before)
+        assert delta.refreshed_wire_edges == expected.refreshed_wire_edges, step
+        assert delta.refreshed_via_edges == expected.refreshed_via_edges, step
+        full.rebuild(boxes=boxes, reference=reference)
+        if reseed:
+            assert inc.last_upload_bytes == (
+                whole_grid.refreshed_edges * inc.via_cost.itemsize
+            )
+        else:
+            assert inc.last_upload_bytes == full.last_upload_bytes, step
+        assert delta.masked_rebuilds == 1
+        assert_snapshots_equal(inc, full, f"at step {step}")
+        previous, reseed = boxes, False
     # Masked -> unmasked transition falls back to a clean full refresh.
     inc.rebuild()
     inc.sync()
-    oracle = CostQuery(
-        graph, model, backend=get_backend(backend_name), engine="full"
-    )
+    oracle = CostQuery(graph, model, backend=backend, engine="full")
     assert_snapshots_equal(inc, oracle, "after mode switch")
+
+
+@pytest.mark.parametrize("backend_name", available_backends())
+@settings(max_examples=25, deadline=None)
+@given(boxes=level_boxes(min_size=2), position=st.integers(0, 39),
+       seed=st.integers(0, 2**16))
+def test_in_box_queries_ignore_mask_mates(backend_name, boxes, position, seed):
+    """What the session's per-net route cache relies on: a query that
+    stays inside one box returns the same bits whether that box is
+    masked alone or together with any other disjoint boxes."""
+    rng = np.random.default_rng(seed)
+    graph = make_graph()
+    model = CostModel()
+    reference = CostQuery(graph, model).snapshot_reference()
+    for _ in range(12):
+        random_route(rng, graph.stack).commit(graph)
+    box, mates = boxes[0], boxes[1:]
+    position %= len(boxes)
+    together = mates[:position] + [box] + mates[position:]
+    xs, ys = np.arange(box.xlo, box.xhi + 1), np.arange(box.ylo, box.yhi + 1)
+    x_grid, y_grid = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
+    answers = []
+    for mask in ([box], together):
+        query = CostQuery(
+            graph, model, backend=get_backend(backend_name), engine="incremental"
+        )
+        query.rebuild(boxes=mask, reference=reference)
+        to_numpy = query.backend.to_numpy
+        answers.append((
+            # Every horizontal / vertical run from the box's low face.
+            to_numpy(query.segment_cost_layers(
+                np.full_like(x_grid, box.xlo), y_grid, x_grid, y_grid)),
+            to_numpy(query.segment_cost_layers(
+                x_grid, np.full_like(y_grid, box.ylo), x_grid, y_grid)),
+            to_numpy(query.via_prefix_at(x_grid, y_grid)),
+        ))
+    for alone, shared in zip(*answers):
+        assert np.array_equal(alone, shared)
 
 
 class TestWindowedRefresh:

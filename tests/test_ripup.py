@@ -61,6 +61,35 @@ class TestViolationDetection:
             route.commit(grid)
         assert sorted(find_violating_nets(routes, grid)) == ["hot1", "hot2"]
 
+    def test_no_overflow_walks_no_route(self, monkeypatch):
+        """An overflow-free grid answers [] from the masks alone: they
+        are computed once and no route is scanned against them."""
+        from repro.maze import ripup
+
+        grid = fresh_grid()
+        routes = {
+            f"n{i}": Route(
+                wires=[WireSegment(1, 0, i, 5, i)], vias=[ViaSegment(0, i, 0, 1)]
+            )
+            for i in range(4)
+        }
+        for route in routes.values():
+            route.commit(grid)
+        calls = {"masks": 0}
+        real_masks = ripup.overflow_masks
+
+        def counting_masks(graph):
+            calls["masks"] += 1
+            return real_masks(graph)
+
+        def no_walk(route, masks):
+            raise AssertionError("route walked against all-false masks")
+
+        monkeypatch.setattr(ripup, "overflow_masks", counting_masks)
+        monkeypatch.setattr(ripup, "route_touches_overflow", no_walk)
+        assert find_violating_nets(routes, grid) == []
+        assert calls["masks"] == 1
+
 
 class TestReroute:
     def test_reroute_reduces_overflow(self):
