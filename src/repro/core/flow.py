@@ -36,6 +36,7 @@ from repro.grid.route import Route
 from repro.gpu.device import Device
 from repro.gpu.zerocopy import ZeroCopyArena
 from repro.maze.ripup import RipupReroute, find_violating_nets
+from repro.maze.router import search_box
 from repro.netlist.design import Design
 from repro.netlist.net import Net
 from repro.pattern.batch import BatchPatternRouter
@@ -485,10 +486,7 @@ class RerouteStage(ScheduledStage):
         graph = engine.graph
         # The footprint is the maze *search region*, not just the
         # bounding box: everything the task reads or writes lives there.
-        self._boxes = [
-            [net.bbox.expanded(margin).clipped(graph.nx, graph.ny)]
-            for net in ordered_nets
-        ]
+        self._boxes = [[search_box(net, margin, graph)] for net in ordered_nets]
         self.n_failed = 0
         # Old routes of in-flight tasks (processes policy): uncommitted
         # at dispatch, restored on failure or when the worker finds no

@@ -36,8 +36,9 @@ class IterationStats:
     makespan: float = 0.0
     # Which search engine rerouted this iteration's nets.
     engine: str = "dijkstra"
-    # Nodes settled (dijkstra) / cells relaxed (wavefront) this
-    # iteration, summed over all reroute tasks.
+    # Node expansions (dijkstra; a re-expanded node counts again) /
+    # cells relaxed (wavefront) this iteration, summed over all
+    # reroute tasks.
     nodes_visited: int = 0
     # Cost-snapshot maintenance this iteration, summed over all worker
     # routers: rebuild calls, edge costs actually recomputed, seconds.
@@ -119,7 +120,7 @@ class RoutingResult:
 
     @property
     def maze_nodes_visited(self) -> int:
-        """Total maze search work (nodes settled / cells relaxed)."""
+        """Total maze search work (node expansions / cells relaxed)."""
         return sum(it.nodes_visited for it in self.iterations)
 
     @property

@@ -32,7 +32,7 @@ import numpy as np
 from repro.grid.cost import CostEngineStats, CostModel
 from repro.grid.graph import GridGraph
 from repro.grid.route import Route
-from repro.maze.router import MazeRouter, MazeRoutingError
+from repro.maze.router import MazeRouter, MazeRoutingError, search_box
 from repro.netlist.net import Net
 from repro.utils.timing import Tracker
 
@@ -201,9 +201,10 @@ class RipupReroute:
         # Every thread-local router ever created, so cost-engine stats
         # can be aggregated across workers after an iteration.
         self._routers: List[MazeRouter] = []
-        #: Total nodes settled/relaxed by maze searches so far (all
-        #: worker threads; monotone — snapshot before/after an
-        #: iteration to attribute counts per iteration).
+        #: Total node expansions of maze searches so far (all worker
+        #: threads; the goal-directed search counts a node again when
+        #: it re-expands it after an improvement; monotone — snapshot
+        #: before/after an iteration to attribute counts per iteration).
         self.nodes_visited = 0
         #: Counters/timers bus: monotone "maze.*" counters (nets,
         #: batches, batched nets, visited, kernel launches, transfer
@@ -448,7 +449,7 @@ class RipupReroute:
 
             for name in names:
                 net = self.nets[name]
-                region = net.bbox.expanded(self.margin).clipped(graph.nx, graph.ny)
+                region = search_box(net, self.margin, graph)
                 key = maze_task_key(
                     net, region.as_tuple(), demand_signature(graph, [region])
                 )
@@ -511,9 +512,7 @@ class RipupReroute:
         net = self.nets[name]
         old_route = routes[name]
         old_route.uncommit(self.graph)
-        region = net.bbox.expanded(self.margin).clipped(
-            self.graph.nx, self.graph.ny
-        )
+        region = search_box(net, self.margin, self.graph)
         key = maze_task_key(
             net, region.as_tuple(), demand_signature(self.graph, [region])
         )

@@ -1,4 +1,4 @@
-"""3-D maze routing: multi-source Dijkstra on the grid graph.
+"""3-D maze routing: goal-directed multi-source search on the grid graph.
 
 The maze router is the quality workhorse of the rip-up-and-reroute
 iterations: unlike pattern routing it may take any monotone or
@@ -7,8 +7,11 @@ Search is restricted to the net's bounding box plus a margin (standard
 practice; keeps the search region proportional to the net).
 
 A multi-pin net is routed by growing a connected component: start from
-one pin, run Dijkstra from every node of the component to the nearest
-unconnected pin, splice the found path in, repeat.
+one pin, search from every node of the component to the nearest
+unconnected pin, splice the found path in, repeat.  Each search is
+ordered by distance so far plus a lower bound on the remainder and
+returns exactly the path plain Dijkstra would (DESIGN.md §5,
+"Goal-directed scalar maze search").
 
 This module also defines the engine seams the wavefront engine
 (:mod:`repro.maze.wavefront`) plugs into: :meth:`MazeRouter.route_net`
@@ -25,16 +28,32 @@ import numpy as np
 
 from repro.grid.cost import CostModel, CostQuery
 from repro.grid.graph import GridGraph
-from repro.grid.route import Route
+from repro.grid.geometry import Rect
+from repro.grid.route import Route, ViaSegment, WireSegment
 from repro.netlist.net import Net
 from repro.pattern.commit import normalize_route
-from repro.grid.route import ViaSegment, WireSegment
 
 GridNode = Tuple[int, int, int]
+#: ``(moves, width, height, wire_min, via_min)`` of one search region.
+MoveTables = Tuple[List[Tuple[int, List[float]]], int, int, float, float]
+
+# Relative slack on the incumbent bound: covers the last-ULP rounding of
+# ``g + h`` so every node of an optimal path is still expanded.
+_BOUND_SLACK = 1.0 + 1e-9
 
 
 class MazeRoutingError(RuntimeError):
     """Raised when no path exists inside the search region."""
+
+
+def search_box(net: Net, margin: int, graph: GridGraph) -> Rect:
+    """The net's maze search window: bounding box plus margin, clipped.
+
+    The one definition of the window — the search, the worker-side cost
+    refresh, the session cache key and the scheduler footprint of a
+    reroute task all derive from it.
+    """
+    return net.bbox.expanded(margin).clipped(graph.nx, graph.ny)
 
 
 class MazeRouter:
@@ -54,15 +73,14 @@ class MazeRouter:
         self.cost_model = cost_model or CostModel()
         self.query = query or CostQuery(graph, self.cost_model, engine=cost_engine)
         self.margin = margin
-        # Search scratch (dist/parent/done), grown to the largest region
-        # seen and reused across splice searches *and* route_net calls:
+        # Search scratch (dist), grown to the largest region seen and
+        # reused across splice searches *and* route_net calls:
         # per-search cleanup touches only the entries a search dirtied,
-        # so reuse costs O(visited) instead of O(region) per search.
+        # so reuse costs O(touched) instead of O(region) per search.
         self._scratch_size = 0
         self._dist: List[float] = []
-        self._parent: List[int] = []
-        self._done = bytearray()
-        # Nodes settled/relaxed since the last consume_visited() call.
+        # Node expansions since the last consume_visited() call (a node
+        # re-expanded after an improvement counts again).
         self._visited_nodes = 0
 
     def route_net(self, net: Net, rebuild: bool = True) -> Route:
@@ -122,19 +140,21 @@ class MazeRouter:
     # Search internals
     # ------------------------------------------------------------------ #
     def _region(self, net: Net) -> Tuple[int, int, int, int]:
-        """Return the clipped (x0, y0, x1, y1) search window."""
-        box = net.bbox.expanded(self.margin).clipped(self.graph.nx, self.graph.ny)
-        return box.xlo, box.ylo, box.xhi, box.yhi
+        """Return the search window as ``(x0, y0, x1, y1)``."""
+        return search_box(net, self.margin, self.graph).as_tuple()
 
     def _move_tables(
         self, region: Tuple[int, int, int, int]
-    ) -> Tuple[List[Tuple[int, List[float]]], int, int]:
+    ) -> MoveTables:
         """Precompute per-node move costs for a region as Python lists.
 
-        Returns ``(moves, width, height)`` where ``moves`` pairs an
-        index offset with a flat cost list (``inf`` marks a forbidden
-        move).  The hot Dijkstra loop then runs on plain lists — scalar
-        indexing into NumPy arrays is an order of magnitude slower.
+        Returns ``(moves, width, height, wire_min, via_min)`` where
+        ``moves`` pairs an index offset with a flat cost list (``inf``
+        marks a forbidden move).  The hot search loop then runs on plain
+        lists — scalar indexing into NumPy arrays is an order of
+        magnitude slower.  ``wire_min`` / ``via_min`` are the smallest
+        wire / via step in the region (0.0 when a 1x1 region has no wire
+        step): the per-step lower bounds behind the search's ``h``.
         """
         x0, y0, x1, y1 = region
         width = x1 - x0 + 1
@@ -172,29 +192,39 @@ class MazeRouter:
             (plane, pos_z.reshape(-1).tolist()),
             (-plane, neg_z.reshape(-1).tolist()),
         ]
-        return moves, width, height
+        # A 1x1 window has no wire step; a stack always has a via step.
+        wire_min = float(min(pos_x.min(), pos_y.min()))
+        if wire_min == np.inf:
+            wire_min = 0.0
+        return moves, width, height, wire_min, float(via.min())
 
-    def _acquire_scratch(
-        self, size: int
-    ) -> Tuple[List[float], List[int], bytearray]:
-        """Return the shared dist/parent/done buffers, grown to ``size``."""
+    def _acquire_scratch(self, size: int) -> List[float]:
+        """Return the shared dist buffer, grown to ``size``."""
         if self._scratch_size < size:
             self._dist = [float("inf")] * size
-            self._parent = [-1] * size
-            self._done = bytearray(size)
             self._scratch_size = size
-        return self._dist, self._parent, self._done
+        return self._dist
 
     def _dijkstra(
         self,
         sources: set,
         targets: set,
         region: Tuple[int, int, int, int],
-        tables: Optional[Tuple[List[Tuple[int, List[float]]], int, int]] = None,
+        tables: Optional[MoveTables] = None,
     ) -> Tuple[List[GridNode], GridNode]:
-        """Shortest path from any source node to any target node."""
+        """Shortest path from any source node to any target node.
+
+        Goal-directed: the heap is ordered by ``g + h`` where ``h`` is a
+        consistent lower bound on the remaining distance, and the search
+        stops once nothing left can beat the best target found.  The
+        returned ``(path, reached)`` is the one a plain ``(dist, idx)``
+        -ordered Dijkstra with first-relaxer parents returns, bit for
+        bit (DESIGN.md §5, "the equal-cost tie-break contract").
+        """
         x0, y0, x1, y1 = region
-        moves, width, height = tables if tables is not None else self._move_tables(region)
+        moves, width, height, wire_min, via_min = (
+            tables if tables is not None else self._move_tables(region)
+        )
         n_layers = self.graph.n_layers
         size = n_layers * width * height
 
@@ -213,61 +243,99 @@ class MazeRouter:
         seeds = [
             encode(s) for s in sources if x0 <= s[0] <= x1 and y0 <= s[1] <= y1
         ]
-        target_idx = {encode(t) for t in targets if x0 <= t[0] <= x1 and y0 <= t[1] <= y1}
+        in_region = [t for t in targets if x0 <= t[0] <= x1 and y0 <= t[1] <= y1]
         # Validate before dirtying the shared scratch: raising after
         # seeding would leave stale zeros for the next search.
-        if not target_idx or not seeds:
+        if not in_region or not seeds:
             raise MazeRoutingError("pins outside search region")
-        dist, parent, done = self._acquire_scratch(size)
+        target_idx = {encode(t) for t in in_region}
+
+        # h[idx]: cheapest conceivable remainder to the nearest target —
+        # every wire step costs >= wire_min, every via step >= via_min.
+        # One (targets, layers, width, height) broadcast, flattened in
+        # encode() order.
+        tx, ty, tl = (
+            np.array(axis)[:, None, None, None] for axis in zip(*in_region)
+        )
+        wire_steps = np.abs(np.arange(x0, x1 + 1)[:, None] - tx) + np.abs(
+            np.arange(y0, y1 + 1) - ty
+        )
+        via_steps = np.abs(np.arange(n_layers)[:, None, None] - tl)
+        h: List[float] = (
+            (wire_min * wire_steps + via_min * via_steps)
+            .min(axis=0)
+            .reshape(-1)
+            .tolist()
+        )
+
+        dist = self._acquire_scratch(size)
         touched: List[int] = list(seeds)
-        heap: List[Tuple[float, int]] = [(0.0, idx) for idx in seeds]
         for idx in seeds:
             dist[idx] = 0.0
+        heap: List[Tuple[float, float, int]] = [(h[idx], 0.0, idx) for idx in seeds]
         heapq.heapify(heap)
 
         heappush = heapq.heappush
         heappop = heapq.heappop
-        reached = -1
-        n_settled = 0
+        bound = inf
+        n_expanded = 0
         try:
             while heap:
-                d, idx = heappop(heap)
-                if done[idx]:
-                    continue
-                done[idx] = 1
-                n_settled += 1
-                if idx in target_idx:
-                    reached = idx
+                f, g, idx = heappop(heap)
+                if f > bound:
                     break
+                if g > dist[idx]:
+                    continue  # stale: idx was improved after this push
+                n_expanded += 1
                 for offset, costs in moves:
                     cost = costs[idx]
                     if cost != inf:
                         nxt = idx + offset
-                        nd = d + cost
+                        nd = g + cost
                         if nd < dist[nxt]:
-                            if dist[nxt] == inf:
-                                touched.append(nxt)
-                            dist[nxt] = nd
-                            parent[nxt] = idx
-                            heappush(heap, (nd, nxt))
-            if reached < 0:
+                            nf = nd + h[nxt]
+                            if nf <= bound:
+                                if dist[nxt] == inf:
+                                    touched.append(nxt)
+                                dist[nxt] = nd
+                                if nxt in target_idx:
+                                    # Targets tighten the bound and are
+                                    # never expanded.
+                                    if nd * _BOUND_SLACK < bound:
+                                        bound = nd * _BOUND_SLACK
+                                else:
+                                    heappush(heap, (nf, nd, nxt))
+
+            best, reached = min((dist[t], t) for t in target_idx)
+            if best == inf:
                 raise MazeRoutingError("maze search exhausted without reaching a pin")
 
-            path: List[GridNode] = []
+            # Canonical descent: the predecessor is the optimal one with
+            # the smallest (dist, idx) — the first relaxer under plain
+            # Dijkstra order.  Window-border wraps of ``idx - offset``
+            # land on ``inf`` table entries or outside ``[0, size)``.
+            path = [decode(reached)]
             idx = reached
-            while idx >= 0:
+            while dist[idx] != 0.0:
+                d = dist[idx]
+                pred_d, pred = inf, -1
+                for offset, costs in moves:
+                    p = idx - offset
+                    if 0 <= p < size:
+                        dp = dist[p]
+                        if dp + costs[p] == d and (dp, p) < (pred_d, pred):
+                            pred_d, pred = dp, p
+                assert pred >= 0, "descent lost the optimal predecessor"
+                idx = pred
                 path.append(decode(idx))
-                idx = parent[idx]
             path.reverse()
             return path, decode(reached)
         finally:
-            self._visited_nodes += n_settled
+            self._visited_nodes += n_expanded
             # Undo only what this search dirtied, so the next search
-            # starts from clean buffers without an O(size) refill.
+            # starts from a clean buffer without an O(size) refill.
             for idx in touched:
                 dist[idx] = inf
-                parent[idx] = -1
-                done[idx] = 0
 
     @staticmethod
     def _splice(route: Route, path: Sequence[GridNode]) -> None:
@@ -305,4 +373,4 @@ class MazeRouter:
         flush(prev)
 
 
-__all__ = ["MazeRouter", "MazeRoutingError"]
+__all__ = ["MazeRouter", "MazeRoutingError", "search_box"]

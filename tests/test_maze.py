@@ -56,6 +56,73 @@ def reference_dijkstra(graph, query, sources, targets):
     return np.inf
 
 
+def heap_dijkstra_oracle(router, sources, targets, region):
+    """The search ``MazeRouter._dijkstra`` must reproduce bit for bit.
+
+    Plain multi-source Dijkstra over the router's region move tables:
+    heap ordered by ``(dist, idx)``, done flags, parent recorded by the
+    first strict improvement, stop at the first target popped.  Returns
+    ``(path, reached, n_settled)``.
+    """
+    x0, y0, x1, y1 = region
+    moves, width, height = router._move_tables(region)[:3]
+    size = router.graph.n_layers * width * height
+
+    def encode(node):
+        x, y, layer = node
+        return (layer * width + (x - x0)) * height + (y - y0)
+
+    def decode(idx):
+        rest, y = divmod(idx, height)
+        layer, x = divmod(rest, width)
+        return (x + x0, y + y0, layer)
+
+    inf = float("inf")
+    seeds = [encode(s) for s in sources if x0 <= s[0] <= x1 and y0 <= s[1] <= y1]
+    target_idx = {
+        encode(t) for t in targets if x0 <= t[0] <= x1 and y0 <= t[1] <= y1
+    }
+    if not target_idx or not seeds:
+        raise MazeRoutingError("pins outside search region")
+    dist = [inf] * size
+    parent = [-1] * size
+    done = bytearray(size)
+    heap = [(0.0, idx) for idx in seeds]
+    for idx in seeds:
+        dist[idx] = 0.0
+    heapq.heapify(heap)
+
+    reached = -1
+    n_settled = 0
+    while heap:
+        d, idx = heapq.heappop(heap)
+        if done[idx]:
+            continue
+        done[idx] = 1
+        n_settled += 1
+        if idx in target_idx:
+            reached = idx
+            break
+        for offset, costs in moves:
+            cost = costs[idx]
+            if cost != inf:
+                nxt = idx + offset
+                nd = d + cost
+                if nd < dist[nxt]:
+                    dist[nxt] = nd
+                    parent[nxt] = idx
+                    heapq.heappush(heap, (nd, nxt))
+    if reached < 0:
+        raise MazeRoutingError("maze search exhausted without reaching a pin")
+    path = []
+    idx = reached
+    while idx >= 0:
+        path.append(decode(idx))
+        idx = parent[idx]
+    path.reverse()
+    return path, decode(reached), n_settled
+
+
 def route_cost(route, query):
     """Price a route under a cost snapshot."""
     total = 0.0
@@ -174,7 +241,7 @@ class TestRegionAndErrors:
 
 class TestScratchReuse:
     def test_repeated_route_net_identical(self):
-        """Reused dist/parent/done scratch never leaks across searches."""
+        """Reused dist scratch never leaks across searches."""
         rng = np.random.default_rng(9)
         grid = fresh_grid()
         for layer in range(grid.n_layers):
@@ -192,6 +259,7 @@ class TestScratchReuse:
             got = shared.route_net(net)
             assert got.wires == expected.wires
             assert got.vias == expected.vias
+            assert all(d == float("inf") for d in shared._dist)
 
     def test_scratch_grows_to_largest_region(self):
         grid = fresh_grid()
@@ -205,8 +273,24 @@ class TestScratchReuse:
     def test_scratch_clean_after_failed_search(self):
         grid = fresh_grid()
         router = MazeRouter(grid)
-        with pytest.raises(MazeRoutingError):
+        router.route_net(Net("warm", [Pin(0, 0, 0), Pin(5, 5, 1)]))  # allocate
+        with pytest.raises(MazeRoutingError, match="pins outside search region"):
             router._dijkstra({(0, 0, 0)}, {(50, 50, 0)}, (0, 0, 5, 5))
+        assert router._dist and all(d == float("inf") for d in router._dist)
+
+    def test_scratch_clean_after_search_cut_short_by_bound(self):
+        """Entries pushed but never popped are reset too."""
+        grid = fresh_grid()
+        router = MazeRouter(grid, margin=20)
+        router.query.rebuild()
+        region = (0, 0, 13, 13)
+        source, target = (6, 6, 0), (8, 6, 1)
+        path, reached = router._dijkstra({source}, {target}, region)
+        assert reached == target and path[0] == source
+        # The bound stopped the search well short of the whole window
+        # (the oracle settles more, and the window is larger still) ...
+        expanded = router.consume_visited()
+        _, _, settled = heap_dijkstra_oracle(router, {source}, {target}, region)
+        assert expanded < settled < grid.n_layers * 14 * 14
+        # ... and every relaxed-but-unpopped entry went back to inf.
         assert all(d == float("inf") for d in router._dist)
-        assert all(p == -1 for p in router._parent)
-        assert not any(router._done)
