@@ -89,11 +89,11 @@ def test_fused_dispatch_beats_per_net():
     config = RouterConfig.fastgr_h(cost_engine="incremental")
     mode_fn = make_mode_selector(config, graph)
 
-    # Neither side commits (``commit=False`` — the processes-policy
-    # seam), so demand is static across repeats and both sides replay
-    # the exact same masked DP.  The incremental cost engine keeps the
-    # per-call rebuild proportional to the dispatched boxes — the same
-    # maintenance PatternStage pays per chunk / per fused level.
+    # Neither side commits (``commit=False``), so demand is static
+    # across repeats and both sides replay the exact same masked DP.
+    # The incremental cost engine keeps the per-call rebuild
+    # proportional to the dispatched boxes — the same maintenance
+    # PatternStage pays per chunk / per fused level.
     per_net = BatchPatternRouter(
         graph, backend="numpy", cost_engine="incremental"
     )

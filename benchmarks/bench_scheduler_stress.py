@@ -22,36 +22,23 @@ makespans are policy-independent by construction — the schedule is);
 the only difference between the compared strategies is the barrier,
 which is exactly what the paper's comparison isolates.
 
-A second, *wall-clock* mode complements the modelled makespans: it
-routes the same congested design end to end under the ``ordered`` and
-``processes`` execution policies and compares real elapsed time.  The
-routes must be bit-identical (that assertion always runs); the >=
-``REPRO_WALL_TARGET`` (default 1.5x) speedup assertion only arms on
-machines with at least two CPUs — on a single core the processes
-policy cannot beat sequential and the bench degrades to a parity
-check.
-
 Quick mode: set ``REPRO_STRESS_WORKERS`` (e.g. ``"8"``) to restrict the
-worker sweep — the >=1.5x assertion holds already at 8 workers — and
-``REPRO_WALL_QUICK=1`` to shrink the wall-clock design for CI.
+worker sweep — the >=1.5x assertion holds already at 8 workers.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 import pytest
 
 from conftest import register_table
 
-from repro.core.config import RouterConfig
-from repro.core.router import GlobalRouter
 from repro.eval.report import format_table
 from repro.netlist.benchmarks import load_benchmark
-from repro.netlist.generator import DesignSpec, generate_design
 from repro.sched.pipeline import (
+    EXECUTION_POLICIES,
     ScheduledStage,
     StageRunner,
     modelled_makespans,
@@ -103,10 +90,7 @@ class StressStage(ScheduledStage):
         self.n_committed += 1
 
 
-# StressStage bodies are trivial (no process plan — "processes" would
-# silently fall back to ordered); the processes policy is measured for
-# real in test_scheduler_wall_clock below.
-@pytest.mark.parametrize("policy", ("ordered", "threaded"))
+@pytest.mark.parametrize("policy", EXECUTION_POLICIES)
 def test_scheduler_stress(benchmark, policy):
     boxes = sampled_boxes()
     rng = make_rng(("sched-stress", DESIGN))
@@ -155,101 +139,3 @@ def test_scheduler_stress(benchmark, policy):
     # strategy pays and the task graph wins clearly.
     assert best_ratio >= 1.5
 
-
-# ---------------------------------------------------------------------- #
-# Wall-clock mode: ordered vs processes on a real congested routing run
-# ---------------------------------------------------------------------- #
-WALL_TARGET = float(os.environ.get("REPRO_WALL_TARGET", "1.5"))
-WALL_QUICK = os.environ.get("REPRO_WALL_QUICK") == "1"
-
-
-def _wall_spec() -> DesignSpec:
-    """A congested stress design: every RRR iteration has real work."""
-    size = 20 if WALL_QUICK else 32
-    return DesignSpec(
-        name="sched-wallclock",
-        nx=size,
-        ny=size,
-        n_layers=5,
-        n_nets=140 if WALL_QUICK else 360,
-        wire_capacity=1.5,
-        hotspot_fraction=0.6,
-        seed=11,
-    )
-
-
-def test_scheduler_wall_clock():
-    """Processes vs ordered: real elapsed time, bit-identical routes.
-
-    The parity assertions always run; the speedup assertion only arms
-    with >=2 CPUs (GIL-free scaling needs cores to scale onto).
-    """
-    try:
-        n_cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        n_cpus = os.cpu_count() or 1
-    n_workers = max(2, min(8, n_cpus))
-
-    runs = {}
-    elapsed = {}
-    for policy in ("ordered", "processes"):
-        design = generate_design(_wall_spec())
-        config = RouterConfig.fastgr_l(executor=policy, n_workers=n_workers)
-        start = time.perf_counter()
-        result = GlobalRouter(design, config).run()
-        elapsed[policy] = time.perf_counter() - start
-        runs[policy] = (design, result)
-
-    (design_o, result_o), (design_p, result_p) = (
-        runs["ordered"],
-        runs["processes"],
-    )
-    # Bit-identical or the speedup is meaningless.
-    assert result_o.metrics == result_p.metrics
-    assert result_o.nets_to_ripup == result_p.nets_to_ripup
-    for layer in range(design_o.n_layers):
-        assert np.array_equal(
-            design_o.graph.wire_demand[layer], design_p.graph.wire_demand[layer]
-        )
-    assert np.array_equal(design_o.graph.via_demand, design_p.graph.via_demand)
-    for name, route in result_o.routes.items():
-        other = result_p.routes[name]
-        assert sorted(map(repr, route.wires)) == sorted(map(repr, other.wires))
-        assert sorted(map(repr, route.vias)) == sorted(map(repr, other.vias))
-
-    speedup = elapsed["ordered"] / max(elapsed["processes"], 1e-9)
-    armed = n_cpus >= 2
-    text = format_table(
-        ["policy", "elapsed(s)", "speedup", "ripped", "score"],
-        [
-            ["ordered", elapsed["ordered"], 1.0,
-             result_o.nets_to_ripup, result_o.metrics.score],
-            ["processes", elapsed["processes"], speedup,
-             result_p.nets_to_ripup, result_p.metrics.score],
-        ],
-        title=(
-            f"Scheduler wall clock on {_wall_spec().name} "
-            f"({n_cpus} CPUs, {n_workers} workers, "
-            f"target >={WALL_TARGET}x {'armed' if armed else 'disarmed: <2 CPUs'})"
-        ),
-    )
-    register_table(
-        "scheduler_wallclock",
-        text,
-        config=RouterConfig.fastgr_l(executor="processes", n_workers=n_workers),
-        metrics={
-            "ordered_s": elapsed["ordered"],
-            "processes_s": elapsed["processes"],
-            "speedup": speedup,
-            "n_cpus": n_cpus,
-            "n_workers": n_workers,
-            "target": WALL_TARGET,
-            "target_armed": armed,
-            "bit_identical": True,
-        },
-    )
-    if armed:
-        assert speedup >= WALL_TARGET, (
-            f"processes policy only {speedup:.2f}x faster than ordered "
-            f"(target {WALL_TARGET}x on {n_cpus} CPUs)"
-        )

@@ -11,11 +11,9 @@ Usage::
 
     python collect.py [--results-dir results] [--output BENCH_trajectory.json]
 
-The output records are sorted by name for stable diffs; composite
-records (e.g. ``BENCH_scheduler.json``, itself an aggregation) are
-carried through under their own name.  Exits non-zero when no records
-exist — an empty trajectory upload would mask a benches-never-ran CI
-wiring failure.
+The output records are sorted by name for stable diffs.  Exits
+non-zero when no records exist — an empty trajectory upload would mask
+a benches-never-ran CI wiring failure.
 """
 
 from __future__ import annotations
@@ -49,9 +47,6 @@ def headline(record: dict) -> str:
     for key in ("speedup", "score", "total_time"):
         if key in metrics:
             return f"{record['name']}: {key}={metrics[key]:.3f}"
-    n = len(record.get("records", []))
-    if n:
-        return f"{record['name']}: {n} sub-records"
     return f"{record['name']}: {len(metrics)} metrics"
 
 

@@ -11,8 +11,7 @@ figure of the paper.  This conftest provides:
   pytest run (past output capture), so ``bench_output.txt`` contains
   every reproduced table; every call also emits a machine-readable
   ``BENCH_<name>.json`` record (name, config key, metrics, timestamp)
-  next to the ``.txt``, and scheduler records are aggregated into
-  ``BENCH_scheduler.json`` at the end of the run;
+  next to the ``.txt``;
 * ``BENCH_SCALE`` — suite scale factor, settable via the
   ``REPRO_BENCH_SCALE`` environment variable (default 0.25: the whole
   harness completes in minutes on a laptop; raise it to approach the
@@ -37,7 +36,6 @@ BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))
 RESULTS_DIR = Path(__file__).parent / "results"
 
 _TABLES: List[Tuple[str, str]] = []
-_RECORDS: List[dict] = []
 _RUN_CACHE: Dict[Tuple[str, str], RoutingResult] = {}
 _DESIGN_CACHE: Dict[Tuple[str, str], Design] = {}
 
@@ -69,7 +67,6 @@ def register_table(
         "metrics": dict(metrics) if metrics else {},
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    _RECORDS.append(record)
     (RESULTS_DIR / f"BENCH_{name}.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -128,24 +125,7 @@ def geomean(values) -> float:
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Print every registered table after capture is released.
-
-    Also aggregates every ``scheduler*`` record of this run into the
-    top-level ``BENCH_scheduler.json`` — the one file scheduler CI
-    checks watch.
-    """
-    scheduler = [r for r in _RECORDS if r["name"].startswith("scheduler")]
-    if scheduler:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / "BENCH_scheduler.json").write_text(
-            json.dumps(
-                {"name": "scheduler", "records": scheduler},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+    """Print every registered table after capture is released."""
     for name, text in _TABLES:
         terminalreporter.write_line("")
         terminalreporter.write_line(f"==== {name} ====")

@@ -224,16 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument(
         "--executor", choices=EXECUTION_POLICIES, default=None,
         help="execution policy of the scheduled-stage pipeline: "
-        "'threaded' drains the task graph on a worker pool, 'processes' "
-        "shards tasks across worker processes with shared-memory cost "
-        "grids, 'ordered' runs the deterministic topological order; "
-        "results are bit-identical (default: the preset's choice)",
+        "'threaded' drains the task graph on a worker pool, 'ordered' "
+        "runs the deterministic topological order; results are "
+        "bit-identical (default: the preset's choice)",
     )
     route.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker count for the threaded/processes executor "
-        "(processes additionally clamps to the available CPUs; "
-        "default: the preset's choice)",
+        help="worker count for the threaded executor "
+        "(default: the preset's choice)",
     )
     route.add_argument(
         "--maze-engine", choices=MAZE_ENGINES, default=None,
@@ -258,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         "into one cross-net kernel invocation sequence (all two-pin "
         "tasks at the same wave depth share each combine/L/Z/hybrid "
         "launch) instead of per-chunk launches; bit-identical to "
-        "per-chunk dispatch, falls back to per-chunk under "
-        "--executor processes (default: the preset's choice, which "
+        "per-chunk dispatch (default: the preset's choice, which "
         "is on)",
     )
     route.add_argument(

@@ -48,11 +48,8 @@ class RouterConfig:
     rrr_parallel: str = "taskgraph"  # "taskgraph" | "batch"
     # Execution policy of the scheduled-stage pipeline: "threaded" runs
     # the ordered task graph on the Taskflow-like executor's worker
-    # pool; "processes" shards non-conflicting tasks across a
-    # persistent pool of worker processes routing against shared-memory
-    # cost grids (real multi-core wall clock); "ordered" drains it in
-    # deterministic topological order.  All three produce bit-identical
-    # routes by construction.
+    # pool; "ordered" drains it in deterministic topological order.
+    # Both produce bit-identical routes by construction.
     executor: str = "threaded"
     # Pattern-stage batches larger than this are split into sibling
     # chunk tasks (conflict-free by construction), so the task graph

@@ -22,9 +22,7 @@ policy reproduces the ``ordered`` policy bit for bit.
 
 from __future__ import annotations
 
-import os
 import threading
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import RouterConfig
@@ -42,18 +40,9 @@ from repro.netlist.net import Net
 from repro.pattern.batch import BatchPatternRouter
 from repro.pattern.cpu_reference import SequentialPatternRouter
 from repro.sched.batching import bucket_by_area, extract_batches
-from repro.sched.pipeline import (
-    ProcessStagePlan,
-    ScheduledStage,
-    StageReport,
-    StageRunner,
-)
+from repro.sched.pipeline import ScheduledStage, StageReport, StageRunner
 from repro.sched.sorting import sort_nets
 from repro.utils.timing import Tracker
-
-#: Per-process state of a pattern worker (set by the pool initializer).
-_PATTERN_WORKER: dict = {}
-
 
 def make_pattern_engine(
     graph: GridGraph,
@@ -79,65 +68,6 @@ def make_pattern_engine(
     )
 
 
-def _pattern_worker_init(handle, nx, ny, stack, config: RouterConfig) -> None:
-    """Pool initializer: attach the shared grid + pinned cost reference."""
-    from repro.sched.shm import SharedArena
-
-    arena = SharedArena.attach(handle)
-    graph = GridGraph.attach_shared(nx, ny, stack, arena)
-    engine = make_pattern_engine(graph, config, Device(), ZeroCopyArena())
-    # The stage-start cost reference lives in the arena too (read-only
-    # by convention): the masked rebuilds of every chunk pin against
-    # the exact same bits the parent snapshotted.  The view tuple is
-    # stable across tasks, so the incremental engine's same-reference
-    # identity check seeds its buffers only once per worker.
-    reference = (
-        [arena.view(f"ref/wire/{layer}") for layer in range(graph.n_layers)],
-        arena.view("ref/via"),
-    )
-    _PATTERN_WORKER["arena"] = arena
-    _PATTERN_WORKER["engine"] = engine
-    _PATTERN_WORKER["reference"] = reference
-    _PATTERN_WORKER["mode_fn"] = make_mode_selector(config, graph)
-
-
-def _pattern_worker_run(payload):
-    """Route one chunk against the shared demand; commit nothing.
-
-    Returns the ordered ``(name, route)`` pairs plus side-band
-    statistics (cost-engine counters, kernel launches, transfer bytes)
-    for the parent to fold.  Demand inside the chunk's boxes is exactly
-    what the conflicting predecessors' parent-side commits produced —
-    non-conflicting chunks never write inside these boxes — so the
-    masked DP sees bit-identical costs to an ordered run.
-    """
-    start = time.perf_counter()
-    nets, boxes = payload
-    engine = _PATTERN_WORKER["engine"]
-    stats_before = engine.query.stats.copy()
-    n_launches_before = len(engine.device.launches)
-    arena = engine.arena
-    sent_before = arena.bytes_to_device
-    received_before = arena.bytes_to_host
-    transfers_before = arena.n_transfers
-    routes = engine.route_batch(
-        nets,
-        _PATTERN_WORKER["mode_fn"],
-        cost_boxes=boxes,
-        cost_reference=_PATTERN_WORKER["reference"],
-        commit=False,
-    )
-    pairs = [(net.name, routes[net.name]) for net in nets]
-    stats_delta = engine.query.stats.delta(stats_before)
-    launches = engine.device.launches[n_launches_before:]
-    transfers = (
-        arena.bytes_to_device - sent_before,
-        arena.bytes_to_host - received_before,
-        arena.n_transfers - transfers_before,
-    )
-    return (time.perf_counter() - start, (pairs, stats_delta, launches, transfers))
-
-
 class PatternStage(ScheduledStage):
     """Pattern routing as chunk tasks over a shared pattern engine."""
 
@@ -150,7 +80,6 @@ class PatternStage(ScheduledStage):
         device: Device,
         arena: ZeroCopyArena,
         context=None,
-        runtime_slot=None,
     ) -> None:
         graph = design.graph
         self.nets = sort_nets(list(design.netlist), config.sorting_scheme)
@@ -169,8 +98,8 @@ class PatternStage(ScheduledStage):
         self.mode_fn = make_mode_selector(config, graph)
 
         self.engine = make_pattern_engine(graph, config, device, arena)
-        # Session context (optional): route/Steiner caches and the
-        # persistent worker runtime a warm session lends this stage.
+        # Session context (optional): route/Steiner caches a warm
+        # session lends this stage.
         self._context = context
         if context is not None:
             self.engine.steiner_cache = context.steiner_cache
@@ -187,12 +116,6 @@ class PatternStage(ScheduledStage):
         self.routes: Dict[str, Route] = {}
         self._graph = graph
         self.config = config
-        self._arena = None
-        self._process_plan: Optional[ProcessStagePlan] = None
-        # Run-wide runtime slot (non-session processes policy): both
-        # stages park ONE SessionRuntime here so the maze stage reuses
-        # the pool this stage created; route_design owns its lifetime.
-        self._runtime_slot = runtime_slot
         #: Counters bus: monotone "pattern.*" counters (fused batches,
         #: nets routed through them, kernel launches) that
         #: ``run_pattern_stage`` folds into the run report.
@@ -337,132 +260,6 @@ class PatternStage(ScheduledStage):
             for task, names in member_names
         }
 
-    # ------------------------------------------------------------------ #
-    # "processes" policy
-    # ------------------------------------------------------------------ #
-    def process_plan(self, n_workers: int) -> Optional[ProcessStagePlan]:
-        """Share the grid + stage-start cost reference; build the pool.
-
-        Workers route chunks without committing; the parent commits
-        each chunk's routes in chunk order inside ``collect`` — the
-        run/commit seam the threaded policy already serializes.
-        """
-        if self._context is not None:
-            # Session runtime: ONE pool + arena shared with the maze
-            # stage, created on first use and owned by the session (the
-            # stage never tears it down).  Payloads are tagged so the
-            # combined pool dispatches to the right worker function.
-            if self._process_plan is None:
-                from repro.session.runtime import SessionRuntime
-
-                if self._context.runtime is None:
-                    self._context.runtime = SessionRuntime(
-                        self._graph,
-                        self.config,
-                        n_workers,
-                        cost_reference=self.cost_reference,
-                    )
-                self._process_plan = ProcessStagePlan(
-                    pool=self._context.runtime.pool,
-                    payload=self._runtime_payload,
-                    collect=self._process_collect,
-                )
-            return self._process_plan
-        if self._runtime_slot is not None:
-            # Non-session runs under the processes policy get the same
-            # shared-pool wiring: ONE SessionRuntime (arena + combined
-            # worker pool) parked on the run's slot, created by
-            # whichever stage reaches it first and reused by the maze
-            # stage.  route_design owns closing it after both stages.
-            if self._process_plan is None:
-                from repro.session.runtime import SessionRuntime
-
-                if self._runtime_slot.runtime is None:
-                    self._runtime_slot.runtime = SessionRuntime(
-                        self._graph,
-                        self.config,
-                        n_workers,
-                        cost_reference=self.cost_reference,
-                    )
-                self._process_plan = ProcessStagePlan(
-                    pool=self._runtime_slot.runtime.pool,
-                    payload=self._runtime_payload,
-                    collect=self._process_collect,
-                )
-            return self._process_plan
-        if self._process_plan is None:
-            from repro.sched.executor import WorkerPool, resolve_worker_processes
-            from repro.sched.shm import SharedArena
-
-            graph = self._graph
-            exports = dict(graph.shared_exports())
-            ref_wire, ref_via = self.cost_reference
-            for layer, arr in enumerate(ref_wire):
-                exports[f"ref/wire/{layer}"] = arr
-            exports["ref/via"] = ref_via
-            self._arena = SharedArena.create(exports)
-            graph.adopt_shared(self._arena)
-            pool = WorkerPool(
-                resolve_worker_processes(n_workers),
-                _pattern_worker_run,
-                initializer=_pattern_worker_init,
-                initargs=(
-                    self._arena.handle, graph.nx, graph.ny, graph.stack,
-                    self.config,
-                ),
-            )
-            self._process_plan = ProcessStagePlan(
-                pool=pool,
-                payload=self._process_payload,
-                collect=self._process_collect,
-            )
-        return self._process_plan
-
-    def _process_payload(self, task: int):
-        return ([self.nets[i] for i in self.chunks[task]], self._boxes[task])
-
-    def _runtime_payload(self, task: int):
-        return ("pattern", self._process_payload(task))
-
-    def _process_collect(self, task: int, raw) -> Dict[str, Route]:
-        """Commit one chunk's routes parent-side; fold worker stats."""
-        pairs, stats_delta, launches, transfers = raw
-        engine = self.engine
-        engine.query.stats.add(stats_delta)
-        if launches:
-            engine.device.launches.extend(launches)
-            self.tracker.get_counter("pattern.kernel_launches").increment(
-                len(launches)
-            )
-        sent, received, n_transfers = transfers
-        engine.arena.bytes_to_device += sent
-        engine.arena.bytes_to_host += received
-        engine.arena.n_transfers += n_transfers
-        routes: Dict[str, Route] = {}
-        for name, route in pairs:
-            route.commit(self._graph)
-            routes[name] = route
-        return routes
-
-    def teardown_processes(self) -> None:
-        """Release the worker pool and the shared arena (idempotent).
-
-        A session- or run-owned runtime outlives the stage — its owner
-        (the session, or route_design for the run-wide slot) closes
-        it; the stage only drops its plan reference.
-        """
-        if self._context is not None or self._runtime_slot is not None:
-            self._process_plan = None
-            return
-        if self._process_plan is not None:
-            self._process_plan.pool.close()
-            self._process_plan = None
-        if self._arena is not None:
-            self._graph.detach_shared()
-            self._arena.close()
-            self._arena.unlink()
-            self._arena = None
-
 
 class RerouteStage(ScheduledStage):
     """One rip-up iteration: every violating net is a maze task."""
@@ -488,10 +285,6 @@ class RerouteStage(ScheduledStage):
         # bounding box: everything the task reads or writes lives there.
         self._boxes = [[search_box(net, margin, graph)] for net in ordered_nets]
         self.n_failed = 0
-        # Old routes of in-flight tasks (processes policy): uncommitted
-        # at dispatch, restored on failure or when the worker finds no
-        # path.
-        self._inflight: Dict[int, Route] = {}
 
     def task_boxes(self) -> Sequence[Sequence[Rect]]:
         return self._boxes
@@ -547,73 +340,10 @@ class RerouteStage(ScheduledStage):
         )
         return {task: found[name] for task, name in zip(tasks, names)}
 
-    # ------------------------------------------------------------------ #
-    # "processes" policy
-    # ------------------------------------------------------------------ #
-    def process_plan(self, n_workers: int) -> ProcessStagePlan:
-        """Run maze tasks on the engine's persistent worker pool.
-
-        The run/commit seam split across processes: the parent rips up
-        the old route before dispatch (``pre_dispatch``), the worker
-        searches the shared demand and returns a route candidate, and
-        the parent commits it (or restores the old route) in
-        ``collect`` — every demand mutation stays parent-side.
-        """
-        pool = self.engine.ensure_process_pool(n_workers)
-        self._inflight = {}
-        return ProcessStagePlan(
-            pool=pool,
-            payload=self._process_payload,
-            pre_dispatch=self._process_pre_dispatch,
-            collect=self._process_collect,
-            abort=self._process_abort,
-        )
-
-    def _process_payload(self, task: int):
-        net = self.ordered_nets[task]
-        if self.engine.uses_runtime:
-            return ("maze", net)
-        return net
-
-    def _process_pre_dispatch(self, task: int) -> None:
-        old = self.routes[self.ordered_nets[task].name]
-        self._inflight[task] = old
-        old.uncommit(self.engine.graph)
-
-    def _process_collect(self, task: int, raw) -> Optional[Route]:
-        route, visited, stats_delta, launches = raw
-        self.engine.fold_worker_result(visited, stats_delta, launches)
-        old = self._inflight.pop(task)
-        if route is None:
-            # No path in the search region: restore the old route (and
-            # its demand), count the failure — same as rip_and_reroute.
-            old.commit(self.engine.graph)
-            return None
-        route.commit(self.engine.graph)
-        return route
-
-    def _process_abort(self, task: int) -> None:
-        """Re-commit the old route of a task that never completed."""
-        old = self._inflight.pop(task, None)
-        if old is not None:
-            old.commit(self.engine.graph)
-
-
-def resolve_execution_policy(config: RouterConfig) -> str:
-    """Return the effective execution policy for ``config``.
-
-    The ``REPRO_FORCE_EXECUTOR`` environment variable overrides the
-    config's policy — the seam CI uses to run the whole test suite
-    under the ``processes`` policy without touching each test.
-    """
-    return os.environ.get("REPRO_FORCE_EXECUTOR") or config.executor
-
 
 def _make_runner(config: RouterConfig) -> StageRunner:
     """Build the stage runner for ``config``."""
-    return StageRunner(
-        policy=resolve_execution_policy(config), n_workers=config.n_workers
-    )
+    return StageRunner(policy=config.executor, n_workers=config.n_workers)
 
 
 def _cached_schedule(runner: StageRunner, stage: ScheduledStage, context):
@@ -648,7 +378,6 @@ def run_pattern_stage(
     cost_stats: Optional[Dict[str, float]] = None,
     context=None,
     stage_stats: Optional[Dict[str, float]] = None,
-    runtime_slot=None,
 ) -> Tuple[Dict[str, Route], StageReport]:
     """Route every net with pattern routing.
 
@@ -658,19 +387,11 @@ def run_pattern_stage(
     With ``stage_stats``, the stage's ``pattern.*`` tracker counters
     (fused batches, batched nets, kernel launches) are written into it.
     With a session ``context``, task results, Steiner trees, and
-    schedules are served from (and fill) its warm caches.  With a
-    ``runtime_slot`` (non-session processes policy), the worker pool is
-    parked on the slot so the maze stage reuses it.
+    schedules are served from (and fill) its warm caches.
     """
-    stage = PatternStage(
-        design, config, device, arena, context=context,
-        runtime_slot=runtime_slot,
-    )
+    stage = PatternStage(design, config, device, arena, context=context)
     runner = _make_runner(config)
-    try:
-        report = runner.run(stage, schedule=_cached_schedule(runner, stage, context))
-    finally:
-        stage.teardown_processes()
+    report = runner.run(stage, schedule=_cached_schedule(runner, stage, context))
     if cost_stats is not None:
         cost_stats.update(stage.engine.query.stats.as_dict())
     if stage_stats is not None:
@@ -700,7 +421,6 @@ def run_rrr_stage(
     cost_stats: Optional[Dict[str, float]] = None,
     context=None,
     on_iteration=None,
-    runtime_slot=None,
 ) -> Tuple[int, List[IterationStats]]:
     """Run the rip-up-and-reroute iterations in place.
 
@@ -727,9 +447,6 @@ def run_rrr_stage(
         backend=config.backend,
         device=device,
         cost_engine=config.cost_engine,
-        context=context,
-        config=config,
-        runtime_slot=runtime_slot,
     )
     runner = _make_runner(config)
     rrr_scheme = config.rrr_sorting_scheme or config.sorting_scheme
@@ -749,85 +466,78 @@ def run_rrr_stage(
     cached_key: Optional[Tuple[str, ...]] = None
     ordered_nets: List[Net] = []
     schedule = None
-    try:
-        for iteration in range(config.n_rrr_iterations):
-            violating = find_violating_nets(routes, graph)
-            if initial_to_rip is None:
-                initial_to_rip = len(violating)
-            if not violating:
-                break
+    for iteration in range(config.n_rrr_iterations):
+        violating = find_violating_nets(routes, graph)
+        if initial_to_rip is None:
+            initial_to_rip = len(violating)
+        if not violating:
+            break
 
-            # Sorting and conflict analysis depend only on *which* nets
-            # violate; reuse them across iterations with an identical set
-            # (and across runs through the session's schedule cache).
-            key = tuple(sorted(violating))
-            if key != cached_key:
-                ordered_nets = sort_nets(
-                    [nets_by_name[name] for name in violating], rrr_scheme
-                )
-                schedule = _cached_schedule(
-                    runner,
-                    RerouteStage(engine, routes, ordered_nets, config.maze_margin),
-                    context,
-                )
-                cached_key = key
+        # Sorting and conflict analysis depend only on *which* nets
+        # violate; reuse them across iterations with an identical set
+        # (and across runs through the session's schedule cache).
+        key = tuple(sorted(violating))
+        if key != cached_key:
+            ordered_nets = sort_nets(
+                [nets_by_name[name] for name in violating], rrr_scheme
+            )
+            schedule = None
+            cached_key = key
 
-            stage = RerouteStage(
-                engine,
-                routes,
-                ordered_nets,
-                config.maze_margin,
-                cache=cache,
-                batching=config.maze_batching,
+        stage = RerouteStage(
+            engine,
+            routes,
+            ordered_nets,
+            config.maze_margin,
+            cache=cache,
+            batching=config.maze_batching,
+        )
+        if schedule is None:
+            schedule = _cached_schedule(runner, stage, context)
+        visited_before = engine.nodes_visited
+        cost_before = engine.cost_engine_stats()
+        tracker_before = engine.tracker.snapshot()
+        n_launches_before = len(device.launches) if device is not None else 0
+        report = runner.run(stage, schedule=schedule)
+        cost_delta = engine.cost_engine_stats().delta(cost_before)
+        # Fold this iteration's kernel-launch records (with their
+        # attributed transfer bytes) into the tracker bus, then
+        # slice the monotone totals into per-iteration figures.
+        if device is not None:
+            engine.tally_launches(device.launches[n_launches_before:])
+        counter_delta, _ = engine.tracker.delta(tracker_before)
+        iterations.append(
+            IterationStats(
+                iteration=iteration,
+                n_ripped=report.n_tasks,
+                n_failed=stage.n_failed,
+                sequential_time=report.sequential_time,
+                taskgraph_makespan=report.taskgraph_makespan,
+                batch_makespan=report.batch_makespan,
+                makespan=report.makespan(config.rrr_parallel),
+                engine=engine.engine_name,
+                nodes_visited=engine.nodes_visited - visited_before,
+                cost_rebuilds=cost_delta.rebuilds,
+                cost_refreshed_edges=cost_delta.refreshed_edges,
+                cost_time=cost_delta.seconds,
+                maze_batches=counter_delta.get("maze.batches", 0),
+                batched_nets=counter_delta.get("maze.batched_nets", 0),
+                kernel_launches=counter_delta.get(
+                    "maze.kernel_launches", 0
+                ),
+                bytes_to_device=counter_delta.get("maze.bytes_to_device", 0),
+                bytes_to_host=counter_delta.get("maze.bytes_to_host", 0),
+                report=report,
             )
-            visited_before = engine.nodes_visited
-            cost_before = engine.cost_engine_stats()
-            tracker_before = engine.tracker.snapshot()
-            n_launches_before = len(device.launches) if device is not None else 0
-            report = runner.run(stage, schedule=schedule)
-            cost_delta = engine.cost_engine_stats().delta(cost_before)
-            # Fold this iteration's kernel-launch records (with their
-            # attributed transfer bytes) into the tracker bus, then
-            # slice the monotone totals into per-iteration figures.
-            if device is not None:
-                engine.tally_launches(device.launches[n_launches_before:])
-            counter_delta, _ = engine.tracker.delta(tracker_before)
-            iterations.append(
-                IterationStats(
-                    iteration=iteration,
-                    n_ripped=report.n_tasks,
-                    n_failed=stage.n_failed,
-                    sequential_time=report.sequential_time,
-                    taskgraph_makespan=report.taskgraph_makespan,
-                    batch_makespan=report.batch_makespan,
-                    makespan=report.makespan(config.rrr_parallel),
-                    engine=engine.engine_name,
-                    nodes_visited=engine.nodes_visited - visited_before,
-                    cost_rebuilds=cost_delta.rebuilds,
-                    cost_refreshed_edges=cost_delta.refreshed_edges,
-                    cost_time=cost_delta.seconds,
-                    maze_batches=counter_delta.get("maze.batches", 0),
-                    batched_nets=counter_delta.get("maze.batched_nets", 0),
-                    kernel_launches=counter_delta.get(
-                        "maze.kernel_launches", 0
-                    ),
-                    bytes_to_device=counter_delta.get("maze.bytes_to_device", 0),
-                    bytes_to_host=counter_delta.get("maze.bytes_to_host", 0),
-                    report=report,
-                )
-            )
-            if on_iteration is not None:
-                on_iteration(iterations[-1])
-            if cache is not None:
-                lookups = (cache.hits + cache.misses) - lookups_at_entry
-                if lookups >= _BYPASS_MIN_LOOKUPS:
-                    rate = (cache.hits - hits_at_entry) / lookups
-                    if rate < _BYPASS_HIT_RATE:
-                        cache = None
-    finally:
-        # The pool and arena persist across iterations; always release
-        # them (and unlink the shared segment) on the way out.
-        engine.teardown_processes()
+        )
+        if on_iteration is not None:
+            on_iteration(iterations[-1])
+        if cache is not None:
+            lookups = (cache.hits + cache.misses) - lookups_at_entry
+            if lookups >= _BYPASS_MIN_LOOKUPS:
+                rate = (cache.hits - hits_at_entry) / lookups
+                if rate < _BYPASS_HIT_RATE:
+                    cache = None
     if cost_stats is not None:
         cost_stats.update(engine.cost_engine_stats().as_dict())
     return (initial_to_rip or 0, iterations)
@@ -837,7 +547,6 @@ __all__ = [
     "PatternStage",
     "RerouteStage",
     "make_pattern_engine",
-    "resolve_execution_policy",
     "run_pattern_stage",
     "run_rrr_stage",
 ]

@@ -91,7 +91,7 @@ class RoutingResult:
     # Batched pattern dispatch counters ("pattern.*" tracker totals):
     # fused cross-net launches run, nets routed through them, and
     # kernel invocations the stage issued (0/0 under per-chunk
-    # dispatch or the processes fallback).
+    # dispatch).
     pattern_stats: Dict[str, float] = field(default_factory=dict)
 
     def stage_reports(self) -> List[StageReport]:

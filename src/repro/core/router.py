@@ -12,11 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.config import RouterConfig
-from repro.core.flow import (
-    resolve_execution_policy,
-    run_pattern_stage,
-    run_rrr_stage,
-)
+from repro.core.flow import run_pattern_stage, run_rrr_stage
 from repro.core.result import RoutingResult
 from repro.eval.metrics import RoutingMetrics
 from repro.gpu.device import Device
@@ -46,34 +42,21 @@ def route_design(
     design.validate()
     timer = StageTimer()
 
-    # Non-session processes runs share ONE worker pool across both
-    # stages: the stages park a SessionRuntime on this slot (sessions
-    # bring their own runtime through ``context`` instead).
-    runtime_slot = None
-    if context is None and resolve_execution_policy(config) == "processes":
-        from repro.session.runtime import RuntimeSlot
-
-        runtime_slot = RuntimeSlot()
-
     pattern_cost: dict = {}
     maze_cost: dict = {}
     pattern_stats: dict = {}
-    try:
-        with timer.stage("pattern"):
-            routes, pattern_report = run_pattern_stage(
-                design, config, device, arena,
-                cost_stats=pattern_cost, context=context,
-                stage_stats=pattern_stats, runtime_slot=runtime_slot,
-            )
-        with timer.stage("maze"):
-            nets_to_ripup, iterations = run_rrr_stage(
-                design, config, routes, device=device,
-                cost_stats=maze_cost, context=context,
-                on_iteration=on_iteration, runtime_slot=runtime_slot,
-            )
-    finally:
-        if runtime_slot is not None:
-            runtime_slot.close()
+    with timer.stage("pattern"):
+        routes, pattern_report = run_pattern_stage(
+            design, config, device, arena,
+            cost_stats=pattern_cost, context=context,
+            stage_stats=pattern_stats,
+        )
+    with timer.stage("maze"):
+        nets_to_ripup, iterations = run_rrr_stage(
+            design, config, routes, device=device,
+            cost_stats=maze_cost, context=context,
+            on_iteration=on_iteration,
+        )
 
     cost_stats = dict(pattern_cost)
     for key, value in maze_cost.items():
@@ -123,7 +106,7 @@ class GlobalRouter:
     design per run (generation is deterministic, so designs are
     identical across runs).  For repeat traffic over one design, use a
     :class:`~repro.session.session.RoutingSession` instead — it keeps
-    demand, caches, and worker pools warm between runs.
+    demand and caches warm between runs.
     """
 
     def __init__(self, design: Design, config: Optional[RouterConfig] = None) -> None:

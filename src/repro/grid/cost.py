@@ -1055,24 +1055,6 @@ class CostQuery:
         if self._incremental:
             self._ensure_tables()
 
-    def refresh_window(self, window: IntRect) -> None:
-        """Force-refresh every cost inside ``window`` from current demand.
-
-        The cross-process hook of the ``processes`` execution policy: a
-        worker routes against demand arrays that are shared-memory views
-        another process mutates, so this reader's dirty log has never
-        seen those writes.  Marking the whole window dirty and draining
-        it (window-limited) recomputes every edge cost a
-        window-restricted search can read from the demand actually in
-        the buffers.  Costs are elementwise in demand and the prefix
-        patches are suffix-anchored (module docstring), so the refreshed
-        snapshot is bit-identical to what a single-process run computes
-        at the same demand — refresh granularity never changes values.
-        The full engine simply recomputes everything.
-        """
-        self.graph.mark_window_dirty(window)
-        self.rebuild(window=window)
-
     def snapshot_reference(self) -> Tuple[List[np.ndarray], np.ndarray]:
         """Deep-copied ``(wire_cost, via_cost)`` for masked rebuilds.
 

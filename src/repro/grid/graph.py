@@ -257,12 +257,9 @@ class GridGraph:
     def mark_window_dirty(self, window: Tuple[int, int, int, int]) -> None:
         """Record that demand inside a G-cell window may have changed.
 
-        The cross-process refresh hook: when the demand arrays are
-        shared views another process mutates, *this* graph's dirty log
-        never saw those writes.  Marking the whole window dirty before
-        a window-limited rebuild forces every cost a window-restricted
-        search can read to be recomputed from the demand actually in
-        the buffers — O(window), not O(grid).
+        Marking the whole window dirty forces every cost a
+        window-restricted search can read to be recomputed from the
+        demand actually in the buffers — O(window), not O(grid).
         """
         x0, y0, x1, y1 = window
         records: List[DirtyRecord] = []
@@ -277,65 +274,6 @@ class GridGraph:
                 records.append(("w", layer) + rect)
         records.append(("v", x0, y0, x1, y1))
         self.dirty.extend(records)
-
-    # ------------------------------------------------------------------ #
-    # Shared-memory lifecycle (the "processes" execution policy)
-    # ------------------------------------------------------------------ #
-    def shared_exports(self) -> Dict[str, "np.ndarray"]:
-        """Name -> array mapping of the state worth sharing.
-
-        Demand *and* capacity: workers recompute edge costs, which read
-        both.  Feed this to ``SharedArena.create`` and then
-        :meth:`adopt_shared` so parent-side commits land in the block.
-        """
-        out: Dict[str, np.ndarray] = {}
-        for layer in range(self.n_layers):
-            out[f"grid/wire_demand/{layer}"] = self.wire_demand[layer]
-            out[f"grid/wire_capacity/{layer}"] = self.wire_capacity[layer]
-        out["grid/via_demand"] = self.via_demand
-        out["grid/via_capacity"] = self.via_capacity
-        return out
-
-    def adopt_shared(self, arena) -> None:
-        """Swap demand/capacity arrays for ``arena``'s zero-copy views.
-
-        Call after ``SharedArena.create(self.shared_exports())`` — the
-        arena holds a copy of the current state; adopting its views
-        makes every subsequent mutation visible to attached workers.
-        """
-        self.wire_demand = [
-            arena.view(f"grid/wire_demand/{layer}")
-            for layer in range(self.n_layers)
-        ]
-        self.wire_capacity = [
-            arena.view(f"grid/wire_capacity/{layer}")
-            for layer in range(self.n_layers)
-        ]
-        self.via_demand = arena.view("grid/via_demand")
-        self.via_capacity = arena.view("grid/via_capacity")
-
-    def detach_shared(self) -> None:
-        """Re-privatise: copy shared views back into process-local arrays.
-
-        The inverse of :meth:`adopt_shared`; call before closing and
-        unlinking the arena so the graph keeps its (bit-identical) state
-        when the shared block disappears.
-        """
-        self.wire_demand = [np.array(a, copy=True) for a in self.wire_demand]
-        self.wire_capacity = [
-            np.array(a, copy=True) for a in self.wire_capacity
-        ]
-        self.via_demand = np.array(self.via_demand, copy=True)
-        self.via_capacity = np.array(self.via_capacity, copy=True)
-
-    @classmethod
-    def attach_shared(
-        cls, nx: int, ny: int, stack: LayerStack, arena
-    ) -> "GridGraph":
-        """Build a worker-side graph whose state lives in ``arena``."""
-        graph = cls(nx, ny, stack)
-        graph.adopt_shared(arena)
-        return graph
 
     # ------------------------------------------------------------------ #
     # Overflow metrics
@@ -405,10 +343,9 @@ class GridGraph:
     def reset_demand(self) -> None:
         """Zero all demand in place and mark everything dirty.
 
-        Writes through the current arrays (shared-arena views included,
-        so attached workers observe the reset), which is what lets a
-        warm :class:`~repro.session.session.RoutingSession` replay a
-        route from scratch without rebuilding its graph or pools.
+        Writes through the current arrays, which is what lets a warm
+        :class:`~repro.session.session.RoutingSession` replay a route
+        from scratch without rebuilding its graph.
         """
         for layer in range(self.n_layers):
             self.wire_demand[layer][:] = 0.0

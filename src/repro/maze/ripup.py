@@ -12,12 +12,6 @@ edge are rerouted.  Each iteration:
 (:meth:`~RipupReroute.rip_and_reroute`) the scheduled-stage pipeline
 executes; its maze router is thread-local so concurrent non-conflicting
 tasks each search against their own cost snapshot.
-
-Under the ``processes`` execution policy the engine instead owns a
-persistent worker pool and a shared-memory arena holding the graph's
-demand/capacity planes: workers attach the arena once, search against
-zero-copy views, and return route candidates; the parent serializes
-every uncommit/commit (see :func:`_maze_worker_run`).
 """
 
 from __future__ import annotations
@@ -37,63 +31,6 @@ from repro.netlist.net import Net
 from repro.utils.timing import Tracker
 
 OverflowMasks = Tuple[List[np.ndarray], np.ndarray]
-
-#: Per-process state of a maze worker (set once by the pool initializer).
-_MAZE_WORKER: dict = {}
-
-
-def _maze_worker_init(
-    handle, nx, ny, stack, cost_model, margin, engine, backend, cost_engine
-) -> None:
-    """Pool initializer: attach the shared grid, build this worker's router."""
-    from repro.gpu.device import Device
-    from repro.maze import make_maze_router
-    from repro.sched.shm import SharedArena
-
-    arena = SharedArena.attach(handle)
-    graph = GridGraph.attach_shared(nx, ny, stack, arena)
-    device = Device()
-    _MAZE_WORKER["arena"] = arena
-    _MAZE_WORKER["device"] = device
-    _MAZE_WORKER["maze"] = make_maze_router(
-        engine,
-        graph,
-        cost_model,
-        margin=margin,
-        backend=backend,
-        device=device,
-        cost_engine=cost_engine,
-    )
-
-
-def _maze_worker_run(net: Net):
-    """Route one ripped-up net against the shared demand.
-
-    The parent already uncommitted the old route (pre-dispatch), so the
-    shared demand is exactly what a single-process run would see.  The
-    worker's own dirty log has not seen the parent's writes — the
-    search window is force-refreshed from shared demand first
-    (``refresh_window``), which is O(window) and bit-identical to a
-    local rebuild at the same demand.  Nothing is committed here.
-    """
-    start = time.perf_counter()
-    maze: MazeRouter = _MAZE_WORKER["maze"]
-    device = _MAZE_WORKER["device"]
-    stats_before = maze.query.stats.copy()
-    n_launches_before = len(device.launches)
-    maze.query.refresh_window(maze._region(net))
-    try:
-        route = maze.route_net(net, rebuild=False)
-    except MazeRoutingError:
-        route = None
-    visited = maze.consume_visited()
-    stats_delta = maze.query.stats.delta(stats_before)
-    launches = device.launches[n_launches_before:]
-    return (
-        time.perf_counter() - start,
-        (route, visited, stats_delta, launches),
-    )
-
 
 def overflow_masks(graph: GridGraph) -> OverflowMasks:
     """Compute the per-layer ``demand > capacity`` masks once.
@@ -184,9 +121,6 @@ class RipupReroute:
         backend: str = "numpy",
         device=None,
         cost_engine: str = "full",
-        context=None,
-        config=None,
-        runtime_slot=None,
     ) -> None:
         self.graph = graph
         self.nets = netlist_by_name
@@ -211,22 +145,6 @@ class RipupReroute:
         #: bytes) that ``run_rrr_stage`` snapshots around an iteration
         #: to fill :class:`IterationStats`.
         self.tracker = Tracker()
-        # --- "processes" policy state (see ensure_process_pool) ------- #
-        self._pool = None
-        self._arena = None
-        # Cost-engine counters folded back from worker processes.
-        self._pooled_stats = CostEngineStats()
-        # Session context (optional): with one, the processes policy
-        # runs on the session's shared runtime pool instead of a
-        # stage-private one; ``config`` is only needed to create that
-        # runtime lazily when the maze stage reaches it first.
-        self._context = context
-        self._config = config
-        self._runtime = None
-        # Run-wide runtime slot (non-session processes policy): the
-        # pattern stage usually parks a SessionRuntime here first; the
-        # maze stage reuses its pool.  route_design owns its lifetime.
-        self._runtime_slot = runtime_slot
 
     @property
     def maze(self) -> MazeRouter:
@@ -266,111 +184,14 @@ class RipupReroute:
         """Aggregate cost-engine counters over every worker's router.
 
         Monotone like :attr:`nodes_visited` — snapshot before/after an
-        iteration and diff to attribute work per iteration.  Includes
-        counters folded back from worker processes.
+        iteration and diff to attribute work per iteration.
         """
         total = CostEngineStats()
         with self._visited_lock:
             routers = list(self._routers)
         for router in routers:
             total.add(router.query.stats)
-        total.add(self._pooled_stats)
         return total
-
-    # ------------------------------------------------------------------ #
-    # "processes" policy: pool + arena lifecycle
-    # ------------------------------------------------------------------ #
-    def ensure_process_pool(self, n_workers: int):
-        """Create (once) and return the engine's maze worker pool.
-
-        The demand/capacity planes move into a shared-memory arena and
-        the graph adopts the arena's views, so every parent-side commit
-        is immediately visible to the attached workers.  The pool
-        persists across rip-up iterations; :meth:`teardown_processes`
-        releases both.
-
-        With a session context the pool is the session's combined
-        runtime pool (shared with the pattern stage, payloads tagged by
-        :class:`~repro.session.runtime.SessionRuntime`); the session
-        owns its lifetime.
-        """
-        if self._context is not None and self._config is not None:
-            if self._runtime is None:
-                from repro.session.runtime import ensure_runtime
-
-                self._runtime = ensure_runtime(
-                    self._context, self.graph, self._config, n_workers
-                )
-            return self._runtime.pool
-        if self._runtime_slot is not None and self._config is not None:
-            # Non-session shared pool: reuse the runtime the pattern
-            # stage parked on the run's slot (creating it here only if
-            # the pattern stage never ran under processes).
-            if self._runtime is None:
-                if self._runtime_slot.runtime is None:
-                    from repro.session.runtime import SessionRuntime
-
-                    self._runtime_slot.runtime = SessionRuntime(
-                        self.graph, self._config, n_workers
-                    )
-                self._runtime = self._runtime_slot.runtime
-            return self._runtime.pool
-        if self._pool is None:
-            from repro.sched.executor import WorkerPool, resolve_worker_processes
-            from repro.sched.shm import SharedArena
-
-            graph = self.graph
-            self._arena = SharedArena.create(graph.shared_exports())
-            graph.adopt_shared(self._arena)
-            self._pool = WorkerPool(
-                resolve_worker_processes(n_workers),
-                _maze_worker_run,
-                initializer=_maze_worker_init,
-                initargs=(
-                    self._arena.handle,
-                    graph.nx,
-                    graph.ny,
-                    graph.stack,
-                    self.cost_model,
-                    self.margin,
-                    self.engine_name,
-                    self._backend,
-                    self.cost_engine,
-                ),
-            )
-        return self._pool
-
-    def fold_worker_result(self, visited: int, stats_delta, launches) -> None:
-        """Fold one worker task's side-band statistics into the engine."""
-        self.nodes_visited += visited
-        self._pooled_stats.add(stats_delta)
-        if self._device is not None and launches:
-            self._device.launches.extend(launches)
-
-    @property
-    def uses_runtime(self) -> bool:
-        """True when tasks run on the session's combined runtime pool."""
-        return self._runtime is not None
-
-    def teardown_processes(self) -> None:
-        """Release the worker pool and the shared arena (idempotent).
-
-        The graph re-privatises its arrays first, so routing state
-        survives bit-identically; the arena is always unlinked — a
-        leaked segment would outlive the process.  A session-owned
-        runtime outlives the engine — only the reference is dropped.
-        """
-        if self._runtime is not None:
-            self._runtime = None
-            return
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        if self._arena is not None:
-            self.graph.detach_shared()
-            self._arena.close()
-            self._arena.unlink()
-            self._arena = None
 
     def tally_launches(self, launches) -> None:
         """Fold kernel-launch/transfer records into the tracker bus."""

@@ -127,8 +127,7 @@ class BatchPatternRouter:
         predecessors committed, bit for bit.
 
         With ``commit=False`` the routes are returned *without*
-        committing their demand — the ``processes`` policy routes in
-        workers and serializes all commits in the parent.
+        committing their demand.
         """
         self.query.rebuild(boxes=cost_boxes, reference=cost_reference)
         self._account_cost_upload()

@@ -13,17 +13,12 @@ from repro.sched.conflict import ConflictGraph, build_conflict_graph
 from repro.sched.batching import extract_batches
 from repro.sched.taskgraph import TaskGraph, build_task_graph
 from repro.sched.executor import (
-    ProcessTaskExecutor,
     TaskGraphExecutor,
-    WorkerPool,
-    resolve_worker_processes,
     simulate_batch_barrier_makespan,
     simulate_makespan,
 )
-from repro.sched.shm import ArenaHandle, SharedArena
 from repro.sched.pipeline import (
     EXECUTION_POLICIES,
-    ProcessStagePlan,
     ScheduledStage,
     StageReport,
     StageRunner,
@@ -42,15 +37,9 @@ __all__ = [
     "TaskGraph",
     "build_task_graph",
     "TaskGraphExecutor",
-    "ProcessTaskExecutor",
-    "WorkerPool",
-    "resolve_worker_processes",
-    "ArenaHandle",
-    "SharedArena",
     "simulate_makespan",
     "simulate_batch_barrier_makespan",
     "EXECUTION_POLICIES",
-    "ProcessStagePlan",
     "ScheduledStage",
     "StageSchedule",
     "StageReport",

@@ -1,17 +1,12 @@
 """Taskflow-like execution of the ordered task graph.
 
-Three complementary executors:
+Two complementary executors:
 
 * :class:`TaskGraphExecutor` actually runs Python callables with a
   thread pool, releasing each task the moment its predecessors finish —
   the execution-order semantics of Taskflow [30].  (CPython's GIL means
   wall-clock speedup is not expected for CPU-bound tasks; tests use it
   to verify that no conflicting pair ever overlaps.)
-* :class:`ProcessTaskExecutor` drains the same DAG on a persistent
-  :class:`WorkerPool` of worker *processes* — real multi-core
-  wall-clock scaling for CPU-bound tasks.  Workers only compute; every
-  dispatch-side teardown and every completion-side commit runs in the
-  parent, serialized, preserving the threaded policy's determinism.
 * :func:`simulate_makespan` / :func:`simulate_batch_barrier_makespan`
   compute the deterministic parallel makespans of recorded per-task
   durations under list scheduling with ``n_workers`` — the quantity the
@@ -22,9 +17,6 @@ Three complementary executors:
 from __future__ import annotations
 
 import heapq
-import multiprocessing
-import os
-import queue
 import threading
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -131,200 +123,6 @@ class TaskGraphExecutor:
         return started
 
 
-def resolve_worker_processes(requested: int) -> int:
-    """Clamp a configured worker count to the CPUs actually available.
-
-    More worker processes than cores only adds memory and scheduling
-    overhead for CPU-bound routing tasks.  The ``REPRO_PROCESS_WORKERS``
-    environment variable overrides the clamp (benchmark sweeps).
-    """
-    env = os.environ.get("REPRO_PROCESS_WORKERS")
-    if env:
-        return max(1, int(env))
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    return max(1, min(requested, cpus))
-
-
-class WorkerPool:
-    """A persistent pool of worker processes bound to one task function.
-
-    ``initializer(*initargs)`` runs once in every worker — that is where
-    workers attach shared-memory arenas and build their router state, so
-    per-task messages carry only net descriptions and route candidates.
-    ``task_fn`` must be a module-level function (pickled by reference)
-    taking one payload argument and returning ``(duration, result)``.
-
-    The default start method is ``fork`` where available (workers then
-    inherit nothing they re-derive anyway, and start in milliseconds);
-    ``REPRO_MP_START`` overrides it.
-    """
-
-    def __init__(
-        self,
-        n_workers: int,
-        task_fn: Callable,
-        initializer: Optional[Callable] = None,
-        initargs: Tuple = (),
-        start_method: Optional[str] = None,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError("need at least one worker")
-        method = start_method or os.environ.get("REPRO_MP_START")
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else "spawn"
-        ctx = multiprocessing.get_context(method)
-        self.n_workers = n_workers
-        self.task_fn = task_fn
-        self._pool = ctx.Pool(
-            processes=n_workers, initializer=initializer, initargs=initargs
-        )
-        self._closed = False
-
-    def submit(
-        self,
-        payload: object,
-        callback: Callable[[object], None],
-        error_callback: Callable[[BaseException], None],
-    ) -> None:
-        """Dispatch one task; completion lands on the callbacks."""
-        self._pool.apply_async(
-            self.task_fn,
-            (payload,),
-            callback=callback,
-            error_callback=error_callback,
-        )
-
-    def close(self) -> None:
-        """Terminate the workers and reap them (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._pool.terminate()
-        self._pool.join()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class ProcessTaskExecutor:
-    """Drains the ordered task graph on a :class:`WorkerPool`.
-
-    The multi-process sibling of :class:`TaskGraphExecutor`: identical
-    release-a-task-when-its-predecessors-finish semantics, event
-    recording and deadlock detection — but task bodies run in worker
-    processes, so the parent's event loop owns every state transition:
-
-    * ``pre_dispatch(task)`` runs in the parent strictly before the
-      task is submitted (e.g. ripping up the route the task replaces);
-    * workers compute and return ``(duration, payload)`` without
-      mutating shared state;
-    * ``on_complete(task, payload)`` runs in the parent, serialized,
-      and strictly before any successor of ``task`` is released — all
-      commits stay parent-side, so dirty-log epochs and bit-identical
-      determinism survive.
-
-    A worker exception surfaces as a ``RuntimeError`` naming the task;
-    ``on_abort`` then runs for every task whose ``pre_dispatch`` ran
-    but whose completion was never processed, letting the caller
-    restore the state those dispatches tore down.
-    """
-
-    #: Seconds to wait for any completion before declaring the pool
-    #: lost (a killed worker never reports back through apply_async).
-    result_timeout: float = float(os.environ.get("REPRO_PROCESS_TIMEOUT", "300"))
-
-    def __init__(self, pool: WorkerPool) -> None:
-        self.pool = pool
-
-    def run(
-        self,
-        graph: TaskGraph,
-        payload_fn: Callable[[int], object],
-        on_complete: Callable[[int, object], None],
-        pre_dispatch: Optional[Callable[[int], None]] = None,
-        on_abort: Optional[Callable[[int], None]] = None,
-        events: Optional[List[Tuple[str, int]]] = None,
-        durations: Optional[List[float]] = None,
-        label_fn: Optional[Callable[[int], str]] = None,
-    ) -> List[int]:
-        """Execute every task; return the dispatch order."""
-        indegree = list(graph.n_predecessors)
-        ready: List[int] = [
-            t for t in range(graph.n_tasks) if indegree[t] == 0
-        ]
-        heapq.heapify(ready)
-        results: "queue.Queue[Tuple[int, bool, object]]" = queue.Queue()
-        started: List[int] = []
-        # Tasks whose pre_dispatch ran but whose completion has not been
-        # processed yet — what on_abort must clean up on failure.
-        inflight: set = set()
-        finished = 0
-        try:
-            while finished < graph.n_tasks:
-                while ready and len(inflight) < self.pool.n_workers:
-                    task = heapq.heappop(ready)
-                    if pre_dispatch is not None:
-                        pre_dispatch(task)
-                    inflight.add(task)
-                    started.append(task)
-                    if events is not None:
-                        events.append(("start", task))
-                    self.pool.submit(
-                        payload_fn(task),
-                        callback=(
-                            lambda value, _t=task: results.put((_t, True, value))
-                        ),
-                        error_callback=(
-                            lambda exc, _t=task: results.put((_t, False, exc))
-                        ),
-                    )
-                if not inflight:
-                    raise RuntimeError("executor deadlocked (cyclic task graph?)")
-                try:
-                    task, ok, value = results.get(timeout=self.result_timeout)
-                except queue.Empty:
-                    raise RuntimeError(
-                        f"worker pool unresponsive; tasks in flight: "
-                        f"{sorted(inflight)}"
-                    ) from None
-                if not ok:
-                    label = (
-                        f" ({label_fn(task)})" if label_fn is not None else ""
-                    )
-                    raise RuntimeError(
-                        f"worker task {task}{label} failed: {value!r}"
-                    ) from value
-                duration, payload = value
-                if durations is not None:
-                    durations[task] = float(duration)
-                on_complete(task, payload)
-                inflight.discard(task)
-                if events is not None:
-                    events.append(("finish", task))
-                finished += 1
-                for succ in graph.successors[task]:
-                    indegree[succ] -= 1
-                    if indegree[succ] == 0:
-                        heapq.heappush(ready, succ)
-        except BaseException:
-            if on_abort is not None:
-                for task in sorted(inflight):
-                    on_abort(task)
-            raise
-        return started
-
-
 def simulate_makespan(
     graph: TaskGraph, durations: Sequence[float], n_workers: int
 ) -> float:
@@ -389,9 +187,6 @@ def simulate_batch_barrier_makespan(
 
 __all__ = [
     "TaskGraphExecutor",
-    "ProcessTaskExecutor",
-    "WorkerPool",
-    "resolve_worker_processes",
     "simulate_makespan",
     "simulate_batch_barrier_makespan",
 ]

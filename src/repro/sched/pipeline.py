@@ -17,15 +17,9 @@ the single place that turns a stage into scheduled execution:
      DAG with a worker pool; ``commit_task`` runs in the executor's
      completion hook, i.e. serialized and strictly before any dependent
      task starts, so conflict-free concurrency stays exact;
-   * ``"processes"`` — the :class:`ProcessTaskExecutor` shards the
-     non-conflicting tasks of each batch across a persistent pool of
-     worker processes (real multi-core wall clock; shared-memory cost
-     grids).  A stage opts in by returning a :class:`ProcessStagePlan`
-     from :meth:`ScheduledStage.process_plan`; stages without a plan
-     fall back to the ordered semantics;
    * ``"ordered"`` — the deterministic topological order on one worker
-     (the reference semantics every threaded or processes run must
-     reproduce bit for bit).
+     (the reference semantics every threaded run must reproduce bit for
+     bit).
 
 Either way the runner emits a :class:`StageReport`: measured per-task
 durations, a start/finish tick timeline, and the two modelled makespans
@@ -36,22 +30,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.grid.geometry import Rect
 from repro.sched.conflict import ConflictGraph
 from repro.sched.executor import (
-    ProcessTaskExecutor,
     TaskGraphExecutor,
-    WorkerPool,
     simulate_batch_barrier_makespan,
     simulate_makespan,
 )
 from repro.sched.taskgraph import TaskGraph, build_task_graph
 
-EXECUTION_POLICIES = ("ordered", "threaded", "processes")
+EXECUTION_POLICIES = ("ordered", "threaded")
 
 
 class ScheduledStage:
@@ -86,16 +78,6 @@ class ScheduledStage:
     def commit_task(self, task: int, result: object) -> None:
         """Publish ``result``; serialized, before successors start."""
 
-    def process_plan(self, n_workers: int) -> Optional["ProcessStagePlan"]:
-        """Return how this stage runs under the ``"processes"`` policy.
-
-        ``None`` (the default) means the stage has no multi-process
-        form; the runner then falls back to the deterministic ordered
-        loop.  Stages that opt in return a :class:`ProcessStagePlan`
-        whose pool/arena they own — including teardown.
-        """
-        return None
-
     def batch_plan(
         self, schedule: "StageSchedule"
     ) -> Optional[List[List[int]]]:
@@ -109,9 +91,6 @@ class ScheduledStage:
         group must be conflict-free — :meth:`TaskGraph.levels` satisfies
         both — so the runner can commit each group's results in task-ID
         order and still reproduce the ordered policy bit for bit.
-
-        Only consulted under the ``ordered`` and ``threaded`` policies;
-        the ``processes`` policy keeps its per-task sharding.
         """
         return None
 
@@ -123,31 +102,6 @@ class ScheduledStage:
         Only called when :meth:`batch_plan` returned groups.
         """
         raise NotImplementedError
-
-
-@dataclass
-class ProcessStagePlan:
-    """How a stage executes under the ``"processes"`` policy.
-
-    * ``pool`` — a persistent :class:`WorkerPool` whose workers were
-      initialised with attached shared-memory state;
-    * ``payload(task)`` — build the picklable work description in the
-      parent (called after ``pre_dispatch`` tore down whatever the task
-      replaces);
-    * ``pre_dispatch(task)`` — parent-side teardown strictly before
-      submission (the rip-up half of the run/commit seam);
-    * ``collect(task, raw)`` — turn a worker's return value into the
-      result ``commit_task`` expects, folding side-band statistics and
-      performing the parent-side demand commits;
-    * ``abort(task)`` — undo ``pre_dispatch`` when execution fails
-      before the task's completion was processed.
-    """
-
-    pool: WorkerPool
-    payload: Callable[[int], object]
-    pre_dispatch: Optional[Callable[[int], None]] = None
-    collect: Optional[Callable[[int, object], object]] = None
-    abort: Optional[Callable[[int], None]] = None
 
 
 def build_group_conflict_graph(
@@ -348,35 +302,8 @@ class StageRunner:
         durations = [0.0] * n
         events: List[Tuple[str, int]] = []
 
-        plan = (
-            stage.process_plan(self.n_workers)
-            if n > 0 and self.policy == "processes"
-            else None
-        )
-        groups = (
-            stage.batch_plan(schedule)
-            if n > 0 and self.policy != "processes"
-            else None
-        )
-        if plan is not None:
-
-            def on_process_complete(task: int, raw: object) -> None:
-                result = (
-                    plan.collect(task, raw) if plan.collect is not None else raw
-                )
-                stage.commit_task(task, result)
-
-            ProcessTaskExecutor(plan.pool).run(
-                schedule.task_graph,
-                plan.payload,
-                on_process_complete,
-                pre_dispatch=plan.pre_dispatch,
-                on_abort=plan.abort,
-                events=events,
-                durations=durations,
-                label_fn=stage.task_label,
-            )
-        elif groups is not None:
+        groups = stage.batch_plan(schedule) if n > 0 else None
+        if groups is not None:
             # Batched dispatch: each group is conflict-free and the
             # group order is a linear extension of the task graph, so
             # running a whole group as one fused dispatch and then
@@ -453,7 +380,6 @@ class StageRunner:
 
 __all__ = [
     "EXECUTION_POLICIES",
-    "ProcessStagePlan",
     "ScheduledStage",
     "StageSchedule",
     "StageReport",

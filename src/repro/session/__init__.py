@@ -7,9 +7,8 @@ The flow's state splits into three layers:
   across every job that routes the same design;
 * :class:`~repro.session.session.RoutingSession` — **per-job mutable**
   state: the demand-carrying :class:`~repro.grid.graph.GridGraph`, the
-  route caches, the persistent worker runtime, and the last
-  :class:`~repro.core.result.RoutingResult`, kept warm between runs so
-  an ECO delta re-routes incrementally;
+  route caches and the last :class:`~repro.core.result.RoutingResult`,
+  kept warm between runs so an ECO delta re-routes incrementally;
 * :class:`~repro.session.store.SessionStore` — an LRU of warm sessions
   plus the **shared caches** (generated benchmark handles, Steiner
   trees, conflict schedules).
@@ -28,7 +27,6 @@ from repro.session.cache import (
 )
 from repro.session.context import SessionContext
 from repro.session.handle import DesignHandle
-from repro.session.runtime import SessionRuntime
 from repro.session.session import EcoResult, RoutingSession
 from repro.session.store import SessionStore
 
@@ -38,7 +36,6 @@ __all__ = [
     "EcoResult",
     "SessionContext",
     "SessionStore",
-    "SessionRuntime",
     "RouteCache",
     "SteinerTreeCache",
     "demand_signature",

@@ -1,9 +1,9 @@
-"""The cache/runtime bundle a session threads through the flow."""
+"""The cache bundle a session threads through the flow."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.session.cache import RouteCache, SteinerTreeCache
 
@@ -23,22 +23,17 @@ class SessionContext:
     * ``schedule_cache`` — :class:`~repro.sched.pipeline.StageSchedule`
       objects keyed by task footprints (a schedule is a pure function
       of its boxes and bin size, so it is shareable and replayable).
-    * ``runtime`` — the session's persistent worker pool + shared
-      arena (``processes`` policy only), created lazily by the first
-      stage that needs it and torn down with the session.
     """
 
     cache: RouteCache = field(default_factory=RouteCache)
     steiner_cache: SteinerTreeCache = field(default_factory=SteinerTreeCache)
     schedule_cache: Dict[tuple, object] = field(default_factory=dict)
-    runtime: Optional[object] = None
 
     def stats(self) -> dict:
         return {
             "route_cache": self.cache.stats(),
             "steiner_cache": self.steiner_cache.stats(),
             "schedules": len(self.schedule_cache),
-            "has_runtime": self.runtime is not None,
         }
 
 

@@ -4,7 +4,7 @@ A session owns the mutable half of a routing job — ONE demand-carrying
 :class:`~repro.grid.graph.GridGraph` built from its immutable
 :class:`~repro.session.handle.DesignHandle`, the warm
 :class:`~repro.session.context.SessionContext` (route / Steiner /
-schedule caches, persistent worker runtime), and the last
+schedule caches), and the last
 :class:`~repro.core.result.RoutingResult`.
 
 ECO model
@@ -89,9 +89,9 @@ class EcoResult:
 class RoutingSession:
     """Warm, reusable routing state over one immutable design handle.
 
-    Usable as a context manager; :meth:`close` releases the worker
-    runtime (if one was created).  ``run``/``eco`` are serialized per
-    session — a session is one job's state, not a concurrency unit.
+    Usable as a context manager; after :meth:`close`, ``run``/``eco``
+    raise.  ``run``/``eco`` are serialized per session — a session is
+    one job's state, not a concurrency unit.
     """
 
     def __init__(
@@ -125,14 +125,9 @@ class RoutingSession:
         return self._closed
 
     def close(self) -> None:
-        """Release the session's worker runtime (idempotent)."""
+        """Mark the session closed (idempotent)."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-            if self.context.runtime is not None:
-                self.context.runtime.close()
-                self.context.runtime = None
 
     def _check_open(self) -> None:
         if self._closed:

@@ -29,7 +29,7 @@ class SessionStore:
       schedules, pure functions of net pins / task boxes, shared by
       every session the store creates;
     * **sessions** — warm per-``(design, config)`` state, LRU-evicted
-      (eviction closes the session, releasing its worker runtime).
+      (eviction closes the session).
 
     Route caches stay *per-session*: their keys embed demand context,
     which only replays within one session's deterministic trajectory.
@@ -90,8 +90,8 @@ class SessionStore:
     ) -> RoutingSession:
         """Return the warm session for ``(handle, config)``, creating it.
 
-        Creation may evict the least-recently-used session (closing it
-        and its worker runtime).
+        Creation may evict the least-recently-used session (closing
+        it).
         """
         config = config or RouterConfig.fastgr_l()
         key = (handle.key, config_key(config))

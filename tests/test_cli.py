@@ -18,8 +18,10 @@ class TestParser:
         assert args.scale == 0.25
 
     def test_bad_config_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["route", "x", "--config", "magic"])
+        for option, value in (("--config", "magic"), ("--executor", "processes")):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["route", "x", option, value])
+            assert excinfo.value.code == 2
 
 
 class TestRoute:

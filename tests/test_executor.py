@@ -9,23 +9,11 @@ import pytest
 
 from repro.sched.conflict import ConflictGraph
 from repro.sched.executor import (
-    ProcessTaskExecutor,
     TaskGraphExecutor,
-    WorkerPool,
-    resolve_worker_processes,
     simulate_batch_barrier_makespan,
     simulate_makespan,
 )
 from repro.sched.taskgraph import TaskGraph, build_task_graph
-
-
-def _double(payload):
-    """Worker body for process-executor tests (module-level: picklable)."""
-    return (0.0, payload * 2)
-
-
-def _boom(payload):
-    raise ValueError(f"boom-{payload}")
 
 
 def chain_graph(n):
@@ -211,107 +199,6 @@ class TestExecutorFailurePaths:
         assert events == [
             (kind, task) for task in range(4) for kind in ("start", "finish")
         ]
-
-
-class TestResolveWorkerProcesses:
-    def test_clamps_to_available_cpus(self, monkeypatch):
-        import os
-
-        monkeypatch.delenv("REPRO_PROCESS_WORKERS", raising=False)
-        cpus = len(os.sched_getaffinity(0))
-        assert resolve_worker_processes(10_000) == cpus
-        assert resolve_worker_processes(1) == 1
-
-    def test_never_below_one(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROCESS_WORKERS", raising=False)
-        assert resolve_worker_processes(0) == 1
-        assert resolve_worker_processes(-4) == 1
-
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROCESS_WORKERS", "3")
-        assert resolve_worker_processes(1) == 3
-
-
-class TestProcessExecutor:
-    def test_chain_runs_in_order_with_results(self):
-        graph = chain_graph(5)
-        completed = []
-        with WorkerPool(2, _double) as pool:
-            order = ProcessTaskExecutor(pool).run(
-                graph,
-                payload_fn=lambda t: t,
-                on_complete=lambda t, v: completed.append((t, v)),
-            )
-        assert order == list(range(5))
-        assert completed == [(t, t * 2) for t in range(5)]
-
-    def test_independent_tasks_complete_before_release(self):
-        """on_complete for a task precedes the start of its successors."""
-        conflicts = ConflictGraph(6)
-        conflicts.add_conflict(0, 3)
-        graph = build_task_graph(conflicts)
-        events = []
-        durations = [0.0] * 6
-        with WorkerPool(2, _double) as pool:
-            ProcessTaskExecutor(pool).run(
-                graph,
-                payload_fn=lambda t: t,
-                on_complete=lambda t, v: None,
-                events=events,
-                durations=durations,
-            )
-        ticks = {}
-        for tick, (kind, task) in enumerate(events):
-            ticks[(kind, task)] = tick
-        assert ticks[("finish", 0)] < ticks[("start", 3)]
-        assert all(d >= 0.0 for d in durations)
-
-    def test_worker_failure_names_task_and_label(self):
-        graph = independent_graph(3)
-        with WorkerPool(2, _boom) as pool:
-            with pytest.raises(RuntimeError, match=r"worker task \d \(net-\d\)"):
-                ProcessTaskExecutor(pool).run(
-                    graph,
-                    payload_fn=lambda t: t,
-                    on_complete=lambda t, v: None,
-                    label_fn=lambda t: f"net-{t}",
-                )
-
-    def test_failure_runs_abort_for_inflight_tasks(self):
-        graph = independent_graph(4)
-        dispatched = []
-        aborted = []
-        with WorkerPool(1, _boom) as pool:
-            with pytest.raises(RuntimeError, match="worker task"):
-                ProcessTaskExecutor(pool).run(
-                    graph,
-                    payload_fn=lambda t: t,
-                    on_complete=lambda t, v: None,
-                    pre_dispatch=dispatched.append,
-                    on_abort=aborted.append,
-                )
-        # Every aborted task was dispatched and never completed — the
-        # failing task itself is still in flight and must be restored.
-        assert aborted
-        assert set(aborted) <= set(dispatched)
-
-    def test_cyclic_graph_raises_instead_of_hanging(self):
-        graph = TaskGraph(2, [], [[1], [0]], [1, 1])
-        with WorkerPool(2, _double) as pool:
-            with pytest.raises(RuntimeError, match="deadlock"):
-                ProcessTaskExecutor(pool).run(
-                    graph, payload_fn=lambda t: t, on_complete=lambda t, v: None
-                )
-
-    def test_pool_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            WorkerPool(0, _double)
-
-    def test_pool_close_is_idempotent(self):
-        pool = WorkerPool(1, _double)
-        pool.close()
-        pool.close()
-        assert pool.closed
 
 
 class TestSimulatedMakespan:

@@ -55,12 +55,7 @@ class TestPatternStage:
         config = RouterConfig.fastgr_l(max_batch_tasks=8)
         _routes, report = run_pattern_stage(d, config, Device(), ZeroCopyArena())
         assert report.stage == "pattern"
-        # REPRO_FORCE_EXECUTOR (the CI seam) overrides the config's
-        # policy; the report records what actually ran.
-        import os
-
-        expected = os.environ.get("REPRO_FORCE_EXECUTOR") or config.executor
-        assert report.policy == expected
+        assert report.policy == config.executor
         assert report.n_tasks >= len(d.netlist) / 8
         assert len(report.task_durations) == report.n_tasks
         assert all(t >= 0 for t in report.start_ticks)

@@ -12,15 +12,8 @@ pass, and exactly one field download happens per splice search.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
-
-#: The CI seam forcing every run onto the processes policy — stacked
-#: dispatch is then never consulted, so counter expectations flip
-#: while parity expectations stand.
-FORCED_PROCESSES = os.environ.get("REPRO_FORCE_EXECUTOR") == "processes"
 
 from repro.backend import available_backends
 from repro.core.config import RouterConfig
@@ -278,14 +271,10 @@ class TestFlowBatchingParity:
         assert on.metrics.n_vias == off.metrics.n_vias
         assert on.metrics.score == off.metrics.score
         # The batched run actually fused multi-net levels; the per-net
-        # run never did.  (Under the forced-processes CI seam neither
-        # run batches — the parity assertions above still bite.)
+        # run never did.
         assert on.nets_to_ripup > 0
-        if FORCED_PROCESSES:
-            assert on.maze_batches == 0
-        else:
-            assert on.maze_batches > 0
-            assert on.maze_batched_nets >= on.maze_batches
+        assert on.maze_batches > 0
+        assert on.maze_batched_nets >= on.maze_batches
         assert off.maze_batches == 0
 
     def test_backend_parity_with_batching(self):
@@ -301,15 +290,6 @@ class TestFlowBatchingParity:
             assert routes_bit_equal(a.routes[name], b.routes[name]), name
         assert a.maze_batches == b.maze_batches
         assert a.maze_batched_nets == b.maze_batched_nets
-
-    def test_processes_policy_falls_back_to_per_net(self):
-        design = congested_design()
-        config = RouterConfig.fastgr_l(
-            maze_engine="wavefront", executor="processes", n_rrr_iterations=1
-        )
-        result = GlobalRouter(design, config).run()
-        assert result.nets_to_ripup > 0
-        assert result.maze_batches == 0
 
 
 class TestDeviceResidency:
@@ -358,11 +338,6 @@ class TestDeviceResidency:
             assert kernel.bytes_to_device == 0
             assert kernel.bytes_to_host == 0
 
-    @pytest.mark.skipif(
-        FORCED_PROCESSES,
-        reason="transfer counters meter the in-process dispatch paths; "
-        "the processes policy shards per task in workers",
-    )
     def test_iteration_stats_carry_transfer_counters(self):
         design = congested_design()
         config = RouterConfig.fastgr_l(

@@ -5,22 +5,13 @@ level of pattern chunks into ONE ``route_batch`` call — one masked cost
 rebuild over the union of boxes, two-pin waves merged across every
 member net — produces **bit-identical** routes and demand to per-chunk
 dispatch, on every registered backend, for ragged levels, degenerate
-members, and mixed L/Z/hybrid stacks.  The ``processes`` policy ignores
-the fused plan (workers route chunk-at-a-time) and must report zero
-fused batches while still matching the ordered policy bit for bit.
+members, and mixed L/Z/hybrid stacks.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
-
-#: The CI seam forcing every run onto the processes policy — fused
-#: dispatch is then never consulted, so counter expectations flip
-#: while parity expectations stand.
-FORCED_PROCESSES = os.environ.get("REPRO_FORCE_EXECUTOR") == "processes"
 
 from repro.backend import available_backends
 from repro.core.config import RouterConfig
@@ -289,15 +280,12 @@ class TestPatternStageSeam:
             design_off,
             RouterConfig.fastgr_l(pattern_batching=False, n_rrr_iterations=1),
         ).run()
-        if FORCED_PROCESSES:
-            assert on.pattern_batches == 0
-        else:
-            assert on.pattern_batches > 0
-            assert on.pattern_batched_nets >= on.pattern_batches
-            assert on.pattern_kernel_launches > 0
-            # Per-chunk dispatch still issues kernels — the counter
-            # meters the stage's launches under either dispatch mode.
-            assert off.pattern_kernel_launches > 0
+        assert on.pattern_batches > 0
+        assert on.pattern_batched_nets >= on.pattern_batches
+        assert on.pattern_kernel_launches > 0
+        # Per-chunk dispatch still issues kernels — the counter
+        # meters the stage's launches under either dispatch mode.
+        assert off.pattern_kernel_launches > 0
         assert off.pattern_batches == 0
         assert off.pattern_batched_nets == 0
         for key in ("pattern_batches", "pattern_batched_nets",
@@ -329,11 +317,8 @@ class TestFlowPatternBatchingParity:
         assert on.metrics.wirelength == off.metrics.wirelength
         assert on.metrics.n_vias == off.metrics.n_vias
         assert on.metrics.score == off.metrics.score
-        if FORCED_PROCESSES:
-            assert on.pattern_batches == 0
-        else:
-            assert on.pattern_batches > 0
-            assert on.pattern_batched_nets >= on.pattern_batches
+        assert on.pattern_batches > 0
+        assert on.pattern_batched_nets >= on.pattern_batches
         assert off.pattern_batches == 0
 
     def test_backend_parity_with_batching(self):
@@ -349,21 +334,3 @@ class TestFlowPatternBatchingParity:
             assert routes_bit_equal(a.routes[name], b.routes[name]), name
         assert a.pattern_batches == b.pattern_batches
         assert a.pattern_batched_nets == b.pattern_batched_nets
-
-    def test_processes_policy_falls_back_to_per_chunk(self):
-        """Workers route chunk-at-a-time: zero fused batches, same bits."""
-        results = {}
-        for executor in ("processes", "ordered"):
-            design = congested_design()
-            config = RouterConfig.fastgr_l(
-                executor=executor, n_rrr_iterations=1
-            )
-            results[executor] = GlobalRouter(design, config).run()
-        proc, ordered = results["processes"], results["ordered"]
-        assert proc.pattern_batches == 0
-        assert proc.pattern_batched_nets == 0
-        for name in ordered.routes:
-            assert routes_bit_equal(
-                proc.routes[name], ordered.routes[name]
-            ), name
-        assert proc.metrics.score == ordered.metrics.score

@@ -119,8 +119,10 @@ class TestConflictBatches:
 
 class TestStageRunner:
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            StageRunner(policy="magic")
+        assert EXECUTION_POLICIES == ("ordered", "threaded")
+        for policy in ("magic", "processes"):
+            with pytest.raises(ValueError, match="ordered, threaded"):
+                StageRunner(policy=policy)
         with pytest.raises(ValueError):
             StageRunner(n_workers=0)
 
@@ -312,7 +314,6 @@ class TestStageEquivalence:
             result = GlobalRouter(design, preset(executor=policy)).run()
             runs[policy] = (design, result)
         assert_identical_results(*runs["ordered"], *runs["threaded"])
-        assert_identical_results(*runs["ordered"], *runs["processes"])
 
     def test_congested_design(self, preset):
         runs = {}
@@ -323,118 +324,36 @@ class TestStageEquivalence:
         # Congested: several RRR iterations actually execute.
         assert runs["ordered"][1].nets_to_ripup > 0
         assert_identical_results(*runs["ordered"], *runs["threaded"])
-        assert_identical_results(*runs["ordered"], *runs["processes"])
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
-def test_processes_policy_backend_parity(backend):
-    """processes == ordered bit for bit on every array backend."""
-    runs = {}
-    for policy in ("ordered", "processes"):
-        design = small_design()
-        config = RouterConfig.fastgr_l(
-            executor=policy, backend=backend, n_workers=2
-        )
-        result = GlobalRouter(design, config).run()
-        runs[policy] = (design, result)
-    assert_identical_results(*runs["ordered"], *runs["processes"])
+def test_cost_snapshot_consistent_after_run():
+    """The graph a finished run leaves behind is dirty-log-clean:
+    an incremental cost engine built on it agrees with the full
+    oracle, and keeps agreeing across a commit/uncommit cycle."""
+    from repro.grid.cost import CostModel, CostQuery
 
+    design = small_design()
+    result = GlobalRouter(design, RouterConfig.fastgr_l()).run()
+    graph = design.graph
+    model = CostModel()
+    full = CostQuery(graph, model, engine="full")
+    incremental = CostQuery(graph, model, engine="incremental")
 
-class TestProcessesPolicy:
-    """Lifecycle guarantees specific to the processes execution policy."""
+    def assert_same_tables():
+        for layer in range(graph.n_layers):
+            assert np.array_equal(
+                full.wire_cost[layer], incremental.wire_cost[layer]
+            )
+        assert np.array_equal(full.via_cost, incremental.via_cost)
 
-    def _spy_created_arenas(self, monkeypatch):
-        from repro.sched import shm
-
-        created = []
-        original = shm.SharedArena.create.__func__
-
-        def spy(cls, arrays):
-            arena = original(cls, arrays)
-            created.append(arena)
-            return arena
-
-        monkeypatch.setattr(shm.SharedArena, "create", classmethod(spy))
-        return created
-
-    def test_arena_unlinked_after_clean_run(self, monkeypatch):
-        created = self._spy_created_arenas(monkeypatch)
-        design = small_design()
-        config = RouterConfig.fastgr_l(executor="processes", n_workers=2)
-        GlobalRouter(design, config).run()
-        # Both stages share ONE run-wide runtime (pool + arena), parked
-        # on route_design's RuntimeSlot — and it was unlinked on exit.
-        assert len(created) == 1
-        assert all(arena._unlinked for arena in created)
-
-    def test_arena_unlinked_when_stage_fails(self, monkeypatch):
-        from repro.core import flow
-
-        created = self._spy_created_arenas(monkeypatch)
-
-        def exploding_collect(self, task, raw):
-            raise RuntimeError("collect boom")
-
-        monkeypatch.setattr(
-            flow.PatternStage, "_process_collect", exploding_collect
-        )
-        config = RouterConfig.fastgr_l(executor="processes", n_workers=2)
-        with pytest.raises(RuntimeError, match="collect boom"):
-            run_pattern_stage(small_design(), config, Device(), ZeroCopyArena())
-        assert created
-        assert all(arena._unlinked for arena in created)
-        # The failing stage re-privatised the graph: a handle attach
-        # must fail because the segment is gone, not linger leaked.
-        from repro.sched.shm import SharedArena
-
-        for arena in created:
-            with pytest.raises(FileNotFoundError):
-                SharedArena.attach(arena.handle)
-
-    def test_worker_crash_surfaces_task_identity(self, monkeypatch):
-        from repro.maze import ripup
-
-        monkeypatch.setattr(
-            ripup, "_maze_worker_run", _crashing_maze_worker
-        )
-        design = small_design()
-        config = RouterConfig.fastgr_l(executor="processes", n_workers=2)
-        with pytest.raises(RuntimeError, match=r"worker task \d+"):
-            GlobalRouter(design, config).run()
-
-    def test_cost_snapshot_consistent_after_processes_run(self):
-        """The graph the processes run leaves behind is epoch-clean:
-        an incremental cost engine built on it agrees with the full
-        oracle, and keeps agreeing across a commit/uncommit cycle."""
-        from repro.grid.cost import CostModel, CostQuery
-
-        design = small_design()
-        config = RouterConfig.fastgr_l(executor="processes", n_workers=2)
-        result = GlobalRouter(design, config).run()
-        graph = design.graph
-        model = CostModel()
-        full = CostQuery(graph, model, engine="full")
-        incremental = CostQuery(graph, model, engine="incremental")
-
-        def assert_same_tables():
-            for layer in range(graph.n_layers):
-                assert np.array_equal(
-                    full.wire_cost[layer], incremental.wire_cost[layer]
-                )
-            assert np.array_equal(full.via_cost, incremental.via_cost)
-
-        assert_same_tables()
-        # Mutate through the dirty log exactly like a later RRR pass.
-        some_route = next(iter(result.routes.values()))
-        some_route.uncommit(graph)
-        some_route.commit(graph)
-        full.rebuild()
-        incremental.rebuild()
-        assert_same_tables()
-
-
-def _crashing_maze_worker(net):
-    raise ValueError(f"maze worker crashed on {net.name}")
+    assert_same_tables()
+    # Mutate through the dirty log exactly like a later RRR pass.
+    some_route = next(iter(result.routes.values()))
+    some_route.uncommit(graph)
+    some_route.commit(graph)
+    full.rebuild()
+    incremental.rebuild()
+    assert_same_tables()
 
 
 class TestPatternChainFreedom:

@@ -94,6 +94,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             RouterConfig(rrr_parallel="magic")
 
+    def test_invalid_executor(self):
+        for executor in ("magic", "processes"):
+            with pytest.raises(ValueError, match="ordered, threaded"):
+                RouterConfig.fastgr_l(executor=executor)
+
     def test_thresholds_order_enforced(self):
         with pytest.raises(ValueError):
             RouterConfig(t1=50, t2=10)
