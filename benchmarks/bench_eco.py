@@ -70,9 +70,7 @@ def demand_equal(g1, g2) -> bool:
 def test_eco_replay_beats_cold_reroute():
     from repro.netlist.generator import generate_design
 
-    # In-process executor: the bench measures replay vs recompute, not
-    # worker-pool amortization.
-    config = RouterConfig.fastgr_l(executor="ordered")
+    config = RouterConfig.fastgr_l()
     handle = DesignHandle.from_design(generate_design(ECO_DESIGN))
 
     with RoutingSession(handle, config) as session:

@@ -17,10 +17,10 @@ barrier penalty, so this bench reconstructs the paper-scale regime:
   matches the orders-of-magnitude spread of full-size per-net times).
 
 The stage is scheduled and actually executed through the
-scheduled-stage pipeline under both execution policies (the modelled
-makespans are policy-independent by construction — the schedule is);
-the only difference between the compared strategies is the barrier,
-which is exactly what the paper's comparison isolates.
+scheduled-stage pipeline (on the calling thread — the makespans are
+modelled from the schedule and the synthetic durations); the only
+difference between the compared strategies is the barrier, which is
+exactly what the paper's comparison isolates.
 
 Quick mode: set ``REPRO_STRESS_WORKERS`` (e.g. ``"8"``) to restrict the
 worker sweep — the >=1.5x assertion holds already at 8 workers.
@@ -31,14 +31,12 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pytest
 
 from conftest import register_table
 
 from repro.eval.report import format_table
 from repro.netlist.benchmarks import load_benchmark
 from repro.sched.pipeline import (
-    EXECUTION_POLICIES,
     ScheduledStage,
     StageRunner,
     modelled_makespans,
@@ -90,8 +88,7 @@ class StressStage(ScheduledStage):
         self.n_committed += 1
 
 
-@pytest.mark.parametrize("policy", EXECUTION_POLICIES)
-def test_scheduler_stress(benchmark, policy):
+def test_scheduler_stress(benchmark):
     boxes = sampled_boxes()
     rng = make_rng(("sched-stress", DESIGN))
     areas = np.array([box.area for box in boxes], dtype=float)
@@ -100,13 +97,13 @@ def test_scheduler_stress(benchmark, policy):
     )
 
     stage = StressStage(boxes)
-    runner = StageRunner(policy=policy, n_workers=max(WORKERS))
+    runner = StageRunner(n_workers=max(WORKERS))
     schedule = runner.schedule(stage)
     report = benchmark.pedantic(
         lambda: runner.run(stage, schedule=schedule), rounds=1, iterations=1
     )
     assert stage.n_committed == len(boxes)
-    assert report.policy == policy and report.n_tasks == len(boxes)
+    assert report.n_tasks == len(boxes)
 
     rows = []
     for workers in WORKERS:
@@ -118,16 +115,16 @@ def test_scheduler_stress(benchmark, policy):
         ["workers", "sequential(s)", "batch-barrier(s)", "task-graph(s)", "speedup"],
         rows,
         title=(
-            f"Scheduler stress on full-scale {DESIGN} ({policy} policy): "
+            f"Scheduler stress on full-scale {DESIGN}: "
             f"{report.n_tasks} tasks, {report.n_conflicts} conflicts, "
             f"{report.n_batches} batches (paper: 2.501x)"
         ),
     )
     best_ratio = max(row[4] for row in rows)
     register_table(
-        f"scheduler_stress_{policy}",
+        "scheduler_stress",
         text,
-        config=f"stress|{DESIGN}|{policy}|workers={','.join(map(str, WORKERS))}",
+        config=f"stress|{DESIGN}|workers={','.join(map(str, WORKERS))}",
         metrics={
             "n_tasks": report.n_tasks,
             "n_conflicts": report.n_conflicts,

@@ -85,7 +85,7 @@ def config_key(config: RouterConfig) -> str:
         f"{config.use_selection}|{config.t1}|{config.t2}|"
         f"{config.sorting_scheme}|{config.rrr_sorting_scheme}|"
         f"{config.n_rrr_iterations}|{config.rrr_parallel}|{config.edge_shift}|"
-        f"{config.executor}|{config.n_workers}|{config.max_batch_tasks}|"
+        f"{config.n_workers}|{config.max_batch_tasks}|"
         f"{config.backend}|{config.maze_engine}|{config.cost_engine}"
     )
 

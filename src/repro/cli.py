@@ -29,7 +29,6 @@ from repro.core.config import RouterConfig
 from repro.core.router import GlobalRouter
 from repro.grid.cost import COST_ENGINES
 from repro.maze import MAZE_ENGINES
-from repro.sched.pipeline import EXECUTION_POLICIES
 from repro.netlist.benchmarks import BENCHMARKS, benchmark_names, load_benchmark
 from repro.netlist.design import Design
 from repro.netlist.io import read_design, write_design
@@ -62,10 +61,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
         overrides["n_rrr_iterations"] = args.iterations
     if args.backend is not None:
         overrides["backend"] = args.backend
-    if args.executor is not None:
-        overrides["executor"] = args.executor
-    if args.workers is not None:
-        overrides["n_workers"] = args.workers
     if args.maze_engine is not None:
         overrides["maze_engine"] = args.maze_engine
     if args.maze_batching is not None:
@@ -81,7 +76,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
           f"{design.graph.nx}x{design.graph.ny}x{design.n_layers})")
     print(f"router        : {result.config_name}")
     print(f"backend       : {config.backend}")
-    print(f"executor      : {config.executor} ({config.n_workers} workers)")
     print(f"pattern stage : {result.pattern_time:.3f} s "
           f"({result.pattern_batches} fused batches, "
           f"{result.pattern_batched_nets} nets, "
@@ -219,18 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument(
         "--backend", choices=available_backends(), default=None,
         help="array backend for the pattern kernels "
-        "(default: the preset's choice)",
-    )
-    route.add_argument(
-        "--executor", choices=EXECUTION_POLICIES, default=None,
-        help="execution policy of the scheduled-stage pipeline: "
-        "'threaded' drains the task graph on a worker pool, 'ordered' "
-        "runs the deterministic topological order; results are "
-        "bit-identical (default: the preset's choice)",
-    )
-    route.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker count for the threaded executor "
         "(default: the preset's choice)",
     )
     route.add_argument(

@@ -46,11 +46,6 @@ class RouterConfig:
     rrr_sorting_scheme: Optional[str] = None
     n_rrr_iterations: int = 3
     rrr_parallel: str = "taskgraph"  # "taskgraph" | "batch"
-    # Execution policy of the scheduled-stage pipeline: "threaded" runs
-    # the ordered task graph on the Taskflow-like executor's worker
-    # pool; "ordered" drains it in deterministic topological order.
-    # Both produce bit-identical routes by construction.
-    executor: str = "threaded"
     # Pattern-stage batches larger than this are split into sibling
     # chunk tasks (conflict-free by construction), so the task graph
     # has intra-batch parallelism to expose instead of a chain.
@@ -65,24 +60,24 @@ class RouterConfig:
     # Batched maze dispatch: relax every conflict-free dependency level
     # of the reroute task graph as ONE stacked (B, L, nx, ny) sweep
     # instead of per-net launches.  Only effective for engines that
-    # support stacked search (the wavefront engine) under the ordered
-    # and threaded policies; bit-identical to per-net dispatch by
-    # construction, so the default is on.
+    # support stacked search (the wavefront engine); bit-identical to
+    # per-net dispatch by construction, so the default is on.
     maze_batching: bool = True
     # Batched pattern dispatch: evaluate every conflict-free dependency
     # level of the pattern task graph as ONE fused kernel invocation
     # sequence — all two-pin tasks at the same wave depth across every
     # net in the level share each combine/L/Z/hybrid launch — instead
     # of per-chunk launches.  Levels are size-bucketed by net bounding
-    # box area first (see sched.batching.bucket_by_area).  Effective
-    # under the ordered and threaded policies; bit-identical to
-    # per-chunk dispatch by construction, so the default is on.
+    # box area first (see sched.batching.bucket_by_area).  Bit-identical
+    # to per-chunk dispatch by construction, so the default is on.
     pattern_batching: bool = True
     # Cost-snapshot maintenance: "incremental" drains the grid's
     # dirty-rect log and patches only affected prefix suffixes;
     # "full" recomputes everything each rebuild (the bit-identical
     # oracle the incremental engine is tested against).
     cost_engine: str = "incremental"
+    # The P of the modelled task-graph / batch-barrier makespans the
+    # reports carry; stages themselves execute on the calling thread.
     n_workers: int = 8
     max_chunk_elements: int = 150_000
     cost_model: CostModel = field(default_factory=CostModel)
@@ -100,13 +95,6 @@ class RouterConfig:
             raise ValueError(
                 f"unknown maze engine {self.maze_engine!r}; available: "
                 f"{', '.join(MAZE_ENGINES)}"
-            )
-        from repro.sched.pipeline import EXECUTION_POLICIES
-
-        if self.executor not in EXECUTION_POLICIES:
-            raise ValueError(
-                f"unknown execution policy {self.executor!r}; available: "
-                f"{', '.join(EXECUTION_POLICIES)}"
             )
         if self.max_batch_tasks < 1:
             raise ValueError("max_batch_tasks must be >= 1")
@@ -141,7 +129,6 @@ class RouterConfig:
             pattern_shape="lshape",
             backend="python",
             rrr_parallel="batch",
-            executor="ordered",
         )
         return replace(config, **overrides) if overrides else config
 

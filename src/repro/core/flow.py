@@ -15,14 +15,13 @@ flow holds no scheduling logic of its own:
   one maze-reroute task whose footprint is its search region (bounding
   box + maze margin).
 
-Task results are committed through ``commit_task`` (serialized by the
-runner, ordered before conflicting successors), so the ``threaded``
-policy reproduces the ``ordered`` policy bit for bit.
+The runner drains both on the calling thread; a task's result is
+published through ``commit_task`` before any conflicting successor
+runs, so fused-group dispatch reproduces per-task dispatch bit for bit.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import RouterConfig
@@ -110,9 +109,6 @@ class PatternStage(ScheduledStage):
         # cost arrays in place, so aliasing them would let later
         # batches corrupt the pinned reference.
         self.cost_reference = self.engine.query.snapshot_reference()
-        # One simulated accelerator: chunks share the engine's device
-        # queue, so kernel launches are framed one task at a time.
-        self._engine_lock = threading.Lock()
         self.routes: Dict[str, Route] = {}
         self._graph = graph
         self.config = config
@@ -132,11 +128,9 @@ class PatternStage(ScheduledStage):
 
     def run_task(self, task: int) -> Dict[str, Route]:
         chunk_nets = [self.nets[i] for i in self.chunks[task]]
-        boxes = self._boxes[task]
-        with self._engine_lock:
-            return self._route_nets_locked(chunk_nets, boxes)
+        return self._route_nets(chunk_nets, self._boxes[task])
 
-    def _route_nets_locked(
+    def _route_nets(
         self,
         nets: List[Net],
         boxes: Sequence[Rect],
@@ -144,13 +138,13 @@ class PatternStage(ScheduledStage):
     ) -> Dict[str, Route]:
         """Route ``nets`` (disjoint ``boxes``) on the shared engine.
 
-        Caller holds the engine lock.  Without a session context this
-        is one masked ``route_batch``; with one it is the
-        content-addressed replay, *per net*: group-mates have disjoint
-        boxes and a cost snapshot frozen at stage start, so one net's
-        DP output is a pure function of (net, box, demand in the
-        box's incident-edge footprint) — independent of which chunk
-        the batch extractor placed it in and of how many chunks a
+        Without a session context this is one masked ``route_batch``;
+        with one it is the content-addressed replay, *per net*:
+        group-mates have disjoint boxes and a cost snapshot frozen at
+        stage start, so one net's DP output is a pure function of
+        (net, box, demand in the box's incident-edge footprint) —
+        independent of which chunk the batch extractor placed it in
+        and of how many chunks a
         fused level stacked together.  Keys are computed before any
         commit (the group-start demand a cold run would see); cached
         hits commit O(route), the rest route as a sub-batch masked to
@@ -227,7 +221,7 @@ class PatternStage(ScheduledStage):
         of the DAG, so fusing a whole level into one ``route_batch``
         (one masked rebuild over the union of boxes, waves merged
         across every member net) and committing member results in
-        group order reproduces the ordered policy bit for bit — each
+        group order reproduces per-chunk dispatch bit for bit — each
         member's DP reads only costs inside its own box, which no
         disjoint level-mate's commit can touch.  Levels are split into
         size buckets by largest-net bounding-box area first so one
@@ -253,8 +247,7 @@ class PatternStage(ScheduledStage):
             member_names.append((task, [net.name for net in chunk_nets]))
             all_nets.extend(chunk_nets)
             all_boxes.extend(self._boxes[task])
-        with self._engine_lock:
-            routes = self._route_nets_locked(all_nets, all_boxes, batched=True)
+        routes = self._route_nets(all_nets, all_boxes, batched=True)
         return {
             task: {name: routes[name] for name in names}
             for task, names in member_names
@@ -318,7 +311,7 @@ class RerouteStage(ScheduledStage):
         Only when batching is enabled and the maze engine supports it.
         Levels are conflict-free and their order is a linear extension
         of the DAG, so the runner's group execution commits conflicting
-        nets in exactly the ordered policy's order — bit-identical
+        nets in exactly the per-task order — bit-identical
         results (the stacked search itself is per-member bit-identical).
         Each level is split into size buckets by search-region area
         first: the stacked fixpoint runs until its slowest member
@@ -341,17 +334,12 @@ class RerouteStage(ScheduledStage):
         return {task: found[name] for task, name in zip(tasks, names)}
 
 
-def _make_runner(config: RouterConfig) -> StageRunner:
-    """Build the stage runner for ``config``."""
-    return StageRunner(policy=config.executor, n_workers=config.n_workers)
-
-
 def _cached_schedule(runner: StageRunner, stage: ScheduledStage, context):
     """Schedule ``stage``, reusing the context's cached schedule.
 
     A :class:`StageSchedule` is a pure function of the task footprints
-    and the runner's bin size (executors copy the in-degree array, so
-    a schedule is safely replayed and shared).
+    and the runner's bin size, and running it never mutates it, so a
+    schedule is safely replayed and shared.
     """
     if context is None:
         return runner.schedule(stage)
@@ -390,7 +378,7 @@ def run_pattern_stage(
     schedules are served from (and fill) its warm caches.
     """
     stage = PatternStage(design, config, device, arena, context=context)
-    runner = _make_runner(config)
+    runner = StageRunner(n_workers=config.n_workers)
     report = runner.run(stage, schedule=_cached_schedule(runner, stage, context))
     if cost_stats is not None:
         cost_stats.update(stage.engine.query.stats.as_dict())
@@ -407,8 +395,8 @@ def run_pattern_stage(
                 ),
             }
         )
-    # Commit order is schedule-dependent under the threaded policy;
-    # re-key in netlist order so the mapping itself is deterministic.
+    # Commit order is the task graph's topological order, not netlist
+    # order; re-key so the mapping follows the netlist.
     routes = {net.name: stage.routes[net.name] for net in design.netlist}
     return routes, report
 
@@ -448,7 +436,7 @@ def run_rrr_stage(
         device=device,
         cost_engine=config.cost_engine,
     )
-    runner = _make_runner(config)
+    runner = StageRunner(n_workers=config.n_workers)
     rrr_scheme = config.rrr_sorting_scheme or config.sorting_scheme
     cache = context.cache if context is not None else None
     # Adaptive cache bypass: hashing a maze task's demand window costs

@@ -40,8 +40,8 @@ class IterationStats:
     # cells relaxed (wavefront) this iteration, summed over all
     # reroute tasks.
     nodes_visited: int = 0
-    # Cost-snapshot maintenance this iteration, summed over all worker
-    # routers: rebuild calls, edge costs actually recomputed, seconds.
+    # Cost-snapshot maintenance of the maze router this iteration:
+    # rebuild calls, edge costs actually recomputed, seconds.
     cost_rebuilds: int = 0
     cost_refreshed_edges: int = 0
     cost_time: float = 0.0
@@ -56,7 +56,7 @@ class IterationStats:
     kernel_launches: int = 0
     bytes_to_device: int = 0
     bytes_to_host: int = 0
-    # Full pipeline execution record (policy, timeline, schedule).
+    # Full pipeline execution record (durations, makespans, schedule).
     report: Optional[StageReport] = None
 
     @property

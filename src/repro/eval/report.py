@@ -49,7 +49,6 @@ def format_stage_reports(reports) -> str:
     rows = [
         [
             report.stage,
-            report.policy,
             report.n_tasks,
             report.n_conflicts,
             report.n_batches,
@@ -63,7 +62,6 @@ def format_stage_reports(reports) -> str:
     return format_table(
         [
             "stage",
-            "policy",
             "tasks",
             "conflicts",
             "batches",

@@ -107,15 +107,6 @@ class CostEngineStats:
         """Return an independent snapshot of the counters."""
         return replace(self)
 
-    def add(self, other: "CostEngineStats") -> None:
-        """Fold another stats record into this one (aggregation)."""
-        self.full_rebuilds += other.full_rebuilds
-        self.masked_rebuilds += other.masked_rebuilds
-        self.incremental_rebuilds += other.incremental_rebuilds
-        self.refreshed_wire_edges += other.refreshed_wire_edges
-        self.refreshed_via_edges += other.refreshed_via_edges
-        self.seconds += other.seconds
-
     def delta(self, earlier: "CostEngineStats") -> "CostEngineStats":
         """Return the counter deltas since an ``earlier`` snapshot."""
         return CostEngineStats(

@@ -36,12 +36,14 @@ class DirtyLog:
     before ``p`` (it may see newer demand too — incremental consumers
     treat that as overshoot and re-refresh when the record arrives).
 
-    Multiple subscribers (one :class:`~repro.grid.cost.CostQuery` per
-    worker thread in the reroute stage) each keep their own cursor and
-    call :meth:`since` independently.  The log compacts itself once it
-    exceeds ``max_records``; a cursor that predates the retained window
-    gets ``None`` back and must treat the whole grid as dirty — stale
-    data is never served silently.
+    Multiple subscribers (the pattern engine's and the maze router's
+    :class:`~repro.grid.cost.CostQuery`) each keep their own cursor and
+    call :meth:`since` independently.  Routing runs on one thread; the
+    lock guards the log for embedders (the job service) that may reach
+    one graph from more than one thread.  The log compacts itself once
+    it exceeds ``max_records``; a cursor that predates the retained
+    window gets ``None`` back and must treat the whole grid as dirty —
+    stale data is never served silently.
     """
 
     ALL: DirtyRecord = ("all",)

@@ -10,13 +10,12 @@ edge are rerouted.  Each iteration:
 
 :class:`RipupReroute` exposes the per-net task primitive
 (:meth:`~RipupReroute.rip_and_reroute`) the scheduled-stage pipeline
-executes; its maze router is thread-local so concurrent non-conflicting
-tasks each search against their own cost snapshot.
+executes on the calling thread; every task searches against the one
+maze router's cost snapshot, refreshed inside the task's own window.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -122,23 +121,27 @@ class RipupReroute:
         device=None,
         cost_engine: str = "full",
     ) -> None:
+        from repro.maze import make_maze_router
+
         self.graph = graph
         self.nets = netlist_by_name
         self.cost_model = cost_model or CostModel()
         self.margin = margin
         self.engine_name = engine
-        self.cost_engine = cost_engine
-        self._backend = backend
-        self._device = device
-        self._local = threading.local()
-        self._visited_lock = threading.Lock()
-        # Every thread-local router ever created, so cost-engine stats
-        # can be aggregated across workers after an iteration.
-        self._routers: List[MazeRouter] = []
-        #: Total node expansions of maze searches so far (all worker
-        #: threads; the goal-directed search counts a node again when
-        #: it re-expands it after an improvement; monotone — snapshot
-        #: before/after an iteration to attribute counts per iteration).
+        #: The maze router, hence the one cost snapshot, of every task.
+        self.maze: MazeRouter = make_maze_router(
+            engine,
+            graph,
+            self.cost_model,
+            margin=margin,
+            backend=backend,
+            device=device,
+            cost_engine=cost_engine,
+        )
+        #: Total node expansions of maze searches so far (the
+        #: goal-directed search counts a node again when it re-expands
+        #: it after an improvement; monotone — snapshot before/after an
+        #: iteration to attribute counts per iteration).
         self.nodes_visited = 0
         #: Counters/timers bus: monotone "maze.*" counters (nets,
         #: batches, batched nets, visited, kernel launches, transfer
@@ -147,51 +150,17 @@ class RipupReroute:
         self.tracker = Tracker()
 
     @property
-    def maze(self) -> MazeRouter:
-        """This thread's maze router.
-
-        Each worker thread owns a router (hence a cost snapshot): a
-        concurrent task's rebuild can then never replace the snapshot
-        another task is searching.  Costs the search reads are region
-        slices of elementwise edge costs, so they depend only on the
-        region's demand — which only conflicting (i.e. serialized)
-        tasks touch.
-        """
-        maze = getattr(self._local, "maze", None)
-        if maze is None:
-            from repro.maze import make_maze_router
-
-            maze = make_maze_router(
-                self.engine_name,
-                self.graph,
-                self.cost_model,
-                margin=self.margin,
-                backend=self._backend,
-                device=self._device,
-                cost_engine=self.cost_engine,
-            )
-            self._local.maze = maze
-            with self._visited_lock:
-                self._routers.append(maze)
-        return maze
-
-    @property
     def supports_batch(self) -> bool:
         """True when the maze engine exposes a stacked ``route_batch``."""
         return getattr(self.maze, "supports_batch", False)
 
     def cost_engine_stats(self) -> "CostEngineStats":
-        """Aggregate cost-engine counters over every worker's router.
+        """Snapshot of the maze router's cost-engine counters.
 
         Monotone like :attr:`nodes_visited` — snapshot before/after an
         iteration and diff to attribute work per iteration.
         """
-        total = CostEngineStats()
-        with self._visited_lock:
-            routers = list(self._routers)
-        for router in routers:
-            total.add(router.query.stats)
-        return total
+        return self.maze.query.stats.copy()
 
     def tally_launches(self, launches) -> None:
         """Fold kernel-launch/transfer records into the tracker bus."""
@@ -207,8 +176,7 @@ class RipupReroute:
         )
 
     def _fold_visited(self, visited: int) -> None:
-        with self._visited_lock:
-            self.nodes_visited += visited
+        self.nodes_visited += visited
         self.tracker.get_counter("maze.visited").increment(visited)
 
     def rip_and_reroute(

@@ -49,7 +49,7 @@ class MazeRoutingError(RuntimeError):
 def search_box(net: Net, margin: int, graph: GridGraph) -> Rect:
     """The net's maze search window: bounding box plus margin, clipped.
 
-    The one definition of the window — the search, the worker-side cost
+    The one definition of the window — the search, the windowed cost
     refresh, the session cache key and the scheduler footprint of a
     reroute task all derive from it.
     """

@@ -4,8 +4,9 @@ Routing tasks conflict when their bounding boxes overlap (they may
 compete for the same grid edges).  The scheduler (1) builds the task
 conflict graph, (2) extracts a conflict-free *root batch*, (3) orients
 every conflict edge (root -> non-root; otherwise smaller task ID ->
-larger), producing a DAG that a Taskflow-like executor drains with
-maximum parallelism.
+larger), producing a DAG.  The paper drains it with Taskflow threads;
+here :class:`StageRunner` drains it on the calling thread and the
+parallel makespans are modelled (DESIGN.md Sec. 2).
 """
 
 from repro.sched.sorting import SORTING_SCHEMES, sort_nets
@@ -18,7 +19,6 @@ from repro.sched.executor import (
     simulate_makespan,
 )
 from repro.sched.pipeline import (
-    EXECUTION_POLICIES,
     ScheduledStage,
     StageReport,
     StageRunner,
@@ -39,7 +39,6 @@ __all__ = [
     "TaskGraphExecutor",
     "simulate_makespan",
     "simulate_batch_barrier_makespan",
-    "EXECUTION_POLICIES",
     "ScheduledStage",
     "StageSchedule",
     "StageReport",

@@ -4,9 +4,13 @@ Two complementary executors:
 
 * :class:`TaskGraphExecutor` actually runs Python callables with a
   thread pool, releasing each task the moment its predecessors finish —
-  the execution-order semantics of Taskflow [30].  (CPython's GIL means
-  wall-clock speedup is not expected for CPU-bound tasks; tests use it
-  to verify that no conflicting pair ever overlaps.)
+  the execution-order semantics of Taskflow [30].  No routing path
+  calls it: under CPython's GIL the threaded drain lost to the
+  one-thread :class:`~repro.sched.pipeline.StageRunner` (DESIGN.md
+  Sec. 2.1), so it stays as the executable statement of the paper's
+  release rule — ``tests/test_executor.py`` verifies that no
+  conflicting pair ever overlaps and that a task's commit precedes its
+  successors.
 * :func:`simulate_makespan` / :func:`simulate_batch_barrier_makespan`
   compute the deterministic parallel makespans of recorded per-task
   durations under list scheduling with ``n_workers`` — the quantity the

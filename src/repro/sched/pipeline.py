@@ -11,19 +11,14 @@ the single place that turns a stage into scheduled execution:
 2. :meth:`StageRunner.schedule` builds the conflict graph over those
    footprints, the ordered task graph (Algorithm 1 + Fig. 6) and the
    batch partition the barrier baseline would use;
-3. :meth:`StageRunner.run` executes the stage under a pluggable policy:
+3. :meth:`StageRunner.run` drains the stage on the calling thread:
+   fused conflict-free groups when the stage offers a ``batch_plan``,
+   otherwise one task at a time in the task graph's deterministic
+   topological order, each result committed before the next task runs.
 
-   * ``"threaded"`` — the real :class:`TaskGraphExecutor` drains the
-     DAG with a worker pool; ``commit_task`` runs in the executor's
-     completion hook, i.e. serialized and strictly before any dependent
-     task starts, so conflict-free concurrency stays exact;
-   * ``"ordered"`` — the deterministic topological order on one worker
-     (the reference semantics every threaded run must reproduce bit for
-     bit).
-
-Either way the runner emits a :class:`StageReport`: measured per-task
-durations, a start/finish tick timeline, and the two modelled makespans
-(task-graph vs batch-barrier) the paper's Table VIII compares.
+The runner emits a :class:`StageReport`: measured per-task durations
+and the two modelled ``n_workers`` makespans (task-graph vs
+batch-barrier) the paper's Table VIII compares.
 """
 
 from __future__ import annotations
@@ -37,13 +32,10 @@ import numpy as np
 from repro.grid.geometry import Rect
 from repro.sched.conflict import ConflictGraph
 from repro.sched.executor import (
-    TaskGraphExecutor,
     simulate_batch_barrier_makespan,
     simulate_makespan,
 )
 from repro.sched.taskgraph import TaskGraph, build_task_graph
-
-EXECUTION_POLICIES = ("ordered", "threaded")
 
 
 class ScheduledStage:
@@ -52,10 +44,9 @@ class ScheduledStage:
     Subclasses define the task list implicitly through
     :meth:`task_boxes` (one footprint — a sequence of rectangles — per
     task; tasks conflict when their footprints overlap) and provide the
-    task body.  ``run_task`` may execute concurrently with other
-    non-conflicting tasks under the threaded policy and must not
-    publish shared results itself; ``commit_task`` is always serialized
-    and ordered before any conflicting successor runs.
+    task body.  ``run_task`` must not publish shared results itself;
+    the runner calls ``commit_task`` with its result before any
+    conflicting successor runs.
     """
 
     name: str = "stage"
@@ -76,7 +67,7 @@ class ScheduledStage:
         raise NotImplementedError
 
     def commit_task(self, task: int, result: object) -> None:
-        """Publish ``result``; serialized, before successors start."""
+        """Publish ``result``; called before any successor starts."""
 
     def batch_plan(
         self, schedule: "StageSchedule"
@@ -90,7 +81,7 @@ class ScheduledStage:
         must be a linear extension of ``schedule.task_graph`` and every
         group must be conflict-free — :meth:`TaskGraph.levels` satisfies
         both — so the runner can commit each group's results in task-ID
-        order and still reproduce the ordered policy bit for bit.
+        order and still reproduce per-task execution bit for bit.
         """
         return None
 
@@ -207,17 +198,11 @@ class StageReport:
     """Uniform execution record of one scheduled stage run."""
 
     stage: str
-    policy: str
     n_workers: int
     n_tasks: int
     n_conflicts: int
     n_batches: int
     task_durations: List[float] = field(default_factory=list)
-    # Global tick (index into the unified event timeline) at which each
-    # task started / finished; two tasks overlapped iff each started
-    # before the other finished.
-    start_ticks: List[int] = field(default_factory=list)
-    finish_ticks: List[int] = field(default_factory=list)
     taskgraph_makespan: float = 0.0
     batch_makespan: float = 0.0
     schedule: Optional[StageSchedule] = None
@@ -244,13 +229,6 @@ class StageReport:
             else self.batch_makespan
         )
 
-    def overlapped(self, a: int, b: int) -> bool:
-        """Return True when tasks ``a`` and ``b`` ran concurrently."""
-        return (
-            self.start_ticks[a] < self.finish_ticks[b]
-            and self.start_ticks[b] < self.finish_ticks[a]
-        )
-
 
 def modelled_makespans(
     schedule: StageSchedule, durations: Sequence[float], n_workers: int
@@ -266,17 +244,10 @@ def modelled_makespans(
 class StageRunner:
     """Schedules and executes :class:`ScheduledStage` instances."""
 
-    def __init__(
-        self, policy: str = "ordered", n_workers: int = 8, bin_size: int = 16
-    ) -> None:
-        if policy not in EXECUTION_POLICIES:
-            raise ValueError(
-                f"unknown execution policy {policy!r}; expected one of "
-                f"{', '.join(EXECUTION_POLICIES)}"
-            )
+    def __init__(self, n_workers: int = 8, bin_size: int = 16) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
-        self.policy = policy
+        # The P of the modelled makespans; execution is one thread.
         self.n_workers = n_workers
         self.bin_size = bin_size
 
@@ -294,13 +265,12 @@ class StageRunner:
     def run(
         self, stage: ScheduledStage, schedule: Optional[StageSchedule] = None
     ) -> StageReport:
-        """Execute ``stage`` under this runner's policy; return report."""
+        """Execute ``stage`` on the calling thread; return its report."""
         if schedule is None:
             schedule = self.schedule(stage)
         n = schedule.n_tasks
         stage.prepare()
         durations = [0.0] * n
-        events: List[Tuple[str, int]] = []
 
         groups = stage.batch_plan(schedule) if n > 0 else None
         if groups is not None:
@@ -308,54 +278,25 @@ class StageRunner:
             # group order is a linear extension of the task graph, so
             # running a whole group as one fused dispatch and then
             # committing its results in task-ID order reproduces the
-            # ordered policy exactly.  The measured group wall time is
-            # split evenly across members so sequential_time and the
+            # per-task loop below exactly.  The measured group wall time
+            # is split evenly across members so sequential_time and the
             # modelled makespans stay comparable with per-task runs.
             for group in groups:
                 members = list(group)
                 if not members:
                     continue
-                for task in members:
-                    events.append(("start", task))
                 start = time.perf_counter()
                 results = stage.run_batch(members)
                 share = (time.perf_counter() - start) / len(members)
                 for task in members:
                     durations[task] = share
                     stage.commit_task(task, results[task])
-                    events.append(("finish", task))
-        elif n > 0 and self.policy == "threaded":
-            results: List[object] = [None] * n
-
-            def task_fn(task: int) -> None:
-                start = time.perf_counter()
-                results[task] = stage.run_task(task)
-                durations[task] = time.perf_counter() - start
-
-            def on_complete(task: int) -> None:
-                stage.commit_task(task, results[task])
-                results[task] = None  # release the reference early
-
-            TaskGraphExecutor(self.n_workers).run(
-                schedule.task_graph, task_fn, on_complete=on_complete,
-                events=events,
-            )
-        elif n > 0:
+        else:
             for task in schedule.task_graph.topological_order():
-                events.append(("start", task))
                 start = time.perf_counter()
                 result = stage.run_task(task)
                 durations[task] = time.perf_counter() - start
                 stage.commit_task(task, result)
-                events.append(("finish", task))
-
-        start_ticks = [-1] * n
-        finish_ticks = [-1] * n
-        for tick, (kind, task) in enumerate(events):
-            if kind == "start":
-                start_ticks[task] = tick
-            else:
-                finish_ticks[task] = tick
 
         taskgraph_makespan, batch_makespan = (
             modelled_makespans(schedule, durations, self.n_workers)
@@ -364,14 +305,11 @@ class StageRunner:
         )
         return StageReport(
             stage=stage.name,
-            policy=self.policy,
             n_workers=self.n_workers,
             n_tasks=n,
             n_conflicts=schedule.conflicts.n_conflicts(),
             n_batches=len(schedule.batches),
             task_durations=durations,
-            start_ticks=start_ticks,
-            finish_ticks=finish_ticks,
             taskgraph_makespan=taskgraph_makespan,
             batch_makespan=batch_makespan,
             schedule=schedule,
@@ -379,7 +317,6 @@ class StageRunner:
 
 
 __all__ = [
-    "EXECUTION_POLICIES",
     "ScheduledStage",
     "StageSchedule",
     "StageReport",

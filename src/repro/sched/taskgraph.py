@@ -61,8 +61,9 @@ class TaskGraph:
         And because every edge strictly increases depth, executing the
         levels in order (any order inside a level) is a linear extension
         of the DAG, i.e. it commits conflicting tasks in exactly the
-        order the ``ordered`` policy would.  This is the dispatch unit
-        of the batched maze engine: one stacked relaxation per level.
+        order the per-task :meth:`topological_order` drain would.  This
+        is the dispatch unit of the batched maze engine: one stacked
+        relaxation per level.
 
         Note the greedy Algorithm-1 batches do **not** have the second
         property (a non-root task can be batched *before* a larger-ID

@@ -23,9 +23,13 @@ The hashed windows are the boxes' *incident-edge* slices (edges with
 at least one endpoint inside the box) plus the box's via pillars —
 exactly the demand the DP's masked rebuild and the edge-shifting
 probes (``_local_demand`` reads edges at ``x-1``/``x``, ``y-1``/``y``)
-can observe.  Concurrent tasks under the threaded policy only ever
-write edges with *both* endpoints inside their own disjoint footprint,
-so the hashed window is torn-read-free.
+can observe.  Members of one fused group only ever write edges with
+*both* endpoints inside their own disjoint footprint, so a hit's commit
+never changes a group-mate's hashed window.
+
+Routing itself runs on one thread; the caches keep their locks because
+the job service's HTTP threads read ``stats()`` (and share the store's
+Steiner cache) while its worker thread routes.
 """
 
 from __future__ import annotations

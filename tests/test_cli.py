@@ -18,7 +18,7 @@ class TestParser:
         assert args.scale == 0.25
 
     def test_bad_config_rejected(self):
-        for option, value in (("--config", "magic"), ("--executor", "processes")):
+        for option, value in (("--config", "magic"), ("--executor", "ordered")):
             with pytest.raises(SystemExit) as excinfo:
                 build_parser().parse_args(["route", "x", option, value])
             assert excinfo.value.code == 2

@@ -15,14 +15,14 @@ from repro.sched.batching import extract_batches
 from repro.sched.sorting import sort_nets
 
 
-def design(congested=False, seed=21):
+def design(congested=False, seed=21, n_nets=80):
     return generate_design(
         DesignSpec(
             name="flow-unit",
             nx=20,
             ny=20,
             n_layers=5,
-            n_nets=80,
+            n_nets=n_nets,
             wire_capacity=1.6 if congested else 3.5,
             hotspot_fraction=0.6 if congested else 0.3,
             seed=seed,
@@ -55,11 +55,8 @@ class TestPatternStage:
         config = RouterConfig.fastgr_l(max_batch_tasks=8)
         _routes, report = run_pattern_stage(d, config, Device(), ZeroCopyArena())
         assert report.stage == "pattern"
-        assert report.policy == config.executor
         assert report.n_tasks >= len(d.netlist) / 8
         assert len(report.task_durations) == report.n_tasks
-        assert all(t >= 0 for t in report.start_ticks)
-        assert all(t >= 0 for t in report.finish_ticks)
 
     def test_device_records_when_batch_engine(self):
         d = design()
@@ -85,8 +82,8 @@ class TestPatternStage:
 
 
 class TestRRRStage:
-    def _pattern_routed(self, config):
-        d = design(congested=True)
+    def _pattern_routed(self, config, n_nets=80):
+        d = design(congested=True, n_nets=n_nets)
         routes, _ = run_pattern_stage(d, config, Device(), ZeroCopyArena())
         return d, routes
 
@@ -136,13 +133,25 @@ class TestRRRStage:
 
     def test_iteration_numbering_consecutive(self):
         config = RouterConfig.fastgr_l()
-        d, routes = self._pattern_routed(config)
-        _initial, iterations = run_rrr_stage(d, config, routes)
-        assert [it.iteration for it in iterations] == list(range(len(iterations)))
-        for it in iterations:
-            assert it.report is not None
-            assert it.report.stage == "maze"
-            assert it.report.n_tasks == it.n_ripped
+        work = []
+        for _repeat in range(2):
+            d, routes = self._pattern_routed(config, n_nets=140)
+            _initial, iterations = run_rrr_stage(d, config, routes)
+            assert [it.iteration for it in iterations] == list(
+                range(len(iterations))
+            )
+            for it in iterations:
+                assert it.report is not None
+                assert it.report.stage == "maze"
+                assert it.report.n_tasks == it.n_ripped
+            work.append(
+                [
+                    (it.cost_rebuilds, it.cost_refreshed_edges, it.nodes_visited)
+                    for it in iterations
+                ]
+            )
+        # One thread, one cost snapshot: the work counts repeat exactly.
+        assert work[0] and work[0] == work[1]
 
     def test_rrr_scheme_override_changes_order(self):
         config_a = RouterConfig.fastgr_l(rrr_sorting_scheme="hpwl_asc")

@@ -431,7 +431,7 @@ class TestCostScratchReuse:
 
 
 class TestBatchedSchedulerDispatch:
-    """The pipeline seam: levels dispatch preserves ordered semantics."""
+    """The pipeline seam: levels dispatch preserves per-task semantics."""
 
     def test_reroute_stage_exposes_levels_only_when_batching(self):
         from repro.core.flow import RerouteStage
@@ -452,7 +452,7 @@ class TestBatchedSchedulerDispatch:
             route.commit(graph)
             routes[net.name] = route
 
-        runner = StageRunner(policy="ordered")
+        runner = StageRunner()
         on = RerouteStage(engine, dict(routes), ordered, 2, batching=True)
         off = RerouteStage(engine, dict(routes), ordered, 2, batching=False)
         schedule = runner.schedule(on)
@@ -541,7 +541,7 @@ class TestBucketedPassCounts:
             route.commit(graph)
             routes[net.name] = route
         stage = RerouteStage(engine, routes, nets, 2, batching=True)
-        schedule = StageRunner(policy="ordered").schedule(stage)
+        schedule = StageRunner().schedule(stage)
         levels = schedule.task_graph.levels()
         plan = stage.batch_plan(schedule)
         assert plan is not None

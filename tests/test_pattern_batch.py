@@ -216,7 +216,7 @@ class TestPatternStageSeam:
         from repro.gpu.zerocopy import ZeroCopyArena
         from repro.sched.pipeline import StageRunner
 
-        runner = StageRunner(policy="ordered")
+        runner = StageRunner()
         design = congested_design()
         on = PatternStage(
             design, RouterConfig.fastgr_l(), Device(), ZeroCopyArena()
@@ -258,7 +258,7 @@ class TestPatternStageSeam:
             Device(),
             ZeroCopyArena(),
         )
-        schedule = StageRunner(policy="ordered").schedule(stage)
+        schedule = StageRunner().schedule(stage)
         levels = schedule.task_graph.levels()
         plan = stage.batch_plan(schedule)
         assert len(plan) > len(levels)

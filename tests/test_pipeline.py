@@ -2,24 +2,19 @@
 
 from __future__ import annotations
 
-import threading
-import time
-
 import numpy as np
 import pytest
 
 from repro.core.config import RouterConfig
-from repro.core.flow import PatternStage, run_pattern_stage
+from repro.core.flow import PatternStage
 from repro.core.router import GlobalRouter
 from repro.gpu.device import Device
 from repro.gpu.zerocopy import ZeroCopyArena
 from repro.grid.geometry import Rect
-from repro.netlist.benchmarks import load_benchmark
 from repro.netlist.generator import DesignSpec, generate_design
 from repro.sched.batching import extract_batches
 from repro.sched.conflict import build_conflict_graph
 from repro.sched.pipeline import (
-    EXECUTION_POLICIES,
     ScheduledStage,
     StageRunner,
     build_group_conflict_graph,
@@ -119,45 +114,39 @@ class TestConflictBatches:
 
 class TestStageRunner:
     def test_policy_validation(self):
-        assert EXECUTION_POLICIES == ("ordered", "threaded")
-        for policy in ("magic", "processes"):
-            with pytest.raises(ValueError, match="ordered, threaded"):
-                StageRunner(policy=policy)
+        """The runner takes no execution policy; n_workers is validated."""
+        with pytest.raises(TypeError):
+            StageRunner(policy="ordered")
         with pytest.raises(ValueError):
             StageRunner(n_workers=0)
 
-    @pytest.mark.parametrize("policy", EXECUTION_POLICIES)
-    def test_runs_and_commits_every_task(self, policy):
+    def test_runs_and_commits_every_task(self):
         stage = BoxStage(random_groups(30, seed=7))
-        report = StageRunner(policy=policy, n_workers=8).run(stage)
+        report = StageRunner(n_workers=8).run(stage)
         assert sorted(t for t, _ in stage.committed) == list(range(30))
         assert all(result == t * t for t, result in stage.committed)
         assert report.n_tasks == 30
         assert len(report.task_durations) == 30
-        assert min(report.start_ticks) >= 0
-        assert min(report.finish_ticks) >= 0
 
-    @pytest.mark.parametrize("policy", EXECUTION_POLICIES)
-    def test_empty_stage(self, policy):
-        report = StageRunner(policy=policy).run(BoxStage([]))
+    def test_empty_stage(self):
+        report = StageRunner().run(BoxStage([]))
         assert report.n_tasks == 0
         assert report.taskgraph_makespan == 0.0
         assert report.batch_makespan == 0.0
         assert report.sequential_time == 0.0
 
-    def test_ordered_commits_in_topological_order(self):
+    def test_commits_in_topological_order(self):
         groups = random_groups(25, seed=8)
         stage = BoxStage(groups)
-        runner = StageRunner(policy="ordered")
+        runner = StageRunner()
         schedule = runner.schedule(stage)
         runner.run(stage, schedule=schedule)
         order = [t for t, _ in stage.committed]
         assert order == schedule.task_graph.topological_order()
 
-    @pytest.mark.parametrize("policy", EXECUTION_POLICIES)
-    def test_makespans_bounded(self, policy):
+    def test_makespans_bounded(self):
         stage = BoxStage(random_groups(20, seed=11))
-        runner = StageRunner(policy=policy, n_workers=4)
+        runner = StageRunner(n_workers=4)
         report = runner.run(stage)
         assert report.taskgraph_makespan <= report.sequential_time + 1e-9
         assert report.batch_makespan <= report.sequential_time + 1e-9
@@ -173,99 +162,11 @@ class TestStageRunner:
 
     def test_report_makespan_strategy(self):
         stage = BoxStage(random_groups(10, seed=13))
-        report = StageRunner(policy="ordered").run(stage)
+        report = StageRunner().run(stage)
         assert report.makespan("taskgraph") == report.taskgraph_makespan
         assert report.makespan("batch") == report.batch_makespan
         with pytest.raises(ValueError):
             report.makespan("magic")
-
-
-class TestThreadedPolicy:
-    def test_conflicting_tasks_never_overlap_stress(self):
-        """>=8 workers, real sleeps: conflicting tasks must serialize."""
-        groups = random_groups(60, seed=21, span=100)
-        stage_probe = BoxStage(groups)
-        runner = StageRunner(policy="threaded", n_workers=12)
-        schedule = runner.schedule(stage_probe)
-
-        active = set()
-        lock = threading.Lock()
-        violations = []
-
-        def work(task):
-            with lock:
-                for other in active:
-                    if schedule.conflicts.are_conflicting(task, other):
-                        violations.append((task, other))
-                active.add(task)
-            time.sleep(0.002)
-            with lock:
-                active.discard(task)
-
-        stage = BoxStage(groups, work=work)
-        report = runner.run(stage, schedule=schedule)
-        assert violations == []
-        # The recorded timeline must agree: no conflicting pair overlaps.
-        for a, b in schedule.conflicts.edges():
-            assert not report.overlapped(a, b), (a, b)
-
-    def test_commit_precedes_conflicting_successor(self):
-        """A task must see every conflicting predecessor's commit."""
-        groups = random_groups(40, seed=22)
-        runner = StageRunner(policy="threaded", n_workers=8)
-        probe = BoxStage(groups)
-        schedule = runner.schedule(probe)
-        committed = set()
-        lock = threading.Lock()
-        missing = []
-
-        class CommitCheckStage(BoxStage):
-            def run_task(self, task):
-                with lock:
-                    for pred in schedule.task_graph._predecessors_of(task):
-                        if pred not in committed:
-                            missing.append((pred, task))
-                return super().run_task(task)
-
-            def commit_task(self, task, result):
-                committed.add(task)
-                super().commit_task(task, result)
-
-        runner.run(CommitCheckStage(groups), schedule=schedule)
-        assert missing == []
-
-    def test_non_conflicting_tasks_do_overlap(self):
-        """Deterministic overlap proof: task 0 refuses to finish until
-        task 1 has started, which only a schedule without a 0->1 chain
-        dependency allows."""
-        groups = [[Rect(0, 0, 4, 4)], [Rect(20, 20, 24, 24)], [Rect(0, 0, 3, 3)]]
-        partner_started = threading.Event()
-
-        def work(task):
-            if task == 0:
-                assert partner_started.wait(timeout=30), (
-                    "task 1 never started while task 0 ran - chain dependency?"
-                )
-            elif task == 1:
-                partner_started.set()
-
-        stage = BoxStage(groups, work=work)
-        runner = StageRunner(policy="threaded", n_workers=4)
-        schedule = runner.schedule(stage)
-        assert not schedule.conflicts.are_conflicting(0, 1)
-        assert schedule.conflicts.are_conflicting(0, 2)
-        report = runner.run(stage, schedule=schedule)
-        assert report.overlapped(0, 1)
-        assert not report.overlapped(0, 2)
-
-    def test_run_task_exception_propagates(self):
-        def work(task):
-            if task == 3:
-                raise RuntimeError("stage boom")
-
-        stage = BoxStage(random_groups(8, seed=23), work=work)
-        with pytest.raises(RuntimeError, match="stage boom"):
-            StageRunner(policy="threaded", n_workers=4).run(stage)
 
 
 def small_design(seed=7):
@@ -281,49 +182,6 @@ def small_design(seed=7):
             seed=11,
         )
     )
-
-
-def assert_identical_results(design_a, result_a, design_b, result_b):
-    assert result_a.metrics == result_b.metrics
-    assert result_a.nets_to_ripup == result_b.nets_to_ripup
-    for layer in range(design_a.n_layers):
-        assert np.array_equal(
-            design_a.graph.wire_demand[layer], design_b.graph.wire_demand[layer]
-        )
-    assert np.array_equal(design_a.graph.via_demand, design_b.graph.via_demand)
-    assert set(result_a.routes) == set(result_b.routes)
-    for name, route in result_a.routes.items():
-        other = result_b.routes[name]
-        assert sorted(map(repr, route.wires)) == sorted(map(repr, other.wires))
-        assert sorted(map(repr, route.vias)) == sorted(map(repr, other.vias))
-
-
-PRESETS = [RouterConfig.cugr, RouterConfig.fastgr_l, RouterConfig.fastgr_h]
-SUITE = [("18test5", 0.1), ("19test7m", 0.12)]
-
-
-@pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.__name__)
-class TestStageEquivalence:
-    """Every execution policy must be bit-identical on every preset."""
-
-    @pytest.mark.parametrize("name,scale", SUITE, ids=lambda v: str(v))
-    def test_suite_designs(self, preset, name, scale):
-        runs = {}
-        for policy in EXECUTION_POLICIES:
-            design = load_benchmark(name, scale=scale)
-            result = GlobalRouter(design, preset(executor=policy)).run()
-            runs[policy] = (design, result)
-        assert_identical_results(*runs["ordered"], *runs["threaded"])
-
-    def test_congested_design(self, preset):
-        runs = {}
-        for policy in EXECUTION_POLICIES:
-            design = small_design()
-            result = GlobalRouter(design, preset(executor=policy)).run()
-            runs[policy] = (design, result)
-        # Congested: several RRR iterations actually execute.
-        assert runs["ordered"][1].nets_to_ripup > 0
-        assert_identical_results(*runs["ordered"], *runs["threaded"])
 
 
 def test_cost_snapshot_consistent_after_run():
@@ -373,51 +231,9 @@ class TestPatternChainFreedom:
             [n.bbox for n in nets], design.graph.nx, design.graph.ny
         )
         assert len(batches[0]) > config.max_batch_tasks  # chunks 0,1 siblings
-        runner = StageRunner(policy="threaded", n_workers=4)
-        schedule = runner.schedule(stage)
+        schedule = StageRunner(n_workers=4).schedule(stage)
         assert schedule.n_tasks > len(batches)
         assert not schedule.conflicts.are_conflicting(0, 1)
         graph = schedule.task_graph
         assert 1 not in graph.successors[0] and 0 not in graph.successors[1]
         assert 0 in graph.root_batch and 1 in graph.root_batch
-
-    def test_sibling_chunks_overlap_in_recorded_start_order(self):
-        """Deterministic: chunk 0 stalls until chunk 1 starts; only a
-        chain-free schedule lets the stage complete, and the recorded
-        ticks must show chunk 1 starting before chunk 0 finished."""
-        config = RouterConfig.fastgr_l(**self.CONFIG_KW)
-        design, stage = self._stage(config)
-        partner_started = threading.Event()
-        base_run_task = stage.run_task
-
-        def run_task(task):
-            if task == 1:
-                partner_started.set()
-            result = base_run_task(task)
-            if task == 0:
-                assert partner_started.wait(timeout=30), (
-                    "chunk 1 never started while chunk 0 ran"
-                )
-            return result
-
-        stage.run_task = run_task
-        runner = StageRunner(policy="threaded", n_workers=4)
-        schedule = runner.schedule(stage)
-        assert not schedule.conflicts.are_conflicting(0, 1)
-        report = runner.run(stage, schedule=schedule)
-        assert report.start_ticks[1] < report.finish_ticks[0]
-        assert report.overlapped(0, 1)
-
-        # The overlapping execution still routes exactly like ordered.
-        ordered_config = RouterConfig.fastgr_l(
-            executor="ordered", **self.CONFIG_KW
-        )
-        ordered_routes, _ = run_pattern_stage(
-            small_design(), ordered_config, Device(), ZeroCopyArena()
-        )
-        routes = {net.name: stage.routes[net.name] for net in design.netlist}
-        assert set(routes) == set(ordered_routes)
-        for name, route in routes.items():
-            other = ordered_routes[name]
-            assert sorted(map(repr, route.wires)) == sorted(map(repr, other.wires))
-            assert sorted(map(repr, route.vias)) == sorted(map(repr, other.vias))

@@ -81,6 +81,8 @@ class TestConfig:
         config = RouterConfig.fastgr_l(n_rrr_iterations=1, sorting_scheme="area_asc")
         assert config.n_rrr_iterations == 1
         assert config.sorting_scheme == "area_asc"
+        with pytest.raises(TypeError):  # unknown overrides raise, they are not ignored
+            RouterConfig.fastgr_l(executor="ordered")
 
     def test_invalid_engine(self):
         with pytest.raises(ValueError):
@@ -93,11 +95,6 @@ class TestConfig:
     def test_invalid_rrr_strategy(self):
         with pytest.raises(ValueError):
             RouterConfig(rrr_parallel="magic")
-
-    def test_invalid_executor(self):
-        for executor in ("magic", "processes"):
-            with pytest.raises(ValueError, match="ordered, threaded"):
-                RouterConfig.fastgr_l(executor=executor)
 
     def test_thresholds_order_enforced(self):
         with pytest.raises(ValueError):

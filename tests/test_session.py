@@ -38,10 +38,6 @@ def routes_equal(r1, r2) -> bool:
     )
 
 
-def ordered_config(**overrides) -> RouterConfig:
-    return RouterConfig.fastgr_l(executor="ordered", **overrides)
-
-
 class TestDesignHandle:
     def test_content_key_is_stable(self, small_design):
         k1 = DesignHandle.from_design(small_design).key
@@ -69,7 +65,7 @@ class TestDesignHandle:
 
 class TestRoutingSession:
     def test_run_matches_cold_router(self, small_design):
-        config = ordered_config()
+        config = RouterConfig.fastgr_l()
         handle = DesignHandle.from_design(small_design)
         with RoutingSession(handle, config) as session:
             warm = session.run()
@@ -80,7 +76,7 @@ class TestRoutingSession:
             assert demand_equal(session.graph, cold_design.graph)
 
     def test_repeat_run_replays_caches_bitwise(self, congested_design):
-        config = ordered_config()
+        config = RouterConfig.fastgr_l()
         handle = DesignHandle.from_design(congested_design)
         with RoutingSession(handle, config) as session:
             first = session.run()
@@ -96,14 +92,14 @@ class TestRoutingSession:
 
     def test_eco_requires_warm_state(self, small_design):
         handle = DesignHandle.from_design(small_design)
-        with RoutingSession(handle, ordered_config()) as session:
+        with RoutingSession(handle, RouterConfig.fastgr_l()) as session:
             delta = perturb_design(small_design, ECO_PRESETS["tiny"], seed=1)
             with pytest.raises(RuntimeError, match="no warm route"):
                 session.eco(delta)
 
     def test_closed_session_rejects_work(self, small_design):
         handle = DesignHandle.from_design(small_design)
-        session = RoutingSession(handle, ordered_config())
+        session = RoutingSession(handle, RouterConfig.fastgr_l())
         session.close()
         with pytest.raises(RuntimeError, match="closed"):
             session.run()
@@ -112,7 +108,7 @@ class TestRoutingSession:
     @pytest.mark.parametrize("cost_engine", ["full", "incremental"])
     def test_eco_bitwise_vs_cold(self, small_design, backend, cost_engine):
         """The headline guarantee, across backends and cost engines."""
-        config = ordered_config(backend=backend, cost_engine=cost_engine)
+        config = RouterConfig.fastgr_l(backend=backend, cost_engine=cost_engine)
         handle = DesignHandle.from_design(small_design)
         with RoutingSession(handle, config) as session:
             session.run()
@@ -127,8 +123,20 @@ class TestRoutingSession:
             assert routes_equal(eco.result.routes, cold.routes)
             assert demand_equal(session.graph, cold_design.graph)
 
-    def test_eco_bitwise_threaded(self, congested_design):
-        config = RouterConfig.fastgr_l()  # threaded executor default
+    def test_routing_starts_no_thread(self, congested_design, monkeypatch):
+        """Warm run, ECO and cold run (RRR iterations included) all
+        drain their stages on the calling thread."""
+        import threading
+
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        config = RouterConfig.fastgr_l()
         handle = DesignHandle.from_design(congested_design)
         with RoutingSession(handle, config) as session:
             session.run()
@@ -138,12 +146,13 @@ class TestRoutingSession:
             eco = session.eco(delta)
             cold_design = session.cold_design()
             cold = GlobalRouter(cold_design, config).run()
-            assert eco.result.metrics.score == cold.metrics.score
+            assert cold.iterations and cold.nets_to_ripup > 0
             assert routes_equal(eco.result.routes, cold.routes)
             assert demand_equal(session.graph, cold_design.graph)
+        assert started == []
 
     def test_consecutive_ecos_stay_bitwise(self, small_design):
-        config = ordered_config()
+        config = RouterConfig.fastgr_l()
         handle = DesignHandle.from_design(small_design)
         with RoutingSession(handle, config) as session:
             session.run()
@@ -160,7 +169,7 @@ class TestRoutingSession:
 
     def test_eco_reports_edit_counts(self, small_design):
         handle = DesignHandle.from_design(small_design)
-        with RoutingSession(handle, ordered_config()) as session:
+        with RoutingSession(handle, RouterConfig.fastgr_l()) as session:
             session.run()
             delta = perturb_design(session.design, ECO_PRESETS["tiny"], seed=1)
             eco = session.eco(delta)
@@ -182,7 +191,7 @@ class TestSessionStore:
         assert store.handle("18test5", scale=0.1, seed=2) is not h1
 
     def test_session_reuse_and_lru_eviction(self):
-        config = ordered_config()
+        config = RouterConfig.fastgr_l()
         with SessionStore(max_sessions=2) as store:
             handles = [
                 store.handle("18test5", scale=0.1, seed=seed)
@@ -198,7 +207,7 @@ class TestSessionStore:
             assert s1b is not s1 and not s1b.closed
 
     def test_sessions_share_steiner_cache(self):
-        config = ordered_config()
+        config = RouterConfig.fastgr_l()
         with SessionStore() as store:
             handle = store.handle("18test5", scale=0.1)
             session = store.session(handle, config)
@@ -209,7 +218,7 @@ class TestSessionStore:
     def test_close_is_idempotent(self):
         store = SessionStore()
         handle = store.handle("18test5", scale=0.1)
-        session = store.session(handle, ordered_config())
+        session = store.session(handle, RouterConfig.fastgr_l())
         store.close()
         assert session.closed
         store.close()
@@ -217,7 +226,7 @@ class TestSessionStore:
     def test_stats_shape(self):
         with SessionStore() as store:
             handle = store.handle("18test5", scale=0.1)
-            store.session(handle, ordered_config())
+            store.session(handle, RouterConfig.fastgr_l())
             stats = store.stats()
             assert stats["n_sessions"] == 1
             assert stats["n_handles"] == 1

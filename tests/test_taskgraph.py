@@ -144,7 +144,7 @@ class TestLevels:
             assert conflicts.is_independent_set(level)
         # Level order is a linear extension: every edge crosses levels
         # forward, so committing level-by-level (any order inside)
-        # reproduces the ordered policy on conflicting pairs.
+        # reproduces the per-task commit order on conflicting pairs.
         depth_of = {
             task: depth
             for depth, level in enumerate(levels)
