@@ -156,6 +156,15 @@ class ArrayBackend(abc.ABC):
         """Reshape to ``shape`` (row-major; no data movement)."""
 
     @abc.abstractmethod
+    def unstack(self, a: Array) -> Sequence[Array]:
+        """Return ``[a[0], a[1], ...]`` — the sub-arrays along axis 0.
+
+        Layout-only.  One stacked gather (``reshape`` to ``(K, ...)``,
+        then ``unstack``) hands a kernel the ``K`` operands that ``K``
+        separate gathers of the same table would have produced.
+        """
+
+    @abc.abstractmethod
     def flip(self, a: Array, axis: int) -> Array:
         """Reverse the order of elements along ``axis``.
 

@@ -103,6 +103,9 @@ class CupyBackend(ArrayBackend):
     def reshape(self, a, shape: Sequence[int]):
         return cp.reshape(a, tuple(shape))
 
+    def unstack(self, a):
+        return [a[i] for i in range(a.shape[0])]
+
     def flip(self, a, axis: int):
         return cp.flip(a, axis)
 

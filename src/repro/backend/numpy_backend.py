@@ -8,6 +8,7 @@ backends must match bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence, Tuple
 
 import numpy as np
@@ -99,19 +100,26 @@ class NumpyBackend(ArrayBackend):
     # Shape
     # ------------------------------------------------------------------ #
     def expand_dims(self, a, axis: int):
-        return np.expand_dims(a, axis)
+        # Plain indexing: np.expand_dims costs ~2 us of argument
+        # normalisation per call and the kernels make ~10 of them.
+        if axis < 0:
+            return np.asarray(a)[(Ellipsis, None) + (slice(None),) * (-axis - 1)]
+        return np.asarray(a)[(slice(None),) * axis + (None,)]
 
     def reshape(self, a, shape: Sequence[int]):
         return np.reshape(a, tuple(shape))
+
+    def unstack(self, a):
+        return list(np.asarray(a))
 
     def flip(self, a, axis: int):
         return np.flip(a, axis)
 
     def shape(self, a) -> Tuple[int, ...]:
-        return np.shape(a)
+        return a.shape if isinstance(a, np.ndarray) else np.shape(a)
 
     def nbytes(self, a) -> int:
-        return int(np.asarray(a).nbytes)
+        return a.nbytes if isinstance(a, np.ndarray) else int(np.asarray(a).nbytes)
 
     def copyto(self, dst, src) -> None:
         src = np.asarray(src)
@@ -123,10 +131,18 @@ class NumpyBackend(ArrayBackend):
     # Reductions / scans
     # ------------------------------------------------------------------ #
     def min_argmin(self, a, axis: int):
+        # One pass finds the argmins; the minima are then gathered by
+        # index (a second reduction costs more on the large hybrid
+        # tensors).  The gather is take_along_axis without its per-call
+        # index construction, which dominated on one-net batches.
         a = np.asarray(a)
         arg = a.argmin(axis=axis)
-        values = np.take_along_axis(a, np.expand_dims(arg, axis), axis=axis)
-        return np.squeeze(values, axis=axis), arg
+        axis %= a.ndim
+        outer, inner = math.prod(a.shape[:axis]), math.prod(a.shape[axis + 1 :])
+        values = a.reshape(outer, a.shape[axis], inner)[
+            np.arange(outer)[:, None], arg.reshape(outer, inner), np.arange(inner)
+        ]
+        return values.reshape(arg.shape), arg
 
     def cumsum(self, a, axis: int):
         return np.cumsum(a, axis=axis)

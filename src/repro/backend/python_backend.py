@@ -257,6 +257,14 @@ class PythonBackend(ArrayBackend):
             raise ValueError(f"cannot reshape {a.shape} into {shape}")
         return NDArray(a.data, shape, a.dtype)
 
+    def unstack(self, a):
+        a = self._coerce(a)
+        step = _size(a.shape[1:])
+        return [
+            NDArray(a.data[i * step : (i + 1) * step], a.shape[1:], a.dtype)
+            for i in range(a.shape[0])
+        ]
+
     def flip(self, a, axis: int):
         a = self._coerce(a)
         outer, n, inner = self._axis_blocks(a, axis)

@@ -10,7 +10,7 @@ of ops and flushes the tally as one :meth:`Device.launch`::
 
     backend = device.wrap(get_backend("numpy"))
     with backend.kernel("lshape", n_blocks=len(tasks), threads_per_block=L * L):
-        values, args = minplus_two_bend(..., xp=backend)
+        values, bends, args = minplus_two_bend(w1, mat, xp=backend)
 
 Counting rules (per op, in scalar element steps):
 
@@ -21,7 +21,8 @@ Counting rules (per op, in scalar element steps):
   ``scatter_add`` count their **input/source** size — every input
   element is touched once;
 * construction and shape ops (``full``, ``zeros``, ``arange``,
-  ``expand_dims``, ``reshape``, ``flip``, ``shape``, ``nbytes``) count
+  ``expand_dims``, ``reshape``, ``unstack``, ``flip``, ``shape``,
+  ``nbytes``) count
   zero element steps — they are layout, not compute;
 * the seam-crossing ops are metered in **bytes** instead of elements:
   ``asarray``/``copyto`` add their payload to the host-to-device
@@ -58,6 +59,10 @@ class InstrumentedBackend(ArrayBackend):
         self.device = device
         self.name = f"{inner.name}+instrumented"
         self.device_is_host = inner.device_is_host
+        #: Protocol calls forwarded so far, layout and transfer ops
+        #: included — each is one host-side call, which is what a small
+        #: batch pays for (the element tally is what a large one does).
+        self.ops = 0
         self._counter = 0
         self._flushed = 0
         self._bytes_to_device = 0
@@ -69,7 +74,10 @@ class InstrumentedBackend(ArrayBackend):
     # Metering
     # ------------------------------------------------------------------ #
     def _count(self, array: Any) -> Any:
-        self._counter += math.prod(self.inner.shape(array))
+        # ``size`` straight off the result: every backend's device array
+        # has it, and this runs once per elementwise op.
+        self.ops += 1
+        self._counter += array.size
         return array
 
     @property
@@ -125,39 +133,54 @@ class InstrumentedBackend(ArrayBackend):
     # Construction / transfer — zero element cost, bytes metered
     # ------------------------------------------------------------------ #
     def asarray(self, data: Any, dtype: str = "float"):
+        self.ops += 1
         result = self.inner.asarray(data, dtype)
         self._bytes_to_device += self.inner.nbytes(result)
         return result
 
     def to_numpy(self, a):
+        self.ops += 1
         self._bytes_to_host += self.inner.nbytes(a)
         return self.inner.to_numpy(a)
 
     def full(self, shape: Sequence[int], value: float):
+        self.ops += 1
         return self.inner.full(shape, value)
 
     def zeros(self, shape: Sequence[int], dtype: str = "float"):
+        self.ops += 1
         return self.inner.zeros(shape, dtype)
 
     def arange(self, n: int):
+        self.ops += 1
         return self.inner.arange(n)
 
     def expand_dims(self, a, axis: int):
+        self.ops += 1
         return self.inner.expand_dims(a, axis)
 
     def reshape(self, a, shape: Sequence[int]):
+        self.ops += 1
         return self.inner.reshape(a, shape)
 
+    def unstack(self, a):
+        self.ops += 1
+        return self.inner.unstack(a)
+
     def flip(self, a, axis: int):
+        self.ops += 1
         return self.inner.flip(a, axis)
 
     def shape(self, a) -> Tuple[int, ...]:
+        self.ops += 1
         return self.inner.shape(a)
 
     def nbytes(self, a) -> int:
+        self.ops += 1
         return self.inner.nbytes(a)
 
     def copyto(self, dst, src) -> None:
+        self.ops += 1
         self.inner.copyto(dst, src)
         self._bytes_to_device += self.inner.nbytes(dst)
 
@@ -219,14 +242,17 @@ class InstrumentedBackend(ArrayBackend):
     # Reductions / scans — count input size
     # ------------------------------------------------------------------ #
     def min_argmin(self, a, axis: int):
+        self.ops += 1
         self._counter += math.prod(self.inner.shape(a))
         return self.inner.min_argmin(a, axis)
 
     def cumsum(self, a, axis: int):
+        self.ops += 1
         self._counter += math.prod(self.inner.shape(a))
         return self.inner.cumsum(a, axis)
 
     def cummin(self, a, axis: int):
+        self.ops += 1
         self._counter += math.prod(self.inner.shape(a))
         return self.inner.cummin(a, axis)
 
@@ -234,6 +260,7 @@ class InstrumentedBackend(ArrayBackend):
     # Gather / scatter
     # ------------------------------------------------------------------ #
     def scatter_add(self, target, index, source) -> None:
+        self.ops += 1
         self._counter += math.prod(self.inner.shape(source))
         self.inner.scatter_add(target, index, source)
 

@@ -283,6 +283,10 @@ class CostQuery:
         )
         self._h_allowed = h_allowed
         self._v_allowed = ~h_allowed
+        # Layers a segment may use, by kind: degenerate (any), H, V.
+        self._allowed_by_kind = np.stack(
+            [np.ones_like(h_allowed), h_allowed, ~h_allowed]
+        )
         self._h_layers = [int(l) for l in np.flatnonzero(h_allowed)]
         self._v_layers = [int(l) for l in np.flatnonzero(~h_allowed)]
         self.wire_cost: List[np.ndarray] = []
@@ -1151,14 +1155,13 @@ class CostQuery:
         y2 = np.asarray(y2, dtype=int)
         if not (x1.shape == y1.shape == x2.shape == y2.shape):
             raise ValueError("segment coordinate arrays must share a shape")
-        if np.any((x1 != x2) & (y1 != y2)):
+        # 0 degenerate, 1 horizontal, 2 vertical, 3 neither.
+        horizontal = x1 != x2
+        kind = horizontal + 2 * (y1 != y2)
+        if kind.max(initial=0) > 2:
             raise ValueError("segments must be axis-aligned")
         if self._incremental:
             self._prepare_batch_wire(x1, y1, x2, y2)
-
-        degenerate = (x1 == x2) & (y1 == y2)
-        horizontal = (y1 == y2) & ~degenerate
-        vertical = (x1 == x2) & ~degenerate
 
         # Gather both orientations for every segment, then select; the
         # wasted gather is what keeps the flow branch-free (lock-step
@@ -1170,11 +1173,12 @@ class CostQuery:
         h_cost = xp.subtract(h_hi, h_lo)  # (B, L)
         v_cost = xp.subtract(v_hi, v_lo)  # (B, L)
 
-        h_sel = horizontal[:, None] & self._h_allowed[None, :]
-        v_sel = vertical[:, None] & self._v_allowed[None, :]
-        out = xp.where(xp.asarray(h_sel, dtype="bool"), h_cost, float("inf"))
-        out = xp.where(xp.asarray(v_sel, dtype="bool"), v_cost, out)
-        return xp.where(xp.asarray(degenerate[:, None], dtype="bool"), 0.0, out)
+        # A degenerate segment takes the vertical branch: its v_cost is
+        # prefix - prefix = 0.0, and every layer may carry the point.
+        horizontal = xp.asarray(horizontal[:, None], dtype="bool")
+        allowed = xp.asarray(self._allowed_by_kind[kind], dtype="bool")
+        cost = xp.where(horizontal, h_cost, v_cost)
+        return xp.where(allowed, cost, float("inf"))
 
     def via_prefix_at(self, x, y):
         """Return ``(B, L)`` cumulative via costs at each 2-D point.

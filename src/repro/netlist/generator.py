@@ -117,13 +117,11 @@ def _draw_spreads(spec: DesignSpec, rng: np.random.Generator) -> np.ndarray:
     return spreads
 
 
-def _pin_layers(
-    spec: DesignSpec, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """Draw pin layers from the (truncated, renormalised) layer weights."""
+def _layer_weights(spec: DesignSpec) -> np.ndarray:
+    """The (truncated, renormalised) pin-layer weights of ``spec``."""
     weights = np.array(spec.pin_layer_weights[: spec.n_layers], dtype=float)
     weights /= weights.sum()
-    return rng.choice(len(weights), size=count, p=weights)
+    return weights
 
 
 def generate_design(spec: DesignSpec) -> Design:
@@ -146,8 +144,11 @@ def generate_design(spec: DesignSpec) -> Design:
     spreads = _draw_spreads(spec, rng)
 
     nets: List[Net] = []
+    weights = _layer_weights(spec)
     for i in range(spec.n_nets):
-        pins = _make_net_pins(spec, rng, centres[i], spreads[i], int(pin_counts[i]))
+        pins = _make_net_pins(
+            spec, weights, rng, centres[i], spreads[i], int(pin_counts[i])
+        )
         nets.append(Net(f"net{i}", pins))
     design = Design(
         spec.name,
@@ -161,6 +162,7 @@ def generate_design(spec: DesignSpec) -> Design:
 
 def _make_net_pins(
     spec: DesignSpec,
+    layer_weights: np.ndarray,
     rng: np.random.Generator,
     centre: np.ndarray,
     spread: float,
@@ -174,12 +176,12 @@ def _make_net_pins(
     """
     pins: List[Pin] = []
     taken = set()
-    layers = _pin_layers(spec, rng, n_pins)
+    layers = rng.choice(len(layer_weights), size=n_pins, p=layer_weights)
     for k in range(n_pins):
         for _attempt in range(8):
             offset = rng.laplace(0.0, spread / 2.0, size=2)
-            x = int(np.clip(round(centre[0] + offset[0]), 0, spec.nx - 1))
-            y = int(np.clip(round(centre[1] + offset[1]), 0, spec.ny - 1))
+            x = min(max(round(centre[0] + offset[0]), 0), spec.nx - 1)
+            y = min(max(round(centre[1] + offset[1]), 0), spec.ny - 1)
             if (x, y) not in taken:
                 break
         taken.add((x, y))
@@ -280,6 +282,7 @@ def perturb_design(
     pin_weights = DesignSpec(
         name="_eco", nx=nx, ny=ny, n_layers=n_layers, n_nets=1
     )
+    layer_weights = _layer_weights(pin_weights)
 
     moved: List[Net] = []
     for i in sorted(int(j) for j in moved_idx):
@@ -292,7 +295,9 @@ def perturb_design(
             ]
         )
         spread = max(1.0, max(net.bbox.width, net.bbox.height) / 2.0)
-        pins = _make_net_pins(pin_weights, rng, centre, spread, net.n_pins)
+        pins = _make_net_pins(
+            pin_weights, layer_weights, rng, centre, spread, net.n_pins
+        )
         moved.append(Net(net.name, pins))
 
     removed = tuple(nets[i].name for i in sorted(int(j) for j in removed_idx))
@@ -305,7 +310,7 @@ def perturb_design(
         )
         spread = float(np.exp(rng.uniform(np.log(1.0), np.log(max(3.0, span / 8.0)))))
         n_pins = int(rng.integers(2, max(3, spec.max_pins + 1)))
-        pins = _make_net_pins(pin_weights, rng, centre, spread, n_pins)
+        pins = _make_net_pins(pin_weights, layer_weights, rng, centre, spread, n_pins)
         added.append(Net(f"eco{seed}_net{i}", pins))
 
     return NetlistDelta(removed=removed, added=tuple(added), moved=tuple(moved))

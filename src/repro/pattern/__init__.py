@@ -13,7 +13,7 @@ from repro.pattern.kernels import (
     minplus_vec_mat,
     zshape_reduce,
 )
-from repro.pattern.twopin import PatternMode, TwoPinTask, build_waves
+from repro.pattern.twopin import BatchState, PatternMode, build_waves
 from repro.pattern.batch import BatchPatternRouter
 from repro.pattern.cpu_reference import SequentialPatternRouter
 from repro.pattern.hybrid import hybrid_candidates, route_hybrid_wave
@@ -25,7 +25,7 @@ __all__ = [
     "minplus_two_bend",
     "zshape_reduce",
     "PatternMode",
-    "TwoPinTask",
+    "BatchState",
     "build_waves",
     "BatchPatternRouter",
     "SequentialPatternRouter",

@@ -9,10 +9,21 @@ invocation sequence for a conflict-free batch of multi-pin nets:
    exact, because in-batch nets have disjoint bounding boxes);
 3. evaluate the two-pin nets wave by wave: per wave one ``combine``
    kernel (Eq. 2) and one L/Z/hybrid kernel (Eq. 7/14);
-4. reconstruct routes, commit their demand.
+4. reconstruct the routes of the whole batch in one backtrace
+   (:func:`~repro.pattern.commit.reconstruct_routes`), commit their
+   demand route by route.
+
+Beyond the masked rebuild, what a call costs is a fixed sequence of
+array operations whatever the number of nets: the jobs are laid out as
+one node table (:class:`~repro.pattern.twopin.BatchState`), a wave is a
+row-index array into it, each kernel prices its whole wave with one
+stacked segment query and one stacked via query and its outputs are
+written into ``(N, L)`` state arrays by row index, and the backtrace
+descends all jobs level by level.  The only per-net Python left is
+planning (step 1), the table rows, and building ``Route`` objects.
 
 The waves are built ACROSS nets (:func:`~repro.pattern.twopin.build_waves`
-groups every job's two-pin tasks by subtree height), so the more nets
+groups every job's two-pin nets by subtree height), so the more nets
 one ``route_batch`` call covers, the wider — and fewer — the stacked
 kernel launches.  The scheduler exploits exactly this: with
 ``pattern_batching`` on, :class:`~repro.core.flow.PatternStage` fuses a
@@ -34,7 +45,7 @@ traffic the zero-copy technique streams.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -45,16 +56,13 @@ from repro.grid.route import Route
 from repro.gpu.device import Device
 from repro.gpu.zerocopy import ZeroCopyArena
 from repro.netlist.net import Net
-from repro.pattern.commit import reconstruct_route
+# reconstruct_route is not called here; benchmarks/e2e/trace.py wraps
+# it under this module's name.
+from repro.pattern.commit import reconstruct_route, reconstruct_routes  # noqa: F401
 from repro.pattern.hybrid import route_hybrid_wave
-from repro.pattern.kernels import combine_children
+from repro.pattern.kernels import LayerTables, combine_children
 from repro.pattern.lshape import route_lshape_wave
-from repro.pattern.twopin import (
-    ModeSelector,
-    NetRoutingJob,
-    PatternMode,
-    build_waves,
-)
+from repro.pattern.twopin import BatchState, ModeSelector, NetRoutingJob, build_waves
 from repro.pattern.zshape import route_zshape_wave
 from repro.tree.edge_shifting import shift_edges
 from repro.tree.ordering import order_tree
@@ -87,6 +95,15 @@ class BatchPatternRouter:
         self.arena = arena or ZeroCopyArena()
         self.edge_shift = edge_shift
         self.max_chunk_elements = max_chunk_elements
+        n_layers = graph.n_layers
+        self._tables = LayerTables(self.backend, n_layers)
+        # Per pattern family, in ``twopin.MODES`` order: launch name,
+        # threads per block, wave driver and its extra arguments.
+        self._kernels = (
+            ("lshape", n_layers * n_layers, route_lshape_wave, ()),
+            ("zshape", n_layers**3, route_zshape_wave, (max_chunk_elements,)),
+            ("hybrid", n_layers**3, route_hybrid_wave, (max_chunk_elements,)),
+        )
         # Optional shared cache of unshifted Steiner topologies (set by
         # the session-aware pattern stage); ``make_job`` consults it.
         self.steiner_cache = None
@@ -132,135 +149,95 @@ class BatchPatternRouter:
         self.query.rebuild(boxes=cost_boxes, reference=cost_reference)
         self._account_cost_upload()
         jobs = [self.make_job(net) for net in nets]
-        self.route_jobs(jobs, mode_fn)
+        # The states cover ``jobs`` in order, a route per job each.
+        routed = [
+            route
+            for state in self.route_jobs(jobs, mode_fn)
+            for route in reconstruct_routes(state)
+        ]
         routes: Dict[str, Route] = {}
-        for job in jobs:
-            route = reconstruct_route(job)
+        for net, route in zip(nets, routed):
             if commit:
                 route.commit(self.graph)
-            routes[job.net.name] = route
+            routes[net.name] = route
         return routes
 
-    def route_jobs(self, jobs: List[NetRoutingJob], mode_fn: ModeSelector) -> None:
-        """Run the wave-by-wave DP, filling every job's state in place."""
-        n_layers = self.graph.n_layers
-        waves = build_waves(jobs, mode_fn)
-        for wave in waves:
-            combine = self._combine_phase(
-                jobs, [(t.job_index, t.child) for t in wave]
-            )
-            l_rows = [i for i, t in enumerate(wave) if t.mode is PatternMode.LSHAPE]
-            z_rows = [i for i, t in enumerate(wave) if t.mode is PatternMode.ZSHAPE]
-            h_rows = [i for i, t in enumerate(wave) if t.mode is PatternMode.HYBRID]
-            if l_rows:
-                tasks = [wave[i] for i in l_rows]
-                with self.backend.kernel("lshape", len(tasks), n_layers * n_layers):
-                    values, backtracks = route_lshape_wave(
-                        tasks, combine[l_rows], self.query
+    def route_jobs(
+        self, jobs: List[NetRoutingJob], mode_fn: ModeSelector
+    ) -> List[BatchState]:
+        """Run the wave-by-wave DP; return the batch state(s) it filled."""
+        state = build_waves(jobs, mode_fn, self.graph.n_layers)
+        for wave, bounds, kids, kid_slot in zip(
+            state.waves, state.mode_bounds, state.kids, state.kid_slot
+        ):
+            combine = self._combine_phase(state, wave, kids, kid_slot)
+            for (name, threads, route_wave, extra), lo, hi in zip(
+                self._kernels, bounds, bounds[1:]
+            ):
+                if lo == hi:
+                    continue
+                rows = wave[lo:hi]
+                with self.backend.kernel(name, hi - lo, threads):
+                    state.values[rows], state.path[rows] = route_wave(
+                        state.ends[:, rows], combine[lo:hi], self.query, *extra
                     )
-                self._store_edge_results(jobs, tasks, values, backtracks)
-            if z_rows:
-                tasks = [wave[i] for i in z_rows]
-                with self.backend.kernel("zshape", len(tasks), n_layers**3):
-                    values, backtracks = route_zshape_wave(
-                        tasks, combine[z_rows], self.query, self.max_chunk_elements
-                    )
-                self._store_edge_results(jobs, tasks, values, backtracks)
-            if h_rows:
-                tasks = [wave[i] for i in h_rows]
-                with self.backend.kernel("hybrid", len(tasks), n_layers**3):
-                    values, backtracks = route_hybrid_wave(
-                        tasks, combine[h_rows], self.query, self.max_chunk_elements
-                    )
-                self._store_edge_results(jobs, tasks, values, backtracks)
-        self._root_phase(jobs)
+        self._root_phase(state)
+        return [state]
 
     # ------------------------------------------------------------------ #
     # Phases
     # ------------------------------------------------------------------ #
     def _combine_phase(
-        self, jobs: List[NetRoutingJob], nodes: List[Tuple[int, int]]
+        self,
+        state: BatchState,
+        rows: np.ndarray,
+        kids: np.ndarray,
+        kid_slot: np.ndarray,
     ) -> np.ndarray:
-        """Combine children costs (Eq. 2) at a wave of tree nodes.
+        """Combine children costs (Eq. 2) at the nodes ``rows``.
 
-        Stores each node's via-interval argmins in its job and returns
-        the ``(B, L)`` combine matrix aligned with ``nodes``.
+        ``kids`` are the child rows of those nodes and ``kid_slot`` the
+        position in ``rows`` of each one's parent.  Stores the nodes'
+        via-stack argmins and returns the ``(B, L)`` combine matrix.
         """
         n_layers = self.graph.n_layers
-        if not nodes:
-            return np.zeros((0, n_layers))
         xp = self.backend
-        child_rows: List[np.ndarray] = []
-        child_node_index: List[int] = []
-        xs: List[int] = []
-        ys: List[int] = []
-        pin_lo: List[int] = []
-        pin_hi: List[int] = []
-        for b, (job_index, node) in enumerate(nodes):
-            job = jobs[job_index]
-            for child in job.ordered.children(node):
-                child_rows.append(job.node_vectors[child])
-                child_node_index.append(b)
-            point = job.tree.nodes[node].point
-            xs.append(point.x)
-            ys.append(point.y)
-            lo, hi = job.pin_range(node, n_layers)
-            pin_lo.append(lo)
-            pin_hi.append(hi)
-
-        child_costs = (
-            np.vstack(child_rows) if child_rows else np.zeros((0, n_layers))
-        )
-        with xp.kernel("combine", len(nodes), n_layers * n_layers):
-            via_prefix = self.query.via_prefix_at(np.array(xs), np.array(ys))
+        pin_lo, pin_hi, x, y = state.table[2:6, rows]
+        with xp.kernel("combine", rows.size, n_layers * n_layers):
             combine, lo_choice, hi_choice = combine_children(
-                child_costs,
-                np.array(child_node_index, dtype=int),
-                len(nodes),
-                via_prefix,
-                np.array(pin_lo, dtype=int),
-                np.array(pin_hi, dtype=int),
+                state.values[kids],
+                kid_slot,
+                rows.size,
+                self.query.via_prefix_at(x, y),
+                pin_lo,
+                pin_hi,
                 xp=xp,
+                tables=self._tables,
             )
             combine = xp.to_numpy(combine)
-            lo_choice = xp.to_numpy(lo_choice)
-            hi_choice = xp.to_numpy(hi_choice)
-        for b, (job_index, node) in enumerate(nodes):
-            jobs[job_index].combine_store[node] = (lo_choice[b], hi_choice[b])
+            state.stack[rows, :, 0] = xp.to_numpy(lo_choice)
+            state.stack[rows, :, 1] = xp.to_numpy(hi_choice)
         return combine
 
-    def _store_edge_results(self, jobs, tasks, values, backtracks) -> None:
-        for i, task in enumerate(tasks):
-            job = jobs[task.job_index]
-            job.node_vectors[task.child] = values[i]
-            job.edge_store[task.child] = backtracks[i]
-
-    def _root_phase(self, jobs: List[NetRoutingJob]) -> None:
+    def _root_phase(self, state: BatchState) -> None:
         """Close each net at its root (Eq. 4): pick the best via stack."""
-        n_layers = self.graph.n_layers
-        rooted = [
-            (i, job.ordered.root)
-            for i, job in enumerate(jobs)
-            if job.ordered.n_two_pin_nets > 0
-        ]
-        if rooted:
-            combine = self._combine_phase(jobs, rooted)
-            for b, (job_index, root) in enumerate(rooted):
-                job = jobs[job_index]
-                best_ls = int(np.argmin(combine[b]))
-                lo_choice, hi_choice = job.combine_store[root]
-                job.root_interval = (int(lo_choice[best_ls]), int(hi_choice[best_ls]))
-                job.total_cost = float(combine[b, best_ls])
-        for job in jobs:
-            if job.ordered.n_two_pin_nets == 0:
-                lo, hi = job.pin_range(job.ordered.root, n_layers)
-                if hi < 0:  # no pins recorded — nothing to connect
-                    lo, hi = 0, 0
-                job.root_interval = (min(lo, hi), max(lo, hi))
-                point = job.tree.nodes[job.ordered.root].point
-                job.total_cost = self.query.via_stack_cost(
-                    point.x, point.y, job.root_interval[0], job.root_interval[1]
-                )
+        roots, singles = state.roots, state.single_roots
+        if roots.size:
+            combine = self._combine_phase(state, roots, state.kids[-1], state.kid_slot[-1])
+            best = combine.argmin(axis=1)
+            state.chosen[roots, :2] = state.stack[roots, best]
+            state.total_cost[state.job[roots]] = combine[np.arange(roots.size), best]
+        if singles.size:
+            # Single-G-cell nets: a via stack covering the pin layers.
+            lo, hi, x, y = state.table[2:6, singles]
+            prefix = self.backend.to_numpy(self.query.via_prefix_at(x, y))
+            each = np.arange(singles.size)
+            state.chosen[singles, 0], state.chosen[singles, 1] = lo, hi
+            state.total_cost[state.job[singles]] = prefix[each, hi] - prefix[each, lo]
+        # A root's "two-pin net" is the point on top of its stack.
+        roots = np.concatenate([roots, singles])
+        state.chosen[roots, 2:5] = state.chosen[roots, 1:2]
+        state.chosen[roots, 5:] = state.ends[:, roots].T
 
     # ------------------------------------------------------------------ #
     # Transfer accounting

@@ -1,23 +1,42 @@
 """Path reconstruction: turn DP argmin state back into routed geometry.
 
-After the kernels fill a :class:`~repro.pattern.twopin.NetRoutingJob`
-with cost vectors and argmins, this module walks the tree top-down from
-the root, choosing each child's arrival layer inside the parent's via
-stack and expanding every two-pin net's winning pattern into wire and
-via segments.  The raw geometry is then *normalised*: overlapping
-segments from sibling paths are fused at unit-edge granularity, so a
-net never double-counts demand on a shared edge.
+After the kernels fill a :class:`~repro.pattern.twopin.BatchState`,
+:func:`reconstruct_routes` descends every job of the batch at once,
+level by level from the roots: a masked arg-min picks each two-pin
+net's arrival layer inside its parent's via stack (first minimum wins)
+and the winning pattern is read off the ``(N, L)`` argmin arrays.  Each
+tree node then contributes one 3-D polyline — up its via stack, along
+``Ps - Bs - Bt - Pt`` with a layer change at each bend — and a route is
+the set of unit grid edges its polylines cover: the steps of the whole
+batch are keyed, de-duplicated (sibling paths may share edges; a net
+occupies an edge once), sorted and fused into maximal runs, which become
+:class:`~repro.grid.route.Route` objects with wires and vias in the
+order :func:`normalize_route` emits them.
+
+:func:`normalize_route` does the same for one route built elsewhere
+(the maze routers' paths).
 """
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.grid.geometry import Point
 from repro.grid.route import Route, ViaSegment, WireSegment
-from repro.pattern.twopin import NetRoutingJob, PatternMode
+from repro.pattern.twopin import BatchState, NetRoutingJob
+
+# A node's polyline as rows of (ends ++ chosen.T): xs ys xt yt | lo hi lt
+# ls lb bsx bsy btx bty.  Eight (x, y, layer) points: the via stack lo-hi
+# at Ps, then Ps-Bs on ls, Bs-Bt on lb, Bt-Pt on lt.  (hi back to ls lies
+# inside the stack.)
+_POLYLINE = np.array(
+    [[0, 0, 0, 9, 9, 11, 11, 2], [1, 1, 1, 10, 10, 12, 12, 3], [4, 5, 7, 7, 8, 8, 6, 6]]
+)
+# Key weight of (x, y, layer) per step direction: horizontal wires sort
+# by (layer, y, x), vertical ones by (layer, x, y), vias by (x, y, layer)
+# — the running coordinate always last.
+_ORDER = np.array([[0, 1, 2], [1, 0, 1], [2, 2, 0]])
 
 
 def best_layer_in_interval(vector: np.ndarray, lo: int, hi: int) -> int:
@@ -27,71 +46,69 @@ def best_layer_in_interval(vector: np.ndarray, lo: int, hi: int) -> int:
     return lo + int(np.argmin(vector[lo : hi + 1]))
 
 
-def _emit_wire(route: Route, a: Point, b: Point, layer: int) -> None:
-    if a == b:
-        return
-    route.add_wire(WireSegment(layer, a.x, a.y, b.x, b.y))
-
-
-def _emit_via(route: Route, p: Point, lo: int, hi: int) -> None:
-    if lo > hi:
-        lo, hi = hi, lo
-    if lo == hi:
-        return
-    route.add_via(ViaSegment(p.x, p.y, lo, hi))
-
-
 def reconstruct_route(job: NetRoutingJob) -> Route:
-    """Rebuild the routed geometry of a completed job (normalised)."""
-    route = Route()
-    tree, ordered = job.tree, job.ordered
+    """Rebuild the routed geometry of one completed job (normalised)."""
+    return reconstruct_routes(job.state, job)[0]
 
-    if ordered.n_two_pin_nets == 0:
-        # Single-G-cell net: a via stack covering the pin layers.
-        lo, hi = job.root_interval
-        _emit_via(route, tree.nodes[ordered.root].point, lo, hi)
-        return normalize_route(route)
 
-    lo, hi = job.root_interval
-    _emit_via(route, tree.nodes[ordered.root].point, lo, hi)
-    pending: List[Tuple[int, int]] = []
-    for child in ordered.children(ordered.root):
-        pending.append((child, best_layer_in_interval(job.node_vectors[child], lo, hi)))
+def reconstruct_routes(
+    state: BatchState, job: Optional[NetRoutingJob] = None
+) -> List[Route]:
+    """Rebuild the normalised routes of a batch (or of one ``job`` of it).
 
-    while pending:
-        node, arrival = pending.pop()
-        state = job.edge_store[node]
-        src = tree.nodes[node].point
-        dst = tree.nodes[ordered.parent[node]].point
+    Returns one route per job, in job order.
+    """
+    chosen = state.chosen
+    layers = np.arange(state.values.shape[1])
 
-        if state.mode is PatternMode.LSHAPE:
-            source_layer = int(state.arg_ls[arrival])
-            bend_idx = int(state.bend_choice[arrival])
-            bend = Point(dst.x, src.y) if bend_idx == 0 else Point(src.x, dst.y)
-            _emit_wire(route, src, bend, source_layer)
-            _emit_via(route, bend, source_layer, arrival)
-            _emit_wire(route, bend, dst, arrival)
+    # Descent: each two-pin net arrives on its cheapest layer inside the
+    # via stack chosen at its parent node.
+    for nodes in state.levels:
+        stack = chosen[state.parent[nodes], :2]
+        inside = (layers >= stack[:, :1]) & (layers <= stack[:, 1:])
+        lt = np.where(inside, state.values[nodes], np.inf).argmin(axis=1)
+        picked = state.path[nodes, lt]
+        chosen[nodes] = np.concatenate(
+            [state.stack[nodes, picked[:, 0]], lt[:, None], picked], axis=1
+        )
+
+    first, stop, n_jobs = 0, state.parent.size, state.n_jobs
+    if job is not None:
+        first, stop, n_jobs = job.row0, job.row0 + job.tree.n_nodes, 1
+    # Unit steps of every polyline segment, keyed (direction, job, the
+    # two fixed coordinates, the running one).
+    points = np.concatenate([state.ends[:, first:stop], chosen[first:stop].T])[_POLYLINE]
+    delta = np.abs(points[:, 1:] - points[:, :-1])  # (3, 7, rows)
+    length = delta.sum(axis=0)
+    segment, row = np.nonzero(length)
+    if not row.size:
+        return [Route() for _ in range(n_jobs)]
+    length = length[segment, row]
+    direction = delta[:, segment, row].argmax(axis=0)
+    start = np.minimum(points[:, 1:], points[:, :-1])[:, segment, row]
+    radix = int(points.max()) + 2  # leaves a gap after a line's last step
+    line = direction * n_jobs + (state.job[first + row] - state.job[first])
+    key = line * radix**3 + (start * radix ** _ORDER[:, direction]).sum(axis=0)
+    last = np.cumsum(length)
+    step = np.arange(last[-1]) - np.repeat(last - length, length)
+    units = np.unique(np.repeat(key, length) + step)
+
+    # Fuse consecutive steps into runs and decode them.
+    breaks = np.flatnonzero(np.diff(units) != 1) + 1
+    run = np.diff(np.concatenate([[0], breaks, [units.size]]))
+    line, where = np.divmod(units[np.concatenate([[0], breaks])], radix**3)
+    direction, net = np.divmod(line, n_jobs)
+    where, c = np.divmod(where, radix)
+    a, b = np.divmod(where, radix)
+    routes = [Route() for _ in range(n_jobs)]
+    for d, j, a, b, c, n in zip(*(v.tolist() for v in (direction, net, a, b, c, run))):
+        if d == 0:
+            routes[j].wires.append(WireSegment(a, c, b, c + n, b))
+        elif d == 1:
+            routes[j].wires.append(WireSegment(a, b, c, b, c + n))
         else:
-            cand = int(state.cand[arrival])
-            mid_layer = int(state.arg_lb[arrival])
-            source_layer = int(state.arg_ls[arrival])
-            bsx, bsy, btx, bty = (int(v) for v in state.cand_geometry[cand])
-            bend_s, bend_t = Point(bsx, bsy), Point(btx, bty)
-            _emit_wire(route, src, bend_s, source_layer)
-            _emit_via(route, bend_s, source_layer, mid_layer)
-            _emit_wire(route, bend_s, bend_t, mid_layer)
-            _emit_via(route, bend_t, mid_layer, arrival)
-            _emit_wire(route, bend_t, dst, arrival)
-
-        lo_c, hi_c = job.combine_store[node]
-        stack_lo = int(lo_c[source_layer])
-        stack_hi = int(hi_c[source_layer])
-        _emit_via(route, src, stack_lo, stack_hi)
-        for child in ordered.children(node):
-            pending.append(
-                (child, best_layer_in_interval(job.node_vectors[child], stack_lo, stack_hi))
-            )
-    return normalize_route(route)
+            routes[j].vias.append(ViaSegment(a, b, c, c + n))
+    return routes
 
 
 # ---------------------------------------------------------------------- #
@@ -163,4 +180,9 @@ def _merge_runs(items, key, coord, emit) -> None:
         emit(prev_item, run_start, prev)
 
 
-__all__ = ["best_layer_in_interval", "reconstruct_route", "normalize_route"]
+__all__ = [
+    "best_layer_in_interval",
+    "reconstruct_route",
+    "reconstruct_routes",
+    "normalize_route",
+]

@@ -30,7 +30,7 @@ from repro.grid.graph import GridGraph
 from repro.gpu.device import Device
 from repro.gpu.zerocopy import ZeroCopyArena
 from repro.pattern.batch import BatchPatternRouter
-from repro.pattern.twopin import ModeSelector, NetRoutingJob
+from repro.pattern.twopin import BatchState, ModeSelector, NetRoutingJob
 
 
 class SequentialPatternRouter(BatchPatternRouter):
@@ -58,10 +58,12 @@ class SequentialPatternRouter(BatchPatternRouter):
             cost_engine=cost_engine,
         )
 
-    def route_jobs(self, jobs: List[NetRoutingJob], mode_fn: ModeSelector) -> None:
-        """Fill every job's DP state one net at a time (no batching)."""
-        for job in jobs:
-            super().route_jobs([job], mode_fn)
+    def route_jobs(
+        self, jobs: List[NetRoutingJob], mode_fn: ModeSelector
+    ) -> List[BatchState]:
+        """Route one net at a time (no batching): one batch state each."""
+        route = super().route_jobs
+        return [state for job in jobs for state in route([job], mode_fn)]
 
 
 __all__ = ["SequentialPatternRouter"]

@@ -11,47 +11,36 @@ with :func:`hybrid_candidates` plugged in.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 from repro.grid.cost import CostQuery
-from repro.pattern.twopin import EdgeBacktrack, TwoPinTask
-from repro.pattern.zshape import route_candidate_wave
+from repro.pattern.lshape import WaveResult
+from repro.pattern.zshape import enumerate_candidates, route_candidate_wave
 
 
-def hybrid_candidates(task: TwoPinTask) -> np.ndarray:
-    """Enumerate hybrid candidate bend-point pairs as a ``(C, 4)`` int array.
+def hybrid_candidates(ends: np.ndarray):
+    """Enumerate hybrid candidates: ``M + N`` flows per net (Fig. 11).
 
-    Rows are ``(bs_x, bs_y, bt_x, bt_y)``: the full HVH family over all
-    ``M`` bounding-box columns plus the full VHV family over all ``N``
-    rows — ``M + N`` flows (Fig. 11), the extreme ones degenerating
+    The full HVH family over all ``M`` bounding-box columns plus the
+    full VHV family over all ``N`` rows, the extreme ones degenerating
     into the two L shapes.
     """
-    xs, ys, xt, yt = task.src.x, task.src.y, task.dst.x, task.dst.y
-    xlo, xhi = sorted((xs, xt))
-    ylo, yhi = sorted((ys, yt))
-    rows: List[Tuple[int, int, int, int]] = []
-    for bx in range(xlo, xhi + 1):
-        rows.append((bx, ys, bx, yt))
-    for by in range(ylo, yhi + 1):
-        rows.append((xs, by, xt, by))
-    return np.array(rows, dtype=int)
+    return enumerate_candidates(ends, corner_rows=True)
 
 
 def route_hybrid_wave(
-    tasks: List[TwoPinTask],
+    ends: np.ndarray,
     combine: np.ndarray,
     query: CostQuery,
     max_chunk_elements: int = 150_000,
-) -> Tuple[np.ndarray, List[EdgeBacktrack]]:
+) -> WaveResult:
     """Price a wave of hybrid-shape two-pin nets.
 
-    Returns ``(values, backtracks)`` exactly like
-    :func:`repro.pattern.lshape.route_lshape_wave`.
+    Takes and returns what
+    :func:`repro.pattern.lshape.route_lshape_wave` does.
     """
     return route_candidate_wave(
-        tasks, combine, query, hybrid_candidates, max_chunk_elements
+        ends, combine, query, hybrid_candidates, max_chunk_elements
     )
 
 

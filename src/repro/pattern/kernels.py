@@ -17,11 +17,17 @@ for path reconstruction.
 
 The kernels are written once against the :class:`ArrayBackend`
 protocol and run unchanged on every registered backend — pass ``xp``
-to choose one (default: the ``numpy`` backend).  Inputs may be host
-arrays or backend arrays; outputs are backend arrays, so callers own
-the ``to_numpy`` boundary.  Every op is a fixed-association IEEE-754
+to choose one (default: the ``numpy`` backend).  Cost operands are
+backend arrays (the drivers upload once; the host-resident backends
+also take NumPy arrays as they are), index and mask operands are
+uploaded here; outputs are backend arrays, so callers own the
+``to_numpy`` boundary.  Every op is a fixed-association IEEE-754
 double add/subtract/compare, so all backends produce bit-identical
 costs and argmins (see :mod:`repro.backend.base`).
+
+The index grids that depend only on the layer count live in a
+:class:`LayerTables`, which a router builds once and hands to every
+launch; a kernel called without one builds its own.
 """
 
 from __future__ import annotations
@@ -42,20 +48,34 @@ def _xp(backend: Optional[ArrayBackend]) -> ArrayBackend:
     return backend if backend is not None else get_backend("numpy")
 
 
-def interval_min(costs, xp: Optional[ArrayBackend] = None):
+class LayerTables:
+    """Index grids of an ``L``-layer stack on one backend.
+
+    ``layers`` is ``(1, L)``, ``lo_grid`` ``(1, 1, L, 1)`` and
+    ``hi_grid`` ``(1, 1, 1, L)`` hold the layer index along the axis
+    their name says, and ``upper[lo, hi]`` is ``lo <= hi``.
+    """
+
+    def __init__(self, xp: ArrayBackend, n_layers: int) -> None:
+        layers = xp.arange(n_layers)
+        self.n_layers = n_layers
+        self.layers = xp.expand_dims(layers, 0)
+        self.lo_grid = xp.reshape(layers, (1, 1, n_layers, 1))
+        self.hi_grid = xp.reshape(layers, (1, 1, 1, n_layers))
+        self.upper = xp.less_equal(xp.expand_dims(layers, 1), self.layers)
+
+
+def interval_min(costs, xp: Optional[ArrayBackend] = None, tables=None):
     """Return ``M[..., lo, hi] = min(costs[..., lo..hi])`` (inf for lo > hi).
 
     ``costs`` has shape ``(..., L)``; the result appends an ``(L, L)``
     upper-triangular interval table.
     """
     xp = _xp(xp)
-    costs = xp.asarray(costs)
-    length = xp.shape(costs)[-1]
-    layers = xp.arange(length)
+    tables = tables or LayerTables(xp, xp.shape(costs)[-1])
     # T[..., lo, k] = costs[..., k] where lo <= k else inf; a running
     # min over k then yields M[..., lo, hi] in one scan.
-    lo_covers = xp.less_equal(xp.expand_dims(layers, 1), xp.expand_dims(layers, 0))
-    masked = xp.where(lo_covers, xp.expand_dims(costs, -2), INF)
+    masked = xp.where(tables.upper, xp.expand_dims(costs, -2), INF)
     return xp.cummin(masked, axis=-1)
 
 
@@ -67,6 +87,7 @@ def combine_children(
     pin_lo,
     pin_hi,
     xp: Optional[ArrayBackend] = None,
+    tables: Optional[LayerTables] = None,
 ) -> Tuple[object, object, object]:
     """Combine children cost vectors at a wave of tree nodes (Eq. 2, exact).
 
@@ -79,7 +100,9 @@ def combine_children(
     child_costs:
         ``(C, L)`` — stacked ``c*`` vectors of all children in the wave.
     child_node_index:
-        ``(C,)`` — row ``c`` belongs to wave-node ``child_node_index[c]``.
+        ``(C,)`` host ints — row ``c`` belongs to wave-node
+        ``child_node_index[c]``.  A node's rows are summed in row order,
+        so the order of its children is part of the result's bits.
     n_nodes:
         Number of wave nodes ``B``.
     via_prefix:
@@ -97,46 +120,38 @@ def combine_children(
         via-stack interval.
     """
     xp = _xp(xp)
-    via_prefix = xp.asarray(via_prefix)
-    n_layers = xp.shape(via_prefix)[-1]
+    tables = tables or LayerTables(xp, xp.shape(via_prefix)[-1])
+    n_layers = tables.n_layers
     if n_nodes == 0:
         empty = xp.zeros((0, n_layers))
         empty_int = xp.zeros((0, n_layers), dtype="int")
         return empty, empty_int, empty_int
 
-    child_costs = xp.asarray(child_costs)
-
-    # S[b, lo, hi] = sum over children of min cost inside [lo, hi].
-    child_sum = xp.zeros((n_nodes, n_layers, n_layers))
-    if xp.shape(child_costs)[0]:
-        tables = interval_min(child_costs, xp=xp)  # (C, L, L)
-        tables = xp.where(xp.isfinite(tables), tables, _UNREACHABLE)
-        xp.scatter_add(child_sum, xp.asarray(child_node_index, dtype="int"), tables)
-
     # V[b, lo, hi] = via-stack cost, defined on lo <= hi only.
-    layers = xp.arange(n_layers)
-    lo_idx = xp.expand_dims(layers, 1)  # (L, 1)
-    hi_idx = xp.expand_dims(layers, 0)  # (1, L)
-    stack_cost = xp.subtract(
+    total = xp.subtract(
         xp.expand_dims(via_prefix, 1), xp.expand_dims(via_prefix, 2)
     )  # (B, lo, hi)
-    upper = xp.less_equal(lo_idx, hi_idx)
-    total = xp.where(upper, xp.add(stack_cost, child_sum), INF)  # (B, L, L)
+    if len(child_node_index):
+        # S[b, lo, hi] = sum over children of min cost inside [lo, hi].
+        child_sum = xp.zeros((n_nodes, n_layers, n_layers))
+        child_tables = interval_min(xp.asarray(child_costs), xp=xp, tables=tables)
+        child_tables = xp.where(xp.isfinite(child_tables), child_tables, _UNREACHABLE)
+        xp.scatter_add(
+            child_sum, xp.asarray(child_node_index, dtype="int"), child_tables
+        )
+        total = xp.add(total, child_sum)
+    total = xp.where(tables.upper, total, INF)  # (B, L, L)
 
     # Feasibility per departure layer ls: lo <= min(ls, pin_lo), hi >= max(ls, pin_hi).
-    pin_lo = xp.asarray(pin_lo, dtype="int")
-    pin_hi = xp.asarray(pin_hi, dtype="int")
-    need_lo = xp.minimum(xp.expand_dims(layers, 0), xp.expand_dims(pin_lo, 1))  # (B, L)
-    need_hi = xp.maximum(xp.expand_dims(layers, 0), xp.expand_dims(pin_hi, 1))  # (B, L)
-    lo_ok = xp.less_equal(
-        xp.reshape(layers, (1, 1, n_layers, 1)),
-        xp.expand_dims(xp.expand_dims(need_lo, 2), 3),
-    )
-    hi_ok = xp.greater_equal(
-        xp.reshape(layers, (1, 1, 1, n_layers)),
-        xp.expand_dims(xp.expand_dims(need_hi, 2), 3),
-    )
-    feasible = xp.logical_and(lo_ok, hi_ok)  # (B, ls, lo, hi)
+    pin_lo = xp.expand_dims(xp.asarray(pin_lo, dtype="int"), 1)
+    pin_hi = xp.expand_dims(xp.asarray(pin_hi, dtype="int"), 1)
+    need_shape = (n_nodes, n_layers, 1, 1)
+    need_lo = xp.reshape(xp.minimum(tables.layers, pin_lo), need_shape)
+    need_hi = xp.reshape(xp.maximum(tables.layers, pin_hi), need_shape)
+    feasible = xp.logical_and(
+        xp.less_equal(tables.lo_grid, need_lo),
+        xp.greater_equal(tables.hi_grid, need_hi),
+    )  # (B, ls, lo, hi)
     masked = xp.where(feasible, xp.expand_dims(total, 1), INF)
     flat = xp.reshape(masked, (n_nodes, n_layers, n_layers * n_layers))
     combine, best = xp.min_argmin(flat, axis=2)  # (B, L)
@@ -146,35 +161,30 @@ def combine_children(
 
 
 def minplus_vec_mat(w1, mat, xp: Optional[ArrayBackend] = None) -> Tuple[object, object]:
-    """Eq. 7: ``R[b, lt] = min_ls (w1[b, ls] + mat[b, ls, lt])``.
+    """Eq. 7: ``R[..., lt] = min_ls (w1[..., ls] + mat[..., ls, lt])``.
 
-    Returns ``(R, arg_ls)`` with shapes ``(B, L)``.
+    Returns ``(R, arg_ls)`` with the shape of ``w1``.
     """
     xp = _xp(xp)
-    total = xp.add(xp.expand_dims(xp.asarray(w1), 2), xp.asarray(mat))  # (B, ls, lt)
-    values, arg_ls = xp.min_argmin(total, axis=1)
+    total = xp.add(xp.expand_dims(w1, -1), mat)  # (..., ls, lt)
+    values, arg_ls = xp.min_argmin(total, axis=-2)
     return values, arg_ls
 
 
 def minplus_two_bend(
-    w1a,
-    mat_a,
-    w1b,
-    mat_b,
-    xp: Optional[ArrayBackend] = None,
+    w1, mat, xp: Optional[ArrayBackend] = None
 ) -> Tuple[object, object, object]:
     """Evaluate both L-shape bend choices and merge elementwise.
 
-    Returns ``(R, bend_choice, arg_ls)`` with shapes ``(B, L)``;
-    ``bend_choice`` is 0 for the first bend, 1 for the second.
+    ``w1`` is ``(B, 2, L)`` and ``mat`` ``(B, 2, L, L)``: the Eq. 7
+    operands of bend 0 and bend 1.  Returns ``(R, bend_choice, arg_ls)``
+    with shapes ``(B, L)``; ``bend_choice`` is 0 for the first bend (also
+    on a tie), 1 for the second.
     """
     xp = _xp(xp)
-    values_a, arg_a = minplus_vec_mat(w1a, mat_a, xp=xp)
-    values_b, arg_b = minplus_vec_mat(w1b, mat_b, xp=xp)
-    use_b = xp.less(values_b, values_a)
-    values = xp.where(use_b, values_b, values_a)
-    arg_ls = xp.where(use_b, arg_b, arg_a)
-    return values, xp.astype(use_b, "int"), arg_ls
+    per_bend, arg_per_bend = minplus_vec_mat(w1, mat, xp=xp)  # (B, 2, lt)
+    values, bend_choice = xp.min_argmin(per_bend, axis=1)
+    return values, bend_choice, xp.select_rows(arg_per_bend, bend_choice)
 
 
 def zshape_reduce(
@@ -204,11 +214,10 @@ def zshape_reduce(
         and its middle/source layers.
     """
     xp = _xp(xp)
-    w1 = xp.asarray(w1)
-    step1 = xp.add(xp.expand_dims(w1, 3), xp.asarray(mat2))  # (B, C, ls, lb)
+    step1 = xp.add(xp.expand_dims(w1, 3), mat2)  # (B, C, ls, lb)
     step1_min, arg_ls_full = xp.min_argmin(step1, axis=2)  # (B, C, lb)
 
-    step2 = xp.add(xp.expand_dims(step1_min, 3), xp.asarray(mat3))  # (B, C, lb, lt)
+    step2 = xp.add(xp.expand_dims(step1_min, 3), mat3)  # (B, C, lb, lt)
     step2_min, arg_lb_full = xp.min_argmin(step2, axis=2)  # (B, C, lt)
 
     masked = xp.where(xp.expand_dims(xp.asarray(valid, dtype="bool"), 2), step2_min, INF)
@@ -222,6 +231,7 @@ def zshape_reduce(
 
 __all__ = [
     "INF",
+    "LayerTables",
     "interval_min",
     "combine_children",
     "minplus_vec_mat",

@@ -3,98 +3,103 @@
 For a two-pin net ``Ps -> Pt`` there are two candidate bend points in
 2-D (``(xt, ys)`` and ``(xs, yt)``); in 3-D every ``(ls, lt)`` layer
 pair is a candidate path ``P{Ps, B_ls, T_lt}`` with cost Eq. 1.  The
-whole wave of two-pin nets is priced with four prefix-sum gathers and
-one :func:`~repro.pattern.kernels.minplus_two_bend` call — the paper's
-Eq. 5–7 computation graph flow, batched.
+whole wave of two-pin nets is priced with one stacked prefix-sum gather
+for its ``4B`` segments, one for its ``2B`` bend points, and one
+:func:`~repro.pattern.kernels.minplus_two_bend` call over the two bends
+stacked like candidates — the paper's Eq. 5–7 computation graph flow,
+batched.
 
 All array work runs on ``query.backend``; this driver owns the
-host↔device boundary (``values``/backtracks come back as NumPy).
+host↔device boundary (every result comes back as NumPy).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.grid.cost import CostQuery
 from repro.pattern.kernels import minplus_two_bend
-from repro.pattern.twopin import EdgeBacktrack, PatternMode, TwoPinTask
+
+WaveResult = Tuple[np.ndarray, np.ndarray]
+
+# Bend 0 is Ps --H--> (xt, ys) --V--> Pt, bend 1 is Ps --V--> (xs, yt)
+# --H--> Pt.  Rows of ``ends`` (xs, ys, xt, yt) holding (x, y) of each
+# bend, and x1, y1, x2, y2 of [first, second segment] x [bend].
+_BENDS = np.array([[2, 1], [0, 3]])
+_SEGMENTS = np.array(
+    [[[0, 0], [2, 0]], [[1, 1], [1, 3]], [[2, 0], [2, 2]], [[1, 3], [3, 3]]]
+)
 
 
-def lshape_bends(task: TwoPinTask) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """Return the two candidate bend points of a two-pin net.
+def lshape_bends(ends: np.ndarray) -> np.ndarray:
+    """Return the two candidate bend points of each two-pin net.
 
-    Bend 0 routes the first segment horizontally (``B = (xt, ys)``);
-    bend 1 routes it vertically (``B = (xs, yt)``).  For straight or
-    degenerate nets the bends coincide with an endpoint and one segment
-    is empty — the kernels price empty segments at zero on every layer.
+    ``ends`` is ``(4, B)``: ``xs, ys, xt, yt``; the result is ``(2, 2,
+    B)``, ``[bend][x or y]``.  Bend 0 routes the first segment
+    horizontally (``B = (xt, ys)``); bend 1 routes it vertically
+    (``B = (xs, yt)``).  For straight or degenerate nets the bends
+    coincide with an endpoint and one segment is empty — the kernels
+    price empty segments at zero on every layer.
     """
-    return (task.dst.x, task.src.y), (task.src.x, task.dst.y)
+    return ends[_BENDS]
 
 
 def route_lshape_wave(
-    tasks: List[TwoPinTask],
-    combine: np.ndarray,
-    query: CostQuery,
-) -> Tuple[np.ndarray, List[EdgeBacktrack]]:
+    ends: np.ndarray, combine: np.ndarray, query: CostQuery
+) -> WaveResult:
     """Price a wave of L-shape two-pin nets.
 
     Parameters
     ----------
-    tasks:
-        The wave's two-pin nets (any mode — the L kernel is also the
-        fallback for degenerate hybrid nets).
+    ends:
+        ``(4, B)`` ints — ``xs, ys, xt, yt`` of the wave's two-pin nets.
     combine:
-        ``(B, L)`` bottom-children costs ``cbc`` at each task's source
+        ``(B, L)`` bottom-children costs ``cbc`` at each net's source
         node (Eq. 2), already including pin via stacks.
     query:
         The frozen cost snapshot of the current scheduler batch.
 
     Returns
     -------
-    values, backtracks:
-        ``values[b, lt] = c*(Ps, Pt, lt)`` (Eq. 7) and per-task argmin
-        state, both back on the host.
+    values, path:
+        ``values[b, lt] = c*(Ps, Pt, lt)`` (Eq. 7) and, per target
+        layer, the winning path in the shape every pattern family
+        reports: ``path[b, lt] = (ls, lb, bsx, bsy, btx, bty)``, source
+        layer, middle layer and the two bend points — for an L shape
+        the one bend twice, with the middle layer on ``lt``.  Both on
+        the host.
     """
-    n_tasks = len(tasks)
+    n_tasks = ends.shape[1]
     n_layers = query.n_layers
-    if n_tasks == 0:
-        return np.zeros((0, n_layers)), []
     xp = query.backend
 
-    xs = np.array([t.src.x for t in tasks])
-    ys = np.array([t.src.y for t in tasks])
-    xt = np.array([t.dst.x for t in tasks])
-    yt = np.array([t.dst.y for t in tasks])
-
-    combine_dev = xp.asarray(combine)
-    # Bend 0: Ps --H--> (xt, ys) --V--> Pt.
-    w1_a = xp.add(combine_dev, query.segment_cost_layers(xs, ys, xt, ys))
-    mat_a = xp.add(
-        query.via_matrix(xt, ys),
-        xp.expand_dims(query.segment_cost_layers(xt, ys, xt, yt), 1),
-    )
-    # Bend 1: Ps --V--> (xs, yt) --H--> Pt.
-    w1_b = xp.add(combine_dev, query.segment_cost_layers(xs, ys, xs, yt))
-    mat_b = xp.add(
-        query.via_matrix(xs, yt),
-        xp.expand_dims(query.segment_cost_layers(xs, yt, xt, yt), 1),
-    )
-
-    values, bend_choice, arg_ls = minplus_two_bend(w1_a, mat_a, w1_b, mat_b, xp=xp)
-    values = xp.to_numpy(values)
-    bend_choice = xp.to_numpy(bend_choice)
-    arg_ls = xp.to_numpy(arg_ls)
-    backtracks = [
-        EdgeBacktrack(
-            mode=PatternMode.LSHAPE,
-            arg_ls=arg_ls[i],
-            bend_choice=bend_choice[i],
+    # One gather for the 4B segments and one for the 2B bend points,
+    # each ordered (task, bend) so the two bends stack like candidates.
+    first, second = xp.unstack(
+        xp.reshape(
+            query.segment_cost_layers(*ends[_SEGMENTS].swapaxes(-1, -2).reshape(4, -1)),
+            (2, n_tasks, 2, n_layers),
         )
-        for i in range(n_tasks)
-    ]
-    return values, backtracks
+    )
+    bends = lshape_bends(ends)
+    via = xp.reshape(
+        query.via_matrix(*bends.transpose(1, 2, 0).reshape(2, -1)),
+        (n_tasks, 2, n_layers, n_layers),
+    )
+    values, use_b, arg_ls = minplus_two_bend(
+        xp.add(xp.expand_dims(xp.asarray(combine), 1), first),
+        xp.add(via, xp.expand_dims(second, 2)),
+        xp=xp,
+    )
+    use_b = xp.to_numpy(use_b).astype(bool)[:, :, None]
+    path = np.empty((n_tasks, n_layers, 6), dtype=np.intp)
+    path[:, :, 0] = xp.to_numpy(arg_ls)
+    path[:, :, 1] = np.arange(n_layers)
+    bend = np.where(use_b, bends[1].T[:, None], bends[0].T[:, None])  # (B, L, 2)
+    path[:, :, 2:4] = path[:, :, 4:] = bend
+    return xp.to_numpy(values), path
 
 
-__all__ = ["lshape_bends", "route_lshape_wave"]
+__all__ = ["WaveResult", "lshape_bends", "route_lshape_wave"]

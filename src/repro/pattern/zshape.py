@@ -10,191 +10,184 @@ to the widest candidate count.
 This module also hosts :func:`route_candidate_wave`, the shared chunked
 driver for every candidate-enumeration pattern family; the hybrid shape
 (Sec. III-F) plugs its own enumeration into it from
-:mod:`repro.pattern.hybrid`.  All array work runs on ``query.backend``;
-the driver owns the host↔device boundary.
+:mod:`repro.pattern.hybrid`.  A chunk prices its ``3·B·C`` segments
+with one stacked prefix-sum gather and its ``2·B·C`` bend points with
+another.  All array work runs on ``query.backend``; the driver owns the
+host↔device boundary.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from repro.grid.cost import CostQuery
 from repro.pattern.kernels import zshape_reduce
-from repro.pattern.twopin import EdgeBacktrack, TwoPinTask
+from repro.pattern.lshape import WaveResult
 
-CandidateFn = Callable[[TwoPinTask], np.ndarray]
+#: ``ends (4, B)`` -> ``(geometry (B, C, 4), valid (B, C))``.
+CandidateFn = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
-def zshape_candidates(task: TwoPinTask) -> np.ndarray:
-    """Enumerate pure-Z candidate bend-point pairs as a ``(C, 4)`` int array.
+def enumerate_candidates(ends: np.ndarray, corner_rows: bool):
+    """Bend-point pairs of a wave of two-pin nets, padded to the widest.
 
-    Rows are ``(bs_x, bs_y, bt_x, bt_y)``.  Two families:
+    Returns ``geometry (B, C, 4)`` with rows ``(bs_x, bs_y, bt_x, bt_y)``
+    and ``valid (B, C)``.  Two families per net, in this order:
 
     * **HVH** — horizontal, vertical, horizontal: ``Bs = (bx, ys)``,
       ``Bt = (bx, yt)`` for every column ``bx`` of the bounding box
       (``M`` flows; the extreme columns degenerate into L shapes);
-    * **VHV** — ``Bs = (xs, by)``, ``Bt = (xt, by)`` for interior rows
-      ``by`` only (``N - 2`` flows): the extreme rows duplicate L
-      shapes the HVH family already covers, matching the paper's
-      ``M + N - 2`` count for the plain Z pattern.
+    * **VHV** — ``Bs = (xs, by)``, ``Bt = (xt, by)`` for every row
+      ``by`` of the box (``N`` flows) with ``corner_rows``, for the
+      interior rows only (``N - 2``) without.
+
+    Padding repeats the source point, so every padded segment is
+    degenerate (finite cost) until ``valid`` masks it out.
     """
-    xs, ys, xt, yt = task.src.x, task.src.y, task.dst.x, task.dst.y
-    xlo, xhi = sorted((xs, xt))
-    ylo, yhi = sorted((ys, yt))
-    rows: List[Tuple[int, int, int, int]] = []
-    for bx in range(xlo, xhi + 1):
-        rows.append((bx, ys, bx, yt))
-    for by in range(ylo + 1, yhi):
-        rows.append((xs, by, xt, by))
-    if not rows:  # single-column, single-row net: one degenerate flow
-        rows.append((xs, ys, xs, ys))
-    return np.array(rows, dtype=int)
+    xs, ys, xt, yt = (e[:, None] for e in ends)
+    n_columns = np.abs(xs - xt) + 1
+    n_rows = np.abs(ys - yt) + 1
+    if not corner_rows:
+        n_rows = np.maximum(n_rows - 2, 0)
+    k = np.arange(int((n_columns + n_rows).max(initial=0)))[None, :]
+    hvh = k < n_columns
+    valid = k < n_columns + n_rows
+    bx = np.minimum(xs, xt) + k
+    by = np.minimum(ys, yt) + (k - n_columns) + (0 if corner_rows else 1)
+    geometry = np.stack(
+        [np.where(hvh, bx, xs), np.where(hvh, ys, by),
+         np.where(hvh, bx, xt), np.where(hvh, yt, by)],
+        axis=-1,
+    )
+    source = np.stack([xs, ys, xs, ys], axis=-1)
+    return np.where(valid[:, :, None], geometry, source), valid
+
+
+def zshape_candidates(ends: np.ndarray):
+    """Enumerate pure-Z candidates: ``M + N - 2`` flows per net.
+
+    The extreme VHV rows duplicate L shapes the HVH family already
+    covers, matching the paper's count for the plain Z pattern.
+    """
+    return enumerate_candidates(ends, corner_rows=False)
 
 
 def route_zshape_wave(
-    tasks: List[TwoPinTask],
+    ends: np.ndarray,
     combine: np.ndarray,
     query: CostQuery,
     max_chunk_elements: int = 150_000,
-) -> Tuple[np.ndarray, List[EdgeBacktrack]]:
+) -> WaveResult:
     """Price a wave of pure-Z two-pin nets.
 
-    Returns ``(values, backtracks)`` exactly like
-    :func:`repro.pattern.lshape.route_lshape_wave`.
+    Takes and returns what
+    :func:`repro.pattern.lshape.route_lshape_wave` does.
     """
     return route_candidate_wave(
-        tasks, combine, query, zshape_candidates, max_chunk_elements
+        ends, combine, query, zshape_candidates, max_chunk_elements
     )
 
 
 def route_candidate_wave(
-    tasks: List[TwoPinTask],
+    ends: np.ndarray,
     combine: np.ndarray,
     query: CostQuery,
     candidate_fn: CandidateFn,
     max_chunk_elements: int = 150_000,
-) -> Tuple[np.ndarray, List[EdgeBacktrack]]:
+) -> WaveResult:
     """Price a wave of candidate-enumeration two-pin nets.
 
-    ``candidate_fn`` maps a task to its ``(C, 4)`` bend-pair geometry
-    (:func:`zshape_candidates`, or the hybrid enumeration).  Work is
-    split into chunks bounded by ``max_chunk_elements`` tensor entries
-    so a few huge nets cannot blow up memory (the pathology the paper's
-    selection technique exists to avoid, Sec. IV-D).
+    ``candidate_fn`` maps the wave's ``ends`` to its padded bend-pair
+    geometry (:func:`zshape_candidates`, or the hybrid enumeration).
+    Work is split into chunks bounded by ``max_chunk_elements`` tensor
+    entries so a few huge nets cannot blow up memory (the pathology the
+    paper's selection technique exists to avoid, Sec. IV-D).
     """
-    n_tasks = len(tasks)
+    n_tasks = ends.shape[1]
     n_layers = query.n_layers
-    if n_tasks == 0:
-        return np.zeros((0, n_layers)), []
-
-    candidates = [candidate_fn(t) for t in tasks]
-    counts = np.array([c.shape[0] for c in candidates])
-    values = np.zeros((n_tasks, n_layers))
-    backtracks: List[EdgeBacktrack] = [None] * n_tasks  # type: ignore[list-item]
+    geometry, valid = candidate_fn(ends)
+    counts = valid.sum(axis=1)
+    values = np.empty((n_tasks, n_layers))
+    path = np.empty((n_tasks, n_layers, 6), dtype=np.intp)
 
     # Cluster tasks of similar candidate counts to minimise padding.
     order = np.argsort(counts, kind="stable")
+    widths = counts[order].tolist()  # ascending: a chunk's last is its widest
     start = 0
-    while start < len(order):
-        width = int(counts[order[start]])
-        stop = start
-        while stop < len(order):
-            width = max(width, int(counts[order[stop]]))
-            size = (stop - start + 1) * width * n_layers * n_layers
-            if stop > start and size > max_chunk_elements:
-                break
+    while start < n_tasks:
+        stop = start + 1
+        while (
+            stop < n_tasks
+            and (stop - start + 1) * widths[stop] * n_layers * n_layers
+            <= max_chunk_elements
+        ):
             stop += 1
-        chunk = [int(i) for i in order[start:stop]]
-        _route_chunk(chunk, tasks, candidates, combine, query, values, backtracks)
+        chunk = order[start:stop]
+        width = widths[stop - 1]
+        values[chunk], path[chunk] = _route_chunk(
+            ends[:, chunk],
+            geometry[chunk, :width],
+            valid[chunk, :width],
+            combine[chunk],
+            query,
+        )
         start = stop
-    return values, backtracks
+    return values, path
 
 
 def _route_chunk(
-    chunk: List[int],
-    tasks: List[TwoPinTask],
-    candidates: List[np.ndarray],
+    ends: np.ndarray,
+    geometry: np.ndarray,
+    valid: np.ndarray,
     combine: np.ndarray,
     query: CostQuery,
-    values: np.ndarray,
-    backtracks: List[EdgeBacktrack],
-) -> None:
+) -> WaveResult:
     """Evaluate one padded chunk in a single batched reduction."""
     n_layers = query.n_layers
     xp = query.backend
-    b = len(chunk)
-    width = max(candidates[i].shape[0] for i in chunk)
+    b, width = valid.shape
+    bsx, bsy, btx, bty = (geometry[:, :, i] for i in range(4))
+    srcx = np.broadcast_to(ends[0][:, None], valid.shape)
+    srcy = np.broadcast_to(ends[1][:, None], valid.shape)
+    # A padded flow ends where it starts: all three segments degenerate.
+    dstx = np.where(valid, ends[2][:, None], srcx)
+    dsty = np.where(valid, ends[3][:, None], srcy)
 
-    # Padded candidate geometry; padding repeats the source point so all
-    # padded segments are degenerate (finite cost), masked out by `valid`.
-    bsx = np.empty((b, width), dtype=int)
-    bsy = np.empty((b, width), dtype=int)
-    btx = np.empty((b, width), dtype=int)
-    bty = np.empty((b, width), dtype=int)
-    valid = np.zeros((b, width), dtype=bool)
-    srcx = np.empty((b, width), dtype=int)
-    srcy = np.empty((b, width), dtype=int)
-    dstx = np.empty((b, width), dtype=int)
-    dsty = np.empty((b, width), dtype=int)
-    for row, i in enumerate(chunk):
-        task, cand = tasks[i], candidates[i]
-        count = cand.shape[0]
-        bsx[row, :count], bsy[row, :count] = cand[:, 0], cand[:, 1]
-        btx[row, :count], bty[row, :count] = cand[:, 2], cand[:, 3]
-        bsx[row, count:] = task.src.x
-        bsy[row, count:] = task.src.y
-        btx[row, count:] = task.src.x
-        bty[row, count:] = task.src.y
-        valid[row, :count] = True
-        srcx[row, :] = task.src.x
-        srcy[row, :] = task.src.y
-        dstx[row, :count] = task.dst.x
-        dsty[row, :count] = task.dst.y
-        dstx[row, count:] = task.src.x
-        dsty[row, count:] = task.src.y
+    # Segments Ps->Bs, Bs->Bt, Bt->Pt stacked into one gather.
+    segments = query.segment_cost_layers(
+        np.stack([srcx, bsx, btx]).reshape(-1),
+        np.stack([srcy, bsy, bty]).reshape(-1),
+        np.stack([bsx, btx, dstx]).reshape(-1),
+        np.stack([bsy, bty, dsty]).reshape(-1),
+    )
+    seg_first, seg_mid, seg_last = xp.unstack(
+        xp.reshape(segments, (3, b, width, n_layers))
+    )
+    via_bs, via_bt = xp.unstack(
+        xp.reshape(
+            query.via_matrix(
+                np.stack([bsx, btx]).reshape(-1), np.stack([bsy, bty]).reshape(-1)
+            ),
+            (2, b, width, n_layers, n_layers),
+        )
+    )
 
-    flat = lambda a: a.reshape(-1)  # noqa: E731 - local reshaping shorthand
-    seg_shape = (b, width, n_layers)
-    via_shape = (b, width, n_layers, n_layers)
-    seg_first = xp.reshape(
-        query.segment_cost_layers(flat(srcx), flat(srcy), flat(bsx), flat(bsy)),
-        seg_shape,
-    )
-    seg_mid = xp.reshape(
-        query.segment_cost_layers(flat(bsx), flat(bsy), flat(btx), flat(bty)),
-        seg_shape,
-    )
-    seg_last = xp.reshape(
-        query.segment_cost_layers(flat(btx), flat(bty), flat(dstx), flat(dsty)),
-        seg_shape,
-    )
-    via_bs = xp.reshape(query.via_matrix(flat(bsx), flat(bsy)), via_shape)
-    via_bt = xp.reshape(query.via_matrix(flat(btx), flat(bty)), via_shape)
-
-    w1 = xp.add(xp.expand_dims(xp.asarray(combine[chunk]), 1), seg_first)  # Eq. 11
+    w1 = xp.add(xp.expand_dims(xp.asarray(combine), 1), seg_first)  # Eq. 11
     mat2 = xp.add(via_bs, xp.expand_dims(seg_mid, 2))  # Eq. 12
     mat3 = xp.add(via_bt, xp.expand_dims(seg_last, 2))  # Eq. 13
-    chunk_values, cand_idx, arg_lb, arg_ls = zshape_reduce(w1, mat2, mat3, valid, xp=xp)
-    chunk_values = xp.to_numpy(chunk_values)
-    cand_idx = xp.to_numpy(cand_idx)
-    arg_lb = xp.to_numpy(arg_lb)
-    arg_ls = xp.to_numpy(arg_ls)
-
-    for row, i in enumerate(chunk):
-        values[i] = chunk_values[row]
-        backtracks[i] = EdgeBacktrack(
-            mode=tasks[i].mode,
-            arg_ls=arg_ls[row],
-            cand=cand_idx[row],
-            arg_lb=arg_lb[row],
-            cand_geometry=candidates[i],
-        )
+    values, cand, arg_lb, arg_ls = zshape_reduce(w1, mat2, mat3, valid, xp=xp)
+    path = np.empty((b, n_layers, 6), dtype=np.intp)
+    path[:, :, 0] = xp.to_numpy(arg_ls)
+    path[:, :, 1] = xp.to_numpy(arg_lb)
+    path[:, :, 2:] = geometry[np.arange(b)[:, None], xp.to_numpy(cand)]
+    return xp.to_numpy(values), path
 
 
 __all__ = [
     "CandidateFn",
+    "enumerate_candidates",
     "route_candidate_wave",
     "route_zshape_wave",
     "zshape_candidates",

@@ -10,11 +10,13 @@ schedule caches), and the last
 ECO model
 ---------
 :meth:`RoutingSession.eco` applies a
-:class:`~repro.netlist.delta.NetlistDelta` to the warm state: affected
-routes are uncommitted and their windows marked dirty (the
-``DirtyLog`` bookkeeping incremental cost engines key off), then the
-edited design is re-driven through the *exact* deterministic stage
-pipeline with the session's content-addressed caches armed.  Every
+:class:`~repro.netlist.delta.NetlistDelta` to the warm state: the
+windows of the affected nets are recorded and marked dirty (the
+``DirtyLog`` bookkeeping incremental cost engines key off), then demand
+is reset and the edited design is re-driven through the *exact*
+deterministic stage pipeline with the session's content-addressed
+caches armed — the replay re-commits every route, so nothing is
+uncommitted first.  Every
 task whose demand context is unchanged replays its cached result
 (O(route) commit instead of DP / maze search); only tasks inside the
 blast radius of the edit recompute.  The outcome is asserted — by the
@@ -205,19 +207,14 @@ class RoutingSession:
             delta.validate(self.netlist)
             start = time.perf_counter()
 
-            # Uncommit only the affected routes and mark their windows
-            # dirty: the DirtyLog bookkeeping that keeps incremental
-            # cost engines exact, and the blast-radius record reported
-            # back to the caller.
-            routes = self.result.routes
+            # Mark the affected nets' windows dirty: the DirtyLog
+            # bookkeeping that keeps incremental cost engines exact, and
+            # the blast-radius record reported back to the caller.
             windows: List[Tuple[int, int, int, int]] = []
             old_nets = {net.name: net for net in self.netlist}
             for name in tuple(delta.removed) + tuple(
                 net.name for net in delta.moved
             ):
-                route = routes.get(name)
-                if route is not None:
-                    route.uncommit(self.graph)
                 windows.append(old_nets[name].bbox.as_tuple())
             for net in tuple(delta.moved) + tuple(delta.added):
                 windows.append(net.bbox.as_tuple())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.grid.cost import CostModel, CostQuery
@@ -64,6 +65,12 @@ def congested_design() -> Design:
 def make_net(name: str, pins) -> Net:
     """Helper: build a net from (x, y, layer) tuples."""
     return Net(name, [Pin(*p) for p in pins])
+
+
+def wave_ends(*nets) -> np.ndarray:
+    """Helper: ``(4, B)`` wave coordinates ``xs, ys, xt, yt`` of
+    ``((xs, ys), (xt, yt))`` two-pin nets."""
+    return np.array([src + dst for src, dst in nets], dtype=int).reshape(-1, 4).T
 
 
 @pytest.fixture

@@ -130,6 +130,19 @@ class TestOpParity:
         pyb.scatter_add(out_p, pyb.asarray(index, "int"), pyb.asarray(source))
         assert np.array_equal(npb.to_numpy(out_n), pyb.to_numpy(out_p))
 
+    def test_unstack_splits_the_leading_axis(self, backends):
+        rng = np.random.default_rng(5)
+        a = _random_pair(rng, (3, 2, 4), inf_fraction=0.1)
+        for backend in backends:
+            pieces = backend.unstack(backend.asarray(a))
+            assert len(pieces) == 3
+            for piece, want in zip(pieces, a):
+                assert backend.shape(piece) == (2, 4)
+                assert np.array_equal(backend.to_numpy(piece), want)
+            # The pieces are operands like any other array.
+            total = backend.add(pieces[0], pieces[2])
+            assert np.array_equal(backend.to_numpy(total), a[0] + a[2])
+
     def test_gathers(self, backends):
         npb, pyb = backends
         rng = np.random.default_rng(4)
@@ -220,6 +233,40 @@ class TestCostQueryParity:
             results[name] = (seg, via, prefix)
         for a, b in zip(results["numpy"], results["python"]):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["numpy", "python"])
+    def test_stacked_query_equals_separate_queries(self, design, name):
+        """What lets a wave price all its segments in one gather: a query
+        of concatenated coordinates is the concatenation of the queries,
+        bit for bit, whatever mix of orientations shares the call."""
+        query = CostQuery(design.graph, CostModel(), backend=get_backend(name))
+        xp = query.backend
+        rng = np.random.default_rng(9)
+        parts = []
+        for kind in ("horizontal", "vertical", "degenerate", "mixed"):
+            x1, y1, x2, y2 = rng.integers(0, 16, (4, 6))
+            if kind in ("horizontal", "degenerate"):
+                y2 = y1.copy()
+            if kind in ("vertical", "degenerate"):
+                x2 = x1.copy()
+            if kind == "mixed":
+                x2[:2], y2[2:4], x2[4:], y2[4:] = x1[:2], y1[2:4], x1[4:], y1[4:]
+            parts.append((x1, y1, x2, y2))
+        stacked = [np.concatenate(c) for c in zip(*parts)]
+        seg = xp.to_numpy(query.segment_cost_layers(*stacked))
+        via = xp.to_numpy(query.via_matrix(stacked[0], stacked[1]))
+        pieces = xp.unstack(xp.reshape(query.segment_cost_layers(*stacked), (4, 6, 5)))
+        for i, (x1, y1, x2, y2) in enumerate(parts):
+            rows = slice(6 * i, 6 * i + 6)
+            alone = xp.to_numpy(query.segment_cost_layers(x1, y1, x2, y2))
+            assert np.array_equal(seg[rows], alone)
+            assert np.array_equal(xp.to_numpy(pieces[i]), alone)
+            assert np.array_equal(via[rows], xp.to_numpy(query.via_matrix(x1, y1)))
+        # Degenerate segments cost nothing on every layer; a wire costs
+        # infinity on the layers of the other direction and only there.
+        assert not seg[12:18].any()
+        horizontal = np.array([design.graph.stack.is_horizontal(l) for l in range(5)])
+        assert np.isfinite(seg[:6]).all(axis=0).tolist() == horizontal.tolist()
 
 
 class TestFullRouterBackendIdentity:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core.router import GlobalRouter
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.maze.ripup import find_violating_nets
+from repro.netlist.benchmarks import load_benchmark
 from repro.netlist.generator import DesignSpec, generate_design
 
 
@@ -102,6 +105,32 @@ class TestDeterminism:
             other = r2.routes[name]
             assert sorted(map(repr, route.wires)) == sorted(map(repr, other.wires))
             assert sorted(map(repr, route.vias)) == sorted(map(repr, other.vias))
+
+
+    @pytest.mark.parametrize(
+        "preset, digest",
+        [
+            ("fastgr_l", "94944a59c43109fb0846d98a7f255376abeaaf40cd7816b9a92e0f317d39f1cd"),
+            ("fastgr_h", "e202d29a314c201283c4eb1d9c4f6c432711b41cbb725dc26e5f62c95a6a8b96"),
+        ],
+    )
+    def test_routes_match_recorded_digest(self, preset, digest):
+        """Every net's wire and via lists on ``18test5`` at scale 0.2, as
+        recorded before the batch-level backtrace replaced the per-net
+        walker (sha256 over ``(name, wires, vias)`` in netlist order)."""
+        design = load_benchmark("18test5", scale=0.2)
+        result = GlobalRouter(design, getattr(RouterConfig, preset)()).run()
+        sha = hashlib.sha256()
+        for net in design.netlist:
+            route = result.routes[net.name]
+            sha.update(
+                repr((
+                    net.name,
+                    [(w.layer, w.x1, w.y1, w.x2, w.y2) for w in route.wires],
+                    [(v.x, v.y, v.lo, v.hi) for v in route.vias],
+                )).encode()
+            )
+        assert sha.hexdigest() == digest
 
 
 class TestRRRBehaviour:

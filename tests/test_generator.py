@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,40 @@ class TestGenerator:
             assert np.array_equal(
                 a.graph.wire_capacity[layer], b.graph.wire_capacity[layer]
             )
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (
+                dict(name="open3k", nx=72, ny=72, n_layers=9, n_nets=3000,
+                     wire_capacity=9.0, hotspot_fraction=0.2),
+                "3e01e6d4b63a2f5ad2b6154936bbdef4ff8917d1437a4afe3676053511822cce",
+            ),
+            (
+                dict(name="cong900", nx=51, ny=51, n_layers=5, n_nets=910,
+                     wire_capacity=3.9),
+                "93ce39c548b97e6bd176b087c7ba0ca5179ee0a104fa2c2186499531e1fbadf4",
+            ),
+            (
+                dict(name="eco1500", nx=68, ny=68, n_layers=6, n_nets=1500,
+                     wire_capacity=7.0, hotspot_fraction=0.25),
+                "58f7f71c655cb20957b8814eaef447a22aa33dced6339f737e6d39bc483e68b9",
+            ),
+        ],
+        ids=lambda v: v["name"] if isinstance(v, dict) else "",
+    )
+    def test_e2e_base_designs_keep_their_pins(self, spec, digest):
+        """The three base specs of ``benchmarks/e2e/workloads.py``, pin for
+        pin: sha256 over ``(name, pins)`` recorded before the generator's
+        pin loop dropped its scalar ``np.clip`` calls."""
+        design = generate_design(DesignSpec(**spec))
+        sha = hashlib.sha256()
+        for net in design.netlist:
+            sha.update(
+                repr((net.name, [(p.x, p.y, p.layer) for p in net.pins])).encode()
+            )
+        assert sha.hexdigest() == digest
+        assert all(type(p.x) is int and type(p.y) is int for p in design.netlist[0].pins)
 
     def test_seed_changes_design(self):
         a = generate_design(small_spec(seed=1))

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.backend import get_backend
+from repro.core.config import RouterConfig
+from repro.core.selection import make_mode_selector
 from repro.gpu.device import Device, DeviceSpec
 from repro.gpu.simt import KernelLaunch
 from repro.gpu.zerocopy import ZeroCopyArena
+from repro.grid.graph import GridGraph
+from repro.grid.layers import LayerStack
+from repro.netlist.net import Net, Pin
+from repro.pattern.batch import BatchPatternRouter
 
 
 class TestKernelLaunch:
@@ -110,3 +118,55 @@ class TestZeroCopy:
         for _ in range(300):
             arena.send(10 * (1 << 20))
         assert arena.simulated_transfer_time() < 1.0
+
+
+class TestOpTally:
+    """``InstrumentedBackend.ops``: protocol calls, beside the element tally."""
+
+    def test_counts_every_forwarded_call(self):
+        backend = Device().wrap(get_backend("numpy"))
+        stacked = backend.asarray(np.arange(12.0).reshape(3, 4))
+        first, _second, third = backend.unstack(stacked)
+        assert backend.ops == 2 and backend.unattributed_elements == 0
+        total = backend.add(first, third)
+        assert backend.ops == 3 and backend.unattributed_elements == 4
+        assert backend.to_numpy(total).tolist() == [8.0, 10.0, 12.0, 14.0]
+
+    # Ops of one route_batch call on a lone net, (2-pin, 5-pin).
+    OP_BUDGET = {"fastgr_l": (91, 157), "fastgr_h": (102, 179)}
+    PARENT_OPS = {"fastgr_l": (177, 313), "fastgr_h": (172, 303)}
+
+    @pytest.mark.parametrize("preset", sorted(OP_BUDGET))
+    def test_one_net_call_stays_inside_its_op_budget(self, preset):
+        """The fixed cost of a ``route_batch`` call, as a count that repeats.
+
+        A one-net call is all fixed cost: a combine and a pattern launch
+        per wave, the root combine, the backtrace.  Backend ops per call
+        with this change / at its parent (same tally patched in):
+        ``fastgr_l`` 91 / 177 (2-pin) and 157 / 313 (5-pin); ``fastgr_h``,
+        whose 2-pin net and two of the 5-pin net's edges take the hybrid
+        kernel, 102 / 172 and 179 / 303.  The count may fall; wall clock
+        on a shared box cannot gate this, the count can.
+        """
+        nets = (
+            Net("two", [Pin(3, 4, 0), Pin(11, 9, 2)]),
+            Net("five", [Pin(2, 2, 0), Pin(17, 5, 1), Pin(6, 15, 0),
+                         Pin(18, 16, 2), Pin(10, 9, 0)]),
+        )
+        config = getattr(RouterConfig, preset)()
+        for net, budget, parent in zip(nets, self.OP_BUDGET[preset], self.PARENT_OPS[preset]):
+            graph = GridGraph(24, 24, LayerStack(9), wire_capacity=4.0)
+            router = BatchPatternRouter(
+                graph, config.cost_model, edge_shift=config.edge_shift,
+                backend=config.backend, cost_engine=config.cost_engine,
+            )
+            reference = router.query.snapshot_reference()
+            before = router.backend.ops
+            routes = router.route_batch(
+                [net], make_mode_selector(config, graph),
+                cost_boxes=[net.bbox], cost_reference=reference,
+            )
+            ops = router.backend.ops - before
+            assert routes[net.name].connects([p.as_node() for p in net.pins])
+            assert ops <= budget, (net.name, ops)
+            assert budget < 0.6 * parent

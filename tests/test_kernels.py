@@ -202,14 +202,18 @@ class TestMinPlus:
     def test_two_bend_prefers_first_on_tie(self, xp):
         w1 = np.array([[1.0, 1.0]])
         mat = np.array([[[0.0, 0.0], [0.0, 0.0]]])
-        _values, bend, _arg = minplus_two_bend(w1, mat, w1.copy(), mat.copy(), xp=xp)
+        _values, bend, _arg = minplus_two_bend(
+            np.stack([w1, w1], 1), np.stack([mat, mat], 1), xp=xp
+        )
         assert np.all(xp.to_numpy(bend) == 0)
 
     def test_two_bend_picks_cheaper(self, xp):
         w1a = np.array([[10.0, 10.0]])
         w1b = np.array([[1.0, 1.0]])
         mat = np.zeros((1, 2, 2))
-        values, bend, _arg = minplus_two_bend(w1a, mat, w1b, mat, xp=xp)
+        values, bend, _arg = minplus_two_bend(
+            np.stack([w1a, w1b], 1), np.stack([mat, mat], 1), xp=xp
+        )
         assert np.all(xp.to_numpy(bend) == 1)
         assert np.all(xp.to_numpy(values) == 1.0)
 
@@ -300,7 +304,8 @@ class TestCrossBackendBitIdentity:
         w1b = rng.integers(0, 3, (6, 5)).astype(float)
         mata = rng.integers(0, 3, (6, 5, 5)).astype(float)
         matb = rng.integers(0, 3, (6, 5, 5)).astype(float)
-        out_a = minplus_two_bend(w1a, mata, w1b, matb, xp=a)
-        out_p = minplus_two_bend(w1a, mata, w1b, matb, xp=p)
+        w1, mat = np.stack([w1a, w1b], 1), np.stack([mata, matb], 1)
+        out_a = minplus_two_bend(w1, mat, xp=a)
+        out_p = minplus_two_bend(w1, mat, xp=p)
         for arr_a, arr_p in zip(out_a, out_p):
             assert np.array_equal(a.to_numpy(arr_a), p.to_numpy(arr_p))

@@ -6,31 +6,26 @@ import numpy as np
 import pytest
 
 from repro.grid.cost import CostModel, CostQuery
-from repro.grid.geometry import Point
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.netlist.net import Net, Pin
 from repro.pattern.batch import BatchPatternRouter
 from repro.pattern.commit import reconstruct_route
 from repro.pattern.lshape import lshape_bends, route_lshape_wave
-from repro.pattern.twopin import PatternMode, TwoPinTask, constant_mode
+from repro.pattern.twopin import PatternMode, constant_mode
+from tests.conftest import wave_ends as ends
 
 L_MODE = constant_mode(PatternMode.LSHAPE)
 
 
-def task(src, dst):
-    return TwoPinTask(0, 0, 1, Point(*src), Point(*dst), PatternMode.LSHAPE)
-
-
 class TestBends:
     def test_two_bends(self):
-        t = task((2, 3), (7, 9))
-        assert lshape_bends(t) == ((7, 3), (2, 9))
+        bends = lshape_bends(ends(((2, 3), (7, 9))))
+        assert np.array_equal(bends, [[[7], [3]], [[2], [9]]])
 
     def test_straight_net_bends_degenerate(self):
-        t = task((2, 3), (2, 9))
-        b1, b2 = lshape_bends(t)
-        assert b1 == (2, 3) and b2 == (2, 9)
+        b1, b2 = lshape_bends(ends(((2, 3), (2, 9))))
+        assert np.array_equal(b1, [[2], [3]]) and np.array_equal(b2, [[2], [9]])
 
 
 class TestWaveKernel:
@@ -40,28 +35,28 @@ class TestWaveKernel:
 
     def test_empty_wave(self):
         query = self._query()
-        values, backtracks = route_lshape_wave([], np.zeros((0, 5)), query)
+        values, path = route_lshape_wave(ends(), np.zeros((0, 5)), query)
         assert values.shape == (0, 5)
-        assert backtracks == []
+        assert path.shape == (0, 5, 6)
 
     def test_values_finite_on_reachable_layers(self):
         query = self._query()
         combine = np.zeros((1, 5))
-        values, _b = route_lshape_wave([task((2, 3), (7, 9))], combine, query)
+        values, _b = route_lshape_wave(ends(((2, 3), (7, 9))), combine, query)
         # Every target layer is reachable (vias at the bend).
         assert np.all(np.isfinite(values))
 
     def test_costs_reflect_distance(self):
         query = self._query()
         combine = np.zeros((2, 5))
-        tasks = [task((2, 3), (3, 3)), task((2, 3), (9, 9))]
-        values, _b = route_lshape_wave(tasks, combine, query)
+        wave = ends(((2, 3), (3, 3)), ((2, 3), (9, 9)))
+        values, _b = route_lshape_wave(wave, combine, query)
         assert values[1].min() > values[0].min()
 
     def test_degenerate_task_costs_via_only(self):
         query = self._query()
         combine = np.zeros((1, 5))
-        values, _b = route_lshape_wave([task((4, 4), (4, 4))], combine, query)
+        values, _b = route_lshape_wave(ends(((4, 4), (4, 4))), combine, query)
         # Arriving on layer l costs a via stack from the best ls (=l).
         assert values[0].min() == 0.0
 
@@ -69,8 +64,8 @@ class TestWaveKernel:
         query = self._query()
         flat = np.zeros((1, 5))
         bumped = np.full((1, 5), 10.0)
-        v_flat, _b = route_lshape_wave([task((2, 3), (7, 9))], flat, query)
-        v_bumped, _b2 = route_lshape_wave([task((2, 3), (7, 9))], bumped, query)
+        v_flat, _b = route_lshape_wave(ends(((2, 3), (7, 9))), flat, query)
+        v_bumped, _b2 = route_lshape_wave(ends(((2, 3), (7, 9))), bumped, query)
         assert np.allclose(v_bumped, v_flat + 10.0)
 
     def test_congestion_steers_bend_choice(self):
@@ -80,11 +75,12 @@ class TestWaveKernel:
             for _ in range(8):
                 grid.add_wire_demand(layer, 2, 3, 9, 3)
         query = CostQuery(grid, CostModel())
-        values, backtracks = route_lshape_wave(
-            [task((2, 3), (9, 9))], np.zeros((1, 5)), query
+        values, path = route_lshape_wave(
+            ends(((2, 3), (9, 9))), np.zeros((1, 5)), query
         )
         best_lt = int(np.argmin(values[0]))
-        assert backtracks[0].bend_choice[best_lt] == 1  # vertical first
+        # Vertical first: both bend points are (xs, yt), middle layer on lt.
+        assert path[0, best_lt, 1:].tolist() == [best_lt, 2, 9, 2, 9]
 
 
 class TestEndToEnd:

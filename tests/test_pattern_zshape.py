@@ -6,51 +6,53 @@ import numpy as np
 import pytest
 
 from repro.grid.cost import CostModel, CostQuery
-from repro.grid.geometry import Point
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.netlist.net import Net, Pin
 from repro.pattern.batch import BatchPatternRouter
 from repro.pattern.commit import reconstruct_route
-from repro.pattern.twopin import PatternMode, TwoPinTask, constant_mode
+from repro.pattern.twopin import PatternMode, constant_mode
 from repro.pattern.hybrid import hybrid_candidates, route_hybrid_wave
 from repro.pattern.zshape import route_zshape_wave, zshape_candidates
+from tests.conftest import wave_ends as ends
 
 
-def task(src, dst, mode=PatternMode.HYBRID):
-    return TwoPinTask(0, 0, 1, Point(*src), Point(*dst), mode)
+def candidates(fn, src, dst):
+    """The ``(C, 4)`` bend pairs ``fn`` enumerates for one two-pin net."""
+    geometry, valid = fn(ends((src, dst)))
+    return geometry[0][valid[0]]
 
 
 class TestCandidates:
     def test_hybrid_count_is_m_plus_n(self):
         # 4 wide x 3 tall bounding box: M=4, N=3 -> 7 candidates.
-        cands = hybrid_candidates(task((2, 2), (5, 4)))
+        cands = candidates(hybrid_candidates, (2, 2), (5, 4))
         assert cands.shape == (7, 4)
 
     def test_zshape_count_is_m_plus_n_minus_2(self):
-        cands = zshape_candidates(task((2, 2), (5, 4), PatternMode.ZSHAPE))
+        cands = candidates(zshape_candidates, (2, 2), (5, 4))
         assert cands.shape == (5, 4)
 
     @pytest.mark.parametrize("fn", [zshape_candidates, hybrid_candidates])
     def test_candidates_inside_bounding_box(self, fn):
-        cands = fn(task((5, 4), (2, 2)))
+        cands = candidates(fn, (5, 4), (2, 2))
         assert np.all(cands[:, 0] >= 2) and np.all(cands[:, 0] <= 5)
         assert np.all(cands[:, 1] >= 2) and np.all(cands[:, 1] <= 4)
 
     @pytest.mark.parametrize("fn", [zshape_candidates, hybrid_candidates])
     def test_hvh_pairs_share_column(self, fn):
-        cands = fn(task((2, 2), (5, 4)))
+        cands = candidates(fn, (2, 2), (5, 4))
         hvh = cands[:4]  # first M rows are the HVH family
         assert np.all(hvh[:, 0] == hvh[:, 2])
 
     def test_straight_net_candidates(self):
-        assert hybrid_candidates(task((2, 2), (2, 6))).shape[0] == 1 + 5
+        assert candidates(hybrid_candidates, (2, 2), (2, 6)).shape[0] == 1 + 5
         # Pure Z drops the two VHV extremes: M=1 column + (N-2)=3 rows.
-        assert zshape_candidates(task((2, 2), (2, 6))).shape[0] == 1 + 3
+        assert candidates(zshape_candidates, (2, 2), (2, 6)).shape[0] == 1 + 3
 
     @pytest.mark.parametrize("fn", [zshape_candidates, hybrid_candidates])
     def test_degenerate_net_single_candidate(self, fn):
-        cands = fn(task((3, 3), (3, 3)))
+        cands = candidates(fn, (3, 3), (3, 3))
         assert cands.shape[0] >= 1
 
 
@@ -62,8 +64,8 @@ class TestWave:
     @pytest.mark.parametrize("wave_fn", [route_zshape_wave, route_hybrid_wave])
     def test_empty_wave(self, wave_fn):
         _grid, query = self._query()
-        values, backtracks = wave_fn([], np.zeros((0, 5)), query)
-        assert values.shape == (0, 5) and backtracks == []
+        values, path = wave_fn(ends(), np.zeros((0, 5)), query)
+        assert values.shape == (0, 5) and path.shape == (0, 5, 6)
 
     @pytest.mark.parametrize("wave_fn", [route_zshape_wave, route_hybrid_wave])
     def test_z_never_worse_than_l(self, wave_fn):
@@ -73,8 +75,8 @@ class TestWave:
         _grid, query = self._query()
         combine = np.zeros((1, 5))
         for src, dst in [((2, 2), (9, 9)), ((3, 8), (11, 2)), ((2, 2), (2, 9))]:
-            z_vals, _zb = wave_fn([task(src, dst)], combine, query)
-            l_vals, _lb = route_lshape_wave([task(src, dst)], combine, query)
+            z_vals, _zb = wave_fn(ends((src, dst)), combine, query)
+            l_vals, _lb = route_lshape_wave(ends((src, dst)), combine, query)
             assert np.all(z_vals <= l_vals + 1e-9)
 
     def test_z_beats_l_under_mid_corridor_congestion(self):
@@ -89,20 +91,20 @@ class TestWave:
         from repro.pattern.lshape import route_lshape_wave
 
         combine = np.zeros((1, 5))
-        z_vals, _zb = route_zshape_wave([task((2, 2), (11, 9))], combine, query)
-        l_vals, _lb = route_lshape_wave([task((2, 2), (11, 9))], combine, query)
+        z_vals, _zb = route_zshape_wave(ends(((2, 2), (11, 9))), combine, query)
+        l_vals, _lb = route_lshape_wave(ends(((2, 2), (11, 9))), combine, query)
         assert z_vals.min() < l_vals.min()
 
     def test_chunking_equivalence(self):
         """Tiny chunk budget must give identical results."""
         _grid, query = self._query()
-        tasks = [
-            task((1, 1), (10, 5)),
-            task((2, 8), (12, 13)),
-            task((0, 0), (3, 3)),
-            task((5, 5), (5, 11)),
-            task((7, 2), (13, 2)),
-        ]
+        tasks = ends(
+            ((1, 1), (10, 5)),
+            ((2, 8), (12, 13)),
+            ((0, 0), (3, 3)),
+            ((5, 5), (5, 11)),
+            ((7, 2), (13, 2)),
+        )
         combine = np.zeros((5, 5))
         big, _b1 = route_hybrid_wave(tasks, combine, query)
         small, _b2 = route_hybrid_wave(

@@ -13,12 +13,14 @@ import pytest
 
 from repro.core.config import RouterConfig
 from repro.core.router import GlobalRouter
+from repro.netlist.delta import NetlistDelta
 from repro.netlist.generator import (
     ECO_PRESETS,
     DesignSpec,
     generate_design,
     perturb_design,
 )
+from repro.netlist.net import Net, Pin
 from repro.session import DesignHandle, RoutingSession, SessionStore
 
 
@@ -166,6 +168,33 @@ class TestRoutingSession:
                 assert eco.result.metrics.score == cold.metrics.score
                 assert demand_equal(session.graph, cold_design.graph)
             assert session.n_ecos == 3
+
+    def test_eco_remove_move_add_equals_cold(self, small_design):
+        """One net removed, one moved, one added: the replay commits every
+        route onto reset demand (no uncommit of the old ones first) and
+        still lands on the cold route, demand grid for demand grid."""
+        config = RouterConfig.fastgr_l()
+        nets = list(small_design.netlist)
+        moved = Net(nets[5].name, [Pin(p.y, p.x, p.layer) for p in nets[5].pins])
+        delta = NetlistDelta(
+            removed=(nets[2].name,),
+            moved=(moved,),
+            added=(Net("eco_added", [Pin(3, 4, 0), Pin(17, 15, 1), Pin(9, 20, 0)]),),
+        )
+        with RoutingSession(DesignHandle.from_design(small_design), config) as session:
+            session.run()
+            eco = session.eco(delta)
+            assert eco.dirty_windows == [
+                nets[2].bbox.as_tuple(),
+                nets[5].bbox.as_tuple(),
+                moved.bbox.as_tuple(),
+                delta.added[0].bbox.as_tuple(),
+            ]
+            cold_design = session.cold_design()
+            cold = GlobalRouter(cold_design, config).run()
+            assert nets[2].name not in eco.result.routes
+            assert routes_equal(eco.result.routes, cold.routes)
+            assert demand_equal(session.graph, cold_design.graph)
 
     def test_eco_reports_edit_counts(self, small_design):
         handle = DesignHandle.from_design(small_design)
