@@ -29,7 +29,7 @@ from repro.core.result import IterationStats
 from repro.core.selection import make_mode_selector
 from repro.grid.geometry import Rect
 from repro.grid.graph import GridGraph
-from repro.grid.route import Route
+from repro.grid.route import Route, commit_routes
 from repro.gpu.device import Device
 from repro.gpu.zerocopy import ZeroCopyArena
 from repro.maze.ripup import RipupReroute, find_violating_nets
@@ -147,11 +147,11 @@ class PatternStage(ScheduledStage):
         and of how many chunks a
         fused level stacked together.  Keys are computed before any
         commit (the group-start demand a cold run would see); cached
-        hits commit O(route), the rest route as a sub-batch masked to
-        their own boxes.  Hit commits can't perturb the misses: a
-        hit's route writes edges with both endpoints inside its own
-        box, which a disjoint miss box's incident-edge window never
-        contains.
+        hits commit together, one demand write per layer, the rest
+        route as a sub-batch masked to their own boxes.  Hit commits
+        can't perturb the misses: a hit's route writes edges with both
+        endpoints inside its own box, which a disjoint miss box's
+        incident-edge window never contains.
         """
         tracker = self.tracker
         n_launches_before = len(self.engine.device.launches)
@@ -183,10 +183,8 @@ class PatternStage(ScheduledStage):
                     hits.append((nets[i].name, route))
                 else:
                     missing.append(i)
-            routes: Dict[str, Route] = {}
-            for name, route in hits:
-                route.commit(self._graph)
-                routes[name] = route
+            commit_routes(self._graph, [route for _, route in hits])
+            routes: Dict[str, Route] = dict(hits)
             if missing:
                 if batched:
                     tracker.get_counter("pattern.batches").increment()

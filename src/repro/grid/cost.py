@@ -37,10 +37,13 @@ Two snapshot-maintenance engines share this query interface:
   dirty-rect log, recompute edge costs inside dirty (or requested)
   regions, and patch the prefix tables by rewriting only the affected
   row/column suffixes.  *Masked* rebuilds (a box list over a pinned
-  reference — the pattern stage's per-level snapshot) turn the whole
-  box list into one :class:`_MaskPlan` of flat cell indices and run a
-  fixed number of whole-batch array operations over it, whatever the
-  number of boxes.
+  reference — the pattern stage's per-level snapshot) turn the box
+  list and its read :class:`Footprint` into one :class:`_MaskPlan` of
+  flat cell indices and run a fixed number of whole-batch array
+  operations over it, whatever the number of boxes.  The masked
+  contract: costs are live on the read footprint and equal the
+  reference elsewhere; any superset of the lines a caller reads is
+  exact for it.
   Either way a prefix entry is produced by the same left-to-right
   sequence of IEEE additions the from-scratch scan performs (the scan
   restarts from the last clean / reference prefix entry, folded into
@@ -183,13 +186,26 @@ class CostModel:
         return self.unit_via_cost + self.congestion(graph.via_demand, graph.via_capacity)
 
 
+class Footprint(NamedTuple):
+    """The lines a masked rebuild paints (see :meth:`CostQuery.rebuild`),
+    one int column per line, its box index first: ``rows (2, R)`` — box,
+    ``y``; ``columns (2, C)`` — box, ``x``; ``pillars (2, P)`` — box,
+    G-cell ``x * ny + y`` of a via pillar.  A wire line spans its
+    clipped box.  Where boxes overlap the line listed last owns a cell,
+    so lines go in box order."""
+
+    rows: np.ndarray
+    columns: np.ndarray
+    pillars: np.ndarray
+
+
 class _ScanPlan(NamedTuple):
-    """One scan family of a :class:`_MaskPlan`: the in-box edges of all
-    layers of one wire direction, or all in-box via pillars.
+    """One scan family of a :class:`_MaskPlan`: the painted edges of all
+    layers of one wire direction, or the painted via pillars.
 
     Indices are flat positions in the engine's ``(L, nx, ny)`` tables
     unless noted.  ``cells`` lists the edges plane by plane and, inside
-    a plane, in box order — so a scatter leaves the *last* box's value
+    a plane, in line order — so a scatter leaves the *last* line's value
     where boxes overlap, as a box-by-box loop would.  The same edges are
     also cut into scan lines (a box row along a wire layer's direction;
     a via pillar), padded to the widest: ``lines`` holds their table
@@ -208,35 +224,40 @@ class _ScanPlan(NamedTuple):
 
 class _MaskPlan(NamedTuple):
     """Index plan of one masked rebuild (see :meth:`CostQuery.rebuild`):
-    everything the engine needs to know about a box list, as index
-    arrays, so the rebuild is a fixed sequence of whole-batch array
-    operations."""
+    everything the engine needs to know about a box list and its read
+    footprint, as index arrays, so the rebuild is a fixed sequence of
+    whole-batch array operations."""
 
-    #: x-scan wires, y-scan wires, via pillars; None where no box holds
-    #: such an edge.
+    #: x-scan wires, y-scan wires, via pillars; None where no line
+    #: holds such an edge.
     scans: Tuple[Optional[_ScanPlan], Optional[_ScanPlan], Optional[_ScanPlan]]
     #: The three families' cells within one plane, flat in the
     #: ``(3, nx*ny)`` tally mask.
     tally: np.ndarray
 
 
-def _scan_lines(lo, count, start, width):
-    """Cut boxes into padded scan lines.
-
-    Box ``i`` contributes ``count[i]`` lines at cross coordinates
-    ``lo[i] ..``, each covering scan coordinates ``start[i] ..
-    start[i] + width[i] - 1``.  Returns ``(cross (R, 1), scan (R, W),
-    valid (R, W))`` with ``W = width.max()``, lines in box order.
-    """
+def _every_line(lo, count):
+    """``(box, cross)`` of every line of every box, in box order: box
+    ``i`` has ``count[i]`` lines at cross coordinates ``lo[i] ..``."""
     box = np.repeat(np.arange(count.size), count)
     first = np.cumsum(count) - count
-    cross = lo[box] + np.arange(box.size) - first[box]
-    step = np.arange(width.max())
-    return (
-        cross[:, None],
-        start[box][:, None] + step,
-        step < width[box][:, None],
-    )
+    return box, lo[box] + np.arange(box.size) - first[box]
+
+
+def _check_inside(box, cross, lo, count) -> None:
+    """Raise unless every ``cross[i]`` lies in box ``box[i]``'s extent."""
+    # A negative offset wraps to a huge unsigned one.
+    if np.any((cross - lo[box]).view(np.uintp) >= count[box]):
+        raise ValueError("a read line lies outside its (clipped) box")
+
+
+def _scan_lines(box, cross, start, width):
+    """Pad box lines into ``(cross (R, 1), scan (R, W), valid (R, W))``:
+    line ``i`` lies at ``cross[i]`` and covers the scan coordinates
+    ``start .. start + width - 1`` of box ``box[i]``."""
+    width = width[box]
+    step = np.arange(width.max(initial=0))
+    return cross[:, None], start[box][:, None] + step, step < width[:, None]
 
 
 class CostQuery:
@@ -336,7 +357,7 @@ class CostQuery:
     # ------------------------------------------------------------------ #
     # Snapshot construction
     # ------------------------------------------------------------------ #
-    def rebuild(self, boxes=None, reference=None, window=None) -> None:
+    def rebuild(self, boxes=None, reference=None, reads=None, window=None) -> None:
         """Refresh the snapshot from current demand.
 
         Edge costs are computed host-side (see module docstring), then
@@ -345,29 +366,31 @@ class CostQuery:
 
         With ``boxes`` (a sequence of :class:`~repro.grid.geometry.Rect`)
         and ``reference`` (a ``(wire_cost_list, via_cost)`` snapshot from
-        an earlier rebuild), the rebuild is *masked*: only edges fully
-        inside a box are recomputed from current demand; everything else
-        keeps the reference value.  The wire-prefix tables are built
-        *per box*: inside a box the prefix is the pure reference prefix
-        at the box's upstream face plus a seeded scan of the box's own
-        live edge costs; outside every box it is the reference prefix
-        itself.  A query that stays inside one box (the only queries the
-        batched DP issues — a net's segments never leave its bounding
-        box) is therefore a bit-exact function of the reference and that
-        box's demand alone: independent of demand outside the boxes,
-        *and* of which other boxes share the mask.  The scheduler relies
-        on the first property (non-conflicting tasks see identical
-        snapshots no matter which finished first); the session's per-net
-        route cache relies on the second (a net's DP output does not
-        depend on the chunk composition an edit reshuffles).  Where
-        boxes overlap, the last one listed owns the prefix entries.
+        an earlier rebuild), the rebuild is *masked*: costs are live
+        (recomputed from current demand) on the read footprint ``reads``
+        — a :class:`Footprint`; ``None`` means every line of every box —
+        and equal the reference elsewhere; any superset of the lines a
+        caller reads is exact for it.  A live wire line's prefix is the
+        pure reference prefix at its box's upstream face plus a seeded
+        scan of the line's own live edge costs.  A query on footprint
+        lines of one box (the batched DP's queries: a net's segments
+        never leave its bounding box) is therefore a bit-exact function
+        of the reference and that box's demand alone — independent of
+        demand outside the boxes, *and* of which other boxes or lines
+        share the mask.  The scheduler relies on the first property
+        (non-conflicting tasks see identical snapshots no matter which
+        finished first); the session's per-net route cache relies on the
+        second (a net's DP output does not depend on the chunk
+        composition an edit reshuffles).  A read line outside its
+        (clipped) box raises :class:`ValueError`; the full engine paints
+        whole boxes whatever ``reads`` says.
 
         The incremental engine does a masked rebuild in a number of
-        array operations that depends on the layer count only: the box
-        list becomes one :class:`_MaskPlan`; the previous plan's cells
-        are copied back from the reference tables; congestion is
+        array operations that depends on the layer count only: boxes
+        and footprint become one :class:`_MaskPlan`; the previous plan's
+        cells are copied back from the reference tables; congestion is
         evaluated once per orientation on the gathered demand of all
-        in-box edges; and every box row's anchored prefix comes out of
+        footprint edges; and every line's anchored prefix comes out of
         one row-wise ``cumsum`` over the padded scan lines.  Padding
         only ever *follows* a line's real entries, so each prefix entry
         is the same left-to-right chain of additions the oracle's
@@ -386,7 +409,7 @@ class CostQuery:
                 if boxes is not None:
                     if reference is None:
                         raise ValueError("masked rebuild needs a cost reference")
-                    self._masked_incremental(boxes, reference)
+                    self._masked_incremental(boxes, reference, reads)
                 else:
                     self._demand_incremental(window)
             else:
@@ -731,7 +754,7 @@ class CostQuery:
         self.stats.refreshed_via_edges += via_n
         self.last_upload_bytes = (wire_n + via_n) * self.via_cost.itemsize
 
-    def _masked_incremental(self, boxes, reference) -> None:
+    def _masked_incremental(self, boxes, reference, reads) -> None:
         """Masked rebuild as whole-batch array operations on one plan.
 
         The persistent tables hold the previous masked snapshot (same
@@ -760,7 +783,7 @@ class CostQuery:
         if seeded:
             self._seed_from_reference(reference)
         graph, model = self.graph, self.model
-        previous, plan = self._masked_plan, self._mask_plan(boxes)
+        previous, plan = self._masked_plan, self._mask_plan(boxes, reads)
         if previous is not None:
             for scan, (edge, prefix, ref_edge, ref_prefix) in zip(
                 previous.scans, self._masked_tables
@@ -857,42 +880,48 @@ class CostQuery:
         self._ready = True
 
     # -- masked-rebuild plan -------------------------------------------- #
-    def _mask_plan(self, boxes) -> _MaskPlan:
-        """Turn a box list into the index plan of one masked rebuild."""
+    def _mask_plan(self, boxes, reads: Optional[Footprint] = None) -> _MaskPlan:
+        """Turn a box list and its read footprint (None: every line of
+        every box) into the index plan of one masked rebuild."""
         nx, ny = self.graph.nx, self.graph.ny
         plane = nx * ny
         rect = np.array([b.as_tuple() for b in boxes], dtype=np.intp).reshape(-1, 4)
         lo = np.maximum(rect[:, :2], 0)
-        span = np.minimum(rect[:, 2:], (nx - 1, ny - 1)) - lo + 1
-        if span.size and span.min() <= 0:  # boxes wholly off the grid
-            keep = (span > 0).all(axis=1)
-            lo, span = lo[keep], span[keep]
-        if not span.size:
-            return _MaskPlan((None, None, None), np.empty(0, dtype=np.intp))
+        # Clipped extent; a box wholly off the grid holds no line.
+        span = np.maximum(np.minimum(rect[:, 2:], (nx - 1, ny - 1)) - lo + 1, 0)
         x0, y0, w, h = lo[:, 0], lo[:, 1], span[:, 0], span[:, 1]
+        if reads is None:
+            rows, columns = _every_line(y0, h), _every_line(x0, w)
+        else:
+            rows, columns, (box, via) = reads
+            _check_inside(*rows, y0, h)
+            _check_inside(*columns, x0, w)
+            _check_inside(box, via // ny, x0, w)
+            _check_inside(box, via % ny, y0, h)
         # Lines run over the boxes' G-cells; a line's first cell is its
         # anchor, and edge k of the line lives in table cell k + 1.  A
         # layer's demand array is its table plane minus the pad row
         # (x-scan: ny cells) or pad column (y-scan: one cell per row).
-        y, x, valid = _scan_lines(y0, h, x0, w)
+        y, x, valid = _scan_lines(*rows, x0, w)
         h_scan, h_cells = self._wire_scan(
             x * ny + y, valid, self._h_layers, lambda c: c - ny
         )
-        x, y, valid = _scan_lines(x0, w, y0, h)
+        x, y, valid = _scan_lines(*columns, y0, h)
         cells = x * ny + y
         v_scan, v_cells = self._wire_scan(
             cells, valid, self._v_layers, lambda c: c - c // ny - 1
         )
-        via = cells[valid]
+        if reads is None:
+            via = cells[valid]
         # A pillar is a scan line along the layer axis, anchored on the
         # all-zero layer 0 of the via tables.
-        pillars = via[:, None] + plane * np.arange(1, self.n_layers)
+        stack = via[:, None] + plane * np.arange(1, self.n_layers)
         via_scan = _ScanPlan(
-            demand=pillars.reshape(-1) - plane,
-            cells=pillars.reshape(-1),
-            lines=pillars[None],
+            demand=stack.reshape(-1) - plane,
+            cells=stack.reshape(-1),
+            lines=stack[None],
             anchor=via[None],
-            live=np.arange(pillars.size),
+            live=np.arange(stack.size),
         )
         tally = np.concatenate((h_cells, v_cells + plane, via + 2 * plane))
         return _MaskPlan((h_scan, v_scan, via_scan), tally)
@@ -1238,5 +1267,6 @@ __all__ = [
     "CostEngineStats",
     "CostModel",
     "CostQuery",
+    "Footprint",
     "StaleCostError",
 ]

@@ -12,7 +12,7 @@ overflow, which the contest metric (and the paper's Eq. 15) counts as
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,91 +161,69 @@ class GridGraph:
         """Return True when G-cell ``(x, y)`` exists."""
         return 0 <= x < self.nx and 0 <= y < self.ny
 
-    # ------------------------------------------------------------------ #
-    # Demand updates
-    # ------------------------------------------------------------------ #
-    def add_wire_demand(
-        self,
-        layer: int,
-        x1: int,
-        y1: int,
-        x2: int,
-        y2: int,
-        amount: float = 1.0,
-        log: bool = True,
-    ) -> None:
-        """Add ``amount`` demand on every wire edge of a straight segment.
-
-        The segment must be axis-aligned along the layer's preferred
-        direction.  A zero-length segment adds nothing.  With ``log``
-        the touched edge rect is appended to the dirty log (callers that
-        coalesce several segments into one record — :meth:`Route.commit`
-        — pass ``log=False`` and log the merged rects themselves).
-        """
-        if not (self.in_bounds(x1, y1) and self.in_bounds(x2, y2)):
+    def check_wire(self, layer: int, x1: int, y1: int, x2: int, y2: int) -> None:
+        """Raise :class:`ValueError` unless a segment may carry demand:
+        on a layer of the stack, both ends on the grid, and (unless it
+        is a point) along the layer's preferred direction."""
+        if not 0 <= layer < len(self.wire_demand):
+            raise ValueError(f"wire layer out of range: {layer}")
+        nx, ny = self.nx, self.ny
+        if not (0 <= x1 < nx and 0 <= x2 < nx and 0 <= y1 < ny and 0 <= y2 < ny):
             raise ValueError(f"segment endpoint off grid: ({x1},{y1})-({x2},{y2})")
-        if x1 == x2 and y1 == y2:
-            return
-        horizontal = y1 == y2
-        if horizontal != self.stack.is_horizontal(layer):
+        if (x1, y1) != (x2, y2) and (y1 == y2) != self.stack.is_horizontal(layer):
             raise ValueError(
                 f"segment ({x1},{y1})-({x2},{y2}) violates preferred direction "
                 f"of layer {layer} ({self.stack.direction(layer).value})"
             )
+
+    def check_via(self, x: int, y: int, lo_layer: int, hi_layer: int) -> None:
+        """Raise :class:`ValueError` unless a via stack ``lo <= hi`` may
+        carry demand: on the grid, inside the layer stack."""
+        if not self.in_bounds(x, y):
+            raise ValueError(f"via off grid: ({x},{y})")
+        if not (0 <= lo_layer and hi_layer < self.n_layers):
+            raise ValueError(f"via layers out of range: {lo_layer}..{hi_layer}")
+
+    # ------------------------------------------------------------------ #
+    # Demand updates
+    # ------------------------------------------------------------------ #
+    def add_wire_demand(
+        self, layer: int, x1: int, y1: int, x2: int, y2: int, amount: float = 1.0
+    ) -> None:
+        """Add ``amount`` demand on every wire edge of a straight segment.
+
+        The segment must be axis-aligned along the layer's preferred
+        direction.  A zero-length segment adds nothing.  The touched
+        edge rect is appended to the dirty log (routes commit through
+        :func:`~repro.grid.route.commit_routes`, which logs one merged
+        rect per layer instead).
+        """
+        self.check_wire(layer, x1, y1, x2, y2)
+        if x1 == x2 and y1 == y2:
+            return
         # Mutate first, log second: a drain that misses the record
         # re-reads this demand later; the opposite order could hand out
         # a cursor covering a mutation it never saw.
-        if horizontal:
+        if y1 == y2:
             lo, hi = sorted((x1, x2))
             self.wire_demand[layer][lo:hi, y1] += amount
-            if log:
-                self.dirty.append(("w", layer, lo, y1, hi - 1, y1))
+            self.dirty.append(("w", layer, lo, y1, hi - 1, y1))
         else:
             lo, hi = sorted((y1, y2))
             self.wire_demand[layer][x1, lo:hi] += amount
-            if log:
-                self.dirty.append(("w", layer, x1, lo, x1, hi - 1))
+            self.dirty.append(("w", layer, x1, lo, x1, hi - 1))
 
     def add_via_demand(
-        self,
-        x: int,
-        y: int,
-        lo_layer: int,
-        hi_layer: int,
-        amount: float = 1.0,
-        log: bool = True,
+        self, x: int, y: int, lo_layer: int, hi_layer: int, amount: float = 1.0
     ) -> None:
         """Add ``amount`` demand to the via stack from ``lo_layer`` to ``hi_layer``."""
-        if not self.in_bounds(x, y):
-            raise ValueError(f"via off grid: ({x},{y})")
         if lo_layer > hi_layer:
             lo_layer, hi_layer = hi_layer, lo_layer
-        if not (0 <= lo_layer and hi_layer < self.n_layers):
-            raise ValueError(f"via layers out of range: {lo_layer}..{hi_layer}")
+        self.check_via(x, y, lo_layer, hi_layer)
         if lo_layer == hi_layer:
             return
         self.via_demand[lo_layer:hi_layer, x, y] += amount
-        if log:
-            self.dirty.append(("v", x, y, x, y))
-
-    def log_demand_rects(
-        self,
-        wire_rects: Dict[int, Tuple[int, int, int, int]],
-        via_rect: Optional[Tuple[int, int, int, int]] = None,
-    ) -> None:
-        """Append merged dirty records (one per layer, one for vias).
-
-        ``wire_rects`` maps a layer to the bounding edge rect of its
-        mutations (wire-array coordinates); ``via_rect`` is the G-cell
-        bounding rect of the touched via pillars.  Callers must have
-        finished the demand writes before logging.
-        """
-        records: List[DirtyRecord] = [
-            ("w", layer, *rect) for layer, rect in wire_rects.items()
-        ]
-        if via_rect is not None:
-            records.append(("v", *via_rect))
-        self.dirty.extend(records)
+        self.dirty.append(("v", x, y, x, y))
 
     def mark_all_demand_dirty(self) -> None:
         """Record that demand changed everywhere (bulk array writes).

@@ -4,7 +4,8 @@ A :class:`Route` is the output of pattern routing or maze routing for one
 net: a set of straight wire segments plus via stacks.  Routes know how to
 commit/uncommit their demand on a :class:`~repro.grid.graph.GridGraph`
 (rip-up is ``uncommit``) and how to report wirelength and via counts for
-the quality score (Eq. 15).
+the quality score (Eq. 15); :func:`commit_routes` commits a whole batch
+in one write per layer.
 """
 
 from __future__ import annotations
@@ -12,10 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.grid.graph import GridGraph
 from repro.utils.unionfind import UnionFind
 
 GridNode = Tuple[int, int, int]  # (x, y, layer)
+IntRect = Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,7 @@ class Route:
     ) -> None:
         self.wires: List[WireSegment] = list(wires)
         self.vias: List[ViaSegment] = list(vias)
+        self._index: Optional[tuple] = None  # see _demand_index
 
     def add_wire(self, segment: WireSegment) -> None:
         """Append a wire segment."""
@@ -135,49 +140,52 @@ class Route:
     # Demand bookkeeping
     # ------------------------------------------------------------------ #
     def commit(self, graph: GridGraph, amount: float = 1.0) -> None:
-        """Add this route's demand to ``graph`` (negative = rip-up).
-
-        Dirty marking is coalesced: instead of one log record per
-        segment, the route logs one merged edge rect per touched layer
-        plus one via rect — O(layers) records per commit keeps the log
-        (and incremental drains) small.
-        """
-        wire_rects: Dict[int, Tuple[int, int, int, int]] = {}
-        via_rect: Optional[Tuple[int, int, int, int]] = None
-        try:
-            for w in self.wires:
-                graph.add_wire_demand(
-                    w.layer, w.x1, w.y1, w.x2, w.y2, amount, log=False
-                )
-                # Edge rect of the segment in wire-array coordinates
-                # (segment endpoints are normalised, so x1<=x2, y1<=y2).
-                if w.is_horizontal:
-                    rect = (w.x1, w.y1, w.x2 - 1, w.y2)
-                else:
-                    rect = (w.x1, w.y1, w.x2, w.y2 - 1)
-                prev = wire_rects.get(w.layer)
-                wire_rects[w.layer] = rect if prev is None else (
-                    min(prev[0], rect[0]),
-                    min(prev[1], rect[1]),
-                    max(prev[2], rect[2]),
-                    max(prev[3], rect[3]),
-                )
-            for v in self.vias:
-                graph.add_via_demand(v.x, v.y, v.lo, v.hi, amount, log=False)
-                via_rect = (v.x, v.y, v.x, v.y) if via_rect is None else (
-                    min(via_rect[0], v.x),
-                    min(via_rect[1], v.y),
-                    max(via_rect[2], v.x),
-                    max(via_rect[3], v.y),
-                )
-        finally:
-            # Log even on a partial failure: whatever demand did land
-            # must be covered by a record before anyone drains.
-            graph.log_demand_rects(wire_rects, via_rect)
+        """Add this route's demand to ``graph`` (negative = rip-up); the
+        one-route case of :func:`commit_routes`."""
+        commit_routes(graph, (self,), amount)
 
     def uncommit(self, graph: GridGraph, amount: float = 1.0) -> None:
         """Remove this route's demand from ``graph`` (rip-up)."""
         self.commit(graph, -amount)
+
+    def _demand_index(self, graph: GridGraph):
+        """The flat demand cells this route occupies on ``graph``, as
+        ``(layer or None for vias, cells, bounding rect)`` entries.
+
+        Validated on first use and cached: a route's geometry does not
+        change once built (the segment counts are part of the key, so an
+        appended segment refreshes it).  Every committed route keeps
+        one, so it holds only tuples, ints and NumPy arrays, which the
+        cyclic garbage collector does not track; the graph's via-demand
+        array, created with the graph and never replaced, stands for it.
+        """
+        key = (len(self.wires), len(self.vias))
+        cached = self._index
+        if cached is not None and cached[0] is graph.via_demand and cached[1] == key:
+            return cached[2]
+        cells: Dict[Optional[int], List[int]] = {}
+        rects: Dict[Optional[int], IntRect] = {}
+        ny, plane = graph.ny, graph.nx * graph.ny
+        for w in self.wires:
+            layer, x1, y1, x2, y2 = w.layer, w.x1, w.y1, w.x2, w.y2
+            graph.check_wire(layer, x1, y1, x2, y2)
+            # Edge [x, y] of a layer's wire array leaves G-cell (x, y).
+            if y1 == y2:
+                run, rect = range(x1 * ny + y1, x2 * ny + y1, ny), (x1, y1, x2 - 1, y2)
+            else:
+                first = x1 * (ny - 1)
+                run, rect = range(first + y1, first + y2), (x1, y1, x2, y2 - 1)
+            _add(cells, rects, layer, run, rect)
+        for v in self.vias:
+            graph.check_via(v.x, v.y, v.lo, v.hi)
+            cell = v.x * ny + v.y
+            run = range(v.lo * plane + cell, v.hi * plane + cell, plane)
+            _add(cells, rects, None, run, (v.x, v.y, v.x, v.y))
+        entries = tuple(
+            (layer, np.array(run, dtype=np.intp), rects[layer]) for layer, run in cells.items()
+        )
+        self._index = (graph.via_demand, key, entries)
+        return entries
 
     # ------------------------------------------------------------------ #
     # Validation helpers
@@ -220,3 +228,42 @@ class Route:
             f"Route(wl={self.wirelength}, vias={self.n_vias}, "
             f"{len(self.wires)} wires, {len(self.vias)} stacks)"
         )
+
+
+def _add(cells, rects, key, run, rect) -> None:
+    """Append ``run`` to ``cells[key]`` and grow ``rects[key]`` by ``rect``."""
+    if key in cells:
+        cells[key].extend(run)
+        old = rects[key]
+        rects[key] = (
+            min(old[0], rect[0]), min(old[1], rect[1]),
+            max(old[2], rect[2]), max(old[3], rect[3]),
+        )
+    else:
+        cells[key], rects[key] = list(run), rect
+
+
+def commit_routes(
+    graph: GridGraph, routes: Sequence[Route], amount: float = 1.0
+) -> None:
+    """Add the demand of all ``routes`` to ``graph`` (negative = rip-up).
+
+    Every wire and via is validated as :meth:`GridGraph.add_wire_demand`
+    / :meth:`~GridGraph.add_via_demand` do before anything is written;
+    then each touched layer takes one ``np.add.at`` and the via array
+    one more (demands are small integers, so the sums are exact in any
+    order), and the dirty log gets one merged edge rect per layer plus
+    one via rect — O(layers) records keep incremental drains small.
+    """
+    cells: Dict[Optional[int], list] = {}
+    rects: Dict[Optional[int], IntRect] = {}
+    for entries in [route._demand_index(graph) for route in routes]:
+        for key, run, rect in entries:
+            _add(cells, rects, key, (run,), rect)  # collect the arrays
+    for key, runs in cells.items():
+        demand = graph.via_demand if key is None else graph.wire_demand[key]
+        np.add.at(demand.reshape(-1), runs[0] if len(runs) == 1 else np.concatenate(runs), amount)
+    # Written first, logged second (see GridGraph.add_wire_demand).
+    graph.dirty.extend([
+        ("v", *rect) if key is None else ("w", key, *rect) for key, rect in rects.items()
+    ])

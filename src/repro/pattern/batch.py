@@ -4,23 +4,25 @@ One :meth:`BatchPatternRouter.route_batch` call is one host-side kernel
 invocation sequence for a conflict-free batch of multi-pin nets:
 
 1. build/optimise Steiner trees and bottom-up two-pin orders (the
-   pattern-routing *planning* of Fig. 5);
+   pattern-routing *planning* of Fig. 5) and lay them out as waves;
 2. freeze edge costs (a :class:`~repro.grid.cost.CostQuery` snapshot —
-   exact, because in-batch nets have disjoint bounding boxes);
+   exact, because in-batch nets have disjoint bounding boxes), painting
+   only the lines the planned kernels will read;
 3. evaluate the two-pin nets wave by wave: per wave one ``combine``
    kernel (Eq. 2) and one L/Z/hybrid kernel (Eq. 7/14);
 4. reconstruct the routes of the whole batch in one backtrace
-   (:func:`~repro.pattern.commit.reconstruct_routes`), commit their
-   demand route by route.
+   (:func:`~repro.pattern.commit.reconstruct_routes`) and commit their
+   demand in one write per layer
+   (:func:`~repro.grid.route.commit_routes`).
 
-Beyond the masked rebuild, what a call costs is a fixed sequence of
-array operations whatever the number of nets: the jobs are laid out as
-one node table (:class:`~repro.pattern.twopin.BatchState`), a wave is a
-row-index array into it, each kernel prices its whole wave with one
-stacked segment query and one stacked via query and its outputs are
-written into ``(N, L)`` state arrays by row index, and the backtrace
-descends all jobs level by level.  The only per-net Python left is
-planning (step 1), the table rows, and building ``Route`` objects.
+What a call costs is a fixed sequence of array operations whatever the
+number of nets, over the cells its nets touch: the jobs are laid out as
+one node table (:class:`~repro.pattern.twopin.BatchState`) with its read
+footprint, a wave is a row-index array into it, each kernel prices its
+whole wave with one stacked segment query and one stacked via query and
+its outputs are written into ``(N, L)`` state arrays by row index, and
+the backtrace descends all jobs level by level.  The only per-net Python
+left is planning (step 1), the table rows, and building ``Route``s.
 
 The waves are built ACROSS nets (:func:`~repro.pattern.twopin.build_waves`
 groups every job's two-pin nets by subtree height), so the more nets
@@ -50,9 +52,9 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend
-from repro.grid.cost import CostModel, CostQuery
+from repro.grid.cost import CostModel, CostQuery, Footprint
 from repro.grid.graph import GridGraph
-from repro.grid.route import Route
+from repro.grid.route import Route, commit_routes
 from repro.gpu.device import Device
 from repro.gpu.zerocopy import ZeroCopyArena
 from repro.netlist.net import Net
@@ -137,52 +139,64 @@ class BatchPatternRouter:
         """Route a conflict-free batch; commit demand; return routes.
 
         With ``cost_boxes``/``cost_reference`` the snapshot is masked to
-        the batch's bounding boxes (costs elsewhere pinned to the
-        stage-start reference) — see
+        the batch's bounding boxes — ``cost_boxes[i]`` is ``nets[i]``'s
+        — and, inside them, to the lines the planned kernels read
+        (costs elsewhere pinned to the stage-start reference); see
         :meth:`~repro.grid.cost.CostQuery.rebuild`.  The scheduler uses
         this so the batch's DP depends only on demand its conflicting
-        predecessors committed, bit for bit.
+        predecessors committed, bit for bit.  Planning comes first: edge
+        shifting reads demand, not the snapshot.
 
         With ``commit=False`` the routes are returned *without*
         committing their demand.
         """
-        self.query.rebuild(boxes=cost_boxes, reference=cost_reference)
-        self._account_cost_upload()
         jobs = [self.make_job(net) for net in nets]
+        states = self.plan_waves(jobs, mode_fn)
+        reads = states[0].reads if len(states) == 1 else Footprint(
+            *(np.hstack(family) for family in zip(*(s.reads for s in states)))
+        )
+        self.query.rebuild(boxes=cost_boxes, reference=cost_reference, reads=reads)
+        self._account_cost_upload()
         # The states cover ``jobs`` in order, a route per job each.
         routed = [
             route
-            for state in self.route_jobs(jobs, mode_fn)
+            for state in self.route_jobs(jobs, mode_fn, states)
             for route in reconstruct_routes(state)
         ]
-        routes: Dict[str, Route] = {}
-        for net, route in zip(nets, routed):
-            if commit:
-                route.commit(self.graph)
-            routes[net.name] = route
-        return routes
+        if commit:
+            commit_routes(self.graph, routed)
+        return {net.name: route for net, route in zip(nets, routed)}
 
-    def route_jobs(
+    def plan_waves(
         self, jobs: List[NetRoutingJob], mode_fn: ModeSelector
     ) -> List[BatchState]:
-        """Run the wave-by-wave DP; return the batch state(s) it filled."""
-        state = build_waves(jobs, mode_fn, self.graph.n_layers)
-        for wave, bounds, kids, kid_slot in zip(
-            state.waves, state.mode_bounds, state.kids, state.kid_slot
-        ):
-            combine = self._combine_phase(state, wave, kids, kid_slot)
-            for (name, threads, route_wave, extra), lo, hi in zip(
-                self._kernels, bounds, bounds[1:]
+        """Lay ``jobs`` out for the DP: one batch state for all of them."""
+        return [build_waves(jobs, mode_fn, self.graph.n_layers, self.graph.ny)]
+
+    def route_jobs(
+        self, jobs: List[NetRoutingJob], mode_fn: ModeSelector, states=None
+    ) -> List[BatchState]:
+        """Run the wave-by-wave DP on the batch state(s) ``plan_waves``
+        made of ``jobs`` (planned here unless given); return them."""
+        if states is None:
+            states = self.plan_waves(jobs, mode_fn)
+        for state in states:
+            for wave, bounds, kids, kid_slot in zip(
+                state.waves, state.mode_bounds, state.kids, state.kid_slot
             ):
-                if lo == hi:
-                    continue
-                rows = wave[lo:hi]
-                with self.backend.kernel(name, hi - lo, threads):
-                    state.values[rows], state.path[rows] = route_wave(
-                        state.ends[:, rows], combine[lo:hi], self.query, *extra
-                    )
-        self._root_phase(state)
-        return [state]
+                combine = self._combine_phase(state, wave, kids, kid_slot)
+                for (name, threads, route_wave, extra), lo, hi in zip(
+                    self._kernels, bounds, bounds[1:]
+                ):
+                    if lo == hi:
+                        continue
+                    rows = wave[lo:hi]
+                    with self.backend.kernel(name, hi - lo, threads):
+                        state.values[rows], state.path[rows] = route_wave(
+                            state.ends[:, rows], combine[lo:hi], self.query, *extra
+                        )
+            self._root_phase(state)
+        return states
 
     # ------------------------------------------------------------------ #
     # Phases

@@ -30,7 +30,7 @@ from repro.grid.graph import GridGraph
 from repro.gpu.device import Device
 from repro.gpu.zerocopy import ZeroCopyArena
 from repro.pattern.batch import BatchPatternRouter
-from repro.pattern.twopin import BatchState, ModeSelector, NetRoutingJob
+from repro.pattern.twopin import BatchState, ModeSelector, NetRoutingJob, build_waves
 
 
 class SequentialPatternRouter(BatchPatternRouter):
@@ -58,12 +58,12 @@ class SequentialPatternRouter(BatchPatternRouter):
             cost_engine=cost_engine,
         )
 
-    def route_jobs(
+    def plan_waves(
         self, jobs: List[NetRoutingJob], mode_fn: ModeSelector
     ) -> List[BatchState]:
         """Route one net at a time (no batching): one batch state each."""
-        route = super().route_jobs
-        return [state for job in jobs for state in route([job], mode_fn)]
+        n_layers, ny = self.graph.n_layers, self.graph.ny
+        return [build_waves([job], mode_fn, n_layers, ny, box) for box, job in enumerate(jobs)]
 
 
 __all__ = ["SequentialPatternRouter"]

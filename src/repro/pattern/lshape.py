@@ -15,6 +15,7 @@ host↔device boundary (every result comes back as NumPy).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Tuple
 
 import numpy as np
@@ -31,6 +32,22 @@ _BENDS = np.array([[2, 1], [0, 3]])
 _SEGMENTS = np.array(
     [[[0, 0], [2, 0]], [[1, 1], [1, 3]], [[2, 0], [2, 2]], [[1, 3], [3, 3]]]
 )
+# What pricing a net reads of the cost snapshot, as rows of ``ends``:
+# ``segment_cost_layers`` gathers row y1 and column x1 of each segment,
+# ``via_matrix`` the pillar at each bend, the combine those at the ends.
+_READ_ROWS = itemgetter(*sorted({int(i) for i in _SEGMENTS[1].flat}))
+_READ_COLUMNS = itemgetter(*sorted({int(i) for i in _SEGMENTS[0].flat}))
+_READ_PILLARS = [(0, 1), (2, 3), *map(tuple, _BENDS.tolist())]
+
+
+def lshape_reads(ends: Tuple[int, int, int, int], ny: int, rows, columns, pillars):
+    """Add the snapshot lines pricing one L two-pin net ``xs, ys, xt,
+    yt`` reads to three sets: the ``y`` of each row, the ``x`` of each
+    column and the G-cell ``x * ny + y`` of each via pillar (the lines
+    of a :class:`~repro.grid.cost.Footprint`)."""
+    rows.update(_READ_ROWS(ends))
+    columns.update(_READ_COLUMNS(ends))
+    pillars.update([ends[x] * ny + ends[y] for x, y in _READ_PILLARS])
 
 
 def lshape_bends(ends: np.ndarray) -> np.ndarray:
@@ -102,4 +119,4 @@ def route_lshape_wave(
     return xp.to_numpy(values), path
 
 
-__all__ = ["WaveResult", "lshape_bends", "route_lshape_wave"]
+__all__ = ["WaveResult", "lshape_bends", "lshape_reads", "route_lshape_wave"]

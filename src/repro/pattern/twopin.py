@@ -28,8 +28,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.grid.cost import Footprint
 from repro.grid.geometry import Point
 from repro.netlist.net import Net
+from repro.pattern.lshape import lshape_reads
+from repro.pattern.zshape import candidate_reads
 from repro.tree.ordering import OrderedTree
 from repro.tree.steiner import SteinerTree
 
@@ -45,6 +48,9 @@ class PatternMode(enum.Enum):
 #: Order of the pattern families inside a wave (the ``mode`` column).
 MODES = (PatternMode.LSHAPE, PatternMode.ZSHAPE, PatternMode.HYBRID)
 _MODE_CODE = {mode: code for code, mode in enumerate(MODES)}
+#: Per family, in :data:`MODES` order: what adds the snapshot lines its
+#: kernel reads for a two-pin net to a job's row, column and pillar sets.
+_READS = (lshape_reads, candidate_reads, candidate_reads)
 
 
 @dataclass
@@ -117,7 +123,9 @@ class BatchState:
     position of each one's parent in ``waves[h]``.  The last entry of
     ``kids``/``kid_slot`` belongs to ``roots``, the root rows of the
     jobs that have two-pin nets (``single_roots``: the others).
-    ``levels[d]`` are the rows of depth ``d + 1``.
+    ``levels[d]`` are the rows of depth ``d + 1``.  ``reads`` is the
+    :class:`~repro.grid.cost.Footprint` the kernels will read, each
+    job's lines on box ``first_box + job``.
 
     DP arrays, written by row index from the kernels' stacked outputs:
     ``values[row, lt]`` is ``c*`` of the row's two-pin net and
@@ -148,16 +156,20 @@ class BatchState:
         self.kid_slot: List[np.ndarray] = []
         self.levels: List[np.ndarray] = []
         self.roots = self.single_roots = np.empty(0, dtype=np.intp)
+        self.reads: Optional[Footprint] = None
 
 
 def build_waves(
-    jobs: List[NetRoutingJob], mode_fn: ModeSelector, n_layers: int
+    jobs: List[NetRoutingJob], mode_fn: ModeSelector, n_layers: int, ny: int, first_box: int = 0
 ) -> BatchState:
     """Lay ``jobs`` out as one node table and group it into waves.
 
     Wave ``h`` holds every two-pin net whose child subtree has height
     ``h``; all of a net's children appear in strictly earlier waves, so
-    each wave is one batched kernel evaluation.
+    each wave is one batched kernel evaluation.  The same pass collects
+    the lines each two-pin net's kernel reads (declared beside the
+    kernels: :data:`_READS`) and the pillar every root reads, on a grid
+    ``ny`` G-cells high.
     """
     table: List[Tuple[int, ...]] = []
     waves: List[List[List[int]]] = []  # [height][mode] -> rows
@@ -166,19 +178,24 @@ def build_waves(
     single_roots: List[int] = []
     wave_of: List[int] = []  # row -> wave that combines at it; -1 at a root
     families: List[Tuple[int, List[int]]] = []  # (row, child rows in sibling order)
+    # The footprint's six int rows (row box, y; column box, x; pillar
+    # box, G-cell), as flat lists.
+    reads: List[List[int]] = [[] for _ in range(6)]
     for index, job in enumerate(jobs):
         job.index, job.row0 = index, len(table)
         nodes, parents, depths = job.tree.nodes, job.ordered.parent, job.ordered.depth
         heights = job.ordered.subtree_height()
+        job_rows, job_columns, job_pillars = set(), set(), set()
         for i, node in enumerate(nodes):
             row, parent, layers = job.row0 + i, parents[i], node.pin_layers
             target = nodes[parent].point if parent >= 0 else node.point
+            ends = (node.point.x, node.point.y, target.x, target.y)
             table.append((
                 index,
                 job.row0 + parent if parent >= 0 else -1,
                 min(layers) if layers else n_layers,
                 max(layers) if layers else -1,
-                node.point.x, node.point.y, target.x, target.y,
+                *ends,
             ))
             if parent >= 0:
                 while len(waves) <= heights[i]:
@@ -189,15 +206,29 @@ def build_waves(
                 waves[heights[i]][mode].append(row)
                 levels[depths[i] - 1].append(row)
                 wave_of.append(heights[i])
+                _READS[mode](ends, ny, job_rows, job_columns, job_pillars)
             else:
                 (roots if heights[i] else single_roots).append(row)
                 wave_of.append(-1)
+                job_pillars.add(ends[0] * ny + ends[1])
             children = [job.row0 + n for n in node.neighbors if parents[n] == i]
             if children:
                 families.append((row, children))
+        box = first_box + index
+        reads[0] += [box] * len(job_rows)
+        reads[1] += job_rows
+        reads[2] += [box] * len(job_columns)
+        reads[3] += job_columns
+        reads[4] += [box] * len(job_pillars)
+        reads[5] += job_pillars
 
     state = BatchState(
         len(jobs), np.ascontiguousarray(np.array(table, dtype=np.intp).reshape(-1, 8).T), n_layers
+    )
+    state.reads = Footprint(
+        np.array(reads[:2], dtype=np.intp),
+        np.array(reads[2:4], dtype=np.intp),
+        np.array(reads[4:], dtype=np.intp),
     )
     slot = [0] * len(table)  # row -> position in its wave (or in roots)
     for by_mode in waves:

@@ -65,6 +65,26 @@ def enumerate_candidates(ends: np.ndarray, corner_rows: bool):
     return np.where(valid[:, :, None], geometry, source), valid
 
 
+def candidate_reads(ends: Tuple[int, int, int, int], ny: int, rows, columns, pillars):
+    """Add the snapshot lines pricing one Z or hybrid two-pin net reads
+    to three sets, as :func:`~repro.pattern.lshape.lshape_reads` does.
+
+    An HVH flow runs along rows ``ys``/``yt`` and column ``bx``, a VHV
+    flow along columns ``xs``/``xt`` and row ``by``, so the candidates
+    read every row and column of the net's bounding box; their bends
+    (and the padding, which repeats the source) sit on its boundary.
+    """
+    xs, ys, xt, yt = ends
+    xlo, xhi = (xs, xt) if xs < xt else (xt, xs)
+    ylo, yhi = (ys, yt) if ys < yt else (yt, ys)
+    rows.update(range(ylo, yhi + 1))
+    columns.update(range(xlo, xhi + 1))
+    for y in (ys, yt):
+        pillars.update(range(xlo * ny + y, xhi * ny + y + 1, ny))
+    for x in (xs, xt):
+        pillars.update(range(x * ny + ylo, x * ny + yhi + 1))
+
+
 def zshape_candidates(ends: np.ndarray):
     """Enumerate pure-Z candidates: ``M + N - 2`` flows per net.
 
@@ -187,6 +207,7 @@ def _route_chunk(
 
 __all__ = [
     "CandidateFn",
+    "candidate_reads",
     "enumerate_candidates",
     "route_candidate_wave",
     "route_zshape_wave",

@@ -9,15 +9,14 @@ pattern stage splits them into size-capped sibling chunks before
 handing them to the task-graph scheduler — see
 :class:`~repro.core.flow.PatternStage`.
 
-The no-conflict test uses an occupancy bitmap over G-cells, making one
-full extraction O(total bounding-box area) instead of O(n^2).
+The no-conflict test is one AND of big-integer bitsets with one bit per
+G-cell: a net's box is a mask, a batch's occupancy the OR of its
+members' masks.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from repro.grid.geometry import Rect
 
@@ -74,33 +73,37 @@ def extract_batches(
     scheme is applied by the caller); indices inside each batch keep
     that order.  Every returned batch is a maximal independent set with
     respect to the tasks remaining when it was started, matching the
-    greedy scan of Algorithm 1.
+    greedy scan of Algorithm 1.  Boxes are clipped to the ``nx`` x
+    ``ny`` grid; one wholly off it covers no cell and conflicts with
+    nothing.
     """
-    # Clip every box once up front: leftovers are re-scanned each
-    # round, and building Rect objects per round dominated the loop.
-    bounds = [
-        (
-            max(box.xlo, 0),
-            min(box.xhi, nx - 1) + 1,
-            max(box.ylo, 0),
-            min(box.yhi, ny - 1) + 1,
-        )
-        for box in boxes
-    ]
+    # Bit x * ny + y is G-cell (x, y).  A box is its column of rows
+    # repeated once per column: ``col_bits * repunit`` has no carries.
+    repunits: Dict[int, int] = {}
+    masks = []
+    for box in boxes:
+        xlo, xhi = max(box.xlo, 0), min(box.xhi, nx - 1)
+        ylo, yhi = max(box.ylo, 0), min(box.yhi, ny - 1)
+        width = xhi - xlo + 1
+        if width <= 0 or yhi < ylo:  # wholly off the grid
+            masks.append(0)
+            continue
+        if width not in repunits:
+            repunits[width] = ((1 << width * ny) - 1) // ((1 << ny) - 1)
+        col_bits = ((1 << yhi - ylo + 1) - 1) << ylo
+        masks.append(col_bits * repunits[width] << xlo * ny)
     remaining = list(range(len(boxes)))
     batches: List[List[int]] = []
-    occupancy = np.zeros((nx, ny), dtype=bool)
     while remaining:
-        occupancy[:] = False
+        occupancy = 0
         batch: List[int] = []
         leftovers: List[int] = []
         for index in remaining:
-            xlo, xhi, ylo, yhi = bounds[index]
-            window = occupancy[xlo:xhi, ylo:yhi]
-            if window.any():
+            mask = masks[index]
+            if occupancy & mask:
                 leftovers.append(index)
             else:
-                window[:] = True
+                occupancy |= mask
                 batch.append(index)
         batches.append(batch)
         remaining = leftovers

@@ -1,14 +1,64 @@
-"""Tests for Algorithm 1 batch extraction and level size-bucketing."""
+"""Tests for Algorithm 1 batch extraction and level size-bucketing.
+
+:func:`extract_batches_oracle` is the boolean-bitmap scan the big-int
+bitsets replaced, kept here as their reference (with the clip of boxes
+wholly off the low edge fixed: they cover no cell).
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.grid.geometry import Rect
 from repro.sched.batching import bucket_by_area, extract_batches
 from repro.sched.conflict import build_conflict_graph
+
+
+def extract_batches_oracle(boxes, nx, ny):
+    """Algorithm 1 on a ``(nx, ny)`` occupancy bitmap, one window per box."""
+    bounds = [
+        (max(b.xlo, 0), min(b.xhi, nx - 1) + 1, max(b.ylo, 0), min(b.yhi, ny - 1) + 1)
+        for b in boxes
+    ]
+    remaining = list(range(len(boxes)))
+    batches = []
+    occupancy = np.zeros((nx, ny), dtype=bool)
+    while remaining:
+        occupancy[:] = False
+        batch, leftovers = [], []
+        for index in remaining:
+            xlo, xhi, ylo, yhi = bounds[index]
+            if xhi <= xlo or yhi <= ylo:  # off the grid: no cell
+                batch.append(index)
+                continue
+            window = occupancy[xlo:xhi, ylo:yhi]
+            if window.any():
+                leftovers.append(index)
+            else:
+                window[:] = True
+                batch.append(index)
+        batches.append(batch)
+        remaining = leftovers
+    return batches
+
+
+@st.composite
+def grid_and_boxes(draw):
+    """A random grid and boxes that may stick out of it, lie wholly off
+    it on any side, or be a single row, column or cell."""
+    nx, ny = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    xs, ys = st.integers(-6, nx + 5), st.integers(-6, ny + 5)
+    boxes = draw(st.lists(
+        st.tuples(xs, xs, ys, ys).map(
+            lambda t: Rect(min(t[0], t[1]), min(t[2], t[3]),
+                           max(t[0], t[1]), max(t[2], t[3]))
+        ),
+        max_size=30,
+    ))
+    return nx, ny, boxes
 
 
 def boxes_strategy(span=40):
@@ -71,6 +121,21 @@ class TestExtractBatches:
             for task in remaining - chosen:
                 assert any(conflict.are_conflicting(task, b) for b in batch)
             remaining -= chosen
+
+    def test_off_grid_box_conflicts_with_nothing(self):
+        """A box wholly below the low edge covers no cell: clipped to a
+        negative slice end it would wrap onto columns ``0..nx-2``."""
+        boxes = [Rect(-5, 0, -2, 3), Rect(0, 0, 2, 2), Rect(1, -4, 3, -2),
+                 Rect(20, 0, 22, 2), Rect(1, 1, 1, 1)]
+        assert extract_batches(boxes, 8, 8) == [[0, 1, 2, 3], [4]]
+
+    @given(case=grid_and_boxes())
+    @settings(max_examples=200, deadline=None)
+    @example(case=(8, 8, [Rect(-5, -5, -2, -2), Rect(0, 0, 7, 7)]))
+    @example(case=(1, 1, [Rect(0, 0, 0, 0), Rect(-1, -1, 1, 1)]))
+    def test_matches_the_bitmap_oracle(self, case):
+        nx, ny, boxes = case
+        assert extract_batches(boxes, nx, ny) == extract_batches_oracle(boxes, nx, ny)
 
 
 class TestBucketByArea:

@@ -23,6 +23,7 @@ from repro.grid.cost import (
     COST_ENGINES,
     CostModel,
     CostQuery,
+    Footprint,
     StaleCostError,
 )
 from repro.grid.geometry import Rect, rect_union_area, rects_overlap
@@ -279,6 +280,157 @@ def test_masked_parity(backend_name, steps, seed):
     inc.sync()
     oracle = CostQuery(graph, model, backend=backend, engine="full")
     assert_snapshots_equal(inc, oracle, "after mode switch")
+
+
+def random_reads(rng: np.random.Generator, boxes) -> Footprint:
+    """Random lines of each box: some rows, columns and pillars."""
+    rows, columns, pillars = [], [], []
+    for b, box in enumerate(boxes):
+        xs, ys = range(box.xlo, box.xhi + 1), range(box.ylo, box.yhi + 1)
+        rows += [(b, y) for y in ys if rng.random() < 0.4]
+        columns += [(b, x) for x in xs if rng.random() < 0.4]
+        pillars += [(b, x * NY + y) for x in xs for y in ys if rng.random() < 0.2]
+    return Footprint(*(
+        np.array(lines, dtype=np.intp).reshape(-1, 2).T
+        for lines in (rows, columns, pillars)
+    ))
+
+
+def painted_cells(graph: GridGraph, boxes, reads: Footprint):
+    """Boolean ``(L, nx, ny)`` masks of the h-, v- and via-prefix entries
+    a masked rebuild paints for ``reads`` (on-grid boxes)."""
+    h, v, via = (np.zeros((L, NX, NY), dtype=bool) for _ in range(3))
+    for layer in range(L):
+        if graph.stack.is_horizontal(layer):
+            for b, y in reads.rows.T:
+                h[layer, boxes[b].xlo + 1 : boxes[b].xhi + 1, y] = True
+        else:
+            for b, x in reads.columns.T:
+                v[layer, x, boxes[b].ylo + 1 : boxes[b].yhi + 1] = True
+    for _, cell in reads.pillars.T:
+        via[1:, cell // NY, cell % NY] = True
+    return h, v, via
+
+
+@pytest.mark.parametrize("backend_name", available_backends())
+@settings(max_examples=30, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(level_boxes(min_size=1) | st.just([]), st.booleans()),
+        min_size=2, max_size=4,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_masked_reads_paint_only_the_footprint(backend_name, steps, seed):
+    """With ``reads``, every painted cell equals the whole-box rebuild bit
+    for bit and every other cell equals the reference, after every
+    rebuild of a sequence (each restores the previous footprint) and in
+    the device twins; tallies count exactly the painted cells."""
+    rng = np.random.default_rng(seed)
+    graph = make_graph()
+    model = CostModel()
+    backend = get_backend(backend_name)
+    inc = CostQuery(graph, model, backend=backend, engine="incremental")
+    reference = inc.snapshot_reference()
+    previous, reseed = None, True
+    for step, (boxes, new_reference) in enumerate(steps):
+        for _ in range(20):
+            random_route(rng, graph.stack).commit(graph)
+        if new_reference:
+            reference = CostQuery(graph, model, engine="full").snapshot_reference()
+            previous, reseed = None, True
+        reads = random_reads(rng, boxes)
+        before = inc.stats.copy()
+        inc.rebuild(boxes=boxes, reference=reference, reads=reads)
+        inc.sync()
+        delta = inc.stats.delta(before)
+
+        whole = CostQuery(graph, model, engine="full")
+        whole.rebuild(boxes=boxes, reference=reference)
+        pinned = CostQuery(graph, model, engine="full")
+        pinned.rebuild(boxes=[], reference=reference)
+        masks = painted_cells(graph, boxes, reads)
+        names = ("_h_prefix", "_v_prefix", "_via_prefix")
+        for name, mask in zip(names, masks):
+            want = np.where(mask, getattr(whole, name), getattr(pinned, name))
+            assert np.array_equal(getattr(inc, name), want), (name, step)
+            got = inc.backend.to_numpy(getattr(inc, name + "_dev"))
+            assert np.array_equal(got, want), (name, step)
+        h, v, via = masks
+        for layer in range(L):
+            cells = h[layer, 1:] if graph.stack.is_horizontal(layer) else v[layer, :, 1:]
+            want = np.where(cells, whole.wire_cost[layer], pinned.wire_cost[layer])
+            assert np.array_equal(inc.wire_cost[layer], want), (layer, step)
+        assert np.array_equal(
+            inc.via_cost, np.where(via[1:], whole.via_cost, pinned.via_cost)
+        )
+
+        if reseed:  # a new reference repaints the whole grid
+            whole_grid = sum(a.size for a in inc.wire_cost) + inc.via_cost.size
+            assert delta.refreshed_edges == whole_grid
+            assert inc.last_upload_bytes == whole_grid * inc.via_cost.itemsize
+        else:
+            painted = sum(int(m.sum()) for m in masks)
+            assert inc.last_upload_bytes == painted * inc.via_cost.itemsize
+            union = sum(int((m | p).sum()) for m, p in zip(masks, previous))
+            assert delta.refreshed_edges == union, step
+        previous, reseed = masks, False
+
+
+def test_every_line_footprint_equals_reads_none():
+    """Listing every line of every box is the ``reads=None`` rebuild."""
+    rng = np.random.default_rng(3)
+    graph = make_graph()
+    model = CostModel()
+    for _ in range(30):
+        random_route(rng, graph.stack).commit(graph)
+    boxes = [Rect(1, 2, 7, 9), Rect(10, 0, 19, 5), Rect(12, 8, 12, 15)]
+    every = Footprint(
+        np.array([(b, y) for b, r in enumerate(boxes)
+                  for y in range(r.ylo, r.yhi + 1)]).T,
+        np.array([(b, x) for b, r in enumerate(boxes)
+                  for x in range(r.xlo, r.xhi + 1)]).T,
+        np.array([(b, x * NY + y) for b, r in enumerate(boxes)
+                  for x in range(r.xlo, r.xhi + 1)
+                  for y in range(r.ylo, r.yhi + 1)]).T,
+    )
+    queries = []
+    for reads in (None, every):
+        query = CostQuery(graph, model, engine="incremental")
+        reference = CostQuery(make_graph(), model).snapshot_reference()
+        query.rebuild(boxes=boxes[:1], reference=reference)
+        before = query.stats.copy()
+        query.rebuild(boxes=boxes, reference=reference, reads=reads)
+        queries.append((query, query.stats.delta(before)))
+    (a, da), (b, db) = queries
+    assert_snapshots_equal(a, b)
+    assert da.refreshed_edges == db.refreshed_edges
+    assert a.last_upload_bytes == b.last_upload_bytes
+
+
+NO_LINES = np.empty((2, 0), dtype=np.intp)
+
+
+@pytest.mark.parametrize(
+    "reads",
+    [
+        Footprint(np.array([[0], [7]]), NO_LINES, NO_LINES),
+        Footprint(NO_LINES, np.array([[0], [1]]), NO_LINES),
+        Footprint(NO_LINES, NO_LINES, np.array([[0], [4 * NY + 9]])),
+        Footprint(NO_LINES, NO_LINES, np.array([[0], [9 * NY + 4]])),
+        Footprint(NO_LINES, NO_LINES, np.array([[1], [-1]])),
+        Footprint(np.array([[1], [2]]), NO_LINES, NO_LINES),
+    ],
+    ids=["row", "column", "pillar-y", "pillar-x", "pillar-clipped", "other-box"],
+)
+def test_read_line_outside_its_box_raises(reads):
+    """Boxes: (2, 2)-(6, 6), and one clipped to (0, 0)-(1, 1)."""
+    graph = make_graph()
+    query = CostQuery(graph, CostModel(), engine="incremental")
+    reference = query.snapshot_reference()
+    boxes = [Rect(2, 2, 6, 6), Rect(-3, -3, 1, 1)]
+    with pytest.raises(ValueError):
+        query.rebuild(boxes=boxes, reference=reference, reads=reads)
 
 
 @pytest.mark.parametrize("backend_name", available_backends())

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import RouterConfig
+from repro.core.flow import run_pattern_stage
 from repro.core.router import GlobalRouter
+from repro.gpu.device import Device
+from repro.gpu.zerocopy import ZeroCopyArena
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.maze.ripup import find_violating_nets
@@ -131,6 +134,40 @@ class TestDeterminism:
                 )).encode()
             )
         assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "design, preset, refreshed",
+        [
+            ("18test5", "fastgr_l", 35_890),
+            ("18test5", "fastgr_h", 47_470),
+            ("open3k", "fastgr_l", 1_113_790),
+        ],
+    )
+    def test_pattern_stage_refreshed_edges_are_pinned(self, design, preset, refreshed):
+        """The cost-table edges the pattern stage's rebuilds write, exactly.
+
+        The count repeats bit for bit, so it can gate what wall clock on
+        a shared machine cannot.  With whole-box masked rebuilds it was
+        62 897 under both presets on ``18test5`` at scale 0.2 and
+        5 923 057 on ``open3k`` (the 72 x 72, 3 000-net base design of
+        the ``pattern_l`` benchmark workload); painting only the lines
+        the kernels read takes ``fastgr_l`` to 0.57x of that on the
+        small design, whose 4 x 4 boxes are mostly read, and to 0.19x on
+        the large one.  The count may fall; it must not rise.
+        """
+        if design == "open3k":
+            design = generate_design(DesignSpec(
+                name="open3k", nx=72, ny=72, n_layers=9, n_nets=3000,
+                wire_capacity=9.0, hotspot_fraction=0.2,
+            ))
+        else:
+            design = load_benchmark(design, scale=0.2)
+        stats = {}
+        run_pattern_stage(
+            design, getattr(RouterConfig, preset)(), Device(), ZeroCopyArena(),
+            cost_stats=stats,
+        )
+        assert stats["refreshed_edges"] == refreshed
 
 
 class TestRRRBehaviour:
