@@ -1,25 +1,25 @@
-"""Cost-snapshot maintenance — incremental dirty-region engine vs full
+"""Cost-snapshot maintenance — the dirty-region snapshot vs full
 rebuilds.
 
 The claim under benchmark: under a realistic rip-up-and-reroute commit
 stream (rip up one net, rebuild the snapshot for its search window,
-reroute, commit), the incremental engine — which drains the grid's
-dirty-rect log, recomputes edge costs only inside dirty regions, and
-patches only the affected prefix suffixes — maintains the snapshot
->= 3x faster than recomputing the full grid per net, while staying *bit
-identical* to the full oracle.
+reroute, commit), ``CostQuery`` — which drains the grid's dirty-rect
+log, recomputes edge costs only inside dirty regions, and patches only
+the affected prefix suffixes — maintains the snapshot >= 3x faster than
+recomputing the full grid per net, while staying *bit identical* to the
+from-scratch oracle (``tests/cost_oracle.py``, the "full" rows).
 
 The stream mirrors what ``RipupReroute`` actually does per net: the
-full engine pays O(L*nx*ny) per rebuild regardless of how little demand
-the previous commit touched; the incremental engine pays O(dirty).
+oracle pays O(L*nx*ny) per rebuild regardless of how little demand the
+previous commit touched; the snapshot pays O(dirty).
 
 A second case measures the *masked* rebuild the pattern stage issues
 once per dependency level: a 9-layer grid, ~100 rebuilds that each mask
 dozens of disjoint net boxes over a pinned reference, one route
-committed inside every box in between.  There the full engine copies
-the reference and loops over the boxes; the incremental engine turns
-the box list into one index plan and runs a fixed number of array
-operations over it.
+committed inside every box in between.  There the oracle copies the
+reference and loops over the boxes; the snapshot turns the box list
+into one index plan and runs a fixed number of array operations over
+it.
 
 Quick mode: set ``REPRO_COST_QUICK=1`` (the CI smoke step) to shrink
 the grids and streams; the speedup bars drop to 1.5x — the smoke run
@@ -29,7 +29,9 @@ exercises the engine end to end, not the headline ratio.
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +46,9 @@ from repro.grid.graph import GridGraph
 from repro.grid.layers import Direction, LayerStack
 from repro.grid.route import Route, ViaSegment, WireSegment
 from repro.netlist.benchmarks import load_benchmark
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.cost_oracle import FullRebuildCostQuery  # noqa: E402
 
 QUICK = os.environ.get("REPRO_COST_QUICK", "") not in ("", "0")
 
@@ -118,10 +123,10 @@ def test_incremental_beats_full_on_rrr_stream():
         box = nets[name].bbox.expanded(margin).clipped(graph.nx, graph.ny)
         windows.append((box.xlo, box.ylo, box.xhi, box.yhi))
 
-    full = CostQuery(graph, model, engine="full")
+    full = FullRebuildCostQuery(graph, model)
     full_time = replay_stream(full, graph, routes, names, windows)
 
-    inc = CostQuery(graph, model, engine="incremental")
+    inc = CostQuery(graph, model)
     inc_time = replay_stream(inc, graph, routes, names, windows)
 
     # The streams leave identical demand, so the final snapshots must
@@ -205,8 +210,8 @@ def test_masked_level_stream():
         LEVEL_GRID, LEVEL_GRID, stack, wire_capacity=3.0, via_capacity=4.0
     )
     model = CostModel()
-    full = CostQuery(graph, model, engine="full")
-    inc = CostQuery(graph, model, engine="incremental")
+    full = FullRebuildCostQuery(graph, model)
+    inc = CostQuery(graph, model)
     reference = full.snapshot_reference()
     levels = level_stream(graph)
 

@@ -14,8 +14,9 @@ dominates the arithmetic.
 
 The nets live in pairwise-disjoint tiles, the same precondition the
 scheduler's dependency levels guarantee, so fused results must be
-**bit-identical** to per-net dispatch — asserted unconditionally, in
-quick mode too.  The >= 2x speedup bar applies to the full
+**bit-identical** to per-net dispatch and to the fused level on the
+from-scratch cost oracle (``tests/cost_oracle.py``) — asserted
+unconditionally, in quick mode too.  The >= 2x speedup bar applies to the full
 configuration on the numpy backend; quick mode
 (``REPRO_PATTERN_QUICK=1``, the CI smoke step) shrinks the tile sweep
 and only requires the fused path not to lose, since the point of the
@@ -35,7 +36,9 @@ from __future__ import annotations
 
 import os
 import statistics
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -48,6 +51,9 @@ from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.netlist.net import Net, Pin
 from repro.pattern.batch import BatchPatternRouter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.cost_oracle import full_rebuild_engine  # noqa: E402
 
 QUICK = os.environ.get("REPRO_PATTERN_QUICK", "") not in ("", "0")
 
@@ -100,17 +106,15 @@ def routes_bit_equal(a, b) -> bool:
 def test_fused_dispatch_beats_per_net():
     graph, nets = tiled_case()
     boxes = [net.bbox for net in nets]
-    config = RouterConfig.fastgr_h(cost_engine="incremental")
+    config = RouterConfig.fastgr_h()
     mode_fn = make_mode_selector(config, graph)
 
     # Neither side commits (``commit=False``), so demand is static
     # across repeats and both sides replay the exact same masked DP.
-    # The incremental cost engine keeps the per-call rebuild
-    # proportional to the dispatched boxes — the same maintenance
-    # PatternStage pays per chunk / per fused level.
-    per_net = BatchPatternRouter(
-        graph, backend="numpy", cost_engine="incremental"
-    )
+    # The cost snapshot keeps the per-call rebuild proportional to the
+    # dispatched boxes — the same maintenance PatternStage pays per
+    # fused level.
+    per_net = BatchPatternRouter(graph, backend="numpy")
     reference = per_net.query.snapshot_reference()
     per_net_time = float("inf")
     for _ in range(REPEATS):
@@ -131,9 +135,7 @@ def test_fused_dispatch_beats_per_net():
             per_net_time = sum(walls)
             one_net = statistics.median(walls[len(walls) // 2 :])
 
-    fused = BatchPatternRouter(
-        graph, backend="numpy", cost_engine="incremental"
-    )
+    fused = BatchPatternRouter(graph, backend="numpy")
     reference = fused.query.snapshot_reference()
     fused_time = float("inf")
     for _ in range(REPEATS):
@@ -148,9 +150,20 @@ def test_fused_dispatch_beats_per_net():
         fused_time = min(fused_time, time.perf_counter() - start)
 
     # Parity is unconditional: the fused level must return the routes
-    # per-net dispatch returns, bit for bit.
+    # per-net dispatch returns, bit for bit, and the routes the same
+    # level gets on the from-scratch oracle (untimed).
+    with full_rebuild_engine():
+        oracle = BatchPatternRouter(graph, backend="numpy")
+    expected = oracle.route_batch(
+        nets,
+        mode_fn,
+        cost_boxes=boxes,
+        cost_reference=oracle.query.snapshot_reference(),
+        commit=False,
+    )
     for net in nets:
         assert routes_bit_equal(stacked[net.name], solo[net.name]), net.name
+        assert routes_bit_equal(stacked[net.name], expected[net.name]), net.name
 
     speedup = per_net_time / fused_time
     metrics = {

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -73,21 +74,14 @@ def register_table(
 
 
 def config_key(config: RouterConfig) -> str:
-    """A cache key describing everything that changes routing results.
+    """A cache key: every field of ``config``, in declaration order.
 
-    ``n_workers`` is part of the key: results are bit-identical across
-    worker counts, but runtimes (what the benches measure) are not —
-    two sweep points differing only in workers must not share a cached
-    run.
+    Fields that leave routes bit-identical still belong in it —
+    ``n_workers``, for one, changes the modelled runtimes the benches
+    report — so two sweep points differing in any field never share a
+    cached run.
     """
-    return (
-        f"{config.name}|{config.pattern_engine}|{config.pattern_shape}|"
-        f"{config.use_selection}|{config.t1}|{config.t2}|"
-        f"{config.sorting_scheme}|{config.rrr_sorting_scheme}|"
-        f"{config.n_rrr_iterations}|{config.rrr_parallel}|{config.edge_shift}|"
-        f"{config.n_workers}|{config.max_batch_tasks}|"
-        f"{config.backend}|{config.maze_engine}|{config.cost_engine}"
-    )
+    return "|".join(str(getattr(config, field.name)) for field in fields(config))
 
 
 def fresh_design(name: str, scale: float = BENCH_SCALE) -> Design:

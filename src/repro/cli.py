@@ -27,7 +27,6 @@ from typing import Optional
 from repro.backend import available_backends
 from repro.core.config import RouterConfig
 from repro.core.router import GlobalRouter
-from repro.grid.cost import COST_ENGINES
 from repro.maze import MAZE_ENGINES
 from repro.netlist.benchmarks import BENCHMARKS, benchmark_names, load_benchmark
 from repro.netlist.design import Design
@@ -63,12 +62,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
         overrides["backend"] = args.backend
     if args.maze_engine is not None:
         overrides["maze_engine"] = args.maze_engine
-    if args.maze_batching is not None:
-        overrides["maze_batching"] = args.maze_batching
-    if args.pattern_batching is not None:
-        overrides["pattern_batching"] = args.pattern_batching
-    if args.cost_engine is not None:
-        overrides["cost_engine"] = args.cost_engine
     config = _PRESETS[args.config](**overrides)
     result = GlobalRouter(design, config).run()
 
@@ -85,10 +78,9 @@ def _cmd_route(args: argparse.Namespace) -> int:
     print(f"maze stage    : {result.maze_time:.3f} s (modelled parallel; "
           f"sequential {result.maze_time_sequential:.3f} s)")
     cost = result.cost_stats
-    print(f"cost engine   : {result.cost_engine} "
-          f"({cost.get('rebuilds', 0):.0f} rebuilds, "
+    print(f"cost snapshot : {cost.get('rebuilds', 0):.0f} rebuilds, "
           f"{cost.get('refreshed_edges', 0):,.0f} edges refreshed, "
-          f"{cost.get('seconds', 0.0):.3f} s)")
+          f"{cost.get('seconds', 0.0):.3f} s")
     print(f"total         : {result.total_time:.3f} s")
     print(f"nets to rip up: {result.nets_to_ripup}")
     print(f"wirelength    : {result.metrics.wirelength}")
@@ -221,32 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the scalar heap search, 'wavefront' computes the same "
         "shortest-path distances as batched sweeps on the array "
         "backend (default: the preset's choice)",
-    )
-    route.add_argument(
-        "--maze-batching", action=argparse.BooleanOptionalAction,
-        default=None,
-        help="fuse each conflict-free level of the reroute task graph "
-        "into one stacked wavefront relaxation instead of per-net "
-        "launches; bit-identical to per-net dispatch, only effective "
-        "with --maze-engine wavefront (default: the preset's choice, "
-        "which is on)",
-    )
-    route.add_argument(
-        "--pattern-batching", action=argparse.BooleanOptionalAction,
-        default=None,
-        help="fuse each conflict-free level of the pattern task graph "
-        "into one cross-net kernel invocation sequence (all two-pin "
-        "tasks at the same wave depth share each combine/L/Z/hybrid "
-        "launch) instead of per-chunk launches; bit-identical to "
-        "per-chunk dispatch (default: the preset's choice, which "
-        "is on)",
-    )
-    route.add_argument(
-        "--cost-engine", choices=COST_ENGINES, default=None,
-        help="cost-snapshot maintenance: 'incremental' refreshes only "
-        "dirty regions and patches prefix suffixes, 'full' recomputes "
-        "everything each rebuild; routes are bit-identical "
-        "(default: the preset's choice)",
     )
     route.add_argument("--guides", default=None, metavar="FILE",
                        help="write routing guides for detailed routing")

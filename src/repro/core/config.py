@@ -57,25 +57,6 @@ class RouterConfig:
     # array backend (faster on large congested regions).
     maze_engine: str = "dijkstra"
     maze_margin: int = 6
-    # Batched maze dispatch: relax every conflict-free dependency level
-    # of the reroute task graph as ONE stacked (B, L, nx, ny) sweep
-    # instead of per-net launches.  Only effective for engines that
-    # support stacked search (the wavefront engine); bit-identical to
-    # per-net dispatch by construction, so the default is on.
-    maze_batching: bool = True
-    # Batched pattern dispatch: evaluate every conflict-free dependency
-    # level of the pattern task graph as ONE fused kernel invocation
-    # sequence — all two-pin tasks at the same wave depth across every
-    # net in the level share each combine/L/Z/hybrid launch — instead
-    # of per-chunk launches.  Levels are size-bucketed by net bounding
-    # box area first (see sched.batching.bucket_by_area).  Bit-identical
-    # to per-chunk dispatch by construction, so the default is on.
-    pattern_batching: bool = True
-    # Cost-snapshot maintenance: "incremental" drains the grid's
-    # dirty-rect log and patches only affected prefix suffixes;
-    # "full" recomputes everything each rebuild (the bit-identical
-    # oracle the incremental engine is tested against).
-    cost_engine: str = "incremental"
     # The P of the modelled task-graph / batch-barrier makespans the
     # reports carry; stages themselves execute on the calling thread.
     n_workers: int = 8
@@ -104,13 +85,6 @@ class RouterConfig:
             raise ValueError(
                 f"unknown array backend {self.backend!r}; available: "
                 f"{', '.join(available_backends())}"
-            )
-        from repro.grid.cost import COST_ENGINES
-
-        if self.cost_engine not in COST_ENGINES:
-            raise ValueError(
-                f"unknown cost engine {self.cost_engine!r}; available: "
-                f"{', '.join(COST_ENGINES)}"
             )
         if self.t1 > self.t2:
             raise ValueError("selection thresholds must satisfy t1 <= t2")

@@ -63,7 +63,6 @@ def make_pattern_engine(
         edge_shift=config.edge_shift,
         max_chunk_elements=config.max_chunk_elements,
         backend=config.backend,
-        cost_engine=config.cost_engine,
     )
 
 
@@ -105,15 +104,14 @@ class PatternStage(ScheduledStage):
         # Stage-start cost snapshot (zero demand): every chunk's masked
         # rebuild pins out-of-footprint costs to these arrays, so its DP
         # is bit-independent of whatever non-conflicting chunks did.
-        # Must be a deep copy — the incremental engine refreshes its
-        # cost arrays in place, so aliasing them would let later
-        # batches corrupt the pinned reference.
+        # Must be a deep copy — the snapshot refreshes its cost arrays
+        # in place, so aliasing them would let later batches corrupt
+        # the pinned reference.
         self.cost_reference = self.engine.query.snapshot_reference()
         self.routes: Dict[str, Route] = {}
         self._graph = graph
-        self.config = config
-        #: Counters bus: monotone "pattern.*" counters (fused batches,
-        #: nets routed through them, kernel launches) that
+        #: Counters bus: monotone "pattern.*" counters (``route_batch``
+        #: calls, nets routed through them, kernel launches) that
         #: ``run_pattern_stage`` folds into the run report.
         self.tracker = Tracker()
 
@@ -131,10 +129,7 @@ class PatternStage(ScheduledStage):
         return self._route_nets(chunk_nets, self._boxes[task])
 
     def _route_nets(
-        self,
-        nets: List[Net],
-        boxes: Sequence[Rect],
-        batched: bool = False,
+        self, nets: List[Net], boxes: Sequence[Rect]
     ) -> Dict[str, Route]:
         """Route ``nets`` (disjoint ``boxes``) on the shared engine.
 
@@ -157,11 +152,8 @@ class PatternStage(ScheduledStage):
         n_launches_before = len(self.engine.device.launches)
         try:
             if self._context is None:
-                if batched:
-                    tracker.get_counter("pattern.batches").increment()
-                    tracker.get_counter("pattern.batched_nets").increment(
-                        len(nets)
-                    )
+                tracker.get_counter("pattern.batches").increment()
+                tracker.get_counter("pattern.batched_nets").increment(len(nets))
                 return self.engine.route_batch(
                     nets,
                     self.mode_fn,
@@ -186,11 +178,8 @@ class PatternStage(ScheduledStage):
             commit_routes(self._graph, [route for _, route in hits])
             routes: Dict[str, Route] = dict(hits)
             if missing:
-                if batched:
-                    tracker.get_counter("pattern.batches").increment()
-                    tracker.get_counter("pattern.batched_nets").increment(
-                        len(missing)
-                    )
+                tracker.get_counter("pattern.batches").increment()
+                tracker.get_counter("pattern.batched_nets").increment(len(missing))
                 fresh = self.engine.route_batch(
                     [nets[i] for i in missing],
                     self.mode_fn,
@@ -225,8 +214,6 @@ class PatternStage(ScheduledStage):
         size buckets by largest-net bounding-box area first so one
         oversized chunk cannot dominate every stacked wave it shares.
         """
-        if not self.config.pattern_batching:
-            return None
         areas = [
             max((box.area for box in boxes), default=0)
             for boxes in self._boxes
@@ -245,7 +232,7 @@ class PatternStage(ScheduledStage):
             member_names.append((task, [net.name for net in chunk_nets]))
             all_nets.extend(chunk_nets)
             all_boxes.extend(self._boxes[task])
-        routes = self._route_nets(all_nets, all_boxes, batched=True)
+        routes = self._route_nets(all_nets, all_boxes)
         return {
             task: {name: routes[name] for name in names}
             for task, names in member_names
@@ -264,13 +251,11 @@ class RerouteStage(ScheduledStage):
         ordered_nets: List[Net],
         margin: int,
         cache=None,
-        batching: bool = False,
     ) -> None:
         self.engine = engine
         self.routes = routes
         self.ordered_nets = ordered_nets
         self._cache = cache
-        self._batching = batching
         graph = engine.graph
         # The footprint is the maze *search region*, not just the
         # bounding box: everything the task reads or writes lives there.
@@ -306,7 +291,8 @@ class RerouteStage(ScheduledStage):
     def batch_plan(self, schedule) -> Optional[List[List[int]]]:
         """Dispatch the task graph's dependency levels as stacked batches.
 
-        Only when batching is enabled and the maze engine supports it.
+        Only when the maze engine can stack searches (the wavefront
+        engine); the Dijkstra engine runs one task at a time.
         Levels are conflict-free and their order is a linear extension
         of the DAG, so the runner's group execution commits conflicting
         nets in exactly the per-task order — bit-identical
@@ -316,7 +302,7 @@ class RerouteStage(ScheduledStage):
         freezes, so one oversized region would otherwise stretch every
         small mate's pass count (and pad every slab to its size).
         """
-        if not (self._batching and self.engine.supports_batch):
+        if not self.engine.supports_batch:
             return None
         areas = [boxes[0].area for boxes in self._boxes]
         plan: List[List[int]] = []
@@ -371,7 +357,8 @@ def run_pattern_stage(
     pipeline's execution report.  With ``cost_stats`` (a dict the
     caller owns), the stage's cost-engine counters are written into it.
     With ``stage_stats``, the stage's ``pattern.*`` tracker counters
-    (fused batches, batched nets, kernel launches) are written into it.
+    (``route_batch`` calls, nets routed through them, kernel launches)
+    are written into it.
     With a session ``context``, task results, Steiner trees, and
     schedules are served from (and fill) its warm caches.
     """
@@ -432,7 +419,6 @@ def run_rrr_stage(
         engine=config.maze_engine,
         backend=config.backend,
         device=device,
-        cost_engine=config.cost_engine,
     )
     runner = StageRunner(n_workers=config.n_workers)
     rrr_scheme = config.rrr_sorting_scheme or config.sorting_scheme
@@ -476,7 +462,6 @@ def run_rrr_stage(
             ordered_nets,
             config.maze_margin,
             cache=cache,
-            batching=config.maze_batching,
         )
         if schedule is None:
             schedule = _cached_schedule(runner, stage, context)

@@ -79,19 +79,16 @@ class RoutingResult:
     nets_to_ripup: int
     # Search engine of the rip-up stage ("dijkstra" | "wavefront").
     maze_engine: str = "dijkstra"
-    # Cost-snapshot maintenance engine ("full" | "incremental") and its
-    # run-wide counters (pattern + maze stages combined).
-    cost_engine: str = "full"
+    # Run-wide cost-snapshot counters (pattern + maze stages combined).
     cost_stats: Dict[str, float] = field(default_factory=dict)
     iterations: List[IterationStats] = field(default_factory=list)
     device_stats: Dict[str, float] = field(default_factory=dict)
     transfer_stats: Dict[str, float] = field(default_factory=dict)
     # Pipeline execution record of the pattern stage (chunk tasks).
     pattern_report: Optional[StageReport] = None
-    # Batched pattern dispatch counters ("pattern.*" tracker totals):
-    # fused cross-net launches run, nets routed through them, and
-    # kernel invocations the stage issued (0/0 under per-chunk
-    # dispatch).
+    # Pattern dispatch counters ("pattern.*" tracker totals):
+    # ``route_batch`` calls, nets routed through them, and kernel
+    # invocations the stage issued.
     pattern_stats: Dict[str, float] = field(default_factory=dict)
 
     def stage_reports(self) -> List[StageReport]:
@@ -135,12 +132,13 @@ class RoutingResult:
 
     @property
     def pattern_batches(self) -> int:
-        """Fused cross-net pattern dispatches run by the stage."""
+        """``route_batch`` calls the pattern stage made (one per fused
+        level bucket)."""
         return int(self.pattern_stats.get("batches", 0))
 
     @property
     def pattern_batched_nets(self) -> int:
-        """Nets routed through fused pattern dispatches."""
+        """Nets routed through those calls (session cache hits excluded)."""
         return int(self.pattern_stats.get("batched_nets", 0))
 
     @property

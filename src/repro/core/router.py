@@ -70,7 +70,6 @@ def route_design(
         stage_times=timer.totals(),
         nets_to_ripup=nets_to_ripup,
         maze_engine=config.maze_engine,
-        cost_engine=config.cost_engine,
         cost_stats=cost_stats,
         iterations=iterations,
         pattern_report=pattern_report,

@@ -28,28 +28,23 @@ the configured :class:`~repro.backend.ArrayBackend` (``rebuild`` is the
 host-to-device upload; batched queries return backend arrays), which is
 why identical routing falls out of every backend bit for bit.
 
-Two snapshot-maintenance engines share this query interface:
-
-* ``"full"`` — recompute every edge cost and prefix table from scratch
-  on each :meth:`CostQuery.rebuild` (the oracle; O(L*nx*ny) per call);
-* ``"incremental"`` — keep persistent tables and rewrite only what a
-  rebuild can have changed.  *Unmasked* rebuilds drain the grid graph's
-  dirty-rect log, recompute edge costs inside dirty (or requested)
-  regions, and patch the prefix tables by rewriting only the affected
-  row/column suffixes.  *Masked* rebuilds (a box list over a pinned
-  reference — the pattern stage's per-level snapshot) turn the box
-  list and its read :class:`Footprint` into one :class:`_MaskPlan` of
-  flat cell indices and run a fixed number of whole-batch array
-  operations over it, whatever the number of boxes.  The masked
-  contract: costs are live on the read footprint and equal the
-  reference elsewhere; any superset of the lines a caller reads is
-  exact for it.
-  Either way a prefix entry is produced by the same left-to-right
-  sequence of IEEE additions the from-scratch scan performs (the scan
-  restarts from the last clean / reference prefix entry, folded into
-  the first rewritten element), so results are bit-identical to the
-  full oracle — asserted across backends by
-  ``tests/test_cost_engine.py``.
+Snapshot maintenance keeps persistent tables and rewrites only what a
+rebuild can have changed.  *Unmasked* rebuilds drain the grid graph's
+dirty-rect log, recompute edge costs inside dirty (or requested)
+regions, and patch the prefix tables by rewriting only the affected
+row/column suffixes.  *Masked* rebuilds (a box list over a pinned
+reference — the pattern stage's per-level snapshot) turn the box list
+and its read :class:`Footprint` into one :class:`_MaskPlan` of flat
+cell indices and run a fixed number of whole-batch array operations
+over it, whatever the number of boxes.  The masked contract: costs are
+live on the read footprint and equal the reference elsewhere; any
+superset of the lines a caller reads is exact for it.  Either way a
+prefix entry is produced by the same left-to-right sequence of IEEE
+additions a from-scratch scan performs (the scan restarts from the last
+clean / reference prefix entry, folded into the first rewritten
+element), so every table is bit-identical to one built from scratch —
+asserted across backends by ``tests/test_cost_engine.py`` against the
+from-scratch oracle in ``tests/cost_oracle.py``.
 """
 
 from __future__ import annotations
@@ -64,9 +59,6 @@ from repro.backend import ArrayBackend, get_backend
 from repro.grid.geometry import rect_union_area, rects_overlap
 from repro.grid.graph import GridGraph
 
-#: Names accepted by ``RouterConfig.cost_engine`` / ``--cost-engine``.
-COST_ENGINES = ("full", "incremental")
-
 #: Pending-rect lists longer than this collapse to their bounding rect
 #: (conservative overshoot keeps bookkeeping bounded).
 _PENDING_CAP = 16
@@ -77,11 +69,10 @@ IntRect = Tuple[int, int, int, int]
 class StaleCostError(RuntimeError):
     """A query touched a region whose costs were never refreshed.
 
-    Raised by the incremental engine when a prefix query's span
-    intersects a dirty rect that a window-limited rebuild deliberately
-    left pending.  Serving the stale value silently would break the
-    snapshot contract; rebuild without a window (or with a covering
-    window) to clear the condition.
+    Raised when a prefix query's span intersects a dirty rect that a
+    window-limited rebuild deliberately left pending.  Serving the stale
+    value silently would break the snapshot contract; rebuild without a
+    window (or with a covering window) to clear the condition.
     """
 
 
@@ -153,7 +144,7 @@ class CostModel:
         """Return the congestion cost component, elementwise.
 
         Written with direct ufunc calls and in-place updates: the
-        incremental engine evaluates this on many small dirty slabs,
+        snapshot evaluates this on many small dirty slabs,
         where ``np.clip``'s dispatch and the temporaries would dominate.
         Every step is value-identical to the textbook form
         ``slope/(1+exp(clip(-k*(d+0.5-c), -60, 60))) + w*max(d+1-c, 0)``
@@ -274,12 +265,13 @@ class CostQuery:
     NumPy.  Batched queries return backend arrays — callers own the
     ``to_numpy`` boundary.
 
-    ``engine`` selects snapshot maintenance: ``"full"`` rebuilds from
-    scratch each call (the oracle — also the right choice when demand
-    arrays are mutated directly, bypassing the graph's dirty log);
-    ``"incremental"`` subscribes to :attr:`GridGraph.dirty` and patches
-    only dirty regions and the prefix suffixes they invalidate, reusing
-    preallocated buffers.  Both produce bit-identical snapshots.
+    Maintenance subscribes to :attr:`GridGraph.dirty` and patches only
+    dirty regions and the prefix suffixes they invalidate, reusing
+    preallocated buffers.  Demand written through the graph (route
+    commits, ``add_*_demand``) logs itself; code that writes the demand
+    arrays directly must do so before the first :class:`CostQuery` on
+    that graph is built, or call :meth:`GridGraph.mark_all_demand_dirty`
+    afterwards.
     """
 
     def __init__(
@@ -287,17 +279,10 @@ class CostQuery:
         graph: GridGraph,
         model: CostModel,
         backend: Optional[ArrayBackend] = None,
-        engine: str = "full",
     ) -> None:
-        if engine not in COST_ENGINES:
-            raise ValueError(
-                f"unknown cost engine {engine!r}; available: "
-                f"{', '.join(COST_ENGINES)}"
-            )
         self.graph = graph
         self.model = model
         self.backend = backend if backend is not None else get_backend("numpy")
-        self.engine = engine
         self.n_layers = graph.n_layers
         h_allowed = np.array(
             [graph.stack.is_horizontal(l) for l in range(self.n_layers)], dtype=bool
@@ -316,12 +301,8 @@ class CostQuery:
         self._v_prefix = np.empty(0)  # host (L, nx, ny), cumulative along y
         self._via_prefix = np.empty(0)  # host (L, nx, ny), cumulative along layer
         # Masked mode (see rebuild): the pinned reference the tables
-        # were last seeded from, and — full engine — its wire-prefix
-        # sums, recomputed only when the reference identity changes
-        # (once per stage).
+        # were last seeded from.
         self._ref_src = None
-        self._ref_h_prefix: Optional[np.ndarray] = None
-        self._ref_v_prefix: Optional[np.ndarray] = None
         self._h_prefix_dev = None  # device twins of the three tables
         self._v_prefix_dev = None
         self._via_prefix_dev = None
@@ -331,8 +312,7 @@ class CostQuery:
         #: Bytes of edge-cost data the last rebuild actually rewrote —
         #: the deduplicated tally the zero-copy arena accounts.
         self.last_upload_bytes = 0
-        # --- incremental-engine state -------------------------------- #
-        self._incremental = engine == "incremental"
+        # --- maintenance state ---------------------------------------- #
         self._ready = False  # persistent buffers filled at least once
         self._buffers = False  # persistent buffers allocated
         self._cursor = 0  # dirty-log position reflected in the snapshot
@@ -382,146 +362,35 @@ class CostQuery:
         finished first); the session's per-net route cache relies on the
         second (a net's DP output does not depend on the chunk
         composition an edit reshuffles).  A read line outside its
-        (clipped) box raises :class:`ValueError`; the full engine paints
-        whole boxes whatever ``reads`` says.
+        (clipped) box raises :class:`ValueError`.
 
-        The incremental engine does a masked rebuild in a number of
-        array operations that depends on the layer count only: boxes
-        and footprint become one :class:`_MaskPlan`; the previous plan's
-        cells are copied back from the reference tables; congestion is
-        evaluated once per orientation on the gathered demand of all
-        footprint edges; and every line's anchored prefix comes out of
-        one row-wise ``cumsum`` over the padded scan lines.  Padding
-        only ever *follows* a line's real entries, so each prefix entry
-        is the same left-to-right chain of additions the oracle's
-        box-by-box scan performs — every bit agrees.
+        A masked rebuild takes a number of array operations that
+        depends on the layer count only: boxes and footprint become one
+        :class:`_MaskPlan`; the previous plan's cells are copied back
+        from the reference tables; congestion is evaluated once per
+        orientation on the gathered demand of all footprint edges; and
+        every line's anchored prefix comes out of one row-wise
+        ``cumsum`` over the padded scan lines.  Padding only ever
+        *follows* a line's real entries, so each prefix entry is the
+        same left-to-right chain of additions a from-scratch box-by-box
+        scan performs — every bit agrees.
 
         ``window`` (a ``(x0, y0, x1, y1)`` G-cell rect) limits an
-        *incremental* unmasked refresh to dirty regions intersecting the
-        window — the per-net maze refresh.  Regions left pending stay
-        guarded: prefix queries that touch them raise
-        :class:`StaleCostError` instead of serving stale costs.  The
-        full engine ignores ``window`` (it always refreshes everything).
+        unmasked refresh to dirty regions intersecting the window — the
+        per-net maze refresh.  Regions left pending stay guarded: prefix
+        queries that touch them raise :class:`StaleCostError` instead of
+        serving stale costs.
         """
         start = perf_counter()
         try:
-            if self._incremental:
-                if boxes is not None:
-                    if reference is None:
-                        raise ValueError("masked rebuild needs a cost reference")
-                    self._masked_incremental(boxes, reference, reads)
-                else:
-                    self._demand_incremental(window)
+            if boxes is None:
+                self._demand_incremental(window)
+            elif reference is None:
+                raise ValueError("masked rebuild needs a cost reference")
             else:
-                self._rebuild_full(boxes, reference)
+                self._masked_incremental(boxes, reference, reads)
         finally:
             self.stats.seconds += perf_counter() - start
-
-    def _rebuild_full(self, boxes, reference) -> None:
-        """The from-scratch oracle: fresh arrays, full recompute."""
-        graph, model = self.graph, self.model
-        nx, ny, n_layers = graph.nx, graph.ny, self.n_layers
-        if boxes is None:
-            self.wire_cost = [
-                model.wire_edge_costs(graph, layer) for layer in range(n_layers)
-            ]
-            self.via_cost = model.via_edge_costs(graph)
-        else:
-            if reference is None:
-                raise ValueError("masked rebuild needs a cost reference")
-            ref_wire, ref_via = reference
-            self.wire_cost = [
-                np.array(ref_wire[layer], copy=True) for layer in range(n_layers)
-            ]
-            self.via_cost = np.array(ref_via, copy=True)
-            for box in boxes:
-                for layer in range(n_layers):
-                    # Wire edge [x, y] leaves cell (x, y) along the
-                    # layer direction; recompute the edges whose both
-                    # endpoints lie inside the box.
-                    if self._h_allowed[layer]:
-                        sl = (slice(box.xlo, box.xhi), slice(box.ylo, box.yhi + 1))
-                    else:
-                        sl = (slice(box.xlo, box.xhi + 1), slice(box.ylo, box.yhi))
-                    self.wire_cost[layer][sl] = model.unit_wire_cost + model.congestion(
-                        graph.wire_demand[layer][sl], graph.wire_capacity[layer][sl]
-                    )
-                vsl = (
-                    slice(None),
-                    slice(box.xlo, box.xhi + 1),
-                    slice(box.ylo, box.yhi + 1),
-                )
-                self.via_cost[vsl] = model.unit_via_cost + model.congestion(
-                    graph.via_demand[vsl], graph.via_capacity[vsl]
-                )
-
-        # Full-(L, nx, ny) edge layout: row/column 0 pads the exclusive
-        # prefix, layers of the wrong direction stay all-zero and are
-        # masked out at query time by _h_allowed/_v_allowed.
-        h_edge = np.zeros((n_layers, nx, ny))
-        v_edge = np.zeros((n_layers, nx, ny))
-        for layer in range(n_layers):
-            if self._h_allowed[layer]:
-                h_edge[layer, 1:, :] = self.wire_cost[layer]  # (nx-1, ny)
-            else:
-                v_edge[layer, :, 1:] = self.wire_cost[layer]  # (nx, ny-1)
-        via_edge = np.zeros((n_layers, nx, ny))
-        via_edge[1:] = self.via_cost
-
-        if boxes is None:
-            # Host-side scans feed both twins: the device twin is a
-            # (buffer-reusing) upload of the host result — no
-            # device-to-host round-trip, and steady-state rebuilds on a
-            # non-device_is_host backend allocate no fresh device
-            # planes (see _upload_prefix).  Host np.cumsum and the
-            # backend's cumsum are bit-identical by the backend
-            # contract, so the twins stay exact copies.
-            self._h_prefix = np.cumsum(h_edge, axis=1)
-            self._v_prefix = np.cumsum(v_edge, axis=2)
-            self._via_prefix = np.cumsum(via_edge, axis=0)
-            self._h_prefix_dev = self._upload_prefix(
-                self._h_prefix_dev, self._h_prefix
-            )
-            self._v_prefix_dev = self._upload_prefix(
-                self._v_prefix_dev, self._v_prefix
-            )
-            self._via_prefix_dev = self._upload_prefix(
-                self._via_prefix_dev, self._via_prefix
-            )
-        else:
-            # Per-box seeded wire prefixes (docstring): reference prefix
-            # everywhere, then one anchored in-box scan per box.  Via
-            # prefixes are pillar-local cumsums — already a pure
-            # function of the pillar's own (in-box) costs.
-            self._ensure_reference_prefixes(reference)
-            self._h_prefix = self._ref_h_prefix.copy()
-            self._v_prefix = self._ref_v_prefix.copy()
-            self._via_prefix = np.cumsum(via_edge, axis=0)
-            for box in boxes:
-                for layer in range(n_layers):
-                    rect = self._box_wire_rect(layer, box)
-                    if rect is not None:
-                        self._seed_wire_prefix(layer, rect, h_edge, v_edge)
-            self._h_prefix_dev = self._upload_prefix(
-                self._h_prefix_dev, self._h_prefix
-            )
-            self._v_prefix_dev = self._upload_prefix(
-                self._v_prefix_dev, self._v_prefix
-            )
-            self._via_prefix_dev = self._upload_prefix(
-                self._via_prefix_dev, self._via_prefix
-            )
-
-        if boxes is None:
-            self.stats.full_rebuilds += 1
-            wire_n = sum(int(a.size) for a in self.wire_cost)
-            via_n = int(self.via_cost.size)
-        else:
-            self.stats.masked_rebuilds += 1
-            wire_n, via_n = self._boxes_edge_tally(boxes)
-        self.stats.refreshed_wire_edges += wire_n
-        self.stats.refreshed_via_edges += via_n
-        self.last_upload_bytes = (wire_n + via_n) * self.via_cost.itemsize
 
     def _upload_prefix(self, dev, host: np.ndarray):
         """Return the device twin of prefix plane ``host``.
@@ -541,72 +410,8 @@ class CostQuery:
             return dev
         return xp.asarray(host)
 
-    # -- masked-mode prefix primitives (shared by both engines) --------- #
-    def _ensure_reference_prefixes(self, reference) -> None:
-        """(Re)build the reference wire-prefix tables.
-
-        Cached by reference identity — one global scan per stage
-        reference, not one per masked rebuild.
-        """
-        if self._same_reference(reference):
-            return
-        ref_wire, _ = reference
-        nx, ny, n_layers = self.graph.nx, self.graph.ny, self.n_layers
-        h_edge = np.zeros((n_layers, nx, ny))
-        v_edge = np.zeros((n_layers, nx, ny))
-        for layer in range(n_layers):
-            if self._h_allowed[layer]:
-                h_edge[layer, 1:, :] = ref_wire[layer]
-            else:
-                v_edge[layer, :, 1:] = ref_wire[layer]
-        self._ref_h_prefix = np.cumsum(h_edge, axis=1)
-        self._ref_v_prefix = np.cumsum(v_edge, axis=2)
-        self._ref_src = reference
-
-    def _box_wire_rect(self, layer: int, box) -> Optional[IntRect]:
-        """Clipped in-box edge rect of ``box`` on ``layer`` (or None)."""
-        if self._h_allowed[layer]:
-            rect = (box.xlo, box.ylo, box.xhi - 1, box.yhi)
-        else:
-            rect = (box.xlo, box.ylo, box.xhi, box.yhi - 1)
-        shape = self.wire_cost[layer].shape
-        xlo, ylo = max(rect[0], 0), max(rect[1], 0)
-        xhi, yhi = min(rect[2], shape[0] - 1), min(rect[3], shape[1] - 1)
-        if xhi < xlo or yhi < ylo:
-            return None
-        return (xlo, ylo, xhi, yhi)
-
-    def _seed_wire_prefix(self, layer: int, rect: IntRect, h_edge, v_edge) -> None:
-        """Anchored in-box prefix scan (edge-rect indices on the scan
-        axis): reference prefix at the box's upstream face, then the
-        box's own live edge costs.  ``tmp[0] += anchor`` is the same
-        IEEE operation the reference scan performed at that position,
-        so identical inputs reproduce the reference bits exactly."""
-        xlo, ylo, xhi, yhi = rect
-        if self._h_allowed[layer]:
-            rows = slice(ylo, yhi + 1)
-            tmp = h_edge[layer, xlo + 1 : xhi + 2, rows].copy()
-            tmp[0] += self._ref_h_prefix[layer, xlo, rows]
-            np.cumsum(tmp, axis=0, out=self._h_prefix[layer, xlo + 1 : xhi + 2, rows])
-        else:
-            cols = slice(xlo, xhi + 1)
-            tmp = v_edge[layer, cols, ylo + 1 : yhi + 2].copy()
-            tmp[:, 0] += self._ref_v_prefix[layer, cols, ylo]
-            np.cumsum(tmp, axis=1, out=self._v_prefix[layer, cols, ylo + 1 : yhi + 2])
-
-    def _boxes_edge_tally(self, boxes) -> Tuple[int, int]:
-        """Deduplicated (wire, via) edge counts covered by ``boxes``."""
-        h_rects = [(b.xlo, b.ylo, b.xhi - 1, b.yhi) for b in boxes]
-        v_rects = [(b.xlo, b.ylo, b.xhi, b.yhi - 1) for b in boxes]
-        cell_rects = [(b.xlo, b.ylo, b.xhi, b.yhi) for b in boxes]
-        n_h = int(self._h_allowed.sum())
-        n_v = self.n_layers - n_h
-        wire_n = rect_union_area(h_rects) * n_h + rect_union_area(v_rects) * n_v
-        via_n = rect_union_area(cell_rects) * max(self.n_layers - 1, 0)
-        return wire_n, via_n
-
     # ------------------------------------------------------------------ #
-    # Incremental engine
+    # Snapshot maintenance
     # ------------------------------------------------------------------ #
     def _ensure_buffers(self) -> None:
         """Allocate the persistent scratch and prefix buffers once."""
@@ -760,7 +565,7 @@ class CostQuery:
         The persistent tables hold the previous masked snapshot (same
         reference): copying the previous plan's cells back from the
         reference tables and repainting the new plan's cells from
-        demand reproduces the oracle masked rebuild bit for bit — the
+        demand reproduces a from-scratch masked rebuild bit for bit — the
         rest of the tables already equal the reference.  A reference
         change (once per stage) seeds the tables with one full copy.
 
@@ -768,10 +573,10 @@ class CostQuery:
         ``last_upload_bytes`` — restores copy from the reference
         planes, which are already device-resident (uploaded once at
         seeding), so refreshing the preallocated slab in place moves
-        no new host bytes for them.  This matches the full engine's
-        oracle tally (:meth:`_boxes_edge_tally` over the new boxes);
-        without the split, every stacked launch reusing the scratch
-        would double-count its predecessor's slab as bus traffic.
+        no new host bytes for them.  This matches the from-scratch
+        tally of the new boxes; without the split, every stacked launch
+        reusing the scratch would double-count its predecessor's slab
+        as bus traffic.
         The ``refreshed_*`` stats still count restores — they measure
         host-side recompute work, which the restores really do.  Both
         are counts of distinct painted cells, so overlapping boxes are
@@ -1073,16 +878,14 @@ class CostQuery:
             self._dev_stale = False
 
     def sync(self) -> None:
-        """Flush lazy prefix patches and device uploads (incremental
-        engine; no-op on the full engine).  Mainly for tests and
-        benchmarks that inspect the tables directly."""
-        if self._incremental:
-            self._ensure_tables()
+        """Flush lazy prefix patches and device uploads now.  Mainly
+        for tests and benchmarks that inspect the tables directly."""
+        self._ensure_tables()
 
     def snapshot_reference(self) -> Tuple[List[np.ndarray], np.ndarray]:
         """Deep-copied ``(wire_cost, via_cost)`` for masked rebuilds.
 
-        Callers must hold a *copy*: the incremental engine refreshes its
+        Callers must hold a *copy*: the snapshot refreshes its
         cost arrays in place, so aliasing them as a pinned reference
         would let later batches corrupt it.
         """
@@ -1147,23 +950,20 @@ class CostQuery:
             return float("inf")
         if horizontal:
             lo, hi = sorted((x1, x2))
-            if self._incremental:
-                self._guard_wire(layer, (lo, y1, hi - 1, y1))
-                self._flush_if_dirty()
+            self._guard_wire(layer, (lo, y1, hi - 1, y1))
+            self._flush_if_dirty()
             return float(self._h_prefix[layer, hi, y1] - self._h_prefix[layer, lo, y1])
         lo, hi = sorted((y1, y2))
-        if self._incremental:
-            self._guard_wire(layer, (x1, lo, x1, hi - 1))
-            self._flush_if_dirty()
+        self._guard_wire(layer, (x1, lo, x1, hi - 1))
+        self._flush_if_dirty()
         return float(self._v_prefix[layer, x1, hi] - self._v_prefix[layer, x1, lo])
 
     def via_stack_cost(self, x: int, y: int, lo: int, hi: int) -> float:
         """Return the cost of a via stack spanning layers ``lo``..``hi``."""
         if lo > hi:
             lo, hi = hi, lo
-        if self._incremental:
-            self._guard_via((x, y, x, y))
-            self._flush_if_dirty()
+        self._guard_via((x, y, x, y))
+        self._flush_if_dirty()
         return float(self._via_prefix[hi, x, y] - self._via_prefix[lo, x, y])
 
     # ------------------------------------------------------------------ #
@@ -1189,8 +989,7 @@ class CostQuery:
         kind = horizontal + 2 * (y1 != y2)
         if kind.max(initial=0) > 2:
             raise ValueError("segments must be axis-aligned")
-        if self._incremental:
-            self._prepare_batch_wire(x1, y1, x2, y2)
+        self._prepare_batch_wire(x1, y1, x2, y2)
 
         # Gather both orientations for every segment, then select; the
         # wasted gather is what keeps the flow branch-free (lock-step
@@ -1219,8 +1018,7 @@ class CostQuery:
         """
         x = np.asarray(x, dtype=int)
         y = np.asarray(y, dtype=int)
-        if self._incremental:
-            self._prepare_batch_via(x, y)
+        self._prepare_batch_via(x, y)
         return self.backend.gather_points(self._via_prefix_dev, x, y)
 
     def via_matrix(self, x, y):
@@ -1263,7 +1061,6 @@ def _push_pending(rects: List[IntRect], rect: IntRect) -> None:
 
 
 __all__ = [
-    "COST_ENGINES",
     "CostEngineStats",
     "CostModel",
     "CostQuery",

@@ -31,11 +31,10 @@ def make_maze_router(
     margin: int = 6,
     backend: str = "numpy",
     device=None,
-    cost_engine: str = "full",
 ) -> MazeRouter:
     """Instantiate the maze engine registered under ``engine``."""
     if engine == "dijkstra":
-        return MazeRouter(graph, cost_model, margin=margin, cost_engine=cost_engine)
+        return MazeRouter(graph, cost_model, margin=margin)
     if engine == "wavefront":
         return WavefrontMazeRouter(
             graph,
@@ -43,7 +42,6 @@ def make_maze_router(
             margin=margin,
             backend=backend,
             device=device,
-            cost_engine=cost_engine,
         )
     raise ValueError(
         f"unknown maze engine {engine!r}; available: {', '.join(MAZE_ENGINES)}"

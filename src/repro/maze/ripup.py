@@ -16,8 +16,6 @@ maze router's cost snapshot, refreshed inside the task's own window.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -87,20 +85,6 @@ def find_violating_nets(
     ]
 
 
-@dataclass
-class RipupStats:
-    """Bookkeeping of one rip-up-and-reroute iteration."""
-
-    n_ripped: int = 0
-    n_failed: int = 0
-    task_durations: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def sequential_time(self) -> float:
-        """Sum of per-task reroute times (the 1-worker makespan)."""
-        return sum(self.task_durations.values())
-
-
 class RipupReroute:
     """Executes rip-up-and-reroute iterations over a routed design.
 
@@ -119,7 +103,6 @@ class RipupReroute:
         engine: str = "dijkstra",
         backend: str = "numpy",
         device=None,
-        cost_engine: str = "full",
     ) -> None:
         from repro.maze import make_maze_router
 
@@ -136,7 +119,6 @@ class RipupReroute:
             margin=margin,
             backend=backend,
             device=device,
-            cost_engine=cost_engine,
         )
         #: Total node expansions of maze searches so far (the
         #: goal-directed search counts a node again when it re-expands
@@ -327,29 +309,11 @@ class RipupReroute:
         cache.put(key, new_route)
         return new_route
 
-    def reroute(
-        self,
-        routes: Dict[str, Route],
-        ordered_names: List[str],
-    ) -> RipupStats:
-        """Reroute ``ordered_names`` in order, updating ``routes`` in place."""
-        stats = RipupStats(n_ripped=len(ordered_names))
-        for name in ordered_names:
-            start = time.perf_counter()
-            new_route = self.rip_and_reroute(routes, name)
-            stats.task_durations[name] = time.perf_counter() - start
-            if new_route is None:
-                stats.n_failed += 1
-            else:
-                routes[name] = new_route
-        return stats
-
 
 __all__ = [
     "overflow_masks",
     "route_touches_overflow",
     "route_has_violation",
     "find_violating_nets",
-    "RipupStats",
     "RipupReroute",
 ]

@@ -67,11 +67,10 @@ class MazeRouter:
         cost_model: Optional[CostModel] = None,
         margin: int = 6,
         query: Optional[CostQuery] = None,
-        cost_engine: str = "full",
     ) -> None:
         self.graph = graph
         self.cost_model = cost_model or CostModel()
-        self.query = query or CostQuery(graph, self.cost_model, engine=cost_engine)
+        self.query = query or CostQuery(graph, self.cost_model)
         self.margin = margin
         # Search scratch (dist), grown to the largest region seen and
         # reused across splice searches *and* route_net calls:
@@ -94,7 +93,7 @@ class MazeRouter:
         pins = sorted({pin.as_node() for pin in net.pins})
         region = self._region(net)
         if rebuild:
-            # The incremental engine refreshes only dirty regions that
+            # The snapshot refreshes only dirty regions that
             # intersect this net's search window; the rest stay pending
             # (and guarded) for whichever net's window reaches them.
             self.query.rebuild(window=region)

@@ -165,11 +165,8 @@ class WavefrontMazeRouter(MazeRouter):
         query: Optional[CostQuery] = None,
         backend: "ArrayBackend | str" = "numpy",
         device=None,
-        cost_engine: str = "full",
     ) -> None:
-        super().__init__(
-            graph, cost_model, margin=margin, query=query, cost_engine=cost_engine
-        )
+        super().__init__(graph, cost_model, margin=margin, query=query)
         xp = get_backend(backend) if isinstance(backend, str) else backend
         if device is not None:
             xp = device.wrap(xp)

@@ -27,9 +27,9 @@ left is planning (step 1), the table rows, and building ``Route``s.
 The waves are built ACROSS nets (:func:`~repro.pattern.twopin.build_waves`
 groups every job's two-pin nets by subtree height), so the more nets
 one ``route_batch`` call covers, the wider — and fewer — the stacked
-kernel launches.  The scheduler exploits exactly this: with
-``pattern_batching`` on, :class:`~repro.core.flow.PatternStage` fuses a
-whole conflict-free dependency level (size-bucketed by net bounding-box
+kernel launches.  The scheduler exploits exactly this:
+:class:`~repro.core.flow.PatternStage` fuses a whole conflict-free
+dependency level (size-bucketed by net bounding-box
 area) into ONE ``route_batch`` call, one padded cross-net launch per
 wave depth instead of one launch sequence per net.
 
@@ -83,7 +83,6 @@ class BatchPatternRouter:
         edge_shift: bool = True,
         max_chunk_elements: int = 150_000,
         backend: Union[str, ArrayBackend] = "numpy",
-        cost_engine: str = "full",
     ) -> None:
         self.graph = graph
         self.cost_model = cost_model or CostModel()
@@ -91,9 +90,7 @@ class BatchPatternRouter:
         base = get_backend(backend) if isinstance(backend, str) else backend
         self.backend_name = base.name
         self.backend = self.device.wrap(base)
-        self.query = CostQuery(
-            graph, self.cost_model, backend=self.backend, engine=cost_engine
-        )
+        self.query = CostQuery(graph, self.cost_model, backend=self.backend)
         self.arena = arena or ZeroCopyArena()
         self.edge_shift = edge_shift
         self.max_chunk_elements = max_chunk_elements

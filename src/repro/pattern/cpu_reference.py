@@ -45,7 +45,6 @@ class SequentialPatternRouter(BatchPatternRouter):
         arena: Optional[ZeroCopyArena] = None,
         max_chunk_elements: int = 150_000,
         backend: Union[str, ArrayBackend] = "python",
-        cost_engine: str = "full",
     ) -> None:
         super().__init__(
             graph,
@@ -55,7 +54,6 @@ class SequentialPatternRouter(BatchPatternRouter):
             edge_shift=edge_shift,
             max_chunk_elements=max_chunk_elements,
             backend=backend,
-            cost_engine=cost_engine,
         )
 
     def plan_waves(

@@ -23,21 +23,6 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, Tuple
 
 
-class Stopwatch:
-    """A resettable stopwatch measuring elapsed wall-clock seconds."""
-
-    def __init__(self) -> None:
-        self._start = time.perf_counter()
-
-    def reset(self) -> None:
-        """Restart the stopwatch from zero."""
-        self._start = time.perf_counter()
-
-    def elapsed(self) -> float:
-        """Return seconds elapsed since construction or the last reset."""
-        return time.perf_counter() - self._start
-
-
 class StageTimer:
     """Accumulate wall-clock time into named stages.
 

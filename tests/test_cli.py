@@ -18,9 +18,15 @@ class TestParser:
         assert args.scale == 0.25
 
     def test_bad_config_rejected(self):
-        for option, value in (("--config", "magic"), ("--executor", "ordered")):
+        for options in (
+            ["--config", "magic"],
+            ["--executor", "ordered"],
+            ["--cost-engine", "full"],
+            ["--no-pattern-batching"],
+            ["--no-maze-batching"],
+        ):
             with pytest.raises(SystemExit) as excinfo:
-                build_parser().parse_args(["route", "x", option, value])
+                build_parser().parse_args(["route", "x", *options])
             assert excinfo.value.code == 2
 
 

@@ -1,8 +1,8 @@
-"""Incremental cost engine vs the full-rebuild oracle.
+"""The cost snapshot vs the from-scratch oracle (``tests/cost_oracle.py``).
 
-The contract under test: the incremental engine's snapshot — edge
-costs, all three prefix tables, and their device twins — is *bit
-identical* to a from-scratch full rebuild after any sequence of
+The contract under test: the snapshot — edge costs, all three prefix
+tables, and their device twins — is *bit identical* to a from-scratch
+full rebuild after any sequence of
 commits, uncommits, direct demand writes, and window-limited refreshes,
 on every registered backend, masked and unmasked.  And when a
 window-limited rebuild leaves a region pending, querying it raises
@@ -10,6 +10,8 @@ window-limited rebuild leaves a region pending, querying it raises
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -19,18 +21,13 @@ from hypothesis import strategies as st
 from repro.backend import available_backends, get_backend
 from repro.core.config import RouterConfig
 from repro.core.router import GlobalRouter
-from repro.grid.cost import (
-    COST_ENGINES,
-    CostModel,
-    CostQuery,
-    Footprint,
-    StaleCostError,
-)
+from repro.grid.cost import CostModel, CostQuery, Footprint, StaleCostError
 from repro.grid.geometry import Rect, rect_union_area, rects_overlap
 from repro.grid.graph import DirtyLog, GridGraph
 from repro.grid.layers import Direction, LayerStack
 from repro.grid.route import Route, ViaSegment, WireSegment
 from repro.netlist.benchmarks import load_benchmark
+from tests.cost_oracle import FullRebuildCostQuery, full_rebuild_engine
 
 NX, NY, L = 20, 16, 5
 
@@ -90,9 +87,7 @@ class TestUnmaskedParity:
         rng = np.random.default_rng(42)
         graph = make_graph()
         model = CostModel()
-        inc = CostQuery(
-            graph, model, backend=get_backend(backend_name), engine="incremental"
-        )
+        inc = CostQuery(graph, model, backend=get_backend(backend_name))
         committed = []
         for step in range(30):
             if committed and rng.random() < 0.4:
@@ -103,8 +98,8 @@ class TestUnmaskedParity:
                 committed.append(route)
             inc.rebuild()
             inc.sync()
-            oracle = CostQuery(
-                graph, model, backend=get_backend(backend_name), engine="full"
+            oracle = FullRebuildCostQuery(
+                graph, model, backend=get_backend(backend_name)
             )
             assert_snapshots_equal(inc, oracle, f"at step {step}")
 
@@ -112,17 +107,15 @@ class TestUnmaskedParity:
         """Bulk demand writes with mark_all_demand_dirty stay exact."""
         graph = make_graph()
         model = CostModel()
-        inc = CostQuery(
-            graph, model, backend=get_backend(backend_name), engine="incremental"
-        )
+        inc = CostQuery(graph, model, backend=get_backend(backend_name))
         rng = np.random.default_rng(3)
         graph.wire_demand[0][:] = rng.integers(0, 7, graph.wire_demand[0].shape)
         graph.via_demand[:] = rng.integers(0, 9, graph.via_demand.shape)
         graph.mark_all_demand_dirty()
         inc.rebuild()
         inc.sync()
-        oracle = CostQuery(
-            graph, model, backend=get_backend(backend_name), engine="full"
+        oracle = FullRebuildCostQuery(
+            graph, model, backend=get_backend(backend_name)
         )
         assert_snapshots_equal(inc, oracle)
 
@@ -130,9 +123,7 @@ class TestUnmaskedParity:
         """restore_demand logs an ALL record: the next rebuild is exact."""
         graph = make_graph()
         model = CostModel()
-        inc = CostQuery(
-            graph, model, backend=get_backend(backend_name), engine="incremental"
-        )
+        inc = CostQuery(graph, model, backend=get_backend(backend_name))
         snapshot = graph.demand_snapshot()
         route = random_route(np.random.default_rng(5), graph.stack)
         route.commit(graph)
@@ -140,8 +131,8 @@ class TestUnmaskedParity:
         graph.restore_demand(snapshot)
         inc.rebuild()
         inc.sync()
-        oracle = CostQuery(
-            graph, model, backend=get_backend(backend_name), engine="full"
+        oracle = FullRebuildCostQuery(
+            graph, model, backend=get_backend(backend_name)
         )
         assert_snapshots_equal(inc, oracle)
 
@@ -241,8 +232,8 @@ def test_masked_parity(backend_name, steps, seed):
     graph = make_graph()
     model = CostModel()
     backend = get_backend(backend_name)
-    inc = CostQuery(graph, model, backend=backend, engine="incremental")
-    full = CostQuery(graph, model, backend=backend, engine="full")
+    inc = CostQuery(graph, model, backend=backend)
+    full = FullRebuildCostQuery(graph, model, backend=backend)
     whole_grid = full.stats.copy()
     reference = inc.snapshot_reference()
     previous, reseed = [], True
@@ -253,7 +244,7 @@ def test_masked_parity(backend_name, steps, seed):
         for _ in range(20):
             random_route(rng, graph.stack).commit(graph)
         if new_reference:
-            reference = CostQuery(graph, model, engine="full").snapshot_reference()
+            reference = FullRebuildCostQuery(graph, model).snapshot_reference()
             previous, reseed = [], True
         before = inc.stats.copy()
         inc.rebuild(boxes=boxes, reference=reference)
@@ -278,7 +269,7 @@ def test_masked_parity(backend_name, steps, seed):
     # Masked -> unmasked transition falls back to a clean full refresh.
     inc.rebuild()
     inc.sync()
-    oracle = CostQuery(graph, model, backend=backend, engine="full")
+    oracle = FullRebuildCostQuery(graph, model, backend=backend)
     assert_snapshots_equal(inc, oracle, "after mode switch")
 
 
@@ -330,14 +321,14 @@ def test_masked_reads_paint_only_the_footprint(backend_name, steps, seed):
     graph = make_graph()
     model = CostModel()
     backend = get_backend(backend_name)
-    inc = CostQuery(graph, model, backend=backend, engine="incremental")
+    inc = CostQuery(graph, model, backend=backend)
     reference = inc.snapshot_reference()
     previous, reseed = None, True
     for step, (boxes, new_reference) in enumerate(steps):
         for _ in range(20):
             random_route(rng, graph.stack).commit(graph)
         if new_reference:
-            reference = CostQuery(graph, model, engine="full").snapshot_reference()
+            reference = FullRebuildCostQuery(graph, model).snapshot_reference()
             previous, reseed = None, True
         reads = random_reads(rng, boxes)
         before = inc.stats.copy()
@@ -345,9 +336,9 @@ def test_masked_reads_paint_only_the_footprint(backend_name, steps, seed):
         inc.sync()
         delta = inc.stats.delta(before)
 
-        whole = CostQuery(graph, model, engine="full")
+        whole = FullRebuildCostQuery(graph, model)
         whole.rebuild(boxes=boxes, reference=reference)
-        pinned = CostQuery(graph, model, engine="full")
+        pinned = FullRebuildCostQuery(graph, model)
         pinned.rebuild(boxes=[], reference=reference)
         masks = painted_cells(graph, boxes, reads)
         names = ("_h_prefix", "_v_prefix", "_via_prefix")
@@ -396,7 +387,7 @@ def test_every_line_footprint_equals_reads_none():
     )
     queries = []
     for reads in (None, every):
-        query = CostQuery(graph, model, engine="incremental")
+        query = CostQuery(graph, model)
         reference = CostQuery(make_graph(), model).snapshot_reference()
         query.rebuild(boxes=boxes[:1], reference=reference)
         before = query.stats.copy()
@@ -426,7 +417,7 @@ NO_LINES = np.empty((2, 0), dtype=np.intp)
 def test_read_line_outside_its_box_raises(reads):
     """Boxes: (2, 2)-(6, 6), and one clipped to (0, 0)-(1, 1)."""
     graph = make_graph()
-    query = CostQuery(graph, CostModel(), engine="incremental")
+    query = CostQuery(graph, CostModel())
     reference = query.snapshot_reference()
     boxes = [Rect(2, 2, 6, 6), Rect(-3, -3, 1, 1)]
     with pytest.raises(ValueError):
@@ -454,9 +445,7 @@ def test_in_box_queries_ignore_mask_mates(backend_name, boxes, position, seed):
     x_grid, y_grid = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
     answers = []
     for mask in ([box], together):
-        query = CostQuery(
-            graph, model, backend=get_backend(backend_name), engine="incremental"
-        )
+        query = CostQuery(graph, model, backend=get_backend(backend_name))
         query.rebuild(boxes=mask, reference=reference)
         to_numpy = query.backend.to_numpy
         answers.append((
@@ -476,7 +465,7 @@ class TestWindowedRefresh:
         """A window-limited rebuild leaves out-of-window regions guarded:
         querying them raises instead of serving stale costs."""
         graph = make_graph()
-        inc = CostQuery(graph, CostModel(), engine="incremental")
+        inc = CostQuery(graph, CostModel())
         # Dirty a horizontal run far from the refresh window.
         graph.add_wire_demand(1, 10, 8, 18, 8)
         inc.rebuild(window=(0, 0, 4, 4))
@@ -489,11 +478,11 @@ class TestWindowedRefresh:
     def test_in_window_queries_served_fresh(self):
         graph = make_graph()
         model = CostModel()
-        inc = CostQuery(graph, model, engine="incremental")
+        inc = CostQuery(graph, model)
         graph.add_wire_demand(1, 0, 2, 5, 2)   # inside the window
         graph.add_wire_demand(1, 10, 8, 18, 8)  # outside
         inc.rebuild(window=(0, 0, 6, 4))
-        oracle = CostQuery(graph, model, engine="full")
+        oracle = FullRebuildCostQuery(graph, model)
         assert inc.wire_segment_cost(1, 0, 2, 5, 2) == oracle.wire_segment_cost(
             1, 0, 2, 5, 2
         )
@@ -505,7 +494,7 @@ class TestWindowedRefresh:
 
     def test_via_stale_raises(self):
         graph = make_graph()
-        inc = CostQuery(graph, CostModel(), engine="incremental")
+        inc = CostQuery(graph, CostModel())
         graph.add_via_demand(15, 12, 0, 3)
         inc.rebuild(window=(0, 0, 4, 4))
         with pytest.raises(StaleCostError):
@@ -520,24 +509,25 @@ def test_log_compaction_falls_back_to_full_refresh():
     graph = make_graph()
     graph.dirty = DirtyLog(max_records=8)
     model = CostModel()
-    inc = CostQuery(graph, model, engine="incremental")
+    inc = CostQuery(graph, model)
     full_before = inc.stats.full_rebuilds
     for i in range(40):  # far beyond the log capacity
         graph.add_wire_demand(1, 0, i % NY, 3, i % NY)
     inc.rebuild()
     inc.sync()
     assert inc.stats.full_rebuilds > full_before
-    oracle = CostQuery(graph, model, engine="full")
+    oracle = FullRebuildCostQuery(graph, model)
     assert_snapshots_equal(inc, oracle)
 
 
 def test_unknown_engine_rejected():
+    """There is one engine: ``engine=`` / ``cost_engine=`` are unknown."""
     graph = make_graph()
-    with pytest.raises(ValueError):
-        CostQuery(graph, CostModel(), engine="nope")
-    with pytest.raises(ValueError):
-        RouterConfig.fastgr_l(cost_engine="nope")
-    assert set(COST_ENGINES) == {"full", "incremental"}
+    for engine in ("full", "incremental", "nope"):
+        with pytest.raises(TypeError):
+            CostQuery(graph, CostModel(), engine=engine)
+        with pytest.raises(TypeError):
+            RouterConfig.fastgr_l(cost_engine=engine)
 
 
 def test_upload_bytes_deduplicate_overlapping_boxes():
@@ -545,14 +535,14 @@ def test_upload_bytes_deduplicate_overlapping_boxes():
     overcounted shared cells)."""
     graph = make_graph()
     model = CostModel()
-    query = CostQuery(graph, model, engine="full")
+    query = FullRebuildCostQuery(graph, model)
     reference = query.snapshot_reference()
     box = Rect(2, 2, 8, 8)
     query.rebuild(boxes=[box], reference=reference)
     once = query.last_upload_bytes
     query.rebuild(boxes=[box, box, box], reference=reference)
     assert query.last_upload_bytes == once
-    inc = CostQuery(graph, model, engine="incremental")
+    inc = CostQuery(graph, model)
     inc.rebuild(boxes=[box, box], reference=inc.snapshot_reference())
     inc.rebuild(boxes=[box, box], reference=reference)  # reference change reseeds
     assert inc.last_upload_bytes >= once
@@ -569,7 +559,7 @@ def test_rect_union_area_helpers():
 
 def test_stats_counters_accumulate():
     graph = make_graph()
-    inc = CostQuery(graph, CostModel(), engine="incremental")
+    inc = CostQuery(graph, CostModel())
     before = inc.stats.copy()
     graph.add_wire_demand(1, 0, 0, 5, 0)
     inc.rebuild()
@@ -582,14 +572,13 @@ def test_stats_counters_accumulate():
 
 @pytest.mark.parametrize("preset", ["cugr", "fastgr_l", "fastgr_h"])
 def test_router_parity_full_vs_incremental(preset):
-    """End-to-end: full and incremental engines route bit-identically."""
+    """End-to-end: the snapshot routes bit-identically to the oracle."""
     results = {}
     for engine in ("full", "incremental"):
         design = load_benchmark("18test5", scale=0.05)
-        config = getattr(RouterConfig, preset)(
-            cost_engine=engine, n_rrr_iterations=2
-        )
-        result = GlobalRouter(design, config).run()
+        config = getattr(RouterConfig, preset)(n_rrr_iterations=2)
+        with full_rebuild_engine() if engine == "full" else nullcontext():
+            result = GlobalRouter(design, config).run()
         results[engine] = (
             {
                 name: (
@@ -609,7 +598,6 @@ def test_result_carries_cost_observability():
     design = load_benchmark("18test5", scale=0.05)
     config = RouterConfig.fastgr_l(n_rrr_iterations=2)
     result = GlobalRouter(design, config).run()
-    assert result.cost_engine == "incremental"
     assert result.cost_stats["rebuilds"] >= 1
     assert result.cost_stats["refreshed_edges"] > 0
     assert "cost_rebuilds" in result.summary()

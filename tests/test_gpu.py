@@ -158,7 +158,7 @@ class TestOpTally:
             graph = GridGraph(24, 24, LayerStack(9), wire_capacity=4.0)
             router = BatchPatternRouter(
                 graph, config.cost_model, edge_shift=config.edge_shift,
-                backend=config.backend, cost_engine=config.cost_engine,
+                backend=config.backend,
             )
             reference = router.query.snapshot_reference()
             before = router.backend.ops

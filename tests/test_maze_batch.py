@@ -12,11 +12,14 @@ pass, and exactly one field download happens per splice search.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.backend import available_backends
 from repro.core.config import RouterConfig
+from repro.core.flow import RerouteStage
 from repro.core.router import GlobalRouter
 from repro.gpu.device import Device
 from repro.grid.graph import GridGraph
@@ -246,7 +249,7 @@ def congested_design():
 
 
 class TestFlowBatchingParity:
-    """route_design with batching on == off, bit for bit, per preset."""
+    """route_design with stacked levels == per-net dispatch, per preset."""
 
     @pytest.mark.parametrize(
         "preset",
@@ -254,16 +257,13 @@ class TestFlowBatchingParity:
         ids=lambda p: p.__name__,
     )
     def test_batched_flow_bit_identical(self, preset):
-        results = {}
-        for batching in (True, False):
-            design = congested_design()
-            config = preset(
-                maze_engine="wavefront",
-                maze_batching=batching,
-                n_rrr_iterations=2,
-            )
-            results[batching] = GlobalRouter(design, config).run()
-        on, off = results[True], results[False]
+        config = preset(maze_engine="wavefront", n_rrr_iterations=2)
+        on = GlobalRouter(congested_design(), config).run()
+        # Per-net dispatch, the oracle: no fused levels.
+        with mock.patch.object(
+            RerouteStage, "batch_plan", lambda self, schedule: None
+        ):
+            off = GlobalRouter(congested_design(), config).run()
         assert set(on.routes) == set(off.routes)
         for name in on.routes:
             assert routes_bit_equal(on.routes[name], off.routes[name]), name
@@ -375,6 +375,7 @@ class TestDeviceResidency:
         query.rebuild()
         graph.add_wire_demand(1, 2, 2, 6, 2, 1.0)
         query.rebuild()
+        query.sync()  # uploads are lazy: the first query would flush them
         assert backend.bytes_to_device_total > 0
         assert backend.bytes_to_host_total == 0
 
@@ -389,6 +390,7 @@ class TestCostScratchReuse:
         graph = fresh_grid(demand_seed=8)
         query = CostQuery(graph, CostModel(), backend=get_backend("python"))
         query.rebuild()
+        query.sync()
         first = (
             query._h_prefix_dev,
             query._v_prefix_dev,
@@ -396,6 +398,7 @@ class TestCostScratchReuse:
         )
         graph.add_wire_demand(1, 2, 2, 6, 2, 1.0)
         query.rebuild()
+        query.sync()
         second = (
             query._h_prefix_dev,
             query._v_prefix_dev,
@@ -405,6 +408,7 @@ class TestCostScratchReuse:
             assert a is b
         # And the reused buffers hold the refreshed values.
         expected = CostQuery(graph, CostModel(), backend=get_backend("python"))
+        expected.sync()
         for mine, fresh in zip(
             second,
             (
@@ -434,7 +438,7 @@ class TestBatchedSchedulerDispatch:
     """The pipeline seam: levels dispatch preserves per-task semantics."""
 
     def test_reroute_stage_exposes_levels_only_when_batching(self):
-        from repro.core.flow import RerouteStage
+        """Levels when the engine can stack searches, else no plan."""
         from repro.sched.pipeline import StageRunner
 
         graph = fresh_grid(nx=16, ny=16, demand_seed=21)
@@ -453,8 +457,9 @@ class TestBatchedSchedulerDispatch:
             routes[net.name] = route
 
         runner = StageRunner()
-        on = RerouteStage(engine, dict(routes), ordered, 2, batching=True)
-        off = RerouteStage(engine, dict(routes), ordered, 2, batching=False)
+        on = RerouteStage(engine, dict(routes), ordered, 2)
+        dijkstra = RipupReroute(graph, nets, margin=2, engine="dijkstra")
+        off = RerouteStage(dijkstra, dict(routes), ordered, 2)
         schedule = runner.schedule(on)
         assert on.batch_plan(schedule) == schedule.task_graph.levels()
         assert off.batch_plan(schedule) is None
@@ -528,7 +533,6 @@ class TestBucketedPassCounts:
 
     def test_reroute_stage_plan_splits_ragged_levels(self):
         graph, nets = self._ragged_scene()
-        from repro.core.flow import RerouteStage
         from repro.sched.pipeline import StageRunner
 
         nets_by_name = {net.name: net for net in nets}
@@ -540,7 +544,7 @@ class TestBucketedPassCounts:
             route = engine.maze.route_net(net)
             route.commit(graph)
             routes[net.name] = route
-        stage = RerouteStage(engine, routes, nets, 2, batching=True)
+        stage = RerouteStage(engine, routes, nets, 2)
         schedule = StageRunner().schedule(stage)
         levels = schedule.task_graph.levels()
         plan = stage.batch_plan(schedule)

@@ -10,11 +10,14 @@ members, and mixed L/Z/hybrid stacks.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.backend import available_backends
 from repro.core.config import RouterConfig
+from repro.core.flow import PatternStage
 from repro.core.router import GlobalRouter
 from repro.core.selection import make_mode_selector
 from repro.gpu.device import Device
@@ -24,6 +27,13 @@ from repro.netlist.generator import DesignSpec, generate_design
 from repro.netlist.net import Net, Pin
 from repro.pattern.batch import BatchPatternRouter
 from repro.pattern.twopin import PatternMode
+from tests.cost_oracle import full_rebuild_engine
+
+
+def per_chunk_dispatch():
+    """Run the pattern stage one chunk task at a time: the oracle the
+    fused level dispatch is held to."""
+    return mock.patch.object(PatternStage, "batch_plan", lambda self, schedule: None)
 
 
 def fresh_grid(nx=18, ny=18, n_layers=4, capacity=3.0, demand_seed=None):
@@ -84,7 +94,7 @@ def demand_equal(g1, g2):
     return np.array_equal(g1.via_demand, g2.via_demand)
 
 
-def route_twice(nets, mode_fn, backend, demand_seed, **engine_kw):
+def route_twice(nets, mode_fn, backend, demand_seed):
     """Per-net dispatch vs one stacked call, on twin graphs.
 
     Both sides mask every rebuild to the dispatched nets' boxes against
@@ -94,7 +104,7 @@ def route_twice(nets, mode_fn, backend, demand_seed, **engine_kw):
     boxes = [net.bbox for net in nets]
 
     g_solo = fresh_grid(demand_seed=demand_seed)
-    solo_engine = BatchPatternRouter(g_solo, backend=backend, **engine_kw)
+    solo_engine = BatchPatternRouter(g_solo, backend=backend)
     reference = solo_engine.query.snapshot_reference()
     solo = {}
     for net, box in zip(nets, boxes):
@@ -105,7 +115,7 @@ def route_twice(nets, mode_fn, backend, demand_seed, **engine_kw):
         )
 
     g_stack = fresh_grid(demand_seed=demand_seed)
-    stack_engine = BatchPatternRouter(g_stack, backend=backend, **engine_kw)
+    stack_engine = BatchPatternRouter(g_stack, backend=backend)
     reference = stack_engine.query.snapshot_reference()
     stacked = stack_engine.route_batch(
         nets, mode_fn, cost_boxes=boxes, cost_reference=reference
@@ -174,16 +184,18 @@ class TestStackedEngineParity:
         assert len(shapes) >= 2, shapes
 
     def test_incremental_cost_engine_parity(self, backend_name):
+        """Both dispatches equal their run on the from-scratch oracle."""
         graph = fresh_grid(demand_seed=9)
         rng = np.random.default_rng(12)
         nets = tiled_nets(rng, graph)
         mode_fn = make_mode_selector(RouterConfig.fastgr_l(), graph)
-        solo, stacked, g1, g2, _ = route_twice(
-            nets, mode_fn, backend_name, 9, cost_engine="incremental"
-        )
+        solo, stacked, g1, g2, _ = route_twice(nets, mode_fn, backend_name, 9)
+        with full_rebuild_engine():
+            o_solo, o_stacked, o1, o2, _ = route_twice(nets, mode_fn, backend_name, 9)
         for name in solo:
-            assert routes_bit_equal(stacked[name], solo[name]), name
-        assert demand_equal(g1, g2)
+            assert routes_bit_equal(solo[name], o_solo[name]), name
+            assert routes_bit_equal(stacked[name], o_stacked[name]), name
+        assert demand_equal(g1, o1) and demand_equal(g2, o2)
 
 
 def congested_design():
@@ -209,20 +221,19 @@ def synthetic_design(graph, nets):
 
 
 class TestPatternStageSeam:
-    """batch_plan/run_batch on PatternStage: gating, bucketing, counters."""
+    """batch_plan/run_batch on PatternStage: levels, bucketing, counters."""
 
-    def test_batch_plan_gated_by_config(self):
-        from repro.core.flow import PatternStage
+    def test_batch_plan_fuses_every_level(self):
         from repro.gpu.zerocopy import ZeroCopyArena
         from repro.sched.pipeline import StageRunner
 
         runner = StageRunner()
         design = congested_design()
-        on = PatternStage(
+        stage = PatternStage(
             design, RouterConfig.fastgr_l(), Device(), ZeroCopyArena()
         )
-        schedule = runner.schedule(on)
-        plan = on.batch_plan(schedule)
+        schedule = runner.schedule(stage)
+        plan = stage.batch_plan(schedule)
         assert plan is not None
         # Bucketing permutes within levels only: flattening the plan
         # level by level yields each level's members exactly once.
@@ -231,17 +242,8 @@ class TestPatternStageSeam:
             t for level in schedule.task_graph.levels() for t in level
         )
 
-        off = PatternStage(
-            design,
-            RouterConfig.fastgr_l(pattern_batching=False),
-            Device(),
-            ZeroCopyArena(),
-        )
-        assert off.batch_plan(runner.schedule(off)) is None
-
     def test_plan_buckets_split_ragged_levels(self):
         """A level mixing a huge chunk with small ones splits by area."""
-        from repro.core.flow import PatternStage
         from repro.gpu.zerocopy import ZeroCopyArena
         from repro.sched.pipeline import StageRunner
 
@@ -270,31 +272,27 @@ class TestPatternStageSeam:
             base = areas[group[0]]
             assert all(areas[t] <= 4.0 * max(base, 1) for t in group)
 
-    def test_stage_counters_only_under_fused_dispatch(self):
-        design_on = congested_design()
-        design_off = congested_design()
-        on = GlobalRouter(
-            design_on, RouterConfig.fastgr_l(n_rrr_iterations=1)
-        ).run()
-        off = GlobalRouter(
-            design_off,
-            RouterConfig.fastgr_l(pattern_batching=False, n_rrr_iterations=1),
-        ).run()
-        assert on.pattern_batches > 0
-        assert on.pattern_batched_nets >= on.pattern_batches
+    def test_stage_counters_count_route_batch_calls(self):
+        # Small chunks, so levels hold several sibling chunks to fuse.
+        config = RouterConfig.fastgr_l(n_rrr_iterations=1, max_batch_tasks=8)
+        on = GlobalRouter(congested_design(), config).run()
+        with per_chunk_dispatch():
+            off = GlobalRouter(congested_design(), config).run()
+        n_nets = len(on.routes)
         assert on.pattern_kernel_launches > 0
-        # Per-chunk dispatch still issues kernels — the counter
-        # meters the stage's launches under either dispatch mode.
-        assert off.pattern_kernel_launches > 0
-        assert off.pattern_batches == 0
-        assert off.pattern_batched_nets == 0
+        # Every net goes through exactly one call either way; fused
+        # levels make fewer, wider calls than one per chunk task.
+        assert on.pattern_batched_nets == off.pattern_batched_nets == n_nets
+        assert 0 < on.pattern_batches < off.pattern_batches
+        assert off.pattern_batches == off.pattern_report.n_tasks
+        assert 0 < on.pattern_kernel_launches < off.pattern_kernel_launches
         for key in ("pattern_batches", "pattern_batched_nets",
                     "pattern_kernel_launches"):
             assert key in on.summary()
 
 
 class TestFlowPatternBatchingParity:
-    """route_design with pattern batching on == off, bit for bit."""
+    """route_design with fused levels == one chunk task at a time."""
 
     @pytest.mark.parametrize(
         "preset",
@@ -302,24 +300,17 @@ class TestFlowPatternBatchingParity:
         ids=lambda p: p.__name__,
     )
     def test_batched_flow_bit_identical(self, preset):
-        results = {}
-        for batching in (True, False):
-            design = congested_design()
-            config = preset(
-                pattern_batching=batching,
-                n_rrr_iterations=2,
-            )
-            results[batching] = GlobalRouter(design, config).run()
-        on, off = results[True], results[False]
+        config = preset(n_rrr_iterations=2)
+        on = GlobalRouter(congested_design(), config).run()
+        with per_chunk_dispatch():
+            off = GlobalRouter(congested_design(), config).run()
         assert set(on.routes) == set(off.routes)
         for name in on.routes:
             assert routes_bit_equal(on.routes[name], off.routes[name]), name
         assert on.metrics.wirelength == off.metrics.wirelength
         assert on.metrics.n_vias == off.metrics.n_vias
         assert on.metrics.score == off.metrics.score
-        assert on.pattern_batches > 0
-        assert on.pattern_batched_nets >= on.pattern_batches
-        assert off.pattern_batches == 0
+        assert 0 < on.pattern_batches <= off.pattern_batches
 
     def test_backend_parity_with_batching(self):
         results = {}

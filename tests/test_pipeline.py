@@ -186,16 +186,17 @@ def small_design(seed=7):
 
 def test_cost_snapshot_consistent_after_run():
     """The graph a finished run leaves behind is dirty-log-clean:
-    an incremental cost engine built on it agrees with the full
-    oracle, and keeps agreeing across a commit/uncommit cycle."""
+    a cost snapshot built on it agrees with the from-scratch oracle,
+    and keeps agreeing across a commit/uncommit cycle."""
     from repro.grid.cost import CostModel, CostQuery
+    from tests.cost_oracle import FullRebuildCostQuery
 
     design = small_design()
     result = GlobalRouter(design, RouterConfig.fastgr_l()).run()
     graph = design.graph
     model = CostModel()
-    full = CostQuery(graph, model, engine="full")
-    incremental = CostQuery(graph, model, engine="incremental")
+    full = FullRebuildCostQuery(graph, model)
+    incremental = CostQuery(graph, model)
 
     def assert_same_tables():
         for layer in range(graph.n_layers):

@@ -8,12 +8,13 @@ prefix-table cell outside the painted footprint, except the lines'
 anchors, is overwritten by a finite sentinel (finite, so a degenerate
 ``p - p`` read stays 0).  A line the kernels read but the footprint
 missed then prices some candidate wrongly, and the run routes
-differently from a whole-box run (the ``full`` engine, which paints
-every line of every box).
+differently from a whole-box run (the from-scratch oracle of
+``tests/cost_oracle.py``, which paints every line of every box).
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.grid.geometry import Point
 from repro.netlist.net import Net, Netlist, Pin
 from repro.session import DesignHandle, RoutingSession
 from repro.tree.steiner import SteinerTree, TreeNode
+from tests.cost_oracle import full_rebuild_engine
 
 SENTINEL = 1.0e6
 
@@ -117,9 +119,10 @@ def route_pairs(config: RouterConfig):
     results = []
     for engine in ("incremental", "full"):
         design = make_design()
-        results.append(
-            GlobalRouter(design, replace(config, cost_engine=engine, n_rrr_iterations=0)).run()
-        )
+        with full_rebuild_engine() if engine == "full" else nullcontext():
+            results.append(
+                GlobalRouter(design, replace(config, n_rrr_iterations=0)).run()
+            )
     return results
 
 
@@ -142,8 +145,11 @@ def test_routes_equal_the_whole_box_run(poisoned, shifted, preset):
 def test_session_eco_equals_the_whole_box_run(poisoned):
     results = []
     for engine in ("incremental", "full"):
-        config = RouterConfig.fastgr_h(cost_engine=engine, n_rrr_iterations=1)
-        with RoutingSession(DesignHandle.from_design(make_design()), config) as session:
+        config = RouterConfig.fastgr_h(n_rrr_iterations=1)
+        oracle = full_rebuild_engine() if engine == "full" else nullcontext()
+        with oracle, RoutingSession(
+            DesignHandle.from_design(make_design()), config
+        ) as session:
             session.run()
             delta = perturb_design(session.design, ECO_PRESETS["small"], seed=5)
             results.append(session.eco(delta))

@@ -8,6 +8,7 @@ import pytest
 from repro.grid.cost import CostModel, CostQuery
 from repro.grid.graph import GridGraph
 from repro.grid.route import Route, ViaSegment, WireSegment, commit_routes
+from tests.cost_oracle import FullRebuildCostQuery
 
 
 class TestWireSegment:
@@ -210,13 +211,13 @@ class TestCommitRoutes:
         rng = np.random.default_rng(11)
         graph = GridGraph(12, 10, stack5, wire_capacity=2.0, via_capacity=3.0)
         model = CostModel()
-        incremental = CostQuery(graph, model, engine="incremental")
+        incremental = CostQuery(graph, model)
         routes = random_routes(rng, graph, 40)
         for chunk in (routes[:15], routes[15:], routes[5:30]):
             commit_routes(graph, chunk)
             incremental.rebuild()
             incremental.sync()
-            oracle = CostQuery(graph, model, engine="full")
+            oracle = FullRebuildCostQuery(graph, model)
             for name in ("_h_prefix", "_v_prefix", "_via_prefix"):
                 assert np.array_equal(getattr(incremental, name), getattr(oracle, name))
 

@@ -81,8 +81,12 @@ class TestConfig:
         config = RouterConfig.fastgr_l(n_rrr_iterations=1, sorting_scheme="area_asc")
         assert config.n_rrr_iterations == 1
         assert config.sorting_scheme == "area_asc"
-        with pytest.raises(TypeError):  # unknown overrides raise, they are not ignored
-            RouterConfig.fastgr_l(executor="ordered")
+        # Unknown overrides raise, they are not ignored — among them the
+        # retired executor, cost-engine and batching switches.
+        for name in ("executor", "cost_engine", "pattern_batching",
+                     "maze_batching"):
+            with pytest.raises(TypeError):
+                RouterConfig.fastgr_l(**{name: "ordered"})
 
     def test_invalid_engine(self):
         with pytest.raises(ValueError):

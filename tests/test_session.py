@@ -8,6 +8,8 @@ Caches may only change speed.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.netlist.generator import (
 )
 from repro.netlist.net import Net, Pin
 from repro.session import DesignHandle, RoutingSession, SessionStore
+from tests.cost_oracle import full_rebuild_engine
 
 
 def demand_equal(g1, g2) -> bool:
@@ -109,10 +112,12 @@ class TestRoutingSession:
     @pytest.mark.parametrize("backend", ["numpy", "python"])
     @pytest.mark.parametrize("cost_engine", ["full", "incremental"])
     def test_eco_bitwise_vs_cold(self, small_design, backend, cost_engine):
-        """The headline guarantee, across backends and cost engines."""
-        config = RouterConfig.fastgr_l(backend=backend, cost_engine=cost_engine)
+        """The headline guarantee, across backends, on the cost snapshot
+        and on its from-scratch oracle."""
+        config = RouterConfig.fastgr_l(backend=backend)
         handle = DesignHandle.from_design(small_design)
-        with RoutingSession(handle, config) as session:
+        oracle = full_rebuild_engine() if cost_engine == "full" else nullcontext()
+        with oracle, RoutingSession(handle, config) as session:
             session.run()
             delta = perturb_design(
                 session.design, ECO_PRESETS["small"], seed=5

@@ -7,22 +7,8 @@ import time
 import pytest
 
 from repro.utils.rng import make_rng
-from repro.utils.timing import StageTimer, Stopwatch
+from repro.utils.timing import StageTimer
 from repro.utils.unionfind import UnionFind
-
-
-class TestStopwatch:
-    def test_elapsed_grows(self):
-        watch = Stopwatch()
-        first = watch.elapsed()
-        time.sleep(0.002)
-        assert watch.elapsed() > first
-
-    def test_reset(self):
-        watch = Stopwatch()
-        time.sleep(0.002)
-        watch.reset()
-        assert watch.elapsed() < 0.002
 
 
 class TestStageTimer:
