@@ -7,12 +7,14 @@ re-routes the edited design at least 2x faster than a cold
 **bit-identical** result (same demand grids, same routes, same score).
 
 The warm path replays the deterministic stage pipeline from zero
-demand with content-addressed caches armed: per-net pattern results
-and maze re-routes whose demand contexts are unchanged commit their
-cached routes in O(route length); only the edit's blast radius — nets
-whose cost windows the edit's corridors actually touch — recomputes.
-The parity assertion is unconditional: the speedup is never bought
-with approximation.
+demand: a pattern net whose pins, earlier overlapping nets and their
+routes are unchanged commits its last route in O(route length) with no
+hash and no DP, and maze re-routes whose demand contexts are unchanged
+replay from a content-addressed cache; only the edit's blast radius
+recomputes.  The record carries the ECO's recomputed pattern nets and
+its content-key calls; the parity assertions — route digest, demand
+grids, score — and "no content key on the pattern path" are
+unconditional: the speedup is never bought with approximation.
 
 The workload is an ECO-shaped design: a 96x96 six-layer grid at
 moderate congestion (pattern-dominated, like the paper's uncongested
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -67,6 +70,30 @@ def demand_equal(g1, g2) -> bool:
     ) and np.array_equal(g1.via_demand, g2.via_demand)
 
 
+@contextmanager
+def counted_hashes():
+    """Count the content-key calls made inside the block, by name."""
+    import repro.session.cache as cache
+
+    calls = {name: 0 for name in ("demand_signature", "pattern_net_key", "maze_task_key")}
+    real = {name: getattr(cache, name) for name in calls}
+
+    def counter(name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real[name](*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        setattr(cache, name, counter(name))
+    try:
+        yield calls
+    finally:
+        for name, fn in real.items():
+            setattr(cache, name, fn)
+
+
 def test_eco_replay_beats_cold_reroute():
     from repro.netlist.generator import generate_design
 
@@ -79,9 +106,10 @@ def test_eco_replay_beats_cold_reroute():
         warm_time = time.perf_counter() - start
 
         delta = perturb_design(session.design, ECO_EDIT, seed=ECO_SEED)
-        start = time.perf_counter()
-        eco = session.eco(delta)
-        eco_time = time.perf_counter() - start
+        with counted_hashes() as hashes:
+            start = time.perf_counter()
+            eco = session.eco(delta)
+            eco_time = time.perf_counter() - start
 
         cold_design = session.cold_design()
         start = time.perf_counter()
@@ -89,7 +117,10 @@ def test_eco_replay_beats_cold_reroute():
         cold_time = time.perf_counter() - start
 
         # Exactness first, unconditionally: the warm ECO result must be
-        # bit-identical to the cold route of the edited design.
+        # bit-identical to the cold route of the edited design.  The
+        # pattern stage decides clean nets by structure: no content key.
+        assert eco.result.digest() == cold.digest()
+        assert hashes["pattern_net_key"] == 0, hashes
         assert demand_equal(session.graph, cold_design.graph)
         assert eco.result.metrics.score == cold.metrics.score
         assert set(eco.result.routes) == set(cold.routes)
@@ -107,6 +138,9 @@ def test_eco_replay_beats_cold_reroute():
             "n_edits": eco.n_edits,
             "cache_hits": eco.cache_hits,
             "cache_misses": eco.cache_misses,
+            "recomputed_nets": eco.result.pattern_batched_nets,
+            "content_hashes": sum(hashes.values()),
+            "pattern_hashes": hashes["pattern_net_key"],
             "reuse_fraction": eco.reuse_fraction,
             "score": eco.result.metrics.score,
             "min_speedup": MIN_SPEEDUP,

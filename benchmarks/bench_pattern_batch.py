@@ -30,6 +30,10 @@ nets (the head warms caches), beside the figure whole-box masked
 rebuilds gave on the machine that wrote ``results/pattern_batch.txt``.
 The tiles are small, so the kernels read most lines of each box: the
 read-footprint rebuild saves little here and its bookkeeping is paid.
+
+``test_lone_call_fixed_price`` records the same fixed cost on the two
+lone nets whose op counts tier-1 pins: the minimum of 200 calls each,
+the two nets alternating in one process, beside the parent's figure.
 """
 
 from __future__ import annotations
@@ -198,3 +202,81 @@ def test_fused_dispatch_beats_per_net():
         metrics=metrics,
     )
     assert speedup >= MIN_SPEEDUP
+
+
+#: The lone nets of ``tests/test_gpu.py::TestOpTally``.
+LONE_NETS = (
+    Net("two", [Pin(3, 4, 0), Pin(11, 9, 2)]),
+    Net("five", [Pin(2, 2, 0), Pin(17, 5, 1), Pin(6, 15, 0),
+                 Pin(18, 16, 2), Pin(10, 9, 0)]),
+)
+LONE_CALLS = 200
+# Minimum of 200 calls of the parent code (the commit before the lone
+# call's fixed price was cut), same harness, best of 8 processes
+# alternating with this code on the machine that wrote the committed
+# results, where this code's best was 0.75e-3 / 1.19e-3: seconds per
+# call, (2-pin, 5-pin).
+LONE_CALL_BEFORE = (0.96e-3, 1.41e-3)
+
+
+def lone_call_minimum(preset: str = "fastgr_l"):
+    """Minimum wall of ``LONE_CALLS`` calls of ``route_batch`` on each
+    lone net, the nets alternating in one process (no commit, so the
+    grid stays empty and every call replays the same DP)."""
+    config = getattr(RouterConfig, preset)()
+    graph = GridGraph(24, 24, LayerStack(9), wire_capacity=4.0)
+    router = BatchPatternRouter(
+        graph, config.cost_model, edge_shift=config.edge_shift, backend=config.backend
+    )
+    reference = router.query.snapshot_reference()
+    mode_fn = make_mode_selector(config, graph)
+    best = [float("inf")] * len(LONE_NETS)
+    for _ in range(LONE_CALLS):
+        for i, net in enumerate(LONE_NETS):
+            start = time.perf_counter()
+            routes = router.route_batch(
+                [net], mode_fn, cost_boxes=[net.bbox], cost_reference=reference,
+                commit=False,
+            )
+            best[i] = min(best[i], time.perf_counter() - start)
+            assert routes[net.name].connects([p.as_node() for p in net.pins])
+    return best
+
+
+def test_lone_call_fixed_price():
+    """What one ``route_batch`` call costs when it routes one net.
+
+    A lone call is all fixed cost — the masked rebuild, a combine and a
+    pattern launch per wave, the root combine, the backtrace — and an
+    ECO replay makes dozens of them.  The row records the minimum over
+    ``LONE_CALLS`` calls beside the parent's figure from the same
+    harness; the backend-op and masked-rebuild call counts that gate it
+    repeat exactly and live in tier-1 (``tests/test_gpu.py``,
+    ``tests/test_cost_engine.py``).
+    """
+    two, five = lone_call_minimum()
+    before_two, before_five = LONE_CALL_BEFORE
+    register_table(
+        "pattern_lone_call",
+        format_table(
+            ["lone net", "min call (ms)", "parent (ms)", "speedup"],
+            [
+                ["2-pin", two * 1e3, before_two * 1e3, before_two / two],
+                ["5-pin", five * 1e3, before_five * 1e3, before_five / five],
+            ],
+            title=(
+                f"One route_batch call on a lone net (24x24x9 grid, fastgr_l, "
+                f"numpy backend, min of {LONE_CALLS} alternating calls)"
+            ),
+        ),
+        config=RouterConfig.fastgr_l(),
+        metrics={
+            "two_pin_s": two,
+            "five_pin_s": five,
+            "two_pin_before_s": before_two,
+            "five_pin_before_s": before_five,
+            "two_pin_speedup": before_two / two,
+            "five_pin_speedup": before_five / five,
+        },
+    )
+

@@ -16,6 +16,11 @@ import numpy as np
 from repro.backend.base import ArrayBackend
 
 _DTYPES = {"float": float, "int": np.intp, "bool": bool}
+#: expand_dims index tuples by axis.
+_EXPAND: dict = {}
+#: min_argmin gather bases by (shape, axis), bounded.
+_GATHER_BASE: dict = {}
+_GATHER_CACHE = 512
 
 
 class NumpyBackend(ArrayBackend):
@@ -102,11 +107,18 @@ class NumpyBackend(ArrayBackend):
     def expand_dims(self, a, axis: int):
         # Plain indexing: np.expand_dims costs ~2 us of argument
         # normalisation per call and the kernels make ~10 of them.
-        if axis < 0:
-            return np.asarray(a)[(Ellipsis, None) + (slice(None),) * (-axis - 1)]
-        return np.asarray(a)[(slice(None),) * axis + (None,)]
+        index = _EXPAND.get(axis)
+        if index is None:
+            index = _EXPAND[axis] = (
+                (Ellipsis, None) + (slice(None),) * (-axis - 1)
+                if axis < 0
+                else (slice(None),) * axis + (None,)
+            )
+        return np.asarray(a)[index]
 
     def reshape(self, a, shape: Sequence[int]):
+        if isinstance(a, np.ndarray):
+            return a.reshape(shape)
         return np.reshape(a, tuple(shape))
 
     def unstack(self, a):
@@ -133,15 +145,23 @@ class NumpyBackend(ArrayBackend):
     def min_argmin(self, a, axis: int):
         # One pass finds the argmins; the minima are then gathered by
         # index (a second reduction costs more on the large hybrid
-        # tensors).  The gather is take_along_axis without its per-call
-        # index construction, which dominated on one-net batches.
+        # tensors).  The gather is one flat take: the position of
+        # output p's first reduced element depends on the shape only,
+        # so it is built once per (shape, axis) — kernels repeat a few
+        # shapes over and over.
         a = np.asarray(a)
         arg = a.argmin(axis=axis)
-        axis %= a.ndim
-        outer, inner = math.prod(a.shape[:axis]), math.prod(a.shape[axis + 1 :])
-        values = a.reshape(outer, a.shape[axis], inner)[
-            np.arange(outer)[:, None], arg.reshape(outer, inner), np.arange(inner)
-        ]
+        key = (a.shape, axis)
+        cached = _GATHER_BASE.get(key)
+        if cached is None:
+            if len(_GATHER_BASE) >= _GATHER_CACHE:
+                _GATHER_BASE.clear()
+            axis %= a.ndim
+            n, inner = a.shape[axis], math.prod(a.shape[axis + 1 :])
+            p = np.arange(arg.size)
+            cached = _GATHER_BASE[key] = ((p // inner) * (n * inner) + p % inner, inner)
+        base, inner = cached
+        values = np.ravel(a)[base + arg.reshape(-1) * inner]
         return values.reshape(arg.shape), arg
 
     def cumsum(self, a, axis: int):
@@ -179,9 +199,10 @@ class NumpyBackend(ArrayBackend):
         np.add.at(target, np.asarray(index, dtype=np.intp), source)
 
     def select_rows(self, a, idx):
+        # Plain fancy indexing: take_along_axis builds its index grids in
+        # Python on every call.
         a = np.asarray(a)
-        picked = np.take_along_axis(a, np.asarray(idx)[:, None, :], axis=1)
-        return picked[:, 0, :]
+        return a[np.arange(a.shape[0])[:, None], idx, np.arange(a.shape[2])]
 
     def gather_pairs(self, a, i, j):
         a = np.asarray(a)

@@ -167,7 +167,8 @@ def _cmd_eco(args: argparse.Namespace) -> int:
             cold = session.cold_design()
             cold_result = GlobalRouter(cold, config).run()
             ok = (
-                demand_grids_equal(session.graph, cold.graph)
+                eco.result.digest() == cold_result.digest()
+                and demand_grids_equal(session.graph, cold.graph)
                 and eco.result.metrics.score == cold_result.metrics.score
             )
             print(f"verify        : cold route {cold_result.total_time:.3f} s, "

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.config import RouterConfig
 from repro.core.result import IterationStats
 from repro.core.selection import make_mode_selector
@@ -41,6 +43,7 @@ from repro.pattern.cpu_reference import SequentialPatternRouter
 from repro.sched.batching import bucket_by_area, extract_batches
 from repro.sched.pipeline import ScheduledStage, StageReport, StageRunner
 from repro.sched.sorting import sort_nets
+from repro.session.replay import ReplayPass
 from repro.utils.timing import Tracker
 
 def make_pattern_engine(
@@ -93,14 +96,20 @@ class PatternStage(ScheduledStage):
             for lo in range(0, len(batch), cap):
                 self.chunks.append(batch[lo : lo + cap])
         self._boxes = [[boxes[i] for i in chunk] for chunk in self.chunks]
+        self._net_boxes = boxes
         self.mode_fn = make_mode_selector(config, graph)
 
         self.engine = make_pattern_engine(graph, config, device, arena)
-        # Session context (optional): route/Steiner caches a warm
-        # session lends this stage.
+        # Session context (optional): the Steiner cache and the
+        # structural replay state a warm session lends this stage.
         self._context = context
+        self.replay: Optional[ReplayPass] = None
         if context is not None:
             self.engine.steiner_cache = context.steiner_cache
+            self.replay = ReplayPass(context.replay, self.nets, graph)
+            self.needs_box_pairs = True
+            if context.oracle is not None:
+                context.oracle.begin()
         # Stage-start cost snapshot (zero demand): every chunk's masked
         # rebuild pins out-of-footprint costs to these arrays, so its DP
         # is bit-independent of whatever non-conflicting chunks did.
@@ -125,75 +134,69 @@ class PatternStage(ScheduledStage):
         self.routes = {}
 
     def run_task(self, task: int) -> Dict[str, Route]:
-        chunk_nets = [self.nets[i] for i in self.chunks[task]]
-        return self._route_nets(chunk_nets, self._boxes[task])
+        return self._route_nets(self.chunks[task])
 
-    def _route_nets(
-        self, nets: List[Net], boxes: Sequence[Rect]
-    ) -> Dict[str, Route]:
-        """Route ``nets`` (disjoint ``boxes``) on the shared engine.
+    def _route_nets(self, positions: List[int]) -> Dict[str, Route]:
+        """Route the nets at stage ``positions`` (disjoint boxes) on the
+        shared engine.
 
-        Without a session context this is one masked ``route_batch``;
-        with one it is the content-addressed replay, *per net*:
-        group-mates have disjoint boxes and a cost snapshot frozen at
-        stage start, so one net's DP output is a pure function of
-        (net, box, demand in the box's incident-edge footprint) —
-        independent of which chunk the batch extractor placed it in
-        and of how many chunks a
-        fused level stacked together.  Keys are computed before any
-        commit (the group-start demand a cold run would see); cached
-        hits commit together, one demand write per layer, the rest
-        route as a sub-batch masked to their own boxes.  Hit commits
-        can't perturb the misses: a hit's route writes edges with both
-        endpoints inside its own box, which a disjoint miss box's
-        incident-edge window never contains.
+        Without a session context this is one masked ``route_batch``.
+        With one it is the structural replay (:mod:`repro.session.replay`):
+        the clean nets commit their last routes together, one demand
+        write per layer, and only the rest route as a sub-batch masked
+        to their own boxes.  The clean commits cannot perturb that
+        sub-batch: a clean route writes edges with both endpoints inside
+        its own box, which a disjoint box's incident-edge window never
+        contains.
         """
         tracker = self.tracker
         n_launches_before = len(self.engine.device.launches)
+        replay = self.replay
         try:
-            if self._context is None:
-                tracker.get_counter("pattern.batches").increment()
-                tracker.get_counter("pattern.batched_nets").increment(len(nets))
-                return self.engine.route_batch(
-                    nets,
-                    self.mode_fn,
-                    cost_boxes=list(boxes),
-                    cost_reference=self.cost_reference,
+            if replay is None:
+                return self._route_fresh(positions)
+            oracle = self._context.oracle
+            if oracle is not None:
+                keys = oracle.keys(
+                    self._graph,
+                    [self.nets[p] for p in positions],
+                    [self._net_boxes[p] for p in positions],
                 )
-            from repro.session.cache import demand_signature, pattern_net_key
-
-            cache = self._context.cache
-            keys = [
-                pattern_net_key(net, box, demand_signature(self._graph, [box]))
-                for net, box in zip(nets, boxes)
-            ]
-            hits: List[Tuple[str, Route]] = []
-            missing: List[int] = []
-            for i, key in enumerate(keys):
-                found, route = cache.get(key)
-                if found:
-                    hits.append((nets[i].name, route))
-                else:
-                    missing.append(i)
-            commit_routes(self._graph, [route for _, route in hits])
-            routes: Dict[str, Route] = dict(hits)
-            if missing:
-                tracker.get_counter("pattern.batches").increment()
-                tracker.get_counter("pattern.batched_nets").increment(len(missing))
-                fresh = self.engine.route_batch(
-                    [nets[i] for i in missing],
-                    self.mode_fn,
-                    cost_boxes=[boxes[i] for i in missing],
-                    cost_reference=self.cost_reference,
+            kept, redo = replay.split(positions)
+            commit_routes(self._graph, [route for _, route in kept])
+            routes: Dict[str, Route] = {}
+            for p, route in kept:
+                routes[self.nets[p].name] = route
+                replay.record(p, route, recomputed=False)
+            if redo:
+                fresh = self._route_fresh(redo)
+                for p in redo:
+                    route = routes[self.nets[p].name] = fresh[self.nets[p].name]
+                    replay.record(p, route, recomputed=True)
+            if oracle is not None:
+                clean = {p for p, _ in kept}
+                oracle.check(
+                    keys,
+                    [routes[self.nets[p].name] for p in positions],
+                    [p in clean for p in positions],
                 )
-                routes.update(fresh)
-                for i in missing:
-                    cache.put(keys[i], fresh[nets[i].name])
             return routes
         finally:
             tracker.get_counter("pattern.kernel_launches").increment(
                 len(self.engine.device.launches) - n_launches_before
             )
+
+    def _route_fresh(self, positions: List[int]) -> Dict[str, Route]:
+        """One masked ``route_batch`` over the nets at ``positions``."""
+        tracker = self.tracker
+        tracker.get_counter("pattern.batches").increment()
+        tracker.get_counter("pattern.batched_nets").increment(len(positions))
+        return self.engine.route_batch(
+            [self.nets[p] for p in positions],
+            self.mode_fn,
+            cost_boxes=[self._net_boxes[p] for p in positions],
+            cost_reference=self.cost_reference,
+        )
 
     def commit_task(self, task: int, result: Dict[str, Route]) -> None:
         self.routes.update(result)
@@ -221,21 +224,35 @@ class PatternStage(ScheduledStage):
         plan: List[List[int]] = []
         for level in schedule.task_graph.levels():
             plan.extend(bucket_by_area(level, areas))
+        if self.replay is not None:
+            self._orient_replay(schedule, plan)
         return plan
 
+    def _orient_replay(self, schedule, plan: List[List[int]]) -> None:
+        """Hand the replay this run's overlap pairs, as stage positions,
+        and the group each position commits in (the schedule kept its
+        box pairs: this stage sets ``needs_box_pairs``)."""
+        flat = np.fromiter(
+            (p for chunk in self.chunks for p in chunk), dtype=np.int64,
+            count=len(self.nets),
+        )
+        task_rank = np.empty(len(self.chunks), dtype=np.int64)
+        for rank, group in enumerate(plan):
+            task_rank[group] = rank
+        rank = np.empty(len(self.nets), dtype=np.int64)
+        rank[flat] = np.repeat(task_rank, [len(chunk) for chunk in self.chunks])
+        self.replay.orient(flat[schedule.box_pairs], rank)
+
     def run_batch(self, tasks: Sequence[int]) -> Dict[int, Dict[str, Route]]:
-        member_names: List[Tuple[int, List[str]]] = []
-        all_nets: List[Net] = []
-        all_boxes: List[Rect] = []
-        for task in tasks:
-            chunk_nets = [self.nets[i] for i in self.chunks[task]]
-            member_names.append((task, [net.name for net in chunk_nets]))
-            all_nets.extend(chunk_nets)
-            all_boxes.extend(self._boxes[task])
-        routes = self._route_nets(all_nets, all_boxes)
+        routes = self._route_nets(
+            [p for task in tasks for p in self.chunks[task]]
+        )
         return {
-            task: {name: routes[name] for name in names}
-            for task, names in member_names
+            task: {
+                self.nets[p].name: routes[self.nets[p].name]
+                for p in self.chunks[task]
+            }
+            for task in tasks
         }
 
 
@@ -359,12 +376,16 @@ def run_pattern_stage(
     With ``stage_stats``, the stage's ``pattern.*`` tracker counters
     (``route_batch`` calls, nets routed through them, kernel launches)
     are written into it.
-    With a session ``context``, task results, Steiner trees, and
-    schedules are served from (and fill) its warm caches.
+    With a session ``context``, clean nets replay their last routes
+    (:mod:`repro.session.replay`; the context's replay state is replaced
+    by this run's), and Steiner trees and schedules are served from (and
+    fill) its warm caches.
     """
     stage = PatternStage(design, config, device, arena, context=context)
     runner = StageRunner(n_workers=config.n_workers)
     report = runner.run(stage, schedule=_cached_schedule(runner, stage, context))
+    if stage.replay is not None:
+        context.replay = stage.replay.finish()
     if cost_stats is not None:
         cost_stats.update(stage.engine.query.stats.as_dict())
     if stage_stats is not None:

@@ -13,6 +13,7 @@ A :class:`RoutingResult` carries everything the paper's tables report:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -91,6 +92,25 @@ class RoutingResult:
     # invocations the stage issued.
     pattern_stats: Dict[str, float] = field(default_factory=dict)
 
+    def digest(self) -> str:
+        """sha256 over every net's wires and vias, in netlist order.
+
+        Two results with equal digests hold the same route set, bit for
+        bit — equal demand grids and scores do not prove that.  Each
+        net contributes ``repr((name, wires, vias))`` with wires as
+        ``(layer, x1, y1, x2, y2)`` and vias as ``(x, y, lo, hi)``.
+        """
+        sha = hashlib.sha256()
+        for name, route in self.routes.items():
+            sha.update(
+                repr((
+                    name,
+                    [(w.layer, w.x1, w.y1, w.x2, w.y2) for w in route.wires],
+                    [(v.x, v.y, v.lo, v.hi) for v in route.vias],
+                )).encode()
+            )
+        return sha.hexdigest()
+
     def stage_reports(self) -> List[StageReport]:
         """All pipeline reports, pattern stage first then per iteration."""
         reports = [self.pattern_report] if self.pattern_report else []
@@ -138,7 +158,8 @@ class RoutingResult:
 
     @property
     def pattern_batched_nets(self) -> int:
-        """Nets routed through those calls (session cache hits excluded)."""
+        """Nets routed through those calls (nets a session replayed
+        excluded)."""
         return int(self.pattern_stats.get("batched_nets", 0))
 
     @property

@@ -42,13 +42,47 @@ is never turned into a launch record.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Sequence, Tuple
 
 from repro.backend.base import ArrayBackend
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import Device
+
+
+class _KernelScope:
+    """One ``kernel(...)`` scope: the tallies at entry, flushed as one
+    :meth:`Device.launch` at exit (a plain class — a launch is a hot
+    path, and a generator context manager costs several calls more)."""
+
+    __slots__ = ("backend", "name", "n_blocks", "threads", "start", "h2d", "d2h")
+
+    def __init__(self, backend: "InstrumentedBackend", name: str, n_blocks: int, threads: int) -> None:
+        self.backend, self.name = backend, name
+        self.n_blocks, self.threads = n_blocks, threads
+
+    def __enter__(self) -> None:
+        backend = self.backend
+        self.start = backend._counter
+        self.h2d = backend._bytes_to_device
+        self.d2h = backend._bytes_to_host
+
+    def __exit__(self, *exc) -> None:
+        backend = self.backend
+        elements = backend._counter - self.start
+        h2d = backend._bytes_to_device - self.h2d
+        d2h = backend._bytes_to_host - self.d2h
+        backend._flushed += elements
+        backend._flushed_to_device += h2d
+        backend._flushed_to_host += d2h
+        backend.device.launch(
+            self.name,
+            self.n_blocks,
+            self.threads,
+            elements,
+            bytes_to_device=h2d,
+            bytes_to_host=d2h,
+        )
 
 
 class InstrumentedBackend(ArrayBackend):
@@ -105,29 +139,9 @@ class InstrumentedBackend(ArrayBackend):
         """Download bytes metered outside any ``kernel`` scope so far."""
         return self._bytes_to_host - self._flushed_to_host
 
-    @contextmanager
-    def kernel(self, name: str, n_blocks: int, threads_per_block: int) -> Iterator[None]:
+    def kernel(self, name: str, n_blocks: int, threads_per_block: int) -> "_KernelScope":
         """Bracket a batch of ops and flush their tally as one launch."""
-        start = self._counter
-        h2d_start = self._bytes_to_device
-        d2h_start = self._bytes_to_host
-        try:
-            yield
-        finally:
-            elements = self._counter - start
-            h2d = self._bytes_to_device - h2d_start
-            d2h = self._bytes_to_host - d2h_start
-            self._flushed += elements
-            self._flushed_to_device += h2d
-            self._flushed_to_host += d2h
-            self.device.launch(
-                name,
-                n_blocks,
-                threads_per_block,
-                elements,
-                bytes_to_device=h2d,
-                bytes_to_host=d2h,
-            )
+        return _KernelScope(self, name, n_blocks, threads_per_block)
 
     # ------------------------------------------------------------------ #
     # Construction / transfer — zero element cost, bytes metered

@@ -58,6 +58,7 @@ import numpy as np
 from repro.backend import ArrayBackend, get_backend
 from repro.grid.geometry import rect_union_area, rects_overlap
 from repro.grid.graph import GridGraph
+from repro.utils.arrays import unique_sorted
 
 #: Pending-rect lists longer than this collapse to their bounding rect
 #: (conservative overshoot keeps bookkeeping bounded).
@@ -190,41 +191,36 @@ class Footprint(NamedTuple):
     pillars: np.ndarray
 
 
-class _ScanPlan(NamedTuple):
-    """One scan family of a :class:`_MaskPlan`: the painted edges of all
-    layers of one wire direction, or the painted via pillars.
-
-    Indices are flat positions in the engine's ``(L, nx, ny)`` tables
-    unless noted.  ``cells`` lists the edges plane by plane and, inside
-    a plane, in line order — so a scatter leaves the *last* line's value
-    where boxes overlap, as a box-by-box loop would.  The same edges are
-    also cut into scan lines (a box row along a wire layer's direction;
-    a via pillar), padded to the widest: ``lines`` holds their table
-    positions with the padding pointed at a cell that is always zero,
-    ``anchor`` the cell just upstream of each line, and ``live`` the
-    positions of the real entries inside one plane's ``R * W`` block,
-    in ``cells`` order.
-    """
-
-    demand: np.ndarray  # (N,) positions in one (flattened) demand array
-    cells: np.ndarray  # (planes * N,)
-    lines: np.ndarray  # (planes, R, W)
-    anchor: np.ndarray  # (planes, R)
-    live: np.ndarray  # (N,)
-
-
 class _MaskPlan(NamedTuple):
     """Index plan of one masked rebuild (see :meth:`CostQuery.rebuild`):
     everything the engine needs to know about a box list and its read
-    footprint, as index arrays, so the rebuild is a fixed sequence of
-    whole-batch array operations."""
+    footprint, as index arrays into the engine's flat ``(3, L, nx, ny)``
+    tables (x-scan wires, y-scan wires, via pillars), so the rebuild is a
+    fixed sequence of whole-batch array operations.
 
-    #: x-scan wires, y-scan wires, via pillars; None where no line
-    #: holds such an edge.
-    scans: Tuple[Optional[_ScanPlan], Optional[_ScanPlan], Optional[_ScanPlan]]
-    #: The three families' cells within one plane, flat in the
-    #: ``(3, nx*ny)`` tally mask.
+    ``cells`` lists the painted edges family by family, plane by plane
+    and, inside a plane, in line order — so a scatter leaves the *last*
+    line's value where boxes overlap, as a box-by-box loop would; the
+    first ``n_wire`` are wire edges.  ``demand`` holds the same edges'
+    positions in the graph's flat demand and capacity buffers.  The
+    edges are also cut into scan lines (a box row along a wire layer's
+    direction; a via pillar), padded to the widest: ``lines`` holds
+    their table positions with the padding pointed at a cell that is
+    always zero, ``anchor`` the cell just upstream of each line, and
+    ``live`` the positions of the real entries in ``lines``, in
+    ``cells`` order.  ``tally`` is the sorted distinct painted cells of
+    one plane per family (``family * nx * ny + cell``), ``counts`` how
+    many of them each family has.
+    """
+
+    cells: np.ndarray  # (N,)
+    demand: np.ndarray  # (N,)
+    n_wire: int
+    lines: np.ndarray  # (R, W)
+    anchor: np.ndarray  # (R,)
+    live: np.ndarray  # (N,)
     tally: np.ndarray
+    counts: Tuple[int, int, int]
 
 
 def _every_line(lo, count):
@@ -240,15 +236,6 @@ def _check_inside(box, cross, lo, count) -> None:
     # A negative offset wraps to a huge unsigned one.
     if np.any((cross - lo[box]).view(np.uintp) >= count[box]):
         raise ValueError("a read line lies outside its (clipped) box")
-
-
-def _scan_lines(box, cross, start, width):
-    """Pad box lines into ``(cross (R, 1), scan (R, W), valid (R, W))``:
-    line ``i`` lies at ``cross[i]`` and covers the scan coordinates
-    ``start .. start + width - 1`` of box ``box[i]``."""
-    width = width[box]
-    step = np.arange(width.max(initial=0))
-    return cross[:, None], start[box][:, None] + step, step < width[:, None]
 
 
 class CostQuery:
@@ -295,6 +282,18 @@ class CostQuery:
         )
         self._h_layers = [int(l) for l in np.flatnonzero(h_allowed)]
         self._v_layers = [int(l) for l in np.flatnonzero(~h_allowed)]
+        # Masked plans (see _mask_plan): per scan family, the per-layer
+        # part of each line's (table start, demand start, G-cell count)
+        # and the step of its progression.
+        nx, ny, n_layers = graph.nx, graph.ny, self.n_layers
+        plane, offset = nx * ny, np.array(graph.edge_offset)
+        h_layers, v_layers = np.array(self._h_layers, dtype=np.intp), np.array(self._v_layers, dtype=np.intp)
+        self._line_bases = (
+            np.stack((h_layers * plane, offset[h_layers] - ny, 0 * h_layers))[:, :, None],
+            np.stack(((n_layers + v_layers) * plane, offset[v_layers] - 1, 0 * v_layers))[:, :, None],
+            np.array([[2 * n_layers * plane], [offset[-1] - plane], [n_layers]]),
+        )
+        self._line_steps = np.array([ny, 1, plane])
         self.wire_cost: List[np.ndarray] = []
         self.via_cost = np.empty(0)
         self._h_prefix = np.empty(0)  # host (L, nx, ny), cumulative along x
@@ -323,15 +322,19 @@ class CostQuery:
         self._prefix_via_dirty: Optional[IntRect] = None
         self._dev_stale = False
         self._masked_plan: Optional[_MaskPlan] = None  # cells now off-reference
-        # Persistent padded edge tables; wire_cost / via_cost are views
-        # of their non-pad part.
+        # Persistent padded edge tables, one plane stack per scan family
+        # (x-scan wires, y-scan wires, vias) in one array each for edges
+        # and prefixes; wire_cost / via_cost are views of their non-pad
+        # part.
+        self._edge_all: Optional[np.ndarray] = None
+        self._prefix_all: Optional[np.ndarray] = None
         self._h_edge: Optional[np.ndarray] = None
         self._v_edge: Optional[np.ndarray] = None
         self._z_edge: Optional[np.ndarray] = None
-        # Masked mode, per scan family (h, v, via): flat views of
-        # (edge, prefix) and of their twins holding the pinned reference.
-        self._masked_tables: Tuple = ()
-        self._tally_mask: Optional[np.ndarray] = None  # (3, nx*ny), False at rest
+        # Masked mode: flat views of the edge and prefix tables and flat
+        # copies of them holding the pinned reference.
+        self._edge_flat = self._prefix_flat = np.empty(0)
+        self._ref_edge = self._ref_prefix = np.empty(0)
         self.rebuild()
 
     # ------------------------------------------------------------------ #
@@ -367,10 +370,11 @@ class CostQuery:
         A masked rebuild takes a number of array operations that
         depends on the layer count only: boxes and footprint become one
         :class:`_MaskPlan`; the previous plan's cells are copied back
-        from the reference tables; congestion is evaluated once per
-        orientation on the gathered demand of all footprint edges; and
-        every line's anchored prefix comes out of one row-wise
-        ``cumsum`` over the padded scan lines.  Padding only ever
+        from the reference tables; congestion is evaluated once on the
+        demand of all footprint edges, gathered from the graph's flat
+        demand buffer in one take; and every line's anchored prefix, wire
+        or via, comes out of one row-wise ``cumsum`` over the padded scan
+        lines.  Padding only ever
         *follows* a line's real entries, so each prefix entry is the
         same left-to-right chain of additions a from-scratch box-by-box
         scan performs — every bit agrees.
@@ -419,9 +423,8 @@ class CostQuery:
             return
         graph = self.graph
         nx, ny, n_layers = graph.nx, graph.ny, self.n_layers
-        self._h_edge = np.zeros((n_layers, nx, ny))
-        self._v_edge = np.zeros((n_layers, nx, ny))
-        self._z_edge = np.zeros((n_layers, nx, ny))
+        self._edge_all = np.zeros((3, n_layers, nx, ny))
+        self._h_edge, self._v_edge, self._z_edge = self._edge_all
         # Row/column 0 pads the exclusive prefix and is never written;
         # the public cost arrays are the rest, so a cost write needs no
         # mirroring into the scan input.
@@ -432,10 +435,10 @@ class CostQuery:
             for layer in range(n_layers)
         ]
         self.via_cost = self._z_edge[1:]
-        self._h_prefix = np.zeros((n_layers, nx, ny))
-        self._v_prefix = np.zeros((n_layers, nx, ny))
-        self._via_prefix = np.zeros((n_layers, nx, ny))
-        self._tally_mask = np.zeros((3, nx * ny), dtype=bool)
+        self._prefix_all = np.zeros((3, n_layers, nx, ny))
+        self._h_prefix, self._v_prefix, self._via_prefix = self._prefix_all
+        self._edge_flat = self._edge_all.reshape(-1)
+        self._prefix_flat = self._prefix_all.reshape(-1)
         if self.backend.device_is_host:
             # In-place host patches keep the device twins current for
             # free — they are the same arrays.
@@ -587,25 +590,12 @@ class CostQuery:
         )
         if seeded:
             self._seed_from_reference(reference)
-        graph, model = self.graph, self.model
         previous, plan = self._masked_plan, self._mask_plan(boxes, reads)
+        edge, prefix = self._edge_flat, self._prefix_flat
         if previous is not None:
-            for scan, (edge, prefix, ref_edge, ref_prefix) in zip(
-                previous.scans, self._masked_tables
-            ):
-                if scan is not None:
-                    edge[scan.cells] = ref_edge[scan.cells]
-                    prefix[scan.cells] = ref_prefix[scan.cells]
-        sources = [
-            ([graph.wire_demand[l] for l in layers],
-             [graph.wire_capacity[l] for l in layers],
-             model.unit_wire_cost)
-            for layers in (self._h_layers, self._v_layers)
-        ]
-        sources.append(([graph.via_demand], [graph.via_capacity], model.unit_via_cost))
-        for scan, tables, source in zip(plan.scans, self._masked_tables, sources):
-            if scan is not None:
-                self._paint(scan, tables, *source)
+            edge[previous.cells] = self._ref_edge[previous.cells]
+            prefix[previous.cells] = self._ref_prefix[previous.cells]
+        self._paint(plan)
         self._masked_plan = plan
         self._dev_stale = not self.backend.device_is_host
         self.stats.masked_rebuilds += 1
@@ -614,24 +604,24 @@ class CostQuery:
             via_n = int(self.via_cost.size)
             upload_n = wire_n + via_n
         else:
-            mask = self._tally_mask
-            flat = mask.reshape(-1)
-            flat[plan.tally] = True
-            wire_n, via_n = self._tally_edges()
+            wire_n, via_n = self._tally_edges(plan.counts)
             upload_n = wire_n + via_n
             if previous is not None:
-                flat[previous.tally] = True
-                wire_n, via_n = self._tally_edges()
-            mask.fill(False)
+                both = unique_sorted(np.concatenate((previous.tally, plan.tally)))
+                wire_n, via_n = self._tally_edges(self._family_counts(both))
         self.stats.refreshed_wire_edges += wire_n
         self.stats.refreshed_via_edges += via_n
         self.last_upload_bytes = upload_n * self.via_cost.itemsize
 
-    def _tally_edges(self) -> Tuple[int, int]:
-        """(wire, via) edge counts of the cells painted in the tally mask."""
-        h_cells, v_cells, via_cells = (
-            int(np.count_nonzero(row)) for row in self._tally_mask
-        )
+    def _family_counts(self, tally: np.ndarray) -> Tuple[int, int, int]:
+        """Per scan family, how many of the sorted ``tally`` codes it holds."""
+        plane = self.graph.nx * self.graph.ny
+        h_end, v_end = np.searchsorted(tally, (plane, 2 * plane)).tolist()
+        return h_end, v_end - h_end, int(tally.size) - v_end
+
+    def _tally_edges(self, counts: Tuple[int, int, int]) -> Tuple[int, int]:
+        """(wire, via) edge counts of painted in-plane cells per family."""
+        h_cells, v_cells, via_cells = counts
         wire_n = h_cells * len(self._h_layers) + v_cells * len(self._v_layers)
         return wire_n, via_cells * (self.n_layers - 1)
 
@@ -661,19 +651,8 @@ class CostQuery:
         np.cumsum(self._z_edge, axis=0, out=self._via_prefix)
         # The freshly seeded tables *are* the reference tables —
         # capture them for the anchored scans and the restores.
-        self._masked_tables = tuple(
-            (
-                edge.reshape(-1),
-                prefix.reshape(-1),
-                edge.copy().reshape(-1),
-                prefix.copy().reshape(-1),
-            )
-            for edge, prefix in (
-                (self._h_edge, self._h_prefix),
-                (self._v_edge, self._v_prefix),
-                (self._z_edge, self._via_prefix),
-            )
-        )
+        self._ref_edge = self._edge_flat.copy()
+        self._ref_prefix = self._prefix_flat.copy()
         self._ref_src = reference
         self._mode = "masked"
         self._masked_plan = None
@@ -687,8 +666,18 @@ class CostQuery:
     # -- masked-rebuild plan -------------------------------------------- #
     def _mask_plan(self, boxes, reads: Optional[Footprint] = None) -> _MaskPlan:
         """Turn a box list and its read footprint (None: every line of
-        every box) into the index plan of one masked rebuild."""
-        nx, ny = self.graph.nx, self.graph.ny
+        every box) into the index plan of one masked rebuild.
+
+        Every painted line — a box row on each x-scan layer, a box
+        column on each y-scan layer, a via pillar — is an arithmetic
+        progression in the tables *and* in the graph's flat demand
+        buffer: G-cell ``k`` of the line (``k = 0`` its anchor) sits at
+        ``table + k * step`` and its edge at ``demand + k * dstep``.  So
+        the plan is one padded progression per line, built for all
+        lines of all families at once.
+        """
+        graph = self.graph
+        nx, ny, n_layers = graph.nx, graph.ny, self.n_layers
         plane = nx * ny
         rect = np.array([b.as_tuple() for b in boxes], dtype=np.intp).reshape(-1, 4)
         lo = np.maximum(rect[:, :2], 0)
@@ -696,79 +685,76 @@ class CostQuery:
         span = np.maximum(np.minimum(rect[:, 2:], (nx - 1, ny - 1)) - lo + 1, 0)
         x0, y0, w, h = lo[:, 0], lo[:, 1], span[:, 0], span[:, 1]
         if reads is None:
-            rows, columns = _every_line(y0, h), _every_line(x0, w)
+            (row_box, y), (col_box, x) = _every_line(y0, h), _every_line(x0, w)
+            k = np.arange(h.max(initial=0))
+            via = ((x * ny + y0[col_box])[:, None] + k)[k < h[col_box][:, None]]
         else:
-            rows, columns, (box, via) = reads
-            _check_inside(*rows, y0, h)
-            _check_inside(*columns, x0, w)
-            _check_inside(box, via // ny, x0, w)
-            _check_inside(box, via % ny, y0, h)
-        # Lines run over the boxes' G-cells; a line's first cell is its
-        # anchor, and edge k of the line lives in table cell k + 1.  A
-        # layer's demand array is its table plane minus the pad row
-        # (x-scan: ny cells) or pad column (y-scan: one cell per row).
-        y, x, valid = _scan_lines(*rows, x0, w)
-        h_scan, h_cells = self._wire_scan(
-            x * ny + y, valid, self._h_layers, lambda c: c - ny
+            (row_box, y), (col_box, x), (box, via) = reads
+            # All four axis checks at once: extents stacked per check.
+            n = rect.shape[0]
+            _check_inside(
+                np.concatenate((row_box, col_box + n, box + 2 * n, box + 3 * n)),
+                np.concatenate((y, x, via // ny, via % ny)),
+                np.concatenate((y0, x0, x0, y0)),
+                np.concatenate((h, w, w, h)),
+            )
+        # One progression per (layer, line), family by family, layer by
+        # layer, line by line, as rows (table start, demand start, G-cell
+        # count): a per-layer base plus a per-line value.  A layer's
+        # demand array is its table plane minus the pad row (x-scan: ny
+        # cells) or pad column (y-scan: one cell per row).
+        h_base, v_base, via_base = self._line_bases
+        row_start = x0[row_box] * ny + y
+        col_start = x * ny + y0[col_box]
+        first, demand, count = np.concatenate((
+            (h_base + np.array((row_start, row_start, w[row_box]))[:, None]).reshape(3, -1),
+            (v_base + np.array((col_start, col_start - x, h[col_box]))[:, None]).reshape(3, -1),
+            via_base + np.array((via, via, 0 * via)),
+        ), axis=1)
+        step = np.repeat(
+            self._line_steps,
+            (len(self._h_layers) * y.size, len(self._v_layers) * x.size, via.size),
         )
-        x, y, valid = _scan_lines(*columns, y0, h)
-        cells = x * ny + y
-        v_scan, v_cells = self._wire_scan(
-            cells, valid, self._v_layers, lambda c: c - c // ny - 1
-        )
-        if reads is None:
-            via = cells[valid]
-        # A pillar is a scan line along the layer axis, anchored on the
-        # all-zero layer 0 of the via tables.
-        stack = via[:, None] + plane * np.arange(1, self.n_layers)
-        via_scan = _ScanPlan(
-            demand=stack.reshape(-1) - plane,
-            cells=stack.reshape(-1),
-            lines=stack[None],
-            anchor=via[None],
-            live=np.arange(stack.size),
-        )
-        tally = np.concatenate((h_cells, v_cells + plane, via + 2 * plane))
-        return _MaskPlan((h_scan, v_scan, via_scan), tally)
-
-    def _wire_scan(self, cells, valid, layers: List[int], unpadded):
-        """One wire direction's :class:`_ScanPlan` and its in-plane edge
-        cells, from padded lines of G-cells; ``unpadded`` maps table
-        cells to positions in a layer's demand array."""
-        edge = valid[:, 1:]
-        live = np.flatnonzero(edge)
-        lines = np.where(edge, cells[:, 1:], 0)
-        plane_cells = lines.reshape(-1)[live]
-        if not (live.size and layers):
-            return None, plane_cells[:0]
-        offset = np.array(layers)[:, None] * (self.graph.nx * self.graph.ny)
-        scan = _ScanPlan(
-            demand=unpadded(plane_cells),
-            cells=(offset + plane_cells).reshape(-1),
-            lines=offset[:, :, None] + lines,
-            anchor=offset + cells[:, 0],
+        # Edges are G-cells 1 .. count - 1 of a line; padding points at
+        # table cell 0, which is always zero.
+        k = np.arange(1, max(int(count.max(initial=0)), 1))
+        along = step[:, None] * k
+        valid = k < count[:, None]
+        lines = np.where(valid, first[:, None] + along, 0)
+        live = np.flatnonzero(valid)
+        cells = lines.reshape(-1)[live]
+        family = cells // (n_layers * plane)
+        tally = unique_sorted(family * plane + cells % plane)
+        return _MaskPlan(
+            cells=cells,
+            demand=(demand[:, None] + along).reshape(-1)[live],
+            n_wire=int(np.searchsorted(family, 2)),
+            lines=lines,
+            anchor=first,
             live=live,
+            tally=tally,
+            counts=self._family_counts(tally),
         )
-        return scan, plane_cells
 
-    def _paint(self, scan: _ScanPlan, tables, demand, capacity, unit) -> None:
-        """Recompute one scan family's in-box edge costs from the
-        per-plane ``demand`` / ``capacity`` arrays and rewrite their
+    def _paint(self, plan: _MaskPlan) -> None:
+        """Recompute the plan's edge costs from demand and rewrite their
         anchored prefix entries."""
-        edge, prefix, _, ref_prefix = tables
-        cost = self.model.congestion(
-            np.stack([a.reshape(-1)[scan.demand] for a in demand]),
-            np.stack([a.reshape(-1)[scan.demand] for a in capacity]),
+        if not plan.cells.size:
+            return
+        graph, model = self.graph, self.model
+        cost = model.congestion(
+            graph.demand_flat[plan.demand], graph.capacity_flat[plan.demand]
         )
-        cost += unit
-        edge[scan.cells] = cost.reshape(-1)
+        cost[: plan.n_wire] += model.unit_wire_cost
+        cost[plan.n_wire :] += model.unit_via_cost
+        self._edge_flat[plan.cells] = cost
         # Padding reads table cell 0 (always zero) and trails every
         # line, so the row-wise scan adds exactly what a per-box scan
         # adds, in the same order.
-        lines = edge[scan.lines]
-        lines[..., 0] += ref_prefix[scan.anchor]
-        np.cumsum(lines, axis=-1, out=lines)
-        prefix[scan.cells] = lines.reshape(len(demand), -1)[:, scan.live].reshape(-1)
+        lines = self._edge_flat[plan.lines]
+        lines[:, 0] += self._ref_prefix[plan.anchor]
+        np.cumsum(lines, axis=1, out=lines)
+        self._prefix_flat[plan.cells] = lines.reshape(-1)[plan.live]
 
     # -- region refresh primitives (unmasked mode) ---------------------- #
     def _refresh_wire_rect(

@@ -12,6 +12,7 @@ overflow, which the contest metric (and the paper's Eq. 15) counts as
 from __future__ import annotations
 
 import threading
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -126,15 +127,31 @@ class GridGraph:
         # One 2-D array per layer.  Horizontal layers have nx-1 edges per
         # row; vertical layers have ny-1 edges per column.  Index [x, y]
         # addresses the edge leaving G-cell (x, y) in the layer direction.
-        self.wire_capacity: List[np.ndarray] = []
-        self.wire_demand: List[np.ndarray] = []
-        for layer in range(stack.n_layers):
-            shape = self._wire_array_shape(layer)
-            self.wire_capacity.append(np.full(shape, float(wire_capacity)))
-            self.wire_demand.append(np.zeros(shape))
-        # Via edges between layer l and l+1 at every (x, y).
-        self.via_capacity = np.full((stack.n_layers - 1, nx, ny), float(via_capacity))
-        self.via_demand = np.zeros((stack.n_layers - 1, nx, ny))
+        # Via edges between layer l and l+1 at every (x, y) follow.  All
+        # of them are views into one flat buffer each for demand and
+        # capacity: wire layer l starts at ``edge_offset[l]``, the via
+        # array at ``edge_offset[L]`` — so a batch of edges of any
+        # layers is one gather.
+        shapes = [self._wire_array_shape(layer) for layer in range(stack.n_layers)]
+        via_shape = (stack.n_layers - 1, nx, ny)
+        self.edge_offset: Tuple[int, ...] = tuple(
+            accumulate((rows * cols for rows, cols in shapes), initial=0)
+        )
+        size = self.edge_offset[-1] + (stack.n_layers - 1) * nx * ny
+        self.demand_flat = np.zeros(size)
+        self.capacity_flat = np.full(size, float(via_capacity))
+        self.capacity_flat[: self.edge_offset[-1]] = float(wire_capacity)
+
+        def views(flat: np.ndarray) -> List[np.ndarray]:
+            return [
+                flat[lo:hi].reshape(shape)
+                for lo, hi, shape in zip(self.edge_offset, self.edge_offset[1:], shapes)
+            ]
+
+        self.wire_capacity: List[np.ndarray] = views(self.capacity_flat)
+        self.wire_demand: List[np.ndarray] = views(self.demand_flat)
+        self.via_capacity = self.capacity_flat[self.edge_offset[-1] :].reshape(via_shape)
+        self.via_demand = self.demand_flat[self.edge_offset[-1] :].reshape(via_shape)
         # Dirty-region log: demand mutations record the rects they
         # touched so incremental cost engines refresh only those.
         self.dirty = DirtyLog()
@@ -234,27 +251,6 @@ class GridGraph:
         """
         self.dirty.append(DirtyLog.ALL)
 
-    def mark_window_dirty(self, window: Tuple[int, int, int, int]) -> None:
-        """Record that demand inside a G-cell window may have changed.
-
-        Marking the whole window dirty forces every cost a
-        window-restricted search can read to be recomputed from the
-        demand actually in the buffers — O(window), not O(grid).
-        """
-        x0, y0, x1, y1 = window
-        records: List[DirtyRecord] = []
-        for layer in range(self.n_layers):
-            # The window's edge footprint on this layer (both endpoints
-            # of an edge inside the window).
-            if self.stack.is_horizontal(layer):
-                rect = (x0, y0, x1 - 1, y1)
-            else:
-                rect = (x0, y0, x1, y1 - 1)
-            if rect[0] <= rect[2] and rect[1] <= rect[3]:
-                records.append(("w", layer) + rect)
-        records.append(("v", x0, y0, x1, y1))
-        self.dirty.extend(records)
-
     # ------------------------------------------------------------------ #
     # Overflow metrics
     # ------------------------------------------------------------------ #
@@ -327,9 +323,7 @@ class GridGraph:
         :class:`~repro.session.session.RoutingSession` replay a route
         from scratch without rebuilding its graph.
         """
-        for layer in range(self.n_layers):
-            self.wire_demand[layer][:] = 0.0
-        self.via_demand[:] = 0.0
+        self.demand_flat.fill(0.0)
         self.dirty.append(DirtyLog.ALL)
 
     def __repr__(self) -> str:

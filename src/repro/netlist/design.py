@@ -3,10 +3,27 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterable
 
 from repro.grid.graph import GridGraph
-from repro.netlist.net import Netlist
+from repro.netlist.net import Net, Netlist
+
+
+def check_pins(nets: Iterable[Net], graph: GridGraph) -> None:
+    """Raise ``ValueError`` if a pin of ``nets`` lies off ``graph``'s
+    grid or outside its layer stack."""
+    for net in nets:
+        for pin in net.pins:
+            if not graph.in_bounds(pin.x, pin.y):
+                raise ValueError(
+                    f"net {net.name!r} pin ({pin.x},{pin.y}) off the "
+                    f"{graph.nx}x{graph.ny} grid"
+                )
+            if not 0 <= pin.layer < graph.n_layers:
+                raise ValueError(
+                    f"net {net.name!r} pin layer {pin.layer} outside the "
+                    f"{graph.n_layers}-layer stack"
+                )
 
 
 @dataclass
@@ -41,18 +58,7 @@ class Design:
 
     def validate(self) -> None:
         """Raise ``ValueError`` if any pin lies off-grid or off-stack."""
-        for net in self.netlist:
-            for pin in net.pins:
-                if not self.graph.in_bounds(pin.x, pin.y):
-                    raise ValueError(
-                        f"net {net.name!r} pin ({pin.x},{pin.y}) off the "
-                        f"{self.graph.nx}x{self.graph.ny} grid"
-                    )
-                if not 0 <= pin.layer < self.graph.n_layers:
-                    raise ValueError(
-                        f"net {net.name!r} pin layer {pin.layer} outside the "
-                        f"{self.graph.n_layers}-layer stack"
-                    )
+        check_pins(self.netlist, self.graph)
 
     def __repr__(self) -> str:
         return (

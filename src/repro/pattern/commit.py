@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.grid.route import Route, ViaSegment, WireSegment
 from repro.pattern.twopin import BatchState, NetRoutingJob
+from repro.utils.arrays import unique_sorted
 
 # A node's polyline as rows of (ends ++ chosen.T): xs ys xt yt | lo hi lt
 # ls lb bsx bsy btx bty.  Eight (x, y, layer) points: the via stack lo-hi
@@ -91,12 +92,13 @@ def reconstruct_routes(
     key = line * radix**3 + (start * radix ** _ORDER[:, direction]).sum(axis=0)
     last = np.cumsum(length)
     step = np.arange(last[-1]) - np.repeat(last - length, length)
-    units = np.unique(np.repeat(key, length) + step)
+    units = unique_sorted(np.repeat(key, length) + step)
 
     # Fuse consecutive steps into runs and decode them.
-    breaks = np.flatnonzero(np.diff(units) != 1) + 1
-    run = np.diff(np.concatenate([[0], breaks, [units.size]]))
-    line, where = np.divmod(units[np.concatenate([[0], breaks])], radix**3)
+    breaks = np.flatnonzero(units[1:] - units[:-1] != 1) + 1
+    starts = np.concatenate(([0], breaks))
+    run = np.concatenate((breaks, [units.size])) - starts
+    line, where = np.divmod(units[starts], radix**3)
     direction, net = np.divmod(line, n_jobs)
     where, c = np.divmod(where, radix)
     a, b = np.divmod(where, radix)

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.backend import ArrayBackend, get_backend
 
 INF = float("inf")
@@ -51,15 +53,17 @@ def _xp(backend: Optional[ArrayBackend]) -> ArrayBackend:
 class LayerTables:
     """Index grids of an ``L``-layer stack on one backend.
 
-    ``layers`` is ``(1, L)``, ``lo_grid`` ``(1, 1, L, 1)`` and
-    ``hi_grid`` ``(1, 1, 1, L)`` hold the layer index along the axis
-    their name says, and ``upper[lo, hi]`` is ``lo <= hi``.
+    ``layers`` is ``(1, L)``, ``ls_grid`` ``(1, L, 1, 1)``, ``lo_grid``
+    ``(1, 1, L, 1)`` and ``hi_grid`` ``(1, 1, 1, L)`` hold the layer
+    index along the axis their name says, and ``upper[lo, hi]`` is
+    ``lo <= hi``.
     """
 
     def __init__(self, xp: ArrayBackend, n_layers: int) -> None:
         layers = xp.arange(n_layers)
         self.n_layers = n_layers
         self.layers = xp.expand_dims(layers, 0)
+        self.ls_grid = xp.reshape(layers, (1, n_layers, 1, 1))
         self.lo_grid = xp.reshape(layers, (1, 1, n_layers, 1))
         self.hi_grid = xp.reshape(layers, (1, 1, 1, n_layers))
         self.upper = xp.less_equal(xp.expand_dims(layers, 1), self.layers)
@@ -109,8 +113,9 @@ def combine_children(
         ``(B, L)`` — cumulative via cost at each node's G-cell
         (:meth:`repro.grid.cost.CostQuery.via_prefix_at`).
     pin_lo, pin_hi:
-        ``(B,)`` — min/max pin layer at each node.  For a node without
-        pins pass ``pin_lo = L`` and ``pin_hi = -1`` (no constraint).
+        ``(B,)`` host ints — min/max pin layer at each node.  For a node
+        without pins pass ``pin_lo = L`` and ``pin_hi = -1`` (no
+        constraint).
 
     Returns
     -------
@@ -127,32 +132,42 @@ def combine_children(
         empty_int = xp.zeros((0, n_layers), dtype="int")
         return empty, empty_int, empty_int
 
-    # V[b, lo, hi] = via-stack cost, defined on lo <= hi only.
+    # Tables are (B, ls, lo, hi) throughout, with a singleton ``ls``
+    # axis until the feasibility mask spreads them over departure
+    # layers.  V[b, 0, lo, hi] = via-stack cost, defined on lo <= hi.
     total = xp.subtract(
-        xp.expand_dims(via_prefix, 1), xp.expand_dims(via_prefix, 2)
-    )  # (B, lo, hi)
+        xp.reshape(via_prefix, (n_nodes, 1, 1, n_layers)),
+        xp.reshape(via_prefix, (n_nodes, 1, n_layers, 1)),
+    )
     if len(child_node_index):
-        # S[b, lo, hi] = sum over children of min cost inside [lo, hi].
-        child_sum = xp.zeros((n_nodes, n_layers, n_layers))
-        child_tables = interval_min(xp.asarray(child_costs), xp=xp, tables=tables)
+        # S[b, 0, lo, hi] = sum over children of min cost inside
+        # [lo, hi]: interval_min over the children, kept 4-D.
+        n_children = len(child_node_index)
+        child_sum = xp.zeros((n_nodes, 1, n_layers, n_layers))
+        child_tables = xp.cummin(
+            xp.where(
+                tables.upper,
+                xp.reshape(xp.asarray(child_costs), (n_children, 1, 1, n_layers)),
+                INF,
+            ),
+            axis=-1,
+        )
         child_tables = xp.where(xp.isfinite(child_tables), child_tables, _UNREACHABLE)
         xp.scatter_add(
             child_sum, xp.asarray(child_node_index, dtype="int"), child_tables
         )
         total = xp.add(total, child_sum)
-    total = xp.where(tables.upper, total, INF)  # (B, L, L)
+    total = xp.where(tables.upper, total, INF)  # (B, 1, L, L)
 
     # Feasibility per departure layer ls: lo <= min(ls, pin_lo), hi >= max(ls, pin_hi).
-    pin_lo = xp.expand_dims(xp.asarray(pin_lo, dtype="int"), 1)
-    pin_hi = xp.expand_dims(xp.asarray(pin_hi, dtype="int"), 1)
-    need_shape = (n_nodes, n_layers, 1, 1)
-    need_lo = xp.reshape(xp.minimum(tables.layers, pin_lo), need_shape)
-    need_hi = xp.reshape(xp.maximum(tables.layers, pin_hi), need_shape)
+    pin_shape = (-1, 1, 1, 1)
+    need_lo = xp.minimum(tables.ls_grid, xp.asarray(np.reshape(pin_lo, pin_shape), dtype="int"))
+    need_hi = xp.maximum(tables.ls_grid, xp.asarray(np.reshape(pin_hi, pin_shape), dtype="int"))
     feasible = xp.logical_and(
         xp.less_equal(tables.lo_grid, need_lo),
         xp.greater_equal(tables.hi_grid, need_hi),
     )  # (B, ls, lo, hi)
-    masked = xp.where(feasible, xp.expand_dims(total, 1), INF)
+    masked = xp.where(feasible, total, INF)
     flat = xp.reshape(masked, (n_nodes, n_layers, n_layers * n_layers))
     combine, best = xp.min_argmin(flat, axis=2)  # (B, L)
     lo_choice = xp.floor_divide(best, n_layers)

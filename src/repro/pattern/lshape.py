@@ -73,8 +73,8 @@ def route_lshape_wave(
     ends:
         ``(4, B)`` ints — ``xs, ys, xt, yt`` of the wave's two-pin nets.
     combine:
-        ``(B, L)`` bottom-children costs ``cbc`` at each net's source
-        node (Eq. 2), already including pin via stacks.
+        ``(B, L)`` host array: bottom-children costs ``cbc`` at each
+        net's source node (Eq. 2), already including pin via stacks.
     query:
         The frozen cost snapshot of the current scheduler batch.
 
@@ -106,7 +106,7 @@ def route_lshape_wave(
         (n_tasks, 2, n_layers, n_layers),
     )
     values, use_b, arg_ls = minplus_two_bend(
-        xp.add(xp.expand_dims(xp.asarray(combine), 1), first),
+        xp.add(xp.asarray(np.asarray(combine)[:, None]), first),
         xp.add(via, xp.expand_dims(second, 2)),
         xp=xp,
     )

@@ -36,6 +36,7 @@ from repro.sched.executor import (
     simulate_makespan,
 )
 from repro.sched.taskgraph import TaskGraph, build_task_graph
+from repro.utils.arrays import unique_sorted
 
 
 class ScheduledStage:
@@ -50,6 +51,9 @@ class ScheduledStage:
     """
 
     name: str = "stage"
+    #: Whether :meth:`StageRunner.schedule` should also keep the
+    #: box-level overlap pairs (``StageSchedule.box_pairs``).
+    needs_box_pairs: bool = False
 
     def task_boxes(self) -> Sequence[Sequence[Rect]]:
         """Return each task's conflict footprint (its bounding boxes)."""
@@ -106,12 +110,28 @@ def build_group_conflict_graph(
     single-box special case), kept exact: all and only overlapping
     groups become edges.
     """
+    return group_conflicts(groups, bin_size)[0]
+
+
+def group_conflicts(
+    groups: Sequence[Sequence[Rect]], bin_size: int = 16, box_pairs: bool = False
+) -> Tuple[ConflictGraph, Optional[np.ndarray]]:
+    """:func:`build_group_conflict_graph`, plus (with ``box_pairs``) the
+    box-level relation it is derived from.
+
+    The pairs are a ``(2, P)`` array of flat box indices — boxes
+    numbered group by group, in order — one column per overlapping pair
+    of boxes in *different* groups, ``lo < hi``, sorted.  They come out
+    of the same per-bin tests as the task edges, so asking for them
+    costs one extra de-duplication.
+    """
     if bin_size < 1:
         raise ValueError("bin_size must be >= 1")
     graph = ConflictGraph(len(groups))
     n_boxes = sum(len(boxes) for boxes in groups)
+    no_pairs = np.empty((2, 0), dtype=np.int64) if box_pairs else None
     if n_boxes == 0:
-        return graph
+        return graph, no_pairs
     task = np.empty(n_boxes, dtype=np.int64)
     x0 = np.empty(n_boxes, dtype=np.int64)
     y0 = np.empty(n_boxes, dtype=np.int64)
@@ -131,9 +151,10 @@ def build_group_conflict_graph(
     # Pairwise closed-rect overlap per bin, vectorised: any overlapping
     # pair shares the bin containing its intersection, so the union
     # over bins is exactly the conflict relation (duplicates collapse
-    # in the bulk insert).
-    pair_codes: List[np.ndarray] = []
-    n_tasks = len(groups)
+    # in the bulk insert).  Bin members are listed in flat order, so
+    # the upper triangle gives ``lo < hi``.
+    lo_parts: List[np.ndarray] = []
+    hi_parts: List[np.ndarray] = []
     for members in bins.values():
         if len(members) < 2:
             continue
@@ -147,16 +168,23 @@ def build_group_conflict_graph(
             & (by0[None, :] <= by1[:, None])
         )
         row, col = np.nonzero(np.triu(overlap, 1))
-        a_tasks, b_tasks = task[idx[row]], task[idx[col]]
-        distinct = a_tasks != b_tasks
-        a_tasks, b_tasks = a_tasks[distinct], b_tasks[distinct]
-        lo = np.minimum(a_tasks, b_tasks)
-        hi = np.maximum(a_tasks, b_tasks)
-        pair_codes.append(lo * n_tasks + hi)
-    if pair_codes:
-        codes = np.unique(np.concatenate(pair_codes))
-        graph.add_conflicts_bulk(codes // n_tasks, codes % n_tasks)
-    return graph
+        lo, hi = idx[row], idx[col]
+        distinct = task[lo] != task[hi]
+        lo_parts.append(lo[distinct])
+        hi_parts.append(hi[distinct])
+    if not lo_parts:
+        return graph, no_pairs
+    lo, hi = np.concatenate(lo_parts), np.concatenate(hi_parts)
+    pairs = None
+    if box_pairs:
+        codes = unique_sorted(lo * n_boxes + hi)
+        pairs = np.stack(np.divmod(codes, n_boxes))
+        lo, hi = pairs
+    # Flat order follows task order, so ``task[lo] < task[hi]``.
+    n_tasks = len(groups)
+    codes = unique_sorted(task[lo] * n_tasks + task[hi])
+    graph.add_conflicts_bulk(codes // n_tasks, codes % n_tasks)
+    return graph, pairs
 
 
 def extract_conflict_batches(conflicts: ConflictGraph) -> List[List[int]]:
@@ -187,6 +215,9 @@ class StageSchedule:
     conflicts: ConflictGraph
     task_graph: TaskGraph
     batches: List[List[int]]
+    #: Overlapping box pairs across tasks (see :func:`group_conflicts`),
+    #: when the stage asked for them through ``needs_box_pairs``.
+    box_pairs: Optional[np.ndarray] = None
 
     @property
     def n_tasks(self) -> int:
@@ -254,12 +285,15 @@ class StageRunner:
     def schedule(self, stage: ScheduledStage) -> StageSchedule:
         """Build conflict graph, ordered task graph and batch partition."""
         boxes = [list(group) for group in stage.task_boxes()]
-        conflicts = build_group_conflict_graph(boxes, self.bin_size)
+        conflicts, box_pairs = group_conflicts(
+            boxes, self.bin_size, box_pairs=stage.needs_box_pairs
+        )
         return StageSchedule(
             boxes=boxes,
             conflicts=conflicts,
             task_graph=build_task_graph(conflicts),
             batches=extract_conflict_batches(conflicts),
+            box_pairs=box_pairs,
         )
 
     def run(
@@ -322,6 +356,7 @@ __all__ = [
     "StageReport",
     "StageRunner",
     "build_group_conflict_graph",
+    "group_conflicts",
     "extract_conflict_batches",
     "modelled_makespans",
 ]

@@ -19,10 +19,10 @@ list of jobs submitted together and joined as one.
 
 ECO jobs execute against the :class:`~repro.session.store.SessionStore`
 warm tier: the same ``(design, config)`` session that routed the base
-design replays its content-addressed caches, so only the edit's blast
-radius recomputes.  With ``verify=True`` the job also cold-routes the
-edited design and asserts the warm result bit-identical (demand grids
-and score) — the service-level form of the parity guarantee.
+design replays its warm state, so only the edit's blast radius
+recomputes.  With ``verify=True`` the job also cold-routes the edited
+design and asserts the warm result bit-identical (route digest, demand
+grids and score) — the service-level form of the parity guarantee.
 """
 
 from __future__ import annotations
@@ -402,7 +402,8 @@ class JobService:
                 cold, resolve_config(record.config)
             ).run()
             verified = (
-                demand_grids_equal(session.graph, cold.graph)
+                eco.result.digest() == cold_result.digest()
+                and demand_grids_equal(session.graph, cold.graph)
                 and eco.result.metrics.score == cold_result.metrics.score
             )
             payload["verified"] = verified

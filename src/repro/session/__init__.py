@@ -7,14 +7,15 @@ The flow's state splits into three layers:
   across every job that routes the same design;
 * :class:`~repro.session.session.RoutingSession` — **per-job mutable**
   state: the demand-carrying :class:`~repro.grid.graph.GridGraph`, the
-  route caches and the last :class:`~repro.core.result.RoutingResult`,
-  kept warm between runs so an ECO delta re-routes incrementally;
+  pattern replay state, the maze route cache and the last
+  :class:`~repro.core.result.RoutingResult`, kept warm between runs so
+  an ECO delta re-routes incrementally;
 * :class:`~repro.session.store.SessionStore` — an LRU of warm sessions
   plus the **shared caches** (generated benchmark handles, Steiner
   trees, conflict schedules).
 
 `core/flow.py`'s stages accept a :class:`SessionContext` and consult
-its caches; without one they behave exactly as before — the
+its warm state; without one they behave exactly as before — the
 :class:`~repro.core.router.GlobalRouter` API is unchanged.
 """
 

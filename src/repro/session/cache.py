@@ -1,31 +1,31 @@
-"""Content-addressed route caches: what makes ECO replay cheap.
+"""Content keys and caches: the maze replay's lever, the pattern
+replay's oracle.
 
-A warm :class:`~repro.session.session.RoutingSession` re-routes an
-edited design by *replaying* the exact deterministic stage pipeline
-from zero demand — but before executing a task it hashes everything
-the task reads and looks the result up:
+A content key hashes everything a task reads:
 
-* a **pattern chunk**'s DP output is a pure function of the chunk's
-  nets (names + pins), its bounding boxes, the demand inside the
-  boxes' incident-edge footprint, and the stage-start zero-demand cost
-  reference (a session constant);
+* a **pattern net**'s DP output is a pure function of the net (name +
+  pins), its bounding box, the demand inside the box's incident-edge
+  footprint, and the stage-start zero-demand cost reference (a session
+  constant) — :func:`pattern_net_key` over :func:`demand_signature`;
 * a **maze re-route** is a pure function of the net, its clipped
   search region, and the demand inside the region's incident-edge
-  footprint (captured *after* the net's old route is ripped up).
+  footprint (captured *after* the net's old route is ripped up) —
+  :func:`maze_task_key`.
 
-A hit commits the cached route(s) — O(route length) — and skips the
-DP / search / cost-rebuild work; a miss recomputes and stores.  Either
-way the committed demand is bit-identical to a cold run, because the
-key captures every input of the computation: the cache can only change
-*speed*, never results.
+The maze stage looks its keys up in a :class:`RouteCache`: a hit
+commits the cached route and skips the search; a miss recomputes and
+stores.  The pattern stage no longer hashes: it decides which nets are
+clean by structure (:mod:`repro.session.replay`), and the pattern key
+survives as that decision's test oracle
+(:class:`~repro.session.replay.ReplayOracle`) — every clean verdict
+must be a key hit with the same route.  Either way results are
+bit-identical to a cold run; only speed changes.
 
 The hashed windows are the boxes' *incident-edge* slices (edges with
 at least one endpoint inside the box) plus the box's via pillars —
 exactly the demand the DP's masked rebuild and the edge-shifting
 probes (``_local_demand`` reads edges at ``x-1``/``x``, ``y-1``/``y``)
-can observe.  Members of one fused group only ever write edges with
-*both* endpoints inside their own disjoint footprint, so a hit's commit
-never changes a group-mate's hashed window.
+can observe.
 
 Routing itself runs on one thread; the caches keep their locks because
 the job service's HTTP threads read ``stats()`` (and share the store's
@@ -115,11 +115,9 @@ def maze_task_key(net: Net, region: Window, signature: str) -> str:
 class RouteCache:
     """Thread-safe LRU of task results keyed by content digests.
 
-    Values are whatever the task produced — ``(name, Route)`` pair
-    lists for pattern chunks, a :class:`~repro.grid.route.Route` (or
-    ``None`` for a search failure) for maze tasks.  Routes are
-    geometry-immutable after construction, so entries are shared, not
-    copied.
+    Values are maze re-routes: a :class:`~repro.grid.route.Route`, or
+    ``None`` for a search failure.  Routes are geometry-immutable after
+    construction, so entries are shared, not copied.
     """
 
     def __init__(self, max_entries: int = 65_536) -> None:

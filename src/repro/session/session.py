@@ -3,26 +3,31 @@
 A session owns the mutable half of a routing job — ONE demand-carrying
 :class:`~repro.grid.graph.GridGraph` built from its immutable
 :class:`~repro.session.handle.DesignHandle`, the warm
-:class:`~repro.session.context.SessionContext` (route / Steiner /
-schedule caches), and the last
+:class:`~repro.session.context.SessionContext` (pattern replay state,
+maze route cache, Steiner and schedule caches), and the last
 :class:`~repro.core.result.RoutingResult`.
 
 ECO model
 ---------
-:meth:`RoutingSession.eco` applies a
-:class:`~repro.netlist.delta.NetlistDelta` to the warm state: the
-windows of the affected nets are recorded and marked dirty (the
-``DirtyLog`` bookkeeping incremental cost engines key off), then demand
-is reset and the edited design is re-driven through the *exact*
-deterministic stage pipeline with the session's content-addressed
-caches armed — the replay re-commits every route, so nothing is
-uncommitted first.  Every
-task whose demand context is unchanged replays its cached result
-(O(route) commit instead of DP / maze search); only tasks inside the
-blast radius of the edit recompute.  The outcome is asserted — by the
-tests and ``bench_eco.py`` — bit-identical to a cold full route of the
-edited design, because cache keys capture every input a task reads:
-hits and misses can differ only in speed, never in results.
+:meth:`RoutingSession.eco` checks a
+:class:`~repro.netlist.delta.NetlistDelta` against the netlist and the
+grid, swaps in the edited netlist, resets demand and re-drives the
+*exact* deterministic stage pipeline with the warm state armed — the
+replay re-commits every route, so nothing is uncommitted first.  The
+pattern stage decides by structure which nets can have changed
+(:mod:`repro.session.replay`): a net whose pins, earlier overlapping
+nets and their routes are all unchanged commits its last route with no
+hash and no DP; only the edit's blast radius recomputes.  Maze
+re-routes replay from the content-addressed
+:class:`~repro.session.cache.RouteCache`.  The outcome is asserted — by
+the tests, ``bench_eco.py`` and ``repro eco --verify`` — equal to a cold
+full route of the edited design, digest for digest
+(:meth:`~repro.core.result.RoutingResult.digest`): the replay can only
+change speed, never results, and the content key survives as the test
+oracle of every clean verdict.
+
+A run that raises leaves the session as it was: netlist, demand, last
+result and replay state are restored before the exception propagates.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from repro.core.result import IterationStats, RoutingResult
 from repro.gpu.device import Device
 from repro.gpu.zerocopy import ZeroCopyArena
 from repro.netlist.delta import NetlistDelta
-from repro.netlist.design import Design
+from repro.netlist.design import Design, check_pins
 from repro.session.context import SessionContext
 from repro.session.handle import DesignHandle
 
@@ -50,9 +55,9 @@ class EcoResult:
 
     ``result`` is a full :class:`RoutingResult` for the edited design
     (bit-identical to a cold route); the remaining fields quantify the
-    incremental work: the delta's edit counts, the dirty windows the
-    edit invalidated, and how many cached task results were replayed
-    versus recomputed.
+    incremental work: the delta's edit counts, the old and new boxes of
+    the edited nets, and how many tasks were replayed versus recomputed
+    (pattern nets plus maze re-routes).
     """
 
     result: RoutingResult
@@ -70,7 +75,7 @@ class EcoResult:
 
     @property
     def reuse_fraction(self) -> float:
-        """Fraction of replayed tasks served from the warm cache."""
+        """Fraction of the replayed tasks served from the warm state."""
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
@@ -175,18 +180,30 @@ class RoutingSession:
     def _route(self, on_iteration: Optional[ProgressFn]) -> RoutingResult:
         from repro.core.router import route_design
 
+        saved = self.graph.demand_snapshot(), self.context.replay
         self.graph.reset_demand()
-        result = route_design(
-            self.design,
-            self.config,
-            device=Device(),
-            arena=ZeroCopyArena(),
-            context=self.context,
-            on_iteration=on_iteration,
-        )
+        try:
+            result = route_design(
+                self.design,
+                self.config,
+                device=Device(),
+                arena=ZeroCopyArena(),
+                context=self.context,
+                on_iteration=on_iteration,
+            )
+        except BaseException:
+            self.graph.restore_demand(saved[0])
+            self.context.replay = saved[1]
+            raise
         self.result = result
         self.n_runs += 1
         return result
+
+    def _reuse_counts(self) -> Tuple[int, int]:
+        """Replayed and recomputed tasks so far: pattern nets + maze
+        re-routes."""
+        replay, cache = self.context.replay, self.context.cache
+        return replay.replayed + cache.hits, replay.recomputed + cache.misses
 
     def eco(
         self,
@@ -195,8 +212,10 @@ class RoutingSession:
     ) -> EcoResult:
         """Apply ``delta`` to the warm state and re-route incrementally.
 
-        Requires a warm route (:meth:`run` first).  See the module
-        docstring for the replay mechanism and its exactness argument.
+        Requires a warm route (:meth:`run` first).  A delta that names
+        unknown nets or puts a pin off the grid raises ``ValueError``
+        before anything changes.  See the module docstring for the
+        replay mechanism and its exactness argument.
         """
         with self._lock:
             self._check_open()
@@ -205,11 +224,11 @@ class RoutingSession:
                     "session has no warm route to edit; call run() first"
                 )
             delta.validate(self.netlist)
+            check_pins(tuple(delta.moved) + tuple(delta.added), self.graph)
             start = time.perf_counter()
 
-            # Mark the affected nets' windows dirty: the DirtyLog
-            # bookkeeping that keeps incremental cost engines exact, and
-            # the blast-radius record reported back to the caller.
+            # The blast-radius record reported back to the caller: the
+            # old and new boxes of every edited net.
             windows: List[Tuple[int, int, int, int]] = []
             old_nets = {net.name: net for net in self.netlist}
             for name in tuple(delta.removed) + tuple(
@@ -218,13 +237,16 @@ class RoutingSession:
                 windows.append(old_nets[name].bbox.as_tuple())
             for net in tuple(delta.moved) + tuple(delta.added):
                 windows.append(net.bbox.as_tuple())
-            for window in windows:
-                self.graph.mark_window_dirty(window)
 
-            self.netlist = delta.apply(self.netlist)
-            cache = self.context.cache
-            hits_before, misses_before = cache.hits, cache.misses
-            result = self._route(on_iteration)
+            netlist = self.netlist
+            self.netlist = delta.apply(netlist)
+            hits_before, misses_before = self._reuse_counts()
+            try:
+                result = self._route(on_iteration)
+            except BaseException:
+                self.netlist = netlist
+                raise
+            hits, misses = self._reuse_counts()
             self.n_ecos += 1
             return EcoResult(
                 result=result,
@@ -232,8 +254,8 @@ class RoutingSession:
                 n_added=len(delta.added),
                 n_moved=len(delta.moved),
                 dirty_windows=windows,
-                cache_hits=cache.hits - hits_before,
-                cache_misses=cache.misses - misses_before,
+                cache_hits=hits - hits_before,
+                cache_misses=misses - misses_before,
                 elapsed=time.perf_counter() - start,
             )
 

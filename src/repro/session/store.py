@@ -31,8 +31,9 @@ class SessionStore:
     * **sessions** — warm per-``(design, config)`` state, LRU-evicted
       (eviction closes the session).
 
-    Route caches stay *per-session*: their keys embed demand context,
-    which only replays within one session's deterministic trajectory.
+    Replay state and route caches stay *per-session*: they embed demand
+    context, which only replays within one session's deterministic
+    trajectory.
     """
 
     def __init__(self, max_sessions: int = 4, max_handles: int = 32) -> None:

@@ -604,3 +604,49 @@ def test_result_carries_cost_observability():
     for it in result.iterations:
         assert it.cost_rebuilds >= 0
         assert it.cost_time >= 0.0
+
+
+def test_one_box_masked_rebuild_call_budget():
+    """The fixed cost of a masked rebuild, as a count that repeats.
+
+    A pattern call on one small net pays one masked rebuild whose box
+    holds a few dozen cells: its price is the number of array calls, not
+    their size.  Counted here are the calls (Python and C) the cost
+    module's own frames make during one steady-state rebuild of a lone
+    2-pin net's footprint, so the count does not depend on how NumPy
+    implements them: 74 with the plan built as one arithmetic
+    progression per line over flat tables, 167 with one scan family per
+    wire direction and per-layer demand gathers.  It may fall; it must
+    not rise.
+    """
+    import sys
+
+    import repro.grid.cost as cost_module
+    from repro.netlist.net import Net, Pin
+    from repro.pattern.batch import BatchPatternRouter
+    from repro.pattern.twopin import PatternMode, constant_mode
+
+    graph = GridGraph(24, 24, LayerStack(9), wire_capacity=4.0)
+    router = BatchPatternRouter(graph)
+    reference = router.query.snapshot_reference()
+    net = Net("two", [Pin(3, 4, 0), Pin(11, 9, 2)])
+    state = router.plan_waves([router.make_job(net)], constant_mode(PatternMode.LSHAPE))[0]
+
+    def rebuild():
+        router.query.rebuild(boxes=[net.bbox], reference=reference, reads=state.reads)
+
+    rebuild()
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        caller = frame if event == "c_call" else frame.f_back if event == "call" else None
+        if caller is not None and caller.f_code.co_filename == cost_module.__file__:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        rebuild()
+    finally:
+        sys.setprofile(None)
+    assert calls <= 74, calls

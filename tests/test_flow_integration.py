@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -120,20 +118,12 @@ class TestDeterminism:
     def test_routes_match_recorded_digest(self, preset, digest):
         """Every net's wire and via lists on ``18test5`` at scale 0.2, as
         recorded before the batch-level backtrace replaced the per-net
-        walker (sha256 over ``(name, wires, vias)`` in netlist order)."""
+        walker (``RoutingResult.digest``: sha256 over ``(name, wires,
+        vias)`` in netlist order)."""
         design = load_benchmark("18test5", scale=0.2)
         result = GlobalRouter(design, getattr(RouterConfig, preset)()).run()
-        sha = hashlib.sha256()
-        for net in design.netlist:
-            route = result.routes[net.name]
-            sha.update(
-                repr((
-                    net.name,
-                    [(w.layer, w.x1, w.y1, w.x2, w.y2) for w in route.wires],
-                    [(v.x, v.y, v.lo, v.hi) for v in route.vias],
-                )).encode()
-            )
-        assert sha.hexdigest() == digest
+        assert list(result.routes) == [net.name for net in design.netlist]
+        assert result.digest() == digest
 
     @pytest.mark.parametrize(
         "design, preset, refreshed",

@@ -51,18 +51,14 @@ def poisoned(monkeypatch):
 
     def masked(self, boxes, reference, reads):
         real(self, boxes, reference, reads)
-        for scan, (_, prefix, _, ref_prefix) in zip(
-            self._masked_plan.scans, self._masked_tables
-        ):
-            keep = np.zeros(prefix.size, dtype=bool)
-            if scan is not None:
-                keep[scan.cells] = True
-                # An anchor holds the reference (an earlier rebuild may
-                # have poisoned it).
-                anchor = scan.anchor.reshape(-1)
-                prefix[anchor] = ref_prefix[anchor]
-                keep[anchor] = True
-            prefix[~keep] = SENTINEL
+        plan, prefix, ref_prefix = self._masked_plan, self._prefix_flat, self._ref_prefix
+        keep = np.zeros(prefix.size, dtype=bool)
+        keep[plan.cells] = True
+        # An anchor holds the reference (an earlier rebuild may have
+        # poisoned it).
+        prefix[plan.anchor] = ref_prefix[plan.anchor]
+        keep[plan.anchor] = True
+        prefix[~keep] = SENTINEL
         calls.append(reads)
 
     monkeypatch.setattr(CostQuery, "_masked_incremental", masked)

@@ -43,6 +43,13 @@ def routes_equal(r1, r2) -> bool:
     )
 
 
+def _graph_with(design, demand):
+    """A copy of ``design``'s grid carrying a saved demand snapshot."""
+    graph = DesignHandle.from_design(design).fresh_graph()
+    graph.restore_demand(demand)
+    return graph
+
+
 class TestDesignHandle:
     def test_content_key_is_stable(self, small_design):
         k1 = DesignHandle.from_design(small_design).key
@@ -126,6 +133,7 @@ class TestRoutingSession:
             assert eco.cache_hits > 0  # replay reused warm results
             cold_design = session.cold_design()
             cold = GlobalRouter(cold_design, config).run()
+            assert eco.result.digest() == cold.digest()
             assert eco.result.metrics.score == cold.metrics.score
             assert routes_equal(eco.result.routes, cold.routes)
             assert demand_equal(session.graph, cold_design.graph)
@@ -170,9 +178,92 @@ class TestRoutingSession:
                 eco = session.eco(delta)
                 cold_design = session.cold_design()
                 cold = GlobalRouter(cold_design, config).run()
+                assert eco.result.digest() == cold.digest()
                 assert eco.result.metrics.score == cold.metrics.score
                 assert demand_equal(session.graph, cold_design.graph)
             assert session.n_ecos == 3
+
+    def test_eco_recomputes_are_pinned(self, small_design, monkeypatch):
+        """What a replay recomputes, as counts that repeat exactly.
+
+        Three ``small`` ECOs (3 edits each) on the 60-net design: the
+        pattern stage recomputes 10, 7 and 7 nets, as many as the
+        content-keyed replay did (the coarser "any earlier overlapping
+        net changed" rule recomputed 10, 7 and 8), and computes no
+        content key; only the maze stage still hashes its tasks.  The
+        counts may fall; they must not rise.
+        """
+        import repro.session.cache as cache
+
+        calls = {name: 0 for name in ("demand_signature", "pattern_net_key", "maze_task_key")}
+        for name in calls:
+            def counted(*args, _fn=getattr(cache, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cache, name, counted)
+        config = RouterConfig.fastgr_l()
+        with RoutingSession(DesignHandle.from_design(small_design), config) as session:
+            base = session.run()
+            assert base.pattern_batched_nets == len(small_design.netlist)
+            recomputed = []
+            for seed in (1, 2, 3):
+                delta = perturb_design(session.design, ECO_PRESETS["small"], seed=seed)
+                recomputed.append(session.eco(delta).result.pattern_batched_nets)
+        assert all(n <= pinned for n, pinned in zip(recomputed, (10, 7, 7))), recomputed
+        assert calls["pattern_net_key"] == 0
+        assert calls["demand_signature"] == calls["maze_task_key"]
+
+    @pytest.mark.parametrize("where", ["added", "moved"])
+    def test_malformed_delta_leaves_session_untouched(self, small_design, where):
+        """A pin off the grid is refused before the session changes."""
+        config = RouterConfig.fastgr_l()
+        with RoutingSession(DesignHandle.from_design(small_design), config) as session:
+            base = session.run()
+            netlist, replay = session.netlist, session.context.replay
+            demand = session.graph.demand_snapshot()
+            victim = next(iter(small_design.netlist)).name
+            bad = Net(
+                "eco_bad" if where == "added" else victim,
+                [Pin(1, 1, 0), Pin(small_design.graph.nx + 3, 2, 0)],
+            )
+            with pytest.raises(ValueError, match="off the"):
+                session.eco(NetlistDelta(**{where: (bad,)}))
+            assert session.netlist is netlist
+            assert session.context.replay is replay
+            assert session.result is base
+            assert demand_equal(session.graph, _graph_with(small_design, demand))
+            # The session still takes valid edits, and stays exact.
+            delta = perturb_design(session.design, ECO_PRESETS["tiny"], seed=4)
+            eco = session.eco(delta)
+            cold = GlobalRouter(session.cold_design(), config).run()
+            assert eco.result.digest() == cold.digest()
+
+    def test_failed_route_restores_the_session(self, small_design, monkeypatch):
+        """Whatever raises inside the re-route, the session rolls back."""
+        import repro.core.router as router
+
+        config = RouterConfig.fastgr_l()
+        with RoutingSession(DesignHandle.from_design(small_design), config) as session:
+            base = session.run()
+            netlist, replay = session.netlist, session.context.replay
+            demand = session.graph.demand_snapshot()
+
+            def broken(*args, **kwargs):
+                raise RuntimeError("injected")
+
+            monkeypatch.setattr(router, "run_rrr_stage", broken)
+            delta = perturb_design(session.design, ECO_PRESETS["tiny"], seed=4)
+            with pytest.raises(RuntimeError, match="injected"):
+                session.eco(delta)
+            assert session.netlist is netlist
+            assert session.context.replay is replay
+            assert session.result is base
+            assert demand_equal(session.graph, _graph_with(small_design, demand))
+            monkeypatch.undo()
+            eco = session.eco(delta)
+            cold = GlobalRouter(session.cold_design(), config).run()
+            assert eco.result.digest() == cold.digest()
 
     def test_eco_remove_move_add_equals_cold(self, small_design):
         """One net removed, one moved, one added: the replay commits every
