@@ -211,12 +211,6 @@ LONE_NETS = (
                  Pin(18, 16, 2), Pin(10, 9, 0)]),
 )
 LONE_CALLS = 200
-# Minimum of 200 calls of the parent code (the commit before the lone
-# call's fixed price was cut), same harness, best of 8 processes
-# alternating with this code on the machine that wrote the committed
-# results, where this code's best was 0.75e-3 / 1.19e-3: seconds per
-# call, (2-pin, 5-pin).
-LONE_CALL_BEFORE = (0.96e-3, 1.41e-3)
 
 
 def lone_call_minimum(preset: str = "fastgr_l"):
@@ -249,34 +243,23 @@ def test_lone_call_fixed_price():
     A lone call is all fixed cost — the masked rebuild, a combine and a
     pattern launch per wave, the root combine, the backtrace — and an
     ECO replay makes dozens of them.  The row records the minimum over
-    ``LONE_CALLS`` calls beside the parent's figure from the same
-    harness; the backend-op and masked-rebuild call counts that gate it
-    repeat exactly and live in tier-1 (``tests/test_gpu.py``,
-    ``tests/test_cost_engine.py``).
+    ``LONE_CALLS`` calls (compare two commits by running this on each,
+    alternating, on one machine); the backend-op and masked-rebuild call
+    counts that gate it repeat exactly and live in tier-1
+    (``tests/test_gpu.py``, ``tests/test_cost_engine.py``).
     """
     two, five = lone_call_minimum()
-    before_two, before_five = LONE_CALL_BEFORE
     register_table(
         "pattern_lone_call",
         format_table(
-            ["lone net", "min call (ms)", "parent (ms)", "speedup"],
-            [
-                ["2-pin", two * 1e3, before_two * 1e3, before_two / two],
-                ["5-pin", five * 1e3, before_five * 1e3, before_five / five],
-            ],
+            ["lone net", "min call (ms)"],
+            [["2-pin", two * 1e3], ["5-pin", five * 1e3]],
             title=(
                 f"One route_batch call on a lone net (24x24x9 grid, fastgr_l, "
                 f"numpy backend, min of {LONE_CALLS} alternating calls)"
             ),
         ),
         config=RouterConfig.fastgr_l(),
-        metrics={
-            "two_pin_s": two,
-            "five_pin_s": five,
-            "two_pin_before_s": before_two,
-            "five_pin_before_s": before_five,
-            "two_pin_speedup": before_two / two,
-            "five_pin_speedup": before_five / five,
-        },
+        metrics={"two_pin_s": two, "five_pin_s": five},
     )
 

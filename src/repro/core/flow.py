@@ -102,14 +102,10 @@ class PatternStage(ScheduledStage):
         self.engine = make_pattern_engine(graph, config, device, arena)
         # Session context (optional): the Steiner cache and the
         # structural replay state a warm session lends this stage.
-        self._context = context
         self.replay: Optional[ReplayPass] = None
         if context is not None:
             self.engine.steiner_cache = context.steiner_cache
             self.replay = ReplayPass(context.replay, self.nets, graph)
-            self.needs_box_pairs = True
-            if context.oracle is not None:
-                context.oracle.begin()
         # Stage-start cost snapshot (zero demand): every chunk's masked
         # rebuild pins out-of-footprint costs to these arrays, so its DP
         # is bit-independent of whatever non-conflicting chunks did.
@@ -155,13 +151,6 @@ class PatternStage(ScheduledStage):
         try:
             if replay is None:
                 return self._route_fresh(positions)
-            oracle = self._context.oracle
-            if oracle is not None:
-                keys = oracle.keys(
-                    self._graph,
-                    [self.nets[p] for p in positions],
-                    [self._net_boxes[p] for p in positions],
-                )
             kept, redo = replay.split(positions)
             commit_routes(self._graph, [route for _, route in kept])
             routes: Dict[str, Route] = {}
@@ -173,13 +162,6 @@ class PatternStage(ScheduledStage):
                 for p in redo:
                     route = routes[self.nets[p].name] = fresh[self.nets[p].name]
                     replay.record(p, route, recomputed=True)
-            if oracle is not None:
-                clean = {p for p, _ in kept}
-                oracle.check(
-                    keys,
-                    [routes[self.nets[p].name] for p in positions],
-                    [p in clean for p in positions],
-                )
             return routes
         finally:
             tracker.get_counter("pattern.kernel_launches").increment(
@@ -224,21 +206,25 @@ class PatternStage(ScheduledStage):
         plan: List[List[int]] = []
         for level in schedule.task_graph.levels():
             plan.extend(bucket_by_area(level, areas))
-        if self.replay is not None:
-            self._orient_replay(schedule, plan)
         return plan
 
-    def _orient_replay(self, schedule, plan: List[List[int]]) -> None:
+    def orient_replay(self, schedule) -> None:
         """Hand the replay this run's overlap pairs, as stage positions,
-        and the group each position commits in (the schedule kept its
-        box pairs: this stage sets ``needs_box_pairs``)."""
+        and a commit rank per position.
+
+        Overlapping nets sit in conflicting chunks, which share a task
+        graph edge, so every dispatch (fused levels or one chunk at a
+        time) commits them in the order of the graph's topological
+        order — the rank used here.
+        """
         flat = np.fromiter(
             (p for chunk in self.chunks for p in chunk), dtype=np.int64,
             count=len(self.nets),
         )
         task_rank = np.empty(len(self.chunks), dtype=np.int64)
-        for rank, group in enumerate(plan):
-            task_rank[group] = rank
+        task_rank[schedule.task_graph.topological_order()] = np.arange(
+            len(self.chunks), dtype=np.int64
+        )
         rank = np.empty(len(self.nets), dtype=np.int64)
         rank[flat] = np.repeat(task_rank, [len(chunk) for chunk in self.chunks])
         self.replay.orient(flat[schedule.box_pairs], rank)
@@ -383,7 +369,10 @@ def run_pattern_stage(
     """
     stage = PatternStage(design, config, device, arena, context=context)
     runner = StageRunner(n_workers=config.n_workers)
-    report = runner.run(stage, schedule=_cached_schedule(runner, stage, context))
+    schedule = _cached_schedule(runner, stage, context)
+    if stage.replay is not None:
+        stage.orient_replay(schedule)
+    report = runner.run(stage, schedule=schedule)
     if stage.replay is not None:
         context.replay = stage.replay.finish()
     if cost_stats is not None:

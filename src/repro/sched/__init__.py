@@ -23,7 +23,7 @@ from repro.sched.pipeline import (
     StageReport,
     StageRunner,
     StageSchedule,
-    build_group_conflict_graph,
+    group_conflicts,
     extract_conflict_batches,
     modelled_makespans,
 )
@@ -43,7 +43,7 @@ __all__ = [
     "StageSchedule",
     "StageReport",
     "StageRunner",
-    "build_group_conflict_graph",
+    "group_conflicts",
     "extract_conflict_batches",
     "modelled_makespans",
 ]

@@ -51,9 +51,6 @@ class ScheduledStage:
     """
 
     name: str = "stage"
-    #: Whether :meth:`StageRunner.schedule` should also keep the
-    #: box-level overlap pairs (``StageSchedule.box_pairs``).
-    needs_box_pairs: bool = False
 
     def task_boxes(self) -> Sequence[Sequence[Rect]]:
         """Return each task's conflict footprint (its bounding boxes)."""
@@ -99,37 +96,26 @@ class ScheduledStage:
         raise NotImplementedError
 
 
-def build_group_conflict_graph(
+def group_conflicts(
     groups: Sequence[Sequence[Rect]], bin_size: int = 16
-) -> ConflictGraph:
-    """Conflict graph over box *groups*: tasks conflict when any box of
-    one overlaps any box of the other.
+) -> Tuple[ConflictGraph, np.ndarray]:
+    """Conflict graph over box *groups* — tasks conflict when any box of
+    one overlaps any box of the other — and the box-level overlap
+    relation it is derived from.
 
     Same spatial binning as
     :func:`~repro.sched.conflict.build_conflict_graph` (which is the
     single-box special case), kept exact: all and only overlapping
-    groups become edges.
-    """
-    return group_conflicts(groups, bin_size)[0]
-
-
-def group_conflicts(
-    groups: Sequence[Sequence[Rect]], bin_size: int = 16, box_pairs: bool = False
-) -> Tuple[ConflictGraph, Optional[np.ndarray]]:
-    """:func:`build_group_conflict_graph`, plus (with ``box_pairs``) the
-    box-level relation it is derived from.
-
-    The pairs are a ``(2, P)`` array of flat box indices — boxes
-    numbered group by group, in order — one column per overlapping pair
-    of boxes in *different* groups, ``lo < hi``, sorted.  They come out
-    of the same per-bin tests as the task edges, so asking for them
-    costs one extra de-duplication.
+    groups become edges.  The box pairs are a ``(2, P)`` array of flat
+    box indices — boxes numbered group by group, in order — one column
+    per overlapping pair of boxes in *different* groups, ``lo < hi``,
+    sorted.
     """
     if bin_size < 1:
         raise ValueError("bin_size must be >= 1")
     graph = ConflictGraph(len(groups))
     n_boxes = sum(len(boxes) for boxes in groups)
-    no_pairs = np.empty((2, 0), dtype=np.int64) if box_pairs else None
+    no_pairs = np.empty((2, 0), dtype=np.int64)
     if n_boxes == 0:
         return graph, no_pairs
     task = np.empty(n_boxes, dtype=np.int64)
@@ -174,12 +160,11 @@ def group_conflicts(
         hi_parts.append(hi[distinct])
     if not lo_parts:
         return graph, no_pairs
-    lo, hi = np.concatenate(lo_parts), np.concatenate(hi_parts)
-    pairs = None
-    if box_pairs:
-        codes = unique_sorted(lo * n_boxes + hi)
-        pairs = np.stack(np.divmod(codes, n_boxes))
-        lo, hi = pairs
+    codes = unique_sorted(
+        np.concatenate(lo_parts) * n_boxes + np.concatenate(hi_parts)
+    )
+    pairs = np.stack(np.divmod(codes, n_boxes))
+    lo, hi = pairs
     # Flat order follows task order, so ``task[lo] < task[hi]``.
     n_tasks = len(groups)
     codes = unique_sorted(task[lo] * n_tasks + task[hi])
@@ -215,9 +200,8 @@ class StageSchedule:
     conflicts: ConflictGraph
     task_graph: TaskGraph
     batches: List[List[int]]
-    #: Overlapping box pairs across tasks (see :func:`group_conflicts`),
-    #: when the stage asked for them through ``needs_box_pairs``.
-    box_pairs: Optional[np.ndarray] = None
+    #: Overlapping box pairs across tasks (see :func:`group_conflicts`).
+    box_pairs: np.ndarray
 
     @property
     def n_tasks(self) -> int:
@@ -285,9 +269,7 @@ class StageRunner:
     def schedule(self, stage: ScheduledStage) -> StageSchedule:
         """Build conflict graph, ordered task graph and batch partition."""
         boxes = [list(group) for group in stage.task_boxes()]
-        conflicts, box_pairs = group_conflicts(
-            boxes, self.bin_size, box_pairs=stage.needs_box_pairs
-        )
+        conflicts, box_pairs = group_conflicts(boxes, self.bin_size)
         return StageSchedule(
             boxes=boxes,
             conflicts=conflicts,
@@ -355,7 +337,6 @@ __all__ = [
     "StageSchedule",
     "StageReport",
     "StageRunner",
-    "build_group_conflict_graph",
     "group_conflicts",
     "extract_conflict_batches",
     "modelled_makespans",

@@ -16,9 +16,8 @@ The maze stage looks its keys up in a :class:`RouteCache`: a hit
 commits the cached route and skips the search; a miss recomputes and
 stores.  The pattern stage no longer hashes: it decides which nets are
 clean by structure (:mod:`repro.session.replay`), and the pattern key
-survives as that decision's test oracle
-(:class:`~repro.session.replay.ReplayOracle`) — every clean verdict
-must be a key hit with the same route.  Either way results are
+survives as that decision's test oracle (``tests/replay_oracle.py``) —
+every clean verdict must be a key hit with the same route.  Either way results are
 bit-identical to a cold run; only speed changes.
 
 The hashed windows are the boxes' *incident-edge* slices (edges with

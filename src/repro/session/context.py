@@ -6,16 +6,17 @@ stage's content-addressed route cache, and the Steiner and schedule
 caches (shareable across sessions — both are pure functions of their
 keys).  The pattern stage decides which nets to recompute from
 :class:`~repro.session.replay.PatternReplay` alone and hashes nothing;
-the optional ``oracle`` re-arms the content key beside it, for tests.
+the content key it replaced survives as the tests' oracle for those
+verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.session.cache import RouteCache, SteinerTreeCache
-from repro.session.replay import PatternReplay, ReplayOracle
+from repro.session.replay import PatternReplay
 
 
 @dataclass
@@ -35,16 +36,12 @@ class SessionContext:
     * ``schedule_cache`` — :class:`~repro.sched.pipeline.StageSchedule`
       objects keyed by task footprints (a schedule is a pure function
       of its boxes and bin size, so it is shareable and replayable).
-    * ``oracle`` — when set, the pattern stage also hashes every net it
-      replays and the :class:`~repro.session.replay.ReplayOracle`
-      scores each clean verdict against the content key.
     """
 
     replay: PatternReplay = field(default_factory=PatternReplay)
     cache: RouteCache = field(default_factory=RouteCache)
     steiner_cache: SteinerTreeCache = field(default_factory=SteinerTreeCache)
     schedule_cache: Dict[tuple, object] = field(default_factory=dict)
-    oracle: Optional[ReplayOracle] = None
 
     def stats(self) -> dict:
         return {

@@ -25,16 +25,16 @@ appeared, vanished or flipped, or an earlier overlapping net came out
 of this replay with a different route.  A recomputed route equal to the
 old one dirties nothing.
 
-Pairs are stable-net-id codes ``earlier << 32 | later``: the flips are
+Pairs are net-id codes ``earlier << 32 | later``: the flips are
 two sorted set differences, and propagating a changed route is a slice
-of the later ends per changed net.  The content key
+of the later ends per changed net.  Ids are dense over the nets of the
+last replay plus the ones new to this one, so the state follows the
+size of the design, not the history of the session.
+
+Replays hash nothing.  The content key
 (:func:`~repro.session.cache.pattern_net_key` over
-:func:`~repro.session.cache.demand_signature`) is kept as the oracle:
-with a :class:`ReplayOracle` in ``SessionContext.oracle`` every group
-hashes its nets before committing, and the oracle counts the clean
-verdicts the key would not have confirmed (must stay 0) and the key
-misses (what content addressing would have recomputed).  Production
-replays hash nothing.
+:func:`~repro.session.cache.demand_signature`) is the oracle the tests
+hold every clean verdict to (``tests/replay_oracle.py``).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import numpy as np
 
 from repro.grid.route import Route
 from repro.netlist.net import Net
-from repro.session.cache import demand_signature, pattern_net_key
 from repro.utils.arrays import unique_sorted
 
 _SHIFT = np.int64(32)
@@ -71,7 +70,7 @@ class PatternReplay:
         replayed: int = 0,
         recomputed: int = 0,
     ) -> None:
-        #: Stable net ids by name; a name keeps its id for the session.
+        #: Net ids by name, dense over this state's nets.
         self.ids: Dict[str, int] = ids if ids is not None else {}
         #: Id -> the net and its route as the last replay routed it.
         self.nets: Dict[int, Net] = nets if nets is not None else {}
@@ -140,6 +139,7 @@ class ReplayPass:
         self._later = self._fresh = self.pairs
         self._starts = np.zeros(len(ids) + 1, dtype=np.int64)
         self._has_fresh = np.zeros(len(ids), dtype=bool)
+        self._oriented = False
         self.replayed = self.recomputed = 0
 
     # ------------------------------------------------------------------ #
@@ -147,9 +147,11 @@ class ReplayPass:
         """Take this replay's overlap pairs and apply what vanished.
 
         ``positions`` is ``(2, P)`` stage positions of overlapping nets
-        and ``rank[p]`` the group position ``p`` commits in; overlapping
-        nets never share a group.
+        and ``rank[p]`` orders the commits: of two overlapping nets, the
+        one with the lower rank commits first (they never tie).  Must
+        run once, before the first :meth:`split`.
         """
+        self._oriented = True
         a, b = self.nid[positions[0]], self.nid[positions[1]]
         first = rank[positions[0]] < rank[positions[1]]
         earlier = np.where(first, a, b)
@@ -178,6 +180,8 @@ class ReplayPass:
     def split(self, positions: Sequence[int]):
         """Split one group into ``(clean, dirty)`` stage positions; the
         clean ones come with the routes to commit."""
+        if not self._oriented:
+            raise RuntimeError("replay pass used before orient()")
         ids = self.nid[positions]
         clean = ~self.dirty[ids]
         old = self.previous.routes
@@ -247,61 +251,26 @@ class ReplayPass:
         return unique_sorted(np.array(codes, dtype=np.int64))
 
     def finish(self) -> PatternReplay:
-        """The successor state: this replay's nets, routes and pairs."""
+        """The successor state: this replay's nets, routes and pairs,
+        renumbered densely (order-preserving, so the pair codes stay
+        sorted) when nets left the design."""
         previous = self.previous
+        ids, nid, routes, pairs = self.ids, self.nid, self.routes, self.pairs
+        if nid.size != len(ids):
+            new_id = np.full(len(ids), -1, dtype=np.int64)
+            new_id[np.sort(nid)] = np.arange(nid.size, dtype=np.int64)
+            ids = {net.name: int(new_id[i]) for net, i in zip(self.nets, nid.tolist())}
+            nid = new_id[nid]
+            routes = {int(new_id[i]): route for i, route in routes.items()}
+            pairs = (new_id[pairs >> _SHIFT] << _SHIFT) | new_id[pairs & _LOW]
         return PatternReplay(
-            ids=self.ids,
-            nets={int(i): net for i, net in zip(self.nid.tolist(), self.nets)},
-            routes=self.routes,
-            pairs=self.pairs,
+            ids=ids,
+            nets={i: net for i, net in zip(nid.tolist(), self.nets)},
+            routes=routes,
+            pairs=pairs,
             replayed=previous.replayed + self.replayed,
             recomputed=previous.recomputed + self.recomputed,
         )
 
 
-class ReplayOracle:
-    """The content key as a test oracle for the structural verdicts.
-
-    Set as ``SessionContext.oracle``: every replayed group then hashes
-    its nets' windows at group start, exactly as the content-addressed
-    replay did, and :meth:`check` scores the structural verdicts
-    against the keys of the *previous* pattern stage — the same memory
-    the structural state keeps, so both sides are compared on equal
-    terms (a key cache with a longer history can also hit on a window
-    that returned to an older state).
-    """
-
-    def __init__(self) -> None:
-        self._previous: Dict[str, Route] = {}
-        self._current: Dict[str, Route] = {}
-        #: Clean verdicts the key did not confirm (a soundness bug).
-        self.unsound = 0
-        #: Nets whose key missed: what content addressing recomputes.
-        self.content_misses = 0
-        #: Clean verdicts checked.
-        self.clean = 0
-
-    def begin(self) -> None:
-        """Start a pattern stage: the last stage's keys become the cache."""
-        if self._current:
-            self._previous, self._current = self._current, {}
-
-    def keys(self, graph, nets: Sequence[Net], boxes) -> List[str]:
-        """Hash ``nets`` (with their ``boxes``) before any commit."""
-        return [
-            pattern_net_key(net, box, demand_signature(graph, [box]))
-            for net, box in zip(nets, boxes)
-        ]
-
-    def check(self, keys: List[str], routes: Sequence[Route], clean: Sequence[bool]) -> None:
-        """Score one group's verdicts, then record its routes by key."""
-        for key, route, was_clean in zip(keys, routes, clean):
-            cached = self._previous.get(key)
-            self.content_misses += cached is None
-            if was_clean:
-                self.clean += 1
-                self.unsound += not (cached is not None and same_route(cached, route))
-            self._current[key] = route
-
-
-__all__ = ["PatternReplay", "ReplayOracle", "ReplayPass", "same_route"]
+__all__ = ["PatternReplay", "ReplayPass", "same_route"]

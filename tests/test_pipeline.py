@@ -17,8 +17,8 @@ from repro.sched.conflict import build_conflict_graph
 from repro.sched.pipeline import (
     ScheduledStage,
     StageRunner,
-    build_group_conflict_graph,
     extract_conflict_batches,
+    group_conflicts,
     modelled_makespans,
 )
 from repro.sched.sorting import sort_nets
@@ -66,7 +66,7 @@ class BoxStage(ScheduledStage):
 class TestGroupConflictGraph:
     def test_matches_brute_force(self):
         groups = random_groups(40, seed=3)
-        graph = build_group_conflict_graph(groups)
+        graph = group_conflicts(groups)[0]
         for a in range(len(groups)):
             for b in range(a + 1, len(groups)):
                 expected = any(
@@ -74,22 +74,35 @@ class TestGroupConflictGraph:
                 )
                 assert graph.are_conflicting(a, b) == expected, (a, b)
 
+    def test_box_pairs_match_brute_force(self):
+        groups = random_groups(40, seed=7, max_boxes=3)
+        flat = [(g, box) for g, boxes in enumerate(groups) for box in boxes]
+        expected = [
+            (i, j)
+            for i in range(len(flat))
+            for j in range(i + 1, len(flat))
+            if flat[i][0] != flat[j][0] and flat[i][1].overlaps(flat[j][1])
+        ]
+        _, pairs = group_conflicts(groups)
+        assert [tuple(col) for col in pairs.T.tolist()] == expected
+        assert group_conflicts([])[1].shape == (2, 0)
+
     def test_single_box_groups_match_plain_conflict_graph(self):
         groups = random_groups(30, seed=9, max_boxes=1)
         boxes = [g[0] for g in groups]
-        grouped = build_group_conflict_graph(groups)
+        grouped = group_conflicts(groups)[0]
         plain = build_conflict_graph(boxes)
         assert sorted(grouped.edges()) == sorted(plain.edges())
 
     def test_bin_size_validation(self):
         with pytest.raises(ValueError):
-            build_group_conflict_graph([], bin_size=0)
+            group_conflicts([], bin_size=0)
 
 
 class TestConflictBatches:
     def test_batches_partition_and_are_independent(self):
         groups = random_groups(50, seed=4)
-        conflicts = build_group_conflict_graph(groups)
+        conflicts = group_conflicts(groups)[0]
         batches = extract_conflict_batches(conflicts)
         flat = sorted(i for batch in batches for i in batch)
         assert flat == list(range(50))
@@ -98,7 +111,7 @@ class TestConflictBatches:
 
     def test_first_batch_is_root_batch(self):
         groups = random_groups(50, seed=5)
-        conflicts = build_group_conflict_graph(groups)
+        conflicts = group_conflicts(groups)[0]
         batches = extract_conflict_batches(conflicts)
         assert batches[0] == build_task_graph(conflicts).root_batch
 
@@ -106,7 +119,7 @@ class TestConflictBatches:
         """Same greedy rounds as Algorithm 1's bitmap implementation."""
         groups = random_groups(40, seed=6, max_boxes=1)
         boxes = [g[0] for g in groups]
-        conflicts = build_group_conflict_graph(groups)
+        conflicts = group_conflicts(groups)[0]
         assert extract_conflict_batches(conflicts) == extract_batches(
             boxes, 80, 80
         )

@@ -2,8 +2,8 @@
 
 Hypothesis drives random delta sequences — moves, adds, removes,
 overlapping boxes, a removed net re-added — through ONE warm session
-with a :class:`~repro.session.replay.ReplayOracle` armed.  After every
-ECO:
+with the content-key oracle of ``tests/replay_oracle.py`` armed.  After
+every ECO:
 
 * the session's route digest equals a cold route's;
 * every net the replay called clean would have been a content-key hit
@@ -27,7 +27,7 @@ from repro.netlist.delta import NetlistDelta
 from repro.netlist.generator import DesignSpec, generate_design
 from repro.netlist.net import Net, Pin
 from repro.session import DesignHandle, RoutingSession, SessionContext
-from repro.session.replay import ReplayOracle
+from tests.replay_oracle import ReplayOracle
 
 N = 20  # grid edge
 LAYERS = 5
@@ -94,8 +94,8 @@ def make_delta(netlist, removed_pool, ops, step):
 def test_structural_verdicts_agree_with_the_content_key(sequence):
     config = RouterConfig.fastgr_l()
     oracle = ReplayOracle()
-    context = SessionContext(oracle=oracle)
-    with RoutingSession(HANDLE, config, context=context) as session:
+    context = SessionContext()
+    with oracle.armed(), RoutingSession(HANDLE, config, context=context) as session:
         session.run()
         removed_pool = []
         misses_before = oracle.content_misses
@@ -106,6 +106,7 @@ def test_structural_verdicts_agree_with_the_content_key(sequence):
             cold = GlobalRouter(session.cold_design(), config).run()
             assert eco.result.digest() == cold.digest()
             assert oracle.unsound == 0
+        assert oracle.clean > 0  # the oracle saw the replay's verdicts
         recomputed = context.replay.recomputed - recomputed_before
         content_misses = oracle.content_misses - misses_before
         assert recomputed <= 1.25 * content_misses, (recomputed, content_misses)

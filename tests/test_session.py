@@ -23,8 +23,10 @@ from repro.netlist.generator import (
     perturb_design,
 )
 from repro.netlist.net import Net, Pin
-from repro.session import DesignHandle, RoutingSession, SessionStore
+from repro.session import DesignHandle, RoutingSession, SessionContext, SessionStore
+from repro.session.replay import PatternReplay, ReplayPass
 from tests.cost_oracle import full_rebuild_engine
+from tests.test_pattern_batch import per_chunk_dispatch
 
 
 def demand_equal(g1, g2) -> bool:
@@ -213,6 +215,59 @@ class TestRoutingSession:
         assert all(n <= pinned for n, pinned in zip(recomputed, (10, 7, 7))), recomputed
         assert calls["pattern_net_key"] == 0
         assert calls["demand_signature"] == calls["maze_task_key"]
+
+    def test_eco_verdicts_do_not_depend_on_dispatch(self, small_design):
+        """Per-chunk dispatch (the fused levels' oracle) replays the same
+        nets as fused dispatch and stays equal to a cold route."""
+        config = RouterConfig.fastgr_l()
+        recomputed = []
+        for dispatch in (nullcontext, per_chunk_dispatch):
+            context = SessionContext()
+            handle = DesignHandle.from_design(small_design)
+            with dispatch(), RoutingSession(handle, config, context=context) as session:
+                session.run()
+                for seed in (1, 2):
+                    delta = perturb_design(session.design, ECO_PRESETS["small"], seed=seed)
+                    eco = session.eco(delta)
+                    cold = GlobalRouter(session.cold_design(), config).run()
+                    assert eco.result.digest() == cold.digest()
+            recomputed.append((context.replay.recomputed, context.replay.replayed))
+        assert recomputed[0] == recomputed[1]
+
+    def test_unoriented_replay_refuses_to_split(self, small_design):
+        nets = list(small_design.netlist)
+        replay = ReplayPass(PatternReplay(), nets, small_design.graph)
+        with pytest.raises(RuntimeError, match="orient"):
+            replay.split([0])
+
+    def test_replay_state_follows_the_design_not_the_history(self, small_design):
+        """Removed nets leave the replay state; ids stay dense."""
+        config = RouterConfig.fastgr_l()
+        context = SessionContext()
+        handle = DesignHandle.from_design(small_design)
+        with RoutingSession(handle, config, context=context) as session:
+            session.run()
+            for step in range(3):
+                names = [net.name for net in session.netlist]
+                delta = NetlistDelta(
+                    removed=tuple(names[step : step + 2]),
+                    added=(
+                        Net(f"eco{step}_a", [Pin(2 + step, 3, 0), Pin(12, 9 + step, 1)]),
+                        Net(f"eco{step}_b", [Pin(20, 4, 0), Pin(9 + step, 18, 0)]),
+                    ),
+                )
+                eco = session.eco(delta)
+                cold = GlobalRouter(session.cold_design(), config).run()
+                assert eco.result.digest() == cold.digest()
+                state = context.replay
+                n = len(session.netlist)
+                assert sorted(state.ids.values()) == list(range(n))
+                assert set(state.nets) == set(state.routes) == set(range(n))
+                assert {state.nets[i].name for i in state.nets} == set(state.ids)
+                if state.pairs.size:
+                    assert int(state.pairs.max() >> 32) < n
+                    assert int((state.pairs & 0xFFFFFFFF).max()) < n
+                    assert np.all(np.diff(state.pairs) > 0)
 
     @pytest.mark.parametrize("where", ["added", "moved"])
     def test_malformed_delta_leaves_session_untouched(self, small_design, where):
