@@ -34,6 +34,11 @@ read-footprint rebuild saves little here and its bookkeeping is paid.
 ``test_lone_call_fixed_price`` records the same fixed cost on the two
 lone nets whose op counts tier-1 pins: the minimum of 200 calls each,
 the two nets alternating in one process, beside the parent's figure.
+
+``test_level_planning_as_arrays`` times planning the largest fused level
+of the ``open3k`` design (the end-to-end ``pattern_*`` workloads' input)
+with the array planner against the per-net oracle
+(``tests/plan_oracle.py``) and asserts both give the same batch state.
 """
 
 from __future__ import annotations
@@ -49,15 +54,22 @@ import numpy as np
 from conftest import register_table
 
 from repro.core.config import RouterConfig
+from repro.core.flow import PatternStage
 from repro.core.selection import make_mode_selector
 from repro.eval.report import format_table
+from repro.gpu.device import Device
+from repro.gpu.zerocopy import ZeroCopyArena
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
+from repro.netlist.generator import DesignSpec, generate_design
 from repro.netlist.net import Net, Pin
 from repro.pattern.batch import BatchPatternRouter
+from repro.pattern.plan import plan_level
+from repro.sched.pipeline import StageRunner
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tests.cost_oracle import full_rebuild_engine  # noqa: E402
+from tests.plan_oracle import assert_states_equal, plan_per_net  # noqa: E402
 
 QUICK = os.environ.get("REPRO_PATTERN_QUICK", "") not in ("", "0")
 
@@ -263,3 +275,74 @@ def test_lone_call_fixed_price():
         metrics={"two_pin_s": two, "five_pin_s": five},
     )
 
+
+
+#: The ``open3k`` design of the end-to-end ``pattern_*`` workloads.
+OPEN3K = DesignSpec(
+    name="open3k", nx=72, ny=72, n_layers=9, n_nets=3000,
+    wire_capacity=9.0, hotspot_fraction=0.2,
+)
+PLAN_REPEATS = 5 if QUICK else 20
+
+
+def best_of(repeats: int, call):
+    """Minimum wall of ``repeats`` calls, and the last call's result."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def test_level_planning_as_arrays():
+    """Plan ``open3k``'s largest fused level as arrays and per net.
+
+    Both sides plan the same nets on the same (empty) grid: the array
+    planner with the stage's pin cells, closed forms for nets with at
+    most three pin G-cells and ``make_job`` for the rest; the oracle
+    with ``make_job`` for every net and a per-node layout loop.  The
+    batch states must be equal (footprints as sets per box and line).
+    """
+    design = generate_design(OPEN3K)
+    config = RouterConfig.fastgr_l()
+    stage = PatternStage(design, config, Device(), ZeroCopyArena())
+    level = max(
+        stage.batch_plan(StageRunner().schedule(stage)),
+        key=lambda tasks: sum(len(stage.chunks[t]) for t in tasks),
+    )
+    positions = [p for task in level for p in stage.chunks[task]]
+    nets = [stage.nets[p] for p in positions]
+    router, graph, mode_fn = stage.engine, design.graph, stage.mode_fn
+    cells = stage.net_cells.take(positions)
+    array_s, state = best_of(PLAN_REPEATS, lambda: plan_level(
+        nets, mode_fn, graph.n_layers, graph.ny, router.make_job, cells=cells
+    ))
+    oracle_s, expected = best_of(PLAN_REPEATS, lambda: plan_per_net(router, nets, mode_fn))
+    assert_states_equal(state, expected)
+
+    n_closed = int((cells.count <= 3).sum())
+    speedup = oracle_s / array_s
+    register_table(
+        "pattern_plan",
+        format_table(
+            ["planner", "time(ms)", "nets", "speedup"],
+            [
+                ["per-net (oracle)", oracle_s * 1e3, len(nets), ""],
+                ["array", array_s * 1e3, len(nets), speedup],
+            ],
+            title=(
+                f"Planning open3k's largest fused level ({len(nets)} nets, "
+                f"{n_closed} with <= 3 pin G-cells; fastgr_l, best of {PLAN_REPEATS})"
+            ),
+        ),
+        config=config,
+        metrics={
+            "n_nets": float(len(nets)),
+            "n_closed_form": float(n_closed),
+            "array_seconds": array_s,
+            "oracle_seconds": oracle_s,
+            "speedup": speedup,
+            "quick": float(QUICK),
+        },
+    )

@@ -40,9 +40,10 @@ from repro.netlist.design import Design
 from repro.netlist.net import Net
 from repro.pattern.batch import BatchPatternRouter
 from repro.pattern.cpu_reference import SequentialPatternRouter
+from repro.pattern.plan import net_cells
 from repro.sched.batching import bucket_by_area, extract_batches
 from repro.sched.pipeline import ScheduledStage, StageReport, StageRunner
-from repro.sched.sorting import sort_nets
+from repro.sched.sorting import sort_nets, sort_order
 from repro.session.replay import ReplayPass
 from repro.utils.timing import Tracker
 
@@ -83,7 +84,12 @@ class PatternStage(ScheduledStage):
         context=None,
     ) -> None:
         graph = design.graph
-        self.nets = sort_nets(list(design.netlist), config.sorting_scheme)
+        netlist = design.netlist
+        order = sort_order(netlist, config.sorting_scheme)
+        self.nets = [netlist[i] for i in order]
+        # Pin cells and closed-form trees of every net, from the pin
+        # table the design's validation built.
+        self.net_cells = net_cells(*netlist.pin_table(), graph.n_layers).take(order)
         boxes = [net.bbox for net in self.nets]
         batches = extract_batches(boxes, graph.nx, graph.ny)
         # Greedy maximal batches pairwise conflict by construction — as
@@ -178,6 +184,7 @@ class PatternStage(ScheduledStage):
             self.mode_fn,
             cost_boxes=[self._net_boxes[p] for p in positions],
             cost_reference=self.cost_reference,
+            cells=self.net_cells.take(positions),
         )
 
     def commit_task(self, task: int, result: Dict[str, Route]) -> None:

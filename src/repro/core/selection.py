@@ -13,9 +13,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.core.config import RouterConfig
-from repro.grid.geometry import Point
 from repro.grid.graph import GridGraph
-from repro.pattern.twopin import ModeSelector, PatternMode, constant_mode
+from repro.pattern.twopin import HpwlSelector, ModeSelector, PatternMode, constant_mode
 
 
 def resolve_thresholds(
@@ -51,14 +50,7 @@ def make_mode_selector(
         return constant_mode(rich_mode)
 
     t1, t2 = resolve_thresholds(config, graph)
-
-    def select(src: Point, dst: Point) -> PatternMode:
-        hpwl = abs(src.x - dst.x) + abs(src.y - dst.y)
-        if t1 <= hpwl <= t2:
-            return rich_mode
-        return PatternMode.LSHAPE
-
-    return select
+    return HpwlSelector(rich_mode, t1, t2)
 
 
 __all__ = ["make_mode_selector", "resolve_thresholds"]

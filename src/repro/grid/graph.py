@@ -124,6 +124,8 @@ class GridGraph:
         self.nx = nx
         self.ny = ny
         self.stack = stack
+        #: Per layer: True where it routes horizontally.
+        self.horizontal = np.array([stack.is_horizontal(l) for l in range(stack.n_layers)])
         # One 2-D array per layer.  Horizontal layers have nx-1 edges per
         # row; vertical layers have ny-1 edges per column.  Index [x, y]
         # addresses the edge leaving G-cell (x, y) in the layer direction.

@@ -6,20 +6,35 @@ commit/uncommit their demand on a :class:`~repro.grid.graph.GridGraph`
 (rip-up is ``uncommit``) and how to report wirelength and via counts for
 the quality score (Eq. 15); :func:`commit_routes` commits a whole batch
 in one write per layer.
+
+A batch of routes built as arrays travels as a *segment table* instead:
+``(6, S)`` ints, one column per segment — ``kind``, ``route``, ``a``,
+``b``, ``lo``, ``hi``.  Kind :data:`H_WIRE` is a horizontal wire on
+layer ``a`` along row ``y = b`` from ``x = lo`` to ``x = hi``;
+:data:`V_WIRE` a vertical wire on layer ``a`` along column ``x = b``
+from ``y = lo`` to ``y = hi``; :data:`VIA` a via stack at ``(a, b)``
+from layer ``lo`` to layer ``hi``.  Every row is axis-aligned by layout.
+:func:`routes_from_table` builds its routes and :func:`commit_table`
+commits it with one scatter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.grid.graph import GridGraph
+from repro.utils.arrays import ranges
 from repro.utils.unionfind import UnionFind
 
 GridNode = Tuple[int, int, int]  # (x, y, layer)
 IntRect = Tuple[int, int, int, int]
+
+#: Segment-table kinds (see the module docstring).
+H_WIRE, V_WIRE, VIA = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -149,13 +164,16 @@ class Route:
         self.commit(graph, -amount)
 
     def _demand_index(self, graph: GridGraph):
-        """The flat demand cells this route occupies on ``graph``, as
-        ``(layer or None for vias, cells, bounding rect)`` entries.
+        """The demand this route occupies on ``graph``: ``(cells,
+        rects)`` — its positions in the flat demand buffer
+        (``graph.demand_flat``), and per key (a layer, or None for the
+        vias) the bounding rect of its edges there, in the order the
+        route first touches them.
 
         Validated on first use and cached: a route's geometry does not
         change once built (the segment counts are part of the key, so an
         appended segment refreshes it).  Every committed route keeps
-        one, so it holds only tuples, ints and NumPy arrays, which the
+        one, so it holds only tuples, ints and a NumPy array, which the
         cyclic garbage collector does not track; the graph's via-demand
         array, created with the graph and never replaced, stands for it.
         """
@@ -163,27 +181,28 @@ class Route:
         cached = self._index
         if cached is not None and cached[0] is graph.via_demand and cached[1] == key:
             return cached[2]
-        cells: Dict[Optional[int], List[int]] = {}
+        cells: List[int] = []
         rects: Dict[Optional[int], IntRect] = {}
-        ny, plane = graph.ny, graph.nx * graph.ny
+        ny, plane, offset = graph.ny, graph.nx * graph.ny, graph.edge_offset
         for w in self.wires:
             layer, x1, y1, x2, y2 = w.layer, w.x1, w.y1, w.x2, w.y2
             graph.check_wire(layer, x1, y1, x2, y2)
             # Edge [x, y] of a layer's wire array leaves G-cell (x, y).
             if y1 == y2:
-                run, rect = range(x1 * ny + y1, x2 * ny + y1, ny), (x1, y1, x2 - 1, y2)
+                first = offset[layer] + x1 * ny + y1
+                cells.extend(range(first, first + (x2 - x1) * ny, ny))
+                rect = (x1, y1, x2 - 1, y2)
             else:
-                first = x1 * (ny - 1)
-                run, rect = range(first + y1, first + y2), (x1, y1, x2, y2 - 1)
-            _add(cells, rects, layer, run, rect)
+                first = offset[layer] + x1 * (ny - 1)
+                cells.extend(range(first + y1, first + y2))
+                rect = (x1, y1, x2, y2 - 1)
+            _grow(rects, layer, rect)
         for v in self.vias:
             graph.check_via(v.x, v.y, v.lo, v.hi)
-            cell = v.x * ny + v.y
-            run = range(v.lo * plane + cell, v.hi * plane + cell, plane)
-            _add(cells, rects, None, run, (v.x, v.y, v.x, v.y))
-        entries = tuple(
-            (layer, np.array(run, dtype=np.intp), rects[layer]) for layer, run in cells.items()
-        )
+            cell = offset[-1] + v.x * ny + v.y
+            cells.extend(range(v.lo * plane + cell, v.hi * plane + cell, plane))
+            _grow(rects, None, (v.x, v.y, v.x, v.y))
+        entries = (np.array(cells, dtype=np.intp), tuple(rects.items()))
         self._index = (graph.via_demand, key, entries)
         return entries
 
@@ -230,17 +249,13 @@ class Route:
         )
 
 
-def _add(cells, rects, key, run, rect) -> None:
-    """Append ``run`` to ``cells[key]`` and grow ``rects[key]`` by ``rect``."""
-    if key in cells:
-        cells[key].extend(run)
-        old = rects[key]
-        rects[key] = (
-            min(old[0], rect[0]), min(old[1], rect[1]),
-            max(old[2], rect[2]), max(old[3], rect[3]),
-        )
-    else:
-        cells[key], rects[key] = list(run), rect
+def _grow(rects: Dict[Optional[int], IntRect], key: Optional[int], rect: IntRect) -> None:
+    """Grow ``rects[key]`` to cover ``rect`` (insert it when absent)."""
+    old = rects.get(key)
+    rects[key] = rect if old is None else (
+        min(old[0], rect[0]), min(old[1], rect[1]),
+        max(old[2], rect[2]), max(old[3], rect[3]),
+    )
 
 
 def commit_routes(
@@ -250,20 +265,156 @@ def commit_routes(
 
     Every wire and via is validated as :meth:`GridGraph.add_wire_demand`
     / :meth:`~GridGraph.add_via_demand` do before anything is written;
-    then each touched layer takes one ``np.add.at`` and the via array
-    one more (demands are small integers, so the sums are exact in any
-    order), and the dirty log gets one merged edge rect per layer plus
-    one via rect — O(layers) records keep incremental drains small.
+    then one ``np.add.at`` writes the flat demand buffer (demands are
+    small integers, so the sums are exact in any order), and the dirty
+    log gets one merged edge rect per layer plus one via rect — O(layers)
+    records keep incremental drains small.
     """
-    cells: Dict[Optional[int], list] = {}
+    indexes = [route._demand_index(graph) for route in routes]
     rects: Dict[Optional[int], IntRect] = {}
-    for entries in [route._demand_index(graph) for route in routes]:
-        for key, run, rect in entries:
-            _add(cells, rects, key, (run,), rect)  # collect the arrays
-    for key, runs in cells.items():
-        demand = graph.via_demand if key is None else graph.wire_demand[key]
-        np.add.at(demand.reshape(-1), runs[0] if len(runs) == 1 else np.concatenate(runs), amount)
+    for _, route_rects in indexes:
+        for key, rect in route_rects:
+            _grow(rects, key, rect)
+    if indexes:
+        cells = indexes[0][0] if len(indexes) == 1 else np.concatenate([c for c, _ in indexes])
+        np.add.at(graph.demand_flat, cells, amount)
     # Written first, logged second (see GridGraph.add_wire_demand).
     graph.dirty.extend([
         ("v", *rect) if key is None else ("w", key, *rect) for key, rect in rects.items()
     ])
+
+
+# ---------------------------------------------------------------------- #
+# Segment tables
+# ---------------------------------------------------------------------- #
+def routes_from_table(table: np.ndarray, n_routes: int) -> List[Route]:
+    """The ``n_routes`` routes of a segment table sorted by ``(kind,
+    route)``: each route's wires (horizontal, then vertical) and vias in
+    table order.
+
+    One array check proves what the segments' ``__post_init__`` would:
+    the table's layout makes every row axis-aligned, and ``lo < hi``
+    makes it non-zero and normalised.  The segments are then built
+    without it, their fields written straight into the instance dict.
+    """
+    kind, route, _, _, lo, hi = table
+    group = kind * n_routes + route
+    if not (
+        (lo < hi).all()
+        and (group[1:] >= group[:-1]).all()
+        and (route.astype(np.uintp) < n_routes).all()
+        and (not group.size or (group[0] >= 0 and group[-1] < 3 * n_routes))
+    ):
+        raise ValueError("segment table is not sorted by (kind, route) with lo < hi")
+    first = group.searchsorted(np.arange(3 * n_routes + 1)).tolist()
+    # Route j's horizontal wires are rows h_at[j]:h_at[j + 1], and so on.
+    h_at, v_at = first[: n_routes + 1], first[n_routes : 2 * n_routes + 1]
+    via_at = first[2 * n_routes :]
+    rows = table[2:].T.tolist()
+    new, set_dict = object.__new__, object.__setattr__
+    segments = []
+    append = segments.append
+    for layer, y, x1, x2 in rows[: v_at[0]]:
+        segment = new(WireSegment)
+        set_dict(segment, "__dict__", {"layer": layer, "x1": x1, "y1": y, "x2": x2, "y2": y})
+        append(segment)
+    for layer, x, y1, y2 in rows[v_at[0] : via_at[0]]:
+        segment = new(WireSegment)
+        set_dict(segment, "__dict__", {"layer": layer, "x1": x, "y1": y1, "x2": x, "y2": y2})
+        append(segment)
+    for x, y, lo, hi in rows[via_at[0] :]:
+        segment = new(ViaSegment)
+        set_dict(segment, "__dict__", {"x": x, "y": y, "lo": lo, "hi": hi})
+        append(segment)
+    return [
+        Route(
+            segments[h_at[j] : h_at[j + 1]] + segments[v_at[j] : v_at[j + 1]],
+            segments[via_at[j] : via_at[j + 1]],
+        )
+        for j in range(n_routes)
+    ]
+
+
+def commit_table(
+    graph: GridGraph, table: np.ndarray, routes: Sequence[Route], amount: float = 1.0
+) -> None:
+    """Commit a segment table's demand to ``graph`` as
+    :func:`commit_routes` commits its ``routes`` (the ones
+    :func:`routes_from_table` builds of it), with the same result.
+
+    Every segment is checked for everything :meth:`GridGraph.check_wire`
+    and :meth:`~GridGraph.check_via` check before anything is written;
+    on a failure the routes are checked one by one, so the first
+    offending segment in route order raises its own ``ValueError``.
+    Then one ``np.add.at`` writes the flat demand buffer, and the dirty
+    log gets the records :func:`commit_routes` would write: one merged
+    edge rect per layer and one via rect, in the order the routes first
+    touch them.
+    """
+    kind, route, a, b, lo, hi = table
+    n = kind.size
+    if not n:
+        return
+    nx, ny, n_layers = graph.nx, graph.ny, graph.n_layers
+    # Per kind: bounds of a, b and the run lo..hi, then the flat-buffer
+    # step along the run.  A negative value wraps to a huge unsigned one.
+    kind_ok = kind.astype(np.uintp) <= VIA
+    spec = _kind_spec(nx, ny, n_layers)[np.where(kind_ok, kind, VIA)].T
+    is_wire = kind < VIA
+    ok = (
+        kind_ok
+        & (a.astype(np.uintp) < spec[0])
+        & (b.astype(np.uintp) < spec[1])
+        & (lo.astype(np.uintp) < hi)
+        & (hi < spec[2])
+        # A wire's kind must match its layer: horizontal (True) takes
+        # H_WIRE (0), vertical (False) V_WIRE (1).
+        & ~(is_wire & (graph.horizontal[a % n_layers] == kind))
+    )
+    if not ok.all():
+        for r in routes:
+            r._demand_index(graph)
+        raise ValueError("segment table disagrees with its routes")
+
+    # Edge [x, y] of a horizontal layer sits at x * ny + y, of a vertical
+    # one at x * (ny - 1) + y; via [l, x, y] at l * nx * ny + x * ny + y.
+    layer = np.where(is_wire, a, n_layers)  # n_layers stands for the vias
+    base = np.array(graph.edge_offset)[layer] + np.where(
+        is_wire, b * np.where(kind, ny - 1, 1), a * ny + b
+    )
+    owner, run = ranges(lo, hi - lo)
+    np.add.at(graph.demand_flat, base[owner] + run * spec[3][owner], amount)
+
+    # One record per layer (and one for the vias): the union of its
+    # segments' rects in edge coordinates, logged in the order the
+    # routes first touch them (a route lists horizontal wires, vertical
+    # wires, then vias).  A via stack reads as a point run along x.
+    order = layer.argsort(kind="stable")
+    layer = layer[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(layer[1:], layer[:-1], out=new[1:])
+    start = new.nonzero()[0]
+    first, last = np.where(is_wire, lo, a), np.where(is_wire, hi - 1, a)
+    corners = np.where(
+        kind == V_WIRE, np.array([b, first, b, last]), np.array([first, b, last, b])
+    )[:, order]
+    touch = ((route * 3 + kind) * n + np.arange(n))[order]
+    rects = np.concatenate([
+        np.minimum.reduceat(corners[:2], start, axis=1),
+        np.maximum.reduceat(corners[2:], start, axis=1),
+    ]).T.tolist()
+    layers = layer[start].tolist()
+    graph.dirty.extend([
+        ("v", *rects[i]) if layers[i] == n_layers else ("w", layers[i], *rects[i])
+        for i in np.minimum.reduceat(touch, start).argsort().tolist()
+    ])
+
+
+@lru_cache(maxsize=8)
+def _kind_spec(nx: int, ny: int, n_layers: int) -> np.ndarray:
+    """Per segment kind: the bounds of ``a``, ``b`` and the run's ``hi``,
+    then the run's step in the flat demand buffer (read-only: shared)."""
+    spec = np.array([[n_layers, ny, nx, ny], [n_layers, nx, ny, 1], [nx, ny, n_layers, nx * ny]])
+    spec.flags.writeable = False
+    return spec

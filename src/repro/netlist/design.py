@@ -5,25 +5,35 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable
 
+import numpy as np
+
 from repro.grid.graph import GridGraph
-from repro.netlist.net import Net, Netlist
+from repro.netlist.net import Net, Netlist, pin_table
 
 
 def check_pins(nets: Iterable[Net], graph: GridGraph) -> None:
     """Raise ``ValueError`` if a pin of ``nets`` lies off ``graph``'s
-    grid or outside its layer stack."""
-    for net in nets:
-        for pin in net.pins:
-            if not graph.in_bounds(pin.x, pin.y):
-                raise ValueError(
-                    f"net {net.name!r} pin ({pin.x},{pin.y}) off the "
-                    f"{graph.nx}x{graph.ny} grid"
-                )
-            if not 0 <= pin.layer < graph.n_layers:
-                raise ValueError(
-                    f"net {net.name!r} pin layer {pin.layer} outside the "
-                    f"{graph.n_layers}-layer stack"
-                )
+    grid or outside its layer stack, naming the first such pin in net
+    order."""
+    if not isinstance(nets, Netlist):
+        nets = tuple(nets)
+    (x, y, layer), counts = nets.pin_table() if isinstance(nets, Netlist) else pin_table(nets)
+    # A negative coordinate wraps to a huge unsigned one.
+    off_grid = (x.view(np.uintp) >= graph.nx) | (y.view(np.uintp) >= graph.ny)
+    bad = off_grid | (layer.view(np.uintp) >= graph.n_layers)
+    if not bad.any():
+        return
+    first = int(bad.argmax())
+    index = int(np.searchsorted(np.cumsum(counts), first, side="right"))
+    net = nets[index]
+    pin = net.pins[first - int(counts[:index].sum())]
+    if off_grid[first]:
+        raise ValueError(
+            f"net {net.name!r} pin ({pin.x},{pin.y}) off the {graph.nx}x{graph.ny} grid"
+        )
+    raise ValueError(
+        f"net {net.name!r} pin layer {pin.layer} outside the {graph.n_layers}-layer stack"
+    )
 
 
 @dataclass

@@ -10,7 +10,10 @@ thresholds (Sec. IV-D).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.grid.geometry import Point, Rect
 
@@ -73,12 +76,29 @@ class Net:
         return f"Net({self.name!r}, {self.n_pins} pins, hpwl={self.hpwl})"
 
 
+PinTable = Tuple[np.ndarray, np.ndarray]
+
+
+def pin_table(nets: Sequence[Net]) -> PinTable:
+    """The pins of ``nets`` as arrays: ``(3, P)`` ints — rows ``x``,
+    ``y``, ``layer`` — net after net in pin order, and each net's pin
+    count."""
+    counts = np.fromiter((len(net.pins) for net in nets), dtype=np.intp, count=len(nets))
+    flat = np.fromiter(
+        chain.from_iterable((p.x, p.y, p.layer) for net in nets for p in net.pins),
+        dtype=np.intp,
+        count=3 * int(counts.sum()),
+    )
+    return flat.reshape(-1, 3).T, counts
+
+
 class Netlist:
     """An ordered collection of nets with name lookup."""
 
     def __init__(self, nets: Sequence[Net] = ()) -> None:
         self._nets: List[Net] = []
         self._by_name: Dict[str, Net] = {}
+        self._pins: Optional[PinTable] = None
         for net in nets:
             self.add(net)
 
@@ -88,6 +108,13 @@ class Netlist:
             raise ValueError(f"duplicate net name {net.name!r}")
         self._nets.append(net)
         self._by_name[net.name] = net
+        self._pins = None
+
+    def pin_table(self) -> PinTable:
+        """:func:`pin_table` of the whole netlist, built once."""
+        if self._pins is None:
+            self._pins = pin_table(self._nets)
+        return self._pins
 
     def __len__(self) -> int:
         return len(self._nets)

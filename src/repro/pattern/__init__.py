@@ -13,7 +13,8 @@ from repro.pattern.kernels import (
     minplus_vec_mat,
     zshape_reduce,
 )
-from repro.pattern.twopin import BatchState, PatternMode, build_waves
+from repro.pattern.twopin import BatchState, PatternMode
+from repro.pattern.plan import plan_level
 from repro.pattern.batch import BatchPatternRouter
 from repro.pattern.cpu_reference import SequentialPatternRouter
 from repro.pattern.hybrid import hybrid_candidates, route_hybrid_wave
@@ -26,7 +27,7 @@ __all__ = [
     "zshape_reduce",
     "PatternMode",
     "BatchState",
-    "build_waves",
+    "plan_level",
     "BatchPatternRouter",
     "SequentialPatternRouter",
     "hybrid_candidates",

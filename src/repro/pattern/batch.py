@@ -3,31 +3,34 @@
 One :meth:`BatchPatternRouter.route_batch` call is one host-side kernel
 invocation sequence for a conflict-free batch of multi-pin nets:
 
-1. build/optimise Steiner trees and bottom-up two-pin orders (the
-   pattern-routing *planning* of Fig. 5) and lay them out as waves;
+1. plan the batch (the pattern-routing *planning* of Fig. 5) with
+   :func:`~repro.pattern.plan.plan_level`: Steiner trees and bottom-up
+   two-pin orders — in closed form for nets with at most three pin
+   G-cells, through :meth:`~BatchPatternRouter.make_job` for the rest —
+   laid out as one node table and its waves;
 2. freeze edge costs (a :class:`~repro.grid.cost.CostQuery` snapshot —
    exact, because in-batch nets have disjoint bounding boxes), painting
    only the lines the planned kernels will read;
 3. evaluate the two-pin nets wave by wave: per wave one ``combine``
    kernel (Eq. 2) and one L/Z/hybrid kernel (Eq. 7/14);
 4. reconstruct the routes of the whole batch in one backtrace
-   (:func:`~repro.pattern.commit.reconstruct_routes`) and commit their
-   demand in one write per layer
-   (:func:`~repro.grid.route.commit_routes`).
+   (:func:`~repro.pattern.commit.reconstruct_table`) and commit their
+   demand with one scatter (:func:`~repro.grid.route.commit_table`).
 
 What a call costs is a fixed sequence of array operations whatever the
-number of nets, over the cells its nets touch: the jobs are laid out as
+number of nets, over the cells its nets touch: the nets are laid out as
 one node table (:class:`~repro.pattern.twopin.BatchState`) with its read
 footprint, a wave is a row-index array into it, each kernel prices its
 whole wave with one stacked segment query and one stacked via query and
 its outputs are written into ``(N, L)`` state arrays by row index, and
-the backtrace descends all jobs level by level.  The only per-net Python
-left is planning (step 1), the table rows, and building ``Route``s.
+the backtrace descends all nets level by level.  The only per-net
+Python left is planning the nets with four or more pin cells and
+building the ``Route`` objects.
 
-The waves are built ACROSS nets (:func:`~repro.pattern.twopin.build_waves`
-groups every job's two-pin nets by subtree height), so the more nets
-one ``route_batch`` call covers, the wider — and fewer — the stacked
-kernel launches.  The scheduler exploits exactly this:
+The waves are built ACROSS nets (the planner groups every net's two-pin
+nets by subtree height), so the more nets one ``route_batch`` call
+covers, the wider — and fewer — the stacked kernel launches.  The
+scheduler exploits exactly this:
 :class:`~repro.core.flow.PatternStage` fuses a whole conflict-free
 dependency level (size-bucketed by net bounding-box
 area) into ONE ``route_batch`` call, one padded cross-net launch per
@@ -54,17 +57,18 @@ import numpy as np
 from repro.backend import ArrayBackend, get_backend
 from repro.grid.cost import CostModel, CostQuery, Footprint
 from repro.grid.graph import GridGraph
-from repro.grid.route import Route, commit_routes
+from repro.grid.route import Route, commit_table, routes_from_table
 from repro.gpu.device import Device
 from repro.gpu.zerocopy import ZeroCopyArena
 from repro.netlist.net import Net
 # reconstruct_route is not called here; benchmarks/e2e/trace.py wraps
 # it under this module's name.
-from repro.pattern.commit import reconstruct_route, reconstruct_routes  # noqa: F401
+from repro.pattern.commit import reconstruct_route, reconstruct_table  # noqa: F401
 from repro.pattern.hybrid import route_hybrid_wave
 from repro.pattern.kernels import LayerTables, combine_children
 from repro.pattern.lshape import route_lshape_wave
-from repro.pattern.twopin import BatchState, ModeSelector, NetRoutingJob, build_waves
+from repro.pattern.plan import NetCells, plan_jobs, plan_level
+from repro.pattern.twopin import BatchState, ModeSelector, NetRoutingJob
 from repro.pattern.zshape import route_zshape_wave
 from repro.tree.edge_shifting import shift_edges
 from repro.tree.ordering import order_tree
@@ -132,6 +136,7 @@ class BatchPatternRouter:
         cost_boxes=None,
         cost_reference=None,
         commit: bool = True,
+        cells: Optional[NetCells] = None,
     ) -> Dict[str, Route]:
         """Route a conflict-free batch; commit demand; return routes.
 
@@ -145,36 +150,46 @@ class BatchPatternRouter:
         shifting reads demand, not the snapshot.
 
         With ``commit=False`` the routes are returned *without*
-        committing their demand.
+        committing their demand.  ``cells`` are the nets'
+        :class:`~repro.pattern.plan.NetCells` if the caller has them.
         """
-        jobs = [self.make_job(net) for net in nets]
-        states = self.plan_waves(jobs, mode_fn)
+        states = self.plan_nets(nets, mode_fn, cells)
         reads = states[0].reads if len(states) == 1 else Footprint(
             *(np.hstack(family) for family in zip(*(s.reads for s in states)))
         )
         self.query.rebuild(boxes=cost_boxes, reference=cost_reference, reads=reads)
         self._account_cost_upload()
-        # The states cover ``jobs`` in order, a route per job each.
-        routed = [
-            route
-            for state in self.route_jobs(jobs, mode_fn, states)
-            for route in reconstruct_routes(state)
-        ]
+        # The states cover ``nets`` in order, a route per net each.
+        tables, routed = [], []
+        for state in self.route_jobs([], mode_fn, states):
+            table = reconstruct_table(state)
+            routed += routes_from_table(table, state.n_jobs)
+            table[1] += len(routed) - state.n_jobs
+            tables.append(table)
         if commit:
-            commit_routes(self.graph, routed)
+            commit_table(
+                self.graph, tables[0] if len(tables) == 1 else np.hstack(tables), routed
+            )
         return {net.name: route for net, route in zip(nets, routed)}
+
+    def plan_nets(
+        self, nets: List[Net], mode_fn: ModeSelector, cells: Optional[NetCells] = None
+    ) -> List[BatchState]:
+        """Plan ``nets`` for the DP: one batch state for all of them."""
+        graph = self.graph
+        return [plan_level(nets, mode_fn, graph.n_layers, graph.ny, self.make_job, cells=cells)]
 
     def plan_waves(
         self, jobs: List[NetRoutingJob], mode_fn: ModeSelector
     ) -> List[BatchState]:
-        """Lay ``jobs`` out for the DP: one batch state for all of them."""
-        return [build_waves(jobs, mode_fn, self.graph.n_layers, self.graph.ny)]
+        """Lay planned ``jobs`` out for the DP: one batch state for all of them."""
+        return [plan_jobs(jobs, mode_fn, self.graph.n_layers, self.graph.ny)]
 
     def route_jobs(
         self, jobs: List[NetRoutingJob], mode_fn: ModeSelector, states=None
     ) -> List[BatchState]:
-        """Run the wave-by-wave DP on the batch state(s) ``plan_waves``
-        made of ``jobs`` (planned here unless given); return them."""
+        """Run the wave-by-wave DP on ``states`` (or on the states
+        ``plan_waves`` makes of ``jobs``); return them."""
         if states is None:
             states = self.plan_waves(jobs, mode_fn)
         for state in states:

@@ -1,7 +1,7 @@
 """Path reconstruction: turn DP argmin state back into routed geometry.
 
 After the kernels fill a :class:`~repro.pattern.twopin.BatchState`,
-:func:`reconstruct_routes` descends every job of the batch at once,
+:func:`reconstruct_table` descends every net of the batch at once,
 level by level from the roots: a masked arg-min picks each two-pin
 net's arrival layer inside its parent's via stack (first minimum wins)
 and the winning pattern is read off the ``(N, L)`` argmin arrays.  Each
@@ -9,9 +9,11 @@ tree node then contributes one 3-D polyline — up its via stack, along
 ``Ps - Bs - Bt - Pt`` with a layer change at each bend — and a route is
 the set of unit grid edges its polylines cover: the steps of the whole
 batch are keyed, de-duplicated (sibling paths may share edges; a net
-occupies an edge once), sorted and fused into maximal runs, which become
-:class:`~repro.grid.route.Route` objects with wires and vias in the
-order :func:`normalize_route` emits them.
+occupies an edge once), sorted and fused into maximal runs.  The runs
+*are* a segment table (:mod:`repro.grid.route`): the batch commits it
+with :func:`~repro.grid.route.commit_table` and
+:func:`reconstruct_routes` builds its :class:`~repro.grid.route.Route`
+objects, wires and vias in the order :func:`normalize_route` emits them.
 
 :func:`normalize_route` does the same for one route built elsewhere
 (the maze routers' paths).
@@ -23,7 +25,7 @@ from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.grid.route import Route, ViaSegment, WireSegment
+from repro.grid.route import Route, ViaSegment, WireSegment, routes_from_table
 from repro.pattern.twopin import BatchState, NetRoutingJob
 from repro.utils.arrays import unique_sorted
 
@@ -57,8 +59,14 @@ def reconstruct_routes(
 ) -> List[Route]:
     """Rebuild the normalised routes of a batch (or of one ``job`` of it).
 
-    Returns one route per job, in job order.
+    Returns one route per net, in net order.
     """
+    return routes_from_table(reconstruct_table(state, job), state.n_jobs if job is None else 1)
+
+
+def reconstruct_table(state: BatchState, job: Optional[NetRoutingJob] = None) -> np.ndarray:
+    """The segment table of a batch's routes (or of one ``job``'s, as
+    route 0), sorted by ``(kind, route, a, b, lo)``."""
     chosen = state.chosen
     layers = np.arange(state.values.shape[1])
 
@@ -76,14 +84,14 @@ def reconstruct_routes(
     first, stop, n_jobs = 0, state.parent.size, state.n_jobs
     if job is not None:
         first, stop, n_jobs = job.row0, job.row0 + job.tree.n_nodes, 1
-    # Unit steps of every polyline segment, keyed (direction, job, the
+    # Unit steps of every polyline segment, keyed (direction, net, the
     # two fixed coordinates, the running one).
     points = np.concatenate([state.ends[:, first:stop], chosen[first:stop].T])[_POLYLINE]
     delta = np.abs(points[:, 1:] - points[:, :-1])  # (3, 7, rows)
     length = delta.sum(axis=0)
     segment, row = np.nonzero(length)
     if not row.size:
-        return [Route() for _ in range(n_jobs)]
+        return np.empty((6, 0), dtype=np.intp)
     length = length[segment, row]
     direction = delta[:, segment, row].argmax(axis=0)
     start = np.minimum(points[:, 1:], points[:, :-1])[:, segment, row]
@@ -94,7 +102,9 @@ def reconstruct_routes(
     step = np.arange(last[-1]) - np.repeat(last - length, length)
     units = unique_sorted(np.repeat(key, length) + step)
 
-    # Fuse consecutive steps into runs and decode them.
+    # Fuse consecutive steps into runs and decode them: direction 0 is a
+    # horizontal wire (layer, y, x), 1 a vertical one (layer, x, y), 2 a
+    # via stack (x, y, layer) — the segment table's kinds and columns.
     breaks = np.flatnonzero(units[1:] - units[:-1] != 1) + 1
     starts = np.concatenate(([0], breaks))
     run = np.concatenate((breaks, [units.size])) - starts
@@ -102,15 +112,7 @@ def reconstruct_routes(
     direction, net = np.divmod(line, n_jobs)
     where, c = np.divmod(where, radix)
     a, b = np.divmod(where, radix)
-    routes = [Route() for _ in range(n_jobs)]
-    for d, j, a, b, c, n in zip(*(v.tolist() for v in (direction, net, a, b, c, run))):
-        if d == 0:
-            routes[j].wires.append(WireSegment(a, c, b, c + n, b))
-        elif d == 1:
-            routes[j].wires.append(WireSegment(a, b, c, b, c + n))
-        else:
-            routes[j].vias.append(ViaSegment(a, b, c, c + n))
-    return routes
+    return np.array([direction, net, a, b, c, c + run])
 
 
 # ---------------------------------------------------------------------- #
@@ -186,5 +188,6 @@ __all__ = [
     "best_layer_in_interval",
     "reconstruct_route",
     "reconstruct_routes",
+    "reconstruct_table",
     "normalize_route",
 ]

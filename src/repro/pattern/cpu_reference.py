@@ -29,8 +29,10 @@ from repro.grid.cost import CostModel
 from repro.grid.graph import GridGraph
 from repro.gpu.device import Device
 from repro.gpu.zerocopy import ZeroCopyArena
+from repro.netlist.net import Net
 from repro.pattern.batch import BatchPatternRouter
-from repro.pattern.twopin import BatchState, ModeSelector, NetRoutingJob, build_waves
+from repro.pattern.plan import NetCells, plan_jobs, plan_level
+from repro.pattern.twopin import BatchState, ModeSelector, NetRoutingJob
 
 
 class SequentialPatternRouter(BatchPatternRouter):
@@ -56,12 +58,25 @@ class SequentialPatternRouter(BatchPatternRouter):
             backend=backend,
         )
 
-    def plan_waves(
-        self, jobs: List[NetRoutingJob], mode_fn: ModeSelector
+    def plan_nets(
+        self, nets: List[Net], mode_fn: ModeSelector, cells: Optional[NetCells] = None
     ) -> List[BatchState]:
         """Route one net at a time (no batching): one batch state each."""
         n_layers, ny = self.graph.n_layers, self.graph.ny
-        return [build_waves([job], mode_fn, n_layers, ny, box) for box, job in enumerate(jobs)]
+        return [
+            plan_level(
+                [net], mode_fn, n_layers, ny, self.make_job, box,
+                None if cells is None else cells.take([box]),
+            )
+            for box, net in enumerate(nets)
+        ]
+
+    def plan_waves(
+        self, jobs: List[NetRoutingJob], mode_fn: ModeSelector
+    ) -> List[BatchState]:
+        """One batch state per planned job."""
+        n_layers, ny = self.graph.n_layers, self.graph.ny
+        return [plan_jobs([job], mode_fn, n_layers, ny, box) for box, job in enumerate(jobs)]
 
 
 __all__ = ["SequentialPatternRouter"]

@@ -15,7 +15,6 @@ host↔device boundary (every result comes back as NumPy).
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Tuple
 
 import numpy as np
@@ -35,19 +34,28 @@ _SEGMENTS = np.array(
 # What pricing a net reads of the cost snapshot, as rows of ``ends``:
 # ``segment_cost_layers`` gathers row y1 and column x1 of each segment,
 # ``via_matrix`` the pillar at each bend, the combine those at the ends.
-_READ_ROWS = itemgetter(*sorted({int(i) for i in _SEGMENTS[1].flat}))
-_READ_COLUMNS = itemgetter(*sorted({int(i) for i in _SEGMENTS[0].flat}))
-_READ_PILLARS = [(0, 1), (2, 3), *map(tuple, _BENDS.tolist())]
+# Per line: its family (0 row, 1 column, 2 pillar), then the entries of
+# ``ends`` giving its coordinate — a pillar's G-cell is ``x * ny + y``.
+_READ_FAMILY = np.array([0, 0, 1, 1, 2, 2, 2, 2])
+_READ_LINE = np.array(
+    sorted({int(i) for i in _SEGMENTS[1].flat})
+    + sorted({int(i) for i in _SEGMENTS[0].flat})
+    + [x for x, _ in [(0, 1), (2, 3), *_BENDS.tolist()]]
+)
+_READ_PILLAR_Y = np.array([y for _, y in [(0, 1), (2, 3), *_BENDS.tolist()]])
 
 
-def lshape_reads(ends: Tuple[int, int, int, int], ny: int, rows, columns, pillars):
-    """Add the snapshot lines pricing one L two-pin net ``xs, ys, xt,
-    yt`` reads to three sets: the ``y`` of each row, the ``x`` of each
-    column and the G-cell ``x * ny + y`` of each via pillar (the lines
-    of a :class:`~repro.grid.cost.Footprint`)."""
-    rows.update(_READ_ROWS(ends))
-    columns.update(_READ_COLUMNS(ends))
-    pillars.update([ends[x] * ny + ends[y] for x, y in _READ_PILLARS])
+def lshape_reads(ends: np.ndarray, ny: int):
+    """The snapshot lines pricing each L two-pin net of ``ends (4, B)``
+    (``xs, ys, xt, yt``) reads: ``family (8,)`` — 0 a row, 1 a column,
+    2 a via pillar — and ``lines (8, B)``: the ``y`` of each row, the
+    ``x`` of each column and the G-cell ``x * ny + y`` of each pillar
+    (the lines of a :class:`~repro.grid.cost.Footprint`; repeats
+    allowed)."""
+    lines = ends[_READ_LINE]
+    lines[4:] *= ny
+    lines[4:] += ends[_READ_PILLAR_Y]
+    return _READ_FAMILY, lines
 
 
 def lshape_bends(ends: np.ndarray) -> np.ndarray:

@@ -1,18 +1,19 @@
-"""Net routing jobs, the batch node table, and wave scheduling.
+"""Net routing jobs, pattern selectors and the batch node table.
 
 A *job* is one multi-pin net flowing through the pattern stage: its
 Steiner tree and the bottom-up two-pin-net order.  The DP state of every
-job of one ``route_jobs`` call lives in one :class:`BatchState`: a node
-table with a row per tree node (job-major, row = job's first row + node
+net of one ``route_jobs`` call lives in one :class:`BatchState`: a node
+table with a row per tree node (net-major, row = net's first row + node
 index) and ``(N, L)`` arrays the kernels' stacked outputs are written
 into by row index.  A non-root row stands for its node *and* for the
 two-pin net from that node to its parent.
 
-A *wave* groups, across every job, the two-pin nets whose child subtrees
+A *wave* groups, across every net, the two-pin nets whose child subtrees
 are already complete — one wave is one kernel launch per pattern family
 on the simulated device (Fig. 7: blocks = nets, lanes = layer
 combinations; here lanes also span the batch).  Waves are row-index
-arrays into the table.
+arrays into the table.  :mod:`repro.pattern.plan` builds the table and
+the waves of a whole batch with array ops.
 
 Child order is part of the result's bits: a node's children tables are
 summed by ``scatter_add`` in row order, so the child rows of every wave
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -31,8 +31,6 @@ import numpy as np
 from repro.grid.cost import Footprint
 from repro.grid.geometry import Point
 from repro.netlist.net import Net
-from repro.pattern.lshape import lshape_reads
-from repro.pattern.zshape import candidate_reads
 from repro.tree.ordering import OrderedTree
 from repro.tree.steiner import SteinerTree
 
@@ -48,16 +46,13 @@ class PatternMode(enum.Enum):
 #: Order of the pattern families inside a wave (the ``mode`` column).
 MODES = (PatternMode.LSHAPE, PatternMode.ZSHAPE, PatternMode.HYBRID)
 _MODE_CODE = {mode: code for code, mode in enumerate(MODES)}
-#: Per family, in :data:`MODES` order: what adds the snapshot lines its
-#: kernel reads for a two-pin net to a job's row, column and pillar sets.
-_READS = (lshape_reads, candidate_reads, candidate_reads)
 
 
 @dataclass
 class NetRoutingJob:
     """One multi-pin net moving through the pattern stage.
 
-    ``state``/``index``/``row0`` are set by :func:`build_waves`; the DP
+    ``state``/``index``/``row0`` are set by the planner; the DP
     results are read-only views into that batch state.
     """
 
@@ -93,17 +88,53 @@ class NetRoutingJob:
 ModeSelector = Callable[[Point, Point], PatternMode]
 
 
+class HpwlSelector:
+    """Pattern family by a two-pin net's HPWL: ``inside`` for ``lo <=
+    HPWL <= hi`` (no upper bound when ``hi`` is ``None``), L-shape
+    elsewhere.
+
+    A :data:`ModeSelector`; :meth:`codes` prices a whole batch of
+    two-pin nets at once.
+    """
+
+    def __init__(self, inside: PatternMode, lo: int = 0, hi: Optional[int] = None) -> None:
+        self.inside, self.lo, self.hi = inside, lo, hi
+
+    def _inside(self, hpwl):
+        inside = hpwl >= self.lo
+        return inside if self.hi is None else inside & (hpwl <= self.hi)
+
+    def __call__(self, src: Point, dst: Point) -> PatternMode:
+        hpwl = abs(src.x - dst.x) + abs(src.y - dst.y)
+        return self.inside if self._inside(hpwl) else PatternMode.LSHAPE
+
+    def codes(self, ends: np.ndarray) -> np.ndarray:
+        """The :data:`MODES` index of each two-pin net ``xs, ys, xt, yt``
+        of ``ends (4, B)``."""
+        if self.lo <= 0 and self.hi is None:
+            return np.full(ends.shape[1], _MODE_CODE[self.inside])
+        xs, ys, xt, yt = ends
+        inside = self._inside(np.abs(xs - xt) + np.abs(ys - yt))
+        return np.where(inside, _MODE_CODE[self.inside], 0)
+
+
 def constant_mode(mode: PatternMode) -> ModeSelector:
     """Return a selector that routes every two-pin net with ``mode``."""
-
-    def select(_src: Point, _dst: Point) -> PatternMode:
-        return mode
-
-    return select
+    return HpwlSelector(mode)
 
 
-def _rows(lists: List[List[int]]) -> List[np.ndarray]:
-    return [np.array(rows, dtype=np.intp) for rows in lists]
+def mode_codes(mode_fn: ModeSelector, ends: np.ndarray) -> np.ndarray:
+    """The :data:`MODES` index ``mode_fn`` picks for each two-pin net of
+    ``ends (4, B)``: one array call for a selector with ``codes``, one
+    call per net for any other."""
+    codes = getattr(mode_fn, "codes", None)
+    if codes is not None:
+        return codes(ends)
+    return np.array(
+        [_MODE_CODE[mode_fn(Point(*src), Point(*dst))]
+         for src, dst in zip(ends[:2].T.tolist(), ends[2:].T.tolist())],
+        dtype=np.intp,
+    )
 
 
 class BatchState:
@@ -116,7 +147,7 @@ class BatchState:
     last four: the node's point and its parent's, i.e. ``xs, ys, xt,
     yt`` of its two-pin net (a root is its own target).
 
-    Schedule, filled by :func:`build_waves`: ``waves[h]`` are the
+    Schedule, filled by the planner: ``waves[h]`` are the
     non-root rows of height ``h`` sorted by mode and ``mode_bounds[h]``
     the offsets that split them by mode (one more than :data:`MODES`);
     ``kids[h]``/``kid_slot[h]`` list the children of those rows and the
@@ -159,104 +190,13 @@ class BatchState:
         self.reads: Optional[Footprint] = None
 
 
-def build_waves(
-    jobs: List[NetRoutingJob], mode_fn: ModeSelector, n_layers: int, ny: int, first_box: int = 0
-) -> BatchState:
-    """Lay ``jobs`` out as one node table and group it into waves.
-
-    Wave ``h`` holds every two-pin net whose child subtree has height
-    ``h``; all of a net's children appear in strictly earlier waves, so
-    each wave is one batched kernel evaluation.  The same pass collects
-    the lines each two-pin net's kernel reads (declared beside the
-    kernels: :data:`_READS`) and the pillar every root reads, on a grid
-    ``ny`` G-cells high.
-    """
-    table: List[Tuple[int, ...]] = []
-    waves: List[List[List[int]]] = []  # [height][mode] -> rows
-    levels: List[List[int]] = []  # [depth - 1] -> rows
-    roots: List[int] = []
-    single_roots: List[int] = []
-    wave_of: List[int] = []  # row -> wave that combines at it; -1 at a root
-    families: List[Tuple[int, List[int]]] = []  # (row, child rows in sibling order)
-    # The footprint's six int rows (row box, y; column box, x; pillar
-    # box, G-cell), as flat lists.
-    reads: List[List[int]] = [[] for _ in range(6)]
-    for index, job in enumerate(jobs):
-        job.index, job.row0 = index, len(table)
-        nodes, parents, depths = job.tree.nodes, job.ordered.parent, job.ordered.depth
-        heights = job.ordered.subtree_height()
-        job_rows, job_columns, job_pillars = set(), set(), set()
-        for i, node in enumerate(nodes):
-            row, parent, layers = job.row0 + i, parents[i], node.pin_layers
-            target = nodes[parent].point if parent >= 0 else node.point
-            ends = (node.point.x, node.point.y, target.x, target.y)
-            table.append((
-                index,
-                job.row0 + parent if parent >= 0 else -1,
-                min(layers) if layers else n_layers,
-                max(layers) if layers else -1,
-                *ends,
-            ))
-            if parent >= 0:
-                while len(waves) <= heights[i]:
-                    waves.append([[] for _ in MODES])
-                while len(levels) < depths[i]:
-                    levels.append([])
-                mode = _MODE_CODE[mode_fn(node.point, target)]
-                waves[heights[i]][mode].append(row)
-                levels[depths[i] - 1].append(row)
-                wave_of.append(heights[i])
-                _READS[mode](ends, ny, job_rows, job_columns, job_pillars)
-            else:
-                (roots if heights[i] else single_roots).append(row)
-                wave_of.append(-1)
-                job_pillars.add(ends[0] * ny + ends[1])
-            children = [job.row0 + n for n in node.neighbors if parents[n] == i]
-            if children:
-                families.append((row, children))
-        box = first_box + index
-        reads[0] += [box] * len(job_rows)
-        reads[1] += job_rows
-        reads[2] += [box] * len(job_columns)
-        reads[3] += job_columns
-        reads[4] += [box] * len(job_pillars)
-        reads[5] += job_pillars
-
-    state = BatchState(
-        len(jobs), np.ascontiguousarray(np.array(table, dtype=np.intp).reshape(-1, 8).T), n_layers
-    )
-    state.reads = Footprint(
-        np.array(reads[:2], dtype=np.intp),
-        np.array(reads[2:4], dtype=np.intp),
-        np.array(reads[4:], dtype=np.intp),
-    )
-    slot = [0] * len(table)  # row -> position in its wave (or in roots)
-    for by_mode in waves:
-        rows = [row for group in by_mode for row in group]
-        for position, row in enumerate(rows):
-            slot[row] = position
-        state.waves.append(np.array(rows, dtype=np.intp))
-        state.mode_bounds.append([0, *accumulate(len(group) for group in by_mode)])
-    for position, row in enumerate(roots):
-        slot[row] = position
-    kids: List[List[int]] = [[] for _ in range(len(waves) + 1)]
-    kid_slot: List[List[int]] = [[] for _ in range(len(waves) + 1)]
-    for row, children in families:
-        kids[wave_of[row]].extend(children)
-        kid_slot[wave_of[row]].extend([slot[row]] * len(children))
-    state.kids, state.kid_slot, state.levels = _rows(kids), _rows(kid_slot), _rows(levels)
-    state.roots, state.single_roots = _rows([roots, single_roots])
-    for job in jobs:
-        job.state = state
-    return state
-
-
 __all__ = [
     "MODES",
     "PatternMode",
     "NetRoutingJob",
     "BatchState",
     "ModeSelector",
+    "HpwlSelector",
     "constant_mode",
-    "build_waves",
+    "mode_codes",
 ]

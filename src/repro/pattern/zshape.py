@@ -25,6 +25,7 @@ import numpy as np
 from repro.grid.cost import CostQuery
 from repro.pattern.kernels import zshape_reduce
 from repro.pattern.lshape import WaveResult
+from repro.utils.arrays import ranges
 
 #: ``ends (4, B)`` -> ``(geometry (B, C, 4), valid (B, C))``.
 CandidateFn = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -65,9 +66,10 @@ def enumerate_candidates(ends: np.ndarray, corner_rows: bool):
     return np.where(valid[:, :, None], geometry, source), valid
 
 
-def candidate_reads(ends: Tuple[int, int, int, int], ny: int, rows, columns, pillars):
-    """Add the snapshot lines pricing one Z or hybrid two-pin net reads
-    to three sets, as :func:`~repro.pattern.lshape.lshape_reads` does.
+def candidate_reads(ends: np.ndarray, ny: int):
+    """The snapshot lines pricing each Z or hybrid two-pin net of ``ends
+    (4, B)`` reads, flat: ``family``, ``net`` and ``line`` per line, as
+    :func:`~repro.pattern.lshape.lshape_reads` defines them.
 
     An HVH flow runs along rows ``ys``/``yt`` and column ``bx``, a VHV
     flow along columns ``xs``/``xt`` and row ``by``, so the candidates
@@ -75,14 +77,19 @@ def candidate_reads(ends: Tuple[int, int, int, int], ny: int, rows, columns, pil
     (and the padding, which repeats the source) sit on its boundary.
     """
     xs, ys, xt, yt = ends
-    xlo, xhi = (xs, xt) if xs < xt else (xt, xs)
-    ylo, yhi = (ys, yt) if ys < yt else (yt, ys)
-    rows.update(range(ylo, yhi + 1))
-    columns.update(range(xlo, xhi + 1))
-    for y in (ys, yt):
-        pillars.update(range(xlo * ny + y, xhi * ny + y + 1, ny))
-    for x in (xs, xt):
-        pillars.update(range(x * ny + ylo, x * ny + yhi + 1))
+    xlo, ylo = np.minimum(xs, xt), np.minimum(ys, yt)
+    width, height = np.abs(xs - xt) + 1, np.abs(ys - yt) + 1
+    # Per net: its rows, its columns, then the boundary pillars along
+    # rows ys and yt and columns xs and xt.
+    count = np.concatenate([height, width, width, width, height, height])
+    net, line = ranges(
+        np.concatenate([ylo, xlo, xlo * ny + ys, xlo * ny + yt, xs * ny + ylo, xt * ny + ylo]),
+        count,
+        np.repeat([1, 1, ny, ny, 1, 1], xs.size),
+    )
+    n_rows, n_columns = height.sum(), width.sum()
+    family = np.repeat([0, 1, 2], [n_rows, n_columns, count.sum() - n_rows - n_columns])
+    return family, net % xs.size, line
 
 
 def zshape_candidates(ends: np.ndarray):

@@ -37,13 +37,19 @@ SORTING_SCHEMES: Dict[str, _KeyFn] = {
 DEFAULT_SCHEME = "hpwl_asc"
 
 
-def sort_nets(nets: Sequence[Net], scheme: str = DEFAULT_SCHEME) -> List[Net]:
-    """Return ``nets`` ordered by the named scheme."""
+def sort_order(nets: Sequence[Net], scheme: str = DEFAULT_SCHEME) -> List[int]:
+    """Return the positions of ``nets`` in the named scheme's order."""
     if scheme not in SORTING_SCHEMES:
         raise KeyError(
             f"unknown sorting scheme {scheme!r}; choose from {sorted(SORTING_SCHEMES)}"
         )
-    return sorted(nets, key=SORTING_SCHEMES[scheme])
+    key = SORTING_SCHEMES[scheme]
+    return sorted(range(len(nets)), key=lambda i: key(nets[i]))
 
 
-__all__ = ["SORTING_SCHEMES", "DEFAULT_SCHEME", "sort_nets"]
+def sort_nets(nets: Sequence[Net], scheme: str = DEFAULT_SCHEME) -> List[Net]:
+    """Return ``nets`` ordered by the named scheme."""
+    return [nets[i] for i in sort_order(nets, scheme)]
+
+
+__all__ = ["SORTING_SCHEMES", "DEFAULT_SCHEME", "sort_nets", "sort_order"]

@@ -18,7 +18,7 @@ the MST (a property the tests assert), spanning every pin location.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.grid.geometry import Point, manhattan
 from repro.netlist.net import Net
@@ -102,14 +102,15 @@ class SteinerTree:
 
 
 def _collect_pin_nodes(net: Net) -> List[TreeNode]:
-    """Merge pins sharing a G-cell into single tree nodes."""
-    layers_by_point: Dict[Point, List[int]] = {}
+    """Merge pins sharing a G-cell into single tree nodes, numbered in
+    ``(x, y)`` order."""
+    layers_by_cell: Dict[Tuple[int, int], Set[int]] = {}
     for pin in net.pins:
-        layers_by_point.setdefault(pin.point, []).append(pin.layer)
-    nodes = []
-    for index, (point, layers) in enumerate(sorted(layers_by_point.items())):
-        nodes.append(TreeNode(index, point, tuple(sorted(set(layers)))))
-    return nodes
+        layers_by_cell.setdefault((pin.x, pin.y), set()).add(pin.layer)
+    return [
+        TreeNode(index, Point(x, y), tuple(sorted(layers)))
+        for index, ((x, y), layers) in enumerate(sorted(layers_by_cell.items()))
+    ]
 
 
 def _prim_mst(nodes: List[TreeNode]) -> List[Tuple[int, int]]:
@@ -117,12 +118,12 @@ def _prim_mst(nodes: List[TreeNode]) -> List[Tuple[int, int]]:
     n = len(nodes)
     if n <= 1:
         return []
+    xs = [node.point.x for node in nodes]
+    ys = [node.point.y for node in nodes]
     in_tree = [False] * n
-    best_dist = [0] * n
     best_from = [0] * n
     in_tree[0] = True
-    for j in range(1, n):
-        best_dist[j] = manhattan(nodes[0].point, nodes[j].point)
+    best_dist = [abs(xs[0] - x) + abs(ys[0] - y) for x, y in zip(xs, ys)]
     edges: List[Tuple[int, int]] = []
     for _ in range(n - 1):
         best = -1
@@ -131,54 +132,52 @@ def _prim_mst(nodes: List[TreeNode]) -> List[Tuple[int, int]]:
                 best = j
         in_tree[best] = True
         edges.append((best_from[best], best))
+        bx, by = xs[best], ys[best]
         for j in range(n):
             if not in_tree[j]:
-                d = manhattan(nodes[best].point, nodes[j].point)
+                d = abs(bx - xs[j]) + abs(by - ys[j])
                 if d < best_dist[j]:
                     best_dist[j] = d
                     best_from[j] = best
     return edges
 
 
-def _median_point(a: Point, b: Point, c: Point) -> Point:
-    """Return the component-wise median — the Steiner point of a triple."""
-    xs = sorted((a.x, b.x, c.x))
-    ys = sorted((a.y, b.y, c.y))
-    return Point(xs[1], ys[1])
-
-
 def _steinerize(tree: SteinerTree, max_rounds: int = 8) -> None:
     """Insert median Steiner points while they shorten the tree."""
+    nodes = tree.nodes
     for _ in range(max_rounds):
         improved = False
-        for node in list(tree.nodes):
+        points = [(node.point.x, node.point.y) for node in nodes]
+        for node in list(nodes):
             if node.degree < 2:
                 continue
             # Try every pair of neighbours of this node.
             nbrs = list(node.neighbors)
+            px, py = p = points[node.index]
             for i in range(len(nbrs)):
+                ax, ay = pa = points[nbrs[i]]
                 for j in range(i + 1, len(nbrs)):
-                    a = tree.nodes[nbrs[i]]
-                    b = tree.nodes[nbrs[j]]
-                    s_point = _median_point(node.point, a.point, b.point)
-                    if s_point in (node.point, a.point, b.point):
+                    bx, by = pb = points[nbrs[j]]
+                    # The component-wise median of the triple.
+                    sx = max(min(px, ax), min(max(px, ax), bx))
+                    sy = max(min(py, ay), min(max(py, ay), by))
+                    s_point = (sx, sy)
+                    if s_point == p or s_point == pa or s_point == pb:
                         continue
-                    old = manhattan(node.point, a.point) + manhattan(
-                        node.point, b.point
-                    )
+                    old = abs(px - ax) + abs(py - ay) + abs(px - bx) + abs(py - by)
                     new = (
-                        manhattan(s_point, node.point)
-                        + manhattan(s_point, a.point)
-                        + manhattan(s_point, b.point)
+                        abs(sx - px) + abs(sy - py) + abs(sx - ax) + abs(sy - ay)
+                        + abs(sx - bx) + abs(sy - by)
                     )
                     if new < old:
-                        steiner = TreeNode(len(tree.nodes), s_point)
-                        tree.nodes.append(steiner)
-                        tree.remove_edge(node.index, a.index)
-                        tree.remove_edge(node.index, b.index)
+                        a, b = nbrs[i], nbrs[j]
+                        steiner = TreeNode(len(nodes), Point(sx, sy))
+                        nodes.append(steiner)
+                        tree.remove_edge(node.index, a)
+                        tree.remove_edge(node.index, b)
                         tree.add_edge(steiner.index, node.index)
-                        tree.add_edge(steiner.index, a.index)
-                        tree.add_edge(steiner.index, b.index)
+                        tree.add_edge(steiner.index, a)
+                        tree.add_edge(steiner.index, b)
                         improved = True
                         break
                 if improved:

@@ -19,4 +19,15 @@ def unique_sorted(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-__all__ = ["unique_sorted"]
+def ranges(start: np.ndarray, count: np.ndarray, stride=1):
+    """Expand runs: ``(owner, value)`` with ``value = start[i] + k *
+    stride[i]`` for every ``k < count[i]``, run after run; ``owner`` is
+    the run ``i``.  ``stride`` is a scalar or one per run."""
+    owner = np.arange(count.size).repeat(count)
+    step = np.arange(owner.size) - (count.cumsum() - count).repeat(count)
+    if not np.isscalar(stride):
+        stride = stride[owner]
+    return owner, start[owner] + step * stride
+
+
+__all__ = ["ranges", "unique_sorted"]

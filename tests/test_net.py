@@ -7,8 +7,8 @@ import pytest
 from repro.grid.geometry import Point, Rect
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
-from repro.netlist.design import Design
-from repro.netlist.net import Net, Netlist, Pin
+from repro.netlist.design import Design, check_pins
+from repro.netlist.net import Net, Netlist, Pin, pin_table
 
 
 class TestPin:
@@ -95,3 +95,37 @@ class TestDesign:
         design = self._design([Net("bad", [Pin(0, 0, 9)])])
         with pytest.raises(ValueError):
             design.validate()
+
+    def test_validate_names_the_first_bad_pin_in_netlist_order(self):
+        nets = [
+            Net("ok", [Pin(0, 0, 0), Pin(11, 9, 4)]),
+            Net("layer", [Pin(1, 1, 0), Pin(2, 2, 5)]),
+            Net("grid", [Pin(-1, 0, 0)]),
+        ]
+        with pytest.raises(ValueError, match=r"^net 'layer' pin layer 5 outside the 5-layer stack$"):
+            self._design(nets).validate()
+        with pytest.raises(ValueError, match=r"^net 'grid' pin \(-1,0\) off the 12x10 grid$"):
+            self._design(nets[::-1]).validate()
+        # An off-grid pin is reported as such even on a bad layer.
+        with pytest.raises(ValueError, match="off the 12x10 grid"):
+            self._design([Net("both", [Pin(0, 10, 7)])]).validate()
+
+    def test_check_pins_takes_any_net_sequence(self):
+        graph = GridGraph(12, 10, LayerStack(5))
+        check_pins(iter([Net("a", [Pin(3, 3, 1)])]), graph)
+        with pytest.raises(ValueError, match="net 'b'"):
+            check_pins((Net("a", [Pin(3, 3, 1)]), Net("b", [Pin(12, 3, 1)])), graph)
+
+
+class TestPinTable:
+    def test_rows_and_counts(self):
+        pins, counts = pin_table([Net("a", [Pin(1, 2, 3), Pin(4, 5, 0)]), Net("b", [Pin(6, 7, 1)])])
+        assert pins.tolist() == [[1, 4, 6], [2, 5, 7], [3, 0, 1]]
+        assert counts.tolist() == [2, 1]
+
+    def test_netlist_table_follows_additions(self):
+        netlist = Netlist([Net("a", [Pin(1, 2, 3)])])
+        assert netlist.pin_table()[1].tolist() == [1]
+        netlist.add(Net("b", [Pin(0, 0, 0), Pin(1, 1, 1)]))
+        pins, counts = netlist.pin_table()
+        assert counts.tolist() == [1, 2] and pins[0].tolist() == [1, 0, 1]
