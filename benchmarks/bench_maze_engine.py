@@ -3,18 +3,18 @@
 Three claims are benchmarked:
 
 * **Speed** — on a large congested stress region (the regime where the
-  rip-up stage dominates, Fig. 3), the wavefront engine's dense
-  prefix-sum/``cummin`` sweeps on the numpy backend beat the scalar
-  heap search by >= 2x while finding equal-cost routes.  The stress
-  grid is near-uniformly over capacity with smooth hotspot gradients:
-  every step costs far more than the region's cheapest one, so the
-  scalar engine's distance bound prunes little there and it still
-  expands most of the region, while the sweep fixpoint arrives in a
-  few dozen passes.
+  rip-up stage dominates, Fig. 3) the scalar heap search is at least as
+  fast as the wavefront engine's dense prefix-sum/``cummin`` sweeps on
+  the numpy backend, and both find equal-cost routes.  The stress grid
+  is near-uniformly over capacity with smooth hotspot gradients, which
+  a Manhattan bound (cheapest step x remaining steps) could not see:
+  the scalar search then expanded most of the region and the sweeps won
+  by 2-3x.  The per-net two-plane bound fields see the congestion and
+  cut the expansions over a hundredfold, so the scalar engine now wins.
 * **Goal direction** — on a moderately congested region (most edges
   under capacity, as in a routable design) the scalar engine expands
-  at most half the nodes plain heap Dijkstra settles and returns the
-  same paths.  Counts only, no timing.
+  well under a sixth of the nodes plain heap Dijkstra settles and
+  returns the same paths.
 * **Quality neutrality** — switching ``maze_engine`` on the paper's
   three presets leaves routing quality unchanged: equal-cost searches
   can pick different equal-cost paths (which cascades through RRR
@@ -22,9 +22,7 @@ Three claims are benchmarked:
   worse, rather than bit-identical.
 
 Quick mode: set ``REPRO_MAZE_QUICK=1`` (the CI smoke step) to shrink
-the stress region and preset sweep; the speedup bar drops to 1.2x —
-the point of the smoke run is exercising both engines end to end, not
-re-measuring the headline ratio.
+the stress region and preset sweep.
 """
 
 from __future__ import annotations
@@ -56,7 +54,9 @@ QUICK = os.environ.get("REPRO_MAZE_QUICK", "") not in ("", "0")
 STRESS_N = 80 if QUICK else 100
 STRESS_NETS = 4 if QUICK else 6
 STRESS_BASE_DEMAND = 8.0  # capacity is 3 — the whole region is congested
-MIN_SPEEDUP = 1.2 if QUICK else 2.0
+# Goal direction: the scalar search may expand at most this share of the
+# nodes plain heap Dijkstra settles (0.112 quick / 0.098 full measured).
+MAX_EXPANDED_RATIO = 0.15
 
 PRESETS = {
     # cugr's preset backend is pure-python (the scalar baseline); the
@@ -113,13 +113,12 @@ def total_route_cost(routes, query) -> float:
     return total
 
 
-def test_wavefront_beats_dijkstra_on_congested_region():
-    """Wavefront sweeps vs the scalar engine on the stress region.
+def test_dijkstra_keeps_pace_with_wavefront_on_congested_region():
+    """The scalar engine vs wavefront sweeps on the stress region.
 
-    The bar is unchanged by the scalar engine's goal direction: the
-    stress grid is near-uniformly over capacity, so the distance bound
-    (cheapest step x remaining steps) is far below every real
-    remainder and prunes little (2.8x measured in quick mode).
+    The scalar search is at least as fast, with equal route costs
+    (0.041 s against 0.093 s in quick mode, 721 expansions against the
+    90 481 a Manhattan bound needed).
     """
     graph, nets = stress_case()
     dijkstra = MazeRouter(graph, margin=8)
@@ -137,7 +136,7 @@ def test_wavefront_beats_dijkstra_on_congested_region():
 
     dj_cost = total_route_cost(dj_routes, dijkstra.query)
     wf_cost = total_route_cost(wf_routes, wavefront.query)
-    speedup = dj_time / wf_time
+    ratio = wf_time / dj_time
     dj_visited = dijkstra.consume_visited()
     wf_visited = wavefront.consume_visited()
 
@@ -149,7 +148,7 @@ def test_wavefront_beats_dijkstra_on_congested_region():
             [
                 ["dijkstra", dj_time, dj_visited, dj_cost],
                 ["wavefront", wf_time, wf_visited, wf_cost],
-                ["speedup", speedup, "", ""],
+                ["wavefront / dijkstra time", ratio, "", ""],
             ],
             title=(
                 f"Maze engines on a congested {STRESS_N}x{STRESS_N}x"
@@ -166,15 +165,14 @@ def test_wavefront_beats_dijkstra_on_congested_region():
             "wavefront_visited": float(wf_visited),
             "dijkstra_route_cost": dj_cost,
             "wavefront_route_cost": wf_cost,
-            "speedup": speedup,
-            "min_speedup": MIN_SPEEDUP,
+            "wavefront_over_dijkstra": ratio,
             "quick": float(QUICK),
         },
     )
 
     # Both engines find equal-cost routes (ULP-level float slack).
     assert wf_cost == pytest.approx(dj_cost, rel=1e-9)
-    assert speedup >= MIN_SPEEDUP
+    assert dj_time <= wf_time
 
 
 def moderate_case(seed: int = 7):
@@ -209,46 +207,56 @@ def moderate_case(seed: int = 7):
 
 
 def test_goal_directed_expands_fewer_nodes():
-    """Same paths as plain heap Dijkstra from at most half the nodes."""
+    """Same paths as plain heap Dijkstra from a fraction of the nodes."""
     graph, nets = moderate_case()
     router = MazeRouter(graph, margin=8)
     router.query.rebuild()
     expanded = settled = 0
+    search_s = oracle_s = 0.0
     for net in nets:
         source, target = (pin.as_node() for pin in net.pins)
         region = router._region(net)
+        # Both timings include building the search's tables.
+        start = time.perf_counter()
         got = router._dijkstra({source}, {target}, region)
+        search_s += time.perf_counter() - start
         expanded += router.consume_visited()
+        start = time.perf_counter()
         path, reached, n_settled = heap_dijkstra_oracle(
             router, {source}, {target}, region
         )
+        oracle_s += time.perf_counter() - start
         settled += n_settled
         assert got == (path, reached)
 
+    n = len(nets)
     register_table(
         "maze_goal_directed",
         format_table(
-            ["search", "nodes"],
+            ["search", "nodes", "ms per search"],
             [
-                ["heap Dijkstra (oracle), settled", settled],
-                ["goal-directed (production), expanded", expanded],
-                ["ratio", expanded / settled],
+                ["heap Dijkstra (oracle), settled", settled, 1e3 * oracle_s / n],
+                ["goal-directed (production), expanded", expanded, 1e3 * search_s / n],
+                ["ratio", expanded / settled, search_s / oracle_s],
             ],
             title=(
                 f"Goal-directed search on a moderately congested {STRESS_N}x"
-                f"{STRESS_N}x{graph.n_layers} region ({len(nets)} two-pin "
+                f"{STRESS_N}x{graph.n_layers} region ({n} two-pin "
                 f"searches, identical paths)"
             ),
         ),
         metrics={
-            "n_searches": float(len(nets)),
+            "n_searches": float(n),
             "oracle_settled": float(settled),
             "expanded": float(expanded),
             "ratio": expanded / settled,
+            "max_ratio": MAX_EXPANDED_RATIO,
+            "oracle_ms_per_search": 1e3 * oracle_s / n,
+            "search_ms_per_search": 1e3 * search_s / n,
             "quick": float(QUICK),
         },
     )
-    assert 2 * expanded <= settled
+    assert expanded <= MAX_EXPANDED_RATIO * settled
 
 
 @pytest.mark.parametrize("preset_name", PRESET_NAMES)

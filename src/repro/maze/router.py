@@ -9,9 +9,10 @@ practice; keeps the search region proportional to the net).
 A multi-pin net is routed by growing a connected component: start from
 one pin, search from every node of the component to the nearest
 unconnected pin, splice the found path in, repeat.  Each search is
-ordered by distance so far plus a lower bound on the remainder and
-returns exactly the path plain Dijkstra would (DESIGN.md §5,
-"Goal-directed scalar maze search").
+ordered by distance so far plus a lower bound on the remainder — a
+two-plane congestion field per pin, built once per net — and returns
+exactly the path plain Dijkstra would (DESIGN.md §5, "Goal-directed
+scalar maze search").
 
 This module also defines the engine seams the wavefront engine
 (:mod:`repro.maze.wavefront`) plugs into: :meth:`MazeRouter.route_net`
@@ -22,7 +23,7 @@ cost tables) and ``_search`` (one splice search), both overridable.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,12 +35,35 @@ from repro.netlist.net import Net
 from repro.pattern.commit import normalize_route
 
 GridNode = Tuple[int, int, int]
-#: ``(moves, width, height, wire_min, via_min)`` of one search region.
-MoveTables = Tuple[List[Tuple[int, List[float]]], int, int, float, float]
+#: Per-node moves of one search region: ``(index offset, flat cost
+#: list)`` pairs in the order ``+x, -x, +y, -y, +layer, -layer``;
+#: ``inf`` marks a forbidden move.
+Moves = List[Tuple[int, List[float]]]
+
+
+class SearchTables(NamedTuple):
+    """Per-net region tables shared by the splice searches of one net.
+
+    ``bounds[rows[pin]]`` is a lower bound on the distance from every
+    region node to ``pin``, flattened in the search's node order
+    (``(layer, x, y)``, row-major); every in-window pin the tables were
+    built for has a row.
+    """
+
+    moves: Moves
+    width: int
+    height: int
+    bounds: np.ndarray
+    rows: Dict[GridNode, int]
+
 
 # Relative slack on the incumbent bound: covers the last-ULP rounding of
 # ``g + h`` so every node of an optimal path is still expanded.
 _BOUND_SLACK = 1.0 + 1e-9
+# The bound field's fixpoint stops at the first round whose V->H plane
+# switch lowers no entry by more than this relative amount.
+_FIELD_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 class MazeRoutingError(RuntimeError):
@@ -81,6 +105,11 @@ class MazeRouter:
         # Node expansions since the last consume_visited() call (a node
         # re-expanded after an improvement counts again).
         self._visited_nodes = 0
+        # Bound-field plane of each layer: 0 = H, 1 = V.
+        stack = graph.stack
+        self._layer_plane = np.array(
+            [int(not stack.is_horizontal(layer)) for layer in range(stack.n_layers)]
+        )
 
     def route_net(self, net: Net, rebuild: bool = True) -> Route:
         """Route ``net`` from scratch against current demand.
@@ -99,9 +128,10 @@ class MazeRouter:
             self.query.rebuild(window=region)
         if len(pins) == 1:
             return Route()
-        # Costs are frozen per net: build the region cost tables once
-        # and share them across the per-pin splice searches.
-        tables = self._build_tables(region)
+        # Costs are frozen per net: build the region cost tables and
+        # the bound fields of every pin but the start once, and share
+        # them across the per-pin splice searches.
+        tables = self._build_tables(region, pins[1:])
         component = {pins[0]}
         remaining = set(pins[1:])
         route = Route()
@@ -121,9 +151,14 @@ class MazeRouter:
     # ------------------------------------------------------------------ #
     # Engine seams (the wavefront engine overrides these)
     # ------------------------------------------------------------------ #
-    def _build_tables(self, region: Tuple[int, int, int, int]):
-        """Build the per-net region cost tables the searches share."""
-        return self._move_tables(region)
+    def _build_tables(
+        self, region: Tuple[int, int, int, int], pins: Sequence[GridNode]
+    ) -> SearchTables:
+        """Build the per-net region tables the searches share: the move
+        tables and a bound field for each in-window pin of ``pins``."""
+        moves, width, height, steps = self._move_tables(region)
+        bounds, rows = self._bound_fields(region, steps, pins)
+        return SearchTables(moves, width, height, bounds, rows)
 
     def _search(
         self,
@@ -144,58 +179,159 @@ class MazeRouter:
 
     def _move_tables(
         self, region: Tuple[int, int, int, int]
-    ) -> MoveTables:
+    ) -> Tuple[Moves, int, int, np.ndarray]:
         """Precompute per-node move costs for a region as Python lists.
 
-        Returns ``(moves, width, height, wire_min, via_min)`` where
-        ``moves`` pairs an index offset with a flat cost list (``inf``
-        marks a forbidden move).  The hot search loop then runs on plain
-        lists — scalar indexing into NumPy arrays is an order of
-        magnitude slower.  ``wire_min`` / ``via_min`` are the smallest
-        wire / via step in the region (0.0 when a 1x1 region has no wire
-        step): the per-step lower bounds behind the search's ``h``.
+        Returns ``(moves, width, height, steps)``: ``moves`` as in
+        :data:`Moves`, and ``steps`` the ``+x, +y, +layer`` costs as one
+        ``(3, L, W, H)`` array, which the bound fields read.  The hot
+        search loop runs on plain lists — scalar indexing into NumPy
+        arrays is an order of magnitude slower.  One ``tolist()`` makes
+        the three forward lists; each backward list is its forward list
+        shifted by one step, which is cheaper than converting it.
         """
         x0, y0, x1, y1 = region
         width = x1 - x0 + 1
         height = y1 - y0 + 1
         n_layers = self.graph.n_layers
-        plane = width * height
         stack = self.graph.stack
 
-        pos_x = np.full((n_layers, width, height), np.inf)
-        neg_x = np.full((n_layers, width, height), np.inf)
-        pos_y = np.full((n_layers, width, height), np.inf)
-        neg_y = np.full((n_layers, width, height), np.inf)
+        steps = np.full((3, n_layers, width, height), np.inf)
+        pos_x, pos_y, pos_z = steps
         for layer in range(n_layers):
             cost = self.query.wire_cost[layer]
             if stack.is_horizontal(layer):
                 # Edge (x, y)-(x+1, y) has cost[x, y].
-                sub = cost[x0:x1, y0 : y1 + 1]
-                pos_x[layer, : width - 1, :] = sub
-                neg_x[layer, 1:, :] = sub
+                pos_x[layer, :-1] = cost[x0:x1, y0 : y1 + 1]
             else:
-                sub = cost[x0 : x1 + 1, y0:y1]
-                pos_y[layer, :, : height - 1] = sub
-                neg_y[layer, :, 1:] = sub
-        via = self.query.via_cost[:, x0 : x1 + 1, y0 : y1 + 1]
-        pos_z = np.full((n_layers, width, height), np.inf)
-        neg_z = np.full((n_layers, width, height), np.inf)
-        pos_z[: n_layers - 1] = via
-        neg_z[1:] = via
+                pos_y[layer, :, :-1] = cost[x0 : x1 + 1, y0:y1]
+        pos_z[:-1] = self.query.via_cost[:, x0 : x1 + 1, y0 : y1 + 1]
 
-        moves = [
-            (height, pos_x.reshape(-1).tolist()),
-            (-height, neg_x.reshape(-1).tolist()),
-            (1, pos_y.reshape(-1).tolist()),
-            (-1, neg_y.reshape(-1).tolist()),
-            (plane, pos_z.reshape(-1).tolist()),
-            (-plane, neg_z.reshape(-1).tolist()),
-        ]
+        # The -offset move out of idx is the +offset move out of
+        # idx - offset.  Where that node lies in another row, column or
+        # layer its +offset entry is the inf of the window's far side,
+        # and the first ``offset`` entries have no such node: inf too.
+        plane = width * height
+        inf = float("inf")
+        moves: Moves = []
+        for offset, costs in zip((height, 1, plane), steps.reshape(3, -1).tolist()):
+            moves.append((offset, costs))
+            moves.append((-offset, [inf] * offset + costs[:-offset]))
+        return moves, width, height, steps
+
+    def _bound_fields(
+        self,
+        region: Tuple[int, int, int, int],
+        steps: np.ndarray,
+        pins: Sequence[GridNode],
+    ) -> Tuple[np.ndarray, Dict[GridNode, int]]:
+        """Lower bounds on the distance from every node to each pin.
+
+        Returns ``(bounds, rows)``: row ``rows[pin]`` of the
+        ``(pins, L * W * H)`` array ``bounds`` bounds the distance to
+        ``pin`` for every node of the region, in search order.  Pins
+        outside the region get no row.
+
+        The bound is the exact distance on a two-plane relaxation of
+        the window: plane H keeps, per x-edge, the cheapest wire cost
+        over the horizontal layers, plane V the same for y-edges over
+        the vertical layers, and switching planes costs the cheapest
+        via step at that G-cell.  Every real path maps onto a relaxed
+        path that costs no more, so the relaxed distance is a lower
+        bound.  All pins go through one stacked ``(2, pins, W, H)``
+        fixpoint of prefix-sum/``cummin`` run sweeps (the wavefront
+        recurrence ``d' = P + cummin(d - P)``), updated in place.
+        Each entry is then max'd with the Manhattan term
+        ``wire_min·(|dx| + |dy|) + via_min·|dl|`` and shrunk by a
+        margin that covers the stopping tolerance and the rounding of
+        the sweeps (DESIGN.md §5, "the bound field").
+        """
+        x0, y0, x1, y1 = region
+        n_layers, width, height = steps.shape[1:]
+        in_window = [p for p in pins if x0 <= p[0] <= x1 and y0 <= p[1] <= y1]
+        rows = {pin: row for row, pin in enumerate(in_window)}
+        n_pins = len(in_window)
+        if not n_pins:
+            return np.empty((0, n_layers * width * height)), rows
+
+        # Plane costs: vertical layers are inf in the x steps,
+        # horizontal ones in the y steps and the top layer in the via
+        # steps, so a min over all layers keeps the cheapest step of
+        # each kind.
+        cheapest = steps.min(axis=1)
+        step_x = cheapest[0, :-1]
+        step_y = cheapest[1, :, :-1]
+        step_z = cheapest[2]
         # A 1x1 window has no wire step; a stack always has a via step.
-        wire_min = float(min(pos_x.min(), pos_y.min()))
+        wire_min = float(cheapest[:2].min())
         if wire_min == np.inf:
             wire_min = 0.0
-        return moves, width, height, wire_min, float(via.min())
+        via_min = float(step_z.min())
+        # Run prefixes and switch costs, materialised at the stacked
+        # shape: same-shape in-place ops skip the broadcasting machinery.
+        shape = (n_pins, width, height)
+        prefix_x = np.zeros(shape)
+        np.cumsum(step_x, axis=0, out=prefix_x[0, 1:])
+        prefix_y = np.zeros(shape)
+        np.cumsum(step_y, axis=1, out=prefix_y[0, :, 1:])
+        switch_cost = np.empty(shape)
+        switch_cost[:] = step_z
+        prefix_x[1:] = prefix_x[0]
+        prefix_y[1:] = prefix_y[0]
+        prefix_x2 = prefix_x + prefix_x
+        prefix_y2 = prefix_y + prefix_y
+
+        tx, ty, tl = np.array(in_window).T
+        layer_plane = self._layer_plane
+        field = np.full((2,) + shape, np.inf)
+        field[layer_plane[tl], np.arange(n_pins), tx - x0, ty - y0] = 0.0
+        field_h, field_v = field
+        # A backward run is the forward sweep on a reversed view.
+        field_h_rev = field_h[:, ::-1]
+        field_v_rev = field_v[:, :, ::-1]
+        switch = np.empty(shape)
+        limit = np.empty(shape)
+        lowered = np.empty(shape, dtype=bool)
+        cummin = np.minimum.accumulate
+        rounds = 0
+        while True:
+            rounds += 1
+            field_h -= prefix_x
+            cummin(field_h, axis=1, out=field_h)
+            field_h += prefix_x2
+            cummin(field_h_rev, axis=1, out=field_h_rev)
+            field_h -= prefix_x
+            np.add(field_h, switch_cost, out=switch)
+            np.minimum(field_v, switch, out=field_v)
+            field_v -= prefix_y
+            cummin(field_v, axis=2, out=field_v)
+            field_v += prefix_y2
+            cummin(field_v_rev, axis=2, out=field_v_rev)
+            field_v -= prefix_y
+            # Convergence is read off the V->H switch: when it lowers
+            # nothing (beyond the tolerance), another round cannot.
+            np.add(field_v, switch_cost, out=switch)
+            np.multiply(field_h, 1.0 - _FIELD_TOL, out=limit)
+            np.less(switch, limit, out=lowered)
+            np.minimum(field_h, switch, out=field_h)
+            if not lowered.any():
+                break
+
+        dx = np.abs(np.arange(x0, x1 + 1) - tx[:, None])
+        dy = np.abs(np.arange(y0, y1 + 1) - ty[:, None])
+        dl = np.abs(np.arange(n_layers) - tl[:, None])
+        wire = wire_min * (dx[:, :, None] + dy[:, None, :])
+        manhattan = wire[:, None] + (via_min * dl)[:, :, None, None]
+        bounds = field.transpose(1, 0, 2, 3)[:, layer_plane]
+        np.maximum(bounds, manhattan, out=bounds)
+        # Stopping early over-estimates an entry by at most 2·W·H·tol
+        # of itself; each of the <= 10 float ops per round an entry's
+        # value passes through errs by < eps·(max field + 2·max prefix).
+        bounds *= 1.0 - 2 * width * height * _FIELD_TOL
+        bounds -= 16 * rounds * _EPS * (
+            field.max() + prefix_x2[0, -1].max() + prefix_y2[0, :, -1].max()
+        )
+        return bounds.reshape(n_pins, -1), rows
 
     def _acquire_scratch(self, size: int) -> List[float]:
         """Return the shared dist buffer, grown to ``size``."""
@@ -209,23 +345,30 @@ class MazeRouter:
         sources: set,
         targets: set,
         region: Tuple[int, int, int, int],
-        tables: Optional[MoveTables] = None,
+        tables: Optional[SearchTables] = None,
     ) -> Tuple[List[GridNode], GridNode]:
         """Shortest path from any source node to any target node.
 
-        Goal-directed: the heap is ordered by ``g + h`` where ``h`` is a
-        consistent lower bound on the remaining distance, and the search
-        stops once nothing left can beat the best target found.  The
-        returned ``(path, reached)`` is the one a plain ``(dist, idx)``
-        -ordered Dijkstra with first-relaxer parents returns, bit for
-        bit (DESIGN.md §5, "the equal-cost tie-break contract").
+        Goal-directed: the heap is ordered by ``g + h`` where ``h`` is
+        an admissible lower bound on the remaining distance (the
+        remaining targets' bound fields), and the search stops once
+        nothing left can beat the best target found.  The returned
+        ``(path, reached)`` is the one a plain ``(dist, idx)``-ordered
+        Dijkstra with first-relaxer parents returns, bit for bit
+        (DESIGN.md §5, "the equal-cost tie-break contract").  Without
+        ``tables`` they are built for ``targets``.
         """
         x0, y0, x1, y1 = region
-        moves, width, height, wire_min, via_min = (
-            tables if tables is not None else self._move_tables(region)
-        )
-        n_layers = self.graph.n_layers
-        size = n_layers * width * height
+        starts = [s for s in sources if x0 <= s[0] <= x1 and y0 <= s[1] <= y1]
+        in_region = [t for t in targets if x0 <= t[0] <= x1 and y0 <= t[1] <= y1]
+        # Validate before dirtying the shared scratch: raising after
+        # seeding would leave stale zeros for the next search.
+        if not in_region or not starts:
+            raise MazeRoutingError("pins outside search region")
+        if tables is None:
+            tables = self._build_tables(region, in_region)
+        moves, width, height, bounds, rows = tables
+        size = self.graph.n_layers * width * height
 
         def encode(node: GridNode) -> int:
             x, y, layer = node
@@ -239,33 +382,10 @@ class MazeRouter:
             return (x + x0, y + y0, layer)
 
         inf = float("inf")
-        seeds = [
-            encode(s) for s in sources if x0 <= s[0] <= x1 and y0 <= s[1] <= y1
-        ]
-        in_region = [t for t in targets if x0 <= t[0] <= x1 and y0 <= t[1] <= y1]
-        # Validate before dirtying the shared scratch: raising after
-        # seeding would leave stale zeros for the next search.
-        if not in_region or not seeds:
-            raise MazeRoutingError("pins outside search region")
+        seeds = [encode(s) for s in starts]
         target_idx = {encode(t) for t in in_region}
-
-        # h[idx]: cheapest conceivable remainder to the nearest target —
-        # every wire step costs >= wire_min, every via step >= via_min.
-        # One (targets, layers, width, height) broadcast, flattened in
-        # encode() order.
-        tx, ty, tl = (
-            np.array(axis)[:, None, None, None] for axis in zip(*in_region)
-        )
-        wire_steps = np.abs(np.arange(x0, x1 + 1)[:, None] - tx) + np.abs(
-            np.arange(y0, y1 + 1) - ty
-        )
-        via_steps = np.abs(np.arange(n_layers)[:, None, None] - tl)
-        h: List[float] = (
-            (wire_min * wire_steps + via_min * via_steps)
-            .min(axis=0)
-            .reshape(-1)
-            .tolist()
-        )
+        # h[idx]: a lower bound on the remainder to the nearest target.
+        h: List[float] = bounds[[rows[t] for t in in_region]].min(axis=0).tolist()
 
         dist = self._acquire_scratch(size)
         touched: List[int] = list(seeds)

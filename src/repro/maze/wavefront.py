@@ -335,8 +335,13 @@ class WavefrontMazeRouter(MazeRouter):
         z_edge[1:] = self.query.via_cost[:, x0 : x1 + 1, y0 : y1 + 1]
         return h_edge, v_edge, z_edge, h_layers
 
-    def _build_tables(self, region: Tuple[int, int, int, int]) -> SweepTables:
+    def _build_tables(
+        self, region: Tuple[int, int, int, int], pins: Sequence[GridNode] = ()
+    ) -> SweepTables:
         """Upload the region's edge-cost prefixes to the backend.
+
+        ``pins`` is ignored: the sweeps compute exact distance fields
+        and need no bound.
 
         The device twins are scanned on the device; the host twins (for
         the descent walk) are recomputed with host ``cumsum`` — bit

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import RouterConfig
 from repro.core.flow import run_pattern_stage
-from repro.core.router import GlobalRouter
+from repro.core.router import GlobalRouter, route_design
 from repro.gpu.device import Device
 from repro.gpu.zerocopy import ZeroCopyArena
 from repro.grid.graph import GridGraph
@@ -158,6 +158,23 @@ class TestDeterminism:
             cost_stats=stats,
         )
         assert stats["refreshed_edges"] == refreshed
+
+    def test_maze_stage_expansions_are_pinned(self):
+        """The maze search's node expansions and the routes, exactly.
+
+        ``18test10m`` at scale 0.12 under ``fastgr_l`` is the congested
+        design the end-to-end smoke run routes.  Manhattan-only bounds
+        expanded 2 331 nodes; the per-net two-plane bound fields expand
+        1 365 and return the same routes bit for bit.  A bound that
+        loosens raises the count; one that over-estimates can change the
+        routes.
+        """
+        design = load_benchmark("18test10m", scale=0.12)
+        result = route_design(design, RouterConfig.fastgr_l())
+        assert result.maze_nodes_visited == 1_365
+        assert result.digest() == (
+            "9229c530da536153a97d3df99d14afa3c76497f6480eb9f3af7a292a65463e60"
+        )
 
 
 class TestRRRBehaviour:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,10 @@ def pins_strategy(max_pins=5):
     )
 
 
-def make_graph(demand_seed=None, n_layers=5):
+def make_graph(demand_seed=None, n_layers=5, wall=None):
+    """A ``GRID x GRID`` graph: uniform demand, or random demand from
+    ``demand_seed``; ``wall = (x, gap)`` then overflows every x-edge
+    ``(x, y)-(x+1, y)`` but the one at ``y = gap``."""
     graph = GridGraph(GRID, GRID, LayerStack(n_layers), wire_capacity=3.0)
     if demand_seed is not None:
         rng = np.random.default_rng(demand_seed)
@@ -36,6 +41,13 @@ def make_graph(demand_seed=None, n_layers=5):
             shape = graph.wire_demand[layer].shape
             graph.wire_demand[layer][:] = rng.integers(0, 6, shape)
         graph.via_demand[:] = rng.integers(0, 4, graph.via_demand.shape)
+    if wall is not None:
+        x, gap = wall
+        for layer in range(graph.n_layers):
+            if graph.stack.is_horizontal(layer):
+                column = graph.wire_demand[layer][x]
+                column[:] = 20.0
+                column[gap] = 0.0
     return graph
 
 
@@ -52,13 +64,21 @@ def test_maze_routes_connect_random_nets(pins, demand_seed):
 def search_cases(draw):
     """A demand field, a search window and source/target node sets.
 
-    Covers what the goal-directed search must not get wrong: random
-    and uniform (all-ties) cost fields, several sources and targets,
-    targets clipped by the window, 1-wide / 1-tall / 1x1 windows, pins
-    stacked on one cell and pins on the window border.
+    Covers what the goal-directed search and its bound fields must not
+    get wrong: random and uniform (all-ties) cost fields, an overflow
+    wall with one gap (where the Manhattan bound is loosest), 2-, 3-
+    and 5-layer stacks, several sources and targets, targets clipped
+    by the window, 1-wide / 1-tall / 1x1 windows, pins stacked on one
+    cell (a plane switch only) and pins on the window border.
     """
     n_layers = draw(st.sampled_from([2, 3, 5]))
     demand_seed = draw(st.one_of(st.none(), st.integers(0, 200)))
+    wall = draw(
+        st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, GRID - 2), st.integers(0, GRID - 1)),
+        )
+    )
     # Coordinates come from a seeded generator, not from integer
     # strategies: those favour small values, which piles every pin into
     # one corner and keeps the paths two nodes long.
@@ -105,7 +125,8 @@ def search_cases(draw):
     if extra != "overlap":
         # route_net passes disjoint sets; overlap is legal all the same.
         targets = (targets - sources) or targets
-    return n_layers, demand_seed, (x0, y0, x1, y1), sources, targets
+    graph = (demand_seed, n_layers, wall)
+    return graph, (x0, y0, x1, y1), sources, targets
 
 
 def outcome(search):
@@ -120,14 +141,66 @@ def outcome(search):
 def test_search_matches_heap_dijkstra_oracle(case):
     """The goal-directed search returns the oracle's path and pin, bit
     for bit, and fails exactly when (and how) the oracle fails."""
-    n_layers, demand_seed, region, sources, targets = case
-    router = MazeRouter(make_graph(demand_seed, n_layers), margin=GRID)
+    graph, region, sources, targets = case
+    router = MazeRouter(make_graph(*graph), margin=GRID)
     router.query.rebuild()
     expected = outcome(
         lambda: heap_dijkstra_oracle(router, sources, targets, region)[:2]
     )
+    # Without tables the search builds the bound fields for ``targets``;
+    # with a net's tables it reads the fields of the targets it is given.
     assert outcome(lambda: router._dijkstra(sources, targets, region)) == expected
+    tables = router._build_tables(region, sorted(targets | sources))
+    assert (
+        outcome(lambda: router._dijkstra(sources, targets, region, tables))
+        == expected
+    )
     assert all(d == float("inf") for d in router._dist)
+
+
+def remaining_distances(router, target, region):
+    """Exact distance from every region node to ``target``: a reverse
+    heap Dijkstra over the region's move tables (node ``p`` reaches
+    ``n = p + offset`` at ``costs[p]``), in search order."""
+    x0, y0 = region[:2]
+    moves, width, height = router._move_tables(region)[:3]
+    size = router.graph.n_layers * width * height
+    x, y, layer = target
+    start = (layer * width + (x - x0)) * height + (y - y0)
+    dist = [float("inf")] * size
+    dist[start] = 0.0
+    heap = [(0.0, start)]
+    while heap:
+        d, idx = heapq.heappop(heap)
+        if d > dist[idx]:
+            continue
+        for offset, costs in moves:
+            pred = idx - offset
+            if 0 <= pred < size and d + costs[pred] < dist[pred]:
+                dist[pred] = d + costs[pred]
+                heapq.heappush(heap, (dist[pred], pred))
+    return np.array(dist)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=search_cases())
+def test_bound_fields_are_admissible(case):
+    """Every bound-field entry is at most the exact remaining distance
+    to its pin; pins outside the window get no field."""
+    graph, region, sources, targets = case
+    router = MazeRouter(make_graph(*graph), margin=GRID)
+    router.query.rebuild()
+    pins = sorted(targets)
+    tables = router._build_tables(region, pins)
+    x0, y0, x1, y1 = region
+    inside = [p for p in pins if x0 <= p[0] <= x1 and y0 <= p[1] <= y1]
+    assert sorted(tables.rows) == inside
+    assert tables.bounds.shape == (
+        len(inside), router.graph.n_layers * (x1 - x0 + 1) * (y1 - y0 + 1)
+    )
+    for pin in inside:
+        exact = remaining_distances(router, pin, region)
+        assert (tables.bounds[tables.rows[pin]] <= exact).all()
 
 
 class OracleMazeRouter(MazeRouter):
@@ -141,13 +214,17 @@ class OracleMazeRouter(MazeRouter):
 @given(
     pins=pins_strategy(max_pins=6),
     demand_seed=st.one_of(st.none(), st.integers(0, 200)),
+    wall=st.one_of(
+        st.none(), st.tuples(st.integers(0, GRID - 2), st.integers(0, GRID - 1))
+    ),
     margin=st.integers(0, 4),
 )
-def test_route_net_matches_oracle_router(pins, demand_seed, margin):
+def test_route_net_matches_oracle_router(pins, demand_seed, wall, margin):
     """Multi-pin routes are equal wire for wire, via for via."""
     net = Net("prop", [Pin(*p) for p in pins])
-    got = MazeRouter(make_graph(demand_seed), margin=margin).route_net(net)
-    expected = OracleMazeRouter(make_graph(demand_seed), margin=margin).route_net(net)
+    graph = (demand_seed, 5, wall)
+    got = MazeRouter(make_graph(*graph), margin=margin).route_net(net)
+    expected = OracleMazeRouter(make_graph(*graph), margin=margin).route_net(net)
     assert got.wires == expected.wires
     assert got.vias == expected.vias
 
