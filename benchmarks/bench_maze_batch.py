@@ -89,24 +89,18 @@ def test_batched_dispatch_beats_per_net():
     per_net_router = WavefrontMazeRouter(graph, margin=MARGIN, backend="numpy")
     batch_router = WavefrontMazeRouter(graph, margin=MARGIN, backend="numpy")
 
-    # Demand is static here (neither dispatch path commits), so one
-    # cost rebuild per router is exact for every search; timing it
-    # inside the loop would only add identical work to both sides and
-    # dilute the dispatch difference this bench isolates.
-    per_net_router.query.rebuild()
-    batch_router.query.rebuild()
-
+    # Neither dispatch path commits, so both search the same demand;
+    # both price each net's window the same way, inside the timing.
     per_net_time = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        solo = {net.name: per_net_router.route_net(net, rebuild=False)
-                for net in nets}
+        solo = {net.name: per_net_router.route_net(net) for net in nets}
         per_net_time = min(per_net_time, time.perf_counter() - start)
 
     batch_time = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        batched = batch_router.route_batch(nets, rebuild=False)
+        batched = batch_router.route_batch(nets)
         batch_time = min(batch_time, time.perf_counter() - start)
 
     # Parity is unconditional: stacked relaxation must return the

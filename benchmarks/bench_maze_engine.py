@@ -39,6 +39,7 @@ from conftest import BENCH_SCALE, register_table, routed_with_design
 
 from repro.core.config import RouterConfig
 from repro.eval.report import format_table
+from repro.grid.cost import CostQuery
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.maze.router import MazeRouter
@@ -123,19 +124,19 @@ def test_dijkstra_keeps_pace_with_wavefront_on_congested_region():
     graph, nets = stress_case()
     dijkstra = MazeRouter(graph, margin=8)
     wavefront = WavefrontMazeRouter(graph, margin=8, backend="numpy")
-    dijkstra.query.rebuild()
-    wavefront.query.rebuild()
 
+    # Nothing is committed: both engines search the same demand.
     start = time.perf_counter()
-    dj_routes = [dijkstra.route_net(net, rebuild=False) for net in nets]
+    dj_routes = [dijkstra.route_net(net) for net in nets]
     dj_time = time.perf_counter() - start
 
     start = time.perf_counter()
-    wf_routes = [wavefront.route_net(net, rebuild=False) for net in nets]
+    wf_routes = [wavefront.route_net(net) for net in nets]
     wf_time = time.perf_counter() - start
 
-    dj_cost = total_route_cost(dj_routes, dijkstra.query)
-    wf_cost = total_route_cost(wf_routes, wavefront.query)
+    query = CostQuery(graph, dijkstra.cost_model)
+    dj_cost = total_route_cost(dj_routes, query)
+    wf_cost = total_route_cost(wf_routes, query)
     ratio = wf_time / dj_time
     dj_visited = dijkstra.consume_visited()
     wf_visited = wavefront.consume_visited()
@@ -210,7 +211,6 @@ def test_goal_directed_expands_fewer_nodes():
     """Same paths as plain heap Dijkstra from a fraction of the nodes."""
     graph, nets = moderate_case()
     router = MazeRouter(graph, margin=8)
-    router.query.rebuild()
     expanded = settled = 0
     search_s = oracle_s = 0.0
     for net in nets:

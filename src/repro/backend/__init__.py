@@ -6,10 +6,10 @@ prefix-sum cost gathers (:mod:`repro.grid.cost`) are written once
 against the :class:`ArrayBackend` protocol and run unchanged on every
 registered backend:
 
-* ``numpy`` — dense vectorised host execution (the default);
+* ``numpy`` — dense vectorised host execution (the default, and the
+  stand-in for the paper's GPU);
 * ``python`` — pure-scalar reference, one element at a time (the
-  sequential-CPU baseline and cross-backend bit-identity oracle);
-* ``cupy`` — CUDA execution, auto-registered only when importable.
+  sequential-CPU baseline and cross-backend bit-identity oracle).
 
 Select a backend with ``RouterConfig(backend=...)`` or the CLI's
 ``--backend`` flag; register new ones with :func:`register_backend`.

@@ -36,7 +36,7 @@ Array = Any  # backend-opaque device array
 class ArrayBackend(abc.ABC):
     """Abstract array substrate for the min-plus pattern kernels."""
 
-    #: registry name ("numpy", "python", "cupy", ...)
+    #: registry name ("numpy", "python", ...)
     name: str = "abstract"
 
     #: True when this backend's device arrays *are* host NumPy arrays

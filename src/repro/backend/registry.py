@@ -2,9 +2,7 @@
 
 Backends register a zero-argument factory; instances are created once
 and cached (they are stateless).  The built-in ``numpy`` and ``python``
-backends always register; ``cupy`` auto-registers only when importable,
-so the same code path lights up on CUDA machines without becoming a
-hard dependency anywhere else.
+backends always register; NumPy stands in for the paper's GPU.
 
 Registering a new backend from user code::
 
@@ -20,7 +18,6 @@ Registering a new backend from user code::
 
 from __future__ import annotations
 
-import importlib.util
 from typing import Callable, Dict, List
 
 from repro.backend.base import ArrayBackend
@@ -58,14 +55,6 @@ def _register_builtins() -> None:
 
     register_backend("numpy", NumpyBackend)
     register_backend("python", PythonBackend)
-
-    if importlib.util.find_spec("cupy") is not None:  # pragma: no cover
-        def _make_cupy() -> ArrayBackend:
-            from repro.backend.cupy_backend import CupyBackend
-
-            return CupyBackend()
-
-        register_backend("cupy", _make_cupy)
 
 
 _register_builtins()

@@ -30,7 +30,7 @@ class RouterConfig:
     pattern_engine: str = "batch"  # "batch" (GPU kernels) | "sequential" (CPU)
     pattern_shape: str = "lshape"  # "lshape" | "hybrid" | "zshape"
     # Array substrate for the pattern kernels: any registered backend
-    # ("numpy", "python", "cupy" where available).  All backends are
+    # ("numpy" or "python" built in).  All backends are
     # bit-identical by construction, so this changes *where* the DP
     # runs, never what it routes.
     backend: str = "numpy"
@@ -54,7 +54,8 @@ class RouterConfig:
     # Per-net search engine of the rip-up stage: "dijkstra" is the
     # scalar heap search, "wavefront" computes the same shortest-path
     # distances as batched prefix-sum/cummin sweeps on the configured
-    # array backend (faster on large congested regions).
+    # array backend (slower than "dijkstra" in every end-to-end and
+    # stress-region measurement on record).
     maze_engine: str = "dijkstra"
     maze_margin: int = 6
     # The P of the modelled task-graph / batch-barrier makespans the

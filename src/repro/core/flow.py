@@ -408,7 +408,6 @@ def run_rrr_stage(
     config: RouterConfig,
     routes: Dict[str, Route],
     device: Optional[Device] = None,
-    cost_stats: Optional[Dict[str, float]] = None,
     context=None,
     on_iteration=None,
 ) -> Tuple[int, List[IterationStats]]:
@@ -418,11 +417,9 @@ def run_rrr_stage(
     (0 when the pattern stage already closed routing — no iteration
     entry is fabricated in that case) and the per-iteration statistics.
     With a ``device``, the wavefront engine's sweep launches are
-    metered into it alongside the pattern kernels.  With ``cost_stats``
-    (a dict the caller owns), the stage's aggregated cost-engine
-    counters are written into it.  With a session ``context``, maze
-    re-routes and conflict schedules are served from its warm caches;
-    ``on_iteration`` (if given) is called with each
+    metered into it alongside the pattern kernels.  With a session
+    ``context``, maze re-routes and conflict schedules are served from
+    its warm caches; ``on_iteration`` (if given) is called with each
     :class:`IterationStats` as it completes — the progress hook the job
     service streams to clients.
     """
@@ -483,11 +480,9 @@ def run_rrr_stage(
         if schedule is None:
             schedule = _cached_schedule(runner, stage, context)
         visited_before = engine.nodes_visited
-        cost_before = engine.cost_engine_stats()
         tracker_before = engine.tracker.snapshot()
         n_launches_before = len(device.launches) if device is not None else 0
         report = runner.run(stage, schedule=schedule)
-        cost_delta = engine.cost_engine_stats().delta(cost_before)
         # Fold this iteration's kernel-launch records (with their
         # attributed transfer bytes) into the tracker bus, then
         # slice the monotone totals into per-iteration figures.
@@ -505,9 +500,6 @@ def run_rrr_stage(
                 makespan=report.makespan(config.rrr_parallel),
                 engine=engine.engine_name,
                 nodes_visited=engine.nodes_visited - visited_before,
-                cost_rebuilds=cost_delta.rebuilds,
-                cost_refreshed_edges=cost_delta.refreshed_edges,
-                cost_time=cost_delta.seconds,
                 maze_batches=counter_delta.get("maze.batches", 0),
                 batched_nets=counter_delta.get("maze.batched_nets", 0),
                 kernel_launches=counter_delta.get(
@@ -526,8 +518,6 @@ def run_rrr_stage(
                 rate = (cache.hits - hits_at_entry) / lookups
                 if rate < _BYPASS_HIT_RATE:
                     cache = None
-    if cost_stats is not None:
-        cost_stats.update(engine.cost_engine_stats().as_dict())
     return (initial_to_rip or 0, iterations)
 
 

@@ -41,11 +41,6 @@ class IterationStats:
     # cells relaxed (wavefront) this iteration, summed over all
     # reroute tasks.
     nodes_visited: int = 0
-    # Cost-snapshot maintenance of the maze router this iteration:
-    # rebuild calls, edge costs actually recomputed, seconds.
-    cost_rebuilds: int = 0
-    cost_refreshed_edges: int = 0
-    cost_time: float = 0.0
     # Batched maze dispatch this iteration: stacked relaxations run and
     # how many nets they fused (0/0 under per-net dispatch).
     maze_batches: int = 0
@@ -80,7 +75,8 @@ class RoutingResult:
     nets_to_ripup: int
     # Search engine of the rip-up stage ("dijkstra" | "wavefront").
     maze_engine: str = "dijkstra"
-    # Run-wide cost-snapshot counters (pattern + maze stages combined).
+    # Cost-snapshot counters of the pattern stage (the maze stage prices
+    # its search windows from demand and keeps no snapshot).
     cost_stats: Dict[str, float] = field(default_factory=dict)
     iterations: List[IterationStats] = field(default_factory=list)
     device_stats: Dict[str, float] = field(default_factory=dict)

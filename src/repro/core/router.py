@@ -42,25 +42,20 @@ def route_design(
     design.validate()
     timer = StageTimer()
 
-    pattern_cost: dict = {}
-    maze_cost: dict = {}
+    cost_stats: dict = {}
     pattern_stats: dict = {}
     with timer.stage("pattern"):
         routes, pattern_report = run_pattern_stage(
             design, config, device, arena,
-            cost_stats=pattern_cost, context=context,
+            cost_stats=cost_stats, context=context,
             stage_stats=pattern_stats,
         )
     with timer.stage("maze"):
         nets_to_ripup, iterations = run_rrr_stage(
-            design, config, routes, device=device,
-            cost_stats=maze_cost, context=context,
+            design, config, routes, device=device, context=context,
             on_iteration=on_iteration,
         )
 
-    cost_stats = dict(pattern_cost)
-    for key, value in maze_cost.items():
-        cost_stats[key] = cost_stats.get(key, 0.0) + value
     metrics = RoutingMetrics.measure(routes, design.graph)
     return RoutingResult(
         design_name=design.name,

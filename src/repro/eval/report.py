@@ -85,9 +85,6 @@ def format_rrr_iterations(iterations) -> str:
             it.n_ripped,
             it.n_failed,
             it.nodes_visited,
-            it.cost_rebuilds,
-            it.cost_refreshed_edges,
-            it.cost_time,
             it.sequential_time,
             it.makespan,
         ]
@@ -100,9 +97,6 @@ def format_rrr_iterations(iterations) -> str:
             "ripped",
             "failed",
             "visited",
-            "rebuilds",
-            "refreshed",
-            "cost(s)",
             "maze-seq(s)",
             "makespan(s)",
         ],

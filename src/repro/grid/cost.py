@@ -23,59 +23,44 @@ the routers do not treat saturated edges as free.
 Backend split: edge *costs* (which involve ``exp``) are always computed
 host-side with NumPy — transcendentals are the one place different
 substrates could diverge by ULPs, so every backend consumes the same
-float64 edge costs.  The prefix sums and batched gathers then run on
-the configured :class:`~repro.backend.ArrayBackend` (``rebuild`` is the
-host-to-device upload; batched queries return backend arrays), which is
-why identical routing falls out of every backend bit for bit.
+float64 edge costs.  The prefix sums are host ``cumsum`` scans too;
+:meth:`CostQuery.sync` uploads the finished tables, and the batched
+gathers run on the configured :class:`~repro.backend.ArrayBackend`
+(batched queries return backend arrays), which is why identical
+routing falls out of every backend bit for bit.
 
-Snapshot maintenance keeps persistent tables and rewrites only what a
-rebuild can have changed.  *Unmasked* rebuilds drain the grid graph's
-dirty-rect log, recompute edge costs inside dirty (or requested)
-regions, and patch the prefix tables by rewriting only the affected
-row/column suffixes.  *Masked* rebuilds (a box list over a pinned
-reference — the pattern stage's per-level snapshot) turn the box list
+A snapshot has two kinds of rebuild, into one set of persistent
+tables.  An *unmasked* rebuild recomputes every edge cost and prefix
+from current demand.  A *masked* rebuild (a box list over a pinned
+reference — the pattern stage's per-level snapshot) turns the box list
 and its read :class:`Footprint` into one :class:`_MaskPlan` of flat
-cell indices and run a fixed number of whole-batch array operations
+cell indices and runs a fixed number of whole-batch array operations
 over it, whatever the number of boxes.  The masked contract: costs are
 live on the read footprint and equal the reference elsewhere; any
-superset of the lines a caller reads is exact for it.  Either way a
+superset of the lines a caller reads is exact for it.  A repainted
 prefix entry is produced by the same left-to-right sequence of IEEE
-additions a from-scratch scan performs (the scan restarts from the last
-clean / reference prefix entry, folded into the first rewritten
+additions a from-scratch scan performs (the scan restarts from the
+reference prefix entry upstream of the line, folded into its first
 element), so every table is bit-identical to one built from scratch —
 asserted across backends by ``tests/test_cost_engine.py`` against the
 from-scratch oracle in ``tests/cost_oracle.py``.
+
+The maze engines take no snapshot: each search prices its own window
+from current demand with :meth:`CostModel.window_costs`, bit-equal to
+the matching slices of a full rebuild.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend
-from repro.grid.geometry import rect_union_area, rects_overlap
 from repro.grid.graph import GridGraph
 from repro.utils.arrays import unique_sorted
-
-#: Pending-rect lists longer than this collapse to their bounding rect
-#: (conservative overshoot keeps bookkeeping bounded).
-_PENDING_CAP = 16
-
-IntRect = Tuple[int, int, int, int]
-
-
-class StaleCostError(RuntimeError):
-    """A query touched a region whose costs were never refreshed.
-
-    Raised when a prefix query's span intersects a dirty rect that a
-    window-limited rebuild deliberately left pending.  Serving the stale
-    value silently would break the snapshot contract; rebuild without a
-    window (or with a covering window) to clear the condition.
-    """
-
 
 @dataclass
 class CostEngineStats:
@@ -83,7 +68,6 @@ class CostEngineStats:
 
     full_rebuilds: int = 0
     masked_rebuilds: int = 0
-    incremental_rebuilds: int = 0
     refreshed_wire_edges: int = 0
     refreshed_via_edges: int = 0
     seconds: float = 0.0
@@ -91,7 +75,7 @@ class CostEngineStats:
     @property
     def rebuilds(self) -> int:
         """Total rebuild calls of any kind."""
-        return self.full_rebuilds + self.masked_rebuilds + self.incremental_rebuilds
+        return self.full_rebuilds + self.masked_rebuilds
 
     @property
     def refreshed_edges(self) -> int:
@@ -107,9 +91,6 @@ class CostEngineStats:
         return CostEngineStats(
             full_rebuilds=self.full_rebuilds - earlier.full_rebuilds,
             masked_rebuilds=self.masked_rebuilds - earlier.masked_rebuilds,
-            incremental_rebuilds=(
-                self.incremental_rebuilds - earlier.incremental_rebuilds
-            ),
             refreshed_wire_edges=(
                 self.refreshed_wire_edges - earlier.refreshed_wire_edges
             ),
@@ -123,7 +104,6 @@ class CostEngineStats:
             "rebuilds": float(self.rebuilds),
             "full_rebuilds": float(self.full_rebuilds),
             "masked_rebuilds": float(self.masked_rebuilds),
-            "incremental_rebuilds": float(self.incremental_rebuilds),
             "refreshed_edges": float(self.refreshed_edges),
             "refreshed_wire_edges": float(self.refreshed_wire_edges),
             "refreshed_via_edges": float(self.refreshed_via_edges),
@@ -144,9 +124,10 @@ class CostModel:
     def congestion(self, demand: np.ndarray, capacity: np.ndarray) -> np.ndarray:
         """Return the congestion cost component, elementwise.
 
-        Written with direct ufunc calls and in-place updates: the
-        snapshot evaluates this on many small dirty slabs,
-        where ``np.clip``'s dispatch and the temporaries would dominate.
+        Written with direct ufunc calls and in-place updates: the maze
+        evaluates this on every search window and the masked snapshot
+        on small gathers, where ``np.clip``'s dispatch and the
+        temporaries would dominate.
         Every step is value-identical to the textbook form
         ``slope/(1+exp(clip(-k*(d+0.5-c), -60, 60))) + w*max(d+1-c, 0)``
         (only commutative reorderings), so snapshots stay bit-identical.
@@ -176,6 +157,37 @@ class CostModel:
     def via_edge_costs(self, graph: GridGraph) -> np.ndarray:
         """Return the ``(L-1, nx, ny)`` cost array of every via edge."""
         return self.unit_via_cost + self.congestion(graph.via_demand, graph.via_capacity)
+
+    def window_costs(
+        self, graph: GridGraph, region: Tuple[int, int, int, int]
+    ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Price the edges inside a G-cell window from current demand.
+
+        Returns ``(wire, via)`` for the window ``(x0, y0, x1, y1)``
+        (corners inclusive): ``wire[layer]`` holds the layer's edges
+        with both ends in the window — ``(W-1, H)`` on a horizontal
+        layer, ``(W, H-1)`` on a vertical one, edge ``[i, j]`` leaving
+        G-cell ``(x0+i, y0+j)`` — and ``via`` the ``(L-1, W, H)`` via
+        edges.  The congestion terms are elementwise, so every entry is
+        bit-equal to the same edge of :meth:`wire_edge_costs` /
+        :meth:`via_edge_costs`.
+        """
+        x0, y0, x1, y1 = region
+        wire = []
+        for layer, horizontal in enumerate(graph.horizontal):
+            window = (
+                (slice(x0, x1), slice(y0, y1 + 1))
+                if horizontal
+                else (slice(x0, x1 + 1), slice(y0, y1))
+            )
+            wire.append(self.unit_wire_cost + self.congestion(
+                graph.wire_demand[layer][window], graph.wire_capacity[layer][window]
+            ))
+        window = (slice(None), slice(x0, x1 + 1), slice(y0, y1 + 1))
+        via = self.unit_via_cost + self.congestion(
+            graph.via_demand[window], graph.via_capacity[window]
+        )
+        return wire, via
 
 
 class Footprint(NamedTuple):
@@ -242,23 +254,14 @@ class CostQuery:
     """Prefix-sum accelerated segment/via-stack cost queries.
 
     The query is a *snapshot*: costs reflect the demand at the last
-    :meth:`rebuild`.  The pattern stage rebuilds once per scheduler batch
-    (in-batch nets do not conflict, so frozen costs are exact); the maze
-    stage rebuilds per rerouted net.
+    :meth:`rebuild`.  The pattern stage takes one full snapshot as its
+    pinned reference and rebuilds masked once per scheduler batch
+    (in-batch nets do not conflict, so frozen costs are exact).
 
     ``backend`` selects the array substrate for the prefix sums and the
     batched queries; scalar queries and the raw ``wire_cost``/``via_cost``
-    arrays (which the maze router reads directly) always stay host-side
-    NumPy.  Batched queries return backend arrays — callers own the
-    ``to_numpy`` boundary.
-
-    Maintenance subscribes to :attr:`GridGraph.dirty` and patches only
-    dirty regions and the prefix suffixes they invalidate, reusing
-    preallocated buffers.  Demand written through the graph (route
-    commits, ``add_*_demand``) logs itself; code that writes the demand
-    arrays directly must do so before the first :class:`CostQuery` on
-    that graph is built, or call :meth:`GridGraph.mark_all_demand_dirty`
-    afterwards.
+    arrays always stay host-side NumPy.  Batched queries return backend
+    arrays — callers own the ``to_numpy`` boundary.
     """
 
     def __init__(
@@ -294,58 +297,56 @@ class CostQuery:
             np.array([[2 * n_layers * plane], [offset[-1] - plane], [n_layers]]),
         )
         self._line_steps = np.array([ny, 1, plane])
-        self.wire_cost: List[np.ndarray] = []
-        self.via_cost = np.empty(0)
-        self._h_prefix = np.empty(0)  # host (L, nx, ny), cumulative along x
-        self._v_prefix = np.empty(0)  # host (L, nx, ny), cumulative along y
-        self._via_prefix = np.empty(0)  # host (L, nx, ny), cumulative along layer
-        # Masked mode (see rebuild): the pinned reference the tables
-        # were last seeded from.
+        # Persistent padded edge tables, one plane stack per scan family
+        # (x-scan wires, y-scan wires, vias) in one array each for edges
+        # and prefixes.  Row/column 0 pads the exclusive prefix and is
+        # never written; the public cost arrays are views of the rest,
+        # so a cost write needs no mirroring into the scan input.
+        self._edge_all = np.zeros((3, n_layers, nx, ny))
+        self._h_edge, self._v_edge, self._z_edge = self._edge_all
+        self.wire_cost: List[np.ndarray] = [
+            self._h_edge[layer, 1:, :] if h_allowed[layer] else self._v_edge[layer, :, 1:]
+            for layer in range(n_layers)
+        ]
+        self.via_cost = self._z_edge[1:]
+        self._prefix_all = np.zeros((3, n_layers, nx, ny))
+        # Cumulative along x, along y and along the layer axis.
+        self._h_prefix, self._v_prefix, self._via_prefix = self._prefix_all
+        # Masked mode: flat views of the edge and prefix tables, flat
+        # copies of them holding the pinned reference, the reference
+        # they were seeded from (None after a full refresh) and the
+        # plan whose cells are now off-reference.
+        self._edge_flat = self._edge_all.reshape(-1)
+        self._prefix_flat = self._prefix_all.reshape(-1)
+        self._ref_edge = self._ref_prefix = np.empty(0)
         self._ref_src = None
-        self._h_prefix_dev = None  # device twins of the three tables
-        self._v_prefix_dev = None
-        self._via_prefix_dev = None
+        self._masked_plan: Optional[_MaskPlan] = None
+        # Device twins of the three prefix tables.  On a device_is_host
+        # backend they are the host tables themselves.
+        self._h_prefix_dev = self._v_prefix_dev = self._via_prefix_dev = None
+        if self.backend.device_is_host:
+            self._h_prefix_dev = self._h_prefix
+            self._v_prefix_dev = self._v_prefix
+            self._via_prefix_dev = self._via_prefix
+        self._dev_stale = False
         #: Snapshot-maintenance counters (monotone; snapshot/delta to
         #: attribute work per stage or iteration).
         self.stats = CostEngineStats()
         #: Bytes of edge-cost data the last rebuild actually rewrote —
         #: the deduplicated tally the zero-copy arena accounts.
         self.last_upload_bytes = 0
-        # --- maintenance state ---------------------------------------- #
-        self._ready = False  # persistent buffers filled at least once
-        self._buffers = False  # persistent buffers allocated
-        self._cursor = 0  # dirty-log position reflected in the snapshot
-        self._mode = "demand"  # "demand" | "masked"
-        self._pending_wire: Dict[int, List[IntRect]] = {}  # layer -> edge rects
-        self._pending_via: List[IntRect] = []  # G-cell rects (full pillar)
-        self._prefix_wire_dirty: Dict[int, IntRect] = {}  # layer -> bbox
-        self._prefix_via_dirty: Optional[IntRect] = None
-        self._dev_stale = False
-        self._masked_plan: Optional[_MaskPlan] = None  # cells now off-reference
-        # Persistent padded edge tables, one plane stack per scan family
-        # (x-scan wires, y-scan wires, vias) in one array each for edges
-        # and prefixes; wire_cost / via_cost are views of their non-pad
-        # part.
-        self._edge_all: Optional[np.ndarray] = None
-        self._prefix_all: Optional[np.ndarray] = None
-        self._h_edge: Optional[np.ndarray] = None
-        self._v_edge: Optional[np.ndarray] = None
-        self._z_edge: Optional[np.ndarray] = None
-        # Masked mode: flat views of the edge and prefix tables and flat
-        # copies of them holding the pinned reference.
-        self._edge_flat = self._prefix_flat = np.empty(0)
-        self._ref_edge = self._ref_prefix = np.empty(0)
         self.rebuild()
 
     # ------------------------------------------------------------------ #
     # Snapshot construction
     # ------------------------------------------------------------------ #
-    def rebuild(self, boxes=None, reference=None, reads=None, window=None) -> None:
+    def rebuild(self, boxes=None, reference=None, reads=None) -> None:
         """Refresh the snapshot from current demand.
 
-        Edge costs are computed host-side (see module docstring), then
-        uploaded; the prefix scans run on the backend so the snapshot
-        lives where the kernels will gather from it.
+        Edge costs and prefix scans are computed host-side (see module
+        docstring); the first batched query after a rebuild uploads the
+        tables to where the kernels gather from them.  Without
+        ``boxes`` every edge cost and prefix is recomputed.
 
         With ``boxes`` (a sequence of :class:`~repro.grid.geometry.Rect`)
         and ``reference`` (a ``(wire_cost_list, via_cost)`` snapshot from
@@ -378,17 +379,11 @@ class CostQuery:
         *follows* a line's real entries, so each prefix entry is the
         same left-to-right chain of additions a from-scratch box-by-box
         scan performs — every bit agrees.
-
-        ``window`` (a ``(x0, y0, x1, y1)`` G-cell rect) limits an
-        unmasked refresh to dirty regions intersecting the window — the
-        per-net maze refresh.  Regions left pending stay guarded: prefix
-        queries that touch them raise :class:`StaleCostError` instead of
-        serving stale costs.
         """
         start = perf_counter()
         try:
             if boxes is None:
-                self._demand_incremental(window)
+                self._full_refresh()
             elif reference is None:
                 raise ValueError("masked rebuild needs a cost reference")
             else:
@@ -400,7 +395,7 @@ class CostQuery:
         """Return the device twin of prefix plane ``host``.
 
         On a ``device_is_host`` backend the host array *is* the twin
-        (aliased, so in-place host patches stay visible for free).  On
+        (aliased, so in-place host writes stay visible for free).  On
         a real device backend the first upload (or a grid-shape change)
         allocates; every later rebuild copies in place into the
         existing plane through ``copyto`` — steady-state rebuilds
@@ -417,61 +412,16 @@ class CostQuery:
     # ------------------------------------------------------------------ #
     # Snapshot maintenance
     # ------------------------------------------------------------------ #
-    def _ensure_buffers(self) -> None:
-        """Allocate the persistent scratch and prefix buffers once."""
-        if self._buffers:
-            return
-        graph = self.graph
-        nx, ny, n_layers = graph.nx, graph.ny, self.n_layers
-        self._edge_all = np.zeros((3, n_layers, nx, ny))
-        self._h_edge, self._v_edge, self._z_edge = self._edge_all
-        # Row/column 0 pads the exclusive prefix and is never written;
-        # the public cost arrays are the rest, so a cost write needs no
-        # mirroring into the scan input.
-        self.wire_cost = [
-            self._h_edge[layer, 1:, :]
-            if self._h_allowed[layer]
-            else self._v_edge[layer, :, 1:]
-            for layer in range(n_layers)
-        ]
-        self.via_cost = self._z_edge[1:]
-        self._prefix_all = np.zeros((3, n_layers, nx, ny))
-        self._h_prefix, self._v_prefix, self._via_prefix = self._prefix_all
-        self._edge_flat = self._edge_all.reshape(-1)
-        self._prefix_flat = self._prefix_all.reshape(-1)
-        if self.backend.device_is_host:
-            # In-place host patches keep the device twins current for
-            # free — they are the same arrays.
-            self._h_prefix_dev = self._h_prefix
-            self._v_prefix_dev = self._v_prefix
-            self._via_prefix_dev = self._via_prefix
-        self._buffers = True
-
     def _full_refresh(self) -> None:
         """Recompute everything into the persistent buffers."""
         graph, model = self.graph, self.model
-        self._ensure_buffers()
-        # Read the log position BEFORE the demand arrays: a record that
-        # lands in between gets re-refreshed on the next drain
-        # (overshoot), whereas the opposite order could skip a mutation
-        # forever.
-        end = graph.dirty.end
         for layer in range(self.n_layers):
             np.copyto(self.wire_cost[layer], model.wire_edge_costs(graph, layer))
         if self.via_cost.size:
             np.copyto(self.via_cost, model.via_edge_costs(graph))
-        np.cumsum(self._h_edge, axis=1, out=self._h_prefix)
-        np.cumsum(self._v_edge, axis=2, out=self._v_prefix)
-        np.cumsum(self._z_edge, axis=0, out=self._via_prefix)
-        self._cursor = end
-        self._mode = "demand"
+        self._scan_all()
+        self._ref_src = None
         self._masked_plan = None
-        self._pending_wire = {}
-        self._pending_via = []
-        self._prefix_wire_dirty = {}
-        self._prefix_via_dirty = None
-        self._dev_stale = not self.backend.device_is_host
-        self._ready = True
         wire_n = sum(int(a.size) for a in self.wire_cost)
         via_n = int(self.via_cost.size)
         self.stats.full_rebuilds += 1
@@ -479,88 +429,12 @@ class CostQuery:
         self.stats.refreshed_via_edges += via_n
         self.last_upload_bytes = (wire_n + via_n) * self.via_cost.itemsize
 
-    def _demand_incremental(self, window: Optional[IntRect]) -> None:
-        """Drain the dirty log and refresh dirty regions (∩ window)."""
-        graph = self.graph
-        if not self._ready or self._mode != "demand":
-            self._full_refresh()
-            return
-        records, end = graph.dirty.since(self._cursor)
-        self._cursor = end
-        if records is None:
-            # The log compacted past our cursor — everything is suspect.
-            self._full_refresh()
-            return
-        for rec in records:
-            kind = rec[0]
-            if kind == "all":
-                self._full_refresh()
-                return
-            if kind == "w":
-                self._push_pending_wire(rec[1], rec[2:])
-            else:  # "v"
-                self._push_pending_via(rec[1:])
-        self.stats.incremental_rebuilds += 1
-
-        refreshed_wire: Dict[int, List[IntRect]] = {}
-        refreshed_via: List[IntRect] = []
-        if window is None:
-            for layer, rects in self._pending_wire.items():
-                done = [
-                    c
-                    for rect in rects
-                    if (c := self._refresh_wire_rect(layer, rect)) is not None
-                ]
-                if done:
-                    refreshed_wire[layer] = done
-            for rect in self._pending_via:
-                clipped = self._refresh_via_rect(rect)
-                if clipped is not None:
-                    refreshed_via.append(clipped)
-            self._pending_wire = {}
-            self._pending_via = []
-        else:
-            x0, y0, x1, y1 = window
-            for layer in list(self._pending_wire):
-                # The window's edge footprint on this layer: the edges
-                # a search restricted to the window can read.
-                if self._h_allowed[layer]:
-                    wrect = (x0, y0, x1 - 1, y1)
-                else:
-                    wrect = (x0, y0, x1, y1 - 1)
-                keep: List[IntRect] = []
-                done: List[IntRect] = []
-                for rect in self._pending_wire[layer]:
-                    if wrect[0] <= wrect[2] and wrect[1] <= wrect[3] and rects_overlap(
-                        rect, wrect
-                    ):
-                        clipped = self._refresh_wire_rect(layer, rect)
-                        if clipped is not None:
-                            done.append(clipped)
-                    else:
-                        keep.append(rect)
-                if keep:
-                    self._pending_wire[layer] = keep
-                else:
-                    del self._pending_wire[layer]
-                if done:
-                    refreshed_wire[layer] = done
-            wrect = (x0, y0, x1, y1)
-            keep_via: List[IntRect] = []
-            for rect in self._pending_via:
-                if rects_overlap(rect, wrect):
-                    clipped = self._refresh_via_rect(rect)
-                    if clipped is not None:
-                        refreshed_via.append(clipped)
-                else:
-                    keep_via.append(rect)
-            self._pending_via = keep_via
-
-        wire_n = sum(rect_union_area(rects) for rects in refreshed_wire.values())
-        via_n = rect_union_area(refreshed_via) * max(self.n_layers - 1, 0)
-        self.stats.refreshed_wire_edges += wire_n
-        self.stats.refreshed_via_edges += via_n
-        self.last_upload_bytes = (wire_n + via_n) * self.via_cost.itemsize
+    def _scan_all(self) -> None:
+        """Rescan all three prefix tables from the edge tables."""
+        np.cumsum(self._h_edge, axis=1, out=self._h_prefix)
+        np.cumsum(self._v_edge, axis=2, out=self._v_prefix)
+        np.cumsum(self._z_edge, axis=0, out=self._via_prefix)
+        self._dev_stale = not self.backend.device_is_host
 
     def _masked_incremental(self, boxes, reference, reads) -> None:
         """Masked rebuild as whole-batch array operations on one plan.
@@ -585,9 +459,7 @@ class CostQuery:
         are counts of distinct painted cells, so overlapping boxes are
         tallied once.
         """
-        seeded = not (
-            self._ready and self._mode == "masked" and self._same_reference(reference)
-        )
+        seeded = not self._same_reference(reference)
         if seeded:
             self._seed_from_reference(reference)
         previous, plan = self._masked_plan, self._mask_plan(boxes, reads)
@@ -641,27 +513,17 @@ class CostQuery:
         """Copy the whole reference into the persistent buffers (once
         per stage reference, not once per batch)."""
         ref_wire, ref_via = reference
-        self._ensure_buffers()
         for layer in range(self.n_layers):
             np.copyto(self.wire_cost[layer], ref_wire[layer])
         if self.via_cost.size:
             np.copyto(self.via_cost, ref_via)
-        np.cumsum(self._h_edge, axis=1, out=self._h_prefix)
-        np.cumsum(self._v_edge, axis=2, out=self._v_prefix)
-        np.cumsum(self._z_edge, axis=0, out=self._via_prefix)
+        self._scan_all()
         # The freshly seeded tables *are* the reference tables —
         # capture them for the anchored scans and the restores.
         self._ref_edge = self._edge_flat.copy()
         self._ref_prefix = self._prefix_flat.copy()
         self._ref_src = reference
-        self._mode = "masked"
         self._masked_plan = None
-        self._pending_wire = {}
-        self._pending_via = []
-        self._prefix_wire_dirty = {}
-        self._prefix_via_dirty = None
-        self._dev_stale = not self.backend.device_is_host
-        self._ready = True
 
     # -- masked-rebuild plan -------------------------------------------- #
     def _mask_plan(self, boxes, reads: Optional[Footprint] = None) -> _MaskPlan:
@@ -756,101 +618,10 @@ class CostQuery:
         np.cumsum(lines, axis=1, out=lines)
         self._prefix_flat[plan.cells] = lines.reshape(-1)[plan.live]
 
-    # -- region refresh primitives (unmasked mode) ---------------------- #
-    def _refresh_wire_rect(
-        self, layer: int, rect: Sequence[int]
-    ) -> Optional[IntRect]:
-        """Rewrite one wire-edge rect (clipped); return what was written."""
-        arr = self.wire_cost[layer]
-        xlo = max(rect[0], 0)
-        ylo = max(rect[1], 0)
-        xhi = min(rect[2], arr.shape[0] - 1)
-        yhi = min(rect[3], arr.shape[1] - 1)
-        if xhi < xlo or yhi < ylo:
-            return None
-        sl = (slice(xlo, xhi + 1), slice(ylo, yhi + 1))
-        graph, model = self.graph, self.model
-        arr[sl] = model.unit_wire_cost + model.congestion(
-            graph.wire_demand[layer][sl], graph.wire_capacity[layer][sl]
-        )
-        self._merge_prefix_wire(layer, (xlo, ylo, xhi, yhi))
-        return (xlo, ylo, xhi, yhi)
-
-    def _refresh_via_rect(self, rect: Sequence[int]) -> Optional[IntRect]:
-        """Rewrite the full via pillars of one G-cell rect (clipped)."""
-        graph, model = self.graph, self.model
-        if self.via_cost.size == 0:
-            return None
-        xlo = max(rect[0], 0)
-        ylo = max(rect[1], 0)
-        xhi = min(rect[2], graph.nx - 1)
-        yhi = min(rect[3], graph.ny - 1)
-        if xhi < xlo or yhi < ylo:
-            return None
-        vsl = (slice(None), slice(xlo, xhi + 1), slice(ylo, yhi + 1))
-        self.via_cost[vsl] = model.unit_via_cost + model.congestion(
-            graph.via_demand[vsl], graph.via_capacity[vsl]
-        )
-        self._merge_prefix_via((xlo, ylo, xhi, yhi))
-        return (xlo, ylo, xhi, yhi)
-
-    # -- pending / prefix-dirty bookkeeping ----------------------------- #
-    def _push_pending_wire(self, layer: int, rect: Sequence[int]) -> None:
-        _push_pending(self._pending_wire.setdefault(layer, []), tuple(rect))
-
-    def _push_pending_via(self, rect: Sequence[int]) -> None:
-        _push_pending(self._pending_via, tuple(rect))
-
-    def _merge_prefix_wire(self, layer: int, rect: IntRect) -> None:
-        prev = self._prefix_wire_dirty.get(layer)
-        self._prefix_wire_dirty[layer] = rect if prev is None else _merge(prev, rect)
-
-    def _merge_prefix_via(self, rect: IntRect) -> None:
-        prev = self._prefix_via_dirty
-        self._prefix_via_dirty = rect if prev is None else _merge(prev, rect)
-
-    def _flush_prefix_patches(self) -> None:
-        """Patch the host prefix tables over the dirty bounding rects.
-
-        A prefix sum only changes downstream of the first dirty index,
-        so each patch rewrites a suffix: copy the suffix of edge values,
-        fold the last clean prefix entry into the first element (IEEE
-        addition is commutative bitwise, so ``edge + anchor`` equals the
-        full scan's ``anchor + edge``), and run the same sequential
-        ``cumsum`` the full build would — the patched entries are
-        bit-identical to a from-scratch rebuild.
-        """
-        for layer, (xlo, ylo, xhi, yhi) in self._prefix_wire_dirty.items():
-            if self._h_allowed[layer]:
-                s = xlo + 1  # first modified padded-edge index along x
-                rows = slice(ylo, yhi + 1)
-                tmp = self._h_edge[layer, s:, rows].copy()
-                tmp[0] += self._h_prefix[layer, s - 1, rows]
-                np.cumsum(tmp, axis=0, out=self._h_prefix[layer, s:, rows])
-            else:
-                s = ylo + 1
-                cols = slice(xlo, xhi + 1)
-                tmp = self._v_edge[layer, cols, s:].copy()
-                tmp[:, 0] += self._v_prefix[layer, cols, s - 1]
-                np.cumsum(tmp, axis=1, out=self._v_prefix[layer, cols, s:])
-        if self._prefix_via_dirty is not None:
-            xlo, ylo, xhi, yhi = self._prefix_via_dirty
-            # Via refreshes rewrite whole pillars, so the "suffix" is
-            # the full layer axis (including the zero pad at layer 0).
-            sl = (slice(None), slice(xlo, xhi + 1), slice(ylo, yhi + 1))
-            np.cumsum(self._z_edge[sl], axis=0, out=self._via_prefix[sl])
-        self._prefix_wire_dirty = {}
-        self._prefix_via_dirty = None
-        if not self.backend.device_is_host:
-            self._dev_stale = True
-
-    def _flush_if_dirty(self) -> None:
-        if self._prefix_wire_dirty or self._prefix_via_dirty is not None:
-            self._flush_prefix_patches()
-
-    def _ensure_tables(self) -> None:
-        """Make the device prefix twins current (flush + upload)."""
-        self._flush_if_dirty()
+    def sync(self) -> None:
+        """Make the device prefix twins current.  Uploads are lazy —
+        the first batched query after a rebuild makes them; tests and
+        benchmarks that inspect the device tables call this directly."""
         if self._dev_stale:
             self._h_prefix_dev = self._upload_prefix(
                 self._h_prefix_dev, self._h_prefix
@@ -863,11 +634,6 @@ class CostQuery:
             )
             self._dev_stale = False
 
-    def sync(self) -> None:
-        """Flush lazy prefix patches and device uploads now.  Mainly
-        for tests and benchmarks that inspect the tables directly."""
-        self._ensure_tables()
-
     def snapshot_reference(self) -> Tuple[List[np.ndarray], np.ndarray]:
         """Deep-copied ``(wire_cost, via_cost)`` for masked rebuilds.
 
@@ -876,49 +642,6 @@ class CostQuery:
         would let later batches corrupt it.
         """
         return [a.copy() for a in self.wire_cost], self.via_cost.copy()
-
-    # -- staleness guards ----------------------------------------------- #
-    def _guard_wire(self, layer: int, rect: IntRect) -> None:
-        rects = self._pending_wire.get(layer)
-        if rects:
-            for pending in rects:
-                if rects_overlap(pending, rect):
-                    raise StaleCostError(
-                        f"wire costs on layer {layer} near {pending} were "
-                        "left pending by a window-limited rebuild; rebuild "
-                        "without a window before querying this region"
-                    )
-
-    def _guard_via(self, rect: IntRect) -> None:
-        for pending in self._pending_via:
-            if rects_overlap(pending, rect):
-                raise StaleCostError(
-                    f"via costs near {pending} were left pending by a "
-                    "window-limited rebuild; rebuild without a window "
-                    "before querying this region"
-                )
-
-    def _prepare_batch_wire(self, x1, y1, x2, y2) -> None:
-        if self._pending_wire and x1.size:
-            xlo = int(min(x1.min(), x2.min()))
-            xhi = int(max(x1.max(), x2.max()))
-            ylo = int(min(y1.min(), y2.min()))
-            yhi = int(max(y1.max(), y2.max()))
-            for layer in self._pending_wire:
-                if self._h_allowed[layer]:
-                    rect = (xlo, ylo, xhi - 1, yhi)
-                else:
-                    rect = (xlo, ylo, xhi, yhi - 1)
-                if rect[0] <= rect[2] and rect[1] <= rect[3]:
-                    self._guard_wire(layer, rect)
-        self._ensure_tables()
-
-    def _prepare_batch_via(self, x, y) -> None:
-        if self._pending_via and x.size:
-            self._guard_via(
-                (int(x.min()), int(y.min()), int(x.max()), int(y.max()))
-            )
-        self._ensure_tables()
 
     # ------------------------------------------------------------------ #
     # Scalar queries (host side)
@@ -936,20 +659,14 @@ class CostQuery:
             return float("inf")
         if horizontal:
             lo, hi = sorted((x1, x2))
-            self._guard_wire(layer, (lo, y1, hi - 1, y1))
-            self._flush_if_dirty()
             return float(self._h_prefix[layer, hi, y1] - self._h_prefix[layer, lo, y1])
         lo, hi = sorted((y1, y2))
-        self._guard_wire(layer, (x1, lo, x1, hi - 1))
-        self._flush_if_dirty()
         return float(self._v_prefix[layer, x1, hi] - self._v_prefix[layer, x1, lo])
 
     def via_stack_cost(self, x: int, y: int, lo: int, hi: int) -> float:
         """Return the cost of a via stack spanning layers ``lo``..``hi``."""
         if lo > hi:
             lo, hi = hi, lo
-        self._guard_via((x, y, x, y))
-        self._flush_if_dirty()
         return float(self._via_prefix[hi, x, y] - self._via_prefix[lo, x, y])
 
     # ------------------------------------------------------------------ #
@@ -975,7 +692,7 @@ class CostQuery:
         kind = horizontal + 2 * (y1 != y2)
         if kind.max(initial=0) > 2:
             raise ValueError("segments must be axis-aligned")
-        self._prepare_batch_wire(x1, y1, x2, y2)
+        self.sync()
 
         # Gather both orientations for every segment, then select; the
         # wasted gather is what keeps the flow branch-free (lock-step
@@ -1004,7 +721,7 @@ class CostQuery:
         """
         x = np.asarray(x, dtype=int)
         y = np.asarray(y, dtype=int)
-        self._prepare_batch_via(x, y)
+        self.sync()
         return self.backend.gather_points(self._via_prefix_dev, x, y)
 
     def via_matrix(self, x, y):
@@ -1019,37 +736,9 @@ class CostQuery:
         return xp.abs(xp.subtract(xp.expand_dims(prefix, 2), xp.expand_dims(prefix, 1)))
 
 
-def _merge(a: IntRect, b: IntRect) -> IntRect:
-    return (min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]))
-
-
-def _rect_area(r: IntRect) -> int:
-    return max(r[2] - r[0] + 1, 0) * max(r[3] - r[1] + 1, 0)
-
-
-def _push_pending(rects: List[IntRect], rect: IntRect) -> None:
-    """Append a pending rect, bounding the list at ``_PENDING_CAP``.
-
-    At the cap, the new rect is folded into the existing rect whose
-    bounding union grows the least (conservative overshoot).  This keeps
-    spatially-distant dirty regions separate — collapsing everything to
-    one bbox would make every windowed refresh near-full-grid.
-    """
-    if len(rects) < _PENDING_CAP:
-        rects.append(rect)
-        return
-    best, best_growth = 0, None
-    for i, other in enumerate(rects):
-        growth = _rect_area(_merge(other, rect)) - _rect_area(other)
-        if best_growth is None or growth < best_growth:
-            best, best_growth = i, growth
-    rects[best] = _merge(rects[best], rect)
-
-
 __all__ = [
     "CostEngineStats",
     "CostModel",
     "CostQuery",
     "Footprint",
-    "StaleCostError",
 ]

@@ -124,10 +124,9 @@ def rect_union_area(rects: Iterable[Tuple[int, int, int, int]]) -> int:
     ``(xlo, ylo, xhi, yhi)`` rectangles (both corners inclusive).
 
     Rectangles that are empty on either axis (``hi < lo``) are skipped.
-    The cost engine uses this to deduplicate refreshed-edge tallies when
-    dirty or batch rectangles overlap — summing per-rect areas would
-    double-count the shared cells.  Coordinate compression keeps the
-    cost at O(k^2) boolean cells for ``k`` rectangles.
+    Summing per-rect areas would double-count the cells overlapping
+    rectangles share; coordinate compression keeps the cost at O(k^2)
+    boolean cells for ``k`` rectangles.
     """
     boxes = [r for r in rects if r[0] <= r[2] and r[1] <= r[3]]
     if not boxes:
@@ -135,8 +134,7 @@ def rect_union_area(rects: Iterable[Tuple[int, int, int, int]]) -> int:
     if len(boxes) == 1:
         xlo, ylo, xhi, yhi = boxes[0]
         return (xhi - xlo + 1) * (yhi - ylo + 1)
-    # Fast path — the dominant case on the incremental hot path is a
-    # handful of pairwise-disjoint rects, where plain summing is exact
+    # Fast path — for pairwise-disjoint rects plain summing is exact
     # and avoids the compression machinery entirely.
     disjoint = True
     for i, a in enumerate(boxes):

@@ -7,92 +7,21 @@ via edges connect the same 2-D cell on vertically adjacent layers
 the number of tracks routed nets consume; ``demand > capacity`` is an
 overflow, which the contest metric (and the paper's Eq. 15) counts as
 *shorts*.
+
+Demand is written in place and nothing records where it changed: the
+readers price it when they need it — a
+:class:`~repro.grid.cost.CostQuery` on ``rebuild``, a maze search over
+its own window when it starts (:meth:`~repro.grid.cost.CostModel.window_costs`).
 """
 
 from __future__ import annotations
 
-import threading
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.grid.layers import LayerStack
-
-#: A dirty-log record.  Three shapes:
-#:   ("w", layer, xlo, ylo, xhi, yhi) — wire edges touched, in the
-#:       layer's wire-array *edge* coordinates (both corners inclusive);
-#:   ("v", xlo, ylo, xhi, yhi)        — via pillars touched, in G-cell
-#:       coordinates (the whole layer span of each pillar is dirty);
-#:   ("all",)                         — everything is dirty (bulk writes).
-DirtyRecord = Tuple
-
-
-class DirtyLog:
-    """Append-only log of demand-touching rectangles.
-
-    Every demand mutation appends a record *after* the arrays are
-    written, so a reader that drains the log up to position ``p`` and
-    then reads the demand arrays sees at least every mutation recorded
-    before ``p`` (it may see newer demand too — incremental consumers
-    treat that as overshoot and re-refresh when the record arrives).
-
-    Multiple subscribers (the pattern engine's and the maze router's
-    :class:`~repro.grid.cost.CostQuery`) each keep their own cursor and
-    call :meth:`since` independently.  Routing runs on one thread; the
-    lock guards the log for embedders (the job service) that may reach
-    one graph from more than one thread.  The log compacts itself once
-    it exceeds ``max_records``; a cursor that predates the retained
-    window gets ``None`` back and must treat the whole grid as dirty —
-    stale data is never served silently.
-    """
-
-    ALL: DirtyRecord = ("all",)
-
-    def __init__(self, max_records: int = 1 << 16) -> None:
-        self._records: List[DirtyRecord] = []
-        self._base = 0
-        self._max_records = max_records
-        self._lock = threading.Lock()
-
-    @property
-    def end(self) -> int:
-        """The log position just past the newest record (the demand epoch)."""
-        with self._lock:
-            return self._base + len(self._records)
-
-    def _compact(self) -> None:
-        if len(self._records) > self._max_records:
-            drop = len(self._records) // 2
-            del self._records[:drop]
-            self._base += drop
-
-    def append(self, record: DirtyRecord) -> None:
-        """Append one record (thread-safe)."""
-        with self._lock:
-            self._records.append(record)
-            self._compact()
-
-    def extend(self, records: Sequence[DirtyRecord]) -> None:
-        """Append several records atomically (thread-safe)."""
-        if not records:
-            return
-        with self._lock:
-            self._records.extend(records)
-            self._compact()
-
-    def since(self, cursor: int) -> Tuple[Optional[List[DirtyRecord]], int]:
-        """Return ``(records, end)`` for everything logged at/after ``cursor``.
-
-        ``records`` is ``None`` when ``cursor`` predates the retained
-        window (compaction dropped records the caller never saw) — the
-        caller must then refresh everything.
-        """
-        with self._lock:
-            end = self._base + len(self._records)
-            if cursor < self._base:
-                return None, end
-            return self._records[cursor - self._base :], end
 
 
 class GridGraph:
@@ -154,14 +83,6 @@ class GridGraph:
         self.wire_demand: List[np.ndarray] = views(self.demand_flat)
         self.via_capacity = self.capacity_flat[self.edge_offset[-1] :].reshape(via_shape)
         self.via_demand = self.demand_flat[self.edge_offset[-1] :].reshape(via_shape)
-        # Dirty-region log: demand mutations record the rects they
-        # touched so incremental cost engines refresh only those.
-        self.dirty = DirtyLog()
-
-    @property
-    def demand_epoch(self) -> int:
-        """Monotone counter advanced by every logged demand mutation."""
-        return self.dirty.end
 
     # ------------------------------------------------------------------ #
     # Shapes and validation
@@ -212,25 +133,17 @@ class GridGraph:
         """Add ``amount`` demand on every wire edge of a straight segment.
 
         The segment must be axis-aligned along the layer's preferred
-        direction.  A zero-length segment adds nothing.  The touched
-        edge rect is appended to the dirty log (routes commit through
-        :func:`~repro.grid.route.commit_routes`, which logs one merged
-        rect per layer instead).
+        direction.  A zero-length segment adds nothing.
         """
         self.check_wire(layer, x1, y1, x2, y2)
         if x1 == x2 and y1 == y2:
             return
-        # Mutate first, log second: a drain that misses the record
-        # re-reads this demand later; the opposite order could hand out
-        # a cursor covering a mutation it never saw.
         if y1 == y2:
             lo, hi = sorted((x1, x2))
             self.wire_demand[layer][lo:hi, y1] += amount
-            self.dirty.append(("w", layer, lo, y1, hi - 1, y1))
         else:
             lo, hi = sorted((y1, y2))
             self.wire_demand[layer][x1, lo:hi] += amount
-            self.dirty.append(("w", layer, x1, lo, x1, hi - 1))
 
     def add_via_demand(
         self, x: int, y: int, lo_layer: int, hi_layer: int, amount: float = 1.0
@@ -242,16 +155,6 @@ class GridGraph:
         if lo_layer == hi_layer:
             return
         self.via_demand[lo_layer:hi_layer, x, y] += amount
-        self.dirty.append(("v", x, y, x, y))
-
-    def mark_all_demand_dirty(self) -> None:
-        """Record that demand changed everywhere (bulk array writes).
-
-        Call this after mutating ``wire_demand``/``via_demand`` arrays
-        directly (benchmark set-ups, tests) when an incremental
-        :class:`~repro.grid.cost.CostQuery` subscribes to this graph.
-        """
-        self.dirty.append(DirtyLog.ALL)
 
     # ------------------------------------------------------------------ #
     # Overflow metrics
@@ -316,17 +219,15 @@ class GridGraph:
         for layer in range(self.n_layers):
             np.copyto(self.wire_demand[layer], wire[layer])
         np.copyto(self.via_demand, via)
-        self.dirty.append(DirtyLog.ALL)
 
     def reset_demand(self) -> None:
-        """Zero all demand in place and mark everything dirty.
+        """Zero all demand in place.
 
         Writes through the current arrays, which is what lets a warm
         :class:`~repro.session.session.RoutingSession` replay a route
         from scratch without rebuilding its graph.
         """
         self.demand_flat.fill(0.0)
-        self.dirty.append(DirtyLog.ALL)
 
     def __repr__(self) -> str:
         return (

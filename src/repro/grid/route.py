@@ -4,8 +4,10 @@ A :class:`Route` is the output of pattern routing or maze routing for one
 net: a set of straight wire segments plus via stacks.  Routes know how to
 commit/uncommit their demand on a :class:`~repro.grid.graph.GridGraph`
 (rip-up is ``uncommit``) and how to report wirelength and via counts for
-the quality score (Eq. 15); :func:`commit_routes` commits a whole batch
-in one write per layer.
+the quality score (Eq. 15).  Each route caches where its edges sit in
+the graph's flat demand buffer: :func:`commit_routes` commits a whole
+batch with one scatter at those positions, and the rip-up scan reads
+overflow at the same ones.
 
 A batch of routes built as arrays travels as a *segment table* instead:
 ``(6, S)`` ints, one column per segment — ``kind``, ``route``, ``a``,
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -31,7 +33,6 @@ from repro.utils.arrays import ranges
 from repro.utils.unionfind import UnionFind
 
 GridNode = Tuple[int, int, int]  # (x, y, layer)
-IntRect = Tuple[int, int, int, int]
 
 #: Segment-table kinds (see the module docstring).
 H_WIRE, V_WIRE, VIA = 0, 1, 2
@@ -163,12 +164,9 @@ class Route:
         """Remove this route's demand from ``graph`` (rip-up)."""
         self.commit(graph, -amount)
 
-    def _demand_index(self, graph: GridGraph):
-        """The demand this route occupies on ``graph``: ``(cells,
-        rects)`` — its positions in the flat demand buffer
-        (``graph.demand_flat``), and per key (a layer, or None for the
-        vias) the bounding rect of its edges there, in the order the
-        route first touches them.
+    def _demand_index(self, graph: GridGraph) -> np.ndarray:
+        """The positions of this route's edges in ``graph``'s flat
+        demand buffer (``graph.demand_flat``), one per edge use.
 
         Validated on first use and cached: a route's geometry does not
         change once built (the segment counts are part of the key, so an
@@ -182,7 +180,6 @@ class Route:
         if cached is not None and cached[0] is graph.via_demand and cached[1] == key:
             return cached[2]
         cells: List[int] = []
-        rects: Dict[Optional[int], IntRect] = {}
         ny, plane, offset = graph.ny, graph.nx * graph.ny, graph.edge_offset
         for w in self.wires:
             layer, x1, y1, x2, y2 = w.layer, w.x1, w.y1, w.x2, w.y2
@@ -191,20 +188,16 @@ class Route:
             if y1 == y2:
                 first = offset[layer] + x1 * ny + y1
                 cells.extend(range(first, first + (x2 - x1) * ny, ny))
-                rect = (x1, y1, x2 - 1, y2)
             else:
                 first = offset[layer] + x1 * (ny - 1)
                 cells.extend(range(first + y1, first + y2))
-                rect = (x1, y1, x2, y2 - 1)
-            _grow(rects, layer, rect)
         for v in self.vias:
             graph.check_via(v.x, v.y, v.lo, v.hi)
             cell = offset[-1] + v.x * ny + v.y
             cells.extend(range(v.lo * plane + cell, v.hi * plane + cell, plane))
-            _grow(rects, None, (v.x, v.y, v.x, v.y))
-        entries = (np.array(cells, dtype=np.intp), tuple(rects.items()))
-        self._index = (graph.via_demand, key, entries)
-        return entries
+        index = np.array(cells, dtype=np.intp)
+        self._index = (graph.via_demand, key, index)
+        return index
 
     # ------------------------------------------------------------------ #
     # Validation helpers
@@ -249,15 +242,6 @@ class Route:
         )
 
 
-def _grow(rects: Dict[Optional[int], IntRect], key: Optional[int], rect: IntRect) -> None:
-    """Grow ``rects[key]`` to cover ``rect`` (insert it when absent)."""
-    old = rects.get(key)
-    rects[key] = rect if old is None else (
-        min(old[0], rect[0]), min(old[1], rect[1]),
-        max(old[2], rect[2]), max(old[3], rect[3]),
-    )
-
-
 def commit_routes(
     graph: GridGraph, routes: Sequence[Route], amount: float = 1.0
 ) -> None:
@@ -266,22 +250,12 @@ def commit_routes(
     Every wire and via is validated as :meth:`GridGraph.add_wire_demand`
     / :meth:`~GridGraph.add_via_demand` do before anything is written;
     then one ``np.add.at`` writes the flat demand buffer (demands are
-    small integers, so the sums are exact in any order), and the dirty
-    log gets one merged edge rect per layer plus one via rect — O(layers)
-    records keep incremental drains small.
+    small integers, so the sums are exact in any order).
     """
     indexes = [route._demand_index(graph) for route in routes]
-    rects: Dict[Optional[int], IntRect] = {}
-    for _, route_rects in indexes:
-        for key, rect in route_rects:
-            _grow(rects, key, rect)
     if indexes:
-        cells = indexes[0][0] if len(indexes) == 1 else np.concatenate([c for c, _ in indexes])
+        cells = indexes[0] if len(indexes) == 1 else np.concatenate(indexes)
         np.add.at(graph.demand_flat, cells, amount)
-    # Written first, logged second (see GridGraph.add_wire_demand).
-    graph.dirty.extend([
-        ("v", *rect) if key is None else ("w", key, *rect) for key, rect in rects.items()
-    ])
 
 
 # ---------------------------------------------------------------------- #
@@ -346,14 +320,10 @@ def commit_table(
     and :meth:`~GridGraph.check_via` check before anything is written;
     on a failure the routes are checked one by one, so the first
     offending segment in route order raises its own ``ValueError``.
-    Then one ``np.add.at`` writes the flat demand buffer, and the dirty
-    log gets the records :func:`commit_routes` would write: one merged
-    edge rect per layer and one via rect, in the order the routes first
-    touch them.
+    Then one ``np.add.at`` writes the flat demand buffer.
     """
-    kind, route, a, b, lo, hi = table
-    n = kind.size
-    if not n:
+    kind, _, a, b, lo, hi = table
+    if not kind.size:
         return
     nx, ny, n_layers = graph.nx, graph.ny, graph.n_layers
     # Per kind: bounds of a, b and the run lo..hi, then the flat-buffer
@@ -384,31 +354,6 @@ def commit_table(
     )
     owner, run = ranges(lo, hi - lo)
     np.add.at(graph.demand_flat, base[owner] + run * spec[3][owner], amount)
-
-    # One record per layer (and one for the vias): the union of its
-    # segments' rects in edge coordinates, logged in the order the
-    # routes first touch them (a route lists horizontal wires, vertical
-    # wires, then vias).  A via stack reads as a point run along x.
-    order = layer.argsort(kind="stable")
-    layer = layer[order]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.not_equal(layer[1:], layer[:-1], out=new[1:])
-    start = new.nonzero()[0]
-    first, last = np.where(is_wire, lo, a), np.where(is_wire, hi - 1, a)
-    corners = np.where(
-        kind == V_WIRE, np.array([b, first, b, last]), np.array([first, b, last, b])
-    )[:, order]
-    touch = ((route * 3 + kind) * n + np.arange(n))[order]
-    rects = np.concatenate([
-        np.minimum.reduceat(corners[:2], start, axis=1),
-        np.maximum.reduceat(corners[2:], start, axis=1),
-    ]).T.tolist()
-    layers = layer[start].tolist()
-    graph.dirty.extend([
-        ("v", *rects[i]) if layers[i] == n_layers else ("w", layers[i], *rects[i])
-        for i in np.minimum.reduceat(touch, start).argsort().tolist()
-    ])
 
 
 @lru_cache(maxsize=8)

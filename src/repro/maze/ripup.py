@@ -10,60 +10,26 @@ edge are rerouted.  Each iteration:
 
 :class:`RipupReroute` exposes the per-net task primitive
 (:meth:`~RipupReroute.rip_and_reroute`) the scheduled-stage pipeline
-executes on the calling thread; every task searches against the one
-maze router's cost snapshot, refreshed inside the task's own window.
+executes on the calling thread; every task's search prices its own
+window from the demand the tasks before it left.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.grid.cost import CostEngineStats, CostModel
+from repro.grid.cost import CostModel
 from repro.grid.graph import GridGraph
 from repro.grid.route import Route
 from repro.maze.router import MazeRouter, MazeRoutingError, search_box
 from repro.netlist.net import Net
 from repro.utils.timing import Tracker
 
-OverflowMasks = Tuple[List[np.ndarray], np.ndarray]
-
-def overflow_masks(graph: GridGraph) -> OverflowMasks:
-    """Compute the per-layer ``demand > capacity`` masks once.
-
-    Scanning routes against these boolean masks replaces re-deriving
-    the comparison for every wire of every net — the masks cost one
-    pass over the grid instead of O(nets x route-length) array temporaries.
-    """
-    wire = [
-        graph.wire_demand[layer] > graph.wire_capacity[layer]
-        for layer in range(graph.n_layers)
-    ]
-    via = graph.via_demand > graph.via_capacity
-    return wire, via
-
-
-def route_touches_overflow(route: Route, masks: OverflowMasks) -> bool:
-    """Return True when any edge used by ``route`` is overflowed."""
-    wire_over, via_over = masks
-    for wire in route.wires:
-        over = wire_over[wire.layer]
-        if wire.is_horizontal:
-            if bool(np.any(over[wire.x1 : wire.x2, wire.y1])):
-                return True
-        else:
-            if bool(np.any(over[wire.x1, wire.y1 : wire.y2])):
-                return True
-    for via in route.vias:
-        if bool(np.any(via_over[via.lo : via.hi, via.x, via.y])):
-            return True
-    return False
-
 
 def route_has_violation(route: Route, graph: GridGraph) -> bool:
     """Return True when any edge used by ``route`` is overflowed."""
-    return route_touches_overflow(route, overflow_masks(graph))
+    cells = route._demand_index(graph)
+    return bool((graph.demand_flat[cells] > graph.capacity_flat[cells]).any())
 
 
 def find_violating_nets(
@@ -71,17 +37,16 @@ def find_violating_nets(
 ) -> List[str]:
     """Return names of nets whose current route crosses an overflow.
 
-    A route can only violate on an overflowed edge, so an overflow-free
-    grid answers without walking a single route.
+    One overflow mask over the flat demand buffer, then one lookup per
+    route at its cached demand index.  A route can only violate on an
+    overflowed edge, so an overflow-free grid answers without looking
+    at a single route.
     """
-    masks = overflow_masks(graph)
-    wire_over, via_over = masks
-    if not (via_over.any() or any(over.any() for over in wire_over)):
+    over = graph.demand_flat > graph.capacity_flat
+    if not over.any():
         return []
     return [
-        name
-        for name, route in routes.items()
-        if route_touches_overflow(route, masks)
+        name for name, route in routes.items() if over[route._demand_index(graph)].any()
     ]
 
 
@@ -111,7 +76,7 @@ class RipupReroute:
         self.cost_model = cost_model or CostModel()
         self.margin = margin
         self.engine_name = engine
-        #: The maze router, hence the one cost snapshot, of every task.
+        #: The maze router of every task.
         self.maze: MazeRouter = make_maze_router(
             engine,
             graph,
@@ -135,14 +100,6 @@ class RipupReroute:
     def supports_batch(self) -> bool:
         """True when the maze engine exposes a stacked ``route_batch``."""
         return getattr(self.maze, "supports_batch", False)
-
-    def cost_engine_stats(self) -> "CostEngineStats":
-        """Snapshot of the maze router's cost-engine counters.
-
-        Monotone like :attr:`nodes_visited` — snapshot before/after an
-        iteration and diff to attribute work per iteration.
-        """
-        return self.maze.query.stats.copy()
 
     def tally_launches(self, launches) -> None:
         """Fold kernel-launch/transfer records into the tracker bus."""
@@ -311,8 +268,6 @@ class RipupReroute:
 
 
 __all__ = [
-    "overflow_masks",
-    "route_touches_overflow",
     "route_has_violation",
     "find_violating_nets",
     "RipupReroute",

@@ -27,7 +27,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.grid.cost import CostModel, CostQuery
+from repro.grid.cost import CostModel
 from repro.grid.graph import GridGraph
 from repro.grid.geometry import Rect
 from repro.grid.route import Route, ViaSegment, WireSegment
@@ -73,15 +73,16 @@ class MazeRoutingError(RuntimeError):
 def search_box(net: Net, margin: int, graph: GridGraph) -> Rect:
     """The net's maze search window: bounding box plus margin, clipped.
 
-    The one definition of the window — the search, the windowed cost
-    refresh, the session cache key and the scheduler footprint of a
+    The one definition of the window — the search, the edge costs it
+    prices, the session cache key and the scheduler footprint of a
     reroute task all derive from it.
     """
     return net.bbox.expanded(margin).clipped(graph.nx, graph.ny)
 
 
 class MazeRouter:
-    """Dijkstra-based 3-D router over a cost snapshot."""
+    """Dijkstra-based 3-D router; each net's search window is priced
+    from current demand."""
 
     engine_name = "dijkstra"
 
@@ -90,11 +91,9 @@ class MazeRouter:
         graph: GridGraph,
         cost_model: Optional[CostModel] = None,
         margin: int = 6,
-        query: Optional[CostQuery] = None,
     ) -> None:
         self.graph = graph
         self.cost_model = cost_model or CostModel()
-        self.query = query or CostQuery(graph, self.cost_model)
         self.margin = margin
         # Search scratch (dist), grown to the largest region seen and
         # reused across splice searches *and* route_net calls:
@@ -111,26 +110,20 @@ class MazeRouter:
             [int(not stack.is_horizontal(layer)) for layer in range(stack.n_layers)]
         )
 
-    def route_net(self, net: Net, rebuild: bool = True) -> Route:
+    def route_net(self, net: Net) -> Route:
         """Route ``net`` from scratch against current demand.
 
         The caller must have ripped up any previous route of the net
-        (its demand must not be in the graph).  With ``rebuild=True``
-        the cost snapshot is refreshed first so the search sees the
-        demand left by previously rerouted nets.
+        (its demand must not be in the graph).
         """
         pins = sorted({pin.as_node() for pin in net.pins})
-        region = self._region(net)
-        if rebuild:
-            # The snapshot refreshes only dirty regions that
-            # intersect this net's search window; the rest stay pending
-            # (and guarded) for whichever net's window reaches them.
-            self.query.rebuild(window=region)
         if len(pins) == 1:
             return Route()
-        # Costs are frozen per net: build the region cost tables and
-        # the bound fields of every pin but the start once, and share
-        # them across the per-pin splice searches.
+        # Costs are frozen per net: price the search window from the
+        # demand left by previously rerouted nets, build the region cost
+        # tables and the bound fields of every pin but the start once,
+        # and share them across the per-pin splice searches.
+        region = self._region(net)
         tables = self._build_tables(region, pins[1:])
         component = {pins[0]}
         remaining = set(pins[1:])
@@ -193,19 +186,18 @@ class MazeRouter:
         x0, y0, x1, y1 = region
         width = x1 - x0 + 1
         height = y1 - y0 + 1
-        n_layers = self.graph.n_layers
-        stack = self.graph.stack
+        graph = self.graph
+        wire, via = self.cost_model.window_costs(graph, region)
 
-        steps = np.full((3, n_layers, width, height), np.inf)
+        steps = np.full((3, graph.n_layers, width, height), np.inf)
         pos_x, pos_y, pos_z = steps
-        for layer in range(n_layers):
-            cost = self.query.wire_cost[layer]
-            if stack.is_horizontal(layer):
-                # Edge (x, y)-(x+1, y) has cost[x, y].
-                pos_x[layer, :-1] = cost[x0:x1, y0 : y1 + 1]
+        for layer, horizontal in enumerate(graph.horizontal):
+            # Edge (x, y)-(x+1, y) costs wire[layer][x - x0, y - y0].
+            if horizontal:
+                pos_x[layer, :-1] = wire[layer]
             else:
-                pos_y[layer, :, :-1] = cost[x0 : x1 + 1, y0:y1]
-        pos_z[:-1] = self.query.via_cost[:, x0 : x1 + 1, y0 : y1 + 1]
+                pos_y[layer, :, :-1] = wire[layer]
+        pos_z[:-1] = via
 
         # The -offset move out of idx is the +offset move out of
         # idx - offset.  Where that node lies in another row, column or

@@ -90,7 +90,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend
-from repro.grid.cost import CostModel, CostQuery
+from repro.grid.cost import CostModel
 from repro.grid.graph import GridGraph
 from repro.grid.route import Route
 from repro.maze.router import GridNode, MazeRouter, MazeRoutingError
@@ -145,10 +145,10 @@ class _BatchMember:
 
 
 class WavefrontMazeRouter(MazeRouter):
-    """Sweep-relaxation 3-D router over a cost snapshot.
+    """Sweep-relaxation 3-D router.
 
     Drop-in replacement for :class:`MazeRouter`: same multi-pin loop,
-    same search regions, same cost snapshot — only the per-splice
+    same search regions, same window costs — only the per-splice
     search runs as dense backend sweeps instead of a scalar heap.
     Additionally exposes :meth:`route_batch`, which relaxes a whole
     batch of non-conflicting nets as one stacked fixpoint sweep.
@@ -162,11 +162,10 @@ class WavefrontMazeRouter(MazeRouter):
         graph: GridGraph,
         cost_model: Optional[CostModel] = None,
         margin: int = 6,
-        query: Optional[CostQuery] = None,
         backend: "ArrayBackend | str" = "numpy",
         device=None,
     ) -> None:
-        super().__init__(graph, cost_model, margin=margin, query=query)
+        super().__init__(graph, cost_model, margin=margin)
         xp = get_backend(backend) if isinstance(backend, str) else backend
         if device is not None:
             xp = device.wrap(xp)
@@ -177,9 +176,7 @@ class WavefrontMazeRouter(MazeRouter):
     # ------------------------------------------------------------------ #
     # Batched entry point
     # ------------------------------------------------------------------ #
-    def route_batch(
-        self, nets: Sequence[Net], rebuild: bool = True
-    ) -> Dict[str, Optional[Route]]:
+    def route_batch(self, nets: Sequence[Net]) -> Dict[str, Optional[Route]]:
         """Route a batch of nets with pairwise-disjoint search regions.
 
         Returns ``{net name: route}`` with ``None`` marking members
@@ -196,14 +193,11 @@ class WavefrontMazeRouter(MazeRouter):
         results: Dict[str, Optional[Route]] = {}
         members: List[_BatchMember] = []
         for net in nets:
-            region = self._region(net)
-            if rebuild:
-                self.query.rebuild(window=region)
             pins = sorted({pin.as_node() for pin in net.pins})
             if len(pins) == 1:
                 results[net.name] = Route()
                 continue
-            members.append(_BatchMember(net.name, pins, region))
+            members.append(_BatchMember(net.name, pins, self._region(net)))
         if not members:
             return results
 
@@ -308,7 +302,8 @@ class WavefrontMazeRouter(MazeRouter):
     def _region_edges(
         self, region: Tuple[int, int, int, int]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Gather the region's host-side edge-cost planes.
+        """Price the region's edges from current demand as host-side
+        edge-cost planes.
 
         Row/column 0 of each plane is the zero pad (exclusive prefix),
         exactly like :class:`~repro.grid.cost.CostQuery`; layers of the
@@ -318,21 +313,17 @@ class WavefrontMazeRouter(MazeRouter):
         x0, y0, x1, y1 = region
         width = x1 - x0 + 1
         height = y1 - y0 + 1
-        n_layers = self.graph.n_layers
-        stack = self.graph.stack
+        graph = self.graph
+        wire, via = self.cost_model.window_costs(graph, region)
 
-        h_edge = np.zeros((n_layers, width, height))
-        v_edge = np.zeros((n_layers, width, height))
-        h_layers = np.zeros(n_layers, dtype=bool)
-        for layer in range(n_layers):
-            cost = self.query.wire_cost[layer]
-            if stack.is_horizontal(layer):
-                h_layers[layer] = True
-                h_edge[layer, 1:, :] = cost[x0:x1, y0 : y1 + 1]
+        h_edge, v_edge, z_edge = np.zeros((3, graph.n_layers, width, height))
+        h_layers = graph.horizontal
+        for layer, horizontal in enumerate(h_layers):
+            if horizontal:
+                h_edge[layer, 1:, :] = wire[layer]
             else:
-                v_edge[layer, :, 1:] = cost[x0 : x1 + 1, y0:y1]
-        z_edge = np.zeros((n_layers, width, height))
-        z_edge[1:] = self.query.via_cost[:, x0 : x1 + 1, y0 : y1 + 1]
+                v_edge[layer, :, 1:] = wire[layer]
+        z_edge[1:] = via
         return h_edge, v_edge, z_edge, h_layers
 
     def _build_tables(

@@ -38,8 +38,7 @@ wave depth instead of one launch sequence per net.
 
 The array substrate is pluggable: ``backend`` selects any registered
 :class:`~repro.backend.ArrayBackend` (``"numpy"`` by default,
-``"python"`` for the sequential scalar baseline, ``"cupy"`` on CUDA
-machines).  The chosen backend is wrapped by
+``"python"`` for the sequential scalar baseline).  The chosen backend is wrapped by
 :meth:`~repro.gpu.device.Device.wrap`, so every array op inside a
 kernel scope is metered into the simulated device's launch records —
 benchmarks report kernel-level speedups from the *actual* op stream,

@@ -128,7 +128,7 @@ class ReplayPass:
         self._box = np.zeros((len(ids), 4), dtype=np.int64)
         self._box[self.nid] = [net.bbox.as_tuple() for net in nets]
         old_nets = previous.nets
-        # (a): new nets and nets whose pins changed start dirty.
+        # (a): new nets and nets whose pins changed start dirty, the rest clean.
         self.dirty = np.ones(len(ids), dtype=bool)
         for net, i in zip(nets, self.nid.tolist()):
             old = old_nets.get(i)

@@ -1,17 +1,17 @@
 """The from-scratch cost-snapshot oracle.
 
 :class:`~repro.grid.cost.CostQuery` keeps one set of persistent tables
-and patches them: unmasked rebuilds drain the grid's dirty log, masked
+and rewrites them in place: unmasked rebuilds recompute them, masked
 rebuilds repaint an index plan of the read footprint.  Its contract is
 that every table it serves is bit-identical to one built from scratch.
 :class:`FullRebuildCostQuery` is that from-scratch build: fresh arrays
 and a full recompute on every ``rebuild`` — a masked one paints whole
-boxes whatever ``reads`` says, and ``window`` is ignored.  It never
-leaves pending or dirty rects behind, so the query methods it inherits
-serve its tables unchanged.
+boxes whatever ``reads`` says.  The query methods it inherits serve its
+tables unchanged.
 
-:func:`full_rebuild_engine` makes every router built inside it use the
-oracle, so a whole flow can be routed once per engine and compared::
+:func:`full_rebuild_engine` makes every pattern router built inside it
+use the oracle, so a whole flow can be routed once per engine and
+compared::
 
     with full_rebuild_engine():
         oracle = GlobalRouter(load_benchmark("18test5", scale=0.05)).run()
@@ -29,10 +29,11 @@ from unittest import mock
 
 import numpy as np
 
-import repro.maze.router
 import repro.pattern.batch
-from repro.grid.cost import CostQuery, IntRect
+from repro.grid.cost import CostQuery
 from repro.grid.geometry import rect_union_area
+
+IntRect = Tuple[int, int, int, int]
 
 
 class FullRebuildCostQuery(CostQuery):
@@ -46,7 +47,7 @@ class FullRebuildCostQuery(CostQuery):
         self._ref_v_prefix: Optional[np.ndarray] = None
         super().__init__(*args, **kwargs)
 
-    def rebuild(self, boxes=None, reference=None, reads=None, window=None) -> None:
+    def rebuild(self, boxes=None, reference=None, reads=None) -> None:
         start = perf_counter()
         try:
             self._rebuild_full(boxes, reference)
@@ -225,16 +226,13 @@ class FullRebuildCostQuery(CostQuery):
 
 @contextmanager
 def full_rebuild_engine():
-    """Build every router's cost snapshot as a :class:`FullRebuildCostQuery`.
+    """Build every pattern router's cost snapshot as a
+    :class:`FullRebuildCostQuery` (the maze engines keep no snapshot).
 
     Patches the ``CostQuery`` name the pattern routers
-    (:mod:`repro.pattern.batch`) and the maze routers
-    (:mod:`repro.maze.router`, which the wavefront engine inherits)
-    construct their snapshots from.
+    (:mod:`repro.pattern.batch`) construct their snapshots from.
     """
-    with mock.patch.object(
-        repro.pattern.batch, "CostQuery", FullRebuildCostQuery
-    ), mock.patch.object(repro.maze.router, "CostQuery", FullRebuildCostQuery):
+    with mock.patch.object(repro.pattern.batch, "CostQuery", FullRebuildCostQuery):
         yield
 
 

@@ -67,7 +67,7 @@ def mixed_batch(seed: int):
 
 def twin_graphs():
     graphs = [GridGraph(N, N, LayerStack(LAYERS)) for _ in range(2)]
-    for graph in graphs:  # some demand and log history to begin with
+    for graph in graphs:  # some demand to begin with
         graph.add_wire_demand(1, 2, 3, 9, 3)
         graph.add_via_demand(4, 4, 0, 3)
     return graphs
@@ -78,12 +78,10 @@ def test_table_commit_equals_route_commit(seed):
     table, routes = mixed_batch(seed)
     assert np.array_equal(segment_table(routes), table)
     mine, theirs = twin_graphs()
-    start = mine.dirty.end
     commit_table(mine, table, routes)
     commit_routes(theirs, routes)
     for a, b in zip(mine.wire_demand + [mine.via_demand], theirs.wire_demand + [theirs.via_demand]):
         assert np.array_equal(a, b)
-    assert mine.dirty.since(start) == theirs.dirty.since(start)
     # Rip-up indexes the routes lazily and takes the demand back out.
     commit_table(mine, table, routes, amount=-1.0)
     for route in routes:
@@ -106,12 +104,11 @@ def test_a_bad_segment_raises_before_anything_is_written(bad):
     mine, theirs = twin_graphs()
     with pytest.raises(ValueError) as expected:
         commit_routes(theirs, routes)
-    before, end = mine.demand_flat.copy(), mine.dirty.end
+    before = mine.demand_flat.copy()
     with pytest.raises(ValueError) as raised:
         commit_table(mine, table, routes)
     assert str(raised.value) == str(expected.value)
     assert np.array_equal(mine.demand_flat, before)
-    assert mine.dirty.end == end
 
 
 def test_a_bad_via_raises_like_its_route():

@@ -191,3 +191,78 @@ class TestHostDeviceAliasing:
         assert not query.backend.device_is_host
         assert isinstance(query._h_prefix, np.ndarray)
         assert query._h_prefix is not query._h_prefix_dev
+
+
+def overflowed_graph(n_layers: int, seed: int) -> GridGraph:
+    """A 9x7 grid with seeded random demand, a good share of it over
+    capacity (capacity 3 wire / 2 via, demand up to 6 / 4)."""
+    graph = GridGraph(9, 7, LayerStack(n_layers), wire_capacity=3.0, via_capacity=2.0)
+    rng = np.random.default_rng(seed)
+    for demand in graph.wire_demand:
+        demand[...] = rng.integers(0, 7, demand.shape)
+    graph.via_demand[...] = rng.integers(0, 5, graph.via_demand.shape)
+    assert (graph.demand_flat > graph.capacity_flat).any()
+    return graph
+
+
+#: Windows (x0, y0, x1, y1) of the 9x7 grid: interior, each grid edge
+#: and corner, one-row / one-column / one-cell, and the whole grid.
+WINDOWS = [
+    (2, 1, 6, 5), (0, 0, 3, 2), (5, 4, 8, 6), (0, 2, 8, 4), (3, 0, 5, 6),
+    (4, 3, 4, 3), (0, 6, 8, 6), (8, 0, 8, 6), (0, 0, 8, 6),
+]
+
+
+@pytest.mark.parametrize("n_layers", [2, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+class TestWindowCosts:
+    """What both maze engines search on: a window priced from demand is
+    bit-equal to the same edges of a whole-grid pricing."""
+
+    def test_bit_equal_to_whole_grid_slices(self, n_layers, seed):
+        graph = overflowed_graph(n_layers, seed)
+        model = CostModel()
+        for x0, y0, x1, y1 in WINDOWS:
+            wire, via = model.window_costs(graph, (x0, y0, x1, y1))
+            for layer, cost in enumerate(wire):
+                full = model.wire_edge_costs(graph, layer)
+                if graph.stack.is_horizontal(layer):
+                    expected = full[x0:x1, y0 : y1 + 1]
+                else:
+                    expected = full[x0 : x1 + 1, y0:y1]
+                assert cost.shape == expected.shape
+                assert np.array_equal(cost, expected), (layer, x0, y0, x1, y1)
+            expected = model.via_edge_costs(graph)[:, x0 : x1 + 1, y0 : y1 + 1]
+            assert via.shape == expected.shape == (n_layers - 1, x1 - x0 + 1, y1 - y0 + 1)
+            assert np.array_equal(via, expected)
+
+    def test_engine_tables_read_the_window_costs(self, n_layers, seed):
+        """Dijkstra's move steps and the wavefront's edge planes hold the
+        whole-grid costs of the window's edges, and nothing else."""
+        from repro.maze.router import MazeRouter
+        from repro.maze.wavefront import WavefrontMazeRouter
+
+        graph = overflowed_graph(n_layers, seed)
+        model = CostModel()
+        full = CostQuery(graph, model)
+        for region in WINDOWS:
+            x0, y0, x1, y1 = region
+            width, height = x1 - x0 + 1, y1 - y0 + 1
+            steps = MazeRouter(graph, model)._move_tables(region)[3]
+            h_edge, v_edge, z_edge, h_layers = WavefrontMazeRouter(graph, model)._region_edges(region)
+            want_x, want_y, want_z = np.full((3, n_layers, width, height), np.inf)
+            for layer in range(n_layers):
+                cost = full.wire_cost[layer]
+                if h_layers[layer]:
+                    want_x[layer, :-1] = cost[x0:x1, y0 : y1 + 1]
+                else:
+                    want_y[layer, :, :-1] = cost[x0 : x1 + 1, y0:y1]
+            want_z[:-1] = full.via_cost[:, x0 : x1 + 1, y0 : y1 + 1]
+            assert np.array_equal(steps, np.stack((want_x, want_y, want_z)))
+            # The wavefront pads at index 0 where Dijkstra pads at -1.
+            finite = np.isfinite
+            assert np.array_equal(h_edge[:, 1:], np.where(finite(want_x), want_x, 0)[:, :-1])
+            assert np.array_equal(v_edge[:, :, 1:], np.where(finite(want_y), want_y, 0)[:, :, :-1])
+            assert np.array_equal(z_edge[1:], want_z[:-1])
+            assert not h_edge[:, 0].any() and not v_edge[:, :, 0].any() and not z_edge[0].any()
+            assert np.array_equal(h_layers, graph.horizontal)

@@ -145,12 +145,9 @@ class TestRRRStage:
                 assert it.report.stage == "maze"
                 assert it.report.n_tasks == it.n_ripped
             work.append(
-                [
-                    (it.cost_rebuilds, it.cost_refreshed_edges, it.nodes_visited)
-                    for it in iterations
-                ]
+                [(it.n_ripped, it.n_failed, it.nodes_visited) for it in iterations]
             )
-        # One thread, one cost snapshot: the work counts repeat exactly.
+        # One thread, the same demand: the work counts repeat exactly.
         assert work[0] and work[0] == work[1]
 
     def test_rrr_scheme_override_changes_order(self):

@@ -3,7 +3,7 @@
 Every test runs once per registered array backend (the ``xp`` fixture):
 the kernels are written once against the :class:`ArrayBackend` protocol,
 so the same assertions must hold on the vectorised NumPy substrate and
-on the pure-scalar Python one — and on cupy wherever it registers.
+on the pure-scalar Python one — and on any backend registered later.
 """
 
 from __future__ import annotations

@@ -186,7 +186,7 @@ class TestOptimality:
         router = MazeRouter(grid, margin=20)
         net = Net("n", [Pin(1, 1, 0), Pin(12, 11, 0)])
         route = router.route_net(net)
-        query = router.query
+        query = CostQuery(grid, router.cost_model)
         expected = reference_dijkstra(
             grid, query, [(1, 1, 0)], [(12, 11, 0)]
         )
@@ -227,16 +227,6 @@ class TestRegionAndErrors:
         router = MazeRouter(grid)
         with pytest.raises(MazeRoutingError):
             router._dijkstra({(0, 0, 0)}, {(50, 50, 0)}, (0, 0, 5, 5))
-
-    def test_rebuild_false_keeps_snapshot(self):
-        grid = fresh_grid()
-        router = MazeRouter(grid)
-        router.query.rebuild()
-        before = router.query.wire_cost[1].copy()
-        for _ in range(5):
-            grid.add_wire_demand(1, 0, 5, 13, 5)
-        router.route_net(Net("n", [Pin(1, 1, 0), Pin(3, 3, 0)]), rebuild=False)
-        assert np.array_equal(router.query.wire_cost[1], before)
 
 
 class TestScratchReuse:
@@ -282,7 +272,6 @@ class TestScratchReuse:
         """Entries pushed but never popped are reset too."""
         grid = fresh_grid()
         router = MazeRouter(grid, margin=20)
-        router.query.rebuild()
         region = (0, 0, 13, 13)
         source, target = (6, 6, 0), (8, 6, 1)
         path, reached = router._dijkstra({source}, {target}, region)

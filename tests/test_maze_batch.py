@@ -22,6 +22,7 @@ from repro.core.config import RouterConfig
 from repro.core.flow import RerouteStage
 from repro.core.router import GlobalRouter
 from repro.gpu.device import Device
+from repro.grid.cost import CostQuery
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.maze.ripup import RipupReroute
@@ -151,12 +152,13 @@ class TestBatchedParity:
             )
         scalar = MazeRouter(graph)
         wave = WavefrontMazeRouter(graph, backend=backend_name)
+        query = CostQuery(graph, scalar.cost_model)
         found = wave.route_batch(nets)
         for net in nets:
             reference = scalar.route_net(net)
             assert found[net.name] is not None
-            assert route_cost(found[net.name], wave.query) == pytest.approx(
-                route_cost(reference, scalar.query), rel=1e-12, abs=1e-9
+            assert route_cost(found[net.name], query) == pytest.approx(
+                route_cost(reference, query), rel=1e-12, abs=1e-9
             )
 
     def test_batch_counts_visited_work(self):
@@ -517,16 +519,14 @@ class TestBucketedPassCounts:
         assert [nets[i].name for i in buckets[-1]] == ["huge"]
 
         solo = WavefrontMazeRouter(graph, margin=margin, backend="numpy")
-        solo.query.rebuild()
         solo_passes = []
         for net in nets:
-            solo.route_net(net, rebuild=False)
+            solo.route_net(net)
             solo_passes.append(solo.last_n_passes)
 
         batch = WavefrontMazeRouter(graph, margin=margin, backend="numpy")
-        batch.query.rebuild()
         for bucket in buckets:
-            batch.route_batch([nets[i] for i in bucket], rebuild=False)
+            batch.route_batch([nets[i] for i in bucket])
             assert batch.last_n_passes <= max(
                 solo_passes[i] for i in bucket
             ), bucket

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.grid.cost import CostQuery
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.maze.router import MazeRouter, MazeRoutingError
@@ -143,7 +144,6 @@ def test_search_matches_heap_dijkstra_oracle(case):
     for bit, and fails exactly when (and how) the oracle fails."""
     graph, region, sources, targets = case
     router = MazeRouter(make_graph(*graph), margin=GRID)
-    router.query.rebuild()
     expected = outcome(
         lambda: heap_dijkstra_oracle(router, sources, targets, region)[:2]
     )
@@ -189,7 +189,6 @@ def test_bound_fields_are_admissible(case):
     to its pin; pins outside the window get no field."""
     graph, region, sources, targets = case
     router = MazeRouter(make_graph(*graph), margin=GRID)
-    router.query.rebuild()
     pins = sorted(targets)
     tables = router._build_tables(region, pins)
     x0, y0, x1, y1 = region
@@ -256,7 +255,7 @@ def test_maze_never_beaten_by_pattern(src, dst, demand_seed):
     graph = make_graph(demand_seed)
     maze = MazeRouter(graph, margin=GRID)
     route = maze.route_net(net)
-    query = maze.query
+    query = CostQuery(graph, maze.cost_model)
     maze_cost = 0.0
     for wire in route.wires:
         maze_cost += query.wire_segment_cost(
@@ -306,6 +305,7 @@ def test_wavefront_matches_dijkstra_two_pin(src, dst, demand_seed):
     wave = WavefrontMazeRouter(graph, margin=7)
     r1 = scalar.route_net(net)
     r2 = wave.route_net(net)
-    assert cost(r2, wave.query) == pytest.approx(
-        cost(r1, scalar.query), rel=1e-12, abs=1e-9
+    query = CostQuery(graph, scalar.cost_model)
+    assert cost(r2, query) == pytest.approx(
+        cost(r1, query), rel=1e-12, abs=1e-9
     )

@@ -198,9 +198,9 @@ def small_design(seed=7):
 
 
 def test_cost_snapshot_consistent_after_run():
-    """The graph a finished run leaves behind is dirty-log-clean:
-    a cost snapshot built on it agrees with the from-scratch oracle,
-    and keeps agreeing across a commit/uncommit cycle."""
+    """A cost snapshot built on the graph a finished run leaves behind
+    agrees with the from-scratch oracle, and keeps agreeing across a
+    commit/uncommit cycle."""
     from repro.grid.cost import CostModel, CostQuery
     from tests.cost_oracle import FullRebuildCostQuery
 
@@ -219,7 +219,7 @@ def test_cost_snapshot_consistent_after_run():
         assert np.array_equal(full.via_cost, incremental.via_cost)
 
     assert_same_tables()
-    # Mutate through the dirty log exactly like a later RRR pass.
+    # Mutate demand exactly like a later RRR pass.
     some_route = next(iter(result.routes.values()))
     some_route.uncommit(graph)
     some_route.commit(graph)

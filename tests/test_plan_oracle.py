@@ -11,8 +11,8 @@ beside a few nets of four or more cells — through both planners
 * the same batch state: node table, waves, mode bounds, child lists and
   slots, descent levels, roots, and the read footprint as sets of
   ``(box, line)`` per family;
-* the same routes, digest, demand and dirty log when the batch is
-  routed and committed.
+* the same routes, digest and demand when the batch is routed and
+  committed.
 
 Derandomized, so tier-1 sees the same batches on every run.
 """
@@ -44,7 +44,6 @@ def grid(seed: int) -> GridGraph:
     for demand in graph.wire_demand:
         demand[...] = rng.integers(0, 4, size=demand.shape)
     graph.via_demand[...] = rng.integers(0, 3, size=graph.via_demand.shape)
-    graph.mark_all_demand_dirty()
     return graph
 
 
@@ -100,12 +99,11 @@ def route(nets, mode_fn, seed):
     """Route and commit ``nets`` as one masked batch on a fresh grid."""
     graph = grid(seed)
     router = BatchPatternRouter(graph, backend="numpy")
-    cursor = graph.dirty.end
     routes = router.route_batch(
         nets, mode_fn, cost_boxes=[net.bbox for net in nets],
         cost_reference=router.query.snapshot_reference(),
     )
-    return routes, graph, graph.dirty.since(cursor)[0]
+    return routes, graph
 
 
 # Every three-cell tree: the centre cases without, then with, a Steiner point.
@@ -157,11 +155,10 @@ def test_array_plan_equals_per_net_plan(specs, selector, seed):
         [router.make_job(net) for net in nets], mode_fn, LAYERS, N
     ))
 
-    routes, graph, dirty = route(nets, mode_fn, seed)
+    routes, graph = route(nets, mode_fn, seed)
     with per_net_planning():
-        expected, oracle_graph, oracle_dirty = route(nets, mode_fn, seed)
+        expected, oracle_graph = route(nets, mode_fn, seed)
     for name, expect in expected.items():
         assert routes[name].wires == expect.wires and routes[name].vias == expect.vias
     assert digest(routes) == digest(expected)
     assert np.array_equal(graph.demand_flat, oracle_graph.demand_flat)
-    assert dirty == oracle_dirty

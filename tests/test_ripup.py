@@ -73,11 +73,48 @@ class TestViolationDetection:
             route.commit(grid)
         assert sorted(find_violating_nets(routes, grid)) == ["hot1", "hot2"]
 
-    def test_no_overflow_walks_no_route(self, monkeypatch):
-        """An overflow-free grid answers [] from the masks alone: they
-        are computed once and no route is scanned against them."""
-        from repro.maze import ripup
+    def test_matches_an_edge_by_edge_walk(self):
+        """Random multi-segment routes crowded onto a small grid: a net
+        violates exactly when one of its edges, wherever it sits in the
+        route, is over capacity."""
+        rng = np.random.default_rng(5)
+        grid = GridGraph(8, 8, LayerStack(4), wire_capacity=2.0, via_capacity=2.0)
+        routes = {}
+        for i in range(30):
+            route = Route()
+            for _ in range(3):
+                layer = int(rng.integers(0, 4))
+                a, b = sorted(int(v) for v in rng.choice(8, 2, replace=False))
+                c = int(rng.integers(0, 8))
+                if grid.stack.is_horizontal(layer):
+                    route.add_wire(WireSegment(layer, a, c, b, c))
+                else:
+                    route.add_wire(WireSegment(layer, c, a, c, b))
+            lo, hi = sorted(int(v) for v in rng.choice(4, 2, replace=False))
+            route.add_via(ViaSegment(int(rng.integers(0, 8)), int(rng.integers(0, 8)), lo, hi))
+            route.commit(grid)
+            routes[f"n{i}"] = route
 
+        def over(route):
+            for w in route.wires:
+                demand, capacity = grid.wire_demand[w.layer], grid.wire_capacity[w.layer]
+                for x in range(w.x1, w.x2 + (w.x1 == w.x2)):
+                    for y in range(w.y1, w.y2 + (w.y1 == w.y2)):
+                        if demand[x, y] > capacity[x, y]:
+                            return True
+            return any(
+                grid.via_demand[l, v.x, v.y] > grid.via_capacity[l, v.x, v.y]
+                for v in route.vias for l in range(v.lo, v.hi)
+            )
+
+        expected = [name for name, route in routes.items() if over(route)]
+        assert 0 < len(expected) < len(routes)
+        assert find_violating_nets(routes, grid) == expected
+        assert [n for n, r in routes.items() if route_has_violation(r, grid)] == expected
+
+    def test_no_overflow_walks_no_route(self, monkeypatch):
+        """An overflow-free grid answers [] from the overflow mask alone:
+        no route's demand index is looked at."""
         grid = fresh_grid()
         routes = {
             f"n{i}": Route(
@@ -87,20 +124,12 @@ class TestViolationDetection:
         }
         for route in routes.values():
             route.commit(grid)
-        calls = {"masks": 0}
-        real_masks = ripup.overflow_masks
 
-        def counting_masks(graph):
-            calls["masks"] += 1
-            return real_masks(graph)
+        def no_walk(route, graph):
+            raise AssertionError("route looked up on an overflow-free grid")
 
-        def no_walk(route, masks):
-            raise AssertionError("route walked against all-false masks")
-
-        monkeypatch.setattr(ripup, "overflow_masks", counting_masks)
-        monkeypatch.setattr(ripup, "route_touches_overflow", no_walk)
+        monkeypatch.setattr(Route, "_demand_index", no_walk)
         assert find_violating_nets(routes, grid) == []
-        assert calls["masks"] == 1
 
 
 class TestReroute:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.backend import available_backends
-from repro.grid.cost import CostModel
+from repro.grid.cost import CostQuery
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.gpu.device import Device
@@ -94,24 +94,24 @@ class TestDistanceField:
         for seed in (0, 1, 2):
             graph = fresh_grid(demand_seed=seed)
             router = WavefrontMazeRouter(graph, backend=backend_name)
-            router.query.rebuild()
             region = (0, 0, graph.nx - 1, graph.ny - 1)
             tables = router._build_tables(region)
             seeds = [(1, 1, 0)]
             field = router._distance_field(seeds, region, tables)
-            expected = reference_field(graph, router.query, seeds, region)
+            query = CostQuery(graph, router.cost_model)
+            expected = reference_field(graph, query, seeds, region)
             assert np.all(np.isfinite(field) == np.isfinite(expected))
             assert np.allclose(field, expected, rtol=1e-12, atol=1e-9)
 
     def test_multi_source_field(self, backend_name):
         graph = fresh_grid(demand_seed=7)
         router = WavefrontMazeRouter(graph, backend=backend_name)
-        router.query.rebuild()
         region = (1, 1, 7, 7)
         tables = router._build_tables(region)
         seeds = [(2, 2, 0), (6, 6, 2), (4, 3, 1)]
         field = router._distance_field(seeds, region, tables)
-        expected = reference_field(graph, router.query, seeds, region)
+        query = CostQuery(graph, router.cost_model)
+        expected = reference_field(graph, query, seeds, region)
         assert np.allclose(field, expected, rtol=1e-12, atol=1e-9)
 
     def test_pass_count_recorded(self):
@@ -128,6 +128,7 @@ class TestRouteEquivalence:
             graph = fresh_grid(demand_seed=seed)
             scalar = MazeRouter(graph)
             wave = WavefrontMazeRouter(graph, backend=backend_name)
+            query = CostQuery(graph, scalar.cost_model)
             rng = np.random.default_rng(seed)
             for _ in range(4):
                 (x1, y1, x2, y2) = rng.integers(0, graph.nx, 4)
@@ -135,8 +136,8 @@ class TestRouteEquivalence:
                 net = Net("n", [Pin(x1, y1, l1), Pin(x2, y2, l2)])
                 r1 = scalar.route_net(net)
                 r2 = wave.route_net(net)
-                assert route_cost(r2, wave.query) == pytest.approx(
-                    route_cost(r1, scalar.query), rel=1e-12, abs=1e-9
+                assert route_cost(r2, query) == pytest.approx(
+                    route_cost(r1, query), rel=1e-12, abs=1e-9
                 )
 
     def test_multipin_routes_connect_and_commit(self, backend_name):
@@ -168,7 +169,6 @@ class TestFailurePaths:
     def test_target_outside_region_raises(self):
         graph = fresh_grid()
         router = WavefrontMazeRouter(graph)
-        router.query.rebuild()
         tables = router._build_tables((0, 0, 4, 4))
         with pytest.raises(MazeRoutingError, match="outside search region"):
             router._search({(1, 1, 0)}, {(8, 8, 0)}, (0, 0, 4, 4), tables)
@@ -176,7 +176,6 @@ class TestFailurePaths:
     def test_source_outside_region_raises(self):
         graph = fresh_grid()
         router = WavefrontMazeRouter(graph)
-        router.query.rebuild()
         tables = router._build_tables((0, 0, 4, 4))
         with pytest.raises(MazeRoutingError, match="outside search region"):
             router._search({(8, 8, 0)}, {(1, 1, 0)}, (0, 0, 4, 4), tables)
