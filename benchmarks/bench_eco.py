@@ -32,8 +32,6 @@ import os
 import time
 from contextlib import contextmanager
 
-import numpy as np
-
 from conftest import register_table
 
 from repro.core.config import RouterConfig
@@ -61,13 +59,6 @@ ECO_DESIGN = DesignSpec(
 #: A three-edit delta: 1 moved, 1 added, 1 removed net.
 ECO_EDIT = PerturbSpec("handful", 0.0004, 0.0002, 0.0002, max_shift=3.0)
 ECO_SEED = 7
-
-
-def demand_equal(g1, g2) -> bool:
-    return all(
-        np.array_equal(g1.wire_demand[layer], g2.wire_demand[layer])
-        for layer in range(g1.n_layers)
-    ) and np.array_equal(g1.via_demand, g2.via_demand)
 
 
 @contextmanager
@@ -121,7 +112,7 @@ def test_eco_replay_beats_cold_reroute():
         # pattern stage decides clean nets by structure: no content key.
         assert eco.result.digest() == cold.digest()
         assert hashes["pattern_net_key"] == 0, hashes
-        assert demand_equal(session.graph, cold_design.graph)
+        assert session.graph.demand_equals(cold_design.graph)
         assert eco.result.metrics.score == cold.metrics.score
         assert set(eco.result.routes) == set(cold.routes)
         for name, route in cold.routes.items():

@@ -162,13 +162,11 @@ def _cmd_eco(args: argparse.Namespace) -> int:
               f"{eco.cache_misses} misses "
               f"({eco.reuse_fraction:.0%} replayed)")
         if args.verify:
-            from repro.service.jobs import demand_grids_equal
-
             cold = session.cold_design()
             cold_result = GlobalRouter(cold, config).run()
             ok = (
                 eco.result.digest() == cold_result.digest()
-                and demand_grids_equal(session.graph, cold.graph)
+                and session.graph.demand_equals(cold.graph)
                 and eco.result.metrics.score == cold_result.metrics.score
             )
             print(f"verify        : cold route {cold_result.total_time:.3f} s, "

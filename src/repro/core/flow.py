@@ -328,30 +328,6 @@ class RerouteStage(ScheduledStage):
         return {task: found[name] for task, name in zip(tasks, names)}
 
 
-def _cached_schedule(runner: StageRunner, stage: ScheduledStage, context):
-    """Schedule ``stage``, reusing the context's cached schedule.
-
-    A :class:`StageSchedule` is a pure function of the task footprints
-    and the runner's bin size, and running it never mutates it, so a
-    schedule is safely replayed and shared.
-    """
-    if context is None:
-        return runner.schedule(stage)
-    key = (
-        stage.name,
-        runner.bin_size,
-        tuple(
-            tuple(box.as_tuple() for box in boxes)
-            for boxes in stage.task_boxes()
-        ),
-    )
-    schedule = context.schedule_cache.get(key)
-    if schedule is None:
-        schedule = runner.schedule(stage)
-        context.schedule_cache[key] = schedule
-    return schedule
-
-
 def run_pattern_stage(
     design: Design,
     config: RouterConfig,
@@ -371,12 +347,12 @@ def run_pattern_stage(
     are written into it.
     With a session ``context``, clean nets replay their last routes
     (:mod:`repro.session.replay`; the context's replay state is replaced
-    by this run's), and Steiner trees and schedules are served from (and
-    fill) its warm caches.
+    by this run's), and Steiner trees are served from (and fill) its
+    warm cache.
     """
     stage = PatternStage(design, config, device, arena, context=context)
     runner = StageRunner(n_workers=config.n_workers)
-    schedule = _cached_schedule(runner, stage, context)
+    schedule = runner.schedule(stage)
     if stage.replay is not None:
         stage.orient_replay(schedule)
     report = runner.run(stage, schedule=schedule)
@@ -418,8 +394,8 @@ def run_rrr_stage(
     entry is fabricated in that case) and the per-iteration statistics.
     With a ``device``, the wavefront engine's sweep launches are
     metered into it alongside the pattern kernels.  With a session
-    ``context``, maze re-routes and conflict schedules are served from
-    its warm caches; ``on_iteration`` (if given) is called with each
+    ``context``, maze re-routes are served from its route cache;
+    ``on_iteration`` (if given) is called with each
     :class:`IterationStats` as it completes — the progress hook the job
     service streams to clients.
     """
@@ -460,8 +436,7 @@ def run_rrr_stage(
             break
 
         # Sorting and conflict analysis depend only on *which* nets
-        # violate; reuse them across iterations with an identical set
-        # (and across runs through the session's schedule cache).
+        # violate; reuse them across iterations with an identical set.
         key = tuple(sorted(violating))
         if key != cached_key:
             ordered_nets = sort_nets(
@@ -478,7 +453,7 @@ def run_rrr_stage(
             cache=cache,
         )
         if schedule is None:
-            schedule = _cached_schedule(runner, stage, context)
+            schedule = runner.schedule(stage)
         visited_before = engine.nodes_visited
         tracker_before = engine.tracker.snapshot()
         n_launches_before = len(device.launches) if device is not None else 0

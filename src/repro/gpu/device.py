@@ -20,7 +20,7 @@ measured separately in ``benchmarks/bench_kernel_speedup.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.gpu.simt import KernelLaunch
 
@@ -127,17 +127,6 @@ class Device:
         for launch in self.launches:
             counts[launch.name] = counts.get(launch.name, 0) + launch.elements
         return counts
-
-    def per_kernel_transfers(self) -> Dict[str, Tuple[int, int]]:
-        """Return ``(bytes_to_device, bytes_to_host)`` per kernel name."""
-        totals: Dict[str, Tuple[int, int]] = {}
-        for launch in self.launches:
-            h2d, d2h = totals.get(launch.name, (0, 0))
-            totals[launch.name] = (
-                h2d + launch.bytes_to_device,
-                d2h + launch.bytes_to_host,
-            )
-        return totals
 
     def reset(self) -> None:
         """Forget all recorded launches."""

@@ -220,6 +220,11 @@ class GridGraph:
             np.copyto(self.wire_demand[layer], wire[layer])
         np.copyto(self.via_demand, via)
 
+    def demand_equals(self, other: "GridGraph") -> bool:
+        """True when ``other`` (a grid of the same design) carries
+        bit-identical wire and via demand."""
+        return bool(np.array_equal(self.demand_flat, other.demand_flat))
+
     def reset_demand(self) -> None:
         """Zero all demand in place.
 

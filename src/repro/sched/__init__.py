@@ -6,15 +6,16 @@ conflict graph, (2) extracts a conflict-free *root batch*, (3) orients
 every conflict edge (root -> non-root; otherwise smaller task ID ->
 larger), producing a DAG.  The paper drains it with Taskflow threads;
 here :class:`StageRunner` drains it on the calling thread and the
-parallel makespans are modelled (DESIGN.md Sec. 2).
+parallel makespans are modelled (DESIGN.md Sec. 2).  The threaded pool
+that states the paper's release rule, and the single-box conflict
+graph, are test oracles (``tests/sched_oracle.py``).
 """
 
 from repro.sched.sorting import SORTING_SCHEMES, sort_nets
-from repro.sched.conflict import ConflictGraph, build_conflict_graph
+from repro.sched.conflict import ConflictGraph
 from repro.sched.batching import extract_batches
 from repro.sched.taskgraph import TaskGraph, build_task_graph
 from repro.sched.executor import (
-    TaskGraphExecutor,
     simulate_batch_barrier_makespan,
     simulate_makespan,
 )
@@ -32,11 +33,9 @@ __all__ = [
     "SORTING_SCHEMES",
     "sort_nets",
     "ConflictGraph",
-    "build_conflict_graph",
     "extract_batches",
     "TaskGraph",
     "build_task_graph",
-    "TaskGraphExecutor",
     "simulate_makespan",
     "simulate_batch_barrier_makespan",
     "ScheduledStage",

@@ -1,17 +1,16 @@
-"""Task conflict graph construction.
+"""The task conflict graph.
 
 Two routing tasks conflict when their bounding boxes overlap — they may
 demand the same grid edges, so they must not run concurrently with
-frozen costs (Sec. III-B).  Pairwise testing is O(n^2); a uniform
-spatial binning keeps construction near-linear in practice for the
-strongly local nets real designs contain.
+frozen costs (Sec. III-B).  :func:`~repro.sched.pipeline.group_conflicts`
+builds the graph by spatial binning, which keeps construction
+near-linear in practice for the strongly local nets real designs
+contain.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
-
-from repro.grid.geometry import Rect
+from typing import Iterable, List, Sequence, Set, Tuple
 
 
 class ConflictGraph:
@@ -81,35 +80,4 @@ class ConflictGraph:
         return all(not (self._adjacency[t] & chosen) for t in chosen)
 
 
-def build_conflict_graph(
-    boxes: Sequence[Rect], bin_size: int = 16
-) -> ConflictGraph:
-    """Build the conflict graph of bounding boxes via spatial binning.
-
-    Each box registers in every ``bin_size``-sized cell it touches; only
-    boxes sharing a cell are overlap-tested.  The result is exact (all
-    and only overlapping pairs become edges).
-    """
-    if bin_size < 1:
-        raise ValueError("bin_size must be >= 1")
-    graph = ConflictGraph(len(boxes))
-    bins: Dict[Tuple[int, int], List[int]] = {}
-    for index, box in enumerate(boxes):
-        for bx in range(box.xlo // bin_size, box.xhi // bin_size + 1):
-            for by in range(box.ylo // bin_size, box.yhi // bin_size + 1):
-                bins.setdefault((bx, by), []).append(index)
-    seen: Set[Tuple[int, int]] = set()
-    for members in bins.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                a, b = members[i], members[j]
-                key = (a, b) if a < b else (b, a)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if boxes[a].overlaps(boxes[b]):
-                    graph.add_conflict(a, b)
-    return graph
-
-
-__all__ = ["ConflictGraph", "build_conflict_graph"]
+__all__ = ["ConflictGraph"]

@@ -103,13 +103,12 @@ def group_conflicts(
     one overlaps any box of the other — and the box-level overlap
     relation it is derived from.
 
-    Same spatial binning as
-    :func:`~repro.sched.conflict.build_conflict_graph` (which is the
-    single-box special case), kept exact: all and only overlapping
-    groups become edges.  The box pairs are a ``(2, P)`` array of flat
-    box indices — boxes numbered group by group, in order — one column
-    per overlapping pair of boxes in *different* groups, ``lo < hi``,
-    sorted.
+    Each box registers in every ``bin_size``-sized cell it touches and
+    only boxes sharing a cell are overlap-tested, kept exact: all and
+    only overlapping groups become edges.  The box pairs are a
+    ``(2, P)`` array of flat box indices — boxes numbered group by
+    group, in order — one column per overlapping pair of boxes in
+    *different* groups, ``lo < hi``, sorted.
     """
     if bin_size < 1:
         raise ValueError("bin_size must be >= 1")

@@ -34,8 +34,6 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.core.config import RouterConfig
 from repro.core.result import IterationStats, RoutingResult
 from repro.netlist.delta import NetlistDelta
@@ -140,14 +138,6 @@ def _result_payload(result: RoutingResult) -> dict:
         "nets_to_ripup": result.nets_to_ripup,
         "n_iterations": len(result.iterations),
     }
-
-
-def demand_grids_equal(g1, g2) -> bool:
-    """True when two grids carry bit-identical demand (parity check)."""
-    return all(
-        np.array_equal(g1.wire_demand[layer], g2.wire_demand[layer])
-        for layer in range(g1.n_layers)
-    ) and np.array_equal(g1.via_demand, g2.via_demand)
 
 
 class JobService:
@@ -403,7 +393,7 @@ class JobService:
             ).run()
             verified = (
                 eco.result.digest() == cold_result.digest()
-                and demand_grids_equal(session.graph, cold.graph)
+                and session.graph.demand_equals(cold.graph)
                 and eco.result.metrics.score == cold_result.metrics.score
             )
             payload["verified"] = verified
@@ -441,5 +431,4 @@ __all__ = [
     "JobState",
     "CONFIG_PRESETS",
     "resolve_config",
-    "demand_grids_equal",
 ]

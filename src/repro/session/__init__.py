@@ -12,7 +12,7 @@ The flow's state splits into three layers:
   an ECO delta re-routes incrementally;
 * :class:`~repro.session.store.SessionStore` — an LRU of warm sessions
   plus the **shared caches** (generated benchmark handles, Steiner
-  trees, conflict schedules).
+  trees).
 
 `core/flow.py`'s stages accept a :class:`SessionContext` and consult
 its warm state; without one they behave exactly as before — the

@@ -65,13 +65,6 @@ class DesignHandle:
             metadata=design.metadata,
         )
 
-    @classmethod
-    def from_spec(cls, spec) -> "DesignHandle":
-        """Generate the design described by ``spec`` and wrap it."""
-        from repro.netlist.generator import generate_design
-
-        return cls.from_design(generate_design(spec))
-
     # ------------------------------------------------------------------ #
     # Derived state
     # ------------------------------------------------------------------ #

@@ -4,7 +4,7 @@ A session owns the mutable half of a routing job — ONE demand-carrying
 :class:`~repro.grid.graph.GridGraph` built from its immutable
 :class:`~repro.session.handle.DesignHandle`, the warm
 :class:`~repro.session.context.SessionContext` (pattern replay state,
-maze route cache, Steiner and schedule caches), and the last
+maze route cache, Steiner cache), and the last
 :class:`~repro.core.result.RoutingResult`.
 
 ECO model

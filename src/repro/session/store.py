@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.config import RouterConfig
 from repro.session.cache import SteinerTreeCache
@@ -25,9 +25,8 @@ class SessionStore:
 
     * **handles** — generated benchmark designs, content-keyed; one
       generation serves every job on that design;
-    * **cross-session caches** — Steiner topologies and conflict
-      schedules, pure functions of net pins / task boxes, shared by
-      every session the store creates;
+    * **cross-session cache** — Steiner topologies, a pure function of
+      net pins, shared by every session the store creates;
     * **sessions** — warm per-``(design, config)`` state, LRU-evicted
       (eviction closes the session).
 
@@ -40,7 +39,6 @@ class SessionStore:
         self.max_sessions = max_sessions
         self.max_handles = max_handles
         self.steiner_cache = SteinerTreeCache()
-        self.schedule_cache: Dict[tuple, object] = {}
         self._sessions: "OrderedDict[Tuple[str, str], RoutingSession]" = (
             OrderedDict()
         )
@@ -75,14 +73,6 @@ class SessionStore:
                 self._handles.popitem(last=False)
         return handle
 
-    def add_handle(self, handle: DesignHandle) -> DesignHandle:
-        """Register an externally built handle (e.g. from a design file)."""
-        key = (handle.key, 1.0, 0)
-        with self._lock:
-            self._handles[key] = handle
-            self._handles.move_to_end(key)
-        return handle
-
     # ------------------------------------------------------------------ #
     # Sessions (warm tier)
     # ------------------------------------------------------------------ #
@@ -101,10 +91,7 @@ class SessionStore:
             if session is not None and not session.closed:
                 self._sessions.move_to_end(key)
                 return session
-            context = SessionContext(
-                steiner_cache=self.steiner_cache,
-                schedule_cache=self.schedule_cache,
-            )
+            context = SessionContext(steiner_cache=self.steiner_cache)
             session = RoutingSession(handle, config, context=context)
             self._sessions[key] = session
             self._sessions.move_to_end(key)
@@ -139,7 +126,6 @@ class SessionStore:
                 "n_handles": len(self._handles),
                 "evictions": self.evictions,
                 "steiner_cache": self.steiner_cache.stats(),
-                "n_schedules": len(self.schedule_cache),
                 "sessions": [s.stats() for s in self._sessions.values()],
             }
 

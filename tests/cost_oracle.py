@@ -24,16 +24,44 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 from unittest import mock
 
 import numpy as np
 
 import repro.pattern.batch
 from repro.grid.cost import CostQuery
-from repro.grid.geometry import rect_union_area
 
 IntRect = Tuple[int, int, int, int]
+
+
+def rects_overlap(a: IntRect, b: IntRect) -> bool:
+    """Return True when two closed ``(xlo, ylo, xhi, yhi)`` rects share a cell."""
+    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
+
+
+def rect_union_area(rects: Iterable[IntRect]) -> int:
+    """Return the number of integer cells covered by a union of closed
+    ``(xlo, ylo, xhi, yhi)`` rectangles (both corners inclusive).
+
+    Rectangles that are empty on either axis (``hi < lo``) are skipped.
+    Summing per-rect areas would double-count the cells overlapping
+    rectangles share, so overlapping sets are counted on a
+    coordinate-compressed occupancy grid.
+    """
+    boxes = [r for r in rects if r[0] <= r[2] and r[1] <= r[3]]
+    if all(
+        not rects_overlap(a, b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]
+    ):
+        return sum((r[2] - r[0] + 1) * (r[3] - r[1] + 1) for r in boxes)
+    xs = np.unique([v for r in boxes for v in (r[0], r[2] + 1)])
+    ys = np.unique([v for r in boxes for v in (r[1], r[3] + 1)])
+    occupied = np.zeros((len(xs) - 1, len(ys) - 1), dtype=bool)
+    for xlo, ylo, xhi, yhi in boxes:
+        i0, i1 = np.searchsorted(xs, [xlo, xhi + 1])
+        j0, j1 = np.searchsorted(ys, [ylo, yhi + 1])
+        occupied[i0:i1, j0:j1] = True
+    return int((occupied * np.diff(xs)[:, None] * np.diff(ys)[None, :]).sum())
 
 
 class FullRebuildCostQuery(CostQuery):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.grid.geometry import Rect
 from repro.sched.batching import bucket_by_area, extract_batches
-from repro.sched.conflict import build_conflict_graph
+from tests.sched_oracle import build_conflict_graph
 
 
 def extract_batches_oracle(boxes, nx, ny):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.grid.geometry import Rect
-from repro.sched.conflict import ConflictGraph, build_conflict_graph
+from repro.sched.conflict import ConflictGraph
+from tests.sched_oracle import build_conflict_graph
 
 
 def rects_strategy(n_max=20, span=60):

@@ -19,12 +19,17 @@ from repro.backend import available_backends, get_backend
 from repro.core.config import RouterConfig
 from repro.core.router import GlobalRouter
 from repro.grid.cost import CostModel, CostQuery, Footprint
-from repro.grid.geometry import Rect, rect_union_area, rects_overlap
+from repro.grid.geometry import Rect
 from repro.grid.graph import GridGraph
 from repro.grid.layers import Direction, LayerStack
 from repro.grid.route import Route, ViaSegment, WireSegment
 from repro.netlist.benchmarks import load_benchmark
-from tests.cost_oracle import FullRebuildCostQuery, full_rebuild_engine
+from tests.cost_oracle import (
+    FullRebuildCostQuery,
+    full_rebuild_engine,
+    rect_union_area,
+    rects_overlap,
+)
 
 NX, NY, L = 20, 16, 5
 

@@ -1,4 +1,4 @@
-"""Tests for the Taskflow-like executor and the makespan models."""
+"""Tests for the threaded release-rule oracle and the makespan models."""
 
 from __future__ import annotations
 
@@ -9,11 +9,11 @@ import pytest
 
 from repro.sched.conflict import ConflictGraph
 from repro.sched.executor import (
-    TaskGraphExecutor,
     simulate_batch_barrier_makespan,
     simulate_makespan,
 )
 from repro.sched.taskgraph import TaskGraph, build_task_graph
+from tests.sched_oracle import TaskGraphExecutor
 
 
 def chain_graph(n):

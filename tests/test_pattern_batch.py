@@ -87,13 +87,6 @@ def routes_bit_equal(a, b):
     return a.wires == b.wires and a.vias == b.vias
 
 
-def demand_equal(g1, g2):
-    for layer in range(g1.n_layers):
-        if not np.array_equal(g1.wire_demand[layer], g2.wire_demand[layer]):
-            return False
-    return np.array_equal(g1.via_demand, g2.via_demand)
-
-
 def route_twice(nets, mode_fn, backend, demand_seed):
     """Per-net dispatch vs one stacked call, on twin graphs.
 
@@ -146,7 +139,7 @@ class TestStackedEngineParity:
                 assert routes_bit_equal(stacked[name], solo[name]), (
                     f"{name} diverged (seed {seed}, backend {backend_name})"
                 )
-            assert demand_equal(g1, g2)
+            assert g1.demand_equals(g2)
 
     def test_degenerate_members_in_stack(self, backend_name):
         """Single-pin and zero-area nets ride a stack without perturbing it."""
@@ -162,7 +155,7 @@ class TestStackedEngineParity:
         assert stacked["lonely"].wires == []
         assert stacked["stack0"].wires == []
         assert stacked["stack0"].vias  # the via stack connecting the pins
-        assert demand_equal(g1, g2)
+        assert g1.demand_equals(g2)
 
     def test_mixed_modes_in_one_stack(self, backend_name):
         graph = fresh_grid(demand_seed=6)
@@ -173,7 +166,7 @@ class TestStackedEngineParity:
         )
         for name in solo:
             assert routes_bit_equal(stacked[name], solo[name]), name
-        assert demand_equal(g1, g2)
+        assert g1.demand_equals(g2)
         # The stack genuinely mixed pattern kernels: at least two of the
         # three shape kernels launched during the stacked call.
         shapes = {
@@ -195,7 +188,7 @@ class TestStackedEngineParity:
         for name in solo:
             assert routes_bit_equal(solo[name], o_solo[name]), name
             assert routes_bit_equal(stacked[name], o_stacked[name]), name
-        assert demand_equal(g1, o1) and demand_equal(g2, o2)
+        assert g1.demand_equals(o1) and g2.demand_equals(o2)
 
 
 def congested_design():

@@ -13,7 +13,6 @@ from repro.gpu.zerocopy import ZeroCopyArena
 from repro.grid.geometry import Rect
 from repro.netlist.generator import DesignSpec, generate_design
 from repro.sched.batching import extract_batches
-from repro.sched.conflict import build_conflict_graph
 from repro.sched.pipeline import (
     ScheduledStage,
     StageRunner,
@@ -24,6 +23,7 @@ from repro.sched.pipeline import (
 from repro.sched.sorting import sort_nets
 from repro.sched.taskgraph import build_task_graph
 from repro.utils.rng import make_rng
+from tests.sched_oracle import TaskGraphExecutor, build_conflict_graph
 
 
 def random_groups(n_tasks, seed=0, span=60, max_boxes=2):
@@ -156,6 +156,19 @@ class TestStageRunner:
         runner.run(stage, schedule=schedule)
         order = [t for t, _ in stage.committed]
         assert order == schedule.task_graph.topological_order()
+
+    @pytest.mark.parametrize("seed", [8, 21, 34])
+    def test_commit_order_matches_threaded_oracle(self, seed):
+        """The one-thread drain is the paper's threaded release rule
+        run on one worker: same tasks, same order."""
+        stage = BoxStage(random_groups(40, seed=seed, max_boxes=3))
+        runner = StageRunner()
+        schedule = runner.schedule(stage)
+        runner.run(stage, schedule=schedule)
+        started = TaskGraphExecutor(n_workers=1).run(
+            schedule.task_graph, lambda task: None
+        )
+        assert [t for t, _ in stage.committed] == started
 
     def test_makespans_bounded(self):
         stage = BoxStage(random_groups(20, seed=11))

@@ -23,6 +23,53 @@ class TestExports:
         assert callable(repro.score)
 
 
+class TestPinnedExports:
+    """The scheduler and session packages export only what a run uses;
+    test oracles (``tests/sched_oracle.py``, ``tests/cost_oracle.py``)
+    stay out.  Widening either list is a deliberate edit here."""
+
+    def test_sched_exports(self):
+        import repro.sched
+
+        assert sorted(repro.sched.__all__) == sorted(
+            [
+                "SORTING_SCHEMES",
+                "sort_nets",
+                "ConflictGraph",
+                "extract_batches",
+                "TaskGraph",
+                "build_task_graph",
+                "simulate_makespan",
+                "simulate_batch_barrier_makespan",
+                "ScheduledStage",
+                "StageSchedule",
+                "StageReport",
+                "StageRunner",
+                "group_conflicts",
+                "extract_conflict_batches",
+                "modelled_makespans",
+            ]
+        )
+
+    def test_session_exports(self):
+        import repro.session
+
+        assert sorted(repro.session.__all__) == sorted(
+            [
+                "DesignHandle",
+                "RoutingSession",
+                "EcoResult",
+                "SessionContext",
+                "SessionStore",
+                "RouteCache",
+                "SteinerTreeCache",
+                "demand_signature",
+                "pattern_net_key",
+                "maze_task_key",
+            ]
+        )
+
+
 class TestDocumentedQuickstart:
     def test_readme_snippet_runs(self):
         design = repro.load_benchmark("18test5", scale=0.1)

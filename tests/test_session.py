@@ -29,13 +29,6 @@ from tests.cost_oracle import full_rebuild_engine
 from tests.test_pattern_batch import per_chunk_dispatch
 
 
-def demand_equal(g1, g2) -> bool:
-    return all(
-        np.array_equal(g1.wire_demand[layer], g2.wire_demand[layer])
-        for layer in range(g1.n_layers)
-    ) and np.array_equal(g1.via_demand, g2.via_demand)
-
-
 def routes_equal(r1, r2) -> bool:
     if set(r1) != set(r2):
         return False
@@ -87,7 +80,7 @@ class TestRoutingSession:
             cold = GlobalRouter(cold_design, config).run()
             assert warm.metrics.score == cold.metrics.score
             assert routes_equal(warm.routes, cold.routes)
-            assert demand_equal(session.graph, cold_design.graph)
+            assert session.graph.demand_equals(cold_design.graph)
 
     def test_repeat_run_replays_caches_bitwise(self, congested_design):
         config = RouterConfig.fastgr_l()
@@ -138,7 +131,7 @@ class TestRoutingSession:
             assert eco.result.digest() == cold.digest()
             assert eco.result.metrics.score == cold.metrics.score
             assert routes_equal(eco.result.routes, cold.routes)
-            assert demand_equal(session.graph, cold_design.graph)
+            assert session.graph.demand_equals(cold_design.graph)
 
     def test_routing_starts_no_thread(self, congested_design, monkeypatch):
         """Warm run, ECO and cold run (RRR iterations included) all
@@ -165,7 +158,7 @@ class TestRoutingSession:
             cold = GlobalRouter(cold_design, config).run()
             assert cold.iterations and cold.nets_to_ripup > 0
             assert routes_equal(eco.result.routes, cold.routes)
-            assert demand_equal(session.graph, cold_design.graph)
+            assert session.graph.demand_equals(cold_design.graph)
         assert started == []
 
     def test_consecutive_ecos_stay_bitwise(self, small_design):
@@ -182,8 +175,26 @@ class TestRoutingSession:
                 cold = GlobalRouter(cold_design, config).run()
                 assert eco.result.digest() == cold.digest()
                 assert eco.result.metrics.score == cold.metrics.score
-                assert demand_equal(session.graph, cold_design.graph)
+                assert session.graph.demand_equals(cold_design.graph)
             assert session.n_ecos == 3
+
+    def test_congested_ecos_rip_up_and_stay_bitwise(self, congested_design):
+        """ECOs whose maze stage rips nets and reschedules every
+        iteration still equal a cold route of the edited design."""
+        config = RouterConfig.fastgr_l()
+        handle = DesignHandle.from_design(congested_design)
+        with RoutingSession(handle, config) as session:
+            session.run()
+            for seed in (1, 2, 3):
+                delta = perturb_design(
+                    session.design, ECO_PRESETS["small"], seed=seed
+                )
+                eco = session.eco(delta)
+                assert eco.result.nets_to_ripup > 0
+                cold_design = session.cold_design()
+                cold = GlobalRouter(cold_design, config).run()
+                assert eco.result.digest() == cold.digest()
+                assert session.graph.demand_equals(cold_design.graph)
 
     def test_eco_recomputes_are_pinned(self, small_design, monkeypatch):
         """What a replay recomputes, as counts that repeat exactly.
@@ -287,7 +298,7 @@ class TestRoutingSession:
             assert session.netlist is netlist
             assert session.context.replay is replay
             assert session.result is base
-            assert demand_equal(session.graph, _graph_with(small_design, demand))
+            assert session.graph.demand_equals(_graph_with(small_design, demand))
             # The session still takes valid edits, and stays exact.
             delta = perturb_design(session.design, ECO_PRESETS["tiny"], seed=4)
             eco = session.eco(delta)
@@ -314,7 +325,7 @@ class TestRoutingSession:
             assert session.netlist is netlist
             assert session.context.replay is replay
             assert session.result is base
-            assert demand_equal(session.graph, _graph_with(small_design, demand))
+            assert session.graph.demand_equals(_graph_with(small_design, demand))
             monkeypatch.undo()
             eco = session.eco(delta)
             cold = GlobalRouter(session.cold_design(), config).run()
@@ -345,7 +356,7 @@ class TestRoutingSession:
             cold = GlobalRouter(cold_design, config).run()
             assert nets[2].name not in eco.result.routes
             assert routes_equal(eco.result.routes, cold.routes)
-            assert demand_equal(session.graph, cold_design.graph)
+            assert session.graph.demand_equals(cold_design.graph)
 
     def test_eco_reports_edit_counts(self, small_design):
         handle = DesignHandle.from_design(small_design)
