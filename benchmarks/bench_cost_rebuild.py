@@ -32,6 +32,7 @@ from repro.grid.geometry import Rect
 from repro.grid.graph import GridGraph
 from repro.grid.layers import Direction, LayerStack
 from repro.grid.route import Route, ViaSegment, WireSegment
+from repro.metrics import COST_MASKED_REBUILDS
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tests.cost_oracle import FullRebuildCostQuery  # noqa: E402
@@ -135,7 +136,7 @@ def test_masked_level_stream():
             ["engine", "time(s)", "ms/rebuild", "masked rebuilds"],
             [
                 [name, seconds, 1e3 * seconds / len(levels),
-                 query.stats.masked_rebuilds]
+                 query.tracker.counters()[COST_MASKED_REBUILDS]]
                 for (name, seconds), query in zip(times.items(), (full, inc))
             ]
             + [["speedup", speedup, "", ""]],

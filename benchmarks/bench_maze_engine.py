@@ -311,5 +311,5 @@ def test_presets_equivalent_under_wavefront(preset_name):
                  "shorts_wavefront", "visited_wavefront"),
                 row[2:],
             )
-        },
+        } | {"quick": float(QUICK)},
     )

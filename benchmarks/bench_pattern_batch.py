@@ -58,7 +58,6 @@ from repro.core.flow import PatternStage
 from repro.core.selection import make_mode_selector
 from repro.eval.report import format_table
 from repro.gpu.device import Device
-from repro.gpu.zerocopy import ZeroCopyArena
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.netlist.generator import DesignSpec, generate_design
@@ -272,7 +271,7 @@ def test_lone_call_fixed_price():
             ),
         ),
         config=RouterConfig.fastgr_l(),
-        metrics={"two_pin_s": two, "five_pin_s": five},
+        metrics={"two_pin_s": two, "five_pin_s": five, "quick": float(QUICK)},
     )
 
 
@@ -306,7 +305,7 @@ def test_level_planning_as_arrays():
     """
     design = generate_design(OPEN3K)
     config = RouterConfig.fastgr_l()
-    stage = PatternStage(design, config, Device(), ZeroCopyArena())
+    stage = PatternStage(design, config, Device())
     level = max(
         stage.batch_plan(StageRunner().schedule(stage)),
         key=lambda tasks: sum(len(stage.chunks[t]) for t in tasks),

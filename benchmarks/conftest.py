@@ -11,7 +11,10 @@ figure of the paper.  This conftest provides:
   pytest run (past output capture), so ``bench_output.txt`` contains
   every reproduced table; every call also emits a machine-readable
   ``BENCH_<name>.json`` record (name, config key, metrics, timestamp)
-  next to the ``.txt``;
+  next to the ``.txt``.  A record whose metrics carry a truthy
+  ``quick`` (a ``*_QUICK`` smoke run) goes to the git-ignored
+  ``benchmarks/results/quick/`` instead, so a smoke run never replaces
+  the committed full-mode record that ``collect.py`` aggregates;
 * ``BENCH_SCALE`` — suite scale factor, settable via the
   ``REPRO_BENCH_SCALE`` environment variable (default 0.25: the whole
   harness completes in minutes on a laptop; raise it to approach the
@@ -56,10 +59,12 @@ def register_table(
     ``config`` (a :class:`RouterConfig` or a pre-built key string) and
     ``metrics`` (a flat dict of numbers) enrich the record when the
     bench has a single primary configuration / headline numbers.
+    Records stamped ``metrics["quick"]`` land in ``results/quick/``.
     """
     _TABLES.append((name, text))
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+    out_dir = RESULTS_DIR / "quick" if (metrics or {}).get("quick") else RESULTS_DIR
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     record = {
         "name": name,
         "config_key": (
@@ -68,7 +73,7 @@ def register_table(
         "metrics": dict(metrics) if metrics else {},
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    (RESULTS_DIR / f"BENCH_{name}.json").write_text(
+    (out_dir / f"BENCH_{name}.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import metrics
 from repro.core.config import RouterConfig
 from repro.core.result import IterationStats
 from repro.core.selection import make_mode_selector
@@ -33,7 +34,6 @@ from repro.grid.geometry import Rect
 from repro.grid.graph import GridGraph
 from repro.grid.route import Route, commit_routes
 from repro.gpu.device import Device
-from repro.gpu.zerocopy import ZeroCopyArena
 from repro.maze.ripup import RipupReroute, find_violating_nets
 from repro.maze.router import search_box
 from repro.netlist.design import Design
@@ -51,7 +51,7 @@ def make_pattern_engine(
     graph: GridGraph,
     config: RouterConfig,
     device: Device,
-    arena: ZeroCopyArena,
+    tracker: Optional[Tracker] = None,
 ):
     """Build the config's pattern engine over ``graph``."""
     engine_cls = (
@@ -63,7 +63,7 @@ def make_pattern_engine(
         graph,
         config.cost_model,
         device=device,
-        arena=arena,
+        tracker=tracker,
         edge_shift=config.edge_shift,
         max_chunk_elements=config.max_chunk_elements,
         backend=config.backend,
@@ -80,7 +80,7 @@ class PatternStage(ScheduledStage):
         design: Design,
         config: RouterConfig,
         device: Device,
-        arena: ZeroCopyArena,
+        tracker: Optional[Tracker] = None,
         context=None,
     ) -> None:
         graph = design.graph
@@ -105,7 +105,7 @@ class PatternStage(ScheduledStage):
         self._net_boxes = boxes
         self.mode_fn = make_mode_selector(config, graph)
 
-        self.engine = make_pattern_engine(graph, config, device, arena)
+        self.engine = make_pattern_engine(graph, config, device, tracker)
         # Session context (optional): the Steiner cache and the
         # structural replay state a warm session lends this stage.
         self.replay: Optional[ReplayPass] = None
@@ -121,10 +121,6 @@ class PatternStage(ScheduledStage):
         self.cost_reference = self.engine.query.snapshot_reference()
         self.routes: Dict[str, Route] = {}
         self._graph = graph
-        #: Counters bus: monotone "pattern.*" counters (``route_batch``
-        #: calls, nets routed through them, kernel launches) that
-        #: ``run_pattern_stage`` folds into the run report.
-        self.tracker = Tracker()
 
     def task_boxes(self) -> Sequence[Sequence[Rect]]:
         return self._boxes
@@ -151,7 +147,7 @@ class PatternStage(ScheduledStage):
         its own box, which a disjoint box's incident-edge window never
         contains.
         """
-        tracker = self.tracker
+        tracker = self.engine.tracker
         n_launches_before = len(self.engine.device.launches)
         replay = self.replay
         try:
@@ -170,15 +166,15 @@ class PatternStage(ScheduledStage):
                     replay.record(p, route, recomputed=True)
             return routes
         finally:
-            tracker.get_counter("pattern.kernel_launches").increment(
+            tracker.get_counter(metrics.PATTERN_KERNEL_LAUNCHES).increment(
                 len(self.engine.device.launches) - n_launches_before
             )
 
     def _route_fresh(self, positions: List[int]) -> Dict[str, Route]:
         """One masked ``route_batch`` over the nets at ``positions``."""
-        tracker = self.tracker
-        tracker.get_counter("pattern.batches").increment()
-        tracker.get_counter("pattern.batched_nets").increment(len(positions))
+        tracker = self.engine.tracker
+        tracker.get_counter(metrics.PATTERN_BATCHES).increment()
+        tracker.get_counter(metrics.PATTERN_BATCHED_NETS).increment(len(positions))
         return self.engine.route_batch(
             [self.nets[p] for p in positions],
             self.mode_fn,
@@ -332,25 +328,19 @@ def run_pattern_stage(
     design: Design,
     config: RouterConfig,
     device: Device,
-    arena: ZeroCopyArena,
-    cost_stats: Optional[Dict[str, float]] = None,
+    tracker: Optional[Tracker] = None,
     context=None,
-    stage_stats: Optional[Dict[str, float]] = None,
 ) -> Tuple[Dict[str, Route], StageReport]:
     """Route every net with pattern routing.
 
     Returns the committed routes (keyed in netlist order) and the
-    pipeline's execution report.  With ``cost_stats`` (a dict the
-    caller owns), the stage's cost-engine counters are written into it.
-    With ``stage_stats``, the stage's ``pattern.*`` tracker counters
-    (``route_batch`` calls, nets routed through them, kernel launches)
-    are written into it.
+    pipeline's execution report; the stage counts into ``tracker``.
     With a session ``context``, clean nets replay their last routes
     (:mod:`repro.session.replay`; the context's replay state is replaced
     by this run's), and Steiner trees are served from (and fill) its
     warm cache.
     """
-    stage = PatternStage(design, config, device, arena, context=context)
+    stage = PatternStage(design, config, device, tracker, context=context)
     runner = StageRunner(n_workers=config.n_workers)
     schedule = runner.schedule(stage)
     if stage.replay is not None:
@@ -358,21 +348,6 @@ def run_pattern_stage(
     report = runner.run(stage, schedule=schedule)
     if stage.replay is not None:
         context.replay = stage.replay.finish()
-    if cost_stats is not None:
-        cost_stats.update(stage.engine.query.stats.as_dict())
-    if stage_stats is not None:
-        counters = stage.tracker.counters()
-        stage_stats.update(
-            {
-                "batches": float(counters.get("pattern.batches", 0)),
-                "batched_nets": float(
-                    counters.get("pattern.batched_nets", 0)
-                ),
-                "kernel_launches": float(
-                    counters.get("pattern.kernel_launches", 0)
-                ),
-            }
-        )
     # Commit order is the task graph's topological order, not netlist
     # order; re-key so the mapping follows the netlist.
     routes = {net.name: stage.routes[net.name] for net in design.netlist}
@@ -386,6 +361,7 @@ def run_rrr_stage(
     device: Optional[Device] = None,
     context=None,
     on_iteration=None,
+    tracker: Optional[Tracker] = None,
 ) -> Tuple[int, List[IterationStats]]:
     """Run the rip-up-and-reroute iterations in place.
 
@@ -393,7 +369,8 @@ def run_rrr_stage(
     (0 when the pattern stage already closed routing — no iteration
     entry is fabricated in that case) and the per-iteration statistics.
     With a ``device``, the wavefront engine's sweep launches are
-    metered into it alongside the pattern kernels.  With a session
+    metered into it alongside the pattern kernels.  The run's
+    ``tracker`` is sliced per iteration into the statistics.  With a session
     ``context``, maze re-routes are served from its route cache;
     ``on_iteration`` (if given) is called with each
     :class:`IterationStats` as it completes — the progress hook the job
@@ -409,7 +386,9 @@ def run_rrr_stage(
         engine=config.maze_engine,
         backend=config.backend,
         device=device,
+        tracker=tracker,
     )
+    tracker = engine.tracker
     runner = StageRunner(n_workers=config.n_workers)
     rrr_scheme = config.rrr_sorting_scheme or config.sorting_scheme
     cache = context.cache if context is not None else None
@@ -454,8 +433,7 @@ def run_rrr_stage(
         )
         if schedule is None:
             schedule = runner.schedule(stage)
-        visited_before = engine.nodes_visited
-        tracker_before = engine.tracker.snapshot()
+        tracker_before = tracker.snapshot()
         n_launches_before = len(device.launches) if device is not None else 0
         report = runner.run(stage, schedule=schedule)
         # Fold this iteration's kernel-launch records (with their
@@ -463,7 +441,7 @@ def run_rrr_stage(
         # slice the monotone totals into per-iteration figures.
         if device is not None:
             engine.tally_launches(device.launches[n_launches_before:])
-        counter_delta, _ = engine.tracker.delta(tracker_before)
+        counter_delta, _ = tracker.delta(tracker_before)
         iterations.append(
             IterationStats(
                 iteration=iteration,
@@ -474,14 +452,12 @@ def run_rrr_stage(
                 batch_makespan=report.batch_makespan,
                 makespan=report.makespan(config.rrr_parallel),
                 engine=engine.engine_name,
-                nodes_visited=engine.nodes_visited - visited_before,
-                maze_batches=counter_delta.get("maze.batches", 0),
-                batched_nets=counter_delta.get("maze.batched_nets", 0),
-                kernel_launches=counter_delta.get(
-                    "maze.kernel_launches", 0
-                ),
-                bytes_to_device=counter_delta.get("maze.bytes_to_device", 0),
-                bytes_to_host=counter_delta.get("maze.bytes_to_host", 0),
+                nodes_visited=counter_delta.get(metrics.MAZE_NODES_VISITED, 0),
+                maze_batches=counter_delta.get(metrics.MAZE_BATCHES, 0),
+                batched_nets=counter_delta.get(metrics.MAZE_BATCHED_NETS, 0),
+                kernel_launches=counter_delta.get(metrics.MAZE_KERNEL_LAUNCHES, 0),
+                bytes_to_device=counter_delta.get(metrics.MAZE_BYTES_TO_DEVICE, 0),
+                bytes_to_host=counter_delta.get(metrics.MAZE_BYTES_TO_HOST, 0),
                 report=report,
             )
         )

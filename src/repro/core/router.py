@@ -11,21 +11,20 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro import metrics
 from repro.core.config import RouterConfig
 from repro.core.flow import run_pattern_stage, run_rrr_stage
 from repro.core.result import RoutingResult
 from repro.eval.metrics import RoutingMetrics
 from repro.gpu.device import Device
-from repro.gpu.zerocopy import ZeroCopyArena
 from repro.netlist.design import Design
-from repro.utils.timing import StageTimer
+from repro.utils.timing import Tracker
 
 
 def route_design(
     design: Design,
     config: RouterConfig,
     device: Optional[Device] = None,
-    arena: Optional[ZeroCopyArena] = None,
     context=None,
     on_iteration=None,
 ) -> RoutingResult:
@@ -35,40 +34,36 @@ def route_design(
     warm state) and :class:`~repro.session.session.RoutingSession`
     (which passes its warm ``context`` and a progress callback).
     Mutates the design's grid demand; the caller owns resetting it
-    between runs.
+    between runs.  The run's one ``Tracker`` is created here, so the
+    result's counter views (:mod:`repro.metrics`) hold this run only.
     """
     device = device or Device()
-    arena = arena or ZeroCopyArena()
     design.validate()
-    timer = StageTimer()
+    tracker = Tracker()
 
-    cost_stats: dict = {}
-    pattern_stats: dict = {}
-    with timer.stage("pattern"):
+    with tracker.get_timer(metrics.PATTERN_STAGE_S).time():
         routes, pattern_report = run_pattern_stage(
-            design, config, device, arena,
-            cost_stats=cost_stats, context=context,
-            stage_stats=pattern_stats,
+            design, config, device, tracker, context=context
         )
-    with timer.stage("maze"):
+    with tracker.get_timer(metrics.MAZE_STAGE_S).time():
         nets_to_ripup, iterations = run_rrr_stage(
             design, config, routes, device=device, context=context,
-            on_iteration=on_iteration,
+            on_iteration=on_iteration, tracker=tracker,
         )
 
-    metrics = RoutingMetrics.measure(routes, design.graph)
+    counters, timers = tracker.snapshot()
     return RoutingResult(
         design_name=design.name,
         config_name=config.name,
         routes=routes,
-        metrics=metrics,
-        stage_times=timer.totals(),
+        metrics=RoutingMetrics.measure(routes, design.graph),
+        stage_times=metrics.stage_times(timers),
         nets_to_ripup=nets_to_ripup,
         maze_engine=config.maze_engine,
-        cost_stats=cost_stats,
+        cost_stats=metrics.cost_stats(counters, timers),
         iterations=iterations,
         pattern_report=pattern_report,
-        pattern_stats=pattern_stats,
+        pattern_stats=metrics.pattern_stats(counters),
         device_stats={
             "n_launches": float(device.n_launches),
             "total_elements": float(device.total_elements),
@@ -82,12 +77,7 @@ def route_design(
                 for kernel, count in device.per_kernel_elements().items()
             },
         },
-        transfer_stats={
-            "bytes_to_device": float(arena.bytes_to_device),
-            "bytes_to_host": float(arena.bytes_to_host),
-            "transfer_time": arena.simulated_transfer_time(),
-            "zero_copy_saving": arena.saving_vs_explicit_copy(),
-        },
+        transfer_stats=metrics.transfer_stats(counters, device.spec),
     )
 
 
@@ -107,7 +97,6 @@ class GlobalRouter:
         self.design = design
         self.config = config or RouterConfig.fastgr_l()
         self.device = Device()
-        self.arena = ZeroCopyArena()
         self._ran = False
 
     def run(self) -> RoutingResult:
@@ -118,9 +107,7 @@ class GlobalRouter:
                 "fresh design for another run"
             )
         self._ran = True
-        return route_design(
-            self.design, self.config, device=self.device, arena=self.arena
-        )
+        return route_design(self.design, self.config, device=self.device)
 
 
 __all__ = ["GlobalRouter", "route_design"]

@@ -13,20 +13,19 @@ reproduction substitutes (DESIGN.md Sec. 2):
   :class:`~repro.gpu.device.Device` records every kernel launch
   (grid/block geometry, element counts) and integrates an analytic
   timing model so "GPU time" and the equivalent sequential time are
-  both available for the speedup tables;
-* :class:`~repro.gpu.zerocopy.ZeroCopyArena` accounts for host-device
-  transfers under the zero-copy technique the paper uses (Sec. IV-E).
+  both available for the speedup tables; its
+  :class:`~repro.gpu.device.DeviceSpec` also carries the bandwidths
+  that price host-device transfers under the zero-copy technique the
+  paper uses (Sec. IV-E).
 """
 
 from repro.gpu.device import Device, DeviceSpec
 from repro.gpu.instrument import InstrumentedBackend
 from repro.gpu.simt import KernelLaunch
-from repro.gpu.zerocopy import ZeroCopyArena
 
 __all__ = [
     "Device",
     "DeviceSpec",
     "InstrumentedBackend",
     "KernelLaunch",
-    "ZeroCopyArena",
 ]

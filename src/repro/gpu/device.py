@@ -39,6 +39,10 @@ class DeviceSpec:
     op_time: float = 1.0e-9  # seconds per lock-step elementwise step
     launch_overhead: float = 5.0e-6  # seconds per kernel launch
     sequential_op_time: float = 40.0e-9  # scalar CPU seconds per element
+    # Host<->device transfer (Sec. IV-E), see metrics.transfer_stats.
+    copy_bandwidth: float = 12.0e9  # bytes/s for cudaMemcpy-style copies
+    mapped_bandwidth: float = 20.0e9  # bytes/s streaming mapped reads
+    per_transfer_latency: float = 10.0e-6  # seconds per explicit copy
 
 
 @dataclass

@@ -34,9 +34,9 @@ Counting rules (per op, in scalar element steps):
   bracketed to its :class:`KernelLaunch` record.
 
 Work performed outside any ``kernel`` scope (for example the cost
-model's prefix-sum rebuild) accumulates in ``unattributed_elements`` /
-``unattributed_bytes_to_device`` / ``unattributed_bytes_to_host`` and
-is never turned into a launch record.
+model's prefix-sum rebuild) accumulates in ``unattributed_elements``
+and the ``bytes_*_total`` tallies and is never turned into a launch
+record.
 """
 
 from __future__ import annotations
@@ -73,8 +73,6 @@ class _KernelScope:
         h2d = backend._bytes_to_device - self.h2d
         d2h = backend._bytes_to_host - self.d2h
         backend._flushed += elements
-        backend._flushed_to_device += h2d
-        backend._flushed_to_host += d2h
         backend.device.launch(
             self.name,
             self.n_blocks,
@@ -101,8 +99,6 @@ class InstrumentedBackend(ArrayBackend):
         self._flushed = 0
         self._bytes_to_device = 0
         self._bytes_to_host = 0
-        self._flushed_to_device = 0
-        self._flushed_to_host = 0
 
     # ------------------------------------------------------------------ #
     # Metering
@@ -128,16 +124,6 @@ class InstrumentedBackend(ArrayBackend):
     def bytes_to_host_total(self) -> int:
         """All device-to-host bytes metered so far (attributed or not)."""
         return self._bytes_to_host
-
-    @property
-    def unattributed_bytes_to_device(self) -> int:
-        """Upload bytes metered outside any ``kernel`` scope so far."""
-        return self._bytes_to_device - self._flushed_to_device
-
-    @property
-    def unattributed_bytes_to_host(self) -> int:
-        """Download bytes metered outside any ``kernel`` scope so far."""
-        return self._bytes_to_host - self._flushed_to_host
 
     def kernel(self, name: str, n_blocks: int, threads_per_block: int) -> "_KernelScope":
         """Bracket a batch of ops and flush their tally as one launch."""

@@ -52,64 +52,17 @@ the matching slices of a full rebuild.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro import metrics
 from repro.backend import ArrayBackend, get_backend
 from repro.grid.graph import GridGraph
 from repro.utils.arrays import unique_sorted
-
-@dataclass
-class CostEngineStats:
-    """Cumulative snapshot-maintenance counters of one :class:`CostQuery`."""
-
-    full_rebuilds: int = 0
-    masked_rebuilds: int = 0
-    refreshed_wire_edges: int = 0
-    refreshed_via_edges: int = 0
-    seconds: float = 0.0
-
-    @property
-    def rebuilds(self) -> int:
-        """Total rebuild calls of any kind."""
-        return self.full_rebuilds + self.masked_rebuilds
-
-    @property
-    def refreshed_edges(self) -> int:
-        """Total edge-cost entries recomputed or rewritten."""
-        return self.refreshed_wire_edges + self.refreshed_via_edges
-
-    def copy(self) -> "CostEngineStats":
-        """Return an independent snapshot of the counters."""
-        return replace(self)
-
-    def delta(self, earlier: "CostEngineStats") -> "CostEngineStats":
-        """Return the counter deltas since an ``earlier`` snapshot."""
-        return CostEngineStats(
-            full_rebuilds=self.full_rebuilds - earlier.full_rebuilds,
-            masked_rebuilds=self.masked_rebuilds - earlier.masked_rebuilds,
-            refreshed_wire_edges=(
-                self.refreshed_wire_edges - earlier.refreshed_wire_edges
-            ),
-            refreshed_via_edges=self.refreshed_via_edges - earlier.refreshed_via_edges,
-            seconds=self.seconds - earlier.seconds,
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat summary used by results and benchmark harnesses."""
-        return {
-            "rebuilds": float(self.rebuilds),
-            "full_rebuilds": float(self.full_rebuilds),
-            "masked_rebuilds": float(self.masked_rebuilds),
-            "refreshed_edges": float(self.refreshed_edges),
-            "refreshed_wire_edges": float(self.refreshed_wire_edges),
-            "refreshed_via_edges": float(self.refreshed_via_edges),
-            "seconds": self.seconds,
-        }
-
+from repro.utils.timing import Tracker
 
 @dataclass
 class CostModel:
@@ -261,7 +214,8 @@ class CostQuery:
     ``backend`` selects the array substrate for the prefix sums and the
     batched queries; scalar queries and the raw ``wire_cost``/``via_cost``
     arrays always stay host-side NumPy.  Batched queries return backend
-    arrays — callers own the ``to_numpy`` boundary.
+    arrays — callers own the ``to_numpy`` boundary.  Rebuilds are
+    counted into ``tracker`` (a private one when None).
     """
 
     def __init__(
@@ -269,6 +223,7 @@ class CostQuery:
         graph: GridGraph,
         model: CostModel,
         backend: Optional[ArrayBackend] = None,
+        tracker: Optional[Tracker] = None,
     ) -> None:
         self.graph = graph
         self.model = model
@@ -329,11 +284,9 @@ class CostQuery:
             self._v_prefix_dev = self._v_prefix
             self._via_prefix_dev = self._via_prefix
         self._dev_stale = False
-        #: Snapshot-maintenance counters (monotone; snapshot/delta to
-        #: attribute work per stage or iteration).
-        self.stats = CostEngineStats()
+        self.tracker = tracker if tracker is not None else Tracker()
         #: Bytes of edge-cost data the last rebuild actually rewrote —
-        #: the deduplicated tally the zero-copy arena accounts.
+        #: the deduplicated tally the pattern engine counts as uploaded.
         self.last_upload_bytes = 0
         self.rebuild()
 
@@ -389,7 +342,7 @@ class CostQuery:
             else:
                 self._masked_incremental(boxes, reference, reads)
         finally:
-            self.stats.seconds += perf_counter() - start
+            self.tracker.get_timer(metrics.COST_S).add(perf_counter() - start)
 
     def _upload_prefix(self, dev, host: np.ndarray):
         """Return the device twin of prefix plane ``host``.
@@ -424,9 +377,7 @@ class CostQuery:
         self._masked_plan = None
         wire_n = sum(int(a.size) for a in self.wire_cost)
         via_n = int(self.via_cost.size)
-        self.stats.full_rebuilds += 1
-        self.stats.refreshed_wire_edges += wire_n
-        self.stats.refreshed_via_edges += via_n
+        self._count(metrics.COST_FULL_REBUILDS, wire_n, via_n)
         self.last_upload_bytes = (wire_n + via_n) * self.via_cost.itemsize
 
     def _scan_all(self) -> None:
@@ -454,7 +405,7 @@ class CostQuery:
         tally of the new boxes; without the split, every stacked launch
         reusing the scratch would double-count its predecessor's slab
         as bus traffic.
-        The ``refreshed_*`` stats still count restores — they measure
+        The refreshed-edge counters still count restores — they measure
         host-side recompute work, which the restores really do.  Both
         are counts of distinct painted cells, so overlapping boxes are
         tallied once.
@@ -470,7 +421,6 @@ class CostQuery:
         self._paint(plan)
         self._masked_plan = plan
         self._dev_stale = not self.backend.device_is_host
-        self.stats.masked_rebuilds += 1
         if seeded:
             wire_n = sum(int(a.size) for a in self.wire_cost)
             via_n = int(self.via_cost.size)
@@ -481,9 +431,15 @@ class CostQuery:
             if previous is not None:
                 both = unique_sorted(np.concatenate((previous.tally, plan.tally)))
                 wire_n, via_n = self._tally_edges(self._family_counts(both))
-        self.stats.refreshed_wire_edges += wire_n
-        self.stats.refreshed_via_edges += via_n
+        self._count(metrics.COST_MASKED_REBUILDS, wire_n, via_n)
         self.last_upload_bytes = upload_n * self.via_cost.itemsize
+
+    def _count(self, kind: str, wire_n: int, via_n: int) -> None:
+        """Count one rebuild of ``kind`` and the edges it refreshed."""
+        tracker = self.tracker
+        tracker.get_counter(kind).increment()
+        tracker.get_counter(metrics.COST_REFRESHED_WIRE_EDGES).increment(wire_n)
+        tracker.get_counter(metrics.COST_REFRESHED_VIA_EDGES).increment(via_n)
 
     def _family_counts(self, tally: np.ndarray) -> Tuple[int, int, int]:
         """Per scan family, how many of the sorted ``tally`` codes it holds."""
@@ -501,6 +457,8 @@ class CostQuery:
         """True when ``reference`` is the one the ref tables were built from."""
         if self._ref_src is None:
             return False
+        if reference is self._ref_src:
+            return True  # the stage passes one tuple to every rebuild
         prev_wire, prev_via = self._ref_src
         ref_wire, ref_via = reference
         return (
@@ -737,7 +695,6 @@ class CostQuery:
 
 
 __all__ = [
-    "CostEngineStats",
     "CostModel",
     "CostQuery",
     "Footprint",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro import metrics
 from repro.grid.cost import CostModel
 from repro.grid.graph import GridGraph
 from repro.grid.route import Route
@@ -56,7 +57,7 @@ class RipupReroute:
     ``engine`` selects the per-net search engine (any name in
     :data:`repro.maze.MAZE_ENGINES`); the wavefront engine runs its
     sweeps on ``backend`` and meters launches into ``device`` when one
-    is attached.
+    is attached.  It counts into ``tracker`` (a private one when None).
     """
 
     def __init__(
@@ -68,6 +69,7 @@ class RipupReroute:
         engine: str = "dijkstra",
         backend: str = "numpy",
         device=None,
+        tracker: Optional[Tracker] = None,
     ) -> None:
         from repro.maze import make_maze_router
 
@@ -85,16 +87,10 @@ class RipupReroute:
             backend=backend,
             device=device,
         )
-        #: Total node expansions of maze searches so far (the
-        #: goal-directed search counts a node again when it re-expands
-        #: it after an improvement; monotone — snapshot before/after an
-        #: iteration to attribute counts per iteration).
-        self.nodes_visited = 0
-        #: Counters/timers bus: monotone "maze.*" counters (nets,
-        #: batches, batched nets, visited, kernel launches, transfer
-        #: bytes) that ``run_rrr_stage`` snapshots around an iteration
-        #: to fill :class:`IterationStats`.
-        self.tracker = Tracker()
+        #: Monotone ``maze.*`` counters that ``run_rrr_stage`` slices
+        #: per iteration.  Node expansions count a node again when the
+        #: goal-directed search re-expands it after an improvement.
+        self.tracker = tracker if tracker is not None else Tracker()
 
     @property
     def supports_batch(self) -> bool:
@@ -106,17 +102,18 @@ class RipupReroute:
         if not launches:
             return
         tracker = self.tracker
-        tracker.get_counter("maze.kernel_launches").increment(len(launches))
-        tracker.get_counter("maze.bytes_to_device").increment(
+        tracker.get_counter(metrics.MAZE_KERNEL_LAUNCHES).increment(len(launches))
+        tracker.get_counter(metrics.MAZE_BYTES_TO_DEVICE).increment(
             sum(launch.bytes_to_device for launch in launches)
         )
-        tracker.get_counter("maze.bytes_to_host").increment(
+        tracker.get_counter(metrics.MAZE_BYTES_TO_HOST).increment(
             sum(launch.bytes_to_host for launch in launches)
         )
 
-    def _fold_visited(self, visited: int) -> None:
-        self.nodes_visited += visited
-        self.tracker.get_counter("maze.visited").increment(visited)
+    def _count_visited(self) -> None:
+        self.tracker.get_counter(metrics.MAZE_NODES_VISITED).increment(
+            self.maze.consume_visited()
+        )
 
     def rip_and_reroute(
         self, routes: Dict[str, Route], name: str
@@ -131,16 +128,13 @@ class RipupReroute:
         net = self.nets[name]
         old_route = routes[name]
         old_route.uncommit(self.graph)
-        maze = self.maze
-        self.tracker.get_counter("maze.nets").increment()
         try:
-            with self.tracker.get_timer("maze.search").time():
-                new_route = maze.route_net(net)
+            new_route = self.maze.route_net(net)
         except MazeRoutingError:
             old_route.commit(self.graph)
             return None
         finally:
-            self._fold_visited(maze.consume_visited())
+            self._count_visited()
         new_route.commit(self.graph)
         return new_route
 
@@ -198,16 +192,13 @@ class RipupReroute:
             to_search = list(names)
 
         if to_search:
-            maze = self.maze
             tracker = self.tracker
-            tracker.get_counter("maze.nets").increment(len(to_search))
-            tracker.get_counter("maze.batches").increment()
-            tracker.get_counter("maze.batched_nets").increment(len(to_search))
+            tracker.get_counter(metrics.MAZE_BATCHES).increment()
+            tracker.get_counter(metrics.MAZE_BATCHED_NETS).increment(len(to_search))
             try:
-                with tracker.get_timer("maze.batch_search").time():
-                    found = maze.route_batch([self.nets[n] for n in to_search])
+                found = self.maze.route_batch([self.nets[n] for n in to_search])
             finally:
-                self._fold_visited(maze.consume_visited())
+                self._count_visited()
             for name in to_search:
                 new_route = found[name]
                 if new_route is None:
@@ -251,17 +242,14 @@ class RipupReroute:
                 return None
             cached.commit(self.graph)
             return cached
-        maze = self.maze
-        self.tracker.get_counter("maze.nets").increment()
         try:
-            with self.tracker.get_timer("maze.search").time():
-                new_route = maze.route_net(net)
+            new_route = self.maze.route_net(net)
         except MazeRoutingError:
             old_route.commit(self.graph)
             cache.put(key, None)
             return None
         finally:
-            self._fold_visited(maze.consume_visited())
+            self._count_visited()
         new_route.commit(self.graph)
         cache.put(key, new_route)
         return new_route

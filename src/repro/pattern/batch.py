@@ -42,9 +42,10 @@ The array substrate is pluggable: ``backend`` selects any registered
 :meth:`~repro.gpu.device.Device.wrap`, so every array op inside a
 kernel scope is metered into the simulated device's launch records —
 benchmarks report kernel-level speedups from the *actual* op stream,
-not hand-derived element formulas.  The
-:class:`~repro.gpu.zerocopy.ZeroCopyArena` accounts for the cost/result
-traffic the zero-copy technique streams.
+not hand-derived element formulas.  The cost-snapshot bytes each call
+streams to the kernels are counted into the run's tracker, which the
+zero-copy transfer figures are priced from
+(:func:`repro.metrics.transfer_stats`).
 """
 
 from __future__ import annotations
@@ -53,12 +54,12 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from repro import metrics
 from repro.backend import ArrayBackend, get_backend
 from repro.grid.cost import CostModel, CostQuery, Footprint
 from repro.grid.graph import GridGraph
 from repro.grid.route import Route, commit_table, routes_from_table
 from repro.gpu.device import Device
-from repro.gpu.zerocopy import ZeroCopyArena
 from repro.netlist.net import Net
 # reconstruct_route is not called here; benchmarks/e2e/trace.py wraps
 # it under this module's name.
@@ -72,6 +73,7 @@ from repro.pattern.zshape import route_zshape_wave
 from repro.tree.edge_shifting import shift_edges
 from repro.tree.ordering import order_tree
 from repro.tree.steiner import build_steiner_tree
+from repro.utils.timing import Tracker
 
 
 class BatchPatternRouter:
@@ -82,7 +84,7 @@ class BatchPatternRouter:
         graph: GridGraph,
         cost_model: Optional[CostModel] = None,
         device: Optional[Device] = None,
-        arena: Optional[ZeroCopyArena] = None,
+        tracker: Optional[Tracker] = None,
         edge_shift: bool = True,
         max_chunk_elements: int = 150_000,
         backend: Union[str, ArrayBackend] = "numpy",
@@ -93,8 +95,12 @@ class BatchPatternRouter:
         base = get_backend(backend) if isinstance(backend, str) else backend
         self.backend_name = base.name
         self.backend = self.device.wrap(base)
-        self.query = CostQuery(graph, self.cost_model, backend=self.backend)
-        self.arena = arena or ZeroCopyArena()
+        #: The run's counters (a private tracker when none is passed);
+        #: the cost snapshot counts into it too.
+        self.tracker = tracker if tracker is not None else Tracker()
+        self.query = CostQuery(
+            graph, self.cost_model, backend=self.backend, tracker=self.tracker
+        )
         self.edge_shift = edge_shift
         self.max_chunk_elements = max_chunk_elements
         n_layers = graph.n_layers
@@ -276,14 +282,15 @@ class BatchPatternRouter:
         are counted once, and in-place restores of a previous batch's
         slab to the device-resident reference are not bus traffic —
         see :meth:`~repro.grid.cost.CostQuery` masked accounting), so
-        the zero-copy arena accounts exactly what crosses the bus.  A
+        the upload counters hold exactly what crosses the bus.  A
         rebuild that moved nothing records no transfer at all — a
         stacked launch reusing the resident slab must not book a
         phantom bus transaction.
         """
         n_bytes = self.query.last_upload_bytes
         if n_bytes:
-            self.arena.send(n_bytes)
+            self.tracker.get_counter(metrics.COST_UPLOAD_BYTES).increment(n_bytes)
+            self.tracker.get_counter(metrics.COST_UPLOADS).increment()
 
 
 __all__ = ["BatchPatternRouter"]

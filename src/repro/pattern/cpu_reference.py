@@ -28,11 +28,11 @@ from repro.backend import ArrayBackend
 from repro.grid.cost import CostModel
 from repro.grid.graph import GridGraph
 from repro.gpu.device import Device
-from repro.gpu.zerocopy import ZeroCopyArena
 from repro.netlist.net import Net
 from repro.pattern.batch import BatchPatternRouter
 from repro.pattern.plan import NetCells, plan_jobs, plan_level
 from repro.pattern.twopin import BatchState, ModeSelector, NetRoutingJob
+from repro.utils.timing import Tracker
 
 
 class SequentialPatternRouter(BatchPatternRouter):
@@ -44,7 +44,7 @@ class SequentialPatternRouter(BatchPatternRouter):
         cost_model: Optional[CostModel] = None,
         edge_shift: bool = True,
         device: Optional[Device] = None,
-        arena: Optional[ZeroCopyArena] = None,
+        tracker: Optional[Tracker] = None,
         max_chunk_elements: int = 150_000,
         backend: Union[str, ArrayBackend] = "python",
     ) -> None:
@@ -52,7 +52,7 @@ class SequentialPatternRouter(BatchPatternRouter):
             graph,
             cost_model=cost_model,
             device=device,
-            arena=arena,
+            tracker=tracker,
             edge_shift=edge_shift,
             max_chunk_elements=max_chunk_elements,
             backend=backend,

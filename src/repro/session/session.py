@@ -39,8 +39,6 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.core.config import RouterConfig
 from repro.core.result import IterationStats, RoutingResult
-from repro.gpu.device import Device
-from repro.gpu.zerocopy import ZeroCopyArena
 from repro.netlist.delta import NetlistDelta
 from repro.netlist.design import Design, check_pins
 from repro.session.context import SessionContext
@@ -186,8 +184,6 @@ class RoutingSession:
             result = route_design(
                 self.design,
                 self.config,
-                device=Device(),
-                arena=ZeroCopyArena(),
                 context=self.context,
                 on_iteration=on_iteration,
             )

@@ -1,18 +1,17 @@
-"""Wall-clock timers and the counters/timers bus.
+"""The counters/timers store a routing run reports into.
 
-The paper reports TOTAL, PATTERN and MAZE runtimes (Tables V, VII, VIII).
-``StageTimer`` accumulates named stages so the router can report the same
-breakdown.
-
-:class:`Tracker` is the shared observability bus: named monotone
-counters plus named accumulating timers, handed out on demand via
-``tracker.get_counter(NAME)`` / ``tracker.get_timer(NAME)``.  Producers
-(the rip-up engine, the batched maze dispatcher, the instrumented
-backend fold) increment what they know about; consumers
-(``run_rrr_stage``) take a :meth:`Tracker.snapshot` before an iteration
-and a :meth:`Tracker.delta` after it to slice the monotone totals into
-per-iteration figures for ``IterationStats`` — no producer ever resets
-anything, so concurrent readers always see consistent values.
+:class:`Tracker` holds named monotone counters plus named accumulating
+timers, handed out on demand via ``tracker.get_counter(NAME)`` /
+``tracker.get_timer(NAME)`` with the names declared in
+:mod:`repro.metrics`.  One tracker per run: ``route_design`` creates it
+and hands it to both stages.  Producers (the cost snapshot, the pattern
+engine and stage, the rip-up engine) increment what they know about;
+consumers take a :meth:`Tracker.snapshot` before a span of work and a
+:meth:`Tracker.delta` after it (``run_rrr_stage`` slices per-iteration
+``IterationStats`` that way), or read the totals at the end of the run
+— no producer ever resets anything, so concurrent readers always see
+consistent values.  The stage wall clock (PATTERN and MAZE runtimes,
+Tables V, VII, VIII) is two of its timers.
 """
 
 from __future__ import annotations
@@ -21,48 +20,6 @@ import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Tuple
-
-
-class StageTimer:
-    """Accumulate wall-clock time into named stages.
-
-    >>> timer = StageTimer()
-    >>> with timer.stage("pattern"):
-    ...     pass
-    >>> timer.total("pattern") >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._totals: Dict[str, float] = {}
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time the enclosed block and add it to stage ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._totals[name] = self._totals.get(name, 0.0) + elapsed
-
-    def add(self, name: str, seconds: float) -> None:
-        """Add ``seconds`` to stage ``name`` directly."""
-        if seconds < 0:
-            raise ValueError("cannot add negative time to a stage")
-        self._totals[name] = self._totals.get(name, 0.0) + seconds
-
-    def total(self, name: str) -> float:
-        """Return the accumulated seconds for ``name`` (0.0 if unseen)."""
-        return self._totals.get(name, 0.0)
-
-    def totals(self) -> Dict[str, float]:
-        """Return a copy of all accumulated stage totals."""
-        return dict(self._totals)
-
-    def grand_total(self) -> float:
-        """Return the sum over all stages."""
-        return sum(self._totals.values())
 
 
 class Counter:
@@ -123,11 +80,12 @@ class TimerMetric:
 class Tracker:
     """Registry of named counters and timers with snapshot/delta reads.
 
+    >>> from repro import metrics
     >>> tracker = Tracker()
-    >>> tracker.get_counter("maze.batches").increment()
+    >>> tracker.get_counter(metrics.MAZE_BATCHES).increment()
     >>> before = tracker.snapshot()
-    >>> tracker.get_counter("maze.batches").increment(2)
-    >>> tracker.delta(before)[0]["maze.batches"]
+    >>> tracker.get_counter(metrics.MAZE_BATCHES).increment(2)
+    >>> tracker.delta(before)[0][metrics.MAZE_BATCHES]
     2
     """
 

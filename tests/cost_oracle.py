@@ -30,6 +30,7 @@ from unittest import mock
 import numpy as np
 
 import repro.pattern.batch
+from repro import metrics
 from repro.grid.cost import CostQuery
 
 IntRect = Tuple[int, int, int, int]
@@ -80,7 +81,7 @@ class FullRebuildCostQuery(CostQuery):
         try:
             self._rebuild_full(boxes, reference)
         finally:
-            self.stats.seconds += perf_counter() - start
+            self.tracker.get_timer(metrics.COST_S).add(perf_counter() - start)
 
     def _rebuild_full(self, boxes, reference) -> None:
         """The from-scratch oracle: fresh arrays, full recompute."""
@@ -178,14 +179,13 @@ class FullRebuildCostQuery(CostQuery):
             )
 
         if boxes is None:
-            self.stats.full_rebuilds += 1
+            kind = metrics.COST_FULL_REBUILDS
             wire_n = sum(int(a.size) for a in self.wire_cost)
             via_n = int(self.via_cost.size)
         else:
-            self.stats.masked_rebuilds += 1
+            kind = metrics.COST_MASKED_REBUILDS
             wire_n, via_n = self._boxes_edge_tally(boxes)
-        self.stats.refreshed_wire_edges += wire_n
-        self.stats.refreshed_via_edges += via_n
+        self._count(kind, wire_n, via_n)
         self.last_upload_bytes = (wire_n + via_n) * self.via_cost.itemsize
 
     def _ensure_reference_prefixes(self, reference) -> None:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import metrics
 from repro.backend import available_backends, get_backend
 from repro.core.config import RouterConfig
 from repro.core.router import GlobalRouter
@@ -236,7 +237,7 @@ def test_masked_parity(backend_name, steps, seed):
     backend = get_backend(backend_name)
     inc = CostQuery(graph, model, backend=backend)
     full = FullRebuildCostQuery(graph, model, backend=backend)
-    whole_grid = full.stats.copy()
+    whole_grid = metrics.cost_stats(*full.tracker.snapshot())
     reference = inc.snapshot_reference()
     previous, reseed = [], True
     for step, (boxes, new_reference) in enumerate(steps):
@@ -248,24 +249,26 @@ def test_masked_parity(backend_name, steps, seed):
         if new_reference:
             reference = FullRebuildCostQuery(graph, model).snapshot_reference()
             previous, reseed = [], True
-        before = inc.stats.copy()
+        before = inc.tracker.snapshot()
         inc.rebuild(boxes=boxes, reference=reference)
         inc.sync()
-        delta = inc.stats.delta(before)
+        delta = metrics.cost_stats(*inc.tracker.delta(before))
 
-        before = full.stats.copy()
+        before = full.tracker.snapshot()
         full.rebuild(boxes=previous + boxes, reference=reference)
-        expected = whole_grid if reseed else full.stats.delta(before)
-        assert delta.refreshed_wire_edges == expected.refreshed_wire_edges, step
-        assert delta.refreshed_via_edges == expected.refreshed_via_edges, step
+        expected = (
+            whole_grid if reseed else metrics.cost_stats(*full.tracker.delta(before))
+        )
+        assert delta["refreshed_wire_edges"] == expected["refreshed_wire_edges"], step
+        assert delta["refreshed_via_edges"] == expected["refreshed_via_edges"], step
         full.rebuild(boxes=boxes, reference=reference)
         if reseed:
             assert inc.last_upload_bytes == (
-                whole_grid.refreshed_edges * inc.via_cost.itemsize
+                whole_grid["refreshed_edges"] * inc.via_cost.itemsize
             )
         else:
             assert inc.last_upload_bytes == full.last_upload_bytes, step
-        assert delta.masked_rebuilds == 1
+        assert delta["masked_rebuilds"] == 1
         assert_snapshots_equal(inc, full, f"at step {step}")
         previous, reseed = boxes, False
     # Masked -> unmasked transition falls back to a clean full refresh.
@@ -333,10 +336,10 @@ def test_masked_reads_paint_only_the_footprint(backend_name, steps, seed):
             reference = FullRebuildCostQuery(graph, model).snapshot_reference()
             previous, reseed = None, True
         reads = random_reads(rng, boxes)
-        before = inc.stats.copy()
+        before = inc.tracker.snapshot()
         inc.rebuild(boxes=boxes, reference=reference, reads=reads)
         inc.sync()
-        delta = inc.stats.delta(before)
+        delta = metrics.cost_stats(*inc.tracker.delta(before))
 
         whole = FullRebuildCostQuery(graph, model)
         whole.rebuild(boxes=boxes, reference=reference)
@@ -360,13 +363,13 @@ def test_masked_reads_paint_only_the_footprint(backend_name, steps, seed):
 
         if reseed:  # a new reference repaints the whole grid
             whole_grid = sum(a.size for a in inc.wire_cost) + inc.via_cost.size
-            assert delta.refreshed_edges == whole_grid
+            assert delta["refreshed_edges"] == whole_grid
             assert inc.last_upload_bytes == whole_grid * inc.via_cost.itemsize
         else:
             painted = sum(int(m.sum()) for m in masks)
             assert inc.last_upload_bytes == painted * inc.via_cost.itemsize
             union = sum(int((m | p).sum()) for m, p in zip(masks, previous))
-            assert delta.refreshed_edges == union, step
+            assert delta["refreshed_edges"] == union, step
         previous, reseed = masks, False
 
 
@@ -392,12 +395,12 @@ def test_every_line_footprint_equals_reads_none():
         query = CostQuery(graph, model)
         reference = CostQuery(make_graph(), model).snapshot_reference()
         query.rebuild(boxes=boxes[:1], reference=reference)
-        before = query.stats.copy()
+        before = query.tracker.snapshot()
         query.rebuild(boxes=boxes, reference=reference, reads=reads)
-        queries.append((query, query.stats.delta(before)))
+        queries.append((query, metrics.cost_stats(*query.tracker.delta(before))))
     (a, da), (b, db) = queries
     assert_snapshots_equal(a, b)
-    assert da.refreshed_edges == db.refreshed_edges
+    assert da["refreshed_edges"] == db["refreshed_edges"]
     assert a.last_upload_bytes == b.last_upload_bytes
 
 
@@ -503,16 +506,16 @@ def test_stats_counters_accumulate():
     """An unmasked rebuild is one full refresh of every edge."""
     graph = make_graph()
     inc = CostQuery(graph, CostModel())
-    before = inc.stats.copy()
+    before = inc.tracker.snapshot()
     graph.add_wire_demand(1, 0, 0, 5, 0)
     inc.rebuild()
-    delta = inc.stats.delta(before)
+    delta = metrics.cost_stats(*inc.tracker.delta(before))
     wire_n = sum(a.size for a in inc.wire_cost)
-    assert (delta.full_rebuilds, delta.masked_rebuilds) == (1, 0)
-    assert delta.refreshed_wire_edges == wire_n
-    assert delta.refreshed_via_edges == inc.via_cost.size
-    assert delta.seconds >= 0.0
-    assert inc.last_upload_bytes == delta.refreshed_edges * inc.via_cost.itemsize
+    assert (delta["full_rebuilds"], delta["masked_rebuilds"]) == (1, 0)
+    assert delta["refreshed_wire_edges"] == wire_n
+    assert delta["refreshed_via_edges"] == inc.via_cost.size
+    assert delta["seconds"] >= 0.0
+    assert inc.last_upload_bytes == delta["refreshed_edges"] * inc.via_cost.itemsize
 
 
 @pytest.mark.parametrize("preset", ["cugr", "fastgr_l", "fastgr_h"])

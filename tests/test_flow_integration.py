@@ -5,16 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import metrics
 from repro.core.config import RouterConfig
 from repro.core.flow import run_pattern_stage
 from repro.core.router import GlobalRouter, route_design
 from repro.gpu.device import Device
-from repro.gpu.zerocopy import ZeroCopyArena
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.maze.ripup import find_violating_nets
 from repro.netlist.benchmarks import load_benchmark
 from repro.netlist.generator import DesignSpec, generate_design
+from repro.utils.timing import Tracker
 
 
 def fresh_design(congested=False, seed=7):
@@ -152,12 +153,9 @@ class TestDeterminism:
             ))
         else:
             design = load_benchmark(design, scale=0.2)
-        stats = {}
-        run_pattern_stage(
-            design, getattr(RouterConfig, preset)(), Device(), ZeroCopyArena(),
-            cost_stats=stats,
-        )
-        assert stats["refreshed_edges"] == refreshed
+        tracker = Tracker()
+        run_pattern_stage(design, getattr(RouterConfig, preset)(), Device(), tracker)
+        assert metrics.cost_stats(*tracker.snapshot())["refreshed_edges"] == refreshed
 
     def test_maze_stage_expansions_are_pinned(self):
         """The maze search's node expansions and the routes, exactly.

@@ -5,14 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import metrics
 from repro.core.config import RouterConfig
 from repro.core.flow import run_pattern_stage, run_rrr_stage
 from repro.gpu.device import Device
-from repro.gpu.zerocopy import ZeroCopyArena
 from repro.maze.ripup import find_violating_nets
 from repro.netlist.generator import DesignSpec, generate_design
 from repro.sched.batching import extract_batches
 from repro.sched.sorting import sort_nets
+from repro.utils.timing import Tracker
 
 
 def design(congested=False, seed=21, n_nets=80):
@@ -33,12 +34,12 @@ def design(congested=False, seed=21, n_nets=80):
 class TestPatternStage:
     def test_routes_every_net(self):
         d = design()
-        routes, _ = run_pattern_stage(d, RouterConfig.fastgr_l(), Device(), ZeroCopyArena())
+        routes, _ = run_pattern_stage(d, RouterConfig.fastgr_l(), Device())
         assert set(routes) == {net.name for net in d.netlist}
 
     def test_demand_committed(self):
         d = design()
-        routes, _ = run_pattern_stage(d, RouterConfig.fastgr_l(), Device(), ZeroCopyArena())
+        routes, _ = run_pattern_stage(d, RouterConfig.fastgr_l(), Device())
         total_wl = sum(route.wirelength for route in routes.values())
         committed = sum(float(d.graph.wire_demand[l].sum()) for l in range(d.n_layers))
         assert committed == pytest.approx(total_wl)
@@ -53,7 +54,7 @@ class TestPatternStage:
     def test_pattern_report_covers_all_chunks(self):
         d = design()
         config = RouterConfig.fastgr_l(max_batch_tasks=8)
-        _routes, report = run_pattern_stage(d, config, Device(), ZeroCopyArena())
+        _routes, report = run_pattern_stage(d, config, Device())
         assert report.stage == "pattern"
         assert report.n_tasks >= len(d.netlist) / 8
         assert len(report.task_durations) == report.n_tasks
@@ -61,7 +62,7 @@ class TestPatternStage:
     def test_device_records_when_batch_engine(self):
         d = design()
         device = Device()
-        run_pattern_stage(d, RouterConfig.fastgr_l(), device, ZeroCopyArena())
+        run_pattern_stage(d, RouterConfig.fastgr_l(), device)
         assert device.n_launches > 0
         kernels = set(device.per_kernel_elements())
         assert "combine" in kernels and "lshape" in kernels
@@ -70,21 +71,23 @@ class TestPatternStage:
         d = design()
         device = Device()
         run_pattern_stage(
-            d, RouterConfig.fastgr_h(t1=1, t2=40), device, ZeroCopyArena()
+            d, RouterConfig.fastgr_h(t1=1, t2=40), device
         )
         assert "hybrid" in device.per_kernel_elements()
 
-    def test_arena_accounts_uploads(self):
+    def test_cost_uploads_are_counted(self):
         d = design()
-        arena = ZeroCopyArena()
-        run_pattern_stage(d, RouterConfig.fastgr_l(), Device(), arena)
-        assert arena.bytes_to_device > 0
+        tracker = Tracker()
+        run_pattern_stage(d, RouterConfig.fastgr_l(), Device(), tracker)
+        counters = tracker.counters()
+        assert counters[metrics.COST_UPLOAD_BYTES] > 0
+        assert counters[metrics.COST_UPLOADS] > 0
 
 
 class TestRRRStage:
     def _pattern_routed(self, config, n_nets=80):
         d = design(congested=True, n_nets=n_nets)
-        routes, _ = run_pattern_stage(d, config, Device(), ZeroCopyArena())
+        routes, _ = run_pattern_stage(d, config, Device())
         return d, routes
 
     def test_reports_initial_violations(self):
@@ -125,7 +128,7 @@ class TestRRRStage:
         )
         d = generate_design(spec)
         config = RouterConfig.fastgr_l()
-        routes, _ = run_pattern_stage(d, config, Device(), ZeroCopyArena())
+        routes, _ = run_pattern_stage(d, config, Device())
         assert find_violating_nets(routes, d.graph) == []
         initial, iterations = run_rrr_stage(d, config, routes)
         assert initial == 0

@@ -1,20 +1,21 @@
-"""Tests for the simulated SIMT device and zero-copy arena."""
+"""Tests for the simulated SIMT device and its zero-copy transfer figures."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro import metrics
 from repro.backend import get_backend
 from repro.core.config import RouterConfig
 from repro.core.selection import make_mode_selector
 from repro.gpu.device import Device, DeviceSpec
 from repro.gpu.simt import KernelLaunch
-from repro.gpu.zerocopy import ZeroCopyArena
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.netlist.net import Net, Pin
 from repro.pattern.batch import BatchPatternRouter
+from repro.utils.timing import Tracker
 
 
 class TestKernelLaunch:
@@ -84,40 +85,50 @@ class TestDevice:
         assert device.n_launches == 0
 
 
+def uploads(*sizes: int) -> dict:
+    """Counter totals of one cost upload per entry of ``sizes``."""
+    tracker = Tracker()
+    for n_bytes in sizes:
+        tracker.get_counter(metrics.COST_UPLOAD_BYTES).increment(n_bytes)
+        tracker.get_counter(metrics.COST_UPLOADS).increment()
+    return tracker.counters()
+
+
 class TestZeroCopy:
+    """Zero-copy transfer figures: the run's upload counters priced by
+    the :class:`DeviceSpec` bandwidths (:func:`metrics.transfer_stats`)."""
+
     def test_accounting(self):
-        arena = ZeroCopyArena()
-        arena.send(1000)
-        arena.receive(500)
-        assert arena.total_bytes == 1500
-        assert arena.n_transfers == 2
+        stats = metrics.transfer_stats(uploads(1000, 500), DeviceSpec())
+        assert stats["bytes_to_device"] == 1500
+        assert stats["bytes_to_host"] == 0
+        assert stats["transfer_time"] == 1500 / DeviceSpec().mapped_bandwidth
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            ZeroCopyArena().send(-1)
+            Tracker().get_counter(metrics.COST_UPLOAD_BYTES).increment(-1)
 
     def test_zero_copy_faster_than_explicit(self):
-        arena = ZeroCopyArena(zero_copy=True)
-        for _ in range(100):
-            arena.send(1 << 20)
-        assert arena.saving_vs_explicit_copy() > 0
+        stats = metrics.transfer_stats(uploads(*[1 << 20] * 100), DeviceSpec())
+        assert stats["zero_copy_saving"] > 0
 
     def test_explicit_mode_pays_latency(self):
-        fast = ZeroCopyArena(zero_copy=True)
-        slow = ZeroCopyArena(zero_copy=False)
-        for arena in (fast, slow):
-            for _ in range(50):
-                arena.send(1 << 16)
-        assert slow.simulated_transfer_time() > fast.simulated_transfer_time()
+        """Same bytes in more explicit copies cost more: the per-copy
+        latency, which zero-copy does not pay."""
+        spec = DeviceSpec()
+        few = metrics.transfer_stats(uploads(*[1 << 16] * 50), spec)
+        many = metrics.transfer_stats(uploads(*[1 << 15] * 100), spec)
+        assert few["transfer_time"] == many["transfer_time"]
+        assert many["zero_copy_saving"] - few["zero_copy_saving"] == pytest.approx(
+            50 * spec.per_transfer_latency
+        )
 
     def test_paper_claim_transfer_under_one_second(self):
         """Zero-copy keeps per-design transfer time well under 1 s
         (Sec. IV-E) for realistic cost-array traffic."""
-        arena = ZeroCopyArena(zero_copy=True)
         # ~300 batches x ~10 MB of cost arrays.
-        for _ in range(300):
-            arena.send(10 * (1 << 20))
-        assert arena.simulated_transfer_time() < 1.0
+        stats = metrics.transfer_stats(uploads(*[10 * (1 << 20)] * 300), DeviceSpec())
+        assert stats["transfer_time"] < 1.0
 
 
 class TestOpTally:

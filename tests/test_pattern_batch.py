@@ -217,14 +217,11 @@ class TestPatternStageSeam:
     """batch_plan/run_batch on PatternStage: levels, bucketing, counters."""
 
     def test_batch_plan_fuses_every_level(self):
-        from repro.gpu.zerocopy import ZeroCopyArena
         from repro.sched.pipeline import StageRunner
 
         runner = StageRunner()
         design = congested_design()
-        stage = PatternStage(
-            design, RouterConfig.fastgr_l(), Device(), ZeroCopyArena()
-        )
+        stage = PatternStage(design, RouterConfig.fastgr_l(), Device())
         schedule = runner.schedule(stage)
         plan = stage.batch_plan(schedule)
         assert plan is not None
@@ -237,7 +234,6 @@ class TestPatternStageSeam:
 
     def test_plan_buckets_split_ragged_levels(self):
         """A level mixing a huge chunk with small ones splits by area."""
-        from repro.gpu.zerocopy import ZeroCopyArena
         from repro.sched.pipeline import StageRunner
 
         graph = fresh_grid(nx=40, ny=40)
@@ -251,7 +247,6 @@ class TestPatternStageSeam:
             design,
             RouterConfig.fastgr_l(max_batch_tasks=1),
             Device(),
-            ZeroCopyArena(),
         )
         schedule = StageRunner().schedule(stage)
         levels = schedule.task_graph.levels()

@@ -9,7 +9,6 @@ from repro.core.config import RouterConfig
 from repro.core.flow import PatternStage
 from repro.core.router import GlobalRouter
 from repro.gpu.device import Device
-from repro.gpu.zerocopy import ZeroCopyArena
 from repro.grid.geometry import Rect
 from repro.netlist.generator import DesignSpec, generate_design
 from repro.sched.batching import extract_batches
@@ -248,7 +247,7 @@ class TestPatternChainFreedom:
 
     def _stage(self, config):
         design = small_design()
-        return design, PatternStage(design, config, Device(), ZeroCopyArena())
+        return design, PatternStage(design, config, Device())
 
     def test_sibling_chunks_have_no_dependency(self):
         config = RouterConfig.fastgr_l(**self.CONFIG_KW)

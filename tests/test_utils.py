@@ -6,40 +6,44 @@ import time
 
 import pytest
 
+from repro import metrics
 from repro.utils.rng import make_rng
-from repro.utils.timing import StageTimer
+from repro.utils.timing import Tracker
 from repro.utils.unionfind import UnionFind
 
 
 class TestStageTimer:
+    """The stage wall clock: two tracker timers, read through
+    :func:`repro.metrics.stage_times`."""
+
     def test_stage_accumulates(self):
-        timer = StageTimer()
-        with timer.stage("a"):
-            time.sleep(0.002)
-        with timer.stage("a"):
-            time.sleep(0.002)
-        assert timer.total("a") >= 0.004
+        tracker = Tracker()
+        for _ in range(2):
+            with tracker.get_timer(metrics.PATTERN_STAGE_S).time():
+                time.sleep(0.002)
+        assert metrics.stage_times(tracker.timers())["pattern"] >= 0.004
 
     def test_unknown_stage_zero(self):
-        assert StageTimer().total("nothing") == 0.0
+        assert metrics.stage_times(Tracker().timers()) == {"pattern": 0.0, "maze": 0.0}
 
     def test_add_and_grand_total(self):
-        timer = StageTimer()
-        timer.add("x", 1.5)
-        timer.add("y", 0.5)
-        assert timer.grand_total() == pytest.approx(2.0)
-        assert timer.totals() == {"x": 1.5, "y": 0.5}
+        tracker = Tracker()
+        tracker.get_timer(metrics.PATTERN_STAGE_S).add(1.5)
+        tracker.get_timer(metrics.MAZE_STAGE_S).add(0.5)
+        times = metrics.stage_times(tracker.timers())
+        assert times == {"pattern": 1.5, "maze": 0.5}
+        assert sum(times.values()) == pytest.approx(2.0)
 
     def test_add_negative_rejected(self):
         with pytest.raises(ValueError):
-            StageTimer().add("x", -1.0)
+            Tracker().get_timer(metrics.PATTERN_STAGE_S).add(-1.0)
 
     def test_stage_records_on_exception(self):
-        timer = StageTimer()
+        tracker = Tracker()
         with pytest.raises(RuntimeError):
-            with timer.stage("risky"):
+            with tracker.get_timer(metrics.MAZE_STAGE_S).time():
                 raise RuntimeError
-        assert timer.total("risky") >= 0.0
+        assert metrics.MAZE_STAGE_S in tracker.timers()
 
 
 class TestUnionFind:
@@ -99,34 +103,26 @@ class TestRng:
 
 class TestTracker:
     def test_counters_create_on_first_use_and_accumulate(self):
-        from repro.utils.timing import Tracker
-
         tracker = Tracker()
-        tracker.get_counter("maze.nets").increment()
-        tracker.get_counter("maze.nets").increment(4)
-        assert tracker.get_counter("maze.nets") is tracker.get_counter("maze.nets")
-        assert tracker.counters() == {"maze.nets": 5}
+        tracker.get_counter("nets").increment()
+        tracker.get_counter("nets").increment(4)
+        assert tracker.get_counter("nets") is tracker.get_counter("nets")
+        assert tracker.counters() == {"nets": 5}
 
     def test_counter_rejects_negative(self):
-        from repro.utils.timing import Tracker
-
         with pytest.raises(ValueError, match="cannot decrease"):
             Tracker().get_counter("x").increment(-1)
 
     def test_timer_accumulates_and_rejects_negative(self):
-        from repro.utils.timing import Tracker
-
         tracker = Tracker()
-        with tracker.get_timer("maze.search").time():
+        with tracker.get_timer("search").time():
             pass
-        tracker.get_timer("maze.search").add(0.5)
-        assert tracker.timers()["maze.search"] >= 0.5
+        tracker.get_timer("search").add(0.5)
+        assert tracker.timers()["search"] >= 0.5
         with pytest.raises(ValueError, match="negative"):
-            tracker.get_timer("maze.search").add(-0.1)
+            tracker.get_timer("search").add(-0.1)
 
     def test_snapshot_delta_slices_monotone_totals(self):
-        from repro.utils.timing import Tracker
-
         tracker = Tracker()
         tracker.get_counter("a").increment(3)
         tracker.get_timer("t").add(1.0)
@@ -141,8 +137,6 @@ class TestTracker:
 
     def test_threaded_increments_do_not_lose_counts(self):
         import threading
-
-        from repro.utils.timing import Tracker
 
         tracker = Tracker()
         counter = tracker.get_counter("hits")
