@@ -23,7 +23,8 @@ difference between the compared strategies is the barrier, which is
 exactly what the paper's comparison isolates.
 
 Quick mode: set ``REPRO_STRESS_WORKERS`` (e.g. ``"8"``) to restrict the
-worker sweep — the >=1.5x assertion holds already at 8 workers.
+worker sweep — the >=1.5x assertion holds already at 8 workers.  Such a
+run is stamped ``quick`` and leaves the committed table alone.
 """
 
 from __future__ import annotations
@@ -47,10 +48,12 @@ from repro.utils.rng import make_rng
 DESIGN = "19test9m"
 SAMPLE_FRACTION = 0.12  # a realistic rip-up set: ~12% of nets
 SIGMA = 1.8  # heavy-tailed per-task durations (orders of magnitude)
+FULL_WORKERS = "4,8,16,32"
 WORKERS = tuple(
     int(w)
-    for w in os.environ.get("REPRO_STRESS_WORKERS", "4,8,16,32").split(",")
+    for w in os.environ.get("REPRO_STRESS_WORKERS", FULL_WORKERS).split(",")
 )
+QUICK = WORKERS != tuple(int(w) for w in FULL_WORKERS.split(","))
 
 _BOXES = None
 
@@ -130,6 +133,7 @@ def test_scheduler_stress(benchmark):
             "n_conflicts": report.n_conflicts,
             "n_batches": report.n_batches,
             "best_speedup": best_ratio,
+            "quick": float(QUICK),
         },
     )
     # Shape: with enough workers and heterogeneous tasks, the barrier

@@ -9,15 +9,24 @@ the graph's flat demand buffer: :func:`commit_routes` commits a whole
 batch with one scatter at those positions, and the rip-up scan reads
 overflow at the same ones.
 
-A batch of routes built as arrays travels as a *segment table* instead:
+This module is the one place that knows how route geometry maps to unit
+grid edges.  Routes built as arrays travel as a *segment table*:
 ``(6, S)`` ints, one column per segment — ``kind``, ``route``, ``a``,
 ``b``, ``lo``, ``hi``.  Kind :data:`H_WIRE` is a horizontal wire on
 layer ``a`` along row ``y = b`` from ``x = lo`` to ``x = hi``;
 :data:`V_WIRE` a vertical wire on layer ``a`` along column ``x = b``
 from ``y = lo`` to ``y = hi``; :data:`VIA` a via stack at ``(a, b)``
 from layer ``lo`` to layer ``hi``.  Every row is axis-aligned by layout.
-:func:`routes_from_table` builds its routes and :func:`commit_table`
-commits it with one scatter.
+
+:func:`normalize_table` is the one step from raw rows (overlapping,
+repeated, in any order) to normal form — each unit edge once, in
+maximal runs, sorted — for the pattern backtrace, the maze paths
+(:func:`routes_from_paths`) and
+:func:`~repro.pattern.commit.normalize_route` alike.
+:func:`demand_positions` is the one map from rows to flat demand-buffer
+positions (:func:`edges_at` inverts it): :func:`commit_table` and
+:func:`routes_from_paths` fill every route's index with it as they
+build, and :meth:`Route._demand_index` for a route built by hand.
 """
 
 from __future__ import annotations
@@ -123,7 +132,10 @@ class Route:
     ) -> None:
         self.wires: List[WireSegment] = list(wires)
         self.vias: List[ViaSegment] = list(vias)
-        self._index: Optional[tuple] = None  # see _demand_index
+        # The demand index and its key (see _demand_index).
+        self._index: Optional[np.ndarray] = None
+        self._index_on: Optional[np.ndarray] = None
+        self._index_segments = 0
 
     def add_wire(self, segment: WireSegment) -> None:
         """Append a wire segment."""
@@ -169,35 +181,31 @@ class Route:
         demand buffer (``graph.demand_flat``), one per edge use.
 
         Validated on first use and cached: a route's geometry does not
-        change once built (the segment counts are part of the key, so an
-        appended segment refreshes it).  Every committed route keeps
-        one, so it holds only tuples, ints and a NumPy array, which the
-        cyclic garbage collector does not track; the graph's via-demand
-        array, created with the graph and never replaced, stands for it.
+        change once built (the segment count is part of the key, so an
+        appended segment refreshes it).  Every committed route keeps one,
+        in plain attributes (the graph's via-demand array, created with
+        the graph and never replaced, stands for the graph), so filling
+        it allocates nothing the cyclic garbage collector tracks.
         """
-        key = (len(self.wires), len(self.vias))
-        cached = self._index
-        if cached is not None and cached[0] is graph.via_demand and cached[1] == key:
-            return cached[2]
-        cells: List[int] = []
-        ny, plane, offset = graph.ny, graph.nx * graph.ny, graph.edge_offset
-        for w in self.wires:
-            layer, x1, y1, x2, y2 = w.layer, w.x1, w.y1, w.x2, w.y2
-            graph.check_wire(layer, x1, y1, x2, y2)
-            # Edge [x, y] of a layer's wire array leaves G-cell (x, y).
-            if y1 == y2:
-                first = offset[layer] + x1 * ny + y1
-                cells.extend(range(first, first + (x2 - x1) * ny, ny))
-            else:
-                first = offset[layer] + x1 * (ny - 1)
-                cells.extend(range(first + y1, first + y2))
-        for v in self.vias:
-            graph.check_via(v.x, v.y, v.lo, v.hi)
-            cell = offset[-1] + v.x * ny + v.y
-            cells.extend(range(v.lo * plane + cell, v.hi * plane + cell, plane))
-        index = np.array(cells, dtype=np.intp)
-        self._index = (graph.via_demand, key, index)
-        return index
+        if (
+            self._index_on is graph.via_demand
+            and self._index_segments == len(self.wires) + len(self.vias)
+        ):
+            return self._index
+        _index_routes(graph, self.table(), (self,))
+        return self._index
+
+    def table(self) -> np.ndarray:
+        """This route's segment table, as route 0: its wires, then its
+        vias, in the route's own order."""
+        rows = [
+            (H_WIRE, 0, w.layer, w.y1, w.x1, w.x2)
+            if w.y1 == w.y2
+            else (V_WIRE, 0, w.layer, w.x1, w.y1, w.y2)
+            for w in self.wires
+        ]
+        rows += [(VIA, 0, v.x, v.y, v.lo, v.hi) for v in self.vias]
+        return np.array(rows, dtype=np.intp).reshape(-1, 6).T
 
     # ------------------------------------------------------------------ #
     # Validation helpers
@@ -261,6 +269,42 @@ def commit_routes(
 # ---------------------------------------------------------------------- #
 # Segment tables
 # ---------------------------------------------------------------------- #
+def normalize_table(raw: np.ndarray, n_routes: int) -> np.ndarray:
+    """The segment table of exactly the unit edges of ``raw``'s rows,
+    each once, fused into maximal runs.
+
+    ``raw`` holds ``n_routes`` routes' rows in any order, which may
+    overlap, repeat or be empty (``lo == hi``), with non-negative
+    coordinates.  The result is sorted by ``(kind, route, a, b, lo)``:
+    a route's horizontal wires by ``(layer, y, x)``, vertical ones by
+    ``(layer, x, y)``, vias by ``(x, y, layer)``.
+    """
+    length = raw[5] - raw[4]
+    last = length.cumsum()
+    if not last.size or not last[-1]:
+        return np.empty((6, 0), dtype=np.intp)
+    # Every unit edge is keyed (kind, route, a, b, lo) in one integer.
+    # The radix leaves a gap after a line's last unit, so keys one apart
+    # are neighbouring units of one run.
+    radix = int(raw[2:].max()) + 2
+    scale, digits = np.array([
+        [n_routes * radix**3, radix**3, radix**2, radix, 1],
+        [VIA + 1, n_routes, radix, radix, radix],
+    ])
+    units = np.sort(np.repeat(scale @ raw[:5] + length - last, length) + np.arange(last[-1]))
+    # Runs start where the next key is more than one up (duplicates are
+    # 0 apart): at[i] is where run i starts, and at[i + 1] - 1 its end.
+    edge = np.empty(units.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.greater(units[1:] - units[:-1], 1, out=edge[1:-1])
+    at = edge.nonzero()[0]
+    first = units[at[:-1]]
+    table = np.empty((6, first.size), dtype=np.intp)
+    table[:5] = (first[:, None] // scale % digits).T
+    table[5] = table[4] + 1 + units[at[1:] - 1] - first
+    return table
+
+
 def routes_from_table(table: np.ndarray, n_routes: int) -> List[Route]:
     """The ``n_routes`` routes of a segment table sorted by ``(kind,
     route)``: each route's wires (horizontal, then vertical) and vias in
@@ -309,57 +353,142 @@ def routes_from_table(table: np.ndarray, n_routes: int) -> List[Route]:
     ]
 
 
+def routes_from_paths(
+    graph: GridGraph, paths: Sequence[Sequence[Sequence[GridNode]]]
+) -> List[Route]:
+    """One route per entry of ``paths``, a list of node paths (each a
+    sequence of ``(x, y, layer)`` nodes one unit step apart): exactly
+    the unit edges the paths step along, each once, in maximal runs and
+    in :func:`normalize_table` order — with the demand index on
+    ``graph`` filled."""
+    rows = []
+    for j, group in enumerate(paths):
+        for path in group:
+            for (x, y, layer), (x2, y2, layer2) in zip(path, path[1:]):
+                if abs(x2 - x) + abs(y2 - y) + abs(layer2 - layer) != 1:
+                    raise ValueError(f"no unit step: {(x, y, layer)} -> {(x2, y2, layer2)}")
+                if layer != layer2:
+                    rows.append((VIA, j, x, y, min(layer, layer2), max(layer, layer2)))
+                elif y == y2:
+                    rows.append((H_WIRE, j, layer, y, min(x, x2), max(x, x2)))
+                else:
+                    rows.append((V_WIRE, j, layer, x, min(y, y2), max(y, y2)))
+    raw = np.array(rows, dtype=np.intp).reshape(-1, 6).T
+    table = normalize_table(raw, len(paths))
+    routes = routes_from_table(table, len(paths))
+    _index_routes(graph, table, routes)
+    return routes
+
+
 def commit_table(
     graph: GridGraph, table: np.ndarray, routes: Sequence[Route], amount: float = 1.0
 ) -> None:
     """Commit a segment table's demand to ``graph`` as
     :func:`commit_routes` commits its ``routes`` (the ones
-    :func:`routes_from_table` builds of it), with the same result.
+    :func:`routes_from_table` builds of it), with the same result, and
+    fill their demand indexes: checked by :func:`demand_positions`,
+    then written with one ``np.add.at``."""
+    np.add.at(graph.demand_flat, _index_routes(graph, table, routes), amount)
 
-    Every segment is checked for everything :meth:`GridGraph.check_wire`
-    and :meth:`~GridGraph.check_via` check before anything is written;
-    on a failure the routes are checked one by one, so the first
-    offending segment in route order raises its own ``ValueError``.
-    Then one ``np.add.at`` writes the flat demand buffer.
+
+def demand_positions(graph: GridGraph, table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(owner, positions)``: the position in ``graph``'s flat demand
+    buffer of every unit edge of ``table``'s rows, row after row, and
+    the row each comes from.
+
+    Every row is first checked for what :meth:`GridGraph.check_wire`
+    and :meth:`~GridGraph.check_via` check; the first offending row of
+    the lowest-numbered route raises their ``ValueError`` (for a
+    table-built route: its first offending segment in route order).
     """
-    kind, _, a, b, lo, hi = table
-    if not kind.size:
-        return
-    nx, ny, n_layers = graph.nx, graph.ny, graph.n_layers
-    # Per kind: bounds of a, b and the run lo..hi, then the flat-buffer
-    # step along the run.  A negative value wraps to a huge unsigned one.
-    kind_ok = kind.astype(np.uintp) <= VIA
-    spec = _kind_spec(nx, ny, n_layers)[np.where(kind_ok, kind, VIA)].T
-    is_wire = kind < VIA
-    ok = (
-        kind_ok
-        & (a.astype(np.uintp) < spec[0])
-        & (b.astype(np.uintp) < spec[1])
-        & (lo.astype(np.uintp) < hi)
-        & (hi < spec[2])
-        # A wire's kind must match its layer: horizontal (True) takes
-        # H_WIRE (0), vertical (False) V_WIRE (1).
-        & ~(is_wire & (graph.horizontal[a % n_layers] == kind))
-    )
+    kind, route, a, b, lo, hi = table
+    spec, head, _ = _layout(graph)
+    # Per row: its kind's bounds of a, b, lo (that is hi) and hi.  A
+    # negative value wraps to a huge unsigned one.
+    k = np.minimum(kind.astype(np.uintp), VIA + 1)
+    row = spec[k].T
+    row[2] = hi
+    ok = (table[2:].astype(np.uintp) < row[:4]).all(axis=0)
+    start = head[k, np.where(ok, a, 0)]
+    ok &= start >= 0
     if not ok.all():
-        for r in routes:
-            r._demand_index(graph)
-        raise ValueError("segment table disagrees with its routes")
+        bad = np.flatnonzero(~ok)
+        first = table[:, bad[route[bad].argmin()]].tolist()
+        k, _, a, b, lo, hi = first
+        if k == VIA:
+            graph.check_via(a, b, lo, hi)
+        elif k in (H_WIRE, V_WIRE):
+            graph.check_wire(a, *((lo, b, hi, b) if k == H_WIRE else (b, lo, b, hi)))
+        raise ValueError(f"malformed segment-table row {first}")
+    return ranges(start + b * row[4] + lo * row[5], hi - lo, row[5])
 
-    # Edge [x, y] of a horizontal layer sits at x * ny + y, of a vertical
-    # one at x * (ny - 1) + y; via [l, x, y] at l * nx * ny + x * ny + y.
-    layer = np.where(is_wire, a, n_layers)  # n_layers stands for the vias
-    base = np.array(graph.edge_offset)[layer] + np.where(
-        is_wire, b * np.where(kind, ny - 1, 1), a * ny + b
-    )
-    owner, run = ranges(lo, hi - lo)
-    np.add.at(graph.demand_flat, base[owner] + run * spec[3][owner], amount)
+
+def edges_at(
+    graph: GridGraph, positions: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(kind, layer, x, y)`` of the unit edges at flat demand-buffer
+    ``positions`` — the inverse of :func:`demand_positions`: the edge's
+    segment-table kind, its layer (a via's lower one) and the G-cell
+    ``(x, y)`` it leaves."""
+    planes = _layout(graph)[2]
+    plane = planes[0].searchsorted(positions, side="right") - 1
+    start, kind, per_x = planes[:, plane]
+    x, y = np.divmod(positions - start, per_x)
+    return kind, plane % graph.n_layers, x, y
+
+
+def _index_routes(graph: GridGraph, table: np.ndarray, routes: Sequence[Route]) -> np.ndarray:
+    """Fill the demand index of the routes of ``table`` (``routes[j]``
+    is its route ``j``); return every row's positions, in table order."""
+    owner, positions = demand_positions(graph, table)
+    if len(routes) == 1:
+        by_route, ends = positions, [positions.size]
+    else:
+        route_of = table[1][owner]
+        by_route = positions[np.argsort(route_of, kind="stable")]
+        ends = np.bincount(route_of, minlength=len(routes)).cumsum().tolist()
+    via, start = graph.via_demand, 0
+    for route, end in zip(routes, ends):
+        route._index, route._index_on = by_route[start:end], via
+        route._index_segments = len(route.wires) + len(route.vias)
+        start = end
+    return positions
+
+
+def _layout(graph: GridGraph):
+    """``(spec, head, planes)`` of ``graph``'s flat demand buffer.  Row
+    ``k`` of ``spec``/``head`` is segment kind ``k`` (a fourth row
+    matches no row): ``spec[k]`` the bounds of ``a``, ``b``, ``lo`` (a
+    slot for the row's ``hi``) and ``hi``, then the buffer step along
+    ``b`` and along the run; ``head[k, a]`` the position at ``b = lo =
+    0``, or -1 where a wire's layer runs the other way.  ``planes``: per
+    plane (wire layers, then via layers) its start, kind and x step."""
+    return _grid_layout(graph.nx, graph.ny, graph.edge_offset, graph.horizontal.tobytes())
 
 
 @lru_cache(maxsize=8)
-def _kind_spec(nx: int, ny: int, n_layers: int) -> np.ndarray:
-    """Per segment kind: the bounds of ``a``, ``b`` and the run's ``hi``,
-    then the run's step in the flat demand buffer (read-only: shared)."""
-    spec = np.array([[n_layers, ny, nx, ny], [n_layers, nx, ny, 1], [nx, ny, n_layers, nx * ny]])
-    spec.flags.writeable = False
-    return spec
+def _grid_layout(nx: int, ny: int, edge_offset: Tuple[int, ...], horizontal: bytes):
+    # Edge [x, y] of a horizontal layer sits at x * ny + y, of a vertical
+    # one at x * (ny - 1) + y; via [l, x, y] at l * nx * ny + x * ny + y.
+    is_h = np.frombuffer(horizontal, dtype=bool)
+    n_layers = is_h.size
+    spec = np.array([
+        [n_layers, ny, 0, nx, 1, ny],
+        [n_layers, nx, 0, ny, ny - 1, 1],
+        [nx, ny, 0, n_layers, 1, nx * ny],
+        [0, 0, 0, 0, 0, 0],
+    ])
+    layers = np.array(edge_offset[:-1])
+    head = np.full((4, max(n_layers, nx)), -1)
+    head[H_WIRE, :n_layers] = np.where(is_h, layers, -1)
+    head[V_WIRE, :n_layers] = np.where(is_h, -1, layers)
+    head[VIA, :nx] = edge_offset[-1] + ny * np.arange(nx)
+    kind = np.concatenate((np.where(is_h, H_WIRE, V_WIRE), np.full(n_layers - 1, VIA)))
+    planes = np.array([
+        np.concatenate((layers, edge_offset[-1] + nx * ny * np.arange(n_layers - 1))),
+        kind,
+        np.where(kind == V_WIRE, ny - 1, ny),
+    ])
+    for table in (spec, head, planes):
+        table.flags.writeable = False
+    return spec, head, planes

@@ -8,16 +8,20 @@ practice; keeps the search region proportional to the net).
 
 A multi-pin net is routed by growing a connected component: start from
 one pin, search from every node of the component to the nearest
-unconnected pin, splice the found path in, repeat.  Each search is
-ordered by distance so far plus a lower bound on the remainder — a
-two-plane congestion field per pin, built once per net — and returns
-exactly the path plain Dijkstra would (DESIGN.md §5, "Goal-directed
-scalar maze search").
+unconnected pin, add the found path to it, repeat; the route is the
+unit edges of the found paths
+(:func:`~repro.grid.route.routes_from_paths`).  Each search is ordered
+by distance so far plus a lower bound on the remainder — a two-plane
+congestion field per pin, built once per net — and returns exactly the
+path plain Dijkstra would (DESIGN.md §5, "Goal-directed scalar maze
+search").
 
 This module also defines the engine seams the wavefront engine
 (:mod:`repro.maze.wavefront`) plugs into: :meth:`MazeRouter.route_net`
 drives the multi-pin loop through ``_build_tables`` (per-net region
-cost tables) and ``_search`` (one splice search), both overridable.
+cost tables) and ``_search`` (one splice search, returning a node
+path), both overridable; either engine builds its routes of those paths
+with :func:`~repro.grid.route.routes_from_paths`.
 """
 
 from __future__ import annotations
@@ -30,9 +34,8 @@ import numpy as np
 from repro.grid.cost import CostModel
 from repro.grid.graph import GridGraph
 from repro.grid.geometry import Rect
-from repro.grid.route import Route, ViaSegment, WireSegment
+from repro.grid.route import Route, routes_from_paths
 from repro.netlist.net import Net
-from repro.pattern.commit import normalize_route
 
 GridNode = Tuple[int, int, int]
 #: Per-node moves of one search region: ``(index offset, flat cost
@@ -127,13 +130,13 @@ class MazeRouter:
         tables = self._build_tables(region, pins[1:])
         component = {pins[0]}
         remaining = set(pins[1:])
-        route = Route()
+        paths = []
         while remaining:
             path, reached = self._search(component, remaining, region, tables)
-            self._splice(route, path)
+            paths.append(path)
             component.update(path)
             remaining.discard(reached)
-        return normalize_route(route)
+        return routes_from_paths(self.graph, [paths])[0]
 
     def consume_visited(self) -> int:
         """Return and reset the visited-node tally of this router."""
@@ -447,41 +450,6 @@ class MazeRouter:
             # starts from a clean buffer without an O(size) refill.
             for idx in touched:
                 dist[idx] = inf
-
-    @staticmethod
-    def _splice(route: Route, path: Sequence[GridNode]) -> None:
-        """Convert a node path into wire/via segments appended to ``route``."""
-        if len(path) < 2:
-            return
-        run_start = path[0]
-        prev = path[0]
-        prev_kind = None  # 'H', 'V', or 'Z' (via)
-
-        def flush(last: GridNode) -> None:
-            if prev_kind is None or run_start == last:
-                return
-            if prev_kind == "Z":
-                route.add_via(ViaSegment(last[0], last[1], run_start[2], last[2]))
-            else:
-                route.add_wire(
-                    WireSegment(last[2], run_start[0], run_start[1], last[0], last[1])
-                )
-
-        for node in path[1:]:
-            if node[2] != prev[2]:
-                kind = "Z"
-            elif node[1] == prev[1]:
-                kind = "H"
-            else:
-                kind = "V"
-            if kind != prev_kind and prev_kind is not None:
-                flush(prev)
-                run_start = prev
-            elif prev_kind is None:
-                run_start = prev
-            prev_kind = kind
-            prev = node
-        flush(prev)
 
 
 __all__ = ["MazeRouter", "MazeRoutingError", "search_box"]

@@ -92,10 +92,9 @@ import numpy as np
 from repro.backend import ArrayBackend, get_backend
 from repro.grid.cost import CostModel
 from repro.grid.graph import GridGraph
-from repro.grid.route import Route
+from repro.grid.route import Route, routes_from_paths
 from repro.maze.router import GridNode, MazeRouter, MazeRoutingError
 from repro.netlist.net import Net
-from repro.pattern.commit import normalize_route
 
 
 class SweepTables:
@@ -128,7 +127,7 @@ class _BatchMember:
 
     __slots__ = (
         "name", "pins", "region", "width", "height",
-        "component", "remaining", "route", "tables", "error",
+        "component", "remaining", "paths", "tables", "error",
     )
 
     def __init__(self, name: str, pins: List[GridNode], region) -> None:
@@ -139,7 +138,7 @@ class _BatchMember:
         self.height = region[3] - region[1] + 1
         self.component: Set[GridNode] = {pins[0]}
         self.remaining: Set[GridNode] = set(pins[1:])
-        self.route = Route()
+        self.paths: List[List[GridNode]] = []
         self.tables: Optional[SweepTables] = None
         self.error: Optional[MazeRoutingError] = None
 
@@ -285,15 +284,14 @@ class WavefrontMazeRouter(MazeRouter):
                 except MazeRoutingError as exc:
                     member.error = exc
                     continue
-                self._splice(member.route, path)
+                member.paths.append(path)
                 member.component.update(path)
                 member.remaining.discard(reached)
 
+        done = [m for m in members if m.error is None]
+        routes = iter(routes_from_paths(self.graph, [m.paths for m in done]))
         for member in members:
-            if member.error is not None:
-                results[member.name] = None
-            else:
-                results[member.name] = normalize_route(member.route)
+            results[member.name] = None if member.error is not None else next(routes)
         return results
 
     # ------------------------------------------------------------------ #

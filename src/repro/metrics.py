@@ -78,7 +78,9 @@ def transfer_stats(counters: Dict[str, int], spec) -> Dict[str, float]:
     Zero-copy (Sec. IV-E) streams mapped host memory at
     ``spec.mapped_bandwidth`` with no bulk copy; ``zero_copy_saving`` is
     what explicit copies (``spec.copy_bandwidth`` plus
-    ``spec.per_transfer_latency`` per upload) would cost on top.
+    ``spec.per_transfer_latency`` per upload) would cost on top.  Only
+    uploads are priced: the bytes kernels move back to the host are
+    metered per launch, in ``RoutingResult.device_stats["bytes_to_host"]``.
     """
     n_bytes = counters.get(COST_UPLOAD_BYTES, 0)
     mapped = n_bytes / spec.mapped_bandwidth
@@ -88,7 +90,6 @@ def transfer_stats(counters: Dict[str, int], spec) -> Dict[str, float]:
     )
     return {
         "bytes_to_device": float(n_bytes),
-        "bytes_to_host": 0.0,
         "transfer_time": mapped,
         "zero_copy_saving": explicit - mapped,
     }

@@ -39,11 +39,11 @@ hold every clean verdict to (``tests/replay_oracle.py``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.grid.route import Route
+from repro.grid.route import H_WIRE, V_WIRE, Route, edges_at
 from repro.netlist.net import Net
 from repro.utils.arrays import unique_sorted
 
@@ -113,17 +113,7 @@ class ReplayPass:
         self.ids = ids
         #: Stable id of each stage position.
         self.nid = np.array([ids[net.name] for net in nets], dtype=np.int64)
-        self._nx, self._ny, self._n_layers = graph.nx, graph.ny, graph.n_layers
-        #: Per plane of a cell code (wire layers, then via layers): 1
-        #: where the plane holds x-direction wire edges.
-        self._h_plane = np.array(
-            [graph.stack.is_horizontal(layer) for layer in range(graph.n_layers)]
-            + [False] * (graph.n_layers - 1),
-            dtype=np.int64,
-        )
-        self._v_plane = np.concatenate([
-            1 - self._h_plane[: graph.n_layers], self._h_plane[graph.n_layers :]
-        ])
+        self._graph = graph
         #: Id -> current box ``(x0, y0, x1, y1)``.
         self._box = np.zeros((len(ids), 4), dtype=np.int64)
         self._box[self.nid] = [net.bbox.as_tuple() for net in nets]
@@ -215,40 +205,22 @@ class ReplayPass:
         ``old``, when given)."""
         if not later.size:
             return
-        cells = self._cells(route)
+        cells = route._demand_index(self._graph)
         if old is not None:
-            cells = np.setxor1d(cells, self._cells(old), assume_unique=True)
+            cells = np.setxor1d(cells, old._demand_index(self._graph), assume_unique=True)
         if not cells.size:
             return
-        plane, rest = np.divmod(cells, self._nx * self._ny)
-        x, y = np.divmod(rest, self._ny)
+        kind, _, x, y = edges_at(self._graph, cells)
         # An x-edge (x, y)-(x+1, y) is incident to a box whose x-range
         # reaches x + 1, a y-edge to one whose y-range reaches y + 1.
         x0, y0, x1, y1 = (c[None, :] for c in self._box[later].T)
         hit = (
-            (x[:, None] + self._h_plane[plane][:, None] >= x0)
+            (x[:, None] + (kind == H_WIRE)[:, None] >= x0)
             & (x[:, None] <= x1)
-            & (y[:, None] + self._v_plane[plane][:, None] >= y0)
+            & (y[:, None] + (kind == V_WIRE)[:, None] >= y0)
             & (y[:, None] <= y1)
         ).any(axis=0)
         self.dirty[later[hit]] = True
-
-    def _cells(self, route: Route) -> np.ndarray:
-        """Sorted unit-edge codes of ``route``: ``(plane * nx + x) * ny
-        + y`` — wire edges on planes ``0..L-1`` at their lower end, via
-        cuts between layers ``v`` and ``v + 1`` on plane ``L + v``."""
-        nx, ny, n_layers = self._nx, self._ny, self._n_layers
-        codes: List[int] = []
-        for w in route.wires:
-            base = (w.layer * nx + w.x1) * ny + w.y1
-            if w.y1 == w.y2:
-                codes.extend(range(base, base + (w.x2 - w.x1) * ny, ny))
-            else:
-                codes.extend(range(base, base + w.y2 - w.y1))
-        for v in route.vias:
-            base = ((n_layers + v.lo) * nx + v.x) * ny + v.y
-            codes.extend(range(base, base + (v.hi - v.lo) * nx * ny, nx * ny))
-        return unique_sorted(np.array(codes, dtype=np.int64))
 
     def finish(self) -> PatternReplay:
         """The successor state: this replay's nets, routes and pairs,

@@ -17,7 +17,7 @@ from repro.core.config import RouterConfig
 from repro.core.selection import make_mode_selector
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
-from repro.grid.route import Route, ViaSegment, WireSegment
+from repro.grid.route import Route, ViaSegment, WireSegment, routes_from_paths
 from repro.netlist.net import Net, Pin
 from repro.pattern.batch import BatchPatternRouter
 from repro.pattern.commit import (
@@ -150,11 +150,19 @@ class TestNormalize:
             ),
             min_size=1,
             max_size=12,
-        )
+        ),
+        paths=st.lists(
+            st.tuples(
+                st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 4)),
+                st.lists(st.sampled_from(["along", "back", "up", "down"]), max_size=12),
+            ),
+            max_size=4,
+        ),
     )
     @settings(max_examples=40, deadline=None)
-    def test_property_coverage_and_minimality(self, segments):
-        """Normalisation preserves covered nodes and never grows length."""
+    def test_property_coverage_and_minimality(self, segments, paths):
+        """Normalisation preserves covered nodes and never grows length;
+        maze paths come out as exactly their unit edges, normalised."""
         wires = [
             WireSegment(layer, x, y, x + length, y)
             for layer, x, y, length in segments
@@ -169,6 +177,42 @@ class TestNormalize:
             for step in range(length):
                 unit_edges.add((layer, x + step, y))
         assert normal.wirelength == len(unit_edges)
+
+        grid = GridGraph(10, 10, LayerStack(5))
+        node_paths = [unit_step_path(grid, start, moves) for start, moves in paths]
+        (built,) = routes_from_paths(grid, [node_paths])
+        steps = Route()  # one segment per step of every path
+        for path in node_paths:
+            for (x, y, layer), nxt in zip(path, path[1:]):
+                if nxt[2] != layer:
+                    steps.add_via(ViaSegment(x, y, layer, nxt[2]))
+                else:
+                    steps.add_wire(WireSegment(layer, x, y, nxt[0], nxt[1]))
+        want = normalize_route(steps)
+        assert (built.wires, built.vias) == (want.wires, want.vias)
+        assert built.nodes() == steps.nodes()
+        assert built.wirelength + built.n_vias == len(
+            {frozenset(step) for path in node_paths for step in zip(path, path[1:])}
+        )
+
+
+def unit_step_path(grid, start, moves):
+    """The node path from ``start`` taking each of ``moves`` that stays
+    on the grid: ``along``/``back`` the layer's direction, ``up``/``down``
+    a layer."""
+    path = [start]
+    for move in moves:
+        x, y, layer = path[-1]
+        sign = 1 if move in ("along", "up") else -1
+        if move in ("up", "down"):
+            layer += sign
+        elif grid.stack.is_horizontal(layer):
+            x += sign
+        else:
+            y += sign
+        if 0 <= x < grid.nx and 0 <= y < grid.ny and 0 <= layer < grid.n_layers:
+            path.append((x, y, layer))
+    return path
 
 
 class TestReconstructSharing:

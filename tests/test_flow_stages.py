@@ -9,6 +9,7 @@ from repro import metrics
 from repro.core.config import RouterConfig
 from repro.core.flow import run_pattern_stage, run_rrr_stage
 from repro.gpu.device import Device
+from repro.grid import route as route_module
 from repro.maze.ripup import find_violating_nets
 from repro.netlist.generator import DesignSpec, generate_design
 from repro.sched.batching import extract_batches
@@ -43,6 +44,23 @@ class TestPatternStage:
         total_wl = sum(route.wirelength for route in routes.values())
         committed = sum(float(d.graph.wire_demand[l].sum()) for l in range(d.n_layers))
         assert committed == pytest.approx(total_wl)
+
+    def test_routes_come_indexed(self, monkeypatch):
+        """The stage's commit fills every route's demand index: the
+        rip-up scan after it, with an overflow to look for, builds none."""
+        d = design()
+        routes, _ = run_pattern_stage(d, RouterConfig.fastgr_l(), Device())
+        builds = []
+        build = route_module.demand_positions
+        monkeypatch.setattr(
+            route_module, "demand_positions", lambda *args: builds.append(args) or build(*args)
+        )
+        graph = d.graph
+        name, route = next((n, r) for n, r in routes.items() if r.wires)
+        cell = route._demand_index(graph)[0]
+        graph.demand_flat[cell] = graph.capacity_flat[cell] + 1.0
+        assert name in find_violating_nets(routes, graph)
+        assert builds == []
 
     def test_batches_cover_sorted_nets(self):
         d = design()

@@ -7,6 +7,7 @@ import heapq
 import numpy as np
 import pytest
 
+from repro.grid import route as route_module
 from repro.grid.cost import CostModel, CostQuery
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
@@ -172,6 +173,20 @@ class TestBasics:
         route.commit(grid)  # would raise on direction violations
         route.uncommit(grid)
         assert grid.total_overflow() == 0.0
+
+    def test_route_comes_indexed(self, monkeypatch):
+        """A routed net carries its demand index: committing it builds
+        none."""
+        grid = fresh_grid()
+        net = Net("n", [Pin(1, 1, 0), Pin(11, 2, 1), Pin(4, 10, 0)])
+        route = MazeRouter(grid).route_net(net)
+
+        def no_build(graph, table):
+            raise AssertionError("demand index built after routing")
+
+        monkeypatch.setattr(route_module, "demand_positions", no_build)
+        route.commit(grid)
+        assert grid.demand_flat.sum() == route.wirelength + route.n_vias
 
 
 class TestOptimality:

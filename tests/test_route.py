@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from repro.grid.graph import GridGraph
-from repro.grid.route import Route, ViaSegment, WireSegment, commit_routes
+from repro.grid.layers import LayerStack
+from repro.grid.route import (
+    H_WIRE, V_WIRE, VIA, Route, ViaSegment, WireSegment, commit_routes, edges_at,
+)
 
 
 class TestWireSegment:
@@ -157,6 +160,20 @@ def random_routes(rng, graph, count):
     return routes
 
 
+def unit_edges(route):
+    """``(kind, layer, x, y)`` of every unit edge of ``route``, once per
+    segment that covers it."""
+    edges = []
+    for w in route.wires:
+        if w.is_horizontal:
+            edges += [(H_WIRE, w.layer, x, w.y1) for x in range(w.x1, w.x2)]
+        else:
+            edges += [(V_WIRE, w.layer, w.x1, y) for y in range(w.y1, w.y2)]
+    for v in route.vias:
+        edges += [(VIA, layer, v.x, v.y) for layer in range(v.lo, v.hi)]
+    return edges
+
+
 def commit_per_segment(graph, route, amount=1.0):
     """The reference: one ``add_*_demand`` call per wire and via stack."""
     for w in route.wires:
@@ -179,11 +196,20 @@ class TestCommitRoutes:
     what one ``add_*_demand`` call per segment adds, in one write per
     layer."""
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_equals_per_segment_commits(self, stack5, seed):
+    @pytest.mark.parametrize(
+        "seed, n_layers",
+        [pytest.param(seed, 5, id=str(seed)) for seed in range(4)]
+        + [pytest.param(4, 9, id="9-layers"), pytest.param(5, 2, id="2-layers")],
+    )
+    def test_equals_per_segment_commits(self, seed, n_layers):
         rng = np.random.default_rng(seed)
-        batched, single, reference = (GridGraph(12, 10, stack5) for _ in range(3))
+        stack = LayerStack(n_layers)
+        batched, single, reference = (GridGraph(12, 10, stack) for _ in range(3))
         routes = random_routes(rng, batched, 25)
+        # Each index maps back to its route's unit edges.
+        for route in routes:
+            edges = zip(*(c.tolist() for c in edges_at(batched, route._demand_index(batched))))
+            assert sorted(edges) == sorted(unit_edges(route))
         commit_routes(batched, routes)
         for route in routes:
             route.commit(single)
