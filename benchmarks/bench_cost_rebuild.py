@@ -2,7 +2,8 @@
 
 The claim under benchmark: the *masked* rebuild the pattern stage
 issues once per dependency level — a 9-layer grid, ~100 rebuilds that
-each mask dozens of disjoint net boxes over a pinned reference, one
+each mask dozens of disjoint net boxes over the snapshot's last full
+rebuild, one
 route committed inside every box in between — is >= 3x faster in
 ``CostQuery`` than in the from-scratch oracle (``tests/cost_oracle.py``)
 while staying *bit identical* to it after every level.  The oracle
@@ -81,13 +82,12 @@ def level_stream(graph: GridGraph):
                 y1, y2 = sorted(int(v) for v in ty + rng.integers(0, LEVEL_TILE, 2))
                 boxes.append(Rect(x1, y1, x2, y2))
                 layer = int(rng.choice(h_layers))
-                route = Route()
+                wires = []
                 if x1 != x2:
-                    route.add_wire(WireSegment(layer, x1, y1, x2, y1))
+                    wires.append(WireSegment(layer, x1, y1, x2, y1))
                 if y1 != y2:
-                    route.add_wire(WireSegment(layer - 1, x2, y1, x2, y2))
-                route.add_via(ViaSegment(x2, y1, layer - 1, layer))
-                routes.append(route)
+                    wires.append(WireSegment(layer - 1, x2, y1, x2, y2))
+                routes.append(Route(wires, [ViaSegment(x2, y1, layer - 1, layer)]))
         levels.append((boxes, routes))
     return levels
 
@@ -98,9 +98,9 @@ def test_masked_level_stream():
         LEVEL_GRID, LEVEL_GRID, stack, wire_capacity=3.0, via_capacity=4.0
     )
     model = CostModel()
+    # Both pin the empty grid as their reference.
     full = FullRebuildCostQuery(graph, model)
     inc = CostQuery(graph, model)
-    reference = full.snapshot_reference()
     levels = level_stream(graph)
 
     # Lockstep on one graph: both engines see identical demand, and
@@ -109,7 +109,7 @@ def test_masked_level_stream():
     for boxes, routes in levels:
         for name, query in (("full", full), ("incremental", inc)):
             start = time.perf_counter()
-            query.rebuild(boxes=boxes, reference=reference)
+            query.rebuild(boxes=boxes)
             query.sync()
             times[name] += time.perf_counter() - start
         assert_bit_equal(inc, full)

@@ -130,20 +130,13 @@ def test_fused_dispatch_beats_per_net():
     # dispatched boxes — the same maintenance PatternStage pays per
     # fused level.
     per_net = BatchPatternRouter(graph, backend="numpy")
-    reference = per_net.query.snapshot_reference()
     per_net_time = float("inf")
     for _ in range(REPEATS):
         solo, walls = {}, []
         for net, box in zip(nets, boxes):
             start = time.perf_counter()
             solo.update(
-                per_net.route_batch(
-                    [net],
-                    mode_fn,
-                    cost_boxes=[box],
-                    cost_reference=reference,
-                    commit=False,
-                )
+                per_net.route_batch([net], mode_fn, cost_boxes=[box], commit=False)
             )
             walls.append(time.perf_counter() - start)
         if sum(walls) < per_net_time:
@@ -151,17 +144,10 @@ def test_fused_dispatch_beats_per_net():
             one_net = statistics.median(walls[len(walls) // 2 :])
 
     fused = BatchPatternRouter(graph, backend="numpy")
-    reference = fused.query.snapshot_reference()
     fused_time = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        stacked = fused.route_batch(
-            nets,
-            mode_fn,
-            cost_boxes=boxes,
-            cost_reference=reference,
-            commit=False,
-        )
+        stacked = fused.route_batch(nets, mode_fn, cost_boxes=boxes, commit=False)
         fused_time = min(fused_time, time.perf_counter() - start)
 
     # Parity is unconditional: the fused level must return the routes
@@ -169,13 +155,7 @@ def test_fused_dispatch_beats_per_net():
     # level gets on the from-scratch oracle (untimed).
     with full_rebuild_engine():
         oracle = BatchPatternRouter(graph, backend="numpy")
-    expected = oracle.route_batch(
-        nets,
-        mode_fn,
-        cost_boxes=boxes,
-        cost_reference=oracle.query.snapshot_reference(),
-        commit=False,
-    )
+    expected = oracle.route_batch(nets, mode_fn, cost_boxes=boxes, commit=False)
     for net in nets:
         assert routes_bit_equal(stacked[net.name], solo[net.name]), net.name
         assert routes_bit_equal(stacked[net.name], expected[net.name]), net.name
@@ -233,15 +213,13 @@ def lone_call_minimum(preset: str = "fastgr_l"):
     router = BatchPatternRouter(
         graph, config.cost_model, edge_shift=config.edge_shift, backend=config.backend
     )
-    reference = router.query.snapshot_reference()
     mode_fn = make_mode_selector(config, graph)
     best = [float("inf")] * len(LONE_NETS)
     for _ in range(LONE_CALLS):
         for i, net in enumerate(LONE_NETS):
             start = time.perf_counter()
             routes = router.route_batch(
-                [net], mode_fn, cost_boxes=[net.bbox], cost_reference=reference,
-                commit=False,
+                [net], mode_fn, cost_boxes=[net.bbox], commit=False
             )
             best[i] = min(best[i], time.perf_counter() - start)
             assert routes[net.name].connects([p.as_node() for p in net.pins])

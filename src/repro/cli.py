@@ -25,19 +25,12 @@ from pathlib import Path
 from typing import Optional
 
 from repro.backend import available_backends
-from repro.core.config import RouterConfig
+from repro.core.config import PRESETS, resolve_config
 from repro.core.router import GlobalRouter
 from repro.maze import MAZE_ENGINES
 from repro.netlist.benchmarks import BENCHMARKS, benchmark_names, load_benchmark
 from repro.netlist.design import Design
 from repro.netlist.io import read_design, write_design
-
-_PRESETS = {
-    "cugr": RouterConfig.cugr,
-    "fastgr_l": RouterConfig.fastgr_l,
-    "fastgr_h": RouterConfig.fastgr_h,
-    "fastgr_h_no_selection": RouterConfig.fastgr_h_no_selection,
-}
 
 
 def _load(source: str, scale: float) -> Design:
@@ -62,7 +55,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         overrides["backend"] = args.backend
     if args.maze_engine is not None:
         overrides["maze_engine"] = args.maze_engine
-    config = _PRESETS[args.config](**overrides)
+    config = resolve_config(args.config, **overrides)
     result = GlobalRouter(design, config).run()
 
     print(f"design        : {result.design_name} ({design.n_nets} nets, "
@@ -143,7 +136,7 @@ def _cmd_eco(args: argparse.Namespace) -> int:
     from repro.session import DesignHandle, RoutingSession
 
     design = _load(args.design, args.scale)
-    config = _PRESETS[args.config]()
+    config = resolve_config(args.config)
     handle = DesignHandle.from_design(design)
     with RoutingSession(handle, config) as session:
         base = session.run()
@@ -162,13 +155,7 @@ def _cmd_eco(args: argparse.Namespace) -> int:
               f"{eco.cache_misses} misses "
               f"({eco.reuse_fraction:.0%} replayed)")
         if args.verify:
-            cold = session.cold_design()
-            cold_result = GlobalRouter(cold, config).run()
-            ok = (
-                eco.result.digest() == cold_result.digest()
-                and session.graph.demand_equals(cold.graph)
-                and eco.result.metrics.score == cold_result.metrics.score
-            )
+            ok, cold_result = session.verify_cold()
             print(f"verify        : cold route {cold_result.total_time:.3f} s, "
                   f"{'bit-identical' if ok else 'MISMATCH'}")
             if not ok:
@@ -194,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     route = sub.add_parser("route", help="route a benchmark or design file")
     route.add_argument("design", help="benchmark name or design-file path")
     route.add_argument(
-        "--config", choices=sorted(_PRESETS), default="fastgr_l",
+        "--config", choices=sorted(PRESETS), default="fastgr_l",
         help="router preset (default: fastgr_l)",
     )
     route.add_argument("--scale", type=float, default=0.25,
@@ -235,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         "eco", help="route, apply an ECO edit, and re-route incrementally"
     )
     eco.add_argument("design", help="benchmark name or design-file path")
-    eco.add_argument("--config", choices=sorted(_PRESETS), default="fastgr_l")
+    eco.add_argument("--config", choices=sorted(PRESETS), default="fastgr_l")
     eco.add_argument("--scale", type=float, default=0.25,
                      help="benchmark scale factor (default 0.25)")
     eco.add_argument("--eco-preset", choices=sorted(ECO_PRESETS),

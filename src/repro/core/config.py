@@ -132,4 +132,21 @@ class RouterConfig:
         return replace(config, **overrides) if overrides else config
 
 
-__all__ = ["RouterConfig"]
+#: The named router presets: the CLI's ``--config`` and a service job's
+#: ``config`` choose from these.
+PRESETS = {
+    "cugr": RouterConfig.cugr,
+    "fastgr_l": RouterConfig.fastgr_l,
+    "fastgr_h": RouterConfig.fastgr_h,
+    "fastgr_h_no_selection": RouterConfig.fastgr_h_no_selection,
+}
+
+
+def resolve_config(name: str, **overrides) -> RouterConfig:
+    """Build the named router preset (raises ``KeyError`` if unknown)."""
+    if name not in PRESETS:
+        raise KeyError(f"unknown config {name!r}; choose from {sorted(PRESETS)}")
+    return PRESETS[name](**overrides)
+
+
+__all__ = ["RouterConfig", "PRESETS", "resolve_config"]

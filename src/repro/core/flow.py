@@ -112,13 +112,6 @@ class PatternStage(ScheduledStage):
         if context is not None:
             self.engine.steiner_cache = context.steiner_cache
             self.replay = ReplayPass(context.replay, self.nets, graph)
-        # Stage-start cost snapshot (zero demand): every chunk's masked
-        # rebuild pins out-of-footprint costs to these arrays, so its DP
-        # is bit-independent of whatever non-conflicting chunks did.
-        # Must be a deep copy — the snapshot refreshes its cost arrays
-        # in place, so aliasing them would let later batches corrupt
-        # the pinned reference.
-        self.cost_reference = self.engine.query.snapshot_reference()
         self.routes: Dict[str, Route] = {}
         self._graph = graph
 
@@ -179,7 +172,6 @@ class PatternStage(ScheduledStage):
             [self.nets[p] for p in positions],
             self.mode_fn,
             cost_boxes=[self._net_boxes[p] for p in positions],
-            cost_reference=self.cost_reference,
             cells=self.net_cells.take(positions),
         )
 

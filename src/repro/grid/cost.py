@@ -30,20 +30,25 @@ gathers run on the configured :class:`~repro.backend.ArrayBackend`
 routing falls out of every backend bit for bit.
 
 A snapshot has two kinds of rebuild, into one set of persistent
-tables.  An *unmasked* rebuild recomputes every edge cost and prefix
-from current demand.  A *masked* rebuild (a box list over a pinned
-reference — the pattern stage's per-level snapshot) turns the box list
-and its read :class:`Footprint` into one :class:`_MaskPlan` of flat
-cell indices and runs a fixed number of whole-batch array operations
-over it, whatever the number of boxes.  The masked contract: costs are
-live on the read footprint and equal the reference elsewhere; any
-superset of the lines a caller reads is exact for it.  A repainted
+tables.  A *full* rebuild recomputes every edge cost and prefix from
+current demand and pins the result as the snapshot's reference.  A
+*masked* rebuild (the pattern stage's per-level snapshot) turns a box
+list and its read :class:`Footprint` into one :class:`_MaskPlan` of
+flat cell indices and runs a fixed number of whole-batch array
+operations over it, whatever the number of boxes: it restores the
+previous plan's cells from the reference and repaints the new ones from
+demand.  The masked contract: live on the footprint, equal to the last
+full rebuild elsewhere; any superset of the lines a caller reads is
+exact for it.  A repainted
 prefix entry is produced by the same left-to-right sequence of IEEE
 additions a from-scratch scan performs (the scan restarts from the
 reference prefix entry upstream of the line, folded into its first
 element), so every table is bit-identical to one built from scratch —
 asserted across backends by ``tests/test_cost_engine.py`` against the
-from-scratch oracle in ``tests/cost_oracle.py``.
+from-scratch oracle in ``tests/cost_oracle.py``.  Every rebuild that
+writes cost bytes books them as one upload into the tracker
+(``gpu.cost_upload_bytes``, ``gpu.cost_uploads``), which the zero-copy
+transfer figures are priced from (:func:`repro.metrics.transfer_stats`).
 
 The maze engines take no snapshot: each search prices its own window
 from current demand with :meth:`CostModel.window_costs`, bit-equal to
@@ -207,9 +212,10 @@ class CostQuery:
     """Prefix-sum accelerated segment/via-stack cost queries.
 
     The query is a *snapshot*: costs reflect the demand at the last
-    :meth:`rebuild`.  The pattern stage takes one full snapshot as its
-    pinned reference and rebuilds masked once per scheduler batch
-    (in-batch nets do not conflict, so frozen costs are exact).
+    :meth:`rebuild`.  The full rebuild the constructor makes is the
+    pattern stage's pinned reference; the stage rebuilds masked once per
+    scheduler batch (in-batch nets do not conflict, so frozen costs are
+    exact).
 
     ``backend`` selects the array substrate for the prefix sums and the
     batched queries; scalar queries and the raw ``wire_cost``/``via_cost``
@@ -268,13 +274,12 @@ class CostQuery:
         # Cumulative along x, along y and along the layer axis.
         self._h_prefix, self._v_prefix, self._via_prefix = self._prefix_all
         # Masked mode: flat views of the edge and prefix tables, flat
-        # copies of them holding the pinned reference, the reference
-        # they were seeded from (None after a full refresh) and the
-        # plan whose cells are now off-reference.
+        # copies of them holding the reference (the last full rebuild)
+        # and the plan whose cells are now off-reference.
         self._edge_flat = self._edge_all.reshape(-1)
         self._prefix_flat = self._prefix_all.reshape(-1)
-        self._ref_edge = self._ref_prefix = np.empty(0)
-        self._ref_src = None
+        self._ref_edge = np.empty_like(self._edge_flat)
+        self._ref_prefix = np.empty_like(self._prefix_flat)
         self._masked_plan: Optional[_MaskPlan] = None
         # Device twins of the three prefix tables.  On a device_is_host
         # backend they are the host tables themselves.
@@ -285,41 +290,38 @@ class CostQuery:
             self._via_prefix_dev = self._via_prefix
         self._dev_stale = False
         self.tracker = tracker if tracker is not None else Tracker()
-        #: Bytes of edge-cost data the last rebuild actually rewrote —
-        #: the deduplicated tally the pattern engine counts as uploaded.
-        self.last_upload_bytes = 0
         self.rebuild()
 
     # ------------------------------------------------------------------ #
     # Snapshot construction
     # ------------------------------------------------------------------ #
-    def rebuild(self, boxes=None, reference=None, reads=None) -> None:
+    def rebuild(self, boxes=None, reads=None) -> None:
         """Refresh the snapshot from current demand.
 
         Edge costs and prefix scans are computed host-side (see module
         docstring); the first batched query after a rebuild uploads the
         tables to where the kernels gather from them.  Without
-        ``boxes`` every edge cost and prefix is recomputed.
+        ``boxes`` every edge cost and prefix is recomputed, and the
+        result is pinned as the reference of later masked rebuilds.
 
         With ``boxes`` (a sequence of :class:`~repro.grid.geometry.Rect`)
-        and ``reference`` (a ``(wire_cost_list, via_cost)`` snapshot from
-        an earlier rebuild), the rebuild is *masked*: costs are live
-        (recomputed from current demand) on the read footprint ``reads``
-        — a :class:`Footprint`; ``None`` means every line of every box —
-        and equal the reference elsewhere; any superset of the lines a
-        caller reads is exact for it.  A live wire line's prefix is the
-        pure reference prefix at its box's upstream face plus a seeded
-        scan of the line's own live edge costs.  A query on footprint
-        lines of one box (the batched DP's queries: a net's segments
-        never leave its bounding box) is therefore a bit-exact function
-        of the reference and that box's demand alone — independent of
-        demand outside the boxes, *and* of which other boxes or lines
-        share the mask.  The scheduler relies on the first property
-        (non-conflicting tasks see identical snapshots no matter which
-        finished first); the session's per-net route cache relies on the
-        second (a net's DP output does not depend on the chunk
-        composition an edit reshuffles).  A read line outside its
-        (clipped) box raises :class:`ValueError`.
+        the rebuild is *masked*: costs are live (recomputed from current
+        demand) on the read footprint ``reads`` — a :class:`Footprint`;
+        ``None`` means every line of every box — and equal the last full
+        rebuild elsewhere; any superset of the lines a caller reads is
+        exact for it.  A live wire line's prefix is the reference prefix
+        at its box's upstream face plus a seeded scan of the line's own
+        live edge costs.  A query on footprint lines of one box (the
+        batched DP's queries: a net's segments never leave its bounding
+        box) is therefore a bit-exact function of the reference and that
+        box's demand alone — independent of demand outside the boxes,
+        *and* of which other boxes or lines share the mask.  The
+        scheduler relies on the first property (non-conflicting tasks
+        see identical snapshots no matter which finished first); the
+        session's per-net route cache relies on the second (a net's DP
+        output does not depend on the chunk composition an edit
+        reshuffles).  A read line outside its (clipped) box raises
+        :class:`ValueError`.
 
         A masked rebuild takes a number of array operations that
         depends on the layer count only: boxes and footprint become one
@@ -337,10 +339,8 @@ class CostQuery:
         try:
             if boxes is None:
                 self._full_refresh()
-            elif reference is None:
-                raise ValueError("masked rebuild needs a cost reference")
             else:
-                self._masked_incremental(boxes, reference, reads)
+                self._masked_incremental(boxes, reads)
         finally:
             self.tracker.get_timer(metrics.COST_S).add(perf_counter() - start)
 
@@ -366,53 +366,40 @@ class CostQuery:
     # Snapshot maintenance
     # ------------------------------------------------------------------ #
     def _full_refresh(self) -> None:
-        """Recompute everything into the persistent buffers."""
+        """Recompute everything into the persistent buffers and pin the
+        result as the reference."""
         graph, model = self.graph, self.model
         for layer in range(self.n_layers):
             np.copyto(self.wire_cost[layer], model.wire_edge_costs(graph, layer))
         if self.via_cost.size:
             np.copyto(self.via_cost, model.via_edge_costs(graph))
-        self._scan_all()
-        self._ref_src = None
-        self._masked_plan = None
-        wire_n = sum(int(a.size) for a in self.wire_cost)
-        via_n = int(self.via_cost.size)
-        self._count(metrics.COST_FULL_REBUILDS, wire_n, via_n)
-        self.last_upload_bytes = (wire_n + via_n) * self.via_cost.itemsize
-
-    def _scan_all(self) -> None:
-        """Rescan all three prefix tables from the edge tables."""
         np.cumsum(self._h_edge, axis=1, out=self._h_prefix)
         np.cumsum(self._v_edge, axis=2, out=self._v_prefix)
         np.cumsum(self._z_edge, axis=0, out=self._via_prefix)
         self._dev_stale = not self.backend.device_is_host
+        np.copyto(self._ref_edge, self._edge_flat)
+        np.copyto(self._ref_prefix, self._prefix_flat)
+        self._masked_plan = None
+        wire_n = sum(int(a.size) for a in self.wire_cost)
+        via_n = int(self.via_cost.size)
+        self._count(metrics.COST_FULL_REBUILDS, wire_n, via_n, wire_n + via_n)
 
-    def _masked_incremental(self, boxes, reference, reads) -> None:
+    def _masked_incremental(self, boxes, reads) -> None:
         """Masked rebuild as whole-batch array operations on one plan.
 
-        The persistent tables hold the previous masked snapshot (same
-        reference): copying the previous plan's cells back from the
-        reference tables and repainting the new plan's cells from
-        demand reproduces a from-scratch masked rebuild bit for bit — the
-        rest of the tables already equal the reference.  A reference
-        change (once per stage) seeds the tables with one full copy.
+        Outside the previous plan's cells the tables equal the
+        reference, so copying those cells back from the reference and
+        repainting the new plan's cells from demand reproduces a
+        from-scratch masked rebuild bit for bit.
 
-        Upload accounting: only the *fresh* cells count toward
-        ``last_upload_bytes`` — restores copy from the reference
-        planes, which are already device-resident (uploaded once at
-        seeding), so refreshing the preallocated slab in place moves
-        no new host bytes for them.  This matches the from-scratch
-        tally of the new boxes; without the split, every stacked launch
-        reusing the scratch would double-count its predecessor's slab
-        as bus traffic.
-        The refreshed-edge counters still count restores — they measure
-        host-side recompute work, which the restores really do.  Both
-        are counts of distinct painted cells, so overlapping boxes are
-        tallied once.
+        Tallies: the refreshed-edge counters count the restores too —
+        they measure host-side recompute work, which the restores really
+        do.  The upload counts only the *fresh* cells: restores copy
+        from the reference, which is device-resident since the full
+        rebuild's upload, so refreshing the slab in place moves no new
+        host bytes for them.  Both are counts of distinct painted cells,
+        so overlapping boxes are tallied once.
         """
-        seeded = not self._same_reference(reference)
-        if seeded:
-            self._seed_from_reference(reference)
         previous, plan = self._masked_plan, self._mask_plan(boxes, reads)
         edge, prefix = self._edge_flat, self._prefix_flat
         if previous is not None:
@@ -421,25 +408,25 @@ class CostQuery:
         self._paint(plan)
         self._masked_plan = plan
         self._dev_stale = not self.backend.device_is_host
-        if seeded:
-            wire_n = sum(int(a.size) for a in self.wire_cost)
-            via_n = int(self.via_cost.size)
-            upload_n = wire_n + via_n
-        else:
-            wire_n, via_n = self._tally_edges(plan.counts)
-            upload_n = wire_n + via_n
-            if previous is not None:
-                both = unique_sorted(np.concatenate((previous.tally, plan.tally)))
-                wire_n, via_n = self._tally_edges(self._family_counts(both))
-        self._count(metrics.COST_MASKED_REBUILDS, wire_n, via_n)
-        self.last_upload_bytes = upload_n * self.via_cost.itemsize
+        wire_n, via_n = self._tally_edges(plan.counts)
+        upload_n = wire_n + via_n
+        if previous is not None:
+            both = unique_sorted(np.concatenate((previous.tally, plan.tally)))
+            wire_n, via_n = self._tally_edges(self._family_counts(both))
+        self._count(metrics.COST_MASKED_REBUILDS, wire_n, via_n, upload_n)
 
-    def _count(self, kind: str, wire_n: int, via_n: int) -> None:
-        """Count one rebuild of ``kind`` and the edges it refreshed."""
+    def _count(self, kind: str, wire_n: int, via_n: int, upload_n: int) -> None:
+        """Count one rebuild of ``kind``, the edges it refreshed, and —
+        when it wrote any — the ``upload_n`` edge costs it uploads."""
         tracker = self.tracker
         tracker.get_counter(kind).increment()
         tracker.get_counter(metrics.COST_REFRESHED_WIRE_EDGES).increment(wire_n)
         tracker.get_counter(metrics.COST_REFRESHED_VIA_EDGES).increment(via_n)
+        if upload_n:
+            tracker.get_counter(metrics.COST_UPLOAD_BYTES).increment(
+                upload_n * self.via_cost.itemsize
+            )
+            tracker.get_counter(metrics.COST_UPLOADS).increment()
 
     def _family_counts(self, tally: np.ndarray) -> Tuple[int, int, int]:
         """Per scan family, how many of the sorted ``tally`` codes it holds."""
@@ -452,36 +439,6 @@ class CostQuery:
         h_cells, v_cells, via_cells = counts
         wire_n = h_cells * len(self._h_layers) + v_cells * len(self._v_layers)
         return wire_n, via_cells * (self.n_layers - 1)
-
-    def _same_reference(self, reference) -> bool:
-        """True when ``reference`` is the one the ref tables were built from."""
-        if self._ref_src is None:
-            return False
-        if reference is self._ref_src:
-            return True  # the stage passes one tuple to every rebuild
-        prev_wire, prev_via = self._ref_src
-        ref_wire, ref_via = reference
-        return (
-            prev_via is ref_via
-            and len(prev_wire) == len(ref_wire)
-            and all(a is b for a, b in zip(prev_wire, ref_wire))
-        )
-
-    def _seed_from_reference(self, reference) -> None:
-        """Copy the whole reference into the persistent buffers (once
-        per stage reference, not once per batch)."""
-        ref_wire, ref_via = reference
-        for layer in range(self.n_layers):
-            np.copyto(self.wire_cost[layer], ref_wire[layer])
-        if self.via_cost.size:
-            np.copyto(self.via_cost, ref_via)
-        self._scan_all()
-        # The freshly seeded tables *are* the reference tables —
-        # capture them for the anchored scans and the restores.
-        self._ref_edge = self._edge_flat.copy()
-        self._ref_prefix = self._prefix_flat.copy()
-        self._ref_src = reference
-        self._masked_plan = None
 
     # -- masked-rebuild plan -------------------------------------------- #
     def _mask_plan(self, boxes, reads: Optional[Footprint] = None) -> _MaskPlan:
@@ -591,15 +548,6 @@ class CostQuery:
                 self._via_prefix_dev, self._via_prefix
             )
             self._dev_stale = False
-
-    def snapshot_reference(self) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Deep-copied ``(wire_cost, via_cost)`` for masked rebuilds.
-
-        Callers must hold a *copy*: the snapshot refreshes its
-        cost arrays in place, so aliasing them as a pinned reference
-        would let later batches corrupt it.
-        """
-        return [a.copy() for a in self.wire_cost], self.via_cost.copy()
 
     # ------------------------------------------------------------------ #
     # Scalar queries (host side)

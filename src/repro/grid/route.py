@@ -137,19 +137,6 @@ class Route:
         self._index_on: Optional[np.ndarray] = None
         self._index_segments = 0
 
-    def add_wire(self, segment: WireSegment) -> None:
-        """Append a wire segment."""
-        self.wires.append(segment)
-
-    def add_via(self, segment: ViaSegment) -> None:
-        """Append a via stack."""
-        self.vias.append(segment)
-
-    def extend(self, other: "Route") -> None:
-        """Append all geometry of ``other``."""
-        self.wires.extend(other.wires)
-        self.vias.extend(other.vias)
-
     @property
     def wirelength(self) -> int:
         """Total wirelength in G-cell pitches."""
@@ -306,24 +293,20 @@ def normalize_table(raw: np.ndarray, n_routes: int) -> np.ndarray:
 
 
 def routes_from_table(table: np.ndarray, n_routes: int) -> List[Route]:
-    """The ``n_routes`` routes of a segment table sorted by ``(kind,
-    route)``: each route's wires (horizontal, then vertical) and vias in
-    table order.
+    """The ``n_routes`` routes of a segment table: each route's wires
+    (horizontal, then vertical) and vias in table order.
 
-    One array check proves what the segments' ``__post_init__`` would:
-    the table's layout makes every row axis-aligned, and ``lo < hi``
-    makes it non-zero and normalised.  The segments are then built
-    without it, their fields written straight into the instance dict.
+    Precondition: ``table`` is :func:`normalize_table` output over
+    ``n_routes`` routes — sorted by ``(kind, route)``, every ``route``
+    in ``range(n_routes)`` and ``lo < hi`` on every row (property-tested
+    in ``tests/test_commit_table.py``); it is not checked again here.
+    The table's layout makes every row axis-aligned and ``lo < hi``
+    makes it non-zero and normalised, which is all the segments'
+    ``__post_init__`` would prove, so the segments are built without
+    it, their fields written straight into the instance dict.
     """
-    kind, route, _, _, lo, hi = table
+    kind, route = table[:2]
     group = kind * n_routes + route
-    if not (
-        (lo < hi).all()
-        and (group[1:] >= group[:-1]).all()
-        and (route.astype(np.uintp) < n_routes).all()
-        and (not group.size or (group[0] >= 0 and group[-1] < 3 * n_routes))
-    ):
-        raise ValueError("segment table is not sorted by (kind, route) with lo < hi")
     first = group.searchsorted(np.arange(3 * n_routes + 1)).tolist()
     # Route j's horizontal wires are rows h_at[j]:h_at[j + 1], and so on.
     h_at, v_at = first[: n_routes + 1], first[n_routes : 2 * n_routes + 1]

@@ -42,10 +42,9 @@ The array substrate is pluggable: ``backend`` selects any registered
 :meth:`~repro.gpu.device.Device.wrap`, so every array op inside a
 kernel scope is metered into the simulated device's launch records —
 benchmarks report kernel-level speedups from the *actual* op stream,
-not hand-derived element formulas.  The cost-snapshot bytes each call
-streams to the kernels are counted into the run's tracker, which the
-zero-copy transfer figures are priced from
-(:func:`repro.metrics.transfer_stats`).
+not hand-derived element formulas.  The cost snapshot counts the bytes
+each rebuild streams to the kernels into the run's tracker (see
+:mod:`repro.grid.cost`).
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro import metrics
 from repro.backend import ArrayBackend, get_backend
 from repro.grid.cost import CostModel, CostQuery, Footprint
 from repro.grid.graph import GridGraph
@@ -139,19 +137,18 @@ class BatchPatternRouter:
         nets: List[Net],
         mode_fn: ModeSelector,
         cost_boxes=None,
-        cost_reference=None,
         commit: bool = True,
         cells: Optional[NetCells] = None,
     ) -> Dict[str, Route]:
         """Route a conflict-free batch; commit demand; return routes.
 
-        With ``cost_boxes``/``cost_reference`` the snapshot is masked to
-        the batch's bounding boxes — ``cost_boxes[i]`` is ``nets[i]``'s
-        — and, inside them, to the lines the planned kernels read
-        (costs elsewhere pinned to the stage-start reference); see
-        :meth:`~repro.grid.cost.CostQuery.rebuild`.  The scheduler uses
-        this so the batch's DP depends only on demand its conflicting
-        predecessors committed, bit for bit.  Planning comes first: edge
+        With ``cost_boxes`` the snapshot is masked to the batch's
+        bounding boxes — ``cost_boxes[i]`` is ``nets[i]``'s — and, inside
+        them, to the lines the planned kernels read (costs elsewhere
+        pinned to the snapshot's last full rebuild, which the
+        constructor made); see :meth:`~repro.grid.cost.CostQuery.rebuild`.
+        The scheduler uses this so the batch's DP depends only on demand
+        its conflicting predecessors committed, bit for bit.  Planning comes first: edge
         shifting reads demand, not the snapshot.
 
         With ``commit=False`` the routes are returned *without*
@@ -162,8 +159,7 @@ class BatchPatternRouter:
         reads = states[0].reads if len(states) == 1 else Footprint(
             *(np.hstack(family) for family in zip(*(s.reads for s in states)))
         )
-        self.query.rebuild(boxes=cost_boxes, reference=cost_reference, reads=reads)
-        self._account_cost_upload()
+        self.query.rebuild(boxes=cost_boxes, reads=reads)
         # The states cover ``nets`` in order, a route per net each.
         tables, routed = [], []
         for state in self.route_jobs([], mode_fn, states):
@@ -269,28 +265,6 @@ class BatchPatternRouter:
         roots = np.concatenate([roots, singles])
         state.chosen[roots, 2:5] = state.chosen[roots, 1:2]
         state.chosen[roots, 5:] = state.ends[:, roots].T
-
-    # ------------------------------------------------------------------ #
-    # Transfer accounting
-    # ------------------------------------------------------------------ #
-    def _account_cost_upload(self) -> None:
-        """Record the cost-snapshot upload the device reads per batch.
-
-        The engine reports the deduplicated byte count of the *fresh*
-        edges the last rebuild actually rewrote from demand (a masked
-        rebuild only refreshes the batch's boxes; overlapping boxes
-        are counted once, and in-place restores of a previous batch's
-        slab to the device-resident reference are not bus traffic —
-        see :meth:`~repro.grid.cost.CostQuery` masked accounting), so
-        the upload counters hold exactly what crosses the bus.  A
-        rebuild that moved nothing records no transfer at all — a
-        stacked launch reusing the resident slab must not book a
-        phantom bus transaction.
-        """
-        n_bytes = self.query.last_upload_bytes
-        if n_bytes:
-            self.tracker.get_counter(metrics.COST_UPLOAD_BYTES).increment(n_bytes)
-            self.tracker.get_counter(metrics.COST_UPLOADS).increment()
 
 
 __all__ = ["BatchPatternRouter"]

@@ -14,7 +14,7 @@ graph, are test oracles (``tests/sched_oracle.py``).
 from repro.sched.sorting import SORTING_SCHEMES, sort_nets
 from repro.sched.conflict import ConflictGraph
 from repro.sched.batching import extract_batches
-from repro.sched.taskgraph import TaskGraph, build_task_graph
+from repro.sched.taskgraph import TaskGraph, build_task_graph, extract_conflict_batches
 from repro.sched.executor import (
     simulate_batch_barrier_makespan,
     simulate_makespan,
@@ -25,7 +25,6 @@ from repro.sched.pipeline import (
     StageRunner,
     StageSchedule,
     group_conflicts,
-    extract_conflict_batches,
     modelled_makespans,
 )
 

@@ -35,7 +35,7 @@ from repro.sched.executor import (
     simulate_batch_barrier_makespan,
     simulate_makespan,
 )
-from repro.sched.taskgraph import TaskGraph, build_task_graph
+from repro.sched.taskgraph import TaskGraph, build_task_graph, extract_conflict_batches
 from repro.utils.arrays import unique_sorted
 
 
@@ -169,26 +169,6 @@ def group_conflicts(
     codes = unique_sorted(task[lo] * n_tasks + task[hi])
     graph.add_conflicts_bulk(codes // n_tasks, codes % n_tasks)
     return graph, pairs
-
-
-def extract_conflict_batches(conflicts: ConflictGraph) -> List[List[int]]:
-    """Greedy maximal conflict-free batches over an explicit conflict
-    graph (Algorithm 1 semantics — the barrier baseline's partition)."""
-    remaining = list(range(conflicts.n_tasks))
-    batches: List[List[int]] = []
-    while remaining:
-        chosen: set = set()
-        batch: List[int] = []
-        leftovers: List[int] = []
-        for task in remaining:
-            if conflicts.conflicts_of(task) & chosen:
-                leftovers.append(task)
-            else:
-                chosen.add(task)
-                batch.append(task)
-        batches.append(batch)
-        remaining = leftovers
-    return batches
 
 
 @dataclass
@@ -337,6 +317,5 @@ __all__ = [
     "StageReport",
     "StageRunner",
     "group_conflicts",
-    "extract_conflict_batches",
     "modelled_makespans",
 ]

@@ -2,8 +2,9 @@
 
 The scheduler turns the undirected conflict graph into a DAG:
 
-1. extract a *root task batch* — a maximal independent set, found with
-   the same greedy scan as Algorithm 1 but on the conflict graph;
+1. extract a *root task batch* — a maximal independent set: round one
+   of Algorithm 1's greedy scan (:func:`extract_conflict_batches`) on
+   the conflict graph;
 2. orient every conflict edge: root-task -> non-root-task; between two
    non-root tasks, smaller task ID -> larger (IDs encode the sorting
    result, so the orientation respects the Internet ordering).
@@ -15,7 +16,7 @@ batch or increase the task ID.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set
+from typing import Iterable, List, Set, Tuple
 
 from repro.sched.conflict import ConflictGraph
 
@@ -103,21 +104,39 @@ class TaskGraph:
         return self._pred_cache[task]
 
 
-def extract_root_batch(conflicts: ConflictGraph) -> List[int]:
-    """Greedy maximal independent set in task-ID order (Algorithm 1)."""
-    root: List[int] = []
+def _greedy_round(
+    conflicts: ConflictGraph, tasks: Iterable[int]
+) -> Tuple[List[int], List[int]]:
+    """One round of Algorithm 1: scan ``tasks`` in order and take each
+    one that conflicts with none taken so far.  Returns the batch (a
+    maximal independent set of ``tasks``) and the tasks left over."""
+    batch: List[int] = []
+    leftovers: List[int] = []
     blocked: Set[int] = set()
-    for task in range(conflicts.n_tasks):
+    for task in tasks:
         if task in blocked:
-            continue
-        root.append(task)
-        blocked.update(conflicts.conflicts_of(task))
-    return root
+            leftovers.append(task)
+        else:
+            batch.append(task)
+            blocked.update(conflicts.conflicts_of(task))
+    return batch, leftovers
+
+
+def extract_conflict_batches(conflicts: ConflictGraph) -> List[List[int]]:
+    """Greedy maximal conflict-free batches over an explicit conflict
+    graph (Algorithm 1 — the barrier baseline's partition): round after
+    round over the tasks still left, in task-ID order."""
+    remaining: List[int] = list(range(conflicts.n_tasks))
+    batches: List[List[int]] = []
+    while remaining:
+        batch, remaining = _greedy_round(conflicts, remaining)
+        batches.append(batch)
+    return batches
 
 
 def build_task_graph(conflicts: ConflictGraph) -> TaskGraph:
     """Orient the conflict graph into the scheduler's DAG (Fig. 6)."""
-    root = extract_root_batch(conflicts)
+    root, _ = _greedy_round(conflicts, range(conflicts.n_tasks))
     in_root = set(root)
     n = conflicts.n_tasks
     successors: List[List[int]] = [[] for _ in range(n)]
@@ -136,4 +155,4 @@ def build_task_graph(conflicts: ConflictGraph) -> TaskGraph:
     return TaskGraph(n, root, successors, n_predecessors)
 
 
-__all__ = ["TaskGraph", "extract_root_batch", "build_task_graph"]
+__all__ = ["TaskGraph", "extract_conflict_batches", "build_task_graph"]

@@ -27,7 +27,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
-from repro.service.jobs import CONFIG_PRESETS, JobService
+from repro.core.config import PRESETS
+from repro.service.jobs import JobService
 from repro.session.store import SessionStore
 
 
@@ -98,7 +99,7 @@ class _Handler(BaseHTTPRequestHandler):
             from repro.netlist.generator import ECO_PRESETS
 
             self._send(200, {
-                "configs": sorted(CONFIG_PRESETS),
+                "configs": sorted(PRESETS),
                 "eco_presets": sorted(ECO_PRESETS),
                 "benchmarks": benchmark_names(),
             })

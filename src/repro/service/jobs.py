@@ -34,7 +34,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.config import RouterConfig
+from repro.core.config import resolve_config
 from repro.core.result import IterationStats, RoutingResult
 from repro.netlist.delta import NetlistDelta
 from repro.session.store import SessionStore
@@ -47,24 +47,6 @@ class JobState:
     RUNNING = "running"
     DONE = "done"
     FAILED = "failed"
-
-
-#: Router presets a job may name (mirrors the CLI's ``--config``).
-CONFIG_PRESETS = {
-    "cugr": RouterConfig.cugr,
-    "fastgr_l": RouterConfig.fastgr_l,
-    "fastgr_h": RouterConfig.fastgr_h,
-    "fastgr_h_no_selection": RouterConfig.fastgr_h_no_selection,
-}
-
-
-def resolve_config(name: str, **overrides) -> RouterConfig:
-    """Build the named router preset (raises ``KeyError`` if unknown)."""
-    if name not in CONFIG_PRESETS:
-        raise KeyError(
-            f"unknown config {name!r}; choose from {sorted(CONFIG_PRESETS)}"
-        )
-    return CONFIG_PRESETS[name](**overrides)
 
 
 @dataclass
@@ -385,17 +367,7 @@ class JobService:
         payload = _result_payload(eco.result)
         payload["eco"] = eco.summary()
         if request["verify"]:
-            from repro.core.router import GlobalRouter
-
-            cold = session.cold_design()
-            cold_result = GlobalRouter(
-                cold, resolve_config(record.config)
-            ).run()
-            verified = (
-                eco.result.digest() == cold_result.digest()
-                and session.graph.demand_equals(cold.graph)
-                and eco.result.metrics.score == cold_result.metrics.score
-            )
+            verified, cold_result = session.verify_cold()
             payload["verified"] = verified
             if not verified:
                 raise AssertionError(
@@ -429,6 +401,4 @@ __all__ = [
     "JobService",
     "JobRecord",
     "JobState",
-    "CONFIG_PRESETS",
-    "resolve_config",
 ]

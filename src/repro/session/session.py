@@ -20,7 +20,8 @@ nets and their routes are all unchanged commits its last route with no
 hash and no DP; only the edit's blast radius recomputes.  Maze
 re-routes replay from the content-addressed
 :class:`~repro.session.cache.RouteCache`.  The outcome is asserted — by
-the tests, ``bench_eco.py`` and ``repro eco --verify`` — equal to a cold
+the tests, ``bench_eco.py`` and :meth:`RoutingSession.verify_cold`
+(``repro eco --verify``, the service's ``verify``) — equal to a cold
 full route of the edited design, digest for digest
 (:meth:`~repro.core.result.RoutingResult.digest`): the replay can only
 change speed, never results, and the content key survives as the test
@@ -153,8 +154,8 @@ class RoutingSession:
         """A fresh-graph design carrying the session's current netlist.
 
         The cold-route baseline every warm result is asserted
-        bit-identical against (tests, ``bench_eco.py``, and the
-        service's ``verify`` option all route this).
+        bit-identical against (tests, ``bench_eco.py`` and
+        :meth:`verify_cold` all route this).
         """
         return Design(
             self.handle.name,
@@ -254,6 +255,26 @@ class RoutingSession:
                 cache_misses=misses - misses_before,
                 elapsed=time.perf_counter() - start,
             )
+
+    def verify_cold(self) -> Tuple[bool, RoutingResult]:
+        """Cold-route the current netlist on a fresh graph; return whether
+        the warm state matches it bit for bit — the last result's route
+        digest and score, and the session's demand — and the cold
+        result."""
+        from repro.core.router import GlobalRouter
+
+        with self._lock:
+            self._check_open()
+            if self.result is None:
+                raise RuntimeError("session has no route to verify; call run() first")
+            cold_design = self.cold_design()
+            cold = GlobalRouter(cold_design, self.config).run()
+            same = (
+                self.result.digest() == cold.digest()
+                and self.graph.demand_equals(cold_design.graph)
+                and self.result.metrics.score == cold.metrics.score
+            )
+            return same, cold
 
     def stats(self) -> dict:
         """Session-level counters (exposed by the service's /sessions)."""

@@ -5,9 +5,10 @@ and rewrites them in place: unmasked rebuilds recompute them, masked
 rebuilds repaint an index plan of the read footprint.  Its contract is
 that every table it serves is bit-identical to one built from scratch.
 :class:`FullRebuildCostQuery` is that from-scratch build: fresh arrays
-and a full recompute on every ``rebuild`` — a masked one paints whole
-boxes whatever ``reads`` says.  The query methods it inherits serve its
-tables unchanged.
+and a full recompute on every ``rebuild`` — a full one pins its costs
+as the reference, a masked one copies that reference and paints whole
+boxes over it whatever ``reads`` says.  The query methods it inherits
+serve its tables unchanged.
 
 :func:`full_rebuild_engine` makes every pattern router built inside it
 use the oracle, so a whole flow can be routed once per engine and
@@ -68,22 +69,14 @@ def rect_union_area(rects: Iterable[IntRect]) -> int:
 class FullRebuildCostQuery(CostQuery):
     """A :class:`CostQuery` whose every rebuild starts from scratch."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        # Masked mode: the pinned reference's wire-prefix sums,
-        # recomputed only when the reference identity changes (once
-        # per stage).
-        self._ref_h_prefix: Optional[np.ndarray] = None
-        self._ref_v_prefix: Optional[np.ndarray] = None
-        super().__init__(*args, **kwargs)
-
-    def rebuild(self, boxes=None, reference=None, reads=None) -> None:
+    def rebuild(self, boxes=None, reads=None) -> None:
         start = perf_counter()
         try:
-            self._rebuild_full(boxes, reference)
+            self._rebuild_full(boxes)
         finally:
             self.tracker.get_timer(metrics.COST_S).add(perf_counter() - start)
 
-    def _rebuild_full(self, boxes, reference) -> None:
+    def _rebuild_full(self, boxes) -> None:
         """The from-scratch oracle: fresh arrays, full recompute."""
         graph, model = self.graph, self.model
         nx, ny, n_layers = graph.nx, graph.ny, self.n_layers
@@ -93,13 +86,8 @@ class FullRebuildCostQuery(CostQuery):
             ]
             self.via_cost = model.via_edge_costs(graph)
         else:
-            if reference is None:
-                raise ValueError("masked rebuild needs a cost reference")
-            ref_wire, ref_via = reference
-            self.wire_cost = [
-                np.array(ref_wire[layer], copy=True) for layer in range(n_layers)
-            ]
-            self.via_cost = np.array(ref_via, copy=True)
+            self.wire_cost = [a.copy() for a in self._ref_wire]
+            self.via_cost = self._ref_via.copy()
             for box in boxes:
                 for layer in range(n_layers):
                     # Wire edge [x, y] leaves cell (x, y) along the
@@ -135,6 +123,10 @@ class FullRebuildCostQuery(CostQuery):
         via_edge[1:] = self.via_cost
 
         if boxes is None:
+            # The reference of later masked rebuilds: these costs and
+            # their wire-prefix sums.
+            self._ref_wire = [a.copy() for a in self.wire_cost]
+            self._ref_via = self.via_cost.copy()
             # Host-side scans feed both twins: the device twin is a
             # (buffer-reusing) upload of the host result — no
             # device-to-host round-trip, and steady-state rebuilds on a
@@ -145,6 +137,8 @@ class FullRebuildCostQuery(CostQuery):
             self._h_prefix = np.cumsum(h_edge, axis=1)
             self._v_prefix = np.cumsum(v_edge, axis=2)
             self._via_prefix = np.cumsum(via_edge, axis=0)
+            self._ref_h_prefix = self._h_prefix.copy()
+            self._ref_v_prefix = self._v_prefix.copy()
             self._h_prefix_dev = self._upload_prefix(
                 self._h_prefix_dev, self._h_prefix
             )
@@ -159,7 +153,6 @@ class FullRebuildCostQuery(CostQuery):
             # everywhere, then one anchored in-box scan per box.  Via
             # prefixes are pillar-local cumsums — already a pure
             # function of the pillar's own (in-box) costs.
-            self._ensure_reference_prefixes(reference)
             self._h_prefix = self._ref_h_prefix.copy()
             self._v_prefix = self._ref_v_prefix.copy()
             self._via_prefix = np.cumsum(via_edge, axis=0)
@@ -185,29 +178,7 @@ class FullRebuildCostQuery(CostQuery):
         else:
             kind = metrics.COST_MASKED_REBUILDS
             wire_n, via_n = self._boxes_edge_tally(boxes)
-        self._count(kind, wire_n, via_n)
-        self.last_upload_bytes = (wire_n + via_n) * self.via_cost.itemsize
-
-    def _ensure_reference_prefixes(self, reference) -> None:
-        """(Re)build the reference wire-prefix tables.
-
-        Cached by reference identity — one global scan per stage
-        reference, not one per masked rebuild.
-        """
-        if self._same_reference(reference):
-            return
-        ref_wire, _ = reference
-        nx, ny, n_layers = self.graph.nx, self.graph.ny, self.n_layers
-        h_edge = np.zeros((n_layers, nx, ny))
-        v_edge = np.zeros((n_layers, nx, ny))
-        for layer in range(n_layers):
-            if self._h_allowed[layer]:
-                h_edge[layer, 1:, :] = ref_wire[layer]
-            else:
-                v_edge[layer, :, 1:] = ref_wire[layer]
-        self._ref_h_prefix = np.cumsum(h_edge, axis=1)
-        self._ref_v_prefix = np.cumsum(v_edge, axis=2)
-        self._ref_src = reference
+        self._count(kind, wire_n, via_n, wire_n + via_n)
 
     def _box_wire_rect(self, layer: int, box) -> Optional[IntRect]:
         """Clipped in-box edge rect of ``box`` on ``layer`` (or None)."""

@@ -88,3 +88,12 @@ class TestGenerateAndInfo:
         code = main(["info", str(path)])
         assert code == 0
         assert "18test5" in capsys.readouterr().out
+
+
+class TestEco:
+    def test_eco_verify_is_bit_identical(self, capsys):
+        code = main(["eco", "18test5", "--scale", "0.05", "--verify"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "eco re-route" in out
+        assert "bit-identical" in out

@@ -32,15 +32,15 @@ from repro.pattern.twopin import NetRoutingJob, PatternMode, constant_mode
 def walk_route_oracle(job: NetRoutingJob) -> Route:
     """Rebuild ``job``'s route one tree node at a time (the reference)."""
     state, ordered, nodes = job.state, job.ordered, job.tree.nodes
-    route = Route()
+    wires, vias = [], []
 
     def wire(a, b, layer):
         if a != b:
-            route.add_wire(WireSegment(layer, a[0], a[1], b[0], b[1]))
+            wires.append(WireSegment(layer, a[0], a[1], b[0], b[1]))
 
     def via(p, lo, hi):
         if lo != hi:
-            route.add_via(ViaSegment(p[0], p[1], min(lo, hi), max(lo, hi)))
+            vias.append(ViaSegment(p[0], p[1], min(lo, hi), max(lo, hi)))
 
     root = nodes[ordered.root].point
     lo, hi = job.root_interval
@@ -61,7 +61,7 @@ def walk_route_oracle(job: NetRoutingJob) -> Route:
         stack_lo, stack_hi = state.stack[row, source_layer].tolist()
         via(src, stack_lo, stack_hi)
         pending.extend((c, stack_lo, stack_hi) for c in ordered.children(node))
-    return normalize_route(route)
+    return normalize_route(Route(wires, vias))
 
 
 class TestBestLayerInInterval:
@@ -181,13 +181,14 @@ class TestNormalize:
         grid = GridGraph(10, 10, LayerStack(5))
         node_paths = [unit_step_path(grid, start, moves) for start, moves in paths]
         (built,) = routes_from_paths(grid, [node_paths])
-        steps = Route()  # one segment per step of every path
+        wires, vias = [], []  # one segment per step of every path
         for path in node_paths:
             for (x, y, layer), nxt in zip(path, path[1:]):
                 if nxt[2] != layer:
-                    steps.add_via(ViaSegment(x, y, layer, nxt[2]))
+                    vias.append(ViaSegment(x, y, layer, nxt[2]))
                 else:
-                    steps.add_wire(WireSegment(layer, x, y, nxt[0], nxt[1]))
+                    wires.append(WireSegment(layer, x, y, nxt[0], nxt[1]))
+        steps = Route(wires, vias)
         want = normalize_route(steps)
         assert (built.wires, built.vias) == (want.wires, want.vias)
         assert built.nodes() == steps.nodes()

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.grid.route import (
     H_WIRE, V_WIRE, VIA, Route, ViaSegment, WireSegment, commit_routes, commit_table,
-    routes_from_table,
+    normalize_table, routes_from_table,
 )
 from repro.netlist.net import Net, Pin
 from repro.pattern.batch import BatchPatternRouter
@@ -119,11 +121,49 @@ def test_a_bad_via_raises_like_its_route():
     assert not graph.demand_flat.any()
 
 
-def test_routes_from_table_refuses_an_unsorted_or_empty_segment():
-    table, _ = mixed_batch(0)
-    with pytest.raises(ValueError):
-        routes_from_table(table[:, ::-1], table[1].max() + 1)
-    flat = table.copy()
-    flat[5, 0] = flat[4, 0]  # zero length
-    with pytest.raises(ValueError):
-        routes_from_table(flat, table[1].max() + 1)
+@st.composite
+def raw_rows(draw):
+    """``(raw, n_routes)``: raw segment rows as a backtrace or a maze
+    path emits them — overlapping, repeated and empty (``lo == hi``)
+    rows in any order."""
+    n_routes = draw(st.integers(1, 4))
+    coordinate = st.integers(0, 6)
+    rows = draw(st.lists(
+        st.tuples(
+            st.integers(H_WIRE, VIA), st.integers(0, n_routes - 1),
+            coordinate, coordinate, coordinate, st.integers(0, 3),
+        ).map(lambda r: (*r[:5], r[4] + r[5])),
+        max_size=24,
+    ))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=6)) if rows else []
+    rows = draw(st.permutations(rows))
+    return np.array(rows, dtype=np.intp).reshape(-1, 6).T, n_routes
+
+
+def units(table: np.ndarray):
+    """The set of ``(kind, route, a, b, unit)`` a table's rows cover."""
+    return {
+        (kind, route, a, b, unit)
+        for kind, route, a, b, lo, hi in table.T.tolist()
+        for unit in range(lo, hi)
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_rows())
+def test_normalize_table_holds_what_routes_from_table_assumes(case):
+    """:func:`routes_from_table` checks nothing: every table it is given
+    is :func:`normalize_table` output, which is sorted by ``(kind,
+    route)``, keeps every route in range and has ``lo < hi`` on every
+    row — and covers exactly the unit edges of its raw rows."""
+    raw, n_routes = case
+    table = normalize_table(raw, n_routes)
+    kind, route, _, _, lo, hi = table
+    group = kind * n_routes + route
+    assert (group[1:] >= group[:-1]).all()
+    assert ((0 <= kind) & (kind <= VIA) & (0 <= route) & (route < n_routes)).all()
+    assert (lo < hi).all()
+    assert units(table) == units(raw)
+    routes = routes_from_table(table, n_routes)
+    assert len(routes) == n_routes
+    assert sum(r.wirelength + r.n_vias for r in routes) == len(units(raw))

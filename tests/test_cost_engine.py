@@ -41,27 +41,36 @@ def make_graph() -> GridGraph:
 
 
 def random_route(rng: np.random.Generator, stack: LayerStack) -> Route:
-    route = Route()
+    wires, vias = [], []
     for _ in range(int(rng.integers(1, 4))):
         layer = int(rng.integers(0, L))
         if stack.is_horizontal(layer):
             y = int(rng.integers(0, NY))
             x1, x2 = sorted(int(v) for v in rng.integers(0, NX, 2))
             if x1 != x2:
-                route.add_wire(WireSegment(layer, x1, y, x2, y))
+                wires.append(WireSegment(layer, x1, y, x2, y))
         else:
             x = int(rng.integers(0, NX))
             y1, y2 = sorted(int(v) for v in rng.integers(0, NY, 2))
             if y1 != y2:
-                route.add_wire(WireSegment(layer, x, y1, x, y2))
+                wires.append(WireSegment(layer, x, y1, x, y2))
     if rng.random() < 0.7:
         lo, hi = sorted(int(v) for v in rng.integers(0, L, 2))
         if lo != hi:
-            route.add_via(
+            vias.append(
                 ViaSegment(int(rng.integers(0, NX)), int(rng.integers(0, NY)),
                            lo, hi)
             )
-    return route
+    return Route(wires, vias)
+
+
+def uploads(delta) -> tuple:
+    """``(bytes, uploads)`` a tracker delta books as cost uploads."""
+    counters = delta[0]
+    return (
+        counters.get(metrics.COST_UPLOAD_BYTES, 0),
+        counters.get(metrics.COST_UPLOADS, 0),
+    )
 
 
 def assert_snapshots_equal(inc: CostQuery, full: CostQuery, context="") -> None:
@@ -218,18 +227,17 @@ FULL_GRID = Rect(0, 0, NX - 1, NY - 1)
     seed=7,
 )
 def test_masked_parity(backend_name, steps, seed):
-    """Masked rebuilds (the scheduler's pinned-reference path) match the
-    oracle bit for bit — tables *and* tallies — over box lists of every
-    shape: level-sized disjoint batches, overlapping and duplicate
-    boxes, border-touching and zero-area boxes, the empty list, and a
-    reference change mid-sequence.
+    """Masked rebuilds (the scheduler's per-level path) match the oracle
+    bit for bit — tables *and* tallies — over box lists of every shape:
+    level-sized disjoint batches, overlapping and duplicate boxes,
+    border-touching and zero-area boxes, the empty list, and a full
+    rebuild (a re-pin of the reference) on non-zero demand partway
+    through the sequence.
 
-    Tallies: ``last_upload_bytes`` counts the fresh boxes only, as the
-    oracle does.  ``refreshed_*`` also counts the cells the incremental
-    engine copies back from the reference (the previous rebuild's
-    boxes), so the oracle is asked for its tally of both box lists; a
-    rebuild that reseeds (new reference) tallies the whole grid, like
-    the oracle's own full rebuild.
+    Tallies: the upload counts the fresh boxes only, as the oracle's
+    does.  ``refreshed_*`` also counts the cells the incremental engine
+    copies back from the reference (the previous rebuild's boxes), so
+    the oracle is asked for its tally of both box lists.
     """
     rng = np.random.default_rng(seed)
     graph = make_graph()
@@ -237,40 +245,41 @@ def test_masked_parity(backend_name, steps, seed):
     backend = get_backend(backend_name)
     inc = CostQuery(graph, model, backend=backend)
     full = FullRebuildCostQuery(graph, model, backend=backend)
-    whole_grid = metrics.cost_stats(*full.tracker.snapshot())
-    reference = inc.snapshot_reference()
-    previous, reseed = [], True
-    for step, (boxes, new_reference) in enumerate(steps):
+    previous = []
+    for step, (boxes, repin) in enumerate(steps):
         # Dense enough that live and reference costs differ in most
         # boxes: which of two overlapping boxes owns a prefix entry
         # then shows in its bits.
         for _ in range(20):
             random_route(rng, graph.stack).commit(graph)
-        if new_reference:
-            reference = FullRebuildCostQuery(graph, model).snapshot_reference()
-            previous, reseed = [], True
+        if repin:
+            before = inc.tracker.snapshot()
+            inc.rebuild()
+            full.rebuild()
+            whole_grid = sum(a.size for a in inc.wire_cost) + inc.via_cost.size
+            assert uploads(inc.tracker.delta(before)) == (
+                whole_grid * inc.via_cost.itemsize, 1
+            )
+            previous = []
+            for _ in range(20):
+                random_route(rng, graph.stack).commit(graph)
         before = inc.tracker.snapshot()
-        inc.rebuild(boxes=boxes, reference=reference)
+        inc.rebuild(boxes=boxes)
         inc.sync()
-        delta = metrics.cost_stats(*inc.tracker.delta(before))
+        inc_delta = inc.tracker.delta(before)
+        delta = metrics.cost_stats(*inc_delta)
 
         before = full.tracker.snapshot()
-        full.rebuild(boxes=previous + boxes, reference=reference)
-        expected = (
-            whole_grid if reseed else metrics.cost_stats(*full.tracker.delta(before))
-        )
+        full.rebuild(boxes=previous + boxes)
+        expected = metrics.cost_stats(*full.tracker.delta(before))
         assert delta["refreshed_wire_edges"] == expected["refreshed_wire_edges"], step
         assert delta["refreshed_via_edges"] == expected["refreshed_via_edges"], step
-        full.rebuild(boxes=boxes, reference=reference)
-        if reseed:
-            assert inc.last_upload_bytes == (
-                whole_grid["refreshed_edges"] * inc.via_cost.itemsize
-            )
-        else:
-            assert inc.last_upload_bytes == full.last_upload_bytes, step
+        before = full.tracker.snapshot()
+        full.rebuild(boxes=boxes)
+        assert uploads(inc_delta) == uploads(full.tracker.delta(before)), step
         assert delta["masked_rebuilds"] == 1
         assert_snapshots_equal(inc, full, f"at step {step}")
-        previous, reseed = boxes, False
+        previous = boxes
     # Masked -> unmasked transition falls back to a clean full refresh.
     inc.rebuild()
     inc.sync()
@@ -319,32 +328,36 @@ def painted_cells(graph: GridGraph, boxes, reads: Footprint):
 )
 def test_masked_reads_paint_only_the_footprint(backend_name, steps, seed):
     """With ``reads``, every painted cell equals the whole-box rebuild bit
-    for bit and every other cell equals the reference, after every
-    rebuild of a sequence (each restores the previous footprint) and in
+    for bit and every other cell equals the reference (the last full
+    rebuild), after every rebuild of a sequence (each restores the
+    previous footprint; some follow a re-pin on non-zero demand) and in
     the device twins; tallies count exactly the painted cells."""
     rng = np.random.default_rng(seed)
     graph = make_graph()
     model = CostModel()
     backend = get_backend(backend_name)
     inc = CostQuery(graph, model, backend=backend)
-    reference = inc.snapshot_reference()
-    previous, reseed = None, True
-    for step, (boxes, new_reference) in enumerate(steps):
+    # ``pinned`` holds the reference's tables; ``whole`` masks whole
+    # boxes over the same reference.
+    pinned, whole = (FullRebuildCostQuery(graph, model) for _ in range(2))
+    previous = None
+    for step, (boxes, repin) in enumerate(steps):
         for _ in range(20):
             random_route(rng, graph.stack).commit(graph)
-        if new_reference:
-            reference = FullRebuildCostQuery(graph, model).snapshot_reference()
-            previous, reseed = None, True
+        if repin:
+            inc.rebuild()
+            pinned, whole = (FullRebuildCostQuery(graph, model) for _ in range(2))
+            previous = None
+            for _ in range(20):
+                random_route(rng, graph.stack).commit(graph)
         reads = random_reads(rng, boxes)
         before = inc.tracker.snapshot()
-        inc.rebuild(boxes=boxes, reference=reference, reads=reads)
+        inc.rebuild(boxes=boxes, reads=reads)
         inc.sync()
-        delta = metrics.cost_stats(*inc.tracker.delta(before))
+        inc_delta = inc.tracker.delta(before)
+        delta = metrics.cost_stats(*inc_delta)
 
-        whole = FullRebuildCostQuery(graph, model)
-        whole.rebuild(boxes=boxes, reference=reference)
-        pinned = FullRebuildCostQuery(graph, model)
-        pinned.rebuild(boxes=[], reference=reference)
+        whole.rebuild(boxes=boxes)
         masks = painted_cells(graph, boxes, reads)
         names = ("_h_prefix", "_v_prefix", "_via_prefix")
         for name, mask in zip(names, masks):
@@ -361,16 +374,16 @@ def test_masked_reads_paint_only_the_footprint(backend_name, steps, seed):
             inc.via_cost, np.where(via[1:], whole.via_cost, pinned.via_cost)
         )
 
-        if reseed:  # a new reference repaints the whole grid
-            whole_grid = sum(a.size for a in inc.wire_cost) + inc.via_cost.size
-            assert delta["refreshed_edges"] == whole_grid
-            assert inc.last_upload_bytes == whole_grid * inc.via_cost.itemsize
-        else:
-            painted = sum(int(m.sum()) for m in masks)
-            assert inc.last_upload_bytes == painted * inc.via_cost.itemsize
-            union = sum(int((m | p).sum()) for m, p in zip(masks, previous))
-            assert delta["refreshed_edges"] == union, step
-        previous, reseed = masks, False
+        painted = sum(int(m.sum()) for m in masks)
+        assert uploads(inc_delta) == (
+            painted * inc.via_cost.itemsize, 1 if painted else 0
+        ), step
+        union = (
+            painted if previous is None
+            else sum(int((m | p).sum()) for m, p in zip(masks, previous))
+        )
+        assert delta["refreshed_edges"] == union, step
+        previous = masks
 
 
 def test_every_line_footprint_equals_reads_none():
@@ -390,18 +403,19 @@ def test_every_line_footprint_equals_reads_none():
                   for x in range(r.xlo, r.xhi + 1)
                   for y in range(r.ylo, r.yhi + 1)]).T,
     )
-    queries = []
-    for reads in (None, every):
-        query = CostQuery(graph, model)
-        reference = CostQuery(make_graph(), model).snapshot_reference()
-        query.rebuild(boxes=boxes[:1], reference=reference)
+    queries = [CostQuery(graph, model) for _ in range(2)]
+    for _ in range(30):
+        random_route(rng, graph.stack).commit(graph)
+    deltas = []
+    for query, reads in zip(queries, (None, every)):
+        query.rebuild(boxes=boxes[:1])
         before = query.tracker.snapshot()
-        query.rebuild(boxes=boxes, reference=reference, reads=reads)
-        queries.append((query, metrics.cost_stats(*query.tracker.delta(before))))
-    (a, da), (b, db) = queries
-    assert_snapshots_equal(a, b)
+        query.rebuild(boxes=boxes, reads=reads)
+        deltas.append(query.tracker.delta(before))
+    assert_snapshots_equal(*queries)
+    da, db = (metrics.cost_stats(*delta) for delta in deltas)
     assert da["refreshed_edges"] == db["refreshed_edges"]
-    assert a.last_upload_bytes == b.last_upload_bytes
+    assert uploads(deltas[0]) == uploads(deltas[1])
 
 
 NO_LINES = np.empty((2, 0), dtype=np.intp)
@@ -423,10 +437,9 @@ def test_read_line_outside_its_box_raises(reads):
     """Boxes: (2, 2)-(6, 6), and one clipped to (0, 0)-(1, 1)."""
     graph = make_graph()
     query = CostQuery(graph, CostModel())
-    reference = query.snapshot_reference()
     boxes = [Rect(2, 2, 6, 6), Rect(-3, -3, 1, 1)]
     with pytest.raises(ValueError):
-        query.rebuild(boxes=boxes, reference=reference, reads=reads)
+        query.rebuild(boxes=boxes, reads=reads)
 
 
 @pytest.mark.parametrize("backend_name", available_backends())
@@ -440,7 +453,8 @@ def test_in_box_queries_ignore_mask_mates(backend_name, boxes, position, seed):
     rng = np.random.default_rng(seed)
     graph = make_graph()
     model = CostModel()
-    reference = CostQuery(graph, model).snapshot_reference()
+    # Both snapshots pin the zero-demand grid as their reference.
+    queries = [CostQuery(graph, model, backend=get_backend(backend_name)) for _ in range(2)]
     for _ in range(12):
         random_route(rng, graph.stack).commit(graph)
     box, mates = boxes[0], boxes[1:]
@@ -449,9 +463,8 @@ def test_in_box_queries_ignore_mask_mates(backend_name, boxes, position, seed):
     xs, ys = np.arange(box.xlo, box.xhi + 1), np.arange(box.ylo, box.yhi + 1)
     x_grid, y_grid = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
     answers = []
-    for mask in ([box], together):
-        query = CostQuery(graph, model, backend=get_backend(backend_name))
-        query.rebuild(boxes=mask, reference=reference)
+    for query, mask in zip(queries, ([box], together)):
+        query.rebuild(boxes=mask)
         to_numpy = query.backend.to_numpy
         answers.append((
             # Every horizontal / vertical run from the box's low face.
@@ -476,21 +489,23 @@ def test_unknown_engine_rejected():
 
 
 def test_upload_bytes_deduplicate_overlapping_boxes():
-    """Overlapping masked boxes are counted once (the old per-box sum
-    overcounted shared cells)."""
+    """Overlapping masked boxes are counted once, by the snapshot and by
+    the oracle alike (a per-box sum would overcount shared cells)."""
     graph = make_graph()
     model = CostModel()
-    query = FullRebuildCostQuery(graph, model)
-    reference = query.snapshot_reference()
     box = Rect(2, 2, 8, 8)
-    query.rebuild(boxes=[box], reference=reference)
-    once = query.last_upload_bytes
-    query.rebuild(boxes=[box, box, box], reference=reference)
-    assert query.last_upload_bytes == once
-    inc = CostQuery(graph, model)
-    inc.rebuild(boxes=[box, box], reference=inc.snapshot_reference())
-    inc.rebuild(boxes=[box, box], reference=reference)  # reference change reseeds
-    assert inc.last_upload_bytes >= once
+    tallies = []
+    for query, boxes in (
+        (FullRebuildCostQuery(graph, model), [box]),
+        (FullRebuildCostQuery(graph, model), [box, box, box]),
+        (CostQuery(graph, model), [box, box]),
+    ):
+        before = query.tracker.snapshot()
+        query.rebuild(boxes=boxes)
+        tallies.append(uploads(query.tracker.delta(before)))
+    # A 7 x 7-cell box: 6 x 7 wire edges a layer, 7 x 7 via pillars.
+    once = ((6 * 7 * L + 7 * 7 * (L - 1)) * 8, 1)
+    assert tallies == [once] * 3
 
 
 def test_rect_union_area_helpers():
@@ -509,13 +524,14 @@ def test_stats_counters_accumulate():
     before = inc.tracker.snapshot()
     graph.add_wire_demand(1, 0, 0, 5, 0)
     inc.rebuild()
-    delta = metrics.cost_stats(*inc.tracker.delta(before))
+    counts = inc.tracker.delta(before)
+    delta = metrics.cost_stats(*counts)
     wire_n = sum(a.size for a in inc.wire_cost)
     assert (delta["full_rebuilds"], delta["masked_rebuilds"]) == (1, 0)
     assert delta["refreshed_wire_edges"] == wire_n
     assert delta["refreshed_via_edges"] == inc.via_cost.size
     assert delta["seconds"] >= 0.0
-    assert inc.last_upload_bytes == delta["refreshed_edges"] * inc.via_cost.itemsize
+    assert uploads(counts) == (delta["refreshed_edges"] * inc.via_cost.itemsize, 1)
 
 
 @pytest.mark.parametrize("preset", ["cugr", "fastgr_l", "fastgr_h"])
@@ -562,8 +578,10 @@ def test_one_box_masked_rebuild_call_budget():
     2-pin net's footprint, so the count does not depend on how NumPy
     implements them: 74 with the plan built as one arithmetic
     progression per line over flat tables, 167 with one scan family per
-    wire direction and per-layer demand gathers.  It may fall; it must
-    not rise.
+    wire direction and per-layer demand gathers; 73 once the snapshot
+    pinned its own reference (one identity check fewer) and booked its
+    own uploads (four counter calls that the pattern engine used to
+    make after every rebuild).  It may fall; it must not rise.
     """
     import sys
 
@@ -574,12 +592,11 @@ def test_one_box_masked_rebuild_call_budget():
 
     graph = GridGraph(24, 24, LayerStack(9), wire_capacity=4.0)
     router = BatchPatternRouter(graph)
-    reference = router.query.snapshot_reference()
     net = Net("two", [Pin(3, 4, 0), Pin(11, 9, 2)])
     state = router.plan_waves([router.make_job(net)], constant_mode(PatternMode.LSHAPE))[0]
 
     def rebuild():
-        router.query.rebuild(boxes=[net.bbox], reference=reference, reads=state.reads)
+        router.query.rebuild(boxes=[net.bbox], reads=state.reads)
 
     rebuild()
     calls = 0

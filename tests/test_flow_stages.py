@@ -7,12 +7,13 @@ import pytest
 
 from repro import metrics
 from repro.core.config import RouterConfig
-from repro.core.flow import run_pattern_stage, run_rrr_stage
+from repro.core.flow import PatternStage, run_pattern_stage, run_rrr_stage
 from repro.gpu.device import Device
 from repro.grid import route as route_module
 from repro.maze.ripup import find_violating_nets
 from repro.netlist.generator import DesignSpec, generate_design
 from repro.sched.batching import extract_batches
+from repro.sched.pipeline import StageRunner
 from repro.sched.sorting import sort_nets
 from repro.utils.timing import Tracker
 
@@ -68,6 +69,27 @@ class TestPatternStage:
         batches = extract_batches([n.bbox for n in nets], d.graph.nx, d.graph.ny)
         flat = sorted(i for batch in batches for i in batch)
         assert flat == list(range(len(nets)))
+
+    @pytest.mark.parametrize("cap", [64, 8])
+    @pytest.mark.parametrize("congested", [False, True])
+    def test_levels_are_the_algorithm_1_batches(self, congested, cap):
+        """Fused pattern dispatch runs Algorithm 1's batches in order: the
+        chunk task graph's root batch is the chunks of the first batch
+        of :func:`extract_batches`, and its dependency levels are those
+        batches, each regrouped into its chunks (DESIGN.md Sec. 2)."""
+        d = design(congested=congested, n_nets=140)
+        stage = PatternStage(d, RouterConfig.fastgr_l(max_batch_tasks=cap), Device())
+        graph = StageRunner().schedule(stage).task_graph
+        batches = extract_batches([net.bbox for net in stage.nets], d.graph.nx, d.graph.ny)
+        assert len(batches) > 3
+
+        def nets_of(tasks):
+            return [p for task in tasks for p in stage.chunks[task]]
+
+        assert nets_of(graph.root_batch) == batches[0]
+        levels = graph.levels()
+        assert [nets_of(level) for level in levels] == batches
+        assert nets_of(levels[0]) == nets_of(graph.root_batch)
 
     def test_pattern_report_covers_all_chunks(self):
         d = design()

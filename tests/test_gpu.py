@@ -174,11 +174,9 @@ class TestOpTally:
                 graph, config.cost_model, edge_shift=config.edge_shift,
                 backend=config.backend,
             )
-            reference = router.query.snapshot_reference()
             before = router.backend.ops
             routes = router.route_batch(
-                [net], make_mode_selector(config, graph),
-                cost_boxes=[net.bbox], cost_reference=reference,
+                [net], make_mode_selector(config, graph), cost_boxes=[net.bbox]
             )
             ops = router.backend.ops - before
             assert routes[net.name].connects([p.as_node() for p in net.pins])

@@ -90,29 +90,22 @@ def routes_bit_equal(a, b):
 def route_twice(nets, mode_fn, backend, demand_seed):
     """Per-net dispatch vs one stacked call, on twin graphs.
 
-    Both sides mask every rebuild to the dispatched nets' boxes against
-    the same stage-start reference — exactly what ``PatternStage`` does
-    for chunk tasks (per-net) and fused levels (stacked).
+    Both sides mask every rebuild to the dispatched nets' boxes over
+    the engine's own stage-start snapshot — exactly what
+    ``PatternStage`` does for chunk tasks (per-net) and fused levels
+    (stacked).
     """
     boxes = [net.bbox for net in nets]
 
     g_solo = fresh_grid(demand_seed=demand_seed)
     solo_engine = BatchPatternRouter(g_solo, backend=backend)
-    reference = solo_engine.query.snapshot_reference()
     solo = {}
     for net, box in zip(nets, boxes):
-        solo.update(
-            solo_engine.route_batch(
-                [net], mode_fn, cost_boxes=[box], cost_reference=reference
-            )
-        )
+        solo.update(solo_engine.route_batch([net], mode_fn, cost_boxes=[box]))
 
     g_stack = fresh_grid(demand_seed=demand_seed)
     stack_engine = BatchPatternRouter(g_stack, backend=backend)
-    reference = stack_engine.query.snapshot_reference()
-    stacked = stack_engine.route_batch(
-        nets, mode_fn, cost_boxes=boxes, cost_reference=reference
-    )
+    stacked = stack_engine.route_batch(nets, mode_fn, cost_boxes=boxes)
     return solo, stacked, g_solo, g_stack, stack_engine
 
 

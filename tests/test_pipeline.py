@@ -15,12 +15,11 @@ from repro.sched.batching import extract_batches
 from repro.sched.pipeline import (
     ScheduledStage,
     StageRunner,
-    extract_conflict_batches,
     group_conflicts,
     modelled_makespans,
 )
 from repro.sched.sorting import sort_nets
-from repro.sched.taskgraph import build_task_graph
+from repro.sched.taskgraph import build_task_graph, extract_conflict_batches
 from repro.utils.rng import make_rng
 from tests.sched_oracle import TaskGraphExecutor, build_conflict_graph
 

@@ -99,10 +99,7 @@ def route(nets, mode_fn, seed):
     """Route and commit ``nets`` as one masked batch on a fresh grid."""
     graph = grid(seed)
     router = BatchPatternRouter(graph, backend="numpy")
-    routes = router.route_batch(
-        nets, mode_fn, cost_boxes=[net.bbox for net in nets],
-        cost_reference=router.query.snapshot_reference(),
-    )
+    routes = router.route_batch(nets, mode_fn, cost_boxes=[net.bbox for net in nets])
     return routes, graph
 
 

@@ -49,8 +49,8 @@ def poisoned(monkeypatch):
     real = CostQuery._masked_incremental
     calls = []
 
-    def masked(self, boxes, reference, reads):
-        real(self, boxes, reference, reads)
+    def masked(self, boxes, reads):
+        real(self, boxes, reads)
         plan, prefix, ref_prefix = self._masked_plan, self._prefix_flat, self._ref_prefix
         keep = np.zeros(prefix.size, dtype=bool)
         keep[plan.cells] = True

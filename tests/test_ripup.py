@@ -81,17 +81,17 @@ class TestViolationDetection:
         grid = GridGraph(8, 8, LayerStack(4), wire_capacity=2.0, via_capacity=2.0)
         routes = {}
         for i in range(30):
-            route = Route()
+            wires = []
             for _ in range(3):
                 layer = int(rng.integers(0, 4))
                 a, b = sorted(int(v) for v in rng.choice(8, 2, replace=False))
                 c = int(rng.integers(0, 8))
                 if grid.stack.is_horizontal(layer):
-                    route.add_wire(WireSegment(layer, a, c, b, c))
+                    wires.append(WireSegment(layer, a, c, b, c))
                 else:
-                    route.add_wire(WireSegment(layer, c, a, c, b))
+                    wires.append(WireSegment(layer, c, a, c, b))
             lo, hi = sorted(int(v) for v in rng.choice(4, 2, replace=False))
-            route.add_via(ViaSegment(int(rng.integers(0, 8)), int(rng.integers(0, 8)), lo, hi))
+            route = Route(wires, [ViaSegment(int(rng.integers(0, 8)), int(rng.integers(0, 8)), lo, hi)])
             route.commit(grid)
             routes[f"n{i}"] = route
 

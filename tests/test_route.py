@@ -75,12 +75,6 @@ class TestRoute:
         assert Route().is_empty()
         assert not Route(vias=[ViaSegment(0, 0, 0, 1)]).is_empty()
 
-    def test_extend(self):
-        a = Route(wires=[WireSegment(1, 0, 0, 2, 0)])
-        b = Route(vias=[ViaSegment(2, 0, 0, 1)])
-        a.extend(b)
-        assert a.wirelength == 2 and a.n_vias == 1
-
     def test_commit_uncommit_roundtrip(self, grid):
         route = Route(
             wires=[WireSegment(1, 0, 0, 4, 0), WireSegment(0, 4, 0, 4, 3)],
@@ -141,22 +135,22 @@ def random_routes(rng, graph, count):
     """Routes of random legal wires and via stacks; they overlap often."""
     routes = []
     for _ in range(count):
-        route = Route()
+        wires, vias = [], []
         for _ in range(int(rng.integers(0, 4))):
             layer = int(rng.integers(0, graph.n_layers))
             if graph.stack.is_horizontal(layer):
                 y = int(rng.integers(0, graph.ny))
                 x1, x2 = sorted(rng.choice(graph.nx, 2, replace=False).tolist())
-                route.add_wire(WireSegment(layer, x1, y, x2, y))
+                wires.append(WireSegment(layer, x1, y, x2, y))
             else:
                 x = int(rng.integers(0, graph.nx))
                 y1, y2 = sorted(rng.choice(graph.ny, 2, replace=False).tolist())
-                route.add_wire(WireSegment(layer, x, y1, x, y2))
+                wires.append(WireSegment(layer, x, y1, x, y2))
         for _ in range(int(rng.integers(0, 3))):
             lo, hi = sorted(rng.choice(graph.n_layers, 2, replace=False).tolist())
             x, y = int(rng.integers(0, graph.nx)), int(rng.integers(0, graph.ny))
-            route.add_via(ViaSegment(x, y, lo, hi))
-        routes.append(route)
+            vias.append(ViaSegment(x, y, lo, hi))
+        routes.append(Route(wires, vias))
     return routes
 
 
@@ -254,7 +248,7 @@ class TestCommitRoutes:
     def test_segment_added_after_a_commit_is_seen(self, grid):
         route = Route([WireSegment(1, 0, 1, 6, 1)])
         commit_routes(grid, [route])
-        route.add_via(ViaSegment(2, 2, 0, 3))
+        route.vias.append(ViaSegment(2, 2, 0, 3))
         commit_routes(grid, [route])
         assert grid.wire_demand[1][0:6, 1].tolist() == [2.0] * 6
         assert grid.via_demand[0:3, 2, 2].tolist() == [1.0] * 3

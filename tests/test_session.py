@@ -97,6 +97,17 @@ class TestRoutingSession:
             assert cache.hits > hits_before
             assert session.n_runs == 2
 
+    def test_verify_cold_compares_digest_demand_and_score(self, small_design):
+        handle = DesignHandle.from_design(small_design)
+        with RoutingSession(handle, RouterConfig.fastgr_l()) as session:
+            with pytest.raises(RuntimeError, match="no route to verify"):
+                session.verify_cold()
+            session.run()
+            same, cold = session.verify_cold()
+            assert same and cold.digest() == session.result.digest()
+            session.graph.via_demand[0, 0, 0] += 1.0
+            assert session.verify_cold()[0] is False
+
     def test_eco_requires_warm_state(self, small_design):
         handle = DesignHandle.from_design(small_design)
         with RoutingSession(handle, RouterConfig.fastgr_l()) as session:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sched.conflict import ConflictGraph
-from repro.sched.taskgraph import build_task_graph, extract_root_batch
+from repro.sched.taskgraph import build_task_graph
 
 
 def graph_from_edges(n, edges):
@@ -20,18 +20,18 @@ def graph_from_edges(n, edges):
 class TestRootBatch:
     def test_independent_and_greedy(self):
         conflicts = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
-        root = extract_root_batch(conflicts)
+        root = build_task_graph(conflicts).root_batch
         assert root == [0, 2, 3]
         assert conflicts.is_independent_set(root)
 
     def test_no_conflicts_everything_in_root(self):
         conflicts = ConflictGraph(4)
-        assert extract_root_batch(conflicts) == [0, 1, 2, 3]
+        assert build_task_graph(conflicts).root_batch == [0, 1, 2, 3]
 
     def test_complete_graph_single_root(self):
         edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         conflicts = graph_from_edges(4, edges)
-        assert extract_root_batch(conflicts) == [0]
+        assert build_task_graph(conflicts).root_batch == [0]
 
 
 class TestBuildTaskGraph:
