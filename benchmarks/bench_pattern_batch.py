@@ -35,7 +35,7 @@ read-footprint rebuild saves little here and its bookkeeping is paid.
 lone nets whose op counts tier-1 pins: the minimum of 200 calls each,
 the two nets alternating in one process, beside the parent's figure.
 
-``test_level_planning_as_arrays`` times planning the largest fused level
+``test_level_planning_as_arrays`` times planning the largest pattern task
 of the ``open3k`` design (the end-to-end ``pattern_*`` workloads' input)
 with the array planner against the per-net oracle
 (``tests/plan_oracle.py``) and asserts both give the same batch state.
@@ -64,7 +64,6 @@ from repro.netlist.generator import DesignSpec, generate_design
 from repro.netlist.net import Net, Pin
 from repro.pattern.batch import BatchPatternRouter
 from repro.pattern.plan import plan_level
-from repro.sched.pipeline import StageRunner
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tests.cost_oracle import full_rebuild_engine  # noqa: E402
@@ -86,8 +85,8 @@ def tiled_case(seed: int = 7):
     """A congested grid with one small multi-pin net per disjoint tile.
 
     Bounding boxes stay strictly inside their tile, so the whole net
-    population forms one conflict-free level — the best case the
-    pattern task graph hands to ``batch_plan``.
+    population forms one conflict-free Algorithm-1 batch — the best
+    case a pattern task routes in one ``route_batch`` call.
     """
     n = TILE * TILES
     graph = GridGraph(n, n, LayerStack(5), wire_capacity=2.0)
@@ -273,7 +272,7 @@ def best_of(repeats: int, call):
 
 
 def test_level_planning_as_arrays():
-    """Plan ``open3k``'s largest fused level as arrays and per net.
+    """Plan ``open3k``'s largest pattern task as arrays and per net.
 
     Both sides plan the same nets on the same (empty) grid: the array
     planner with the stage's pin cells, closed forms for nets with at
@@ -284,11 +283,7 @@ def test_level_planning_as_arrays():
     design = generate_design(OPEN3K)
     config = RouterConfig.fastgr_l()
     stage = PatternStage(design, config, Device())
-    level = max(
-        stage.batch_plan(StageRunner().schedule(stage)),
-        key=lambda tasks: sum(len(stage.chunks[t]) for t in tasks),
-    )
-    positions = [p for task in level for p in stage.chunks[task]]
+    positions = max(stage.tasks, key=len)
     nets = [stage.nets[p] for p in positions]
     router, graph, mode_fn = stage.engine, design.graph, stage.mode_fn
     cells = stage.net_cells.take(positions)
@@ -309,7 +304,7 @@ def test_level_planning_as_arrays():
                 ["array", array_s * 1e3, len(nets), speedup],
             ],
             title=(
-                f"Planning open3k's largest fused level ({len(nets)} nets, "
+                f"Planning open3k's largest pattern task ({len(nets)} nets, "
                 f"{n_closed} with <= 3 pin G-cells; fastgr_l, best of {PLAN_REPEATS})"
             ),
         ),

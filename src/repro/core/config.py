@@ -46,10 +46,6 @@ class RouterConfig:
     rrr_sorting_scheme: Optional[str] = None
     n_rrr_iterations: int = 3
     rrr_parallel: str = "taskgraph"  # "taskgraph" | "batch"
-    # Pattern-stage batches larger than this are split into sibling
-    # chunk tasks (conflict-free by construction), so the task graph
-    # has intra-batch parallelism to expose instead of a chain.
-    max_batch_tasks: int = 64
     edge_shift: bool = True
     # Per-net search engine of the rip-up stage: "dijkstra" is the
     # scalar heap search, "wavefront" computes the same shortest-path
@@ -61,7 +57,6 @@ class RouterConfig:
     # The P of the modelled task-graph / batch-barrier makespans the
     # reports carry; stages themselves execute on the calling thread.
     n_workers: int = 8
-    max_chunk_elements: int = 150_000
     cost_model: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
@@ -78,8 +73,6 @@ class RouterConfig:
                 f"unknown maze engine {self.maze_engine!r}; available: "
                 f"{', '.join(MAZE_ENGINES)}"
             )
-        if self.max_batch_tasks < 1:
-            raise ValueError("max_batch_tasks must be >= 1")
         from repro.backend import available_backends
 
         if self.backend not in available_backends():

@@ -5,19 +5,22 @@ executed by the same :class:`~repro.sched.pipeline.StageRunner` — the
 flow holds no scheduling logic of its own:
 
 * :class:`PatternStage` — sort nets (Internet ordering), extract
-  conflict-free batches (Algorithm 1), split oversized batches into
-  sibling chunks.  Each chunk is one task whose footprint is its nets'
-  bounding boxes, so the task graph carries dependencies only between
-  *conflicting* chunks instead of an unconditional batch chain; each
-  task is one host-side kernel invocation sequence on the pattern
-  engine (Fig. 7).
+  conflict-free batches (Algorithm 1), cut each batch in sort order
+  into pieces of at most :data:`PIECE_NETS` nets and group a batch's
+  pieces by box area.  Each group is one task — one masked
+  ``route_batch`` call on the pattern engine (Fig. 7) — whose footprint
+  is its nets' bounding boxes.  The task graph's dependency levels are
+  exactly the Algorithm-1 batches, and its topological order is the
+  task order.
 * :class:`RerouteStage` — per rip-up iteration, every violating net is
   one maze-reroute task whose footprint is its search region (bounding
   box + maze margin).
 
 The runner drains both on the calling thread; a task's result is
 published through ``commit_task`` before any conflicting successor
-runs, so fused-group dispatch reproduces per-task dispatch bit for bit.
+runs.  Only the wavefront maze engine fuses a dependency level of
+reroute tasks into one stacked search, which reproduces per-task
+dispatch bit for bit.
 """
 
 from __future__ import annotations
@@ -65,13 +68,24 @@ def make_pattern_engine(
         device=device,
         tracker=tracker,
         edge_shift=config.edge_shift,
-        max_chunk_elements=config.max_chunk_elements,
         backend=config.backend,
     )
 
 
+#: Nets per piece of an Algorithm-1 batch; a pattern task groups pieces
+#: of one batch whose largest boxes are of comparable area.
+PIECE_NETS = 64
+
+
 class PatternStage(ScheduledStage):
-    """Pattern routing as chunk tasks over a shared pattern engine."""
+    """Pattern routing as conflict-free net groups on a shared engine.
+
+    Each task is one ``route_batch`` call; the stage has no fused group
+    path of its own.  (``benchmarks/e2e/trace.py`` still pins a span on
+    ``PatternStage.run_batch``: ``inspect.getattr_static`` resolves it
+    through the MRO to :meth:`ScheduledStage.run_batch`, which never
+    runs here.)
+    """
 
     name = "pattern"
 
@@ -91,17 +105,20 @@ class PatternStage(ScheduledStage):
         # table the design's validation built.
         self.net_cells = net_cells(*netlist.pin_table(), graph.n_layers).take(order)
         boxes = [net.bbox for net in self.nets]
-        batches = extract_batches(boxes, graph.nx, graph.ny)
-        # Greedy maximal batches pairwise conflict by construction — as
-        # whole tasks they could only chain.  Capping each batch into
-        # sibling chunks (conflict-free among themselves) gives the
-        # task graph real width to exploit.
-        cap = config.max_batch_tasks
-        self.chunks: List[List[int]] = []
-        for batch in batches:
-            for lo in range(0, len(batch), cap):
-                self.chunks.append(batch[lo : lo + cap])
-        self._boxes = [[boxes[i] for i in chunk] for chunk in self.chunks]
+        # Each Algorithm-1 batch is cut, in sort order, into pieces of
+        # at most PIECE_NETS nets, and the pieces are grouped by their
+        # largest box so one oversized net cannot stretch every stacked
+        # wave it shares.  A group is one task: one ``route_batch`` call.
+        self.tasks: List[List[int]] = []
+        for batch in extract_batches(boxes, graph.nx, graph.ny):
+            pieces = [
+                batch[lo : lo + PIECE_NETS]
+                for lo in range(0, len(batch), PIECE_NETS)
+            ]
+            areas = [max(boxes[p].area for p in piece) for piece in pieces]
+            for group in bucket_by_area(range(len(pieces)), areas):
+                self.tasks.append([p for piece in group for p in pieces[piece]])
+        self._boxes = [[boxes[p] for p in task] for task in self.tasks]
         self._net_boxes = boxes
         self.mode_fn = make_mode_selector(config, graph)
 
@@ -119,13 +136,13 @@ class PatternStage(ScheduledStage):
         return self._boxes
 
     def task_label(self, task: int) -> str:
-        return f"chunk-{task}"
+        return f"pattern-{task}"
 
     def prepare(self) -> None:
         self.routes = {}
 
     def run_task(self, task: int) -> Dict[str, Route]:
-        return self._route_nets(self.chunks[task])
+        return self._route_nets(self.tasks[task])
 
     def _route_nets(self, positions: List[int]) -> Dict[str, Route]:
         """Route the nets at stage ``positions`` (disjoint boxes) on the
@@ -178,63 +195,25 @@ class PatternStage(ScheduledStage):
     def commit_task(self, task: int, result: Dict[str, Route]) -> None:
         self.routes.update(result)
 
-    # ------------------------------------------------------------------ #
-    # Batched dispatch (stacked cross-net pattern kernels)
-    # ------------------------------------------------------------------ #
-    def batch_plan(self, schedule) -> Optional[List[List[int]]]:
-        """Dispatch the task graph's dependency levels as fused launches.
-
-        Levels are conflict-free and their order is a linear extension
-        of the DAG, so fusing a whole level into one ``route_batch``
-        (one masked rebuild over the union of boxes, waves merged
-        across every member net) and committing member results in
-        group order reproduces per-chunk dispatch bit for bit — each
-        member's DP reads only costs inside its own box, which no
-        disjoint level-mate's commit can touch.  Levels are split into
-        size buckets by largest-net bounding-box area first so one
-        oversized chunk cannot dominate every stacked wave it shares.
-        """
-        areas = [
-            max((box.area for box in boxes), default=0)
-            for boxes in self._boxes
-        ]
-        plan: List[List[int]] = []
-        for level in schedule.task_graph.levels():
-            plan.extend(bucket_by_area(level, areas))
-        return plan
-
     def orient_replay(self, schedule) -> None:
         """Hand the replay this run's overlap pairs, as stage positions,
         and a commit rank per position.
 
-        Overlapping nets sit in conflicting chunks, which share a task
-        graph edge, so every dispatch (fused levels or one chunk at a
-        time) commits them in the order of the graph's topological
-        order — the rank used here.
+        Overlapping nets sit in conflicting tasks, which share a task
+        graph edge, so they commit in the order of the graph's
+        topological order — the rank used here.
         """
         flat = np.fromiter(
-            (p for chunk in self.chunks for p in chunk), dtype=np.int64,
+            (p for task in self.tasks for p in task), dtype=np.int64,
             count=len(self.nets),
         )
-        task_rank = np.empty(len(self.chunks), dtype=np.int64)
+        task_rank = np.empty(len(self.tasks), dtype=np.int64)
         task_rank[schedule.task_graph.topological_order()] = np.arange(
-            len(self.chunks), dtype=np.int64
+            len(self.tasks), dtype=np.int64
         )
         rank = np.empty(len(self.nets), dtype=np.int64)
-        rank[flat] = np.repeat(task_rank, [len(chunk) for chunk in self.chunks])
+        rank[flat] = np.repeat(task_rank, [len(task) for task in self.tasks])
         self.replay.orient(flat[schedule.box_pairs], rank)
-
-    def run_batch(self, tasks: Sequence[int]) -> Dict[int, Dict[str, Route]]:
-        routes = self._route_nets(
-            [p for task in tasks for p in self.chunks[task]]
-        )
-        return {
-            task: {
-                self.nets[p].name: routes[self.nets[p].name]
-                for p in self.chunks[task]
-            }
-            for task in tasks
-        }
 
 
 class RerouteStage(ScheduledStage):
@@ -270,12 +249,9 @@ class RerouteStage(ScheduledStage):
         self.n_failed = 0
 
     def run_task(self, task: int) -> Optional[Route]:
-        name = self.ordered_nets[task].name
-        if self._cache is not None:
-            return self.engine.rip_and_reroute_cached(
-                self.routes, name, self._cache
-            )
-        return self.engine.rip_and_reroute(self.routes, name)
+        return self.engine.rip_and_reroute(
+            self.routes, self.ordered_nets[task].name, self._cache
+        )
 
     def commit_task(self, task: int, result: Optional[Route]) -> None:
         if result is None:

@@ -81,7 +81,7 @@ class RoutingResult:
     iterations: List[IterationStats] = field(default_factory=list)
     device_stats: Dict[str, float] = field(default_factory=dict)
     transfer_stats: Dict[str, float] = field(default_factory=dict)
-    # Pipeline execution record of the pattern stage (chunk tasks).
+    # Pipeline record of the pattern stage (one task per route_batch call).
     pattern_report: Optional[StageReport] = None
     # Pattern dispatch counters ("pattern.*" tracker totals):
     # ``route_batch`` calls, nets routed through them, and kernel

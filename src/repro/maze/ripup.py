@@ -10,13 +10,16 @@ edge are rerouted.  Each iteration:
 
 :class:`RipupReroute` exposes the per-net task primitive
 (:meth:`~RipupReroute.rip_and_reroute`) the scheduled-stage pipeline
-executes on the calling thread; every task's search prices its own
-window from the demand the tasks before it left.
+executes on the calling thread, and its stacked twin for a
+conflict-free group (:meth:`~RipupReroute.rip_and_reroute_batch`);
+both run one body, with or without a session's route cache.  Every
+task's search prices its own window from the demand the tasks before
+it left.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro import metrics
 from repro.grid.cost import CostModel
@@ -116,27 +119,21 @@ class RipupReroute:
         )
 
     def rip_and_reroute(
-        self, routes: Dict[str, Route], name: str
+        self, routes: Dict[str, Route], name: str, cache=None
     ) -> Optional[Route]:
         """Rip up net ``name`` and maze-reroute it against current demand.
 
         Commits the new route's demand and returns it; on maze failure
         the old route (and its demand) is restored and None is returned
         — a production router counts the failure rather than crashing.
-        The caller owns updating ``routes``.
+        With a session ``cache`` the search is content-addressed (see
+        :meth:`_reroute`).  The caller owns updating ``routes``.
         """
-        net = self.nets[name]
-        old_route = routes[name]
-        old_route.uncommit(self.graph)
-        try:
-            new_route = self.maze.route_net(net)
-        except MazeRoutingError:
-            old_route.commit(self.graph)
-            return None
-        finally:
-            self._count_visited()
-        new_route.commit(self.graph)
-        return new_route
+        return self._reroute(routes, [name], cache, self._search_each)[name]
+
+    # Pinned by the span table of ``benchmarks/e2e/trace.py`` (as
+    # ``reconstruct_route`` is in ``pattern/batch.py``); nothing calls it.
+    rip_and_reroute_cached = rip_and_reroute
 
     def rip_and_reroute_batch(
         self,
@@ -146,113 +143,80 @@ class RipupReroute:
     ) -> Dict[str, Optional[Route]]:
         """Rip up and reroute a conflict-free group as one stacked batch.
 
-        Equivalent to calling :meth:`rip_and_reroute` (or the cached
-        variant) for each name in order — bit-identical, because the
-        group's search regions are pairwise disjoint: ripping all
-        members first leaves each member's in-region demand exactly as
-        the sequential interleaving would, cache keys hash the same
-        in-region demand, and the stacked search itself is bit-identical
-        per member (see :meth:`WavefrontMazeRouter.route_batch`).  On a
-        per-member failure that member's old route is restored and its
-        result is None.  Demand commits happen here; the caller owns
-        updating ``routes``.
+        Equivalent to calling :meth:`rip_and_reroute` for each name in
+        order — bit-identical, because the group's search regions are
+        pairwise disjoint: ripping all members first leaves each
+        member's in-region demand exactly as the sequential interleaving
+        would, cache keys hash the same in-region demand, and the
+        stacked search itself is bit-identical per member (see
+        :meth:`WavefrontMazeRouter.route_batch`).
+        """
+        return self._reroute(routes, names, cache, self._search_stacked)
+
+    def _reroute(
+        self,
+        routes: Dict[str, Route],
+        names: List[str],
+        cache,
+        search: Callable[[List[Net]], Dict[str, Optional[Route]]],
+    ) -> Dict[str, Optional[Route]]:
+        """The one rip-up body: rip up every name, serve cache hits,
+        ``search`` the rest, store the misses, then commit each new
+        route — or restore the old one where the search failed (None).
+
+        A cache key captures every input the search reads (net pins,
+        search region, in-region demand; capacities and the cost model
+        are session constants), so a hit is bit-identical to a search.
+        The names' search regions are pairwise disjoint, so no member's
+        commit can reach another member's key or search.
         """
         graph = self.graph
-        old: Dict[str, Route] = {}
         for name in names:
-            old[name] = routes[name]
             routes[name].uncommit(graph)
-
-        results: Dict[str, Optional[Route]] = {}
-        keys: Dict[str, object] = {}
-        to_search: List[str] = []
+        found: Dict[str, Optional[Route]] = {}
+        keys: Dict[str, str] = {}
         if cache is not None:
             from repro.session.cache import demand_signature, maze_task_key
 
             for name in names:
                 net = self.nets[name]
                 region = search_box(net, self.margin, graph)
-                key = maze_task_key(
+                keys[name] = key = maze_task_key(
                     net, region.as_tuple(), demand_signature(graph, [region])
                 )
-                keys[name] = key
                 hit, cached = cache.get(key)
                 if hit:
-                    # Commits stay inside the member's own region, so
-                    # they cannot perturb the batch mates' searches.
-                    if cached is None:
-                        old[name].commit(graph)
-                        results[name] = None
-                    else:
-                        cached.commit(graph)
-                        results[name] = cached
-                else:
-                    to_search.append(name)
-        else:
-            to_search = list(names)
-
-        if to_search:
-            tracker = self.tracker
-            tracker.get_counter(metrics.MAZE_BATCHES).increment()
-            tracker.get_counter(metrics.MAZE_BATCHED_NETS).increment(len(to_search))
+                    found[name] = cached
+        misses = [self.nets[name] for name in names if name not in found]
+        if misses:
             try:
-                found = self.maze.route_batch([self.nets[n] for n in to_search])
+                found.update(search(misses))
             finally:
                 self._count_visited()
-            for name in to_search:
-                new_route = found[name]
-                if new_route is None:
-                    old[name].commit(graph)
-                    if cache is not None:
-                        cache.put(keys[name], None)
-                    results[name] = None
-                else:
-                    new_route.commit(graph)
-                    if cache is not None:
-                        cache.put(keys[name], new_route)
-                    results[name] = new_route
-        return results
+            if cache is not None:
+                for net in misses:
+                    cache.put(keys[net.name], found[net.name])
+        for name in names:
+            route = found[name]
+            (routes[name] if route is None else route).commit(graph)
+        return found
 
-    def rip_and_reroute_cached(
-        self, routes: Dict[str, Route], name: str, cache
-    ) -> Optional[Route]:
-        """Content-addressed :meth:`rip_and_reroute`.
+    def _search_each(self, nets: List[Net]) -> Dict[str, Optional[Route]]:
+        """Per-net search; a net the maze cannot route maps to None."""
+        found: Dict[str, Optional[Route]] = {}
+        for net in nets:
+            try:
+                found[net.name] = self.maze.route_net(net)
+            except MazeRoutingError:
+                found[net.name] = None
+        return found
 
-        After ripping up the old route, the net's search region demand
-        is hashed; a cache hit commits the previously computed route
-        (or restores the old route when the cached outcome was a
-        search failure) without running the maze search — bit-identical
-        either way, because the key captures every input the search
-        reads (net pins, region, in-region demand; capacities and the
-        cost model are session constants).
-        """
-        from repro.session.cache import demand_signature, maze_task_key
-
-        net = self.nets[name]
-        old_route = routes[name]
-        old_route.uncommit(self.graph)
-        region = search_box(net, self.margin, self.graph)
-        key = maze_task_key(
-            net, region.as_tuple(), demand_signature(self.graph, [region])
-        )
-        hit, cached = cache.get(key)
-        if hit:
-            if cached is None:
-                old_route.commit(self.graph)
-                return None
-            cached.commit(self.graph)
-            return cached
-        try:
-            new_route = self.maze.route_net(net)
-        except MazeRoutingError:
-            old_route.commit(self.graph)
-            cache.put(key, None)
-            return None
-        finally:
-            self._count_visited()
-        new_route.commit(self.graph)
-        cache.put(key, new_route)
-        return new_route
+    def _search_stacked(self, nets: List[Net]) -> Dict[str, Optional[Route]]:
+        """One stacked search over the wavefront engine."""
+        tracker = self.tracker
+        tracker.get_counter(metrics.MAZE_BATCHES).increment()
+        tracker.get_counter(metrics.MAZE_BATCHED_NETS).increment(len(nets))
+        return self.maze.route_batch(nets)
 
 
 __all__ = [

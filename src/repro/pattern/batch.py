@@ -84,7 +84,6 @@ class BatchPatternRouter:
         device: Optional[Device] = None,
         tracker: Optional[Tracker] = None,
         edge_shift: bool = True,
-        max_chunk_elements: int = 150_000,
         backend: Union[str, ArrayBackend] = "numpy",
     ) -> None:
         self.graph = graph
@@ -100,15 +99,14 @@ class BatchPatternRouter:
             graph, self.cost_model, backend=self.backend, tracker=self.tracker
         )
         self.edge_shift = edge_shift
-        self.max_chunk_elements = max_chunk_elements
         n_layers = graph.n_layers
         self._tables = LayerTables(self.backend, n_layers)
         # Per pattern family, in ``twopin.MODES`` order: launch name,
-        # threads per block, wave driver and its extra arguments.
+        # threads per block and wave driver.
         self._kernels = (
-            ("lshape", n_layers * n_layers, route_lshape_wave, ()),
-            ("zshape", n_layers**3, route_zshape_wave, (max_chunk_elements,)),
-            ("hybrid", n_layers**3, route_hybrid_wave, (max_chunk_elements,)),
+            ("lshape", n_layers * n_layers, route_lshape_wave),
+            ("zshape", n_layers**3, route_zshape_wave),
+            ("hybrid", n_layers**3, route_hybrid_wave),
         )
         # Optional shared cache of unshifted Steiner topologies (set by
         # the session-aware pattern stage); ``make_job`` consults it.
@@ -198,7 +196,7 @@ class BatchPatternRouter:
                 state.waves, state.mode_bounds, state.kids, state.kid_slot
             ):
                 combine = self._combine_phase(state, wave, kids, kid_slot)
-                for (name, threads, route_wave, extra), lo, hi in zip(
+                for (name, threads, route_wave), lo, hi in zip(
                     self._kernels, bounds, bounds[1:]
                 ):
                     if lo == hi:
@@ -206,7 +204,7 @@ class BatchPatternRouter:
                     rows = wave[lo:hi]
                     with self.backend.kernel(name, hi - lo, threads):
                         state.values[rows], state.path[rows] = route_wave(
-                            state.ends[:, rows], combine[lo:hi], self.query, *extra
+                            state.ends[:, rows], combine[lo:hi], self.query
                         )
             self._root_phase(state)
         return states

@@ -45,7 +45,6 @@ class SequentialPatternRouter(BatchPatternRouter):
         edge_shift: bool = True,
         device: Optional[Device] = None,
         tracker: Optional[Tracker] = None,
-        max_chunk_elements: int = 150_000,
         backend: Union[str, ArrayBackend] = "python",
     ) -> None:
         super().__init__(
@@ -54,7 +53,6 @@ class SequentialPatternRouter(BatchPatternRouter):
             device=device,
             tracker=tracker,
             edge_shift=edge_shift,
-            max_chunk_elements=max_chunk_elements,
             backend=backend,
         )
 

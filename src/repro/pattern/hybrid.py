@@ -29,19 +29,14 @@ def hybrid_candidates(ends: np.ndarray):
 
 
 def route_hybrid_wave(
-    ends: np.ndarray,
-    combine: np.ndarray,
-    query: CostQuery,
-    max_chunk_elements: int = 150_000,
+    ends: np.ndarray, combine: np.ndarray, query: CostQuery
 ) -> WaveResult:
     """Price a wave of hybrid-shape two-pin nets.
 
     Takes and returns what
     :func:`repro.pattern.lshape.route_lshape_wave` does.
     """
-    return route_candidate_wave(
-        ends, combine, query, hybrid_candidates, max_chunk_elements
-    )
+    return route_candidate_wave(ends, combine, query, hybrid_candidates)
 
 
 __all__ = ["hybrid_candidates", "route_hybrid_wave"]

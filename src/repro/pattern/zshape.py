@@ -27,6 +27,9 @@ from repro.pattern.kernels import zshape_reduce
 from repro.pattern.lshape import WaveResult
 from repro.utils.arrays import ranges
 
+#: Tensor entries one chunk of :func:`route_candidate_wave` may pad to.
+MAX_CHUNK_ELEMENTS = 150_000
+
 #: ``ends (4, B)`` -> ``(geometry (B, C, 4), valid (B, C))``.
 CandidateFn = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
@@ -102,19 +105,14 @@ def zshape_candidates(ends: np.ndarray):
 
 
 def route_zshape_wave(
-    ends: np.ndarray,
-    combine: np.ndarray,
-    query: CostQuery,
-    max_chunk_elements: int = 150_000,
+    ends: np.ndarray, combine: np.ndarray, query: CostQuery
 ) -> WaveResult:
     """Price a wave of pure-Z two-pin nets.
 
     Takes and returns what
     :func:`repro.pattern.lshape.route_lshape_wave` does.
     """
-    return route_candidate_wave(
-        ends, combine, query, zshape_candidates, max_chunk_elements
-    )
+    return route_candidate_wave(ends, combine, query, zshape_candidates)
 
 
 def route_candidate_wave(
@@ -122,7 +120,7 @@ def route_candidate_wave(
     combine: np.ndarray,
     query: CostQuery,
     candidate_fn: CandidateFn,
-    max_chunk_elements: int = 150_000,
+    max_chunk_elements: int = MAX_CHUNK_ELEMENTS,
 ) -> WaveResult:
     """Price a wave of candidate-enumeration two-pin nets.
 

@@ -5,9 +5,9 @@ batch: take the first remaining net, then scan the remainder in order,
 admitting every net whose bounding box overlaps no admitted net.  Note
 that whole maximal batches pairwise conflict by construction (every
 member of a later batch was a leftover of every earlier round), so the
-pattern stage splits them into size-capped sibling chunks before
-handing them to the task-graph scheduler — see
-:class:`~repro.core.flow.PatternStage`.
+pattern stage cuts each into 64-net pieces and groups the pieces by
+:func:`bucket_by_area` into sibling tasks before handing them to the
+task-graph scheduler — see :class:`~repro.core.flow.PatternStage`.
 
 The no-conflict test is one AND of big-integer bitsets with one bit per
 G-cell: a net's box is a mask, a batch's occupancy the OR of its
@@ -37,12 +37,12 @@ def bucket_by_area(
     times the area of the bucket's first (smallest) member.
 
     Both stages share this planner: the maze stage buckets reroute
-    levels by search-region area, the pattern stage buckets chunk
-    levels by their largest net bounding box.  Buckets inherit the
-    level's conflict-freedom (they are subsets), and emitting a
-    level's buckets consecutively keeps the group sequence a linear
-    extension of the task graph — the bit-parity precondition of the
-    runner's fused dispatch.  Deterministic: pure function of
+    levels by search-region area, the pattern stage buckets the pieces
+    of one Algorithm-1 batch by their largest net bounding box.
+    Buckets inherit the level's conflict-freedom (they are subsets),
+    and emitting a level's buckets consecutively keeps the group
+    sequence a linear extension of the task graph — the bit-parity
+    precondition of the runner's fused dispatch.  Deterministic: pure function of
     ``(level, areas, max_ratio)``.
     """
     if max_ratio < 1.0:

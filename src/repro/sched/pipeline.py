@@ -12,9 +12,11 @@ the single place that turns a stage into scheduled execution:
    footprints, the ordered task graph (Algorithm 1 + Fig. 6) and the
    batch partition the barrier baseline would use;
 3. :meth:`StageRunner.run` drains the stage on the calling thread:
-   fused conflict-free groups when the stage offers a ``batch_plan``,
-   otherwise one task at a time in the task graph's deterministic
-   topological order, each result committed before the next task runs.
+   one task at a time in the task graph's deterministic topological
+   order, each result committed before the next task runs — or, when
+   the stage offers a ``batch_plan``, fused conflict-free groups.  Only
+   the reroute stage under the wavefront maze engine offers one; a
+   pattern task is already one fused ``route_batch`` call.
 
 The runner emits a :class:`StageReport`: measured per-task durations
 and the two modelled ``n_workers`` makespans (task-graph vs

@@ -86,9 +86,9 @@ def _net_token(net: Net) -> tuple:
 def pattern_net_key(net: Net, box, signature: str) -> str:
     """Key of one net's pattern route (net + box + demand context).
 
-    Per-net, not per-chunk: chunk-mates have disjoint boxes and share a
-    cost snapshot frozen at chunk start, so a net's DP output depends
-    only on its own box's demand context — not on which chunk the
+    Per-net, not per-task: task-mates have disjoint boxes and share a
+    cost snapshot frozen at task start, so a net's DP output depends
+    only on its own box's demand context — not on which task the
     batch extractor happened to place it in.  That is what lets an ECO
     replay reuse routes even though an edit reshuffles the global
     sort/batch decomposition.

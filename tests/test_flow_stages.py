@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import metrics
+from repro.core import flow
 from repro.core.config import RouterConfig
 from repro.core.flow import PatternStage, run_pattern_stage, run_rrr_stage
 from repro.gpu.device import Device
@@ -72,29 +73,32 @@ class TestPatternStage:
 
     @pytest.mark.parametrize("cap", [64, 8])
     @pytest.mark.parametrize("congested", [False, True])
-    def test_levels_are_the_algorithm_1_batches(self, congested, cap):
-        """Fused pattern dispatch runs Algorithm 1's batches in order: the
-        chunk task graph's root batch is the chunks of the first batch
-        of :func:`extract_batches`, and its dependency levels are those
-        batches, each regrouped into its chunks (DESIGN.md Sec. 2)."""
+    def test_levels_are_the_algorithm_1_batches(self, congested, cap, monkeypatch):
+        """Pattern tasks run Algorithm 1's batches in order: the task
+        graph's root batch is the tasks of the first batch of
+        :func:`extract_batches`, its dependency levels are those
+        batches, each regrouped into its tasks (DESIGN.md Sec. 2), and
+        its topological order is the task order."""
+        monkeypatch.setattr(flow, "PIECE_NETS", cap)
         d = design(congested=congested, n_nets=140)
-        stage = PatternStage(d, RouterConfig.fastgr_l(max_batch_tasks=cap), Device())
+        stage = PatternStage(d, RouterConfig.fastgr_l(), Device())
         graph = StageRunner().schedule(stage).task_graph
         batches = extract_batches([net.bbox for net in stage.nets], d.graph.nx, d.graph.ny)
         assert len(batches) > 3
 
         def nets_of(tasks):
-            return [p for task in tasks for p in stage.chunks[task]]
+            return sorted(p for task in tasks for p in stage.tasks[task])
 
-        assert nets_of(graph.root_batch) == batches[0]
+        assert nets_of(graph.root_batch) == sorted(batches[0])
         levels = graph.levels()
-        assert [nets_of(level) for level in levels] == batches
-        assert nets_of(levels[0]) == nets_of(graph.root_batch)
+        assert [nets_of(level) for level in levels] == [sorted(b) for b in batches]
+        assert levels[0] == graph.root_batch
+        assert graph.topological_order() == list(range(len(stage.tasks)))
 
-    def test_pattern_report_covers_all_chunks(self):
+    def test_pattern_report_covers_all_chunks(self, monkeypatch):
+        monkeypatch.setattr(flow, "PIECE_NETS", 8)
         d = design()
-        config = RouterConfig.fastgr_l(max_batch_tasks=8)
-        _routes, report = run_pattern_stage(d, config, Device())
+        _routes, report = run_pattern_stage(d, RouterConfig.fastgr_l(), Device())
         assert report.stage == "pattern"
         assert report.n_tasks >= len(d.netlist) / 8
         assert len(report.task_durations) == report.n_tasks

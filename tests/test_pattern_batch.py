@@ -1,11 +1,11 @@
-"""Stacked cross-net pattern dispatch: parity, bucketing, counters.
+"""Stacked cross-net pattern dispatch: parity, task grouping, counters.
 
-The contract under test (ISSUE 10): fusing a conflict-free dependency
-level of pattern chunks into ONE ``route_batch`` call — one masked cost
-rebuild over the union of boxes, two-pin waves merged across every
-member net — produces **bit-identical** routes and demand to per-chunk
-dispatch, on every registered backend, for ragged levels, degenerate
-members, and mixed L/Z/hybrid stacks.
+The contract under test: a pattern task — a group of conflict-free
+nets routed by ONE ``route_batch`` call, one masked cost rebuild over
+the union of boxes, two-pin waves merged across every member net —
+produces **bit-identical** routes and demand to routing its nets one
+``route_batch`` call at a time, on every registered backend, for ragged
+groups, degenerate members, and mixed L/Z/hybrid stacks.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.backend import available_backends
+from repro.core import flow
 from repro.core.config import RouterConfig
 from repro.core.flow import PatternStage
 from repro.core.router import GlobalRouter
@@ -27,13 +28,21 @@ from repro.netlist.generator import DesignSpec, generate_design
 from repro.netlist.net import Net, Pin
 from repro.pattern.batch import BatchPatternRouter
 from repro.pattern.twopin import PatternMode
+from repro.sched.batching import extract_batches
 from tests.cost_oracle import full_rebuild_engine
 
 
-def per_chunk_dispatch():
-    """Run the pattern stage one chunk task at a time: the oracle the
-    fused level dispatch is held to."""
-    return mock.patch.object(PatternStage, "batch_plan", lambda self, schedule: None)
+def _route_each_net(self, task):
+    routes = {}
+    for p in self.tasks[task]:
+        routes.update(self._route_nets([p]))
+    return routes
+
+
+def per_net_dispatch():
+    """Run every pattern task one net (one ``route_batch`` call) at a
+    time: the oracle the grouped tasks are held to."""
+    return mock.patch.object(PatternStage, "run_task", _route_each_net)
 
 
 def fresh_grid(nx=18, ny=18, n_layers=4, capacity=3.0, demand_seed=None):
@@ -92,7 +101,7 @@ def route_twice(nets, mode_fn, backend, demand_seed):
 
     Both sides mask every rebuild to the dispatched nets' boxes over
     the engine's own stage-start snapshot — exactly what
-    ``PatternStage`` does for chunk tasks (per-net) and fused levels
+    ``PatternStage`` does for one net (per-net) and for a task
     (stacked).
     """
     boxes = [net.bbox for net in nets]
@@ -206,66 +215,72 @@ def synthetic_design(graph, nets):
     return Design("synthetic", graph, Netlist(nets))
 
 
-class TestPatternStageSeam:
-    """batch_plan/run_batch on PatternStage: levels, bucketing, counters."""
+class TestPatternStageTasks:
+    """A pattern task is a bucketed group of one Algorithm-1 batch's
+    pieces, routed by one ``route_batch`` call."""
 
-    def test_batch_plan_fuses_every_level(self):
-        from repro.sched.pipeline import StageRunner
-
-        runner = StageRunner()
+    def test_tasks_are_bucketed_pieces_of_the_batches(self, monkeypatch):
+        monkeypatch.setattr(flow, "PIECE_NETS", 8)
         design = congested_design()
         stage = PatternStage(design, RouterConfig.fastgr_l(), Device())
-        schedule = runner.schedule(stage)
-        plan = stage.batch_plan(schedule)
-        assert plan is not None
-        # Bucketing permutes within levels only: flattening the plan
-        # level by level yields each level's members exactly once.
-        flat = [task for group in plan for task in group]
-        assert sorted(flat) == sorted(
-            t for level in schedule.task_graph.levels() for t in level
-        )
+        boxes = [net.bbox for net in stage.nets]
+        batches = extract_batches(boxes, design.graph.nx, design.graph.ny)
+        batch_of = {p: b for b, batch in enumerate(batches) for p in batch}
 
-    def test_plan_buckets_split_ragged_levels(self):
-        """A level mixing a huge chunk with small ones splits by area."""
-        from repro.sched.pipeline import StageRunner
+        def area(piece):
+            return max(boxes[p].area for p in piece)
 
+        # Tasks come in batch order, each inside one batch, and the
+        # tasks of a batch are its nets cut into 8-net pieces in sort
+        # order, grouped by ascending largest area.
+        task_batches = [batch_of[task[0]] for task in stage.tasks]
+        assert task_batches == sorted(task_batches)
+        assert len(stage.tasks) > len(batches)
+        for b, batch in enumerate(batches):
+            pieces = [batch[lo : lo + 8] for lo in range(0, len(batch), 8)]
+            grouped = [t for t, tb in zip(stage.tasks, task_batches) if tb == b]
+            assert sorted(p for task in grouped for p in task) == sorted(batch)
+            order = sorted(range(len(pieces)), key=lambda i: (area(pieces[i]), i))
+            assert [p for task in grouped for p in task] == [
+                p for i in order for p in pieces[i]
+            ]
+            for task in grouped:
+                members = [pieces[i] for i in order if pieces[i][0] in task]
+                assert task == [p for piece in members for p in piece]
+                assert area(task) <= 4.0 * max(area(members[0]), 1)
+
+    def test_ragged_batch_splits_by_area(self, monkeypatch):
+        """A batch mixing a huge net with small ones is two tasks."""
+        monkeypatch.setattr(flow, "PIECE_NETS", 1)
         graph = fresh_grid(nx=40, ny=40)
         nets = [
             Net("small0", [Pin(0, 0, 0), Pin(2, 2, 1)]),
             Net("small1", [Pin(36, 0, 0), Pin(38, 2, 1)]),
             Net("huge", [Pin(0, 10, 0), Pin(39, 39, 1)]),
         ]
-        design = synthetic_design(graph, nets)
         stage = PatternStage(
-            design,
-            RouterConfig.fastgr_l(max_batch_tasks=1),
-            Device(),
+            synthetic_design(graph, nets), RouterConfig.fastgr_l(), Device()
         )
-        schedule = StageRunner().schedule(stage)
-        levels = schedule.task_graph.levels()
-        plan = stage.batch_plan(schedule)
-        assert len(plan) > len(levels)
-        # The small chunks stack together; the huge one rides alone.
-        areas = [
-            max(box.area for box in boxes) for boxes in stage.task_boxes()
+        assert [[stage.nets[p].name for p in task] for task in stage.tasks] == [
+            ["small0", "small1"],
+            ["huge"],
         ]
-        for group in plan:
-            base = areas[group[0]]
-            assert all(areas[t] <= 4.0 * max(base, 1) for t in group)
 
-    def test_stage_counters_count_route_batch_calls(self):
-        # Small chunks, so levels hold several sibling chunks to fuse.
-        config = RouterConfig.fastgr_l(n_rrr_iterations=1, max_batch_tasks=8)
+    def test_one_route_batch_call_per_task(self, monkeypatch):
+        # Small pieces, so batches hold several pieces to group.
+        monkeypatch.setattr(flow, "PIECE_NETS", 8)
+        config = RouterConfig.fastgr_l(n_rrr_iterations=1)
         on = GlobalRouter(congested_design(), config).run()
-        with per_chunk_dispatch():
+        with per_net_dispatch():
             off = GlobalRouter(congested_design(), config).run()
         n_nets = len(on.routes)
-        assert on.pattern_kernel_launches > 0
-        # Every net goes through exactly one call either way; fused
-        # levels make fewer, wider calls than one per chunk task.
+        assert on.pattern_batches == on.pattern_report.n_tasks
+        assert len(on.pattern_report.task_durations) == on.pattern_report.n_tasks
+        # Every net goes through exactly one call either way; tasks
+        # make fewer, wider calls than one per net.
         assert on.pattern_batched_nets == off.pattern_batched_nets == n_nets
+        assert off.pattern_batches == n_nets
         assert 0 < on.pattern_batches < off.pattern_batches
-        assert off.pattern_batches == off.pattern_report.n_tasks
         assert 0 < on.pattern_kernel_launches < off.pattern_kernel_launches
         for key in ("pattern_batches", "pattern_batched_nets",
                     "pattern_kernel_launches"):
@@ -273,7 +288,7 @@ class TestPatternStageSeam:
 
 
 class TestFlowPatternBatchingParity:
-    """route_design with fused levels == one chunk task at a time."""
+    """route_design with grouped tasks == one net at a time."""
 
     @pytest.mark.parametrize(
         "preset",
@@ -283,14 +298,16 @@ class TestFlowPatternBatchingParity:
     def test_batched_flow_bit_identical(self, preset):
         config = preset(n_rrr_iterations=2)
         on = GlobalRouter(congested_design(), config).run()
-        with per_chunk_dispatch():
+        with per_net_dispatch():
             off = GlobalRouter(congested_design(), config).run()
+        assert on.digest() == off.digest()
         assert set(on.routes) == set(off.routes)
         for name in on.routes:
             assert routes_bit_equal(on.routes[name], off.routes[name]), name
         assert on.metrics.wirelength == off.metrics.wirelength
         assert on.metrics.n_vias == off.metrics.n_vias
         assert on.metrics.score == off.metrics.score
+        assert on.pattern_batched_nets == off.pattern_batched_nets
         assert 0 < on.pattern_batches <= off.pattern_batches
 
     def test_backend_parity_with_batching(self):

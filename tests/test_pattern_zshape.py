@@ -13,7 +13,7 @@ from repro.pattern.batch import BatchPatternRouter
 from repro.pattern.commit import reconstruct_route
 from repro.pattern.twopin import PatternMode, constant_mode
 from repro.pattern.hybrid import hybrid_candidates, route_hybrid_wave
-from repro.pattern.zshape import route_zshape_wave, zshape_candidates
+from repro.pattern.zshape import route_candidate_wave, route_zshape_wave, zshape_candidates
 from tests.conftest import wave_ends as ends
 
 
@@ -107,8 +107,8 @@ class TestWave:
         )
         combine = np.zeros((5, 5))
         big, _b1 = route_hybrid_wave(tasks, combine, query)
-        small, _b2 = route_hybrid_wave(
-            tasks, combine, query, max_chunk_elements=200
+        small, _b2 = route_candidate_wave(
+            tasks, combine, query, hybrid_candidates, max_chunk_elements=200
         )
         assert np.allclose(big, small)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import flow
 from repro.core.config import RouterConfig
 from repro.core.flow import PatternStage
 from repro.core.router import GlobalRouter
@@ -240,24 +241,27 @@ def test_cost_snapshot_consistent_after_run():
 
 
 class TestPatternChainFreedom:
-    """Pattern chunks with non-conflicting boxes run without a chain."""
+    """Pattern tasks with non-conflicting boxes run without a chain."""
 
-    CONFIG_KW = dict(max_batch_tasks=8, n_workers=4)
+    CONFIG_KW = dict(n_workers=4)
+    PIECE_NETS = 8
 
-    def _stage(self, config):
+    def _stage(self, config, monkeypatch):
+        monkeypatch.setattr(flow, "PIECE_NETS", self.PIECE_NETS)
         design = small_design()
         return design, PatternStage(design, config, Device())
 
-    def test_sibling_chunks_have_no_dependency(self):
+    def test_sibling_chunks_have_no_dependency(self, monkeypatch):
         config = RouterConfig.fastgr_l(**self.CONFIG_KW)
-        design, stage = self._stage(config)
+        design, stage = self._stage(config, monkeypatch)
         nets = sort_nets(list(design.netlist), config.sorting_scheme)
         batches = extract_batches(
             [n.bbox for n in nets], design.graph.nx, design.graph.ny
         )
-        assert len(batches[0]) > config.max_batch_tasks  # chunks 0,1 siblings
+        assert len(batches[0]) > self.PIECE_NETS
         schedule = StageRunner(n_workers=4).schedule(stage)
         assert schedule.n_tasks > len(batches)
+        # Tasks 0 and 1 are siblings: groups of the first batch.
         assert not schedule.conflicts.are_conflicting(0, 1)
         graph = schedule.task_graph
         assert 1 not in graph.successors[0] and 0 not in graph.successors[1]

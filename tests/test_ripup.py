@@ -8,12 +8,14 @@ import pytest
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.grid.route import Route, ViaSegment, WireSegment
+from repro.maze.router import MazeRoutingError
 from repro.maze.ripup import (
     RipupReroute,
     find_violating_nets,
     route_has_violation,
 )
 from repro.netlist.net import Net, Pin
+from repro.session.cache import RouteCache
 
 
 def fresh_grid(capacity=2.0):
@@ -174,3 +176,109 @@ class TestReroute:
                 grid.wire_demand[layer], reference.wire_demand[layer]
             )
         assert np.array_equal(grid.via_demand, reference.via_demand)
+
+
+def piled_scene(capacity=1.0):
+    """Three nets whose routes all pile onto row 0 of a small grid."""
+    grid = fresh_grid(capacity=capacity)
+    nets = {f"n{i}": Net(f"n{i}", [Pin(0, i, 1), Pin(8, i, 1)]) for i in range(3)}
+    routes = {}
+    for i, name in enumerate(nets):
+        route = Route(wires=[WireSegment(1, 0, 0, 8, 0)])
+        if i > 0:
+            route.wires.append(WireSegment(0, 0, 0, 0, i))
+            route.wires.append(WireSegment(0, 8, 0, 8, i))
+        route.commit(grid)
+        routes[name] = route
+    return grid, nets, routes
+
+
+def demand_copy(grid):
+    return [layer.copy() for layer in grid.wire_demand], grid.via_demand.copy()
+
+
+def assert_demand_equal(grid, copy):
+    wires, vias = copy
+    for layer in range(grid.n_layers):
+        assert np.array_equal(grid.wire_demand[layer], wires[layer])
+    assert np.array_equal(grid.via_demand, vias)
+
+
+class TestCachedReroute:
+    """``rip_and_reroute`` with a :class:`RouteCache`: misses store, hits
+    replay the stored outcome without a search."""
+
+    def test_miss_stores_and_repeat_hits(self):
+        grid, nets, routes = piled_scene()
+        engine = RipupReroute(grid, nets)
+        cache = RouteCache()
+        first = engine.rip_and_reroute(routes, "n1", cache)
+        assert first is not None
+        assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
+        routes["n1"] = first
+        after_first = demand_copy(grid)
+        # Ripping ``first`` restores the demand its search read, so the
+        # same key comes back and the stored route is served.
+        again = engine.rip_and_reroute(routes, "n1", cache)
+        assert again is first
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+        assert_demand_equal(grid, after_first)
+
+    def test_cached_failure_restores_the_old_route(self, monkeypatch):
+        grid, nets, routes = piled_scene()
+        engine = RipupReroute(grid, nets)
+        cache = RouteCache()
+        before = demand_copy(grid)
+        searches = []
+
+        def fail(net):
+            searches.append(net.name)
+            raise MazeRoutingError(net.name)
+
+        monkeypatch.setattr(engine.maze, "route_net", fail)
+        assert engine.rip_and_reroute(routes, "n2", cache) is None
+        assert_demand_equal(grid, before)
+        assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
+        # The stored failure is served without a second search.
+        assert engine.rip_and_reroute(routes, "n2", cache) is None
+        assert searches == ["n2"]
+        assert cache.hits == 1
+        assert_demand_equal(grid, before)
+
+
+class TestCachedRerouteBatch:
+    """On a conflict-free group, the stacked cached reroute equals the
+    per-name cached reroute in order: routes, demand and cache counts."""
+
+    @staticmethod
+    def scene():
+        rng = np.random.default_rng(21)
+        grid = GridGraph(16, 16, LayerStack(3), wire_capacity=3.0)
+        for layer in range(grid.n_layers):
+            grid.wire_demand[layer][:] = rng.integers(0, 6, grid.wire_demand[layer].shape)
+        nets, routes = {}, {}
+        engine = RipupReroute(grid, nets, margin=2, engine="wavefront")
+        # Disjoint tiles: the margin-expanded search regions do not meet.
+        for i, (tx, ty) in enumerate([(0, 0), (10, 0), (0, 10)]):
+            net = Net(f"t{i}", [Pin(tx, ty, 0), Pin(tx + 3, ty + 3, 2), Pin(tx + 1, ty + 3, 1)])
+            nets[net.name] = net
+            routes[net.name] = engine.maze.route_net(net)
+            routes[net.name].commit(grid)
+        return grid, engine, routes
+
+    def test_batch_equals_per_name_in_order(self):
+        (g1, e1, r1), (g2, e2, r2) = self.scene(), self.scene()
+        c1, c2 = RouteCache(), RouteCache()
+        names = ["t0", "t1", "t2"]
+        # Pass 1 misses every key, pass 2 (same in-region demand) hits.
+        for expected_hits in (0, 3):
+            for name in names:
+                r1[name] = e1.rip_and_reroute(r1, name, c1)
+            found = e2.rip_and_reroute_batch(r2, names, c2)
+            for name in names:
+                assert found[name] is not None
+                r2[name] = found[name]
+                assert r1[name].wires == r2[name].wires
+                assert r1[name].vias == r2[name].vias
+            assert g1.demand_equals(g2)
+            assert (c1.hits, c1.misses) == (c2.hits, c2.misses) == (expected_hits, 3)

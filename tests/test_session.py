@@ -26,7 +26,7 @@ from repro.netlist.net import Net, Pin
 from repro.session import DesignHandle, RoutingSession, SessionContext, SessionStore
 from repro.session.replay import PatternReplay, ReplayPass
 from tests.cost_oracle import full_rebuild_engine
-from tests.test_pattern_batch import per_chunk_dispatch
+from tests.test_pattern_batch import per_net_dispatch
 
 
 def routes_equal(r1, r2) -> bool:
@@ -239,11 +239,11 @@ class TestRoutingSession:
         assert calls["demand_signature"] == calls["maze_task_key"]
 
     def test_eco_verdicts_do_not_depend_on_dispatch(self, small_design):
-        """Per-chunk dispatch (the fused levels' oracle) replays the same
-        nets as fused dispatch and stays equal to a cold route."""
+        """Per-net dispatch (the grouped tasks' oracle) replays the same
+        nets as grouped tasks and stays equal to a cold route."""
         config = RouterConfig.fastgr_l()
         recomputed = []
-        for dispatch in (nullcontext, per_chunk_dispatch):
+        for dispatch in (nullcontext, per_net_dispatch):
             context = SessionContext()
             handle = DesignHandle.from_design(small_design)
             with dispatch(), RoutingSession(handle, config, context=context) as session:
