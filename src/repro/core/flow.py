@@ -110,7 +110,7 @@ class PatternStage(ScheduledStage):
         # largest box so one oversized net cannot stretch every stacked
         # wave it shares.  A group is one task: one ``route_batch`` call.
         self.tasks: List[List[int]] = []
-        for batch in extract_batches(boxes, graph.nx, graph.ny):
+        for batch in extract_batches([[box] for box in boxes], graph.nx, graph.ny):
             pieces = [
                 batch[lo : lo + PIECE_NETS]
                 for lo in range(0, len(batch), PIECE_NETS)
@@ -134,9 +134,6 @@ class PatternStage(ScheduledStage):
 
     def task_boxes(self) -> Sequence[Sequence[Rect]]:
         return self._boxes
-
-    def task_label(self, task: int) -> str:
-        return f"pattern-{task}"
 
     def prepare(self) -> None:
         self.routes = {}
@@ -195,25 +192,24 @@ class PatternStage(ScheduledStage):
     def commit_task(self, task: int, result: Dict[str, Route]) -> None:
         self.routes.update(result)
 
-    def orient_replay(self, schedule) -> None:
+    def orient_replay(self, box_pairs: np.ndarray) -> None:
         """Hand the replay this run's overlap pairs, as stage positions,
-        and a commit rank per position.
+        and a commit rank per position: its task's index.
 
-        Overlapping nets sit in conflicting tasks, which share a task
-        graph edge, so they commit in the order of the graph's
-        topological order — the rank used here.
+        Overlapping nets sit in conflicting tasks, which commit in the
+        task graph's topological order — and for this stage that order
+        is the task order (DESIGN.md Sec. 2).
         """
         flat = np.fromiter(
             (p for task in self.tasks for p in task), dtype=np.int64,
             count=len(self.nets),
         )
-        task_rank = np.empty(len(self.tasks), dtype=np.int64)
-        task_rank[schedule.task_graph.topological_order()] = np.arange(
-            len(self.tasks), dtype=np.int64
-        )
         rank = np.empty(len(self.nets), dtype=np.int64)
-        rank[flat] = np.repeat(task_rank, [len(task) for task in self.tasks])
-        self.replay.orient(flat[schedule.box_pairs], rank)
+        rank[flat] = np.repeat(
+            np.arange(len(self.tasks), dtype=np.int64),
+            [len(task) for task in self.tasks],
+        )
+        self.replay.orient(flat[box_pairs], rank)
 
 
 class RerouteStage(ScheduledStage):
@@ -241,9 +237,6 @@ class RerouteStage(ScheduledStage):
 
     def task_boxes(self) -> Sequence[Sequence[Rect]]:
         return self._boxes
-
-    def task_label(self, task: int) -> str:
-        return self.ordered_nets[task].name
 
     def prepare(self) -> None:
         self.n_failed = 0
@@ -312,7 +305,7 @@ def run_pattern_stage(
     runner = StageRunner(n_workers=config.n_workers)
     schedule = runner.schedule(stage)
     if stage.replay is not None:
-        stage.orient_replay(schedule)
+        stage.orient_replay(schedule.box_pairs)
     report = runner.run(stage, schedule=schedule)
     if stage.replay is not None:
         context.replay = stage.replay.finish()

@@ -52,7 +52,8 @@ class IterationStats:
     kernel_launches: int = 0
     bytes_to_device: int = 0
     bytes_to_host: int = 0
-    # Full pipeline execution record (durations, makespans, schedule).
+    # Full pipeline execution record (task, conflict and batch counts,
+    # durations, makespans).
     report: Optional[StageReport] = None
 
     @property

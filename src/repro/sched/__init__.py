@@ -1,20 +1,22 @@
 """Heterogeneous task graph scheduler (Sec. III-B/III-C, Fig. 6).
 
 Routing tasks conflict when their bounding boxes overlap (they may
-compete for the same grid edges).  The scheduler (1) builds the task
-conflict graph, (2) extracts a conflict-free *root batch*, (3) orients
-every conflict edge (root -> non-root; otherwise smaller task ID ->
-larger), producing a DAG.  The paper drains it with Taskflow threads;
-here :class:`StageRunner` drains it on the calling thread and the
-parallel makespans are modelled (DESIGN.md Sec. 2).  The threaded pool
-that states the paper's release rule, and the single-box conflict
-graph, are test oracles (``tests/sched_oracle.py``).
+compete for the same grid edges).  The scheduler (1) lists the
+conflicting task pairs as index arrays (:func:`group_conflicts`),
+(2) runs Algorithm 1 (:func:`extract_batches`), whose first batch is
+the conflict-free *root batch*, (3) orients every conflict edge (root
+-> non-root; otherwise smaller task ID -> larger), producing a DAG.
+The paper drains it with Taskflow threads; here :class:`StageRunner`
+drains it on the calling thread and the parallel makespans are
+modelled (DESIGN.md Sec. 2).  The threaded pool that states the
+paper's release rule, and a set-based conflict graph with its own
+greedy rounds and orientation, are test oracles
+(``tests/sched_oracle.py``).
 """
 
 from repro.sched.sorting import SORTING_SCHEMES, sort_nets
-from repro.sched.conflict import ConflictGraph
 from repro.sched.batching import extract_batches
-from repro.sched.taskgraph import TaskGraph, build_task_graph, extract_conflict_batches
+from repro.sched.taskgraph import TaskGraph, build_task_graph
 from repro.sched.executor import (
     simulate_batch_barrier_makespan,
     simulate_makespan,
@@ -31,7 +33,6 @@ from repro.sched.pipeline import (
 __all__ = [
     "SORTING_SCHEMES",
     "sort_nets",
-    "ConflictGraph",
     "extract_batches",
     "TaskGraph",
     "build_task_graph",
@@ -42,6 +43,5 @@ __all__ = [
     "StageReport",
     "StageRunner",
     "group_conflicts",
-    "extract_conflict_batches",
     "modelled_makespans",
 ]

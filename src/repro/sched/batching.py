@@ -1,16 +1,21 @@
 """Batch extraction — Algorithm 1 of the paper.
 
-Given sorted nets, repeatedly greedily collect a maximal conflict-free
-batch: take the first remaining net, then scan the remainder in order,
-admitting every net whose bounding box overlaps no admitted net.  Note
-that whole maximal batches pairwise conflict by construction (every
-member of a later batch was a leftover of every earlier round), so the
-pattern stage cuts each into 64-net pieces and groups the pieces by
-:func:`bucket_by_area` into sibling tasks before handing them to the
-task-graph scheduler — see :class:`~repro.core.flow.PatternStage`.
+Given sorted tasks, repeatedly greedily collect a maximal conflict-free
+batch: take the first remaining task, then scan the remainder in order,
+admitting every task whose footprint overlaps no admitted task.  This
+is the one implementation: the pattern stage runs it on one-box net
+footprints to plan its tasks, and
+:meth:`~repro.sched.pipeline.StageRunner.schedule` runs it on task
+footprints for the barrier baseline's batches and the task graph's
+root batch.  Note that whole maximal batches pairwise conflict by
+construction (every member of a later batch was a leftover of every
+earlier round), so the pattern stage cuts each into 64-net pieces and
+groups the pieces by :func:`bucket_by_area` into sibling tasks before
+handing them to the task-graph scheduler — see
+:class:`~repro.core.flow.PatternStage`.
 
 The no-conflict test is one AND of big-integer bitsets with one bit per
-G-cell: a net's box is a mask, a batch's occupancy the OR of its
+G-cell: a task's footprint is a mask, a batch's occupancy the OR of its
 members' masks.
 """
 
@@ -65,34 +70,38 @@ def bucket_by_area(
 
 
 def extract_batches(
-    boxes: Sequence[Rect], nx: int, ny: int
+    footprints: Sequence[Sequence[Rect]], nx: int, ny: int
 ) -> List[List[int]]:
     """Partition task indices into ordered conflict-free batches.
 
-    ``boxes`` must already be in the desired net order (the sorting
-    scheme is applied by the caller); indices inside each batch keep
-    that order.  Every returned batch is a maximal independent set with
-    respect to the tasks remaining when it was started, matching the
-    greedy scan of Algorithm 1.  Boxes are clipped to the ``nx`` x
-    ``ny`` grid; one wholly off it covers no cell and conflicts with
-    nothing.
+    ``footprints`` holds one sequence of boxes per task, already in the
+    desired task order (the sorting scheme is applied by the caller);
+    indices inside each batch keep that order.  Two tasks conflict when
+    any box of one overlaps any box of the other.  Every returned batch
+    is a maximal independent set with respect to the tasks remaining
+    when it was started, matching the greedy scan of Algorithm 1.
+    Boxes are clipped to the ``nx`` x ``ny`` grid; one wholly off it
+    covers no cell and conflicts with nothing.
     """
     # Bit x * ny + y is G-cell (x, y).  A box is its column of rows
     # repeated once per column: ``col_bits * repunit`` has no carries.
+    # A task's mask is the OR of its boxes' masks.
     repunits: Dict[int, int] = {}
     masks = []
-    for box in boxes:
-        xlo, xhi = max(box.xlo, 0), min(box.xhi, nx - 1)
-        ylo, yhi = max(box.ylo, 0), min(box.yhi, ny - 1)
-        width = xhi - xlo + 1
-        if width <= 0 or yhi < ylo:  # wholly off the grid
-            masks.append(0)
-            continue
-        if width not in repunits:
-            repunits[width] = ((1 << width * ny) - 1) // ((1 << ny) - 1)
-        col_bits = ((1 << yhi - ylo + 1) - 1) << ylo
-        masks.append(col_bits * repunits[width] << xlo * ny)
-    remaining = list(range(len(boxes)))
+    for boxes in footprints:
+        mask = 0
+        for box in boxes:
+            xlo, xhi = max(box.xlo, 0), min(box.xhi, nx - 1)
+            ylo, yhi = max(box.ylo, 0), min(box.yhi, ny - 1)
+            width = xhi - xlo + 1
+            if width <= 0 or yhi < ylo:  # wholly off the grid
+                continue
+            if width not in repunits:
+                repunits[width] = ((1 << width * ny) - 1) // ((1 << ny) - 1)
+            col_bits = ((1 << yhi - ylo + 1) - 1) << ylo
+            mask |= col_bits * repunits[width] << xlo * ny
+        masks.append(mask)
+    remaining = list(range(len(masks)))
     batches: List[List[int]] = []
     while remaining:
         occupancy = 0

@@ -8,9 +8,11 @@ the single place that turns a stage into scheduled execution:
 1. a :class:`ScheduledStage` describes the tasks — each task owns a set
    of bounding boxes (its conflict footprint), a ``run_task`` body and a
    ``commit_task`` that publishes the result;
-2. :meth:`StageRunner.schedule` builds the conflict graph over those
-   footprints, the ordered task graph (Algorithm 1 + Fig. 6) and the
-   batch partition the barrier baseline would use;
+2. :meth:`StageRunner.schedule` lists the conflicting task pairs of
+   those footprints as index arrays, runs Algorithm 1 over the
+   footprints — the batch partition the barrier baseline uses, whose
+   first batch is the task graph's root — and orients the pairs into
+   the ordered task graph (Fig. 6);
 3. :meth:`StageRunner.run` drains the stage on the calling thread:
    one task at a time in the task graph's deterministic topological
    order, each result committed before the next task runs — or, when
@@ -32,13 +34,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.grid.geometry import Rect
-from repro.sched.conflict import ConflictGraph
+from repro.sched.batching import extract_batches
 from repro.sched.executor import (
     simulate_batch_barrier_makespan,
     simulate_makespan,
 )
-from repro.sched.taskgraph import TaskGraph, build_task_graph, extract_conflict_batches
+from repro.sched.taskgraph import TaskGraph, build_task_graph
 from repro.utils.arrays import unique_sorted
+
+#: Side, in G-cells, of the square bins :func:`group_conflicts` tests
+#: overlaps in; it affects only speed, never the relation.
+BIN_SIZE = 16
 
 
 class ScheduledStage:
@@ -57,10 +63,6 @@ class ScheduledStage:
     def task_boxes(self) -> Sequence[Sequence[Rect]]:
         """Return each task's conflict footprint (its bounding boxes)."""
         raise NotImplementedError
-
-    def task_label(self, task: int) -> str:
-        """Return a stable human-readable name for ``task``."""
-        return str(task)
 
     def prepare(self) -> None:
         """Reset per-run state; called once before execution starts."""
@@ -99,26 +101,24 @@ class ScheduledStage:
 
 
 def group_conflicts(
-    groups: Sequence[Sequence[Rect]], bin_size: int = 16
-) -> Tuple[ConflictGraph, np.ndarray]:
-    """Conflict graph over box *groups* — tasks conflict when any box of
-    one overlaps any box of the other — and the box-level overlap
+    groups: Sequence[Sequence[Rect]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The conflict relation over box *groups* — tasks conflict when any
+    box of one overlaps any box of the other — and the box-level overlap
     relation it is derived from.
 
-    Each box registers in every ``bin_size``-sized cell it touches and
-    only boxes sharing a cell are overlap-tested, kept exact: all and
-    only overlapping groups become edges.  The box pairs are a
-    ``(2, P)`` array of flat box indices — boxes numbered group by
-    group, in order — one column per overlapping pair of boxes in
-    *different* groups, ``lo < hi``, sorted.
+    Each box registers in every :data:`BIN_SIZE`-sized cell it touches
+    and only boxes sharing a cell are overlap-tested, kept exact: all
+    and only overlapping groups conflict.  Both results are ``(2, ·)``
+    arrays of sorted, unique columns ``(lo, hi)`` with ``lo < hi``: the
+    task pairs are group indices, the box pairs flat box indices —
+    boxes numbered group by group, in order — one column per
+    overlapping pair of boxes in *different* groups.
     """
-    if bin_size < 1:
-        raise ValueError("bin_size must be >= 1")
-    graph = ConflictGraph(len(groups))
     n_boxes = sum(len(boxes) for boxes in groups)
     no_pairs = np.empty((2, 0), dtype=np.int64)
     if n_boxes == 0:
-        return graph, no_pairs
+        return no_pairs, no_pairs
     task = np.empty(n_boxes, dtype=np.int64)
     x0 = np.empty(n_boxes, dtype=np.int64)
     y0 = np.empty(n_boxes, dtype=np.int64)
@@ -131,14 +131,14 @@ def group_conflicts(
             task[flat] = index
             x0[flat], y0[flat] = box.xlo, box.ylo
             x1[flat], y1[flat] = box.xhi, box.yhi
-            for bx in range(box.xlo // bin_size, box.xhi // bin_size + 1):
-                for by in range(box.ylo // bin_size, box.yhi // bin_size + 1):
+            for bx in range(box.xlo // BIN_SIZE, box.xhi // BIN_SIZE + 1):
+                for by in range(box.ylo // BIN_SIZE, box.yhi // BIN_SIZE + 1):
                     bins.setdefault((bx, by), []).append(flat)
             flat += 1
     # Pairwise closed-rect overlap per bin, vectorised: any overlapping
     # pair shares the bin containing its intersection, so the union
     # over bins is exactly the conflict relation (duplicates collapse
-    # in the bulk insert).  Bin members are listed in flat order, so
+    # in the sort).  Bin members are listed in flat order, so
     # the upper triangle gives ``lo < hi``.
     lo_parts: List[np.ndarray] = []
     hi_parts: List[np.ndarray] = []
@@ -160,7 +160,7 @@ def group_conflicts(
         lo_parts.append(lo[distinct])
         hi_parts.append(hi[distinct])
     if not lo_parts:
-        return graph, no_pairs
+        return no_pairs, no_pairs
     codes = unique_sorted(
         np.concatenate(lo_parts) * n_boxes + np.concatenate(hi_parts)
     )
@@ -169,18 +169,17 @@ def group_conflicts(
     # Flat order follows task order, so ``task[lo] < task[hi]``.
     n_tasks = len(groups)
     codes = unique_sorted(task[lo] * n_tasks + task[hi])
-    graph.add_conflicts_bulk(codes // n_tasks, codes % n_tasks)
-    return graph, pairs
+    return np.stack(np.divmod(codes, n_tasks)), pairs
 
 
 @dataclass
 class StageSchedule:
     """Everything the scheduler derived from a stage's footprints."""
 
-    boxes: List[List[Rect]]
-    conflicts: ConflictGraph
     task_graph: TaskGraph
+    #: Algorithm 1's batches; the first is the task graph's root batch.
     batches: List[List[int]]
+    n_conflicts: int
     #: Overlapping box pairs across tasks (see :func:`group_conflicts`).
     box_pairs: np.ndarray
 
@@ -201,7 +200,6 @@ class StageReport:
     task_durations: List[float] = field(default_factory=list)
     taskgraph_makespan: float = 0.0
     batch_makespan: float = 0.0
-    schedule: Optional[StageSchedule] = None
 
     @property
     def sequential_time(self) -> float:
@@ -240,22 +238,26 @@ def modelled_makespans(
 class StageRunner:
     """Schedules and executes :class:`ScheduledStage` instances."""
 
-    def __init__(self, n_workers: int = 8, bin_size: int = 16) -> None:
+    def __init__(self, n_workers: int = 8) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
         # The P of the modelled makespans; execution is one thread.
         self.n_workers = n_workers
-        self.bin_size = bin_size
 
     def schedule(self, stage: ScheduledStage) -> StageSchedule:
-        """Build conflict graph, ordered task graph and batch partition."""
-        boxes = [list(group) for group in stage.task_boxes()]
-        conflicts, box_pairs = group_conflicts(boxes, self.bin_size)
+        """Build the conflict pairs, batch partition and ordered task graph."""
+        footprints = stage.task_boxes()
+        (a, b), box_pairs = group_conflicts(footprints)
+        # Footprints are (non-negative) G-cell boxes: a grid reaching
+        # the largest box corner clips none of them.
+        nx = 1 + max((box.xhi for boxes in footprints for box in boxes), default=0)
+        ny = 1 + max((box.yhi for boxes in footprints for box in boxes), default=0)
+        batches = extract_batches(footprints, nx, ny)
+        root = batches[0] if batches else []
         return StageSchedule(
-            boxes=boxes,
-            conflicts=conflicts,
-            task_graph=build_task_graph(conflicts),
-            batches=extract_conflict_batches(conflicts),
+            task_graph=build_task_graph(len(footprints), root, a, b),
+            batches=batches,
+            n_conflicts=int(a.size),
             box_pairs=box_pairs,
         )
 
@@ -304,12 +306,11 @@ class StageRunner:
             stage=stage.name,
             n_workers=self.n_workers,
             n_tasks=n,
-            n_conflicts=schedule.conflicts.n_conflicts(),
+            n_conflicts=schedule.n_conflicts,
             n_batches=len(schedule.batches),
             task_durations=durations,
             taskgraph_makespan=taskgraph_makespan,
             batch_makespan=batch_makespan,
-            schedule=schedule,
         )
 
 

@@ -1,10 +1,9 @@
 """Ordered task graph construction (Sec. III-B, Fig. 6).
 
-The scheduler turns the undirected conflict graph into a DAG:
+The scheduler turns the undirected conflict relation into a DAG:
 
-1. extract a *root task batch* — a maximal independent set: round one
-   of Algorithm 1's greedy scan (:func:`extract_conflict_batches`) on
-   the conflict graph;
+1. take a *root task batch* — a maximal independent set: the first
+   batch of Algorithm 1 (:func:`~repro.sched.batching.extract_batches`);
 2. orient every conflict edge: root-task -> non-root-task; between two
    non-root tasks, smaller task ID -> larger (IDs encode the sorting
    result, so the orientation respects the Internet ordering).
@@ -16,9 +15,9 @@ batch or increase the task ID.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Set, Tuple
+from typing import List, Sequence
 
-from repro.sched.conflict import ConflictGraph
+import numpy as np
 
 
 @dataclass
@@ -83,76 +82,35 @@ class TaskGraph:
             groups[depth[task]].append(task)
         return groups
 
-    def critical_path_length(self, durations: List[float]) -> float:
-        """Return the longest duration-weighted path (infinite-worker
-        makespan lower bound)."""
-        finish = [0.0] * self.n_tasks
-        for task in self.topological_order():
-            finish[task] = durations[task] + max(
-                (finish[p] for p in self._predecessors_of(task)), default=0.0
-            )
-        return max(finish, default=0.0)
 
-    def _predecessors_of(self, task: int) -> List[int]:
-        # Successor lists are the primary representation; invert lazily.
-        if not hasattr(self, "_pred_cache"):
-            preds: List[List[int]] = [[] for _ in range(self.n_tasks)]
-            for source in range(self.n_tasks):
-                for succ in self.successors[source]:
-                    preds[succ].append(source)
-            self._pred_cache = preds
-        return self._pred_cache[task]
+def build_task_graph(
+    n_tasks: int, root: Sequence[int], a: np.ndarray, b: np.ndarray
+) -> TaskGraph:
+    """Orient the conflict edges ``(a[i], b[i])``, ``a < b``, into the
+    scheduler's DAG (Fig. 6) around the independent ``root`` batch.
 
-
-def _greedy_round(
-    conflicts: ConflictGraph, tasks: Iterable[int]
-) -> Tuple[List[int], List[int]]:
-    """One round of Algorithm 1: scan ``tasks`` in order and take each
-    one that conflicts with none taken so far.  Returns the batch (a
-    maximal independent set of ``tasks``) and the tasks left over."""
-    batch: List[int] = []
-    leftovers: List[int] = []
-    blocked: Set[int] = set()
-    for task in tasks:
-        if task in blocked:
-            leftovers.append(task)
-        else:
-            batch.append(task)
-            blocked.update(conflicts.conflicts_of(task))
-    return batch, leftovers
+    Successor lists come out in ascending task order.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    in_root = np.zeros(n_tasks, dtype=bool)
+    in_root[list(root)] = True
+    if bool(np.any(in_root[a] & in_root[b])):
+        raise AssertionError("root batch is not independent")
+    # ``a < b``, so the edge runs a -> b unless b is a root task.
+    flip = in_root[b]
+    source = np.where(flip, b, a)
+    sink = np.where(flip, a, b)
+    order = np.lexsort((sink, source))
+    source, sink = source[order], sink[order]
+    bounds = np.searchsorted(source, np.arange(n_tasks + 1)).tolist()
+    sinks = sink.tolist()
+    return TaskGraph(
+        n_tasks,
+        list(root),
+        [sinks[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+        np.bincount(sink, minlength=n_tasks).tolist(),
+    )
 
 
-def extract_conflict_batches(conflicts: ConflictGraph) -> List[List[int]]:
-    """Greedy maximal conflict-free batches over an explicit conflict
-    graph (Algorithm 1 — the barrier baseline's partition): round after
-    round over the tasks still left, in task-ID order."""
-    remaining: List[int] = list(range(conflicts.n_tasks))
-    batches: List[List[int]] = []
-    while remaining:
-        batch, remaining = _greedy_round(conflicts, remaining)
-        batches.append(batch)
-    return batches
-
-
-def build_task_graph(conflicts: ConflictGraph) -> TaskGraph:
-    """Orient the conflict graph into the scheduler's DAG (Fig. 6)."""
-    root, _ = _greedy_round(conflicts, range(conflicts.n_tasks))
-    in_root = set(root)
-    n = conflicts.n_tasks
-    successors: List[List[int]] = [[] for _ in range(n)]
-    n_predecessors = [0] * n
-    for a, b in conflicts.edges():
-        if a in in_root and b in in_root:
-            raise AssertionError("root batch is not independent")
-        if a in in_root:
-            source, sink = a, b
-        elif b in in_root:
-            source, sink = b, a
-        else:
-            source, sink = (a, b) if a < b else (b, a)
-        successors[source].append(sink)
-        n_predecessors[sink] += 1
-    return TaskGraph(n, root, successors, n_predecessors)
-
-
-__all__ = ["TaskGraph", "extract_conflict_batches", "build_task_graph"]
+__all__ = ["TaskGraph", "build_task_graph"]

@@ -1,10 +1,21 @@
 """Scheduler oracles: the reference implementations the production
 scheduler is checked against.
 
-* :func:`build_conflict_graph` — the conflict graph of single boxes by
-  spatial binning, the special case of
-  :func:`~repro.sched.pipeline.group_conflicts` (one box per task) that
-  ``tests/test_conflict.py`` checks against brute force.
+* :class:`ConflictGraph` — the conflict relation as one set of
+  neighbours per task, built from single boxes by spatial binning
+  (:func:`build_conflict_graph`, checked against brute force by
+  ``tests/test_conflict.py``) or from multi-box footprints by brute
+  force (:func:`footprint_conflicts`).
+* :func:`greedy_round` / :func:`extract_conflict_batches` — Algorithm 1
+  as rounds over that set relation, and :func:`orient` — the Fig. 6
+  orientation around the first round.  :func:`oracle_schedule` chains
+  them into what :meth:`~repro.sched.pipeline.StageRunner.schedule`
+  must produce from the same footprints with index arrays and bitsets
+  (``tests/test_pipeline.py``); :func:`task_graph_of` feeds an explicit
+  relation through the production
+  :func:`~repro.sched.taskgraph.build_task_graph`.
+* :func:`critical_path_length` — the infinite-worker makespan, a lower
+  bound on :func:`~repro.sched.executor.simulate_makespan`.
 * :class:`TaskGraphExecutor` — the paper drains its ordered task graph
   on Taskflow threads, releasing each task the moment its predecessors
   finish; this is that release rule as a Python thread pool.  No
@@ -20,11 +31,51 @@ from __future__ import annotations
 
 import heapq
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.grid.geometry import Rect
-from repro.sched.conflict import ConflictGraph
-from repro.sched.taskgraph import TaskGraph
+from repro.sched.taskgraph import TaskGraph, build_task_graph
+
+
+class ConflictGraph:
+    """Undirected conflict relation over task indices ``0..n-1``."""
+
+    def __init__(self, n_tasks: int) -> None:
+        self.n_tasks = n_tasks
+        self._adjacency: List[Set[int]] = [set() for _ in range(n_tasks)]
+
+    def add_conflict(self, a: int, b: int) -> None:
+        """Mark tasks ``a`` and ``b`` as conflicting."""
+        if a == b:
+            raise ValueError("a task cannot conflict with itself")
+        self._adjacency[a].add(b)
+        self._adjacency[b].add(a)
+
+    def conflicts_of(self, task: int) -> Set[int]:
+        """Return the set of tasks conflicting with ``task``."""
+        return self._adjacency[task]
+
+    def are_conflicting(self, a: int, b: int) -> bool:
+        """Return True when ``a`` and ``b`` conflict."""
+        return b in self._adjacency[a]
+
+    def n_conflicts(self) -> int:
+        """Return the number of conflict edges."""
+        return sum(len(adj) for adj in self._adjacency) // 2
+
+    def edges(self) -> Iterable[Tuple[int, int]]:
+        """Yield each conflict edge once as ``(lo, hi)``."""
+        for a in range(self.n_tasks):
+            for b in self._adjacency[a]:
+                if a < b:
+                    yield (a, b)
+
+    def is_independent_set(self, tasks: Sequence[int]) -> bool:
+        """Return True when no two of ``tasks`` conflict."""
+        chosen = set(tasks)
+        return all(not (self._adjacency[t] & chosen) for t in chosen)
 
 
 def build_conflict_graph(
@@ -56,6 +107,106 @@ def build_conflict_graph(
                 if boxes[a].overlaps(boxes[b]):
                     graph.add_conflict(a, b)
     return graph
+
+
+def footprint_conflicts(
+    footprints: Sequence[Sequence[Rect]],
+) -> Tuple[ConflictGraph, List[Tuple[int, int]]]:
+    """Brute force over multi-box footprints: the task conflict graph
+    and the overlapping box pairs ``(i, j)``, ``i < j``, of boxes of
+    different tasks, numbered task by task, in order."""
+    flat = [(task, box) for task, boxes in enumerate(footprints) for box in boxes]
+    graph = ConflictGraph(len(footprints))
+    pairs = []
+    for i, (ta, box_a) in enumerate(flat):
+        for j in range(i + 1, len(flat)):
+            tb, box_b = flat[j]
+            if ta != tb and box_a.overlaps(box_b):
+                graph.add_conflict(ta, tb)
+                pairs.append((i, j))
+    return graph, pairs
+
+
+def greedy_round(
+    conflicts: ConflictGraph, tasks: Iterable[int]
+) -> Tuple[List[int], List[int]]:
+    """One round of Algorithm 1: scan ``tasks`` in order and take each
+    one that conflicts with none taken so far.  Returns the batch (a
+    maximal independent set of ``tasks``) and the tasks left over."""
+    batch: List[int] = []
+    leftovers: List[int] = []
+    blocked: Set[int] = set()
+    for task in tasks:
+        if task in blocked:
+            leftovers.append(task)
+        else:
+            batch.append(task)
+            blocked.update(conflicts.conflicts_of(task))
+    return batch, leftovers
+
+
+def extract_conflict_batches(conflicts: ConflictGraph) -> List[List[int]]:
+    """Greedy maximal conflict-free batches over an explicit conflict
+    graph: round after round over the tasks still left, in task-ID
+    order."""
+    remaining: List[int] = list(range(conflicts.n_tasks))
+    batches: List[List[int]] = []
+    while remaining:
+        batch, remaining = greedy_round(conflicts, remaining)
+        batches.append(batch)
+    return batches
+
+
+def orient(conflicts: ConflictGraph) -> TaskGraph:
+    """The Fig. 6 DAG: root batch = the first greedy round; every edge
+    runs root -> non-root, else smaller task ID -> larger."""
+    root, _ = greedy_round(conflicts, range(conflicts.n_tasks))
+    in_root = set(root)
+    n = conflicts.n_tasks
+    successors: List[List[int]] = [[] for _ in range(n)]
+    n_predecessors = [0] * n
+    for a, b in conflicts.edges():
+        if a in in_root and b in in_root:
+            raise AssertionError("root batch is not independent")
+        if a in in_root:
+            source, sink = a, b
+        elif b in in_root:
+            source, sink = b, a
+        else:
+            source, sink = (a, b) if a < b else (b, a)
+        successors[source].append(sink)
+        n_predecessors[sink] += 1
+    return TaskGraph(n, root, successors, n_predecessors)
+
+
+def oracle_schedule(footprints: Sequence[Sequence[Rect]]):
+    """``(conflicts, task_graph, batches, box_pairs)`` of ``footprints``
+    computed from the set relation alone."""
+    conflicts, pairs = footprint_conflicts(footprints)
+    return conflicts, orient(conflicts), extract_conflict_batches(conflicts), pairs
+
+
+def task_graph_of(conflicts: ConflictGraph) -> TaskGraph:
+    """The production :func:`build_task_graph` on an explicit relation,
+    rooted at its first greedy round."""
+    root, _ = greedy_round(conflicts, range(conflicts.n_tasks))
+    edges = np.array(sorted(conflicts.edges()), dtype=np.int64).reshape(-1, 2)
+    return build_task_graph(conflicts.n_tasks, root, edges[:, 0], edges[:, 1])
+
+
+def critical_path_length(graph: TaskGraph, durations: Sequence[float]) -> float:
+    """Return the longest duration-weighted path of ``graph`` (the
+    infinite-worker makespan lower bound)."""
+    predecessors: List[List[int]] = [[] for _ in range(graph.n_tasks)]
+    for source in range(graph.n_tasks):
+        for succ in graph.successors[source]:
+            predecessors[succ].append(source)
+    finish = [0.0] * graph.n_tasks
+    for task in graph.topological_order():
+        finish[task] = durations[task] + max(
+            (finish[p] for p in predecessors[task]), default=0.0
+        )
+    return max(finish, default=0.0)
 
 
 class TaskGraphExecutor:

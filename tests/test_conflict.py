@@ -1,4 +1,4 @@
-"""Tests for conflict graph construction."""
+"""Tests for the set-based conflict graph oracle and its construction."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.grid.geometry import Rect
-from repro.sched.conflict import ConflictGraph
-from tests.sched_oracle import build_conflict_graph
+from tests.sched_oracle import ConflictGraph, build_conflict_graph
 
 
 def rects_strategy(n_max=20, span=60):

@@ -7,13 +7,17 @@ import time
 
 import pytest
 
-from repro.sched.conflict import ConflictGraph
 from repro.sched.executor import (
     simulate_batch_barrier_makespan,
     simulate_makespan,
 )
-from repro.sched.taskgraph import TaskGraph, build_task_graph
-from tests.sched_oracle import TaskGraphExecutor
+from repro.sched.taskgraph import TaskGraph
+from tests.sched_oracle import (
+    ConflictGraph,
+    TaskGraphExecutor,
+    critical_path_length,
+    task_graph_of,
+)
 
 
 def chain_graph(n):
@@ -29,7 +33,7 @@ def chain_graph(n):
 
 
 def independent_graph(n):
-    return build_task_graph(ConflictGraph(n))
+    return task_graph_of(ConflictGraph(n))
 
 
 class TestExecutor:
@@ -61,7 +65,7 @@ class TestExecutor:
         conflicts = ConflictGraph(8)
         for i in range(0, 8, 2):
             conflicts.add_conflict(i, i + 1)
-        graph = build_task_graph(conflicts)
+        graph = task_graph_of(conflicts)
         active = set()
         lock = threading.Lock()
         violations = []
@@ -120,7 +124,7 @@ class TestExecutorFailurePaths:
         conflicts = ConflictGraph(20)
         for task in range(1, 20):
             conflicts.add_conflict(0, task)  # star: all wait on task 0
-        graph = build_task_graph(conflicts)
+        graph = task_graph_of(conflicts)
 
         def work(task):
             raise ValueError(f"boom-{task}")
@@ -162,7 +166,7 @@ class TestExecutorFailurePaths:
             for b in range(a + 1, n):
                 if rng.random() < 0.15:
                     conflicts.add_conflict(a, b)
-        graph = build_task_graph(conflicts)
+        graph = task_graph_of(conflicts)
 
         active = set()
         lock = threading.Lock()
@@ -217,16 +221,16 @@ class TestSimulatedMakespan:
         conflicts = ConflictGraph(6)
         conflicts.add_conflict(0, 3)
         conflicts.add_conflict(3, 5)
-        graph = build_task_graph(conflicts)
+        graph = task_graph_of(conflicts)
         durations = [2.0, 1.0, 1.0, 3.0, 1.0, 4.0]
         span = simulate_makespan(graph, durations, 16)
-        assert span >= graph.critical_path_length(durations) - 1e-9
+        assert span >= critical_path_length(graph, durations) - 1e-9
 
     def test_never_above_sequential(self):
         conflicts = ConflictGraph(5)
         conflicts.add_conflict(0, 1)
         conflicts.add_conflict(2, 3)
-        graph = build_task_graph(conflicts)
+        graph = task_graph_of(conflicts)
         durations = [1.0, 2.0, 3.0, 1.0, 2.0]
         assert simulate_makespan(graph, durations, 2) <= sum(durations) + 1e-9
 
@@ -254,7 +258,7 @@ class TestBatchBarrierMakespan:
         conflicts.add_conflict(0, 1)
         conflicts.add_conflict(2, 3)
         conflicts.add_conflict(4, 5)
-        graph = build_task_graph(conflicts)
+        graph = task_graph_of(conflicts)
         durations = [5.0, 1.0, 4.0, 2.0, 3.0, 3.0]
         batches = [[0, 2, 4], [1, 3, 5]]
         dag = simulate_makespan(graph, durations, 3)

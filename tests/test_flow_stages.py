@@ -67,7 +67,7 @@ class TestPatternStage:
     def test_batches_cover_sorted_nets(self):
         d = design()
         nets = sort_nets(list(d.netlist), "hpwl_asc")
-        batches = extract_batches([n.bbox for n in nets], d.graph.nx, d.graph.ny)
+        batches = extract_batches([[n.bbox] for n in nets], d.graph.nx, d.graph.ny)
         flat = sorted(i for batch in batches for i in batch)
         assert flat == list(range(len(nets)))
 
@@ -83,7 +83,7 @@ class TestPatternStage:
         d = design(congested=congested, n_nets=140)
         stage = PatternStage(d, RouterConfig.fastgr_l(), Device())
         graph = StageRunner().schedule(stage).task_graph
-        batches = extract_batches([net.bbox for net in stage.nets], d.graph.nx, d.graph.ny)
+        batches = extract_batches([[net.bbox] for net in stage.nets], d.graph.nx, d.graph.ny)
         assert len(batches) > 3
 
         def nets_of(tasks):

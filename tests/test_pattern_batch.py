@@ -224,7 +224,7 @@ class TestPatternStageTasks:
         design = congested_design()
         stage = PatternStage(design, RouterConfig.fastgr_l(), Device())
         boxes = [net.bbox for net in stage.nets]
-        batches = extract_batches(boxes, design.graph.nx, design.graph.ny)
+        batches = extract_batches([[box] for box in boxes], design.graph.nx, design.graph.ny)
         batch_of = {p: b for b, batch in enumerate(batches) for p in batch}
 
         def area(piece):

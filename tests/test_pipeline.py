@@ -20,9 +20,13 @@ from repro.sched.pipeline import (
     modelled_makespans,
 )
 from repro.sched.sorting import sort_nets
-from repro.sched.taskgraph import build_task_graph, extract_conflict_batches
 from repro.utils.rng import make_rng
-from tests.sched_oracle import TaskGraphExecutor, build_conflict_graph
+from tests.sched_oracle import (
+    TaskGraphExecutor,
+    build_conflict_graph,
+    extract_conflict_batches,
+    oracle_schedule,
+)
 
 
 def random_groups(n_tasks, seed=0, span=60, max_boxes=2):
@@ -62,16 +66,20 @@ class BoxStage(ScheduledStage):
         self.committed.append((task, result))
 
 
+def columns(pairs):
+    return [tuple(col) for col in pairs.T.tolist()]
+
+
 class TestGroupConflictGraph:
     def test_matches_brute_force(self):
         groups = random_groups(40, seed=3)
-        graph = group_conflicts(groups)[0]
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                expected = any(
-                    ba.overlaps(bb) for ba in groups[a] for bb in groups[b]
-                )
-                assert graph.are_conflicting(a, b) == expected, (a, b)
+        expected = [
+            (a, b)
+            for a in range(len(groups))
+            for b in range(a + 1, len(groups))
+            if any(ba.overlaps(bb) for ba in groups[a] for bb in groups[b])
+        ]
+        assert columns(group_conflicts(groups)[0]) == expected
 
     def test_box_pairs_match_brute_force(self):
         groups = random_groups(40, seed=7, max_boxes=3)
@@ -83,7 +91,8 @@ class TestGroupConflictGraph:
             if flat[i][0] != flat[j][0] and flat[i][1].overlaps(flat[j][1])
         ]
         _, pairs = group_conflicts(groups)
-        assert [tuple(col) for col in pairs.T.tolist()] == expected
+        assert columns(pairs) == expected
+        assert group_conflicts([])[0].shape == (2, 0)
         assert group_conflicts([])[1].shape == (2, 0)
 
     def test_single_box_groups_match_plain_conflict_graph(self):
@@ -91,37 +100,55 @@ class TestGroupConflictGraph:
         boxes = [g[0] for g in groups]
         grouped = group_conflicts(groups)[0]
         plain = build_conflict_graph(boxes)
-        assert sorted(grouped.edges()) == sorted(plain.edges())
-
-    def test_bin_size_validation(self):
-        with pytest.raises(ValueError):
-            group_conflicts([], bin_size=0)
+        assert columns(grouped) == sorted(plain.edges())
 
 
 class TestConflictBatches:
     def test_batches_partition_and_are_independent(self):
         groups = random_groups(50, seed=4)
-        conflicts = group_conflicts(groups)[0]
-        batches = extract_conflict_batches(conflicts)
+        batches = StageRunner().schedule(BoxStage(groups)).batches
+        conflicts = oracle_schedule(groups)[0]
         flat = sorted(i for batch in batches for i in batch)
         assert flat == list(range(50))
         for batch in batches:
             assert conflicts.is_independent_set(batch)
 
     def test_first_batch_is_root_batch(self):
-        groups = random_groups(50, seed=5)
-        conflicts = group_conflicts(groups)[0]
-        batches = extract_conflict_batches(conflicts)
-        assert batches[0] == build_task_graph(conflicts).root_batch
+        schedule = StageRunner().schedule(BoxStage(random_groups(50, seed=5)))
+        assert schedule.batches[0] == schedule.task_graph.root_batch
 
     def test_matches_occupancy_batching_for_single_boxes(self):
-        """Same greedy rounds as Algorithm 1's bitmap implementation."""
+        """The oracle's greedy rounds over the set relation are
+        Algorithm 1's bitset batches."""
         groups = random_groups(40, seed=6, max_boxes=1)
         boxes = [g[0] for g in groups]
-        conflicts = group_conflicts(groups)[0]
-        assert extract_conflict_batches(conflicts) == extract_batches(
-            boxes, 80, 80
+        assert extract_conflict_batches(
+            build_conflict_graph(boxes)
+        ) == extract_batches(groups, 80, 80)
+
+
+class TestScheduleOracle:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_schedule_matches_oracle(self, seed):
+        """Index arrays, bitsets and the array orientation reproduce the
+        set-based oracle on random multi-box footprints."""
+        rng = make_rng(("schedule-oracle", seed))
+        groups = random_groups(
+            int(rng.integers(0, 60)),
+            seed=100 + seed,
+            span=int(rng.integers(8, 80)),
+            max_boxes=int(rng.integers(1, 5)),
         )
+        schedule = StageRunner().schedule(BoxStage(groups))
+        conflicts, graph, batches, box_pairs = oracle_schedule(groups)
+        assert schedule.batches == batches
+        assert schedule.task_graph.root_batch == graph.root_batch
+        assert [set(s) for s in schedule.task_graph.successors] == [
+            set(s) for s in graph.successors
+        ]
+        assert schedule.task_graph.n_predecessors == graph.n_predecessors
+        assert schedule.n_conflicts == conflicts.n_conflicts()
+        assert columns(schedule.box_pairs) == box_pairs
 
 
 class TestStageRunner:
@@ -256,13 +283,13 @@ class TestPatternChainFreedom:
         design, stage = self._stage(config, monkeypatch)
         nets = sort_nets(list(design.netlist), config.sorting_scheme)
         batches = extract_batches(
-            [n.bbox for n in nets], design.graph.nx, design.graph.ny
+            [[n.bbox] for n in nets], design.graph.nx, design.graph.ny
         )
         assert len(batches[0]) > self.PIECE_NETS
         schedule = StageRunner(n_workers=4).schedule(stage)
         assert schedule.n_tasks > len(batches)
         # Tasks 0 and 1 are siblings: groups of the first batch.
-        assert not schedule.conflicts.are_conflicting(0, 1)
+        assert (0, 1) not in columns(group_conflicts(stage.task_boxes())[0])
         graph = schedule.task_graph
         assert 1 not in graph.successors[0] and 0 not in graph.successors[1]
         assert 0 in graph.root_batch and 1 in graph.root_batch

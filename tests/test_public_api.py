@@ -35,7 +35,6 @@ class TestPinnedExports:
             [
                 "SORTING_SCHEMES",
                 "sort_nets",
-                "ConflictGraph",
                 "extract_batches",
                 "TaskGraph",
                 "build_task_graph",
@@ -46,7 +45,6 @@ class TestPinnedExports:
                 "StageReport",
                 "StageRunner",
                 "group_conflicts",
-                "extract_conflict_batches",
                 "modelled_makespans",
             ]
         )
