@@ -298,3 +298,66 @@ class TestScratchReuse:
         assert expanded < settled < grid.n_layers * 14 * 14
         # ... and every relaxed-but-unpopped entry went back to inf.
         assert all(d == float("inf") for d in router._dist)
+
+
+def test_one_reroute_fixed_call_budget():
+    """The fixed cost of one maze reroute, as a count that repeats.
+
+    A reroute on ``cong900`` expands about 60 nodes of a window of some
+    1 200, so most of its time goes to building the window's tables and
+    the route, not to the heap.  Counted here are the calls (Python and
+    C) that frames of the maze router, the cost module and the route
+    module make during one steady-state ``route_net`` of a fixed 3-pin
+    net, leaving out the calls made from inside the heap loop of
+    ``MazeRouter._dijkstra`` (they scale with the expansions, which the
+    oracle properties pin), so the count does not depend on how NumPy
+    implements them: 724 with the window priced layer by layer, the
+    search tables converted to lists and one Python row per path step
+    in the route build.  It may fall; it must not rise.
+    """
+    import ast
+    import inspect
+    import sys
+    import textwrap
+
+    import repro.grid.cost as cost_module
+    import repro.maze.router as router_module
+
+    graph = fresh_grid(24, 24, 5, capacity=3.0)
+    rng = np.random.default_rng(0)
+    for demand in graph.wire_demand:
+        demand[...] = rng.integers(0, 5, demand.shape)
+    graph.via_demand[...] = rng.integers(0, 3, graph.via_demand.shape)
+    router = MazeRouter(graph)
+    net = Net("three", [Pin(3, 4, 0), Pin(15, 9, 2), Pin(8, 18, 1)])
+
+    # The heap loop: the ``while heap:`` statement of ``_dijkstra``.
+    search = router_module.MazeRouter._dijkstra
+    lines, first = inspect.getsourcelines(search)
+    (loop,) = [
+        node
+        for node in ast.walk(ast.parse(textwrap.dedent("".join(lines))))
+        if isinstance(node, ast.While) and ast.unparse(node.test) == "heap"
+    ]
+    heap_lines = range(first - 1 + loop.lineno, first + loop.end_lineno)
+    files = {router_module.__file__, cost_module.__file__, route_module.__file__}
+
+    router.route_net(net)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        caller = frame if event == "c_call" else frame.f_back if event == "call" else None
+        if caller is None or caller.f_code.co_filename not in files:
+            return
+        if caller.f_code is search.__code__ and caller.f_lineno in heap_lines:
+            return
+        calls += 1
+
+    sys.setprofile(count)
+    try:
+        route = router.route_net(net)
+    finally:
+        sys.setprofile(None)
+    assert route.connects([p.as_node() for p in net.pins])
+    assert calls <= 724, calls
