@@ -42,6 +42,7 @@ from repro.eval.report import format_table
 from repro.grid.cost import CostQuery
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
+from repro.grid.route import routes_from_paths
 from repro.maze.router import MazeRouter
 from repro.maze.wavefront import WavefrontMazeRouter
 from repro.netlist.net import Net, Pin
@@ -208,11 +209,17 @@ def moderate_case(seed: int = 7):
 
 
 def test_goal_directed_expands_fewer_nodes():
-    """Same paths as plain heap Dijkstra from a fraction of the nodes."""
+    """Same paths as plain heap Dijkstra from a fraction of the nodes.
+
+    Beside the search times it reports the fixed cost a reroute pays
+    around its searches, per net: building the window's tables (the
+    stacked price, the move tables and the bound field) plus building
+    the route of the found path.
+    """
     graph, nets = moderate_case()
     router = MazeRouter(graph, margin=8)
     expanded = settled = 0
-    search_s = oracle_s = 0.0
+    search_s = oracle_s = fixed_s = 0.0
     for net in nets:
         source, target = (pin.as_node() for pin in net.pins)
         region = router._region(net)
@@ -221,6 +228,10 @@ def test_goal_directed_expands_fewer_nodes():
         got = router._dijkstra({source}, {target}, region)
         search_s += time.perf_counter() - start
         expanded += router.consume_visited()
+        start = time.perf_counter()
+        router._build_tables(region, [target])
+        routes_from_paths(graph, [[got[0]]])
+        fixed_s += time.perf_counter() - start
         start = time.perf_counter()
         path, reached, n_settled = heap_dijkstra_oracle(
             router, {source}, {target}, region
@@ -238,6 +249,7 @@ def test_goal_directed_expands_fewer_nodes():
                 ["heap Dijkstra (oracle), settled", settled, 1e3 * oracle_s / n],
                 ["goal-directed (production), expanded", expanded, 1e3 * search_s / n],
                 ["ratio", expanded / settled, search_s / oracle_s],
+                ["fixed cost per net: tables + route build", "", 1e3 * fixed_s / n],
             ],
             title=(
                 f"Goal-directed search on a moderately congested {STRESS_N}x"
@@ -253,6 +265,7 @@ def test_goal_directed_expands_fewer_nodes():
             "max_ratio": MAX_EXPANDED_RATIO,
             "oracle_ms_per_search": 1e3 * oracle_s / n,
             "search_ms_per_search": 1e3 * search_s / n,
+            "fixed_ms_per_net": 1e3 * fixed_s / n,
             "quick": float(QUICK),
         },
     )

@@ -58,6 +58,7 @@ the matching slices of a full rebuild.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from time import perf_counter
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -66,6 +67,7 @@ import numpy as np
 from repro import metrics
 from repro.backend import ArrayBackend, get_backend
 from repro.grid.graph import GridGraph
+from repro.grid.route import step_positions
 from repro.utils.arrays import unique_sorted
 from repro.utils.timing import Tracker
 
@@ -116,36 +118,52 @@ class CostModel:
         """Return the ``(L-1, nx, ny)`` cost array of every via edge."""
         return self.unit_via_cost + self.congestion(graph.via_demand, graph.via_capacity)
 
-    def window_costs(
-        self, graph: GridGraph, region: Tuple[int, int, int, int]
-    ) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Price the edges inside a G-cell window from current demand.
+    def window_steps(
+        self,
+        graph: GridGraph,
+        region: Tuple[int, int, int, int],
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Price the steps out of every node of a G-cell window from
+        current demand.
 
-        Returns ``(wire, via)`` for the window ``(x0, y0, x1, y1)``
-        (corners inclusive): ``wire[layer]`` holds the layer's edges
-        with both ends in the window — ``(W-1, H)`` on a horizontal
-        layer, ``(W, H-1)`` on a vertical one, edge ``[i, j]`` leaving
-        G-cell ``(x0+i, y0+j)`` — and ``via`` the ``(L-1, W, H)`` via
-        edges.  The congestion terms are elementwise, so every entry is
+        Returns the ``(3, L, W, H)`` costs for the window ``(x0, y0, x1,
+        y1)`` (corners inclusive) — into ``out`` when given: ``[0]`` the
+        ``+x`` step out of node ``[layer, i, j]`` (G-cell ``(x0+i,
+        y0+j)``), ``[1]`` its ``+y`` step and ``[2]`` its ``+layer``
+        step; ``inf`` where the step has no edge in the window (a layer
+        of the other direction, the window's far side, the top layer).
+        One slice of :func:`~repro.grid.route.step_positions`, one
+        gather each of demand and capacity, one :meth:`congestion` and
+        one unit-cost add, which also writes the missing edges' ``inf``.
+        The congestion terms are elementwise, so every finite entry is
         bit-equal to the same edge of :meth:`wire_edge_costs` /
         :meth:`via_edge_costs`.
         """
         x0, y0, x1, y1 = region
-        wire = []
-        for layer, horizontal in enumerate(graph.horizontal):
-            window = (
-                (slice(x0, x1), slice(y0, y1 + 1))
-                if horizontal
-                else (slice(x0, x1 + 1), slice(y0, y1))
-            )
-            wire.append(self.unit_wire_cost + self.congestion(
-                graph.wire_demand[layer][window], graph.wire_capacity[layer][window]
-            ))
-        window = (slice(None), slice(x0, x1 + 1), slice(y0, y1 + 1))
-        via = self.unit_via_cost + self.congestion(
-            graph.via_demand[window], graph.via_capacity[window]
+        where = step_positions(graph)[:, :, x0 : x1 + 1, y0 : y1 + 1]
+        cost = self.congestion(graph.demand_flat.take(where), graph.capacity_flat.take(where))
+        units = _step_units(
+            graph.horizontal.tobytes(), self.unit_wire_cost, self.unit_via_cost
         )
-        return wire, via
+        steps = np.add(cost, units, out=cost if out is None else out)
+        steps[0, :, -1] = np.inf
+        steps[1, :, :, -1] = np.inf
+        return steps
+
+
+@lru_cache(maxsize=8)
+def _step_units(horizontal: bytes, wire: float, via: float) -> np.ndarray:
+    """``(3, L, 1, 1)`` unit costs of the ``+x``, ``+y`` and ``+layer``
+    steps per layer (see :meth:`CostModel.window_steps`), ``inf`` where
+    the layer has no such edge."""
+    is_h = np.frombuffer(horizontal, dtype=bool)
+    units = np.full((3, is_h.size, 1, 1), np.inf)
+    units[0, is_h] = wire
+    units[1, ~is_h] = wire
+    units[2, :-1] = via
+    units.flags.writeable = False
+    return units
 
 
 class Footprint(NamedTuple):

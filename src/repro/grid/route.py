@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -270,15 +271,36 @@ def normalize_table(raw: np.ndarray, n_routes: int) -> np.ndarray:
     last = length.cumsum()
     if not last.size or not last[-1]:
         return np.empty((6, 0), dtype=np.intp)
-    # Every unit edge is keyed (kind, route, a, b, lo) in one integer.
-    # The radix leaves a gap after a line's last unit, so keys one apart
-    # are neighbouring units of one run.
-    radix = int(raw[2:].max()) + 2
+    scale, digits, _ = _unit_radix(int(raw[2:].max()), n_routes)
+    units = np.sort(np.repeat(scale @ raw[:5] + length - last, length) + np.arange(last[-1]))
+    return _fuse_units(units, scale, digits)
+
+
+@lru_cache(maxsize=64)
+def _unit_radix(top: int, n_routes: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(scale, digits, weights)`` of the unit-edge key of rows whose
+    ``a``, ``b`` and ``lo`` are at most ``top``: the unit edge ``(kind,
+    route, a, b, lo)`` is keyed ``scale @ (kind, route, a, b, lo)`` in
+    one integer, and field ``i`` of key ``k`` is ``k // scale[i] %
+    digits[i]``.  The radix leaves a gap after a line's last unit, so
+    keys one apart are neighbouring units of one run.  ``weights[kind]``
+    keys the ``(x, y, layer)`` of a unit step's lower end: the scale of
+    the field each fills (read-only)."""
+    radix = top + 2
     scale, digits = np.array([
         [n_routes * radix**3, radix**3, radix**2, radix, 1],
         [VIA + 1, n_routes, radix, radix, radix],
     ])
-    units = np.sort(np.repeat(scale @ raw[:5] + length - last, length) + np.arange(last[-1]))
+    # Per kind, the field (a, b, lo: 0, 1, 2) of a lower end's x, y, layer.
+    weights = scale[2:][[[2, 1, 0], [1, 2, 0], [0, 1, 2]]]
+    for table in (scale, digits, weights):
+        table.flags.writeable = False
+    return scale, digits, weights
+
+
+def _fuse_units(units: np.ndarray, scale: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The segment table of the sorted unit-edge keys ``units`` (see
+    :func:`_unit_radix`; a key may repeat), fused into maximal runs."""
     # Runs start where the next key is more than one up (duplicates are
     # 0 apart): at[i] is where run i starts, and at[i + 1] - 1 its end.
     edge = np.empty(units.size + 1, dtype=bool)
@@ -343,24 +365,75 @@ def routes_from_paths(
     sequence of ``(x, y, layer)`` nodes one unit step apart): exactly
     the unit edges the paths step along, each once, in maximal runs and
     in :func:`normalize_table` order — with the demand index on
-    ``graph`` filled."""
-    rows = []
-    for j, group in enumerate(paths):
+    ``graph`` filled.
+
+    Every step is one unit edge, so no row needs expanding: a step's key
+    is its lower end's coordinates in the kind's field order, and its
+    demand position is :func:`step_positions` at that end, which is
+    where a step off the grid or against a layer's direction shows."""
+    tails: List[GridNode] = []
+    heads: List[GridNode] = []
+    ends = []
+    for group in paths:
         for path in group:
-            for (x, y, layer), (x2, y2, layer2) in zip(path, path[1:]):
-                if abs(x2 - x) + abs(y2 - y) + abs(layer2 - layer) != 1:
-                    raise ValueError(f"no unit step: {(x, y, layer)} -> {(x2, y2, layer2)}")
-                if layer != layer2:
-                    rows.append((VIA, j, x, y, min(layer, layer2), max(layer, layer2)))
-                elif y == y2:
-                    rows.append((H_WIRE, j, layer, y, min(x, x2), max(x, x2)))
-                else:
-                    rows.append((V_WIRE, j, layer, x, min(y, y2), max(y, y2)))
-    raw = np.array(rows, dtype=np.intp).reshape(-1, 6).T
-    table = normalize_table(raw, len(paths))
-    routes = routes_from_table(table, len(paths))
-    _index_routes(graph, table, routes)
+            tails += path[:-1]
+            heads += path[1:]
+        ends.append(len(tails))
+    n_routes, count = len(paths), len(tails)
+    if not count:
+        routes = [Route() for _ in paths]
+        _assign_index(graph, routes, np.empty(0, dtype=np.intp), None)
+        return routes
+    step = np.fromiter(chain.from_iterable(tails + heads), np.intp, 6 * count)
+    step = step.reshape(2, count, 3)
+    lower = np.minimum(step[0], step[1])
+    # A unit step moves one coordinate by one: its axis is the kind.
+    delta = step[1] - step[0]
+    delta *= delta
+    kind, moved = (delta @ _KIND_AND_MOVED).T
+    # A negative coordinate wraps to a huge unsigned one.
+    ok = (lower.view(np.uintp) < (graph.nx, graph.ny, graph.n_layers)).all(axis=1)
+    ok &= moved == 1
+    if ok.all():
+        x, y, layer = lower.T
+        positions = step_positions(graph)[kind, layer, x, y]
+        ok = positions >= 0
+    if not ok.all():
+        first = int(ok.argmin())
+        _reject_step(graph, tails[first], heads[first])
+    scale, digits, weights = _unit_radix(max(graph.nx, graph.ny, graph.n_layers), n_routes)
+    keys = np.einsum("ij,ij->i", lower, weights[kind])
+    keys += kind * scale[0]
+    route = None
+    if n_routes > 1:
+        route = np.arange(n_routes).repeat(np.diff(ends, prepend=0))
+        keys += route * scale[1]
+    order = keys.argsort()
+    units = keys[order]
+    keep = np.empty(count, dtype=bool)
+    keep[0] = True
+    np.not_equal(units[1:], units[:-1], out=keep[1:])
+    routes = routes_from_table(_fuse_units(units, scale, digits), n_routes)
+    order = order[keep]
+    _assign_index(graph, routes, positions[order], None if route is None else route[order])
     return routes
+
+
+#: Per step: ``(kind, coordinates moved)`` from its squared coordinate
+#: change — a unit step moves one, along the axis of its kind.
+_KIND_AND_MOVED = np.array([[H_WIRE, 1], [V_WIRE, 1], [VIA, 1]])
+
+
+def _reject_step(graph: GridGraph, tail: GridNode, head: GridNode) -> None:
+    """Raise the :class:`ValueError` of path step ``tail -> head``."""
+    (x, y, layer), (x2, y2, layer2) = tail, head
+    if abs(x2 - x) + abs(y2 - y) + abs(layer2 - layer) != 1:
+        raise ValueError(f"no unit step: {tail} -> {head}")
+    if layer != layer2:
+        graph.check_via(x, y, min(layer, layer2), max(layer, layer2))
+    else:
+        graph.check_wire(layer, x, y, x2, y2)
+    raise ValueError(f"malformed path step: {tail} -> {head}")
 
 
 def commit_table(
@@ -424,10 +497,18 @@ def _index_routes(graph: GridGraph, table: np.ndarray, routes: Sequence[Route]) 
     """Fill the demand index of the routes of ``table`` (``routes[j]``
     is its route ``j``); return every row's positions, in table order."""
     owner, positions = demand_positions(graph, table)
+    _assign_index(graph, routes, positions, table[1][owner] if len(routes) > 1 else None)
+    return positions
+
+
+def _assign_index(
+    graph: GridGraph, routes: Sequence[Route], positions: np.ndarray, route_of
+) -> None:
+    """Give ``routes[j]`` the ``positions`` whose ``route_of`` is ``j``,
+    in their order (``route_of`` may be None for one route)."""
     if len(routes) == 1:
         by_route, ends = positions, [positions.size]
     else:
-        route_of = table[1][owner]
         by_route = positions[np.argsort(route_of, kind="stable")]
         ends = np.bincount(route_of, minlength=len(routes)).cumsum().tolist()
     via, start = graph.via_demand, 0
@@ -435,7 +516,6 @@ def _index_routes(graph: GridGraph, table: np.ndarray, routes: Sequence[Route]) 
         route._index, route._index_on = by_route[start:end], via
         route._index_segments = len(route.wires) + len(route.vias)
         start = end
-    return positions
 
 
 def _layout(graph: GridGraph):
@@ -475,3 +555,30 @@ def _grid_layout(nx: int, ny: int, edge_offset: Tuple[int, ...], horizontal: byt
     for table in (spec, head, planes):
         table.flags.writeable = False
     return spec, head, planes
+
+
+def step_positions(graph: GridGraph) -> np.ndarray:
+    """The ``(3, L, nx, ny)`` map from a node to the flat demand-buffer
+    position of the unit edge it steps along: ``[0]`` its ``+x`` step,
+    ``[1]`` its ``+y`` step, ``[2]`` its ``+layer`` step, each at the
+    node's ``[layer, x, y]``; -1 where the node has no such edge (a wire
+    layer of the other direction, the grid's far side, the top layer).
+    Built on first use per grid layout (read-only), so a run that
+    reroutes nothing never builds it."""
+    return _step_layout(graph.nx, graph.ny, graph.edge_offset, graph.horizontal.tobytes())
+
+
+@lru_cache(maxsize=8)
+def _step_layout(nx: int, ny: int, edge_offset: Tuple[int, ...], horizontal: bytes) -> np.ndarray:
+    is_h = np.frombuffer(horizontal, dtype=bool)
+    n_layers = is_h.size
+    x, y = np.arange(nx)[:, None], np.arange(ny)
+    steps = np.full((3, n_layers, nx, ny), -1, dtype=np.intp)
+    for layer, start in enumerate(edge_offset[:-1]):
+        if is_h[layer]:
+            steps[0, layer, :-1] = start + x[:-1] * ny + y
+        else:
+            steps[1, layer, :, :-1] = start + x * (ny - 1) + y[:-1]
+    steps[2, :-1] = edge_offset[-1] + np.arange((n_layers - 1) * nx * ny).reshape(-1, nx, ny)
+    steps.flags.writeable = False
+    return steps

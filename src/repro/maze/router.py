@@ -38,10 +38,11 @@ from repro.grid.route import Route, routes_from_paths
 from repro.netlist.net import Net
 
 GridNode = Tuple[int, int, int]
-#: Per-node moves of one search region: ``(index offset, flat cost
-#: list)`` pairs in the order ``+x, -x, +y, -y, +layer, -layer``;
-#: ``inf`` marks a forbidden move.
-Moves = List[Tuple[int, List[float]]]
+#: Per-node moves of one search region: ``(index offset, flat costs)``
+#: pairs in the order ``+x, -x, +y, -y, +layer, -layer``, the costs a
+#: ``memoryview`` of float64 in the search's node order; ``inf`` marks
+#: a forbidden move.
+Moves = List[Tuple[int, memoryview]]
 
 
 class SearchTables(NamedTuple):
@@ -108,10 +109,10 @@ class MazeRouter:
         # re-expanded after an improvement counts again).
         self._visited_nodes = 0
         # Bound-field plane of each layer: 0 = H, 1 = V.
-        stack = graph.stack
-        self._layer_plane = np.array(
-            [int(not stack.is_horizontal(layer)) for layer in range(stack.n_layers)]
-        )
+        self._layer_plane = (~graph.horizontal).astype(np.intp)
+        self._plane_of = self._layer_plane.tolist()
+        # 0, 1, 2, ...: window coordinates are slices of it.
+        self._ticks = np.arange(max(graph.nx, graph.ny, graph.n_layers))
 
     def route_net(self, net: Net) -> Route:
         """Route ``net`` from scratch against current demand.
@@ -151,8 +152,36 @@ class MazeRouter:
         self, region: Tuple[int, int, int, int], pins: Sequence[GridNode]
     ) -> SearchTables:
         """Build the per-net region tables the searches share: the move
-        tables and a bound field for each in-window pin of ``pins``."""
-        moves, width, height, steps = self._move_tables(region)
+        tables and a bound field for each in-window pin of ``pins``.
+
+        The window is priced once, into a ``(3, L + 1, W, H)`` buffer:
+        family ``k`` (``+x``, ``+y``, ``+layer``) holds a layer of
+        ``inf`` and then its forward step costs on the ``L`` layers.
+        The move tables are views of it: the
+        ``-offset`` move out of ``idx`` is the ``+offset`` move out of
+        ``idx - offset``, so its table is the forward row shifted back
+        by ``offset <= W * H``, and where that node lies in another row,
+        column or layer its ``+offset`` entry is the ``inf`` of the
+        window's far side, or of the padding for the first ``offset``
+        entries.  The hot search loop indexes ``memoryview`` rows —
+        scalar indexing into NumPy arrays is an order of magnitude
+        slower — and the search reads a few dozen entries of a window
+        of hundreds, so nothing is converted to lists.
+        """
+        x0, y0, x1, y1 = region
+        width = x1 - x0 + 1
+        height = y1 - y0 + 1
+        plane = width * height
+        size = self.graph.n_layers * plane
+        row = plane + size
+        table = np.empty((3, self.graph.n_layers + 1, width, height))
+        table[:, 0] = np.inf
+        steps = self.cost_model.window_steps(self.graph, region, out=table[:, 1:])
+        flat = memoryview(table.reshape(-1))
+        moves: Moves = []
+        for start, offset in zip((plane, row + plane, 2 * row + plane), (height, 1, plane)):
+            moves.append((offset, flat[start : start + size]))
+            moves.append((-offset, flat[start - offset : start - offset + size]))
         bounds, rows = self._bound_fields(region, steps, pins)
         return SearchTables(moves, width, height, bounds, rows)
 
@@ -172,47 +201,6 @@ class MazeRouter:
     def _region(self, net: Net) -> Tuple[int, int, int, int]:
         """Return the search window as ``(x0, y0, x1, y1)``."""
         return search_box(net, self.margin, self.graph).as_tuple()
-
-    def _move_tables(
-        self, region: Tuple[int, int, int, int]
-    ) -> Tuple[Moves, int, int, np.ndarray]:
-        """Precompute per-node move costs for a region as Python lists.
-
-        Returns ``(moves, width, height, steps)``: ``moves`` as in
-        :data:`Moves`, and ``steps`` the ``+x, +y, +layer`` costs as one
-        ``(3, L, W, H)`` array, which the bound fields read.  The hot
-        search loop runs on plain lists — scalar indexing into NumPy
-        arrays is an order of magnitude slower.  One ``tolist()`` makes
-        the three forward lists; each backward list is its forward list
-        shifted by one step, which is cheaper than converting it.
-        """
-        x0, y0, x1, y1 = region
-        width = x1 - x0 + 1
-        height = y1 - y0 + 1
-        graph = self.graph
-        wire, via = self.cost_model.window_costs(graph, region)
-
-        steps = np.full((3, graph.n_layers, width, height), np.inf)
-        pos_x, pos_y, pos_z = steps
-        for layer, horizontal in enumerate(graph.horizontal):
-            # Edge (x, y)-(x+1, y) costs wire[layer][x - x0, y - y0].
-            if horizontal:
-                pos_x[layer, :-1] = wire[layer]
-            else:
-                pos_y[layer, :, :-1] = wire[layer]
-        pos_z[:-1] = via
-
-        # The -offset move out of idx is the +offset move out of
-        # idx - offset.  Where that node lies in another row, column or
-        # layer its +offset entry is the inf of the window's far side,
-        # and the first ``offset`` entries have no such node: inf too.
-        plane = width * height
-        inf = float("inf")
-        moves: Moves = []
-        for offset, costs in zip((height, 1, plane), steps.reshape(3, -1).tolist()):
-            moves.append((offset, costs))
-            moves.append((-offset, [inf] * offset + costs[:-offset]))
-        return moves, width, height, steps
 
     def _bound_fields(
         self,
@@ -253,39 +241,48 @@ class MazeRouter:
         # horizontal ones in the y steps and the top layer in the via
         # steps, so a min over all layers keeps the cheapest step of
         # each kind.
-        cheapest = steps.min(axis=1)
+        least = np.minimum.reduce
+        cheapest = least(steps, axis=1)
         step_x = cheapest[0, :-1]
         step_y = cheapest[1, :, :-1]
         step_z = cheapest[2]
+        min_x, min_y, via_min = least(cheapest, axis=(1, 2)).tolist()
         # A 1x1 window has no wire step; a stack always has a via step.
-        wire_min = float(cheapest[:2].min())
+        wire_min = min(min_x, min_y)
         if wire_min == np.inf:
             wire_min = 0.0
-        via_min = float(step_z.min())
-        # Run prefixes and switch costs, materialised at the stacked
-        # shape: same-shape in-place ops skip the broadcasting machinery.
+        # Every plane the fixpoint touches is one of nine of a single
+        # block, all at the stacked shape: same-shape in-place ops skip
+        # the broadcasting machinery.  Run prefixes and switch costs
+        # first (pin 0's row, copied to the others), then the scratch.
         shape = (n_pins, width, height)
-        prefix_x = np.zeros(shape)
+        block = np.empty((9,) + shape)
+        prefix, prefix2 = block[0:2], block[2:4]
+        prefix_x, prefix_y = prefix
+        prefix_x[0, 0] = 0.0
         np.cumsum(step_x, axis=0, out=prefix_x[0, 1:])
-        prefix_y = np.zeros(shape)
+        prefix_y[0, :, 0] = 0.0
         np.cumsum(step_y, axis=1, out=prefix_y[0, :, 1:])
-        switch_cost = np.empty(shape)
+        prefix[:, 1:] = prefix[:, :1]
+        np.add(prefix, prefix, out=prefix2)
+        prefix_x2, prefix_y2 = prefix2
+        switch_cost, switch, limit = block[4:7]
         switch_cost[:] = step_z
-        prefix_x[1:] = prefix_x[0]
-        prefix_y[1:] = prefix_y[0]
-        prefix_x2 = prefix_x + prefix_x
-        prefix_y2 = prefix_y + prefix_y
-
-        tx, ty, tl = np.array(in_window).T
-        layer_plane = self._layer_plane
-        field = np.full((2,) + shape, np.inf)
-        field[layer_plane[tl], np.arange(n_pins), tx - x0, ty - y0] = 0.0
+        # Each pin's field is 0 at the pin, on its layer's plane.
+        field = block[7:9]
+        field.fill(np.inf)
+        plane = self._plane_of
+        field.put(
+            [
+                ((plane[layer] * n_pins + i) * width + x - x0) * height + y - y0
+                for i, (x, y, layer) in enumerate(in_window)
+            ],
+            0.0,
+        )
         field_h, field_v = field
         # A backward run is the forward sweep on a reversed view.
         field_h_rev = field_h[:, ::-1]
         field_v_rev = field_v[:, :, ::-1]
-        switch = np.empty(shape)
-        limit = np.empty(shape)
         lowered = np.empty(shape, dtype=bool)
         cummin = np.minimum.accumulate
         rounds = 0
@@ -312,19 +309,24 @@ class MazeRouter:
             if not lowered.any():
                 break
 
-        dx = np.abs(np.arange(x0, x1 + 1) - tx[:, None])
-        dy = np.abs(np.arange(y0, y1 + 1) - ty[:, None])
-        dl = np.abs(np.arange(n_layers) - tl[:, None])
+        # |dx|, |dy| and |dl| of every pin, side by side.
+        ticks = self._ticks
+        span = np.abs(
+            np.concatenate((ticks[x0 : x1 + 1], ticks[y0 : y1 + 1], ticks[:n_layers]))
+            - np.array(in_window).repeat((width, height, n_layers), axis=1)
+        )
+        dx, dy, dl = span[:, :width], span[:, width:-n_layers], span[:, -n_layers:]
         wire = wire_min * (dx[:, :, None] + dy[:, None, :])
         manhattan = wire[:, None] + (via_min * dl)[:, :, None, None]
-        bounds = field.transpose(1, 0, 2, 3)[:, layer_plane]
+        bounds = field.transpose(1, 0, 2, 3)[:, self._layer_plane]
         np.maximum(bounds, manhattan, out=bounds)
         # Stopping early over-estimates an entry by at most 2·W·H·tol
         # of itself; each of the <= 10 float ops per round an entry's
         # value passes through errs by < eps·(max field + 2·max prefix).
         bounds *= 1.0 - 2 * width * height * _FIELD_TOL
+        most = np.maximum.reduce
         bounds -= 16 * rounds * _EPS * (
-            field.max() + prefix_x2[0, -1].max() + prefix_y2[0, :, -1].max()
+            most(field, axis=None) + most(prefix_x2[0, -1]) + most(prefix_y2[0, :, -1])
         )
         return bounds.reshape(n_pins, -1), rows
 
@@ -380,7 +382,10 @@ class MazeRouter:
         seeds = [encode(s) for s in starts]
         target_idx = {encode(t) for t in in_region}
         # h[idx]: a lower bound on the remainder to the nearest target.
-        h: List[float] = bounds[[rows[t] for t in in_region]].min(axis=0).tolist()
+        if len(in_region) == 1:
+            h = memoryview(bounds[rows[in_region[0]]])
+        else:
+            h = memoryview(bounds[[rows[t] for t in in_region]].min(axis=0))
 
         dist = self._acquire_scratch(size)
         touched: List[int] = list(seeds)

@@ -306,23 +306,20 @@ class WavefrontMazeRouter(MazeRouter):
         Row/column 0 of each plane is the zero pad (exclusive prefix),
         exactly like :class:`~repro.grid.cost.CostQuery`; layers of the
         wrong direction keep all-zero planes and are masked out when
-        the sweep result is applied.
+        the sweep result is applied.  The planes are the window's
+        :meth:`~repro.grid.cost.CostModel.window_steps` shifted one
+        G-cell (one layer for vias) down their axis, with ``0`` where a
+        step has no edge.
         """
-        x0, y0, x1, y1 = region
-        width = x1 - x0 + 1
-        height = y1 - y0 + 1
         graph = self.graph
-        wire, via = self.cost_model.window_costs(graph, region)
-
-        h_edge, v_edge, z_edge = np.zeros((3, graph.n_layers, width, height))
-        h_layers = graph.horizontal
-        for layer, horizontal in enumerate(h_layers):
-            if horizontal:
-                h_edge[layer, 1:, :] = wire[layer]
-            else:
-                v_edge[layer, :, 1:] = wire[layer]
-        z_edge[1:] = via
-        return h_edge, v_edge, z_edge, h_layers
+        steps = self.cost_model.window_steps(graph, region)
+        edges = np.zeros_like(steps)
+        edges[0, :, 1:] = steps[0, :, :-1]
+        edges[1, :, :, 1:] = steps[1, :, :, :-1]
+        edges[2, 1:] = steps[2, :-1]
+        edges[edges == np.inf] = 0.0
+        h_edge, v_edge, z_edge = edges
+        return h_edge, v_edge, z_edge, graph.horizontal
 
     def _build_tables(
         self, region: Tuple[int, int, int, int], pins: Sequence[GridNode] = ()

@@ -213,6 +213,21 @@ WINDOWS = [
 ]
 
 
+def whole_grid_steps(graph, model, region):
+    """The ``(3, L, W, H)`` step costs of a window cut out of whole-grid
+    edge costs, ``inf`` where the window has no edge."""
+    x0, y0, x1, y1 = region
+    want = np.full((3, graph.n_layers, x1 - x0 + 1, y1 - y0 + 1), np.inf)
+    for layer in range(graph.n_layers):
+        cost = model.wire_edge_costs(graph, layer)
+        if graph.stack.is_horizontal(layer):
+            want[0, layer, :-1] = cost[x0:x1, y0 : y1 + 1]
+        else:
+            want[1, layer, :, :-1] = cost[x0 : x1 + 1, y0:y1]
+    want[2, :-1] = model.via_edge_costs(graph)[:, x0 : x1 + 1, y0 : y1 + 1]
+    return want
+
+
 @pytest.mark.parametrize("n_layers", [2, 5])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestWindowCosts:
@@ -222,43 +237,58 @@ class TestWindowCosts:
     def test_bit_equal_to_whole_grid_slices(self, n_layers, seed):
         graph = overflowed_graph(n_layers, seed)
         model = CostModel()
-        for x0, y0, x1, y1 in WINDOWS:
-            wire, via = model.window_costs(graph, (x0, y0, x1, y1))
-            for layer, cost in enumerate(wire):
-                full = model.wire_edge_costs(graph, layer)
+        full = CostQuery(graph, model)
+        for region in WINDOWS:
+            x0, y0, x1, y1 = region
+            steps = model.window_steps(graph, region)
+            want = whole_grid_steps(graph, model, region)
+            # inf exactly where the window has no edge; every other
+            # entry the bits of the whole-grid edge.
+            assert steps.shape == want.shape
+            assert np.array_equal(np.isinf(steps), np.isinf(want)), region
+            assert np.array_equal(steps, want), region
+            # The snapshot's tables hold the same bits.
+            for layer in range(n_layers):
+                cost = full.wire_cost[layer]
                 if graph.stack.is_horizontal(layer):
-                    expected = full[x0:x1, y0 : y1 + 1]
+                    assert np.array_equal(steps[0, layer, :-1], cost[x0:x1, y0 : y1 + 1])
                 else:
-                    expected = full[x0 : x1 + 1, y0:y1]
-                assert cost.shape == expected.shape
-                assert np.array_equal(cost, expected), (layer, x0, y0, x1, y1)
-            expected = model.via_edge_costs(graph)[:, x0 : x1 + 1, y0 : y1 + 1]
-            assert via.shape == expected.shape == (n_layers - 1, x1 - x0 + 1, y1 - y0 + 1)
-            assert np.array_equal(via, expected)
+                    assert np.array_equal(steps[1, layer, :, :-1], cost[x0 : x1 + 1, y0:y1])
+            assert np.array_equal(steps[2, :-1], full.via_cost[:, x0 : x1 + 1, y0 : y1 + 1])
+            # Into a caller's buffer (a strided view): the same bits.
+            buffer = np.full((3, n_layers + 1, x1 - x0 + 1, y1 - y0 + 1), -1.0)
+            out = model.window_steps(graph, region, out=buffer[:, 1:])
+            assert np.shares_memory(out, buffer)
+            assert np.array_equal(buffer[:, 1:], want)
+            assert (buffer[:, 0] == -1.0).all()
 
     def test_engine_tables_read_the_window_costs(self, n_layers, seed):
-        """Dijkstra's move steps and the wavefront's edge planes hold the
+        """Dijkstra's move tables and the wavefront's edge planes hold the
         whole-grid costs of the window's edges, and nothing else."""
         from repro.maze.router import MazeRouter
         from repro.maze.wavefront import WavefrontMazeRouter
 
         graph = overflowed_graph(n_layers, seed)
         model = CostModel()
-        full = CostQuery(graph, model)
         for region in WINDOWS:
             x0, y0, x1, y1 = region
             width, height = x1 - x0 + 1, y1 - y0 + 1
-            steps = MazeRouter(graph, model)._move_tables(region)[3]
+            want = whole_grid_steps(graph, model, region)
+            want_x, want_y, want_z = want
+            tables = MazeRouter(graph, model)._build_tables(region, [])
+            assert (tables.width, tables.height) == (width, height)
+            # Forward moves read the steps; the backward move into a node
+            # is the forward step out of its neighbour, inf where there is
+            # none.
+            for (offset, costs), (back, back_costs), forward in zip(
+                tables.moves[::2], tables.moves[1::2], want.reshape(3, -1)
+            ):
+                assert back == -offset
+                assert np.array_equal(np.asarray(costs), forward)
+                assert np.array_equal(
+                    np.asarray(back_costs), np.concatenate(([np.inf] * offset, forward[:-offset]))
+                )
             h_edge, v_edge, z_edge, h_layers = WavefrontMazeRouter(graph, model)._region_edges(region)
-            want_x, want_y, want_z = np.full((3, n_layers, width, height), np.inf)
-            for layer in range(n_layers):
-                cost = full.wire_cost[layer]
-                if h_layers[layer]:
-                    want_x[layer, :-1] = cost[x0:x1, y0 : y1 + 1]
-                else:
-                    want_y[layer, :, :-1] = cost[x0 : x1 + 1, y0:y1]
-            want_z[:-1] = full.via_cost[:, x0 : x1 + 1, y0 : y1 + 1]
-            assert np.array_equal(steps, np.stack((want_x, want_y, want_z)))
             # The wavefront pads at index 0 where Dijkstra pads at -1.
             finite = np.isfinite
             assert np.array_equal(h_edge[:, 1:], np.where(finite(want_x), want_x, 0)[:, :-1])

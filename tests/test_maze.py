@@ -13,6 +13,7 @@ from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.maze.router import MazeRouter, MazeRoutingError
 from repro.netlist.net import Net, Pin
+from tests.maze_oracle import list_move_tables
 
 
 def fresh_grid(nx=14, ny=14, n_layers=5, capacity=4.0):
@@ -60,13 +61,13 @@ def reference_dijkstra(graph, query, sources, targets):
 def heap_dijkstra_oracle(router, sources, targets, region):
     """The search ``MazeRouter._dijkstra`` must reproduce bit for bit.
 
-    Plain multi-source Dijkstra over the router's region move tables:
+    Plain multi-source Dijkstra over the region's list move tables:
     heap ordered by ``(dist, idx)``, done flags, parent recorded by the
     first strict improvement, stop at the first target popped.  Returns
     ``(path, reached, n_settled)``.
     """
     x0, y0, x1, y1 = region
-    moves, width, height = router._move_tables(region)[:3]
+    moves, width, height = list_move_tables(router.graph, router.cost_model, region)[:3]
     size = router.graph.n_layers * width * height
 
     def encode(node):

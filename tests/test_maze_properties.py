@@ -14,6 +14,7 @@ from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.maze.router import MazeRouter, MazeRoutingError
 from repro.netlist.net import Net, Pin
+from tests.maze_oracle import ListMazeRouter, list_move_tables
 from tests.test_maze import heap_dijkstra_oracle
 
 GRID = 12
@@ -160,10 +161,10 @@ def test_search_matches_heap_dijkstra_oracle(case):
 
 def remaining_distances(router, target, region):
     """Exact distance from every region node to ``target``: a reverse
-    heap Dijkstra over the region's move tables (node ``p`` reaches
+    heap Dijkstra over the region's list move tables (node ``p`` reaches
     ``n = p + offset`` at ``costs[p]``), in search order."""
     x0, y0 = region[:2]
-    moves, width, height = router._move_tables(region)[:3]
+    moves, width, height = list_move_tables(router.graph, router.cost_model, region)[:3]
     size = router.graph.n_layers * width * height
     x, y, layer = target
     start = (layer * width + (x - x0)) * height + (y - y0)
@@ -309,3 +310,86 @@ def test_wavefront_matches_dijkstra_two_pin(src, dst, demand_seed):
     assert cost(r2, query) == pytest.approx(
         cost(r1, query), rel=1e-12, abs=1e-9
     )
+
+
+class RecordingMazeRouter(MazeRouter):
+    """``MazeRouter`` that appends each splice search's ``(path,
+    reached)`` to ``searches``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.searches = []
+
+    def _dijkstra(self, *args, **kwargs):
+        found = super()._dijkstra(*args, **kwargs)
+        self.searches.append(found)
+        return found
+
+
+@st.composite
+def oracle_cases(draw):
+    """A small grid with random (or uniform, all-ties) demand, a margin
+    and a net: pins anywhere, in one column or one row with no margin
+    (1-wide / 1-tall windows), on the corners of their own box with no
+    margin (pins on window corners), or on the grid's border (windows
+    the grid clips)."""
+    n_layers = draw(st.sampled_from([2, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nx, ny = (int(v) for v in rng.integers(2, 11, 2))
+    uniform = draw(st.booleans())
+    shape = draw(st.sampled_from(["free", "wide1", "tall1", "corners", "border"]))
+    margin = 0 if shape in ("wide1", "tall1", "corners") else draw(st.sampled_from([0, 1, 2, 6]))
+    n_pins = draw(st.integers(2, 5))
+
+    def layer():
+        return int(rng.integers(0, n_layers))
+
+    if shape == "corners":
+        x0, x1 = sorted(int(v) for v in rng.integers(0, nx, 2))
+        y0, y1 = sorted(int(v) for v in rng.integers(0, ny, 2))
+        corners = [(x0, y0), (x1, y1), (x0, y1), (x1, y0)]
+        pins = [(*corners[i % 4], layer()) for i in range(n_pins)]
+    elif shape == "border":
+        pins = []
+        for _ in range(n_pins):
+            x, y = int(rng.integers(0, nx)), int(rng.integers(0, ny))
+            if rng.integers(2):
+                x = (0, nx - 1)[rng.integers(2)]
+            else:
+                y = (0, ny - 1)[rng.integers(2)]
+            pins.append((x, y, layer()))
+    else:
+        column, row = int(rng.integers(0, nx)), int(rng.integers(0, ny))
+        pins = [
+            (
+                column if shape == "wide1" else int(rng.integers(0, nx)),
+                row if shape == "tall1" else int(rng.integers(0, ny)),
+                layer(),
+            )
+            for _ in range(n_pins)
+        ]
+    graph = GridGraph(nx, ny, LayerStack(n_layers), wire_capacity=3.0, via_capacity=2.0)
+    if not uniform:
+        for demand in graph.wire_demand:
+            demand[...] = rng.integers(0, 7, demand.shape)
+        graph.via_demand[...] = rng.integers(0, 5, graph.via_demand.shape)
+    return graph, margin, Net("oracle", [Pin(*p) for p in pins])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=oracle_cases())
+def test_route_net_matches_list_table_oracle(case):
+    """The production reroute — stacked window price, ``memoryview``
+    search tables, array route build — finds the list-table oracle's
+    paths with the same node expansions, and builds the same route with
+    the same demand index."""
+    graph, margin, net = case
+    router = RecordingMazeRouter(graph, margin=margin)
+    oracle = ListMazeRouter(graph, margin=margin)
+    route = router.route_net(net)
+    expected = oracle.route_net(net)
+    assert router.searches == oracle.searches
+    assert router.consume_visited() == oracle.consume_visited()
+    assert (route.wires, route.vias) == (expected.wires, expected.vias)
+    assert np.array_equal(route._demand_index(graph), expected._demand_index(graph))
+    assert route.connects([p.as_node() for p in net.pins])
