@@ -50,9 +50,13 @@ writes cost bytes books them as one upload into the tracker
 (``gpu.cost_upload_bytes``, ``gpu.cost_uploads``), which the zero-copy
 transfer figures are priced from (:func:`repro.metrics.transfer_stats`).
 
-The maze engines take no snapshot: each search prices its own window
-from current demand with :meth:`CostModel.window_costs`, bit-equal to
-the matching slices of a full rebuild.
+The maze engines take no snapshot: each net prices its own window from
+current demand with :meth:`CostModel.window_steps` — the ``+x``, ``+y``
+and ``+layer`` step out of every window node as one ``(3, L, W, H)``
+array, gathered through the grid's cached step-position map
+(:func:`~repro.grid.route.step_positions`) and priced in one
+``congestion`` call — bit-equal to the matching slices of a full
+rebuild.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ overflow, which the contest metric (and the paper's Eq. 15) counts as
 Demand is written in place and nothing records where it changed: the
 readers price it when they need it — a
 :class:`~repro.grid.cost.CostQuery` on ``rebuild``, a maze search over
-its own window when it starts (:meth:`~repro.grid.cost.CostModel.window_costs`).
+its own window when it starts (:meth:`~repro.grid.cost.CostModel.window_steps`).
 """
 
 from __future__ import annotations

@@ -20,13 +20,19 @@ from layer ``lo`` to layer ``hi``.  Every row is axis-aligned by layout.
 
 :func:`normalize_table` is the one step from raw rows (overlapping,
 repeated, in any order) to normal form — each unit edge once, in
-maximal runs, sorted — for the pattern backtrace, the maze paths
-(:func:`routes_from_paths`) and
-:func:`~repro.pattern.commit.normalize_route` alike.
+maximal runs, sorted — for the pattern backtrace and
+:func:`~repro.pattern.commit.normalize_route`; the maze paths
+(:func:`routes_from_paths`), whose every step is already one unit
+edge, key their steps the same way and share its run-fusing tail.
 :func:`demand_positions` is the one map from rows to flat demand-buffer
-positions (:func:`edges_at` inverts it): :func:`commit_table` and
-:func:`routes_from_paths` fill every route's index with it as they
-build, and :meth:`Route._demand_index` for a route built by hand.
+positions (:func:`edges_at` inverts it): :func:`commit_table` fills
+every route's index with it as it builds, and
+:meth:`Route._demand_index` for a route built by hand.
+:func:`step_positions` is the same map per node and step direction,
+built once per grid layout: :func:`routes_from_paths` reads a path
+step's position off it, and
+:meth:`~repro.grid.cost.CostModel.window_steps` gathers a maze window's
+demand and capacity through it.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, NoReturn, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -358,6 +364,11 @@ def routes_from_table(table: np.ndarray, n_routes: int) -> List[Route]:
     ]
 
 
+#: Per step: ``(kind, coordinates moved)`` from its squared coordinate
+#: change — a unit step moves one, along the axis of its kind.
+_KIND_AND_MOVED = np.array([[H_WIRE, 1], [V_WIRE, 1], [VIA, 1]])
+
+
 def routes_from_paths(
     graph: GridGraph, paths: Sequence[Sequence[Sequence[GridNode]]]
 ) -> List[Route]:
@@ -419,12 +430,7 @@ def routes_from_paths(
     return routes
 
 
-#: Per step: ``(kind, coordinates moved)`` from its squared coordinate
-#: change — a unit step moves one, along the axis of its kind.
-_KIND_AND_MOVED = np.array([[H_WIRE, 1], [V_WIRE, 1], [VIA, 1]])
-
-
-def _reject_step(graph: GridGraph, tail: GridNode, head: GridNode) -> None:
+def _reject_step(graph: GridGraph, tail: GridNode, head: GridNode) -> NoReturn:
     """Raise the :class:`ValueError` of path step ``tail -> head``."""
     (x, y, layer), (x2, y2, layer2) = tail, head
     if abs(x2 - x) + abs(y2 - y) + abs(layer2 - layer) != 1:

@@ -16,6 +16,14 @@ congestion field per pin, built once per net — and returns exactly the
 path plain Dijkstra would (DESIGN.md §5, "Goal-directed scalar maze
 search").
 
+A search expands a few dozen nodes of a window of hundreds, so what a
+reroute pays around the heap loop is kept to calls whose number does
+not grow with the window: the window is priced in one stacked call
+(:meth:`~repro.grid.cost.CostModel.window_steps`), the search reads its
+move tables and bound row as ``memoryview`` rows of float64 arrays (no
+conversion to lists), and the route is keyed and indexed from the
+paths' unit steps as arrays.
+
 This module also defines the engine seams the wavefront engine
 (:mod:`repro.maze.wavefront`) plugs into: :meth:`MazeRouter.route_net`
 drives the multi-pin loop through ``_build_tables`` (per-net region
@@ -109,8 +117,7 @@ class MazeRouter:
         # re-expanded after an improvement counts again).
         self._visited_nodes = 0
         # Bound-field plane of each layer: 0 = H, 1 = V.
-        self._layer_plane = (~graph.horizontal).astype(np.intp)
-        self._plane_of = self._layer_plane.tolist()
+        self._layer_plane = [int(not horizontal) for horizontal in graph.horizontal]
         # 0, 1, 2, ...: window coordinates are slices of it.
         self._ticks = np.arange(max(graph.nx, graph.ny, graph.n_layers))
 
@@ -271,10 +278,10 @@ class MazeRouter:
         # Each pin's field is 0 at the pin, on its layer's plane.
         field = block[7:9]
         field.fill(np.inf)
-        plane = self._plane_of
+        plane_of = self._layer_plane
         field.put(
             [
-                ((plane[layer] * n_pins + i) * width + x - x0) * height + y - y0
+                ((plane_of[layer] * n_pins + i) * width + x - x0) * height + y - y0
                 for i, (x, y, layer) in enumerate(in_window)
             ],
             0.0,

@@ -314,7 +314,9 @@ def test_one_reroute_fixed_call_budget():
     oracle properties pin), so the count does not depend on how NumPy
     implements them: 724 with the window priced layer by layer, the
     search tables converted to lists and one Python row per path step
-    in the route build.  It may fall; it must not rise.
+    in the route build; 391 with the window priced in one stacked call,
+    ``memoryview`` search tables and the path steps keyed as arrays.  It
+    may fall; it must not rise.
     """
     import ast
     import inspect
@@ -361,4 +363,4 @@ def test_one_reroute_fixed_call_budget():
     finally:
         sys.setprofile(None)
     assert route.connects([p.as_node() for p in net.pins])
-    assert calls <= 724, calls
+    assert calls <= 391, calls

@@ -380,12 +380,22 @@ def oracle_cases(draw):
 @given(case=oracle_cases())
 def test_route_net_matches_list_table_oracle(case):
     """The production reroute — stacked window price, ``memoryview``
-    search tables, array route build — finds the list-table oracle's
-    paths with the same node expansions, and builds the same route with
-    the same demand index."""
+    search tables, array route build — reads the list-table oracle's
+    move costs and bound field bit for bit, finds its paths with the
+    same node expansions, and builds the same route with the same
+    demand index."""
     graph, margin, net = case
     router = RecordingMazeRouter(graph, margin=margin)
     oracle = ListMazeRouter(graph, margin=margin)
+    region = router._region(net)
+    pins = sorted({pin.as_node() for pin in net.pins})[1:]
+    tables = router._build_tables(region, pins)
+    expected_tables = oracle._build_tables(region, pins)
+    assert tables.rows == expected_tables.rows
+    assert np.array_equal(tables.bounds, expected_tables.bounds)
+    for (offset, costs), (want_offset, want) in zip(tables.moves, expected_tables.moves):
+        assert offset == want_offset
+        assert np.array_equal(np.asarray(costs), want)
     route = router.route_net(net)
     expected = oracle.route_net(net)
     assert router.searches == oracle.searches

@@ -9,6 +9,7 @@ from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
 from repro.grid.route import (
     H_WIRE, V_WIRE, VIA, Route, ViaSegment, WireSegment, commit_routes, edges_at,
+    routes_from_paths,
 )
 
 
@@ -252,3 +253,25 @@ class TestCommitRoutes:
         commit_routes(grid, [route])
         assert grid.wire_demand[1][0:6, 1].tolist() == [2.0] * 6
         assert grid.via_demand[0:3, 2, 2].tolist() == [1.0] * 3
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        pytest.param([(1, 1, 1), (3, 1, 1)], "no unit step", id="two-cells"),
+        pytest.param([(1, 1, 1), (2, 2, 1)], "no unit step", id="diagonal"),
+        pytest.param([(1, 1, 1), (1, 1, 1)], "no unit step", id="standing"),
+        pytest.param([(-1, 1, 1), (0, 1, 1)], "off grid", id="below-grid"),
+        pytest.param([(9, 1, 1), (10, 1, 1)], "off grid", id="past-grid"),
+        pytest.param([(1, 1, 1), (1, 2, 1)], "preferred direction", id="against-layer"),
+        pytest.param([(1, 1, 4), (1, 1, 5)], "via layers out of range", id="above-stack"),
+    ],
+)
+def test_routes_from_paths_rejects_bad_steps(path, message):
+    """A path step that is not one unit edge of the grid raises, after
+    a good path in the same call."""
+    grid = GridGraph(10, 10, LayerStack(5))
+    assert grid.stack.is_horizontal(1) and not grid.stack.is_horizontal(0)
+    good = [(2, 2, 1), (3, 2, 1), (3, 2, 0)]
+    with pytest.raises(ValueError, match=message):
+        routes_from_paths(grid, [[good], [good, path]])
