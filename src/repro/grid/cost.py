@@ -51,18 +51,19 @@ writes cost bytes books them as one upload into the tracker
 transfer figures are priced from (:func:`repro.metrics.transfer_stats`).
 
 The maze engines take no snapshot: each net prices its own window from
-current demand with :meth:`CostModel.window_steps` — the ``+x``, ``+y``
-and ``+layer`` step out of every window node as one ``(3, L, W, H)``
-array, gathered through the grid's cached step-position map
-(:func:`~repro.grid.route.step_positions`) and priced in one
+current demand with :meth:`CostModel.window_planes` — the ``2 L - 1``
+step planes that hold edges (each layer's wire step along its own
+direction, each via step), gathered through the grid's cached step
+layout (:func:`~repro.grid.route.step_layout`) and priced in one
 ``congestion`` call — bit-equal to the matching slices of a full
-rebuild.
+rebuild.  :meth:`CostModel.window_steps` lays them out as the ``+x``,
+``+y`` and ``+layer`` step out of every window node, ``inf`` where a
+step has no edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from time import perf_counter
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -71,7 +72,7 @@ import numpy as np
 from repro import metrics
 from repro.backend import ArrayBackend, get_backend
 from repro.grid.graph import GridGraph
-from repro.grid.route import step_positions
+from repro.grid.route import step_layout
 from repro.utils.arrays import unique_sorted
 from repro.utils.timing import Tracker
 
@@ -122,6 +123,36 @@ class CostModel:
         """Return the ``(L-1, nx, ny)`` cost array of every via edge."""
         return self.unit_via_cost + self.congestion(graph.via_demand, graph.via_capacity)
 
+    def window_planes(self, graph: GridGraph, region: Tuple[int, int, int, int]) -> np.ndarray:
+        """Price the edges of a G-cell window from current demand, one
+        plane per family of steps that has edges.
+
+        Returns the ``(2 L - 1, W, H)`` costs of the window ``(x0, y0,
+        x1, y1)`` (corners inclusive) in the planes of
+        :class:`~repro.grid.route.StepLayout`: entry ``[p, i, j]`` prices
+        plane ``p``'s step out of G-cell ``(x0+i, y0+j)``.  Where that
+        step leaves the window (the window's far side along the plane's
+        step) the entry is finite and meaningless.  One slice of the
+        layout, one gather each of demand and capacity, one
+        :meth:`congestion` and the wire and via unit-cost adds; the
+        congestion terms are elementwise, so every entry of an edge is
+        bit-equal to the same edge of :meth:`wire_edge_costs` /
+        :meth:`via_edge_costs`.
+        """
+        return self._price_planes(graph, step_layout(graph).where, region)
+
+    def _price_planes(
+        self, graph: GridGraph, where: np.ndarray, region: Tuple[int, int, int, int]
+    ) -> np.ndarray:
+        """:meth:`window_planes` from the layout's ``where``."""
+        x0, y0, x1, y1 = region
+        where = where[:, x0 : x1 + 1, y0 : y1 + 1]
+        cost = self.congestion(graph.demand_flat.take(where), graph.capacity_flat.take(where))
+        n_layers = graph.n_layers
+        cost[:n_layers] += self.unit_wire_cost
+        cost[n_layers:] += self.unit_via_cost
+        return cost
+
     def window_steps(
         self,
         graph: GridGraph,
@@ -137,37 +168,17 @@ class CostModel:
         y0+j)``), ``[1]`` its ``+y`` step and ``[2]`` its ``+layer``
         step; ``inf`` where the step has no edge in the window (a layer
         of the other direction, the window's far side, the top layer).
-        One slice of :func:`~repro.grid.route.step_positions`, one
-        gather each of demand and capacity, one :meth:`congestion` and
-        one unit-cost add, which also writes the missing edges' ``inf``.
-        The congestion terms are elementwise, so every finite entry is
-        bit-equal to the same edge of :meth:`wire_edge_costs` /
-        :meth:`via_edge_costs`.
+        The :meth:`window_planes` written into an ``inf`` table at their
+        owners, then ``inf`` on the far side.
         """
-        x0, y0, x1, y1 = region
-        where = step_positions(graph)[:, :, x0 : x1 + 1, y0 : y1 + 1]
-        cost = self.congestion(graph.demand_flat.take(where), graph.capacity_flat.take(where))
-        units = _step_units(
-            graph.horizontal.tobytes(), self.unit_wire_cost, self.unit_via_cost
-        )
-        steps = np.add(cost, units, out=cost if out is None else out)
+        where, _, (kind, layer) = step_layout(graph)
+        planes = self._price_planes(graph, where, region)
+        steps = np.empty((3, graph.n_layers) + planes.shape[1:]) if out is None else out
+        steps[...] = np.inf
+        steps[kind, layer] = planes
         steps[0, :, -1] = np.inf
         steps[1, :, :, -1] = np.inf
         return steps
-
-
-@lru_cache(maxsize=8)
-def _step_units(horizontal: bytes, wire: float, via: float) -> np.ndarray:
-    """``(3, L, 1, 1)`` unit costs of the ``+x``, ``+y`` and ``+layer``
-    steps per layer (see :meth:`CostModel.window_steps`), ``inf`` where
-    the layer has no such edge."""
-    is_h = np.frombuffer(horizontal, dtype=bool)
-    units = np.full((3, is_h.size, 1, 1), np.inf)
-    units[0, is_h] = wire
-    units[1, ~is_h] = wire
-    units[2, :-1] = via
-    units.flags.writeable = False
-    return units
 
 
 class Footprint(NamedTuple):

@@ -28,11 +28,11 @@ edge, key their steps the same way and share its run-fusing tail.
 positions (:func:`edges_at` inverts it): :func:`commit_table` fills
 every route's index with it as it builds, and
 :meth:`Route._demand_index` for a route built by hand.
-:func:`step_positions` is the same map per node and step direction,
-built once per grid layout: :func:`routes_from_paths` reads a path
-step's position off it, and
-:meth:`~repro.grid.cost.CostModel.window_steps` gathers a maze window's
-demand and capacity through it.
+:func:`step_layout` is the same map per node and step direction,
+built once per grid layout, and the one record of which steps have an
+edge: :func:`routes_from_paths` reads a path step's position off it,
+and :meth:`~repro.grid.cost.CostModel.window_planes` gathers a maze
+window's demand and capacity through it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, List, NoReturn, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, NamedTuple, NoReturn, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -380,7 +380,7 @@ def routes_from_paths(
 
     Every step is one unit edge, so no row needs expanding: a step's key
     is its lower end's coordinates in the kind's field order, and its
-    demand position is :func:`step_positions` at that end, which is
+    demand position is :func:`step_layout`'s at that end, which is
     where a step off the grid or against a layer's direction shows."""
     tails: List[GridNode] = []
     heads: List[GridNode] = []
@@ -393,7 +393,8 @@ def routes_from_paths(
     n_routes, count = len(paths), len(tails)
     if not count:
         routes = [Route() for _ in paths]
-        _assign_index(graph, routes, np.empty(0, dtype=np.intp), None)
+        empty = np.empty(0, dtype=np.intp)
+        _assign_index(graph, routes, empty, empty)
         return routes
     step = np.fromiter(chain.from_iterable(tails + heads), np.intp, 6 * count)
     step = step.reshape(2, count, 3)
@@ -407,8 +408,11 @@ def routes_from_paths(
     ok &= moved == 1
     if ok.all():
         x, y, layer = lower.T
-        positions = step_positions(graph)[kind, layer, x, y]
-        ok = positions >= 0
+        where, plane, _ = step_layout(graph)
+        plane = plane[kind, layer]
+        # Plane -1 reads a real plane; its position is not used.
+        positions = where[plane, x, y]
+        ok = (plane >= 0) & (positions >= 0)
     if not ok.all():
         first = int(ok.argmin())
         _reject_step(graph, tails[first], heads[first])
@@ -563,28 +567,52 @@ def _grid_layout(nx: int, ny: int, edge_offset: Tuple[int, ...], horizontal: byt
     return spec, head, planes
 
 
-def step_positions(graph: GridGraph) -> np.ndarray:
-    """The ``(3, L, nx, ny)`` map from a node to the flat demand-buffer
-    position of the unit edge it steps along: ``[0]`` its ``+x`` step,
-    ``[1]`` its ``+y`` step, ``[2]`` its ``+layer`` step, each at the
-    node's ``[layer, x, y]``; -1 where the node has no such edge (a wire
-    layer of the other direction, the grid's far side, the top layer).
-    Built on first use per grid layout (read-only), so a run that
-    reroutes nothing never builds it."""
+class StepLayout(NamedTuple):
+    """Where each node's unit steps sit in a grid's flat demand buffer
+    (see :func:`step_layout`).  A step is its family ``k`` (``0`` the
+    ``+x`` step, ``1`` the ``+y`` step, ``2`` the ``+layer`` step) out
+    of node ``[layer, x, y]``; only ``2 L - 1`` of the ``3 L`` families
+    per layer have edges, one *plane* each.
+
+    ``where``: ``(2 L - 1, nx, ny)`` positions, plane ``l < L`` the
+    wire step of layer ``l`` along its own direction and plane ``L + l``
+    the via step from layer ``l``; -1 where the step leaves the grid.
+    ``plane``: ``(3, L)``, the plane of family ``k`` on ``layer``, -1
+    where the layer has no such edge (a wire layer's other direction,
+    the top layer's via).  ``owner``: ``(2, 2 L - 1)``, the ``(k,
+    layer)`` of each plane — the inverse of ``plane``."""
+
+    where: np.ndarray
+    plane: np.ndarray
+    owner: np.ndarray
+
+
+def step_layout(graph: GridGraph) -> StepLayout:
+    """The :class:`StepLayout` of ``graph``.  Built on first use per
+    grid layout (read-only), so a run that reroutes nothing never
+    builds it."""
     return _step_layout(graph.nx, graph.ny, graph.edge_offset, graph.horizontal.tobytes())
 
 
 @lru_cache(maxsize=8)
-def _step_layout(nx: int, ny: int, edge_offset: Tuple[int, ...], horizontal: bytes) -> np.ndarray:
+def _step_layout(nx: int, ny: int, edge_offset: Tuple[int, ...], horizontal: bytes) -> StepLayout:
     is_h = np.frombuffer(horizontal, dtype=bool)
     n_layers = is_h.size
     x, y = np.arange(nx)[:, None], np.arange(ny)
-    steps = np.full((3, n_layers, nx, ny), -1, dtype=np.intp)
+    where = np.full((2 * n_layers - 1, nx, ny), -1, dtype=np.intp)
     for layer, start in enumerate(edge_offset[:-1]):
         if is_h[layer]:
-            steps[0, layer, :-1] = start + x[:-1] * ny + y
+            where[layer, :-1] = start + x[:-1] * ny + y
         else:
-            steps[1, layer, :, :-1] = start + x * (ny - 1) + y[:-1]
-    steps[2, :-1] = edge_offset[-1] + np.arange((n_layers - 1) * nx * ny).reshape(-1, nx, ny)
-    steps.flags.writeable = False
-    return steps
+            where[layer, :, :-1] = start + x * (ny - 1) + y[:-1]
+    where[n_layers:] = edge_offset[-1] + np.arange((n_layers - 1) * nx * ny).reshape(-1, nx, ny)
+    layers = np.arange(n_layers)
+    owner = np.array([
+        np.concatenate((np.where(is_h, 0, 1), np.full(n_layers - 1, 2))),
+        np.concatenate((layers, layers[:-1])),
+    ])
+    plane = np.full((3, n_layers), -1, dtype=np.intp)
+    plane[owner[0], owner[1]] = np.arange(owner.shape[1])
+    for table in (where, plane, owner):
+        table.flags.writeable = False
+    return StepLayout(where, plane, owner)

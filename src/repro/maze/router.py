@@ -179,9 +179,10 @@ class MazeRouter:
         width = x1 - x0 + 1
         height = y1 - y0 + 1
         plane = width * height
-        size = self.graph.n_layers * plane
+        n_layers = self.graph.n_layers
+        size = n_layers * plane
         row = plane + size
-        table = np.empty((3, self.graph.n_layers + 1, width, height))
+        table = np.empty((3, n_layers + 1, width, height))
         table[:, 0] = np.inf
         steps = self.cost_model.window_steps(self.graph, region, out=table[:, 1:])
         flat = memoryview(table.reshape(-1))

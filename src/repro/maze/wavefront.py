@@ -298,7 +298,7 @@ class WavefrontMazeRouter(MazeRouter):
     # Engine seams
     # ------------------------------------------------------------------ #
     def _region_edges(
-        self, region: Tuple[int, int, int, int]
+        self, region: Tuple[int, int, int, int], out: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Price the region's edges from current demand as host-side
         edge-cost planes.
@@ -307,19 +307,22 @@ class WavefrontMazeRouter(MazeRouter):
         exactly like :class:`~repro.grid.cost.CostQuery`; layers of the
         wrong direction keep all-zero planes and are masked out when
         the sweep result is applied.  The planes are the window's
-        :meth:`~repro.grid.cost.CostModel.window_steps` shifted one
-        G-cell (one layer for vias) down their axis, with ``0`` where a
-        step has no edge.
+        :meth:`~repro.grid.cost.CostModel.window_planes` shifted one
+        G-cell (one layer for vias) down their axis, which drops the
+        steps that leave the window.  They are written into ``out``
+        when given, a zeroed ``(3, L, W, H)`` array (or view).
         """
         graph = self.graph
-        steps = self.cost_model.window_steps(graph, region)
-        edges = np.zeros_like(steps)
-        edges[0, :, 1:] = steps[0, :, :-1]
-        edges[1, :, :, 1:] = steps[1, :, :, :-1]
-        edges[2, 1:] = steps[2, :-1]
-        edges[edges == np.inf] = 0.0
-        h_edge, v_edge, z_edge = edges
-        return h_edge, v_edge, z_edge, graph.horizontal
+        planes = self.cost_model.window_planes(graph, region)
+        if out is None:
+            out = np.zeros((3, graph.n_layers) + planes.shape[1:])
+        is_h = graph.horizontal
+        wire = planes[: graph.n_layers]
+        out[0, is_h, 1:] = wire[is_h, :-1]
+        out[1, ~is_h, :, 1:] = wire[~is_h, :, :-1]
+        out[2, 1:] = planes[graph.n_layers :]
+        h_edge, v_edge, z_edge = out
+        return h_edge, v_edge, z_edge, is_h
 
     def _build_tables(
         self, region: Tuple[int, int, int, int], pins: Sequence[GridNode] = ()
@@ -375,18 +378,14 @@ class WavefrontMazeRouter(MazeRouter):
         wmax = max(widths)
         hmax = max(heights)
 
-        h_edge = np.zeros((n_members, n_layers, wmax, hmax))
-        v_edge = np.zeros((n_members, n_layers, wmax, hmax))
-        z_edge = np.zeros((n_members, n_layers, wmax, hmax))
+        edges = np.zeros((3, n_members, n_layers, wmax, hmax))
+        h_edge, v_edge, z_edge = edges
         ragged = False
         valid = np.zeros((n_members, 1, wmax, hmax), dtype=bool)
-        h_layers = np.zeros(n_layers, dtype=bool)
+        h_layers = self.graph.horizontal
         for b, region in enumerate(regions):
-            mh, mv, mz, h_layers = self._region_edges(region)
             w, h = widths[b], heights[b]
-            h_edge[b, :, :w, :h] = mh
-            v_edge[b, :, :w, :h] = mv
-            z_edge[b, :, :w, :h] = mz
+            self._region_edges(region, out=edges[:, b, :, :w, :h])
             valid[b, 0, :w, :h] = True
             ragged = ragged or w < wmax or h < hmax
 

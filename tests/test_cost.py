@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.grid.cost import CostModel, CostQuery
 from repro.grid.graph import GridGraph
 from repro.grid.layers import LayerStack
+from repro.grid.route import step_layout
 
 
 class TestCostModel:
@@ -255,6 +256,16 @@ class TestWindowCosts:
                 else:
                     assert np.array_equal(steps[1, layer, :, :-1], cost[x0 : x1 + 1, y0:y1])
             assert np.array_equal(steps[2, :-1], full.via_cost[:, x0 : x1 + 1, y0 : y1 + 1])
+            # The planes that have edges are the layout's; every family
+            # the layout leaves out is inf throughout.
+            kind, layer = step_layout(graph).owner
+            planes = model.window_planes(graph, region)
+            assert planes.shape == (2 * n_layers - 1,) + want.shape[2:]
+            edge = np.isfinite(want[kind, layer])
+            assert np.array_equal(planes[edge], want[kind, layer][edge])
+            left_out = np.ones(want.shape[:2], dtype=bool)
+            left_out[kind, layer] = False
+            assert np.isinf(want[left_out]).all()
             # Into a caller's buffer (a strided view): the same bits.
             buffer = np.full((3, n_layers + 1, x1 - x0 + 1, y1 - y0 + 1), -1.0)
             out = model.window_steps(graph, region, out=buffer[:, 1:])

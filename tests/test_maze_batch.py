@@ -162,6 +162,17 @@ class TestBatchedParity:
                 route_cost(reference, query), rel=1e-12, abs=1e-9
             )
 
+    @pytest.mark.parametrize("n_nets", [1, 2])
+    def test_batch_whose_every_member_fails(self, n_nets):
+        """A failed member is ``None``, even when no member routes."""
+        graph = fresh_grid(demand_seed=4)
+        nets = [Net(f"f{i}", [Pin(1, 1 + i, 0), Pin(9, 9 - i, 1)]) for i in range(n_nets)]
+        wave = WavefrontMazeRouter(graph)
+        stuck = MazeRoutingError("no descent")
+        with mock.patch.object(WavefrontMazeRouter, "_descend", side_effect=stuck):
+            found = wave.route_batch(nets)
+        assert found == {net.name: None for net in nets}
+
     def test_batch_counts_visited_work(self):
         graph = fresh_grid(demand_seed=4)
         rng = np.random.default_rng(9)

@@ -275,3 +275,23 @@ def test_routes_from_paths_rejects_bad_steps(path, message):
     good = [(2, 2, 1), (3, 2, 1), (3, 2, 0)]
     with pytest.raises(ValueError, match=message):
         routes_from_paths(grid, [[good], [good, path]])
+
+
+@pytest.mark.parametrize(
+    "paths",
+    [
+        pytest.param([], id="no-routes"),
+        pytest.param([[[(2, 2, 1)]]], id="one-single-node"),
+        pytest.param([[[(2, 2, 1)]], [[(4, 5, 0)], [(4, 5, 0)]]], id="two-single-node"),
+        pytest.param([[], [], []], id="three-pathless"),
+    ],
+)
+def test_routes_from_paths_without_a_step(paths):
+    """Paths that step nowhere give one empty route each, with an empty
+    demand index — however many routes there are."""
+    grid = GridGraph(10, 10, LayerStack(5))
+    routes = routes_from_paths(grid, paths)
+    assert len(routes) == len(paths)
+    for route in routes:
+        assert route.is_empty()
+        assert route._demand_index(grid).size == 0
