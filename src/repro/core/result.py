@@ -95,17 +95,13 @@ class RoutingResult:
         Two results with equal digests hold the same route set, bit for
         bit — equal demand grids and scores do not prove that.  Each
         net contributes ``repr((name, wires, vias))`` with wires as
-        ``(layer, x1, y1, x2, y2)`` and vias as ``(x, y, lo, hi)``.
+        ``(layer, x1, y1, x2, y2)`` and vias as ``(x, y, lo, hi)``, the
+        bytes :meth:`~repro.grid.route.Route.digest_bytes` produces from
+        the route's rows.
         """
         sha = hashlib.sha256()
         for name, route in self.routes.items():
-            sha.update(
-                repr((
-                    name,
-                    [(w.layer, w.x1, w.y1, w.x2, w.y2) for w in route.wires],
-                    [(v.x, v.y, v.lo, v.hi) for v in route.vias],
-                )).encode()
-            )
+            sha.update(route.digest_bytes(name))
         return sha.hexdigest()
 
     def stage_reports(self) -> List[StageReport]:

@@ -1,29 +1,34 @@
-"""Routed-net geometry: wire segments, via stacks, and whole-net routes.
+"""Routed-net geometry: whole-net routes as rows of a segment table.
 
 A :class:`Route` is the output of pattern routing or maze routing for one
-net: a set of straight wire segments plus via stacks.  Routes know how to
+net: a set of straight wires plus via stacks.  Routes know how to
 commit/uncommit their demand on a :class:`~repro.grid.graph.GridGraph`
-(rip-up is ``uncommit``) and how to report wirelength and via counts for
+(rip-up is ``uncommit``) and carry their wirelength and via count for
 the quality score (Eq. 15).  Each route caches where its edges sit in
 the graph's flat demand buffer: :func:`commit_routes` commits a whole
 batch with one scatter at those positions, and the rip-up scan reads
 overflow at the same ones.
 
-This module is the one place that knows how route geometry maps to unit
-grid edges.  Routes built as arrays travel as a *segment table*:
-``(6, S)`` ints, one column per segment — ``kind``, ``route``, ``a``,
-``b``, ``lo``, ``hi``.  Kind :data:`H_WIRE` is a horizontal wire on
-layer ``a`` along row ``y = b`` from ``x = lo`` to ``x = hi``;
-:data:`V_WIRE` a vertical wire on layer ``a`` along column ``x = b``
-from ``y = lo`` to ``y = hi``; :data:`VIA` a via stack at ``(a, b)``
-from layer ``lo`` to layer ``hi``.  Every row is axis-aligned by layout.
+This module is the one place that knows a route's format.  Routes are
+built as arrays and travel as a *segment table*: ``(6, S)`` ints, one
+column per segment — ``kind``, ``route``, ``a``, ``b``, ``lo``, ``hi``.
+Kind :data:`H_WIRE` is a horizontal wire on layer ``a`` along row ``y =
+b`` from ``x = lo`` to ``x = hi``; :data:`V_WIRE` a vertical wire on
+layer ``a`` along column ``x = b`` from ``y = lo`` to ``y = hi``;
+:data:`VIA` a via stack at ``(a, b)`` from layer ``lo`` to layer ``hi``.
+Every row is axis-aligned by layout.  A route is an immutable value: a
+read-only column range of its batch's table (its ``route`` row is
+batch-local).  :attr:`Route.wires`/:attr:`Route.vias` are tuples of
+:class:`WireSegment`/:class:`ViaSegment` built on first access, for the
+detail router, the guide writer and user code.
 
 :func:`normalize_table` is the one step from raw rows (overlapping,
 repeated, in any order) to normal form — each unit edge once, in
-maximal runs, sorted — for the pattern backtrace and
-:func:`~repro.pattern.commit.normalize_route`; the maze paths
-(:func:`routes_from_paths`), whose every step is already one unit
-edge, key their steps the same way and share its run-fusing tail.
+maximal runs, sorted route-major so each route's rows are one slice —
+for the pattern backtrace and :func:`~repro.pattern.commit.normalize_route`;
+the maze paths (:func:`routes_from_paths`), whose every step is already
+one unit edge, key their steps the same way and share its run-fusing
+tail.  :func:`routes_from_table` cuts a normal table into routes.
 :func:`demand_positions` is the one map from rows to flat demand-buffer
 positions (:func:`edges_at` inverts it): :func:`commit_table` fills
 every route's index with it as it builds, and
@@ -39,8 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Iterable, List, NamedTuple, NoReturn, Optional, Sequence, Set, Tuple
+from itertools import chain, starmap
+from typing import Iterable, List, NamedTuple, NoReturn, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -130,33 +135,95 @@ class ViaSegment:
 
 
 class Route:
-    """The routed geometry of one net."""
+    """The routed geometry of one net: its rows of a segment table.
 
-    def __init__(
-        self,
-        wires: Sequence[WireSegment] = (),
-        vias: Sequence[ViaSegment] = (),
-    ) -> None:
-        self.wires: List[WireSegment] = list(wires)
-        self.vias: List[ViaSegment] = list(vias)
-        # The demand index and its key (see _demand_index).
-        self._index: Optional[np.ndarray] = None
-        self._index_on: Optional[np.ndarray] = None
-        self._index_segments = 0
+    An immutable value.  ``Route(wires, vias)`` builds one by hand, its
+    rows the wires then the vias in the given order, validated when it
+    is first indexed on a graph; :func:`routes_from_table` and
+    :func:`routes_from_paths` build routes as views of a table.
+    """
+
+    __slots__ = ("_rows", "_wirelength", "_n_vias", "_segments", "_index", "_index_on")
+
+    def __init__(self, wires: Sequence[WireSegment] = (), vias: Sequence[ViaSegment] = ()) -> None:
+        wires, vias = tuple(wires), tuple(vias)
+        rows = [
+            (H_WIRE, 0, w.layer, w.y1, w.x1, w.x2)
+            if w.y1 == w.y2
+            else (V_WIRE, 0, w.layer, w.x1, w.y1, w.y2)
+            for w in wires
+        ]
+        rows += [(VIA, 0, v.x, v.y, v.lo, v.hi) for v in vias]
+        table = np.array(rows, dtype=np.intp).reshape(-1, 6).T
+        table.flags.writeable = False
+        self._set(table, sum(w.length for w in wires), sum(v.n_vias for v in vias), (wires, vias))
+
+    def _set(self, rows: np.ndarray, wirelength: int, n_vias: int, segments=None) -> "Route":
+        self._rows, self._wirelength, self._n_vias = rows, wirelength, n_vias
+        # The views (built on first use) and the demand index and its key
+        # (see _demand_index).
+        self._segments, self._index, self._index_on = segments, None, None
+        return self
 
     @property
     def wirelength(self) -> int:
         """Total wirelength in G-cell pitches."""
-        return sum(w.length for w in self.wires)
+        return self._wirelength
 
     @property
     def n_vias(self) -> int:
         """Total number of via cuts."""
-        return sum(v.n_vias for v in self.vias)
+        return self._n_vias
+
+    @property
+    def wires(self) -> Tuple[WireSegment, ...]:
+        """The wires, in row order (built on first access)."""
+        return self._views()[0]
+
+    @property
+    def vias(self) -> Tuple[ViaSegment, ...]:
+        """The via stacks, in row order (built on first access)."""
+        return self._views()[1]
+
+    def _views(self) -> Tuple[Tuple[WireSegment, ...], Tuple[ViaSegment, ...]]:
+        if self._segments is None:
+            wires, vias = self._fields()
+            self._segments = tuple(starmap(WireSegment, wires)), tuple(starmap(ViaSegment, vias))
+        return self._segments
+
+    def _fields(self) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
+        """``(wires, vias)`` as field tuples in row order: a wire's
+        ``(layer, x1, y1, x2, y2)``, a via stack's ``(x, y, lo, hi)``."""
+        wires, vias = [], []
+        for kind, _, a, b, lo, hi in self._rows.T.tolist():
+            if kind == H_WIRE:
+                wires.append((a, lo, b, hi, b))
+            elif kind == V_WIRE:
+                wires.append((a, b, lo, b, hi))
+            else:
+                vias.append((a, b, lo, hi))
+        return wires, vias
+
+    def digest_bytes(self, name: str) -> bytes:
+        """What :meth:`~repro.core.result.RoutingResult.digest` hashes
+        for this route as net ``name``: ``repr((name, wires, vias))``
+        with wires as ``(layer, x1, y1, x2, y2)`` and vias as ``(x, y,
+        lo, hi)``, in row order."""
+        return repr((name, *self._fields())).encode()
 
     def is_empty(self) -> bool:
         """Return True when the route has no geometry at all."""
-        return not self.wires and not self.vias
+        return not self._rows.shape[1]
+
+    def same_geometry(self, other: "Route") -> bool:
+        """True when both routes hold the same rows in the same order
+        (the batch-local ``route`` row aside)."""
+        mine, theirs = self._rows, other._rows
+        return self is other or (
+            mine.shape == theirs.shape
+            and mine[0].tobytes() == theirs[0].tobytes()
+            and mine[2:].tobytes() == theirs[2:].tobytes()
+        )
 
     # ------------------------------------------------------------------ #
     # Demand bookkeeping
@@ -172,34 +239,20 @@ class Route:
 
     def _demand_index(self, graph: GridGraph) -> np.ndarray:
         """The positions of this route's edges in ``graph``'s flat
-        demand buffer (``graph.demand_flat``), one per edge use.
-
-        Validated on first use and cached: a route's geometry does not
-        change once built (the segment count is part of the key, so an
-        appended segment refreshes it).  Every committed route keeps one,
-        in plain attributes (the graph's via-demand array, created with
-        the graph and never replaced, stands for the graph), so filling
-        it allocates nothing the cyclic garbage collector tracks.
-        """
-        if (
-            self._index_on is graph.via_demand
-            and self._index_segments == len(self.wires) + len(self.vias)
-        ):
-            return self._index
-        _index_routes(graph, self.table(), (self,))
+        demand buffer (``graph.demand_flat``), one per edge use:
+        validated on first use per graph and cached in plain attributes,
+        keyed on the graph's via-demand array (created with the graph and
+        never replaced), so it allocates nothing the cyclic garbage
+        collector tracks."""
+        if self._index_on is not graph.via_demand:
+            _assign_index(graph, (self,), demand_positions(graph, self._rows))
         return self._index
 
     def table(self) -> np.ndarray:
-        """This route's segment table, as route 0: its wires, then its
-        vias, in the route's own order."""
-        rows = [
-            (H_WIRE, 0, w.layer, w.y1, w.x1, w.x2)
-            if w.y1 == w.y2
-            else (V_WIRE, 0, w.layer, w.x1, w.y1, w.y2)
-            for w in self.wires
-        ]
-        rows += [(VIA, 0, v.x, v.y, v.lo, v.hi) for v in self.vias]
-        return np.array(rows, dtype=np.intp).reshape(-1, 6).T
+        """A copy of this route's segment table, as route 0."""
+        table = self._rows.copy()
+        table[1] = 0
+        return table
 
     # ------------------------------------------------------------------ #
     # Validation helpers
@@ -207,10 +260,8 @@ class Route:
     def nodes(self) -> Set[GridNode]:
         """Return the set of all 3-D grid nodes the route covers."""
         covered: Set[GridNode] = set()
-        for w in self.wires:
-            covered.update(w.nodes())
-        for v in self.vias:
-            covered.update(v.nodes())
+        for segment in chain(self.wires, self.vias):
+            covered.update(segment.nodes())
         return covered
 
     def connects(self, pins: Sequence[GridNode]) -> bool:
@@ -238,9 +289,10 @@ class Route:
         return all(uf.find(pin) == root for pin in pins[1:])
 
     def __repr__(self) -> str:
+        stacks = int(np.count_nonzero(self._rows[0] == VIA))
         return (
-            f"Route(wl={self.wirelength}, vias={self.n_vias}, "
-            f"{len(self.wires)} wires, {len(self.vias)} stacks)"
+            f"Route(wl={self._wirelength}, vias={self._n_vias}, "
+            f"{self._rows.shape[1] - stacks} wires, {stacks} stacks)"
         )
 
 
@@ -269,9 +321,10 @@ def normalize_table(raw: np.ndarray, n_routes: int) -> np.ndarray:
 
     ``raw`` holds ``n_routes`` routes' rows in any order, which may
     overlap, repeat or be empty (``lo == hi``), with non-negative
-    coordinates.  The result is sorted by ``(kind, route, a, b, lo)``:
-    a route's horizontal wires by ``(layer, y, x)``, vertical ones by
-    ``(layer, x, y)``, vias by ``(x, y, layer)``.
+    coordinates.  The result is sorted by ``(route, kind, a, b, lo)``,
+    so each route's rows are one slice: its horizontal wires by
+    ``(layer, y, x)``, then its vertical ones by ``(layer, x, y)``, then
+    its vias by ``(x, y, layer)``.
     """
     length = raw[5] - raw[4]
     last = length.cumsum()
@@ -287,14 +340,15 @@ def _unit_radix(top: int, n_routes: int) -> Tuple[np.ndarray, np.ndarray, np.nda
     """``(scale, digits, weights)`` of the unit-edge key of rows whose
     ``a``, ``b`` and ``lo`` are at most ``top``: the unit edge ``(kind,
     route, a, b, lo)`` is keyed ``scale @ (kind, route, a, b, lo)`` in
-    one integer, and field ``i`` of key ``k`` is ``k // scale[i] %
-    digits[i]``.  The radix leaves a gap after a line's last unit, so
-    keys one apart are neighbouring units of one run.  ``weights[kind]``
+    one integer, ordered by ``(route, kind, a, b, lo)``, and field
+    ``i`` of key ``k`` is ``k // scale[i] % digits[i]``.  The radix
+    leaves a gap after a line's last unit, so keys one apart are
+    neighbouring units of one run.  ``weights[kind]``
     keys the ``(x, y, layer)`` of a unit step's lower end: the scale of
     the field each fills (read-only)."""
     radix = top + 2
     scale, digits = np.array([
-        [n_routes * radix**3, radix**3, radix**2, radix, 1],
+        [radix**3, (VIA + 1) * radix**3, radix**2, radix, 1],
         [VIA + 1, n_routes, radix, radix, radix],
     ])
     # Per kind, the field (a, b, lo: 0, 1, 2) of a lower end's x, y, layer.
@@ -321,47 +375,23 @@ def _fuse_units(units: np.ndarray, scale: np.ndarray, digits: np.ndarray) -> np.
 
 
 def routes_from_table(table: np.ndarray, n_routes: int) -> List[Route]:
-    """The ``n_routes`` routes of a segment table: each route's wires
-    (horizontal, then vertical) and vias in table order.
+    """The ``n_routes`` routes of a segment table: route ``j`` is a
+    read-only view of its rows, with its wirelength and via count.
 
     Precondition: ``table`` is :func:`normalize_table` output over
-    ``n_routes`` routes — sorted by ``(kind, route)``, every ``route``
+    ``n_routes`` routes — sorted by ``(route, kind)``, every ``route``
     in ``range(n_routes)`` and ``lo < hi`` on every row (property-tested
     in ``tests/test_commit_table.py``); it is not checked again here.
-    The table's layout makes every row axis-aligned and ``lo < hi``
-    makes it non-zero and normalised, which is all the segments'
-    ``__post_init__`` would prove, so the segments are built without
-    it, their fields written straight into the instance dict.
     """
-    kind, route = table[:2]
-    group = kind * n_routes + route
-    first = group.searchsorted(np.arange(3 * n_routes + 1)).tolist()
-    # Route j's horizontal wires are rows h_at[j]:h_at[j + 1], and so on.
-    h_at, v_at = first[: n_routes + 1], first[n_routes : 2 * n_routes + 1]
-    via_at = first[2 * n_routes :]
-    rows = table[2:].T.tolist()
-    new, set_dict = object.__new__, object.__setattr__
-    segments = []
-    append = segments.append
-    for layer, y, x1, x2 in rows[: v_at[0]]:
-        segment = new(WireSegment)
-        set_dict(segment, "__dict__", {"layer": layer, "x1": x1, "y1": y, "x2": x2, "y2": y})
-        append(segment)
-    for layer, x, y1, y2 in rows[v_at[0] : via_at[0]]:
-        segment = new(WireSegment)
-        set_dict(segment, "__dict__", {"layer": layer, "x1": x, "y1": y1, "x2": x, "y2": y2})
-        append(segment)
-    for x, y, lo, hi in rows[via_at[0] :]:
-        segment = new(ViaSegment)
-        set_dict(segment, "__dict__", {"x": x, "y": y, "lo": lo, "hi": hi})
-        append(segment)
-    return [
-        Route(
-            segments[h_at[j] : h_at[j + 1]] + segments[v_at[j] : v_at[j + 1]],
-            segments[via_at[j] : via_at[j + 1]],
-        )
-        for j in range(n_routes)
-    ]
+    rows = table.view()
+    rows.flags.writeable = False
+    kind, route, _, _, lo, hi = table
+    at = route.searchsorted(np.arange(n_routes + 1)).tolist()
+    cuts = np.bincount(route, (hi - lo) * (kind == VIA), n_routes)
+    units = np.bincount(route, hi - lo, n_routes)
+    wirelength, n_vias = (units - cuts).astype(np.intp).tolist(), cuts.astype(np.intp).tolist()
+    new = object.__new__
+    return [new(Route)._set(rows[:, i:j], w, v) for i, j, w, v in zip(at, at[1:], wirelength, n_vias)]
 
 
 #: Per step: ``(kind, coordinates moved)`` from its squared coordinate
@@ -391,11 +421,6 @@ def routes_from_paths(
             heads += path[1:]
         ends.append(len(tails))
     n_routes, count = len(paths), len(tails)
-    if not count:
-        routes = [Route() for _ in paths]
-        empty = np.empty(0, dtype=np.intp)
-        _assign_index(graph, routes, empty, empty)
-        return routes
     step = np.fromiter(chain.from_iterable(tails + heads), np.intp, 6 * count)
     step = step.reshape(2, count, 3)
     lower = np.minimum(step[0], step[1])
@@ -419,18 +444,12 @@ def routes_from_paths(
     scale, digits, weights = _unit_radix(max(graph.nx, graph.ny, graph.n_layers), n_routes)
     keys = np.einsum("ij,ij->i", lower, weights[kind])
     keys += kind * scale[0]
-    route = None
     if n_routes > 1:
-        route = np.arange(n_routes).repeat(np.diff(ends, prepend=0))
-        keys += route * scale[1]
-    order = keys.argsort()
-    units = keys[order]
-    keep = np.empty(count, dtype=bool)
-    keep[0] = True
-    np.not_equal(units[1:], units[:-1], out=keep[1:])
+        keys += np.arange(n_routes).repeat(np.diff(ends, prepend=0)) * scale[1]
+    # A unit edge stepped twice is one edge: keep one of its steps.
+    units, first = np.unique(keys, return_index=True)
     routes = routes_from_table(_fuse_units(units, scale, digits), n_routes)
-    order = order[keep]
-    _assign_index(graph, routes, positions[order], None if route is None else route[order])
+    _assign_index(graph, routes, positions[first])
     return routes
 
 
@@ -450,24 +469,25 @@ def commit_table(
     graph: GridGraph, table: np.ndarray, routes: Sequence[Route], amount: float = 1.0
 ) -> None:
     """Commit a segment table's demand to ``graph`` as
-    :func:`commit_routes` commits its ``routes`` (the ones
-    :func:`routes_from_table` builds of it), with the same result, and
-    fill their demand indexes: checked by :func:`demand_positions`,
-    then written with one ``np.add.at``."""
-    np.add.at(graph.demand_flat, _index_routes(graph, table, routes), amount)
+    :func:`commit_routes` commits its ``routes`` (whose rows, route
+    after route, ``table`` is), with the same result, and fill their
+    demand indexes: checked by :func:`demand_positions`, then written
+    with one ``np.add.at``."""
+    positions = demand_positions(graph, table)
+    _assign_index(graph, routes, positions)
+    np.add.at(graph.demand_flat, positions, amount)
 
 
-def demand_positions(graph: GridGraph, table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(owner, positions)``: the position in ``graph``'s flat demand
-    buffer of every unit edge of ``table``'s rows, row after row, and
-    the row each comes from.
+def demand_positions(graph: GridGraph, table: np.ndarray) -> np.ndarray:
+    """The position in ``graph``'s flat demand buffer of every unit edge
+    of ``table``'s rows, row after row.
 
     Every row is first checked for what :meth:`GridGraph.check_wire`
-    and :meth:`~GridGraph.check_via` check; the first offending row of
-    the lowest-numbered route raises their ``ValueError`` (for a
-    table-built route: its first offending segment in route order).
+    and :meth:`~GridGraph.check_via` check; the first offending row
+    raises their ``ValueError`` (rows are route after route, so that is
+    the first offending segment of the first route with one).
     """
-    kind, route, a, b, lo, hi = table
+    kind, _, a, b, lo, hi = table
     spec, head, _ = _layout(graph)
     # Per row: its kind's bounds of a, b, lo (that is hi) and hi.  A
     # negative value wraps to a huge unsigned one.
@@ -478,15 +498,14 @@ def demand_positions(graph: GridGraph, table: np.ndarray) -> Tuple[np.ndarray, n
     start = head[k, np.where(ok, a, 0)]
     ok &= start >= 0
     if not ok.all():
-        bad = np.flatnonzero(~ok)
-        first = table[:, bad[route[bad].argmin()]].tolist()
+        first = table[:, ok.argmin()].tolist()
         k, _, a, b, lo, hi = first
         if k == VIA:
             graph.check_via(a, b, lo, hi)
         elif k in (H_WIRE, V_WIRE):
             graph.check_wire(a, *((lo, b, hi, b) if k == H_WIRE else (b, lo, b, hi)))
         raise ValueError(f"malformed segment-table row {first}")
-    return ranges(start + b * row[4] + lo * row[5], hi - lo, row[5])
+    return ranges(start + b * row[4] + lo * row[5], hi - lo, row[5])[1]
 
 
 def edges_at(
@@ -503,29 +522,13 @@ def edges_at(
     return kind, plane % graph.n_layers, x, y
 
 
-def _index_routes(graph: GridGraph, table: np.ndarray, routes: Sequence[Route]) -> np.ndarray:
-    """Fill the demand index of the routes of ``table`` (``routes[j]``
-    is its route ``j``); return every row's positions, in table order."""
-    owner, positions = demand_positions(graph, table)
-    _assign_index(graph, routes, positions, table[1][owner] if len(routes) > 1 else None)
-    return positions
-
-
-def _assign_index(
-    graph: GridGraph, routes: Sequence[Route], positions: np.ndarray, route_of
-) -> None:
-    """Give ``routes[j]`` the ``positions`` whose ``route_of`` is ``j``,
-    in their order (``route_of`` may be None for one route)."""
-    if len(routes) == 1:
-        by_route, ends = positions, [positions.size]
-    else:
-        by_route = positions[np.argsort(route_of, kind="stable")]
-        ends = np.bincount(route_of, minlength=len(routes)).cumsum().tolist()
-    via, start = graph.via_demand, 0
-    for route, end in zip(routes, ends):
-        route._index, route._index_on = by_route[start:end], via
-        route._index_segments = len(route.wires) + len(route.vias)
-        start = end
+def _assign_index(graph: GridGraph, routes: Sequence[Route], positions: np.ndarray) -> None:
+    """Give each of ``routes`` its run of ``positions``, the positions of
+    their unit edges route after route."""
+    via, end = graph.via_demand, 0
+    for route in routes:
+        start, end = end, end + route._wirelength + route._n_vias
+        route._index, route._index_on = positions[start:end], via
 
 
 def _layout(graph: GridGraph):

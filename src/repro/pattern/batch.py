@@ -158,13 +158,12 @@ class BatchPatternRouter:
             *(np.hstack(family) for family in zip(*(s.reads for s in states)))
         )
         self.query.rebuild(boxes=cost_boxes, reads=reads)
-        # The states cover ``nets`` in order, a route per net each.
+        # The states cover ``nets`` in order, a route per net each: their
+        # tables side by side hold the routes' rows route after route.
         tables, routed = [], []
         for state in self.route_jobs([], mode_fn, states):
-            table = reconstruct_table(state)
-            routed += routes_from_table(table, state.n_jobs)
-            table[1] += len(routed) - state.n_jobs
-            tables.append(table)
+            tables.append(reconstruct_table(state))
+            routed += routes_from_table(tables[-1], state.n_jobs)
         if commit:
             commit_table(
                 self.graph, tables[0] if len(tables) == 1 else np.hstack(tables), routed

@@ -11,12 +11,12 @@ the set of unit grid edges its polylines cover.  The polyline segments
 of the whole batch go to :func:`~repro.grid.route.normalize_table`,
 which de-duplicates their unit edges (sibling paths may share edges; a
 net occupies an edge once) and fuses them into maximal runs: a segment
-table (:mod:`repro.grid.route`).  The batch commits it with
-:func:`~repro.grid.route.commit_table`, and :func:`reconstruct_routes`
-builds its :class:`~repro.grid.route.Route` objects.
+table (:mod:`repro.grid.route`), route after route.  The batch commits
+it with :func:`~repro.grid.route.commit_table` and cuts it into one
+:class:`~repro.grid.route.Route` (a slice of its rows) per net.
 
 :func:`normalize_route` puts one route built elsewhere through the same
-step; its order is the table's.
+step, over the route's rows.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def reconstruct_routes(
 
 def reconstruct_table(state: BatchState, job: Optional[NetRoutingJob] = None) -> np.ndarray:
     """The segment table of a batch's routes (or of one ``job``'s, as
-    route 0), sorted by ``(kind, route, a, b, lo)``."""
+    route 0), sorted by ``(route, kind, a, b, lo)``."""
     chosen = state.chosen
     layers = np.arange(state.values.shape[1])
 

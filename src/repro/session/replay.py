@@ -51,11 +51,6 @@ _SHIFT = np.int64(32)
 _LOW = np.int64((1 << 32) - 1)
 
 
-def same_route(a: Route, b: Route) -> bool:
-    """True when two routes hold the same wires and vias, in order."""
-    return a is b or (a.wires == b.wires and a.vias == b.vias)
-
-
 class PatternReplay:
     """What the last pattern stage of a session left behind (immutable
     once built: a pass builds its successor, so a failed run leaves the
@@ -189,7 +184,7 @@ class ReplayPass:
         else:
             self.replayed += 1
         old = self.previous.routes.get(i)
-        changed = old is None or not same_route(old, route)
+        changed = old is None or not old.same_geometry(route)
         if not (changed or self._has_fresh[i]):
             return
         lo, hi = self._starts[i], self._starts[i + 1]
@@ -245,4 +240,4 @@ class ReplayPass:
         )
 
 
-__all__ = ["PatternReplay", "ReplayPass", "same_route"]
+__all__ = ["PatternReplay", "ReplayPass"]

@@ -33,7 +33,8 @@ from repro.grid.route import (
     V_WIRE,
     VIA,
     Route,
-    _index_routes,
+    _assign_index,
+    demand_positions,
     normalize_table,
     routes_from_table,
 )
@@ -203,7 +204,7 @@ def routes_from_rows(
     raw = np.array(rows, dtype=np.intp).reshape(-1, 6).T
     table = normalize_table(raw, len(paths))
     routes = routes_from_table(table, len(paths))
-    _index_routes(graph, table, routes)
+    _assign_index(graph, routes, demand_positions(graph, table))
     return routes
 
 

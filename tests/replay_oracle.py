@@ -21,7 +21,6 @@ from unittest import mock
 from repro.core.flow import PatternStage
 from repro.grid.route import Route
 from repro.session.cache import demand_signature, pattern_net_key
-from repro.session.replay import same_route
 
 
 class ReplayOracle:
@@ -49,7 +48,7 @@ class ReplayOracle:
             self.content_misses += cached is None
             if was_clean:
                 self.clean += 1
-                self.unsound += not (cached is not None and same_route(cached, route))
+                self.unsound += not (cached is not None and cached.same_geometry(route))
             self._current[key] = route
 
     @contextmanager

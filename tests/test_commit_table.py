@@ -29,8 +29,8 @@ N, LAYERS = 20, 5
 
 
 def segment_table(routes) -> np.ndarray:
-    """The segment table of ``routes``, sorted by ``(kind, route)`` and
-    in each route's own order."""
+    """The segment table of ``routes``, route after route, each in its
+    own order: its wires, then its vias."""
     rows = []
     for j, route in enumerate(routes):
         for w in route.wires:
@@ -39,7 +39,6 @@ def segment_table(routes) -> np.ndarray:
             else:
                 rows.append((V_WIRE, j, w.layer, w.x1, w.y1, w.y2))
         rows.extend((VIA, j, v.x, v.y, v.lo, v.hi) for v in route.vias)
-    rows.sort(key=lambda row: row[:2])
     return np.array(rows, dtype=np.intp).reshape(-1, 6).T
 
 
@@ -101,7 +100,7 @@ BAD_WIRES = {
 @pytest.mark.parametrize("bad", sorted(BAD_WIRES))
 def test_a_bad_segment_raises_before_anything_is_written(bad):
     table, routes = mixed_batch(1)
-    routes[2].wires.insert(0, BAD_WIRES[bad])
+    routes[2] = Route((BAD_WIRES[bad],) + routes[2].wires, routes[2].vias)
     table = segment_table(routes)
     mine, theirs = twin_graphs()
     with pytest.raises(ValueError) as expected:
@@ -153,13 +152,14 @@ def units(table: np.ndarray):
 @given(raw_rows())
 def test_normalize_table_holds_what_routes_from_table_assumes(case):
     """:func:`routes_from_table` checks nothing: every table it is given
-    is :func:`normalize_table` output, which is sorted by ``(kind,
-    route)``, keeps every route in range and has ``lo < hi`` on every
-    row — and covers exactly the unit edges of its raw rows."""
+    is :func:`normalize_table` output, which is sorted by ``(route,
+    kind)`` (each route's rows one slice), keeps every route in range
+    and has ``lo < hi`` on every row — and covers exactly the unit edges
+    of its raw rows."""
     raw, n_routes = case
     table = normalize_table(raw, n_routes)
     kind, route, _, _, lo, hi = table
-    group = kind * n_routes + route
+    group = route * (VIA + 1) + kind
     assert (group[1:] >= group[:-1]).all()
     assert ((0 <= kind) & (kind <= VIA) & (0 <= route) & (route < n_routes)).all()
     assert (lo < hi).all()

@@ -154,9 +154,9 @@ class TestStackedEngineParity:
         solo, stacked, g1, g2, _ = route_twice(nets, mode_fn, backend_name, 4)
         for name in solo:
             assert routes_bit_equal(stacked[name], solo[name]), name
-        assert stacked["lonely"].wires == []
-        assert stacked["stack0"].wires == []
-        assert stacked["stack0"].vias  # the via stack connecting the pins
+        assert stacked["lonely"].is_empty()
+        assert stacked["stack0"].wirelength == 0
+        assert stacked["stack0"].n_vias  # the via stack connecting the pins
         assert g1.demand_equals(g2)
 
     def test_mixed_modes_in_one_stack(self, backend_name):

@@ -143,10 +143,7 @@ class TestReroute:
         # All three nets initially piled onto row 0.
         routes = {}
         for i, name in enumerate(nets):
-            route = Route(wires=[WireSegment(1, 0, 0, 8, 0)])
-            if i > 0:
-                route.wires.append(WireSegment(0, 0, 0, 0, i))
-                route.wires.append(WireSegment(0, 8, 0, 8, i))
+            route = piled_route(i)
             route.commit(grid)
             routes[name] = route
         before = grid.total_overflow()
@@ -178,16 +175,22 @@ class TestReroute:
         assert np.array_equal(grid.via_demand, reference.via_demand)
 
 
+def piled_route(i):
+    """Net ``i``'s route piled onto row 0: along it, and for ``i > 0``
+    down to row ``i`` at both ends."""
+    wires = [WireSegment(1, 0, 0, 8, 0)]
+    if i > 0:
+        wires += [WireSegment(0, 0, 0, 0, i), WireSegment(0, 8, 0, 8, i)]
+    return Route(wires)
+
+
 def piled_scene(capacity=1.0):
     """Three nets whose routes all pile onto row 0 of a small grid."""
     grid = fresh_grid(capacity=capacity)
     nets = {f"n{i}": Net(f"n{i}", [Pin(0, i, 1), Pin(8, i, 1)]) for i in range(3)}
     routes = {}
     for i, name in enumerate(nets):
-        route = Route(wires=[WireSegment(1, 0, 0, 8, 0)])
-        if i > 0:
-            route.wires.append(WireSegment(0, 0, 0, 0, i))
-            route.wires.append(WireSegment(0, 8, 0, 8, i))
+        route = piled_route(i)
         route.commit(grid)
         routes[name] = route
     return grid, nets, routes

@@ -246,14 +246,6 @@ class TestCommitRoutes:
                                  Route(vias=[ViaSegment(12, 2, 0, 3)])])
         assert all(np.array_equal(x, y) for x, y in zip(before, demand_of(grid)))
 
-    def test_segment_added_after_a_commit_is_seen(self, grid):
-        route = Route([WireSegment(1, 0, 1, 6, 1)])
-        commit_routes(grid, [route])
-        route.vias.append(ViaSegment(2, 2, 0, 3))
-        commit_routes(grid, [route])
-        assert grid.wire_demand[1][0:6, 1].tolist() == [2.0] * 6
-        assert grid.via_demand[0:3, 2, 2].tolist() == [1.0] * 3
-
 
 @pytest.mark.parametrize(
     "path, message",
