@@ -64,6 +64,7 @@ from repro.netlist.generator import DesignSpec, generate_design
 from repro.netlist.net import Net, Pin
 from repro.pattern.batch import BatchPatternRouter
 from repro.pattern.plan import plan_level
+from repro.sched.pipeline import StageRunner
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tests.cost_oracle import full_rebuild_engine  # noqa: E402
@@ -283,6 +284,7 @@ def test_level_planning_as_arrays():
     design = generate_design(OPEN3K)
     config = RouterConfig.fastgr_l()
     stage = PatternStage(design, config, Device())
+    StageRunner().schedule(stage)
     positions = max(stage.tasks, key=len)
     nets = [stage.nets[p] for p in positions]
     router, graph, mode_fn = stage.engine, design.graph, stage.mode_fn

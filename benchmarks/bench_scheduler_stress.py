@@ -70,15 +70,15 @@ def sampled_boxes():
 
 
 class StressStage(ScheduledStage):
-    """A reroute-shaped stage: one box per task, trivial bodies."""
+    """A reroute-shaped stage: one net per task, trivial bodies."""
 
     name = "stress"
 
     def __init__(self, boxes):
-        self._boxes = [[box] for box in boxes]
+        self._boxes = boxes
         self.n_committed = 0
 
-    def task_boxes(self):
+    def boxes(self):
         return self._boxes
 
     def prepare(self):

@@ -4,17 +4,17 @@ Both stages are :class:`~repro.sched.pipeline.ScheduledStage` instances
 executed by the same :class:`~repro.sched.pipeline.StageRunner` — the
 flow holds no scheduling logic of its own:
 
-* :class:`PatternStage` — sort nets (Internet ordering), extract
-  conflict-free batches (Algorithm 1), cut each batch in sort order
-  into pieces of at most :data:`PIECE_NETS` nets and group a batch's
-  pieces by box area.  Each group is one task — one masked
-  ``route_batch`` call on the pattern engine (Fig. 7) — whose footprint
-  is its nets' bounding boxes.  The task graph's dependency levels are
+* :class:`PatternStage` — sort nets (Internet ordering); the runner
+  extracts conflict-free batches of their bounding boxes (Algorithm 1)
+  and the stage cuts each batch in sort order into pieces of at most
+  :data:`PIECE_NETS` nets and groups a batch's pieces by box area.
+  Each group is one task — one masked ``route_batch`` call on the
+  pattern engine (Fig. 7).  The task graph's dependency levels are
   exactly the Algorithm-1 batches, and its topological order is the
   task order.
 * :class:`RerouteStage` — per rip-up iteration, every violating net is
-  one maze-reroute task whose footprint is its search region (bounding
-  box + maze margin).
+  one maze-reroute task whose conflict box is its search region
+  (bounding box + maze margin).
 
 The runner drains both on the calling thread; a task's result is
 published through ``commit_task`` before any conflicting successor
@@ -26,8 +26,6 @@ dispatch bit for bit.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro import metrics
 from repro.core.config import RouterConfig
@@ -44,7 +42,7 @@ from repro.netlist.net import Net
 from repro.pattern.batch import BatchPatternRouter
 from repro.pattern.cpu_reference import SequentialPatternRouter
 from repro.pattern.plan import net_cells
-from repro.sched.batching import bucket_by_area, extract_batches
+from repro.sched.batching import bucket_by_area
 from repro.sched.pipeline import ScheduledStage, StageReport, StageRunner
 from repro.sched.sorting import sort_nets, sort_order
 from repro.session.replay import ReplayPass
@@ -104,22 +102,9 @@ class PatternStage(ScheduledStage):
         # Pin cells and closed-form trees of every net, from the pin
         # table the design's validation built.
         self.net_cells = net_cells(*netlist.pin_table(), graph.n_layers).take(order)
-        boxes = [net.bbox for net in self.nets]
-        # Each Algorithm-1 batch is cut, in sort order, into pieces of
-        # at most PIECE_NETS nets, and the pieces are grouped by their
-        # largest box so one oversized net cannot stretch every stacked
-        # wave it shares.  A group is one task: one ``route_batch`` call.
+        self._net_boxes = [net.bbox for net in self.nets]
+        #: Each task's stage positions, cut by :meth:`group`.
         self.tasks: List[List[int]] = []
-        for batch in extract_batches([[box] for box in boxes], graph.nx, graph.ny):
-            pieces = [
-                batch[lo : lo + PIECE_NETS]
-                for lo in range(0, len(batch), PIECE_NETS)
-            ]
-            areas = [max(boxes[p].area for p in piece) for piece in pieces]
-            for group in bucket_by_area(range(len(pieces)), areas):
-                self.tasks.append([p for piece in group for p in pieces[piece]])
-        self._boxes = [[boxes[p] for p in task] for task in self.tasks]
-        self._net_boxes = boxes
         self.mode_fn = make_mode_selector(config, graph)
 
         self.engine = make_pattern_engine(graph, config, device, tracker)
@@ -132,8 +117,25 @@ class PatternStage(ScheduledStage):
         self.routes: Dict[str, Route] = {}
         self._graph = graph
 
-    def task_boxes(self) -> Sequence[Sequence[Rect]]:
-        return self._boxes
+    def boxes(self) -> Sequence[Rect]:
+        return self._net_boxes
+
+    def group(self, batches: List[List[int]]) -> List[List[int]]:
+        """Cut each Algorithm-1 batch, in sort order, into pieces of at
+        most :data:`PIECE_NETS` nets and group the pieces by their
+        largest box, so one oversized net cannot stretch every stacked
+        wave it shares.  A group is one task: one ``route_batch`` call."""
+        boxes = self._net_boxes
+        self.tasks = []
+        for batch in batches:
+            pieces = [
+                batch[lo : lo + PIECE_NETS]
+                for lo in range(0, len(batch), PIECE_NETS)
+            ]
+            areas = [max(boxes[p].area for p in piece) for piece in pieces]
+            for group in bucket_by_area(range(len(pieces)), areas):
+                self.tasks.append([p for piece in group for p in pieces[piece]])
+        return self.tasks
 
     def prepare(self) -> None:
         self.routes = {}
@@ -192,25 +194,6 @@ class PatternStage(ScheduledStage):
     def commit_task(self, task: int, result: Dict[str, Route]) -> None:
         self.routes.update(result)
 
-    def orient_replay(self, box_pairs: np.ndarray) -> None:
-        """Hand the replay this run's overlap pairs, as stage positions,
-        and a commit rank per position: its task's index.
-
-        Overlapping nets sit in conflicting tasks, which commit in the
-        task graph's topological order — and for this stage that order
-        is the task order (DESIGN.md Sec. 2).
-        """
-        flat = np.fromiter(
-            (p for task in self.tasks for p in task), dtype=np.int64,
-            count=len(self.nets),
-        )
-        rank = np.empty(len(self.nets), dtype=np.int64)
-        rank[flat] = np.repeat(
-            np.arange(len(self.tasks), dtype=np.int64),
-            [len(task) for task in self.tasks],
-        )
-        self.replay.orient(flat[box_pairs], rank)
-
 
 class RerouteStage(ScheduledStage):
     """One rip-up iteration: every violating net is a maze task."""
@@ -230,12 +213,12 @@ class RerouteStage(ScheduledStage):
         self.ordered_nets = ordered_nets
         self._cache = cache
         graph = engine.graph
-        # The footprint is the maze *search region*, not just the
+        # The conflict box is the maze *search region*, not just the
         # bounding box: everything the task reads or writes lives there.
-        self._boxes = [[search_box(net, margin, graph)] for net in ordered_nets]
+        self._boxes = [search_box(net, margin, graph) for net in ordered_nets]
         self.n_failed = 0
 
-    def task_boxes(self) -> Sequence[Sequence[Rect]]:
+    def boxes(self) -> Sequence[Rect]:
         return self._boxes
 
     def prepare(self) -> None:
@@ -271,7 +254,7 @@ class RerouteStage(ScheduledStage):
         """
         if not self.engine.supports_batch:
             return None
-        areas = [boxes[0].area for boxes in self._boxes]
+        areas = [box.area for box in self._boxes]
         plan: List[List[int]] = []
         for level in schedule.task_graph.levels():
             plan.extend(bucket_by_area(level, areas))
@@ -305,7 +288,9 @@ def run_pattern_stage(
     runner = StageRunner(n_workers=config.n_workers)
     schedule = runner.schedule(stage)
     if stage.replay is not None:
-        stage.orient_replay(schedule.box_pairs)
+        # Overlapping nets sit in conflicting tasks, which commit in
+        # task order (DESIGN.md Sec. 2): a net's task is its commit rank.
+        stage.replay.orient(schedule.pairs, schedule.task_of)
     report = runner.run(stage, schedule=schedule)
     if stage.replay is not None:
         context.replay = stage.replay.finish()

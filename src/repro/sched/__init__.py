@@ -1,17 +1,19 @@
 """Heterogeneous task graph scheduler (Sec. III-B/III-C, Fig. 6).
 
-Routing tasks conflict when their bounding boxes overlap (they may
-compete for the same grid edges).  The scheduler (1) lists the
-conflicting task pairs as index arrays (:func:`group_conflicts`),
-(2) runs Algorithm 1 (:func:`extract_batches`), whose first batch is
-the conflict-free *root batch*, (3) orients every conflict edge (root
--> non-root; otherwise smaller task ID -> larger), producing a DAG.
-The paper drains it with Taskflow threads; here :class:`StageRunner`
+Nets conflict when their bounding boxes overlap (they may compete for
+the same grid edges).  The scheduler (1) lists the overlapping net
+pairs as index arrays (:func:`box_conflicts`), (2) runs Algorithm 1
+once over the net boxes (:func:`extract_batches`), (3) lets the stage
+cut each batch into tasks — a task conflicts with another when a net
+of one overlaps a net of the other — and (4) orients every task
+conflict (root -> non-root, where the root batch is the first batch's
+tasks; otherwise smaller task ID -> larger), producing a DAG.  The
+paper drains it with Taskflow threads; here :class:`StageRunner`
 drains it on the calling thread and the parallel makespans are
 modelled (DESIGN.md Sec. 2).  The threaded pool that states the
-paper's release rule, and a set-based conflict graph with its own
-greedy rounds and orientation, are test oracles
-(``tests/sched_oracle.py``).
+paper's release rule, and a set-based conflict graph over multi-box
+task footprints with its own greedy rounds and orientation, are test
+oracles (``tests/sched_oracle.py``).
 """
 
 from repro.sched.sorting import SORTING_SCHEMES, sort_nets
@@ -26,7 +28,7 @@ from repro.sched.pipeline import (
     StageReport,
     StageRunner,
     StageSchedule,
-    group_conflicts,
+    box_conflicts,
     modelled_makespans,
 )
 
@@ -42,6 +44,6 @@ __all__ = [
     "StageSchedule",
     "StageReport",
     "StageRunner",
-    "group_conflicts",
+    "box_conflicts",
     "modelled_makespans",
 ]

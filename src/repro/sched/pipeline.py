@@ -5,14 +5,15 @@ stages of the flow (Fig. 5): pattern-routing batches and maze-reroute
 nets are just tasks with a spatial conflict relation.  This module is
 the single place that turns a stage into scheduled execution:
 
-1. a :class:`ScheduledStage` describes the tasks — each task owns a set
-   of bounding boxes (its conflict footprint), a ``run_task`` body and a
+1. a :class:`ScheduledStage` describes its nets — one conflict box per
+   net, in sort order — how to cut Algorithm 1's net batches into tasks
+   (``group``; one task per net by default), a ``run_task`` body and a
    ``commit_task`` that publishes the result;
-2. :meth:`StageRunner.schedule` lists the conflicting task pairs of
-   those footprints as index arrays, runs Algorithm 1 over the
-   footprints — the batch partition the barrier baseline uses, whose
-   first batch is the task graph's root — and orients the pairs into
-   the ordered task graph (Fig. 6);
+2. :meth:`StageRunner.schedule` lists the overlapping net pairs as
+   index arrays (:func:`box_conflicts`), runs Algorithm 1 once over the
+   net boxes, lets the stage group each batch into tasks, and orients
+   the task pairs into the ordered task graph around batch 0's tasks
+   (Fig. 6); each batch's tasks are the barrier baseline's partition;
 3. :meth:`StageRunner.run` drains the stage on the calling thread:
    one task at a time in the task graph's deterministic topological
    order, each result committed before the next task runs — or, when
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +44,7 @@ from repro.sched.executor import (
 from repro.sched.taskgraph import TaskGraph, build_task_graph
 from repro.utils.arrays import unique_sorted
 
-#: Side, in G-cells, of the square bins :func:`group_conflicts` tests
+#: Side, in G-cells, of the square bins :func:`box_conflicts` tests
 #: overlaps in; it affects only speed, never the relation.
 BIN_SIZE = 16
 
@@ -50,9 +52,9 @@ BIN_SIZE = 16
 class ScheduledStage:
     """A stage of the flow expressed as schedulable tasks.
 
-    Subclasses define the task list implicitly through
-    :meth:`task_boxes` (one footprint — a sequence of rectangles — per
-    task; tasks conflict when their footprints overlap) and provide the
+    Subclasses list their nets' conflict boxes through :meth:`boxes`
+    (nets conflict when their boxes overlap), may cut Algorithm 1's net
+    batches into multi-net tasks through :meth:`group`, and provide the
     task body.  ``run_task`` must not publish shared results itself;
     the runner calls ``commit_task`` with its result before any
     conflicting successor runs.
@@ -60,9 +62,17 @@ class ScheduledStage:
 
     name: str = "stage"
 
-    def task_boxes(self) -> Sequence[Sequence[Rect]]:
-        """Return each task's conflict footprint (its bounding boxes)."""
+    def boxes(self) -> Sequence[Rect]:
+        """Return one conflict box per net, in the stage's sort order."""
         raise NotImplementedError
+
+    def group(self, batches: List[List[int]]) -> List[List[int]]:
+        """Cut Algorithm 1's net ``batches`` into tasks (lists of net
+        positions); each task's nets must come from one batch.
+
+        The default is one task per net, in net order.
+        """
+        return [[net] for net in range(sum(map(len, batches)))]
 
     def prepare(self) -> None:
         """Reset per-run state; called once before execution starts."""
@@ -100,48 +110,32 @@ class ScheduledStage:
         raise NotImplementedError
 
 
-def group_conflicts(
-    groups: Sequence[Sequence[Rect]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The conflict relation over box *groups* — tasks conflict when any
-    box of one overlaps any box of the other — and the box-level overlap
-    relation it is derived from.
+def box_conflicts(boxes: Sequence[Rect]) -> np.ndarray:
+    """The overlap relation over ``boxes``: a ``(2, P)`` array of
+    sorted, unique columns ``(a, b)``, ``a < b``, one per overlapping
+    pair of box indices.
 
     Each box registers in every :data:`BIN_SIZE`-sized cell it touches
     and only boxes sharing a cell are overlap-tested, kept exact: all
-    and only overlapping groups conflict.  Both results are ``(2, ·)``
-    arrays of sorted, unique columns ``(lo, hi)`` with ``lo < hi``: the
-    task pairs are group indices, the box pairs flat box indices —
-    boxes numbered group by group, in order — one column per
-    overlapping pair of boxes in *different* groups.
+    and only overlapping pairs are listed.
     """
-    n_boxes = sum(len(boxes) for boxes in groups)
-    no_pairs = np.empty((2, 0), dtype=np.int64)
-    if n_boxes == 0:
-        return no_pairs, no_pairs
-    task = np.empty(n_boxes, dtype=np.int64)
-    x0 = np.empty(n_boxes, dtype=np.int64)
-    y0 = np.empty(n_boxes, dtype=np.int64)
-    x1 = np.empty(n_boxes, dtype=np.int64)
-    y1 = np.empty(n_boxes, dtype=np.int64)
+    n = len(boxes)
+    if n == 0:
+        return np.empty((2, 0), dtype=np.int64)
+    x0, y0, x1, y1 = np.array(
+        [box.as_tuple() for box in boxes], dtype=np.int64
+    ).T
     bins: Dict[Tuple[int, int], List[int]] = {}
-    flat = 0
-    for index, boxes in enumerate(groups):
-        for box in boxes:
-            task[flat] = index
-            x0[flat], y0[flat] = box.xlo, box.ylo
-            x1[flat], y1[flat] = box.xhi, box.yhi
-            for bx in range(box.xlo // BIN_SIZE, box.xhi // BIN_SIZE + 1):
-                for by in range(box.ylo // BIN_SIZE, box.yhi // BIN_SIZE + 1):
-                    bins.setdefault((bx, by), []).append(flat)
-            flat += 1
+    for index, box in enumerate(boxes):
+        for bx in range(box.xlo // BIN_SIZE, box.xhi // BIN_SIZE + 1):
+            for by in range(box.ylo // BIN_SIZE, box.yhi // BIN_SIZE + 1):
+                bins.setdefault((bx, by), []).append(index)
     # Pairwise closed-rect overlap per bin, vectorised: any overlapping
     # pair shares the bin containing its intersection, so the union
-    # over bins is exactly the conflict relation (duplicates collapse
-    # in the sort).  Bin members are listed in flat order, so
-    # the upper triangle gives ``lo < hi``.
-    lo_parts: List[np.ndarray] = []
-    hi_parts: List[np.ndarray] = []
+    # over bins is exactly the relation (duplicates collapse in the
+    # sort).  Bin members are listed in index order, so the upper
+    # triangle gives ``a < b``.
+    codes: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
     for members in bins.values():
         if len(members) < 2:
             continue
@@ -155,33 +149,22 @@ def group_conflicts(
             & (by0[None, :] <= by1[:, None])
         )
         row, col = np.nonzero(np.triu(overlap, 1))
-        lo, hi = idx[row], idx[col]
-        distinct = task[lo] != task[hi]
-        lo_parts.append(lo[distinct])
-        hi_parts.append(hi[distinct])
-    if not lo_parts:
-        return no_pairs, no_pairs
-    codes = unique_sorted(
-        np.concatenate(lo_parts) * n_boxes + np.concatenate(hi_parts)
-    )
-    pairs = np.stack(np.divmod(codes, n_boxes))
-    lo, hi = pairs
-    # Flat order follows task order, so ``task[lo] < task[hi]``.
-    n_tasks = len(groups)
-    codes = unique_sorted(task[lo] * n_tasks + task[hi])
-    return np.stack(np.divmod(codes, n_tasks)), pairs
+        codes.append(idx[row] * n + idx[col])
+    return np.stack(np.divmod(unique_sorted(np.concatenate(codes)), n))
 
 
 @dataclass
 class StageSchedule:
-    """Everything the scheduler derived from a stage's footprints."""
+    """Everything the scheduler derived from a stage's net boxes."""
 
     task_graph: TaskGraph
-    #: Algorithm 1's batches; the first is the task graph's root batch.
+    #: Each Algorithm-1 batch's tasks; the first is the root batch.
     batches: List[List[int]]
     n_conflicts: int
-    #: Overlapping box pairs across tasks (see :func:`group_conflicts`).
-    box_pairs: np.ndarray
+    #: Overlapping net pairs, as stage positions (see :func:`box_conflicts`).
+    pairs: np.ndarray
+    #: The task of each net position.
+    task_of: np.ndarray
 
     @property
     def n_tasks(self) -> int:
@@ -245,20 +228,48 @@ class StageRunner:
         self.n_workers = n_workers
 
     def schedule(self, stage: ScheduledStage) -> StageSchedule:
-        """Build the conflict pairs, batch partition and ordered task graph."""
-        footprints = stage.task_boxes()
-        (a, b), box_pairs = group_conflicts(footprints)
-        # Footprints are (non-negative) G-cell boxes: a grid reaching
-        # the largest box corner clips none of them.
-        nx = 1 + max((box.xhi for boxes in footprints for box in boxes), default=0)
-        ny = 1 + max((box.yhi for boxes in footprints for box in boxes), default=0)
-        batches = extract_batches(footprints, nx, ny)
-        root = batches[0] if batches else []
+        """Build the conflict pairs, batch partition and ordered task graph.
+
+        Raises ``ValueError`` unless ``stage.group`` partitions the nets
+        into tasks that each lie in one Algorithm-1 batch.
+        """
+        boxes = stage.boxes()
+        n_nets = len(boxes)
+        pairs = box_conflicts(boxes)
+        # Boxes are (non-negative) G-cell boxes: a grid reaching the
+        # largest box corner clips none of them.
+        nx = 1 + max((box.xhi for box in boxes), default=0)
+        ny = 1 + max((box.yhi for box in boxes), default=0)
+        net_batches = extract_batches(boxes, nx, ny)
+        tasks = stage.group(net_batches)
+        n_tasks = len(tasks)
+        sizes = [len(task) for task in tasks]
+        members = np.array(list(chain.from_iterable(tasks)), dtype=np.int64)
+        if 0 in sizes or not np.array_equal(np.sort(members), np.arange(n_nets)):
+            raise ValueError(f"{stage.name} tasks do not partition its nets")
+        task_of = np.empty(n_nets, dtype=np.int64)
+        task_of[members] = np.repeat(np.arange(n_tasks), sizes)
+        batch_of = np.empty(n_nets, dtype=np.int64)
+        for index, batch in enumerate(net_batches):
+            batch_of[batch] = index
+        task_batch = np.empty(n_tasks, dtype=np.int64)
+        task_batch[task_of] = batch_of
+        if not np.array_equal(task_batch[task_of], batch_of):
+            raise ValueError(f"a {stage.name} task spans two batches")
+        # A batch is independent, so overlapping nets sit in distinct tasks.
+        a, b = task_of[pairs]
+        codes = unique_sorted(np.minimum(a, b) * n_tasks + np.maximum(a, b))
+        batches: List[List[int]] = [[] for _ in net_batches]
+        for task, index in enumerate(task_batch.tolist()):
+            batches[index].append(task)
         return StageSchedule(
-            task_graph=build_task_graph(len(footprints), root, a, b),
+            task_graph=build_task_graph(
+                n_tasks, batches[0] if batches else [], *np.divmod(codes, n_tasks)
+            ),
             batches=batches,
-            n_conflicts=int(a.size),
-            box_pairs=box_pairs,
+            n_conflicts=int(codes.size),
+            pairs=pairs,
+            task_of=task_of,
         )
 
     def run(
@@ -319,6 +330,6 @@ __all__ = [
     "StageSchedule",
     "StageReport",
     "StageRunner",
-    "group_conflicts",
+    "box_conflicts",
     "modelled_makespans",
 ]

@@ -1,9 +1,11 @@
 """Ordered task graph construction (Sec. III-B, Fig. 6).
 
-The scheduler turns the undirected conflict relation into a DAG:
+The scheduler turns the undirected task conflict relation into a DAG:
 
-1. take a *root task batch* — a maximal independent set: the first
-   batch of Algorithm 1 (:func:`~repro.sched.batching.extract_batches`);
+1. take a *root task batch* — a maximal independent set: the tasks of
+   the first batch of Algorithm 1
+   (:func:`~repro.sched.batching.extract_batches`, run over the net
+   boxes);
 2. orient every conflict edge: root-task -> non-root-task; between two
    non-root tasks, smaller task ID -> larger (IDs encode the sorting
    result, so the orientation respects the Internet ordering).

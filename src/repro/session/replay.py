@@ -25,6 +25,11 @@ appeared, vanished or flipped, or an earlier overlapping net came out
 of this replay with a different route.  A recomputed route equal to the
 old one dirties nothing.
 
+A pass's pairs are the stage schedule's net overlap pairs
+(``StageSchedule.pairs``), oriented by each net's task
+(``StageSchedule.task_of``): overlapping nets sit in conflicting
+tasks, which the pattern stage commits in task order.
+
 Pairs are net-id codes ``earlier << 32 | later``: the flips are
 two sorted set differences, and propagating a changed route is a slice
 of the later ends per changed net.  Ids are dense over the nets of the

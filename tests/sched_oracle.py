@@ -10,7 +10,8 @@ scheduler is checked against.
   as rounds over that set relation, and :func:`orient` — the Fig. 6
   orientation around the first round.  :func:`oracle_schedule` chains
   them into what :meth:`~repro.sched.pipeline.StageRunner.schedule`
-  must produce from the same footprints with index arrays and bitsets
+  must produce, with net-box index arrays, one bitset Algorithm 1 and
+  a stage's grouping, for tasks with these multi-box footprints
   (``tests/test_pipeline.py``); :func:`task_graph_of` feeds an explicit
   relation through the production
   :func:`~repro.sched.taskgraph.build_task_graph`.
@@ -109,22 +110,15 @@ def build_conflict_graph(
     return graph
 
 
-def footprint_conflicts(
-    footprints: Sequence[Sequence[Rect]],
-) -> Tuple[ConflictGraph, List[Tuple[int, int]]]:
-    """Brute force over multi-box footprints: the task conflict graph
-    and the overlapping box pairs ``(i, j)``, ``i < j``, of boxes of
-    different tasks, numbered task by task, in order."""
-    flat = [(task, box) for task, boxes in enumerate(footprints) for box in boxes]
+def footprint_conflicts(footprints: Sequence[Sequence[Rect]]) -> ConflictGraph:
+    """Brute force over multi-box footprints: two tasks conflict when a
+    box of one overlaps a box of the other."""
     graph = ConflictGraph(len(footprints))
-    pairs = []
-    for i, (ta, box_a) in enumerate(flat):
-        for j in range(i + 1, len(flat)):
-            tb, box_b = flat[j]
-            if ta != tb and box_a.overlaps(box_b):
-                graph.add_conflict(ta, tb)
-                pairs.append((i, j))
-    return graph, pairs
+    for a, boxes_a in enumerate(footprints):
+        for b in range(a + 1, len(footprints)):
+            if any(x.overlaps(y) for x in boxes_a for y in footprints[b]):
+                graph.add_conflict(a, b)
+    return graph
 
 
 def greedy_round(
@@ -180,10 +174,10 @@ def orient(conflicts: ConflictGraph) -> TaskGraph:
 
 
 def oracle_schedule(footprints: Sequence[Sequence[Rect]]):
-    """``(conflicts, task_graph, batches, box_pairs)`` of ``footprints``
-    computed from the set relation alone."""
-    conflicts, pairs = footprint_conflicts(footprints)
-    return conflicts, orient(conflicts), extract_conflict_batches(conflicts), pairs
+    """``(conflicts, task_graph, batches)`` of ``footprints`` computed
+    from the set relation alone."""
+    conflicts = footprint_conflicts(footprints)
+    return conflicts, orient(conflicts), extract_conflict_batches(conflicts)
 
 
 def task_graph_of(conflicts: ConflictGraph) -> TaskGraph:

@@ -8,42 +8,34 @@ wholly off the low edge fixed: they cover no cell).
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.grid.geometry import Rect
-from repro.sched.batching import bucket_by_area, extract_batches
+from repro.sched.batching import MAX_AREA_RATIO, bucket_by_area, extract_batches
 from tests.sched_oracle import build_conflict_graph
 
 
-def extract_batches_oracle(footprints, nx, ny):
-    """Algorithm 1 on a ``(nx, ny)`` occupancy bitmap, one window per box
-    of a task's footprint."""
+def extract_batches_oracle(boxes, nx, ny):
+    """Algorithm 1 on a ``(nx, ny)`` occupancy bitmap, one window per box."""
     bounds = [
-        [
-            (max(b.xlo, 0), min(b.xhi, nx - 1) + 1, max(b.ylo, 0), min(b.yhi, ny - 1) + 1)
-            for b in boxes
-        ]
-        for boxes in footprints
+        (max(b.xlo, 0), min(b.xhi, nx - 1) + 1, max(b.ylo, 0), min(b.yhi, ny - 1) + 1)
+        for b in boxes
     ]
-    remaining = list(range(len(footprints)))
+    remaining = list(range(len(boxes)))
     batches = []
     occupancy = np.zeros((nx, ny), dtype=bool)
     while remaining:
         occupancy[:] = False
         batch, leftovers = [], []
         for index in remaining:
-            # Boxes off the grid cover no cell.
-            windows = [
-                occupancy[xlo:xhi, ylo:yhi]
-                for xlo, xhi, ylo, yhi in bounds[index]
-                if xlo < xhi and ylo < yhi
-            ]
-            if any(window.any() for window in windows):
+            xlo, xhi, ylo, yhi = bounds[index]
+            # A box off the grid covers no cell.
+            window = occupancy[xlo:xhi, ylo:yhi] if xlo < xhi and ylo < yhi else None
+            if window is not None and window.any():
                 leftovers.append(index)
             else:
-                for window in windows:
+                if window is not None:
                     window[:] = True
                 batch.append(index)
         batches.append(batch)
@@ -51,26 +43,17 @@ def extract_batches_oracle(footprints, nx, ny):
     return batches
 
 
-def single(boxes):
-    """One-box footprints."""
-    return [[box] for box in boxes]
-
-
 @st.composite
-def grid_and_boxes(draw, max_boxes=1):
-    """A random grid and footprints of up to ``max_boxes`` boxes that
-    may stick out of it, lie wholly off it on any side, or be a single
-    row, column or cell."""
+def grid_and_boxes(draw):
+    """A random grid and boxes that may stick out of it, lie wholly off
+    it on any side, or be a single row, column or cell."""
     nx, ny = draw(st.integers(1, 24)), draw(st.integers(1, 24))
     xs, ys = st.integers(-6, nx + 5), st.integers(-6, ny + 5)
     box = st.tuples(xs, xs, ys, ys).map(
         lambda t: Rect(min(t[0], t[1]), min(t[2], t[3]),
                        max(t[0], t[1]), max(t[2], t[3]))
     )
-    footprints = draw(st.lists(
-        st.lists(box, min_size=1, max_size=max_boxes), max_size=30,
-    ))
-    return nx, ny, footprints
+    return nx, ny, draw(st.lists(box, max_size=30))
 
 
 def boxes_strategy(span=40):
@@ -87,23 +70,23 @@ def boxes_strategy(span=40):
 class TestExtractBatches:
     def test_disjoint_boxes_single_batch(self):
         boxes = [Rect(0, 0, 2, 2), Rect(5, 5, 7, 7), Rect(10, 0, 12, 2)]
-        batches = extract_batches(single(boxes), 16, 16)
+        batches = extract_batches(boxes, 16, 16)
         assert batches == [[0, 1, 2]]
 
     def test_identical_boxes_fully_serialised(self):
         boxes = [Rect(1, 1, 3, 3)] * 4
-        batches = extract_batches(single(boxes), 8, 8)
+        batches = extract_batches(boxes, 8, 8)
         assert batches == [[0], [1], [2], [3]]
 
     def test_every_task_appears_exactly_once(self):
         boxes = [Rect(i % 5, i % 3, i % 5 + 3, i % 3 + 3) for i in range(12)]
-        batches = extract_batches(single(boxes), 10, 10)
+        batches = extract_batches(boxes, 10, 10)
         flat = [i for batch in batches for i in batch]
         assert sorted(flat) == list(range(12))
 
     def test_order_within_batch_preserved(self):
         boxes = [Rect(0, 0, 1, 1), Rect(5, 5, 6, 6), Rect(9, 9, 10, 10)]
-        batches = extract_batches(single(boxes), 12, 12)
+        batches = extract_batches(boxes, 12, 12)
         assert batches[0] == sorted(batches[0])
 
     def test_empty_input(self):
@@ -112,14 +95,14 @@ class TestExtractBatches:
     def test_greedy_takes_first_remaining(self):
         # First net of every batch is the lowest remaining index.
         boxes = [Rect(0, 0, 4, 4)] * 3 + [Rect(6, 6, 8, 8)]
-        batches = extract_batches(single(boxes), 12, 12)
+        batches = extract_batches(boxes, 12, 12)
         assert batches[0][0] == 0
         assert batches[1][0] == 1
 
     @given(boxes=boxes_strategy())
     @settings(max_examples=50, deadline=None)
     def test_property_batches_are_independent_and_maximal(self, boxes):
-        batches = extract_batches(single(boxes), 50, 50)
+        batches = extract_batches(boxes, 50, 50)
         conflict = build_conflict_graph(boxes)
         flat = [i for batch in batches for i in batch]
         assert sorted(flat) == list(range(len(boxes)))
@@ -139,31 +122,15 @@ class TestExtractBatches:
         negative slice end it would wrap onto columns ``0..nx-2``."""
         boxes = [Rect(-5, 0, -2, 3), Rect(0, 0, 2, 2), Rect(1, -4, 3, -2),
                  Rect(20, 0, 22, 2), Rect(1, 1, 1, 1)]
-        assert extract_batches(single(boxes), 8, 8) == [[0, 1, 2, 3], [4]]
+        assert extract_batches(boxes, 8, 8) == [[0, 1, 2, 3], [4]]
 
     @given(case=grid_and_boxes())
     @settings(max_examples=200, deadline=None)
-    @example(case=(8, 8, single([Rect(-5, -5, -2, -2), Rect(0, 0, 7, 7)])))
-    @example(case=(1, 1, single([Rect(0, 0, 0, 0), Rect(-1, -1, 1, 1)])))
+    @example(case=(8, 8, [Rect(-5, -5, -2, -2), Rect(0, 0, 7, 7)]))
+    @example(case=(1, 1, [Rect(0, 0, 0, 0), Rect(-1, -1, 1, 1)]))
     def test_matches_the_bitmap_oracle(self, case):
-        nx, ny, footprints = case
-        assert extract_batches(footprints, nx, ny) == extract_batches_oracle(
-            footprints, nx, ny
-        )
-
-    @given(case=grid_and_boxes(max_boxes=4))
-    @settings(max_examples=200, deadline=None)
-    @example(case=(8, 8, [[Rect(0, 0, 1, 1), Rect(6, 6, 7, 7)],
-                          [Rect(6, 0, 7, 1)], [Rect(7, 7, 7, 7)]]))
-    @example(case=(4, 4, [[Rect(0, 0, 3, 3)], [], [Rect(1, 1, 2, 2)]]))
-    def test_multi_box_footprints_match_the_bitmap_oracle(self, case):
-        """A task's mask is the OR of its boxes': one overlapping box
-        defers the whole task, and an empty footprint conflicts with
-        nothing."""
-        nx, ny, footprints = case
-        assert extract_batches(footprints, nx, ny) == extract_batches_oracle(
-            footprints, nx, ny
-        )
+        nx, ny, boxes = case
+        assert extract_batches(boxes, nx, ny) == extract_batches_oracle(boxes, nx, ny)
 
 
 class TestBucketByArea:
@@ -195,18 +162,11 @@ class TestBucketByArea:
     def test_empty_level(self):
         assert bucket_by_area([], []) == []
 
-    def test_invalid_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            bucket_by_area([0], [1], max_ratio=0.5)
-
-    @given(
-        areas=st.lists(st.integers(0, 10_000), min_size=1, max_size=40),
-        ratio=st.floats(1.0, 16.0),
-    )
+    @given(areas=st.lists(st.integers(0, 10_000), min_size=1, max_size=40))
     @settings(max_examples=100, deadline=None)
-    def test_property_partition_and_bounded_spread(self, areas, ratio):
+    def test_property_partition_and_bounded_spread(self, areas):
         level = list(range(len(areas)))
-        buckets = bucket_by_area(level, areas, max_ratio=ratio)
+        buckets = bucket_by_area(level, areas)
         flat = [t for bucket in buckets for t in bucket]
         # A permutation of the level...
         assert sorted(flat) == level
@@ -215,4 +175,4 @@ class TestBucketByArea:
         # ...with every bucket's spread bounded by the ratio.
         for bucket in buckets:
             base = max(areas[bucket[0]], 1)
-            assert all(areas[t] <= ratio * base for t in bucket)
+            assert all(areas[t] <= MAX_AREA_RATIO * base for t in bucket)

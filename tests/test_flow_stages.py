@@ -14,6 +14,7 @@ from repro.grid import route as route_module
 from repro.maze.ripup import find_violating_nets
 from repro.netlist.generator import DesignSpec, generate_design
 from repro.sched.batching import extract_batches
+from repro.sched import pipeline
 from repro.sched.pipeline import StageRunner
 from repro.sched.sorting import sort_nets
 from repro.utils.timing import Tracker
@@ -67,9 +68,26 @@ class TestPatternStage:
     def test_batches_cover_sorted_nets(self):
         d = design()
         nets = sort_nets(list(d.netlist), "hpwl_asc")
-        batches = extract_batches([[n.bbox] for n in nets], d.graph.nx, d.graph.ny)
+        batches = extract_batches([n.bbox for n in nets], d.graph.nx, d.graph.ny)
         flat = sorted(i for batch in batches for i in batch)
         assert flat == list(range(len(nets)))
+
+    def test_one_algorithm_1_pass_per_stage(self, monkeypatch):
+        """The stage's schedule runs Algorithm 1 once, over the net
+        boxes; the tasks regroup its batches."""
+        calls = []
+        real = pipeline.extract_batches
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (pipeline, flow):
+            monkeypatch.setattr(module, "extract_batches", counted, raising=False)
+        d = design()
+        run_pattern_stage(d, RouterConfig.fastgr_l(), Device())
+        assert len(calls) == 1
+        assert len(calls[0][0]) == len(d.netlist)
 
     @pytest.mark.parametrize("cap", [64, 8])
     @pytest.mark.parametrize("congested", [False, True])
@@ -83,7 +101,7 @@ class TestPatternStage:
         d = design(congested=congested, n_nets=140)
         stage = PatternStage(d, RouterConfig.fastgr_l(), Device())
         graph = StageRunner().schedule(stage).task_graph
-        batches = extract_batches([[net.bbox] for net in stage.nets], d.graph.nx, d.graph.ny)
+        batches = extract_batches([net.bbox for net in stage.nets], d.graph.nx, d.graph.ny)
         assert len(batches) > 3
 
         def nets_of(tasks):

@@ -29,6 +29,7 @@ from repro.netlist.net import Net, Pin
 from repro.pattern.batch import BatchPatternRouter
 from repro.pattern.twopin import PatternMode
 from repro.sched.batching import extract_batches
+from repro.sched.pipeline import StageRunner
 from tests.cost_oracle import full_rebuild_engine
 
 
@@ -223,8 +224,9 @@ class TestPatternStageTasks:
         monkeypatch.setattr(flow, "PIECE_NETS", 8)
         design = congested_design()
         stage = PatternStage(design, RouterConfig.fastgr_l(), Device())
+        StageRunner().schedule(stage)
         boxes = [net.bbox for net in stage.nets]
-        batches = extract_batches([[box] for box in boxes], design.graph.nx, design.graph.ny)
+        batches = extract_batches(boxes, design.graph.nx, design.graph.ny)
         batch_of = {p: b for b, batch in enumerate(batches) for p in batch}
 
         def area(piece):
@@ -261,6 +263,7 @@ class TestPatternStageTasks:
         stage = PatternStage(
             synthetic_design(graph, nets), RouterConfig.fastgr_l(), Device()
         )
+        StageRunner().schedule(stage)
         assert [[stage.nets[p].name for p in task] for task in stage.tasks] == [
             ["small0", "small1"],
             ["huge"],

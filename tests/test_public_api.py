@@ -44,7 +44,7 @@ class TestPinnedExports:
                 "StageSchedule",
                 "StageReport",
                 "StageRunner",
-                "group_conflicts",
+                "box_conflicts",
                 "modelled_makespans",
             ]
         )
